@@ -95,6 +95,12 @@ class TcpListener(Listener):
         if self._closed:
             return
         self._closed = True
+        try:
+            # On Linux close() alone does not wake a thread blocked in
+            # accept(); shutdown() does (its accept fails with EINVAL).
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # platforms that refuse shutdown() on a listening socket
         self._sock.close()
 
 

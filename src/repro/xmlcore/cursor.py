@@ -18,7 +18,7 @@ Element construction.
   namespace declarations never touch the scope;
 * :meth:`read_element` materializes one subtree into an
   :class:`~repro.xmlcore.tree.Element`, equivalent to what
-  :func:`repro.xmlcore.parser.parse` would have produced for it.
+  :func:`repro.xmlcore.parse` would have produced for it.
 
 ``soap.envelope.iter_body_entries`` builds envelope scanning on top.
 """
@@ -27,10 +27,16 @@ from __future__ import annotations
 
 from repro.errors import XmlWellFormednessError
 from repro.xmlcore import lexer as lx
-from repro.xmlcore.parser import _expand_start_tag
-from repro.xmlcore.treebuilder import decode_document
+from repro.xmlcore.treebuilder import decode_document, expand_start_tag
 from repro.xmlcore.qname import NamespaceScope
 from repro.xmlcore.tree import Element
+
+
+def _expand(token: lx.StartTagToken, scope: NamespaceScope) -> Element:
+    tag, attributes, declarations = expand_start_tag(scope, token)
+    if declarations is None:
+        scope.push()  # the cursor pops one frame per element, declaring or not
+    return Element(tag, attributes, nsmap=declarations)
 
 
 class XmlCursor:
@@ -74,7 +80,7 @@ class XmlCursor:
         After entering, :meth:`next_child` iterates the element's child
         start tags; once it returns None the scope has been popped.
         """
-        element = _expand_start_tag(token, self._scope)
+        element = _expand(token, self._scope)
         self._entered.append((token.name, token.self_closing))
         return element
 
@@ -123,7 +129,7 @@ class XmlCursor:
     def read_element(self, token: lx.StartTagToken) -> Element:
         """Materialize the subtree opened by ``token`` as an Element."""
         scope = self._scope
-        root = _expand_start_tag(token, scope)
+        root = _expand(token, scope)
         if token.self_closing:
             scope.pop()
             return root
@@ -131,7 +137,7 @@ class XmlCursor:
         names: list[str] = [token.name]
         for tok in self._tokens:
             if isinstance(tok, lx.StartTagToken):
-                element = _expand_start_tag(tok, scope)
+                element = _expand(tok, scope)
                 stack[-1].children.append(element)
                 if tok.self_closing:
                     scope.pop()
@@ -167,6 +173,10 @@ class XmlCursor:
                     "document has more than one root element",
                     token.line,
                     token.column,
+                )
+            if isinstance(token, lx.EndTagToken):
+                raise XmlWellFormednessError(
+                    f"unexpected end tag </{token.name}>", token.line, token.column
                 )
             if isinstance(token, (lx.TextToken, lx.CDataToken)) and token.text.strip():
                 raise XmlWellFormednessError(

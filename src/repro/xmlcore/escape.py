@@ -4,11 +4,14 @@ Implements the five predefined XML entities plus numeric character
 references.  The unescape side accepts decimal (``&#65;``) and hexadecimal
 (``&#x41;``) references, which real SOAP toolkits emit for non-ASCII data.
 
-Hot-path notes: escaping is a containment probe (clean strings return
-unchanged) followed by chained ``str.replace``; legality checking is a
-``str.translate`` delete-table probe (one C pass + length compare) with
-a regex fallback that locates the bad character for the error message;
-unescaping copies clean spans in bulk between ``&`` occurrences.
+Escaping probes first (clean strings return unchanged) and only then
+runs chained ``str.replace``.  Legality checking of ASCII text is a
+``str.translate`` delete-table probe (one C pass + length compare); the
+regex locates the bad character for the error message and is also the
+probe for non-ASCII text, where ``translate`` is ten times slower than
+the regex.  :func:`has_suspect_chars` is the once-per-document form of
+both checks that the readers run instead of checking every text run.
+Unescaping copies clean spans in bulk between ``&`` occurrences.
 """
 
 from __future__ import annotations
@@ -33,18 +36,19 @@ _ILLEGAL_XML_RE = re.compile(
 )
 
 
-# The same set as a str.translate delete table (2079 code points: the C0
-# controls minus tab/LF/CR, the surrogate block, and 0xFFFE/0xFFFF).
-# ``translate`` with a delete table runs in C, so "is this text clean?"
-# becomes one pass plus a length compare — about 8x faster than the
-# regex search on a 100 KB payload.  The regex survives as the slow path
-# that *locates* the offending character for the error message.
-_ILLEGAL_DELETE_TABLE: dict[int, None] = {
-    code: None for code in range(0x20) if code not in (0x9, 0xA, 0xD)
+# The ASCII part of the same set as a str.translate table: the C0
+# controls minus tab/LF/CR are deleted, every other ASCII character maps
+# to itself (a complete table — a missing key costs ``translate`` a
+# caught LookupError per distinct character).  On ASCII text that is one
+# C pass plus a length compare, about 8x faster than the regex search on
+# a 100 KB payload; on non-ASCII text ``translate`` is the slower of the
+# two by 10x, so there the regex is the probe.
+_ASCII_CONTROLS_DELETED: dict[int, int | None] = {
+    code: code if code >= 0x20 or code in (0x9, 0xA, 0xD) else None
+    for code in range(0x80)
 }
-_ILLEGAL_DELETE_TABLE.update({code: None for code in range(0xD800, 0xE000)})
-_ILLEGAL_DELETE_TABLE[0xFFFE] = None
-_ILLEGAL_DELETE_TABLE[0xFFFF] = None
+
+_ATTR_SPECIAL_RE = re.compile("[&<>\"']")
 
 
 def is_xml_char(code: int) -> bool:
@@ -61,13 +65,23 @@ def is_xml_char(code: int) -> bool:
 def find_illegal_char(text: str) -> Match[str] | None:
     """First character illegal in XML 1.0, as a regex match, or None.
 
-    Clean text (the overwhelmingly common case) is detected with the
-    translate-table probe; the regex runs only when something illegal is
-    present, to pinpoint it for the diagnostic.
+    Clean ASCII text (the overwhelmingly common case) is detected with
+    the translate-table probe; the regex runs on non-ASCII text, or when
+    something illegal is present, to pinpoint it for the diagnostic.
     """
-    if len(text.translate(_ILLEGAL_DELETE_TABLE)) == len(text):
+    if text.isascii() and len(text.translate(_ASCII_CONTROLS_DELETED)) == len(text):
         return None
     return _ILLEGAL_XML_RE.search(text)
+
+
+def has_suspect_chars(document: str) -> bool:
+    """True when ``document`` holds ``]]>`` or an illegal character
+    anywhere, so a reader must check each run to say where and whether
+    it matters (``]]>`` is legal outside character data).  False — the
+    usual answer — lets a reader skip every per-run check."""
+    return ("]" in document and "]]>" in document) or (
+        find_illegal_char(document) is not None
+    )
 
 
 def escape_text(value: str) -> str:
@@ -84,7 +98,7 @@ def escape_text(value: str) -> str:
 
 def escape_attribute(value: str) -> str:
     """Escape character data appearing inside a double-quoted attribute."""
-    if not any(c in value for c in "&<>\"'"):
+    if _ATTR_SPECIAL_RE.search(value) is None:
         return value
     return (
         value.replace("&", "&amp;")

@@ -20,8 +20,10 @@ Hot-path design:
   and ``column`` are computed (and cached) only when someone asks —
   in practice only when an error is being raised.  The old eager
   ``_advance_to`` bookkeeping sliced and counted every token's text.
-* Character-legality checking is one regex search
-  (:func:`repro.xmlcore.escape.find_illegal_char`), not a Python loop.
+* Character legality and ``]]>`` are probed once per document
+  (:func:`repro.xmlcore.escape.has_suspect_chars`); only a document that
+  trips the probe has its text runs and attribute values checked one by
+  one, to find out where the character is and whether it is an error.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import re
 from typing import Iterator
 
 from repro.errors import XmlWellFormednessError
-from repro.xmlcore.escape import find_illegal_char, unescape
+from repro.xmlcore.escape import find_illegal_char, has_suspect_chars, unescape
 
 _WHITESPACE = " \t\r\n"
 
@@ -165,23 +167,28 @@ class PIToken(Token):
 class Lexer:
     """Single-pass tokenizer over a complete document string."""
 
-    __slots__ = ("_src", "_pos")
+    __slots__ = ("_src", "_pos", "_suspect")
 
     def __init__(self, source: str) -> None:
         self._src = source
         self._pos = 0
+        self._suspect = has_suspect_chars(source)
 
     def tokens(self) -> Iterator[Token]:
         """Yield tokens until the document is exhausted."""
-        src = self._src
-        n = len(src)
         first = True
-        while self._pos < n:
-            if src[self._pos] == "<":
-                yield self._lex_markup(allow_decl=first)
-            else:
-                yield self._lex_text()
+        while (token := self.next_token(allow_decl=first)) is not None:
+            yield token
             first = False
+
+    def next_token(self, *, allow_decl: bool = False) -> Token | None:
+        """The token at the current position, or None at the end."""
+        src = self._src
+        if self._pos >= len(src):
+            return None
+        if src[self._pos] == "<":
+            return self._lex_markup(allow_decl=allow_decl)
+        return self._lex_text()
 
     # -- markup ----------------------------------------------------------
 
@@ -283,6 +290,8 @@ class Lexer:
         self._pos = match.end()
         attributes: list[tuple[str, str]] = []
         if raw_attrs:
+            if self._suspect:
+                self._check_chars(raw_attrs, offset)
             for attr_match in _ATTR_RE.finditer(raw_attrs):
                 value = attr_match.group(2)
                 attributes.append((attr_match.group(1), unescape(value[1:-1])))
@@ -342,6 +351,8 @@ class Lexer:
         raw = src[pos + 1 : end]
         if "<" in raw:
             raise self._error(f"'<' not allowed in attribute value of '{name}'")
+        if self._suspect:
+            self._check_chars(raw, self._pos)
         attributes.append((name, unescape(raw)))
         return end + 1
 
@@ -355,9 +366,10 @@ class Lexer:
             end = len(src)
         raw = src[offset:end]
         self._pos = end
-        if "]]>" in raw:
-            raise self._error("']]>' not allowed in character data", offset)
-        self._check_chars(raw, offset)
+        if self._suspect:
+            if "]]>" in raw:
+                raise self._error("']]>' not allowed in character data", offset)
+            self._check_chars(raw, offset)
         if "&" not in raw:
             return TextToken(src, offset, raw)
         return TextToken(src, offset, unescape(raw))

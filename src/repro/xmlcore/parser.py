@@ -3,17 +3,13 @@
 The tree build moved to :mod:`repro.xmlcore.treebuilder`, which fuses
 lexing and parsing into one pass; the unified entry point is
 :func:`repro.xmlcore.parse`.  This module keeps the old ``parse`` name
-alive as a thin deprecated alias and still hosts
-:func:`_expand_start_tag` for the token-pull :mod:`repro.xmlcore.cursor`.
+alive as a thin deprecated alias.
 """
 
 from __future__ import annotations
 
 import warnings
 
-from repro.errors import XmlWellFormednessError
-from repro.xmlcore import lexer as lx
-from repro.xmlcore.qname import NamespaceScope
 from repro.xmlcore.tree import Element
 from repro.xmlcore.treebuilder import build_tree, decode_document
 
@@ -28,36 +24,3 @@ def parse(source: str | bytes) -> Element:
         stacklevel=2,
     )
     return build_tree(source)
-
-
-def _expand_start_tag(token: lx.StartTagToken, scope: NamespaceScope) -> Element:
-    declarations: dict[str, str] = {}
-    plain: list[tuple[str, str]] = []
-    for name, value in token.attributes:
-        if name == "xmlns":
-            declarations[""] = value
-        elif name.startswith("xmlns:"):
-            declarations[name[6:]] = value
-        else:
-            plain.append((name, value))
-
-    try:
-        scope.push(declarations)
-        qname = scope.resolve_name(token.name)
-        attributes: dict[str, str] = {}
-        for name, value in plain:
-            attr_qname = scope.resolve_name(name, is_attribute=True)
-            key = str(attr_qname)
-            if key in attributes:
-                raise XmlWellFormednessError(
-                    f"duplicate attribute '{name}' on <{token.name}>",
-                    token.line,
-                    token.column,
-                )
-            attributes[key] = value
-    except XmlWellFormednessError:
-        raise
-    except Exception as exc:
-        raise type(exc)(f"{exc} (line {token.line}, column {token.column})") from None
-
-    return Element(qname, attributes, nsmap=declarations)

@@ -28,8 +28,12 @@ def _is_name_char(ch: str) -> bool:
     return _is_name_start(ch) or ch.isdigit() or ch in ".-·"
 
 
+@lru_cache(maxsize=4096)
 def is_ncname(name: str) -> bool:
-    """True if ``name`` is a legal non-colonized XML name."""
+    """True if ``name`` is a legal non-colonized XML name.
+
+    Cached like :func:`split_prefixed`: every document declares the same
+    few prefixes, and each declaration is validated on the way in."""
     if not name:
         return False
     if not _is_name_start(name[0]):

@@ -20,7 +20,7 @@ from typing import Iterator
 
 from repro.errors import XmlWellFormednessError
 from repro.xmlcore import lexer as lx
-from repro.xmlcore.treebuilder import decode_document
+from repro.xmlcore.treebuilder import decode_document, expand_start_tag
 from repro.xmlcore.qname import NamespaceScope, QName
 
 
@@ -175,23 +175,7 @@ class PullParser:
 
 
 def _expand(token: lx.StartTagToken, scope: NamespaceScope) -> tuple[QName, dict[str, str]]:
-    declarations: dict[str, str] = {}
-    plain: list[tuple[str, str]] = []
-    for name, value in token.attributes:
-        if name == "xmlns":
-            declarations[""] = value
-        elif name.startswith("xmlns:"):
-            declarations[name[6:]] = value
-        else:
-            plain.append((name, value))
-    scope.push(declarations)
-    qname = scope.resolve_name(token.name)
-    attributes: dict[str, str] = {}
-    for name, value in plain:
-        key = str(scope.resolve_name(name, is_attribute=True))
-        if key in attributes:
-            raise XmlWellFormednessError(
-                f"duplicate attribute '{name}'", token.line, token.column
-            )
-        attributes[key] = value
-    return qname, attributes
+    tag, attributes, declarations = expand_start_tag(scope, token)
+    if declarations is None:
+        scope.push()  # one frame per element, popped with its end event
+    return QName.parse(tag), dict(attributes)

@@ -201,9 +201,20 @@ class Element:
     def iter(self) -> Iterator["Element"]:
         """Depth-first pre-order iteration over the element subtree."""
         yield self
-        for child in self.children:
-            if isinstance(child, Element):
-                yield from child.iter()
+        # A stack of child iterators, not a recursive ``yield from``,
+        # which resumes one generator per level of depth for every node.
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if not isinstance(child, str):
+                    yield child
+                    below = child.children
+                    # a lone text child (the usual leaf) is nothing to descend into
+                    if below and (len(below) > 1 or not isinstance(below[0], str)):
+                        stack.append(iter(below))
+                        break
+            else:
+                stack.pop()
 
     def find(self, tag: str | QName) -> "Element | None":
         """First direct child element whose tag matches.

@@ -1,38 +1,49 @@
-"""Direct scanner→tree builder: the fused lex+parse fast path.
+"""Direct scanner→tree builder: the fused lex+parse reader.
 
-The token-stream pipeline (``lexer.tokenize`` → ``parser.parse``)
-allocates a Token object per tag and per text run and pays an
-``isinstance`` dispatch for each.  For SOAP documents — a handful of
-distinct names repeated thousands of times — that intermediate layer is
-pure overhead.  :class:`XmlScanner` walks the source with the lexer's
-own precompiled regexes and builds :class:`~repro.xmlcore.tree.Element`
-nodes *directly*, with three extra tricks:
+:class:`XmlScanner` builds :class:`~repro.xmlcore.tree.Element` nodes
+straight off the source text.  SOAP documents are a handful of distinct
+start tags repeated thousands of times, so its per-node loop
+(:meth:`XmlScanner._read_children_into`) is built around a memo:
 
-* empty namespace frames are never pushed, so the scope version (and
-  with it the name memo below) stays stable across sibling elements
-  that declare nothing — the packed-envelope shape after hoisting;
-* raw→Clark name resolution is memoized per scope version for both
-  tags and attributes, so repeated names cost one dict hit;
-* anything off the happy path (comments, CDATA, PIs, malformed tags)
-  falls back to the corresponding :mod:`repro.xmlcore.lexer` slow path,
-  keeping diagnostics and legacy tolerances byte-for-byte identical.
+* **What is memoised.**  The raw text of a start tag, ``<`` through the
+  first ``>``, maps to its finished ``(Clark tag, attribute tuple,
+  end-tag text)``.  A hit costs one ``str.find``, one slice and one
+  dict lookup — no regex, no attribute split, no unescape, no name
+  resolution, no token — and the elements built from it share the
+  attribute tuple (``Element.set`` replaces it, never mutates it).
+  Equal text scans to an equal result, so a hit needs no second look.
+  The element's end tag is one ``str.startswith`` of the memoised text.
+* **What invalidates it.**  Namespace bindings: the memo is cleared
+  wherever a frame is pushed on or popped off the scope — exactly where
+  :attr:`NamespaceScope.version` moves — and a start tag that declares
+  namespaces is never memoised.  Elements that declare nothing push no
+  frame, so the memo holds across the pack envelope's sibling entries.
+  It lives and dies with the scanner, one document: no bound, no knob.
+* **What falls back.**  Everything else is the lexer's: a memo miss is
+  tokenized by :mod:`repro.xmlcore.lexer` (start-tag regex, then its
+  character loop for diagnostics and legacy tolerances) and expanded by
+  :func:`expand_start_tag`; so are end tags not literally the expected
+  text, comments, CDATA, PIs, and text runs that hold an ``&``.
+  Character legality and ``]]>`` are probed once per document
+  (:func:`~repro.xmlcore.escape.has_suspect_chars`); a document that
+  trips the probe has every run checked by the lexer, which says where.
+  Text runs are found with ``str.find``, never a ``[^<]*`` regex, which
+  costs 30 % on 100 KB payloads.
 
-The scanner doubles as the pull engine behind
-``soap.envelope`` parsing: :meth:`root` / :meth:`enter` /
-:meth:`next_child` / :meth:`skip` / :meth:`read_element` /
-:meth:`finish` mirror :class:`~repro.xmlcore.cursor.XmlCursor` but
-without per-token objects.  :func:`build_tree` is the whole-document
-entry point behind :func:`repro.xmlcore.parse`.
+The pull API behind ``soap.envelope`` parsing — :meth:`root` /
+:meth:`enter` / :meth:`next_child` / :meth:`skip` /
+:meth:`read_element` / :meth:`finish`, mirroring
+:class:`~repro.xmlcore.cursor.XmlCursor` — walks the same lexer token by
+token and shares its position, so the two styles interleave.
+:func:`build_tree` is the whole-document entry point behind
+:func:`repro.xmlcore.parse`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from repro.errors import XmlWellFormednessError
+from repro.errors import XmlNamespaceError, XmlWellFormednessError
 from repro.xmlcore import lexer as lx
-from repro.xmlcore.escape import find_illegal_char, unescape
-from repro.xmlcore.lexer import _ATTR_RE, _END_TAG_RE, _START_TAG_RE, position_at
+from repro.xmlcore.escape import unescape
 from repro.xmlcore.qname import NamespaceScope
 from repro.xmlcore.tree import Element
 
@@ -70,98 +81,108 @@ def decode_document(data: bytes) -> str:
         raise XmlWellFormednessError(f"undecodable document: {exc}") from None
 
 
-class StartTag(NamedTuple):
-    """A scanned-but-unexpanded start tag (names still prefixed)."""
+def expand_start_tag(
+    scope: NamespaceScope, token: lx.StartTagToken
+) -> tuple[str, tuple[tuple[str, str], ...], dict[str, str] | None]:
+    """The Clark tag, attribute tuple and namespace declarations (None
+    when it makes none) of a start tag — the one place every reader
+    expands names.  Declarations are pushed on ``scope`` as a frame the
+    caller pops when the element ends; without any, nothing is pushed."""
+    declarations: dict[str, str] | None = None
+    plain = token.attributes
+    for attr_name, _ in plain:
+        if attr_name.startswith("xmlns") and (len(attr_name) == 5 or attr_name[5] == ":"):
+            declarations = {}
+            plain = []
+            for name, value in token.attributes:
+                if name == "xmlns":
+                    declarations[""] = value
+                elif name.startswith("xmlns:"):
+                    declarations[name[6:]] = value
+                else:
+                    plain.append((name, value))
+            break
+    try:
+        if declarations is not None:
+            scope.push(declarations)
+        tag = scope.resolve_name(token.name).clark
+        attributes = tuple(
+            [(scope.resolve_name(name, is_attribute=True).clark, value) for name, value in plain]
+        )
+        if len(attributes) > 1:
+            seen: set[str] = set()
+            for index, (key, _) in enumerate(attributes):
+                if key in seen:
+                    raise XmlWellFormednessError(
+                        f"duplicate attribute '{plain[index][0]}' on <{token.name}>",
+                        token.line,
+                        token.column,
+                    )
+                seen.add(key)
+    except XmlWellFormednessError:
+        raise
+    except Exception as exc:
+        raise type(exc)(f"{exc} (line {token.line}, column {token.column})") from None
+    return tag, attributes, declarations
 
-    name: str
-    attributes: list[tuple[str, str]]
-    self_closing: bool
-    offset: int
+
+_new_element = Element.__new__
 
 
 class XmlScanner:
-    """Regex-direct scanner over one document; see the module docstring."""
+    """Fused scanner over one document; see the module docstring."""
 
-    __slots__ = (
-        "_src",
-        "_pos",
-        "_scope",
-        "_entered",
-        "_tag_memo",
-        "_attr_memo",
-        "_memo_version",
-    )
+    __slots__ = ("_scope", "_entered", "_lexer", "_memo")
 
     def __init__(self, source: str | bytes) -> None:
         if isinstance(source, bytes):
             source = decode_document(source)
-        self._src = source
-        self._pos = 0
         self._scope = NamespaceScope()
         # (raw name, self_closing, pushed-a-scope-frame) per entered element
         self._entered: list[tuple[str, bool, bool]] = []
-        self._tag_memo: dict[str, str] = {}
-        self._attr_memo: dict[str, str] = {}
-        self._memo_version = self._scope.version
+        # Holds the source and the position, tokenizes whatever the per-node
+        # loop does not, and ran the once-per-document character probe.
+        self._lexer = lx.Lexer(source)
+        # raw start-tag text -> (Clark tag, attribute tuple, end-tag text
+        # or None when self-closing); cleared wherever a namespace frame
+        # is pushed or popped, and gone with the scanner (one document)
+        self._memo: dict[str, tuple[str, tuple, str | None]] = {}  # repro: disable=no-unbounded-cache
 
     # -- whole-document parse --------------------------------------------
 
     def document(self) -> Element:
         """Parse the complete document and return its root element."""
-        start = self.root()
-        element = self._expand(start)
-        if start.self_closing:
-            self._pop_frame()
-        else:
-            self._read_children_into(element, start.name)
+        element = self.read_element(self.root())
         self._epilog()
         return element
 
     # -- pull navigation --------------------------------------------------
 
-    def root(self) -> StartTag:
+    def root(self) -> lx.StartTagToken:
         """Consume the prolog and return the root element's start tag."""
-        src = self._src
-        n = len(src)
-        pos = self._pos
-        allow_decl = pos == 0
+        first = self._lexer._pos == 0
         while True:
-            lt = src.find("<", pos)
-            limit = lt if lt != -1 else n
-            if limit > pos:
-                text = self._prepare_text(pos, limit)
-                if text.strip():
-                    self._fail("character data outside the root element", pos)
-                allow_decl = False
-            if lt == -1:
-                self._pos = n
+            token = self._lexer.next_token(allow_decl=first)
+            first = False
+            if token is None:
                 raise XmlWellFormednessError("document contains no element")
-            pos = lt
-            nxt = src[lt + 1] if lt + 1 < n else ""
-            if nxt == "/":
-                name, _ = self._scan_end(pos)
-                self._fail(f"unexpected end tag </{name}>", pos)
-            if nxt in "?!":
-                misc = self._scan_misc(pos, allow_decl=allow_decl)
-                pos = self._pos
-                allow_decl = False
-                if isinstance(misc, StartTag):
-                    return misc
-                if misc is not None and misc.strip():
-                    self._fail("character data outside the root element", lt)
-                continue
-            return self._scan_start(pos)
+            if isinstance(token, lx.StartTagToken):
+                return token
+            if isinstance(token, lx.EndTagToken):
+                raise _error(f"unexpected end tag </{token.name}>", token)
+            _require_blank(token)
 
-    def enter(self, start: StartTag) -> Element:
+    def enter(self, start: lx.StartTagToken) -> Element:
         """Expand ``start`` into a childless Element and open its scope.
 
         After entering, :meth:`next_child` iterates the element's child
         start tags; once it returns None the scope has been closed.
         """
-        element = self._expand(start)
-        return element
+        tag, attributes, declarations = self._expand(start)
+        self._entered.append((start.name, start.self_closing, declarations is not None))
+        return Element(tag, attributes, nsmap=declarations)
 
-    def next_child(self) -> StartTag | None:
+    def next_child(self) -> lx.StartTagToken | None:
         """The next child start tag of the innermost entered element, or
         None when that element closes."""
         if not self._entered:
@@ -170,86 +191,45 @@ class XmlScanner:
         if self_closing:
             self._leave()
             return None
-        src = self._src
-        n = len(src)
-        pos = self._pos
         while True:
-            lt = src.find("<", pos)
-            if lt == -1:
-                self._pos = n
+            # Text, CDATA, comments and PIs between children are
+            # validated by the lexer and dropped.
+            token = self._lexer.next_token()
+            if token is None:
                 raise XmlWellFormednessError(f"unclosed element <{name}>")
-            if lt > pos:
-                self._prepare_text(pos, lt)  # validated, content discarded
-            pos = lt
-            nxt = src[lt + 1] if lt + 1 < n else ""
-            if nxt == "/":
-                end_name, end_pos = self._scan_end(pos)
-                self._pos = end_pos
-                if end_name != name:
-                    line, column = position_at(src, lt)
-                    raise XmlWellFormednessError(
-                        f"mismatched end tag: expected </{name}>, got </{end_name}>",
-                        line,
-                        column,
+            if isinstance(token, lx.StartTagToken):
+                return token
+            if isinstance(token, lx.EndTagToken):
+                if token.name != name:
+                    raise _error(
+                        f"mismatched end tag: expected </{name}>, got </{token.name}>", token
                     )
                 self._leave()
                 return None
-            if nxt in "?!":
-                misc = self._scan_misc(pos, allow_decl=False)
-                if isinstance(misc, StartTag):
-                    return misc
-                pos = self._pos
-                continue
-            start = self._scan_start(pos)
-            return start
 
-    def skip(self, start: StartTag) -> None:
+    def skip(self, start: lx.StartTagToken) -> None:
         """Discard the subtree opened by ``start`` without expanding it.
 
         Internal namespace declarations never touch the scope; character
-        data is still validated (legality, ``]]>``) like the token path
-        did, but never unescaped or kept.
+        data is still validated by the lexer, but never kept.
         """
-        if start.self_closing:
-            return
-        src = self._src
-        n = len(src)
-        pos = self._pos
-        depth = 1
+        depth = 0 if start.self_closing else 1
         while depth:
-            lt = src.find("<", pos)
-            if lt == -1:
-                self._pos = n
-                line, column = position_at(src, start.offset)
-                raise XmlWellFormednessError(
-                    f"unclosed element <{start.name}>", line, column
-                )
-            if lt > pos:
-                self._prepare_text(pos, lt)
-            pos = lt
-            nxt = src[lt + 1] if lt + 1 < n else ""
-            if nxt == "/":
-                _, pos = self._scan_end(lt)
+            token = self._lexer.next_token()
+            if token is None:
+                raise _error(f"unclosed element <{start.name}>", start)
+            if isinstance(token, lx.EndTagToken):
                 depth -= 1
-            elif nxt in "?!":
-                misc = self._scan_misc(pos, allow_decl=False)
-                pos = self._pos
-                if isinstance(misc, StartTag) and not misc.self_closing:
-                    depth += 1
-            else:
-                inner = self._scan_start(pos)
-                pos = self._pos
-                if not inner.self_closing:
-                    depth += 1
-        self._pos = pos
+            elif isinstance(token, lx.StartTagToken) and not token.self_closing:
+                depth += 1
 
-    def read_element(self, start: StartTag) -> Element:
+    def read_element(self, start: lx.StartTagToken) -> Element:
         """Materialize the subtree opened by ``start`` as an Element."""
-        element = self._expand(start)
+        element = self.enter(start)
         if start.self_closing:
-            self._pop_frame()
-            return element
-        self._read_children_into(element, start.name)
+            self._leave()
+        else:
+            self._read_children_into(element)
         return element
 
     def finish(self) -> None:
@@ -260,250 +240,135 @@ class XmlScanner:
                 self.skip(child)
         self._epilog()
 
-    # -- scanning internals ----------------------------------------------
+    # -- the per-node loop ------------------------------------------------
 
-    def _read_children_into(self, root: Element, raw_name: str) -> None:
-        """Consume ``root``'s content through its end tag, building the
-        subtree in place.  ``root`` must already be expanded (its scope
-        frame, if any, is recorded on the entered stack)."""
-        src = self._src
-        n = len(src)
-        pos = self._pos
-        entered = self._entered
-        base = len(entered) - 1  # root's own entry
-        stack = [root]
-        while True:
-            lt = src.find("<", pos)
-            if lt == -1:
-                self._pos = n
-                raise XmlWellFormednessError(f"unclosed element <{stack[-1].tag}>")
-            if lt > pos:
-                text = self._prepare_text(pos, lt)
-                if text:
-                    stack[-1].children.append(text)
-            pos = lt
-            nxt = src[lt + 1] if lt + 1 < n else ""
-            if nxt == "/":
-                end_name, pos = self._scan_end(lt)
-                element = stack.pop()
-                open_name, _, pushed = entered.pop()
-                if end_name != open_name:
-                    # Different raw names may still resolve identically
-                    # (same URI under two prefixes) — match the tree
-                    # parser's resolved comparison and message.
-                    closing = self._scope.resolve_name(end_name)
-                    if closing.clark != element.tag:
-                        line, column = position_at(src, lt)
-                        raise XmlWellFormednessError(
-                            f"mismatched end tag: expected </..."
-                            f"{element.qname.local}>, got </{end_name}>",
-                            line,
-                            column,
-                        )
-                if pushed:
-                    self._scope.pop()
-                if len(entered) == base:
-                    self._pos = pos
-                    return
-                continue
-            if nxt in "?!":
-                self._pos = pos
-                misc = self._scan_misc(pos, allow_decl=False)
-                pos = self._pos
-                if isinstance(misc, StartTag):
-                    element = self._expand(misc)
-                    stack[-1].children.append(element)
-                    if misc.self_closing:
-                        self._pop_frame()
-                    else:
-                        stack.append(element)
-                elif misc:
-                    stack[-1].children.append(misc)
-                continue
-            self._pos = pos
-            start = self._scan_start(pos)
-            pos = self._pos
-            element = self._expand(start)
-            stack[-1].children.append(element)
-            if start.self_closing:
-                self._pop_frame()
-            else:
-                stack.append(element)
-
-    def _scan_start(self, pos: int) -> StartTag:
-        """Scan one start tag at ``pos``; advances ``self._pos``."""
-        src = self._src
-        match = _START_TAG_RE.match(src, pos)
-        if match is None:
-            lexer = lx.Lexer(src)
-            lexer._pos = pos
-            token = lexer._lex_start_tag_slow()
-            self._pos = lexer._pos
-            return StartTag(token.name, token.attributes, token.self_closing, pos)
-        name, raw_attrs, slash = match.groups()
-        attributes: list[tuple[str, str]] = []
-        if raw_attrs:
-            for attr_match in _ATTR_RE.finditer(raw_attrs):
-                value = attr_match.group(2)
-                attributes.append((attr_match.group(1), unescape(value[1:-1])))
-        self._pos = match.end()
-        return StartTag(name, attributes, slash == "/", pos)
-
-    def _scan_end(self, pos: int) -> tuple[str, int]:
-        """Scan one end tag at ``pos``; returns (raw name, end offset)."""
-        match = _END_TAG_RE.match(self._src, pos)
-        if match is not None:
-            return match.group(1), match.end()
-        lexer = lx.Lexer(self._src)
-        lexer._pos = pos
-        token = lexer._lex_end_tag()
-        return token.name, lexer._pos
-
-    def _scan_misc(self, pos: int, *, allow_decl: bool) -> "str | StartTag | None":
-        """Handle ``<?``/``<!`` markup via the lexer's own code paths.
-
-        Returns CDATA text, a :class:`StartTag` for the ``<!name``
-        legacy tolerance, or None for comments/PIs/declarations.
-        Advances ``self._pos``.
-        """
-        lexer = lx.Lexer(self._src)
-        lexer._pos = pos
-        token = lexer._lex_markup(allow_decl=allow_decl)
-        self._pos = lexer._pos
-        if isinstance(token, lx.CDataToken):
-            return token.text
-        if isinstance(token, lx.StartTagToken):
-            return StartTag(token.name, token.attributes, token.self_closing, pos)
-        return None
-
-    def _prepare_text(self, pos: int, end: int) -> str:
-        """Validate and unescape the character run ``src[pos:end]``."""
-        raw = self._src[pos:end]
-        if "]]>" in raw:
-            self._fail("']]>' not allowed in character data", pos)
-        match = find_illegal_char(raw)
-        if match is not None:
-            self._fail(f"illegal character U+{ord(match.group()):04X}", pos)
-        if "&" in raw:
-            return unescape(raw)
-        return raw
-
-    # -- namespace expansion ----------------------------------------------
-
-    def _expand(self, start: StartTag) -> Element:
-        """Expand a start tag into a childless Element, opening its
-        namespace frame (if it declares one) and recording it on the
-        entered stack."""
+    def _read_children_into(self, root: Element) -> None:
+        """Consume the content of ``root`` — the innermost entered element —
+        through its end tag, building the subtree in place."""
+        lexer = self._lexer
+        src = lexer._src
+        find = src.find
+        startswith = src.startswith
         scope = self._scope
-        declarations: dict[str, str] | None = None
-        plain = start.attributes
-        for attr_name, _ in plain:
-            if attr_name.startswith("xmlns") and (
-                len(attr_name) == 5 or attr_name[5] == ":"
-            ):
-                declarations = {}
-                plain = []
-                for name, value in start.attributes:
-                    if name == "xmlns":
-                        declarations[""] = value
-                    elif name.startswith("xmlns:"):
-                        declarations[name[6:]] = value
-                    else:
-                        plain.append((name, value))
-                break
-
-        try:
-            pushed = False
-            if declarations:
-                scope.push(declarations)
-                pushed = True
-            if scope.version != self._memo_version:
-                self._tag_memo = {}
-                self._attr_memo = {}
-                self._memo_version = scope.version
-            tag = self._tag_memo.get(start.name)
-            if tag is None:
-                tag = scope.resolve_name(start.name).clark
-                self._tag_memo[start.name] = tag
-            if plain:
-                attr_memo = self._attr_memo
-                attrs = []
-                for name, value in plain:
-                    key = attr_memo.get(name)
-                    if key is None:
-                        key = scope.resolve_name(name, is_attribute=True).clark
-                        attr_memo[name] = key
-                    attrs.append((key, value))
-                if len(attrs) > 1:
-                    seen: set[str] = set()
-                    for index, (key, _) in enumerate(attrs):
-                        if key in seen:
-                            raise XmlWellFormednessError(
-                                f"duplicate attribute '{plain[index][0]}' "
-                                f"on <{start.name}>",
-                                *position_at(self._src, start.offset),
-                            )
-                        seen.add(key)
-                attributes = tuple(attrs)
+        suspect = lexer._suspect
+        memo = self._memo
+        name, _, pushed = self._entered.pop()
+        close = f"</{name}>"
+        children = root.children
+        # (children list, end-tag text, pushed-a-frame) of each open ancestor
+        stack: list[tuple[list, str, bool]] = []
+        pos = lexer._pos
+        while True:
+            lt = find("<", pos)
+            if lt == -1:
+                lexer._pos = pos
+                lexer.next_token()  # trailing text is the lexer's to fault first
+                element = stack[-1][0][-1] if stack else root
+                raise XmlWellFormednessError(f"unclosed element <{element.tag}>")
+            if lt > pos:
+                text = src[pos:lt]
+                if suspect:  # the lexer checks the run, and says where it fails
+                    lexer._pos = pos
+                    text = lexer._lex_text().text
+                elif "&" in text:
+                    text = unescape(text)
+                children.append(text)
+            if startswith(close, lt):
+                pos = lt + len(close)
+            elif startswith("/", lt + 1):
+                lexer._pos = lt
+                token = lexer._lex_end_tag()
+                pos = lexer._pos
+                self._check_end(token, stack[-1][0][-1] if stack else root)
             else:
-                attributes = ()
-        except XmlWellFormednessError:
-            raise
-        except Exception as exc:
-            line, column = position_at(self._src, start.offset)
-            raise type(exc)(f"{exc} (line {line}, column {column})") from None
-
-        element = Element.__new__(Element)
-        element.tag = tag
-        element._attrs = attributes
-        element.children = []
-        element.nsmap = declarations if declarations else {}
-        self._entered.append((start.name, start.self_closing, pushed))
-        return element
+                gt = find(">", lt)
+                hit = memo.get(src[lt : gt + 1])
+                if hit is not None:
+                    tag, attributes, child_close = hit
+                    pos = gt + 1
+                    declarations = None
+                else:
+                    lexer._pos = lt
+                    token = lexer._lex_markup(allow_decl=False)
+                    pos = lexer._pos
+                    if not isinstance(token, lx.StartTagToken):
+                        if isinstance(token, lx.CDataToken) and token.text:
+                            children.append(token.text)
+                        continue
+                    tag, attributes, declarations = self._expand(token)
+                    child_close = None if token.self_closing else f"</{token.name}>"
+                    if declarations is None and pos == gt + 1:
+                        memo[src[lt:pos]] = (tag, attributes, child_close)
+                element = _new_element(Element)
+                element.tag = tag
+                element._attrs = attributes
+                element.children = grandchildren = []
+                element.nsmap = declarations or {}
+                children.append(element)
+                if child_close is not None:
+                    stack.append((children, close, pushed))
+                    children = grandchildren
+                    close = child_close
+                    pushed = declarations is not None
+                elif declarations is not None:
+                    scope.pop()
+                    memo.clear()
+                continue
+            # The current element's end tag has been consumed.
+            if pushed:
+                scope.pop()
+                memo.clear()
+            if not stack:
+                lexer._pos = pos
+                return
+            children, close, pushed = stack.pop()
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _epilog(self) -> None:
-        """Validate that only comments/PIs/whitespace remain."""
-        src = self._src
-        n = len(src)
-        pos = self._pos
-        while True:
-            lt = src.find("<", pos)
-            limit = lt if lt != -1 else n
-            if limit > pos:
-                text = self._prepare_text(pos, limit)
-                if text.strip():
-                    self._fail("character data outside the root element", pos)
-            if lt == -1:
-                self._pos = n
+    def _expand(self, start: lx.StartTagToken):
+        """:func:`expand_start_tag`, dropping the memo if it pushed a frame."""
+        expanded = expand_start_tag(self._scope, start)
+        if expanded[2] is not None:
+            self._memo.clear()
+        return expanded
+
+    def _check_end(self, token: lx.EndTagToken, element: Element) -> None:
+        """Hold an end tag that is not literally the expected text against
+        the open ``element``.  Different raw names may still resolve
+        identically (same URI under two prefixes): compare resolved."""
+        try:
+            if self._scope.resolve_name(token.name).clark == element.tag:
                 return
-            pos = lt
-            nxt = src[lt + 1] if lt + 1 < n else ""
-            if nxt == "/":
-                name, _ = self._scan_end(pos)
-                self._fail(f"unexpected end tag </{name}>", pos)
-            if nxt in "?!":
-                misc = self._scan_misc(pos, allow_decl=False)
-                pos = self._pos
-                if isinstance(misc, StartTag):
-                    self._fail("document has more than one root element", lt)
-                if misc is not None and misc.strip():
-                    self._fail("character data outside the root element", lt)
-                continue
-            self._fail("document has more than one root element", pos)
+        except XmlNamespaceError:
+            pass  # a name that resolves to nothing matches nothing
+        raise _error(
+            f"mismatched end tag: expected </...{element.qname.local}>, got </{token.name}>",
+            token,
+        )
 
     def _leave(self) -> None:
         _, _, pushed = self._entered.pop()
         if pushed:
             self._scope.pop()
+            self._memo.clear()
 
-    def _pop_frame(self) -> None:
-        self._leave()
+    def _epilog(self) -> None:
+        """Validate that only comments/PIs/whitespace remain."""
+        while (token := self._lexer.next_token()) is not None:
+            if isinstance(token, lx.EndTagToken):
+                raise _error(f"unexpected end tag </{token.name}>", token)
+            if isinstance(token, lx.StartTagToken):
+                raise _error("document has more than one root element", token)
+            _require_blank(token)
 
-    def _fail(self, message: str, offset: int) -> None:
-        line, column = position_at(self._src, offset)
-        raise XmlWellFormednessError(message, line, column)
+
+def _require_blank(token: lx.Token) -> None:
+    if isinstance(token, (lx.TextToken, lx.CDataToken)) and token.text.strip():
+        raise _error("character data outside the root element", token)
+
+
+def _error(message: str, token: lx.Token) -> XmlWellFormednessError:
+    return XmlWellFormednessError(message, token.line, token.column)
 
 
 def build_tree(source: str | bytes) -> Element:

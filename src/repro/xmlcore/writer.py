@@ -5,15 +5,29 @@ notation; the writer assigns prefixes on the way out.  An element's
 ``nsmap`` supplies preferred prefixes; URIs with no preferred prefix
 get generated ``ns0``, ``ns1``, ... declarations at first use.
 
-Hot-path notes: rendered names (Clark name → ``prefix:local``) are
-memoized against the namespace scope's version counter, so the pack
-envelope's N identical body entries resolve their prefixes once, not
-N times; output accumulates in a plain list joined at the end.
+Output accumulates in a plain list joined at the end.  The per-node
+work is a memo of rendered names:
+
+* **What is memoised.**  A Clark element name maps to its open-tag and
+  end-tag texts (``<p:local`` / ``</p:local>``), a Clark attribute name
+  to its ``' p:local="'`` piece.  :func:`serialize` writes an element
+  whose ``nsmap`` is empty straight from those — no ``QName``, no scope
+  frame, no declarations dict — so the pack envelope's N identical body
+  entries resolve their prefixes once, not N times.
+* **What invalidates it.**  Both memos hold for one namespace scope
+  version: they are cleared wherever a declaration is made (an
+  ``nsmap``, a generated ``nsN`` prefix, an ``xmlns=""`` reset) and
+  wherever a declaring frame is popped.  They live and die with the
+  writer, one document.
+* **What falls back.**  An element with an ``nsmap``, or with a name
+  the memo does not hold yet, goes through :meth:`StreamingWriter.start`
+  — the general path, which fills the memo; a name that needs a
+  declaration on every occurrence takes it every time.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.errors import XmlNamespaceError
 from repro.xmlcore.escape import escape_attribute, escape_text
@@ -30,26 +44,21 @@ class StreamingWriter:
     intermediate tree, mirroring the streaming serializers in gSOAP.
     """
 
-    __slots__ = (
-        "_parts",
-        "_scope",
-        "_open",
-        "_counter",
-        "_tag_open",
-        "_name_memo",
-        "_memo_version",
-    )
+    __slots__ = ("_parts", "_scope", "_open", "_counter", "_tag_open", "_elements", "_attributes")
 
     def __init__(self, *, declaration: bool = False) -> None:
         self._parts: list[str] = []
         self._scope = NamespaceScope()
-        self._open: list[str] = []  # rendered names of open elements
+        self._open: list[str] = []  # end-tag texts of open elements
         self._counter = 0
         self._tag_open = False
-        # Cleared on every scope-version change and bounded by the
-        # writer's lifetime (one document), so no capacity knob needed.
-        self._name_memo: dict[tuple[str, str, bool], str] = {}  # repro: disable=no-unbounded-cache
-        self._memo_version = self._scope.version
+        # Rendered names under the current scope version: Clark tag ->
+        # (open-tag text, end-tag text); Clark attribute name -> its
+        # ' name="' piece.  Cleared on every scope-version change and
+        # bounded by the writer's lifetime (one document), so no
+        # capacity knob needed.
+        self._elements: dict[str, tuple[str, str]] = {}  # repro: disable=no-unbounded-cache
+        self._attributes: dict[str, str] = {}  # repro: disable=no-unbounded-cache
         if declaration:
             self._parts.append(XML_DECLARATION)
 
@@ -67,34 +76,40 @@ class StreamingWriter:
         ``(name, value)`` pairs — the tree core's native form.
         """
         self._close_start_tag()
-        qname = tag if isinstance(tag, QName) else QName.parse(tag)
+        tag = tag if type(tag) is str else str(tag)
+        # An nsmap clears the memos below, so only its absence can hit.
+        texts = None if nsmap else self._elements.get(tag)
+        if texts is None:
+            qname = QName.parse(tag)
         self._scope.push()
         declarations: dict[str, str] = {}
         if nsmap:
             for prefix, uri in nsmap.items():
-                self._scope.declare(prefix, uri)
-                declarations[prefix] = uri
+                self._declare(prefix, uri, declarations)
 
-        name = self._render_name(qname, declarations, is_attribute=False)
-        rendered_attrs: list[tuple[str, str]] = []
+        if texts is None:
+            name = self._render_name(qname, declarations, is_attribute=False)
+            texts = self._elements[tag] = (f"<{name}", f"</{name}>")
+        rendered_attrs: list[str] = []
         if attributes:
             pairs = attributes.items() if hasattr(attributes, "items") else attributes
             for attr, value in pairs:
-                attr_qname = attr if isinstance(attr, QName) else QName.parse(attr)
-                rendered_attrs.append(
-                    (self._render_name(attr_qname, declarations, is_attribute=True), value)
-                )
+                attr = attr if type(attr) is str else str(attr)
+                piece = self._attributes.get(attr)
+                if piece is None:
+                    name = self._render_name(QName.parse(attr), declarations, is_attribute=True)
+                    piece = self._attributes[attr] = f' {name}="'
+                rendered_attrs.append(f'{piece}{escape_attribute(value)}"')
 
         parts = self._parts
-        parts.append(f"<{name}")
+        parts.append(texts[0])
         for prefix, uri in declarations.items():
             if prefix:
                 parts.append(f' xmlns:{prefix}="{escape_attribute(uri)}"')
             else:
                 parts.append(f' xmlns="{escape_attribute(uri)}"')
-        for attr_name, value in rendered_attrs:
-            parts.append(f' {attr_name}="{escape_attribute(value)}"')
-        self._open.append(name)
+        parts.extend(rendered_attrs)
+        self._open.append(texts[1])
         self._tag_open = True
 
     def characters(self, text: str) -> None:
@@ -127,13 +142,18 @@ class StreamingWriter:
         """Close the most recently opened element."""
         if not self._open:
             raise XmlNamespaceError("end() with no open element")
-        name = self._open.pop()
+        end_tag = self._open.pop()
         if self._tag_open:
             self._parts.append("/>")
             self._tag_open = False
         else:
-            self._parts.append(f"</{name}>")
-        self._scope.pop()
+            self._parts.append(end_tag)
+        scope = self._scope
+        version = scope.version
+        scope.pop()
+        if scope.version != version:  # the frame held declarations
+            self._elements.clear()
+            self._attributes.clear()
 
     def element(
         self,
@@ -149,7 +169,7 @@ class StreamingWriter:
     def getvalue(self) -> str:
         """The document text; raises if elements remain open."""
         if self._open:
-            raise XmlNamespaceError(f"unclosed element <{self._open[-1]}>")
+            raise XmlNamespaceError(f"unclosed element <{self._open[-1][2:-1]}>")
         return "".join(self._parts)
 
     # -- capture hooks (serialization template cache) ------------------
@@ -223,43 +243,28 @@ class StreamingWriter:
     def _render_name(
         self, qname: QName, declarations: dict[str, str], *, is_attribute: bool
     ) -> str:
-        scope = self._scope
-        memo = self._name_memo
-        if scope.version != self._memo_version:
-            memo.clear()
-            self._memo_version = scope.version
-        key = (qname.uri, qname.local, is_attribute)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        name = self._render_name_uncached(qname, declarations, is_attribute)
-        if scope.version != self._memo_version:
-            # Rendering declared a prefix; the memo entries computed
-            # under the old scope may now be shadowed.  Start fresh —
-            # ``name`` itself is stable under the new version.
-            memo.clear()
-            self._memo_version = scope.version
-        memo[key] = name
-        return name
-
-    def _render_name_uncached(
-        self, qname: QName, declarations: dict[str, str], is_attribute: bool
-    ) -> str:
+        """``prefix:local`` for ``qname`` under the current scope, first
+        declaring (into ``declarations`` too) what writing it needs."""
         if not qname.uri:
             # Unprefixed attribute: always fine.  Unprefixed element:
             # only fine if no default namespace is in scope.
             if not is_attribute and self._scope.resolve("") != "":
-                self._scope.declare("", "")
-                declarations[""] = ""
+                self._declare("", "", declarations)
             return qname.local
         prefix = self._scope.prefix_for(qname.uri)
         if prefix is None or (is_attribute and prefix == ""):
             prefix = self._generate_prefix()
-            self._scope.declare(prefix, qname.uri)
-            declarations[prefix] = qname.uri
+            self._declare(prefix, qname.uri, declarations)
         if prefix == "":
             return qname.local
         return f"{prefix}:{qname.local}"
+
+    def _declare(self, prefix: str, uri: str, declarations: dict[str, str]) -> None:
+        self._scope.declare(prefix, uri)
+        declarations[prefix] = uri
+        # Names rendered under the old scope may now be shadowed.
+        self._elements.clear()
+        self._attributes.clear()
 
     def _generate_prefix(self) -> str:
         while True:
@@ -283,11 +288,69 @@ def serialize_bytes(element: Element, *, declaration: bool = True) -> bytes:
     return serialize(element, declaration=declaration).encode("utf-8")
 
 
-def _write_element(writer: StreamingWriter, element: Element) -> None:
-    writer.start(element.tag, element.items(), element.nsmap)
-    for child in element.children:
-        if isinstance(child, str):
-            writer.characters(child)
+def _write_element(writer: StreamingWriter, root: Element) -> None:
+    """Write the subtree at ``root``: the per-node loop.
+
+    An element with no ``nsmap`` whose names the writer's memos hold is
+    written from them; any other goes through :meth:`StreamingWriter.start`,
+    which fills them.  Both clear the memos in place, so the local
+    references stay good across a scope change.
+    """
+    writer._close_start_tag()
+    parts = writer._parts
+    append = parts.append
+    elements = writer._elements
+    pieces = writer._attributes
+    # Open elements: (iterator over the children still to write, end-tag
+    # text — None when opened through start(), so closed through end()).
+    stack: list[tuple[Iterator, str | None]] = []
+    node = root
+    while True:
+        texts = None if node.nsmap else elements.get(node.tag)
+        if texts is not None:
+            mark = len(parts)
+            append(texts[0])
+            for name, value in node._attrs:
+                piece = pieces.get(name)
+                if piece is None:
+                    del parts[mark:]
+                    texts = None
+                    break
+                append(f'{piece}{escape_attribute(value)}"')
+        if texts is None:
+            writer.start(node.tag, node._attrs, node.nsmap)
+            end_tag = None
         else:
-            _write_element(writer, child)
-    writer.end()
+            end_tag = texts[1]
+        children = node.children
+        # Empty strings write nothing; an Element is != "" by identity.
+        if not children or not (children[0] != "" or any(c != "" for c in children)):
+            if end_tag is None:
+                writer.end()
+            else:
+                append("/>")
+        else:
+            if end_tag is None:
+                writer._close_start_tag()
+            else:
+                append(">")
+            stack.append((iter(children), end_tag))
+        # Text up to the next element to open, closing what is finished.
+        while stack:
+            siblings, end_tag = stack[-1]
+            for child in siblings:
+                if not isinstance(child, str):
+                    node = child
+                    break
+                if child:
+                    append(escape_text(child))
+            else:
+                stack.pop()
+                if end_tag is None:
+                    writer.end()
+                else:
+                    append(end_tag)
+                continue
+            break
+        else:
+            return

@@ -1,6 +1,7 @@
 """Integration tests: HTTP client/pool against the threaded server."""
 
 import threading
+import time
 
 import pytest
 
@@ -126,6 +127,16 @@ class TestServerRobustness:
         server.stop()
         with pytest.raises(HttpError):
             server.start()
+
+    def test_stop_on_tcp_wakes_the_accept_thread(self):
+        # close() alone leaves a Linux thread asleep in accept(), and
+        # stop() then waited out its whole five-second join.
+        server = HttpServer(echo_app, transport=TcpTransport(), address=("127.0.0.1", 0))
+        server.start()
+        began = time.monotonic()
+        server.stop()
+        assert time.monotonic() - began < 1.0
+        assert not server._accept_thread.is_alive()
 
     def test_address_property(self):
         transport = InProcTransport()

@@ -1,10 +1,12 @@
 """Integration tests for the TCP transport (loopback sockets)."""
 
 import threading
+import time
 
 import pytest
 
 from repro.errors import TransportError
+from repro.transport.base import ListenerClosed
 from repro.transport.tcp import TcpTransport
 
 LOOPBACK = ("127.0.0.1", 0)
@@ -41,6 +43,24 @@ class TestTcp:
         with transport.listen(LOOPBACK) as listener:
             with pytest.raises(TransportError, match="timed out"):
                 listener.accept(timeout=0.05)
+
+    def test_close_wakes_blocked_accept(self, transport):
+        listener = transport.listen(LOOPBACK)
+        outcome = []
+
+        def accept():
+            try:
+                listener.accept()
+            except TransportError as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=accept, daemon=True)  # a miss fails, not hangs
+        thread.start()
+        time.sleep(0.05)  # let it block in accept()
+        listener.close()
+        thread.join(timeout=1)
+        assert not thread.is_alive()
+        assert isinstance(outcome[0], ListenerClosed)
 
     def test_eof_on_peer_close(self, transport):
         with transport.listen(LOOPBACK) as listener:

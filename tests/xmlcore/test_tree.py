@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import XmlError
+from repro.xmlcore import parse
 from repro.xmlcore.qname import QName
 from repro.xmlcore.tree import Element
 
@@ -76,6 +77,15 @@ class TestInspection:
     def test_iter_preorder(self, envelope):
         tags = [el.local_name for el in envelope.iter()]
         assert tags == ["Envelope", "Body", "echo", "payload"]
+
+    def test_iter_preorder_mixed_content_and_depth(self):
+        root = parse("<a>t<b><c/>u<d><e/></d></b>v<f/><g><h/></g></a>")
+        assert [el.tag for el in root.iter()] == list("abcdefgh")
+        # an explicit stack, so depth is bounded by memory, not recursion
+        deep = leaf = Element("n0")
+        for level in range(1, 5000):
+            leaf = leaf.subelement(f"n{level}")
+        assert sum(1 for _ in deep.iter()) == 5000
 
     def test_find_by_local_name(self, envelope):
         assert envelope.find("Body") is not None

@@ -1,11 +1,14 @@
 """Unit tests for serialization and the streaming writer."""
 
+import json
+
 import pytest
 
 from repro.errors import XmlNamespaceError
 from repro.xmlcore import parse
 from repro.xmlcore.tree import Element
-from repro.xmlcore.writer import StreamingWriter, serialize, serialize_bytes
+from repro.xmlcore.writer import StreamingWriter, _write_element, serialize, serialize_bytes
+from . import writer_golden_cases
 
 
 class TestSerializeTree:
@@ -205,3 +208,58 @@ class TestCommentsAndPIs:
         w = StreamingWriter()
         with pytest.raises(XmlNamespaceError):
             w.processing_instruction("t", "bad ?> data")
+
+
+class TestGoldenCorpus:
+    """Byte-identity with the writer as it was before the per-node memo
+    (``golden/writer.json`` was rendered at the parent commit)."""
+
+    GOLDEN = json.loads(writer_golden_cases.GOLDEN.read_text(encoding="utf-8"))
+
+    def test_corpus_and_cases_agree(self):
+        assert set(self.GOLDEN) == set(writer_golden_cases.CASES)
+
+    @pytest.mark.parametrize("name", sorted(writer_golden_cases.CASES))
+    def test_output_is_byte_identical(self, name):
+        assert writer_golden_cases.CASES[name]() == self.GOLDEN[name]
+
+    @pytest.mark.parametrize("name", sorted(writer_golden_cases.CASES))
+    def test_output_parses_back(self, name):
+        # the corpus is well-formed under every binding it exercises
+        parse(self.GOLDEN[name])
+
+
+class TestNameMemo:
+    def test_memo_does_not_outlive_a_rebinding(self):
+        root = Element("{urn:a}r", nsmap={"p": "urn:a"})
+        root.subelement("{urn:a}e")
+        inner = root.subelement("{urn:b}i", nsmap={"p": "urn:b"})
+        inner.subelement("{urn:a}e")  # p now means urn:b: needs its own prefix
+        root.subelement("{urn:a}e")  # and p means urn:a again
+        assert serialize(root) == (
+            '<p:r xmlns:p="urn:a"><p:e/><p:i xmlns:p="urn:b">'
+            '<ns0:e xmlns:ns0="urn:a"/></p:i><p:e/></p:r>'
+        )
+
+    def test_memoised_and_general_paths_interleave(self):
+        # start()/end() (general) around _write_element (memo) and back
+        writer = StreamingWriter()
+        writer.start("{urn:a}r", nsmap={"p": "urn:a"})
+        leaf = Element("{urn:a}e", {"k": "v"})
+        leaf.append("t")
+        for _ in range(2):
+            _write_element(writer, leaf)
+        writer.start("{urn:a}e", {"k": "v"})
+        _write_element(writer, leaf)
+        writer.end()
+        writer.end()
+        assert writer.getvalue() == (
+            '<p:r xmlns:p="urn:a"><p:e k="v">t</p:e><p:e k="v">t</p:e>'
+            '<p:e k="v"><p:e k="v">t</p:e></p:e></p:r>'
+        )
+
+    def test_deep_tree_needs_no_recursion(self):
+        root = leaf = Element("n")
+        for _ in range(5000):
+            leaf = leaf.subelement("n")
+        assert serialize(root) == "<n>" * 5000 + "<n/>" + "</n>" * 5000
