@@ -9,7 +9,7 @@ typing a SOAP security abstraction, applied as linting):
 * :mod:`repro.analysis.engine` — rule engine, visitor dispatch,
   inline ``# repro: disable=<rule-id>`` suppression;
 * :mod:`repro.analysis.rules` — the repo-specific lint pack
-  (deprecated APIs, wall-clock durations, direct sleep/random,
+  (wall-clock durations, direct sleep/random,
   ``__slots__`` on hot-path records, unbounded queues, bare/swallowing
   excepts);
 * :mod:`repro.analysis.locks` — the lock-discipline analyzer: per-class

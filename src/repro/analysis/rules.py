@@ -1,9 +1,9 @@
 """The repo-specific lint pack.
 
 Each rule encodes an invariant this codebase already promises by
-convention — deprecation rounds, the determinism contract, bounded
-queues, fault visibility — so that the promise is *checked* instead of
-re-litigated in review.  Rules are heuristic by design: a finding that
+convention — the determinism contract, bounded queues, fault
+visibility — so that the promise is *checked* instead of re-litigated
+in review.  Rules are heuristic by design: a finding that
 is correct-but-intended is silenced inline
 (``# repro: disable=<rule-id>``) or frozen in the committed baseline
 with a reason string.
@@ -16,115 +16,6 @@ from typing import Iterator
 
 from repro.analysis.engine import ModuleContext, Rule, dotted_name
 from repro.analysis.findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
-
-# -- no-deprecated-api --------------------------------------------------
-
-# Envelope parse aliases retired by PR 3.
-_DEPRECATED_ENVELOPE_METHODS = frozenset(
-    {"from_string", "from_string_pull", "from_string_server"}
-)
-# Spellings of the retired token-stream tree parser entry point.
-_DEPRECATED_PARSER_CHAINS = frozenset(
-    {"parser.parse", "xmlcore.parser.parse", "repro.xmlcore.parser.parse"}
-)
-
-
-class NoDeprecatedApi(Rule):
-    """Calls into API surfaces that only survive as deprecation shims."""
-
-    id = "no-deprecated-api"
-    severity = SEVERITY_ERROR
-    fix_hint = (
-        "use Envelope.parse / repro.xmlcore.parse / repro.errors.SoapFaultError "
-        "/ CallPolicy(timeout=...) — the aliases warn now and will be removed"
-    )
-    rationale = (
-        "two API-migration rounds left DeprecationWarning shims "
-        "(parser.parse, Envelope.from_string*, errors.SoapFault, "
-        "fault.SoapFaultException, invoke_all(timeout=)); new code must "
-        "not grow back onto them"
-    )
-    node_types = (ast.Attribute, ast.ImportFrom, ast.Call)
-
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
-        """Flag deprecated attribute chains, imports and call forms."""
-        if isinstance(node, ast.ImportFrom):
-            yield from self._visit_import(node, ctx)
-            return
-        if isinstance(node, ast.Call):
-            yield from self._visit_call(node, ctx)
-            return
-        assert isinstance(node, ast.Attribute)
-        if node.attr in _DEPRECATED_ENVELOPE_METHODS:
-            yield self.finding(
-                ctx,
-                node.lineno,
-                f"deprecated Envelope.{node.attr}; use Envelope.parse"
-                + ("(..., server=True)" if node.attr != "from_string_pull" else ""),
-            )
-        elif node.attr == "SoapFaultException":
-            yield self.finding(
-                ctx,
-                node.lineno,
-                "deprecated SoapFaultException; use repro.errors.SoapFaultError",
-            )
-        elif node.attr == "SoapFault":
-            chain = dotted_name(node)
-            if chain is not None and chain.split(".")[-2:-1] == ["errors"]:
-                yield self.finding(
-                    ctx,
-                    node.lineno,
-                    "deprecated repro.errors.SoapFault alias; import SoapFault "
-                    "from repro.soap.fault",
-                )
-        elif node.attr == "parse":
-            chain = dotted_name(node)
-            if chain in _DEPRECATED_PARSER_CHAINS:
-                yield self.finding(
-                    ctx,
-                    node.lineno,
-                    "deprecated repro.xmlcore.parser.parse; use repro.xmlcore.parse",
-                )
-
-    def _visit_import(self, node: ast.ImportFrom, ctx: ModuleContext) -> Iterator[Finding]:
-        module = node.module or ""
-        for alias in node.names:
-            if module == "repro.xmlcore.parser" and alias.name == "parse":
-                yield self.finding(
-                    ctx,
-                    node.lineno,
-                    "deprecated import: repro.xmlcore.parser.parse; "
-                    "use repro.xmlcore.parse",
-                )
-            elif module == "repro.errors" and alias.name == "SoapFault":
-                yield self.finding(
-                    ctx,
-                    node.lineno,
-                    "deprecated import: repro.errors.SoapFault; import SoapFault "
-                    "from repro.soap.fault",
-                )
-            elif alias.name == "SoapFaultException":
-                yield self.finding(
-                    ctx,
-                    node.lineno,
-                    "deprecated import: SoapFaultException; "
-                    "use repro.errors.SoapFaultError",
-                )
-
-    def _visit_call(self, node: ast.Call, ctx: ModuleContext) -> Iterator[Finding]:
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "invoke_all"
-            and any(keyword.arg == "timeout" for keyword in node.keywords)
-        ):
-            yield self.finding(
-                ctx,
-                node.lineno,
-                "deprecated invoke_all(timeout=...); pass "
-                "policy=CallPolicy(timeout=...)",
-            )
-
 
 # -- no-wallclock-duration ----------------------------------------------
 
@@ -240,7 +131,6 @@ HOT_PATH_CLASSES = frozenset(
     {
         "Element",
         "XmlScanner",
-        "XmlCursor",
         "Lexer",
         "StreamingWriter",
         "ChannelReader",
@@ -834,7 +724,6 @@ class NoSwallowedFault(Rule):
 def lint_rules() -> list[Rule]:
     """The lint pack (lock-discipline lives in repro.analysis.locks)."""
     return [
-        NoDeprecatedApi(),
         NoWallclockDuration(),
         NoDirectSleepRandom(),
         RequireSlots(),

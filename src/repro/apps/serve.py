@@ -36,7 +36,6 @@ from repro.http.compression import CompressionPolicy
 from repro.obs import Observability, SpanStore
 from repro.server import ServerConfig, build_server
 from repro.server.handlers import HandlerChain
-from repro.soap.sercache import ResponseTemplateCache
 from repro.transport.tcp import TcpTransport
 
 
@@ -48,7 +47,6 @@ def build_demo_server(
     backend: str = "threaded",
     app_workers: int = 16,
     observability: Observability | None = None,
-    serialization_cache: bool = False,
     compression: bool = False,
     slo_config: dict | None = None,
 ):
@@ -60,11 +58,9 @@ def build_demo_server(
     retained span trees too.  The pack metrics feed its registry so
     everything lands in one snapshot.
 
-    ``serialization_cache`` enables the response-template cache (its
-    hit/miss counters land in the registry); ``compression`` enables
-    negotiated gzip/deflate response coding for clients that send
-    ``Accept-Encoding``; ``slo_config`` (a parsed ``slo.json``) lights
-    up ``GET /slo`` live budget evaluation.
+    ``compression`` enables negotiated gzip/deflate response coding for
+    clients that send ``Accept-Encoding``; ``slo_config`` (a parsed
+    ``slo.json``) lights up ``GET /slo`` live budget evaluation.
     """
     services = [
         make_echo_service(),
@@ -78,7 +74,6 @@ def build_demo_server(
         observability.registry if observability is not None else None
     )
     chain = HandlerChain([metrics, *spi_server_handlers()])
-    registry = observability.registry if observability is not None else None
     server = build_server(ServerConfig(
         services=services,
         architecture=architecture,
@@ -88,9 +83,6 @@ def build_demo_server(
         chain=chain,
         app_workers=app_workers,
         observability=observability,
-        serialization_cache=(
-            ResponseTemplateCache(registry=registry) if serialization_cache else None
-        ),
         compression=CompressionPolicy() if compression else None,
         slo_config=slo_config,
     ))
@@ -123,11 +115,6 @@ def main(argv: list[str] | None = None) -> int:
         "--no-obs",
         action="store_true",
         help="disable observability (no spans, no /metrics or /healthz routes)",
-    )
-    parser.add_argument(
-        "--sercache",
-        action="store_true",
-        help="enable the response serialization template cache",
     )
     parser.add_argument(
         "--compress",
@@ -168,7 +155,6 @@ def main(argv: list[str] | None = None) -> int:
         backend=args.backend,
         app_workers=args.workers,
         observability=observability,
-        serialization_cache=args.sercache,
         compression=args.compress,
         slo_config=slo_config,
     )

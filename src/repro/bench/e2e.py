@@ -43,7 +43,6 @@ from repro.http.compression import CompressionPolicy
 from repro.obs import Observability, QuantileSketch, phase_breakdown, render_spans
 from repro.obs.registry import LATENCY_BOUNDS_S, Histogram
 from repro.resilience.policy import CallPolicy
-from repro.soap.sercache import ResponseTemplateCache
 
 _BENCH_POLICY = CallPolicy(timeout=120)
 
@@ -265,25 +264,20 @@ WIRE_GATE_CASE = "fig7"
 
 
 def _warm_p50_ms(shape: E2eShape, *, repeats: int) -> float:
-    """Median round trip with the PR-6 caches on, measured warm.
+    """Median round trip with the client response cache on, measured warm.
 
-    Server: response-template cache.  Client: parameterized response
-    cache, which the packed invoker keys per whole batch — so after the
-    warmup every identical pack answers from the client cache without
-    touching the wire.  This is the cache-*warm* rail; ``off_p50_ms``
-    stays the cache-free baseline.
+    The packed invoker keys the parameterized response cache per whole
+    batch — so after the warmup every identical pack answers from the
+    client cache without touching the wire.  This is the cache-*warm*
+    rail; ``off_p50_ms`` stays the cache-free baseline.
     """
     samples: list[float] = []
-    with echo_testbed(
-        profile="inproc",
-        architecture="staged",
-        serialization_cache=ResponseTemplateCache(),
-    ) as testbed:
+    with echo_testbed(profile="inproc", architecture="staged") as testbed:
         cache = ResponseCache(CachePolicy(ttl=None))
         proxy = testbed.make_proxy(response_cache=cache)
         invoker = make_invoker("our-approach", proxy)
         calls = echo_calls(shape.m, shape.payload_bytes)
-        invoker.invoke_all(calls, _BENCH_POLICY)  # warmup fills both caches
+        invoker.invoke_all(calls, _BENCH_POLICY)  # warmup fills the cache
         for _ in range(repeats):
             start = time.perf_counter()
             invoker.invoke_all(calls, _BENCH_POLICY)

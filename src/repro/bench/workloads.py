@@ -34,7 +34,6 @@ from repro.diagnostics import PackMetricsHandler
 from repro.errors import ReproError
 from repro.http.compression import CompressionPolicy
 from repro.resilience.policy import CallPolicy
-from repro.soap.sercache import ResponseTemplateCache
 from repro.obs.trace import Observability, Tracer
 from repro.server import ServerConfig, build_server
 from repro.server.handlers import HandlerChain
@@ -130,7 +129,6 @@ def echo_testbed(
     app_workers: int = 32,
     app_queue_limit: int | None = None,
     observability: Observability | None = None,
-    serialization_cache: ResponseTemplateCache | None = None,
     compression: CompressionPolicy | None = None,
 ) -> Iterator[Testbed]:
     """Deploy the Echo service and yield a ready Testbed.
@@ -147,9 +145,8 @@ def echo_testbed(
     ``app_queue_limit`` (staged only): bound on the application stage's
     backlog; entries beyond it shed with ``Server.Busy``.
 
-    ``serialization_cache`` / ``compression``: the PR-6 server knobs —
-    a response-template cache for the serializer hot path, and a
-    negotiated content-coding policy for response bodies.
+    ``compression``: a negotiated content-coding policy for response
+    bodies.
     """
     transport = build_transport(profile)
     address = "echo-bench" if profile == "inproc" else ("127.0.0.1", 0)
@@ -170,7 +167,6 @@ def echo_testbed(
         app_workers=app_workers,
         app_queue_limit=app_queue_limit,
         observability=observability,
-        serialization_cache=serialization_cache,
         compression=compression,
     ))
 

@@ -170,68 +170,6 @@ def build_cases(*, smoke: bool = False) -> list[tuple[str, Callable[[], object],
     cases.append(("escape/attribute_clean", lambda: escape_attribute(clean), inner))
     cases.append(("escape/unescape_clean", lambda: unescape(clean), inner))
     cases.append(("escape/unescape_marked", lambda: unescape(escaped), inner))
-    cases.extend(_sercache_cases(smoke=smoke))
-    return cases
-
-
-def _sercache_cases(*, smoke: bool) -> list[tuple[str, Callable[[], object], int]]:
-    """Response-serialization comparator: cold ``to_bytes`` vs the PR-6
-    template cache (warm) vs differential serialization (HPDC-13, the
-    related-work request-side analogue) — same payload shapes, so the
-    trajectory can state what splicing buys over full rendering."""
-    from repro.soap.diffser import DifferentialSerializer
-    from repro.soap.sercache import ResponseTemplateCache
-    from repro.soap.serializer import build_response_envelope, serialize_rpc_response
-
-    def response_envelope(operation: str, result, entries: int) -> Envelope:
-        if entries == 1:
-            return build_response_envelope(ECHO_NS, operation, result)
-        envelope = Envelope()
-        envelope.add_body(
-            build_parallel_method(
-                [
-                    serialize_rpc_response(ECHO_NS, operation, result)
-                    for _ in range(entries)
-                ]
-            )
-        )
-        return envelope
-
-    # fig7/packed32 are text-dominated (escape cost hits cold and warm
-    # alike); record16 is structure-dominated (40-field records), the
-    # shape where template splicing actually buys the render back.
-    shapes = (
-        ("fig7", "echo", make_echo_payload(100_000), 1, 4),
-        ("packed32", "echo", make_echo_payload(1_000), 32, 10),
-        ("record16", "lookup", {f"field{i:02d}": f"v{i}" for i in range(40)}, 16, 10),
-    )
-    cases: list[tuple[str, Callable[[], object], int]] = []
-    for label, operation, result, entries, inner in shapes:
-        inner = max(1, inner // 2) if smoke else inner
-        envelope = response_envelope(operation, result, entries)
-        cache = ResponseTemplateCache()
-        cache.render_envelope(envelope)  # warm: later renders splice
-        diffser = DifferentialSerializer()
-        cases.append(
-            (f"sercache/{label}_cold", lambda e=envelope: e.to_bytes(), inner)
-        )
-        cases.append(
-            (
-                f"sercache/{label}_warm",
-                lambda c=cache, e=envelope: c.render_envelope(e),
-                inner,
-            )
-        )
-        cases.append(
-            (
-                f"sercache/{label}_diffser",
-                lambda d=diffser, o=operation, r=result, n=entries: [
-                    d.serialize_request(ECHO_NS, o, {"arg": r})
-                    for _ in range(n)
-                ],
-                inner,
-            )
-        )
     return cases
 
 

@@ -6,7 +6,7 @@ from repro.client.cache import (
     ResponseCache,
     response_cache_key,
 )
-from repro.client.config import ClientConfig, build_proxy, config_from_legacy
+from repro.client.config import ClientConfig, build_proxy
 from repro.client.futures import CompletionWatcher, InvocationFuture, wait_all
 from repro.client.invoker import (
     Call,
@@ -31,7 +31,6 @@ __all__ = [
     "ServiceProxy",
     "ThreadedInvoker",
     "build_proxy",
-    "config_from_legacy",
     "response_cache_key",
     "wait_all",
 ]

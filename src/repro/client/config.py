@@ -17,10 +17,6 @@ builds the proxy::
         hedge=HedgePolicy(quantile=0.95),   # tail-at-scale hedging
         limiter=AdaptiveLimiter(),          # AIMD concurrency window
     ))
-
-The old keyword constructor still works but warns with
-``DeprecationWarning`` (errors under pytest); see the README migration
-table.
 """
 
 from __future__ import annotations
@@ -82,6 +78,8 @@ class ClientConfig:
     def __post_init__(self) -> None:
         if self.transport is None:
             raise InvocationError("ClientConfig.transport is required")
+        if self.address is None:
+            raise InvocationError("ClientConfig.address is required")
         if not self.namespace:
             raise InvocationError("ClientConfig.namespace is required")
         if self.hedge is not None and not isinstance(self.hedge, HedgePolicy):
@@ -103,41 +101,5 @@ def build_proxy(config: ClientConfig):
     """The facade: one config in, one ready-to-call proxy out."""
     from repro.client.proxy import ServiceProxy
 
-    return ServiceProxy(config=config)
+    return ServiceProxy(config)
 
-
-def config_from_legacy(
-    transport: Transport,
-    address: Address,
-    legacy: dict[str, Any],
-) -> ClientConfig:
-    """Map an old-style ``ServiceProxy(...)`` call onto a
-    :class:`ClientConfig`.
-
-    ``legacy`` keys are exactly the old keyword parameters (plus the new
-    ``hedge``/``limiter`` knobs, so a shimmed caller is not locked out
-    of them); unknown keys raise ``TypeError`` like any bad keyword
-    argument would.
-    """
-    allowed = {
-        "namespace",
-        "service_name",
-        "path",
-        "reuse_connections",
-        "interface",
-        "extra_headers",
-        "credentials",
-        "tracer",
-        "policy",
-        "hedge",
-        "limiter",
-        "response_cache",
-        "accept_encoding",
-        "request_compression",
-    }
-    unknown = set(legacy) - allowed
-    if unknown:
-        raise TypeError(
-            f"unexpected keyword argument(s) for ServiceProxy: {sorted(unknown)}"
-        )
-    return ClientConfig(transport=transport, address=address, **legacy)

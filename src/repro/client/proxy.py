@@ -16,19 +16,17 @@ it back:
   later attempts' time.
 
 Construction goes through :class:`~repro.client.config.ClientConfig` +
-:func:`~repro.client.config.build_proxy`; the legacy keyword
-constructor still works behind a ``DeprecationWarning``.
+:func:`~repro.client.config.build_proxy`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import warnings
 from typing import Any, Callable
 
 from repro.client.cache import response_cache_key
-from repro.client.config import ClientConfig, config_from_legacy
+from repro.client.config import ClientConfig
 from repro.client.futures import CompletionWatcher, InvocationFuture
 from repro.errors import (
     FAULTCODE_SERVER_BUSY,
@@ -141,33 +139,11 @@ class ServiceProxy:
       M-TCP-connections cost model;
     * ``reuse_connections=True`` goes through a keep-alive pool.
 
-    Construct with ``ServiceProxy(config=ClientConfig(...))`` (or the
-    :func:`~repro.client.config.build_proxy` facade); the legacy
-    keyword form maps onto a config via ``config_from_legacy`` behind a
-    ``DeprecationWarning``.
+    Construct with ``ServiceProxy(ClientConfig(...))`` (or the
+    :func:`~repro.client.config.build_proxy` facade).
     """
 
-    def __init__(
-        self,
-        transport=None,
-        address=None,
-        *,
-        config: ClientConfig | None = None,
-        **legacy: Any,
-    ) -> None:
-        if config is not None:
-            if transport is not None or address is not None or legacy:
-                raise InvocationError(
-                    "ServiceProxy(config=...) takes no legacy arguments"
-                )
-        else:
-            warnings.warn(
-                "repro.client.ServiceProxy(transport, address, ...) is "
-                "deprecated; use build_proxy(ClientConfig(...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = config_from_legacy(transport, address, legacy)
+    def __init__(self, config: ClientConfig) -> None:
         self.config = config
         self.transport = config.transport
         self.address = config.address
@@ -234,7 +210,7 @@ class ServiceProxy:
             interface=service,
             **kwargs,
         )
-        return cls(config=config)
+        return cls(config)
 
     # -- invocation --------------------------------------------------------------
 

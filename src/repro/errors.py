@@ -15,8 +15,6 @@ codes and the client's :class:`~repro.resilience.CallPolicy` consults
 
 from __future__ import annotations
 
-import warnings
-
 # Dot-separated SOAP 1.1 subcodes of the standard ``Server`` code.
 # ``Server.Timeout``: the request's propagated deadline expired before
 # (or while) the entry executed — the work was *not* done.
@@ -158,20 +156,3 @@ class PackError(ReproError):
 class SecurityError(SoapError):
     """WS-Security header verification failure."""
 
-
-def __getattr__(name: str):
-    # Pre-unification, the element-side fault model was only importable
-    # as repro.soap.fault.SoapFault while the exception lived here; some
-    # callers guessed ``repro.errors.SoapFault``.  Keep that spelling
-    # working as a deprecated alias of the canonical model.
-    if name == "SoapFault":
-        warnings.warn(
-            "repro.errors.SoapFault is deprecated; import SoapFault from "
-            "repro.soap.fault (element model) or catch SoapFaultError",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.soap.fault import SoapFault
-
-        return SoapFault
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,8 +18,7 @@ futures pack path:
 * ``retryable_faultcodes`` — which SOAP faultcodes are safe to retry
   (defaults to the taxonomy codes that promise "the work did not run");
 * ``hedging`` — a :class:`~repro.resilience.hedge.HedgePolicy` arming
-  the tail-at-scale speculative second attempt (``False`` disables it;
-  the legacy ``True`` is a deprecated alias for the default policy).
+  the tail-at-scale speculative second attempt (``False`` disables it).
 
 The retry loop itself is :func:`execute_with_policy`, deterministic
 under an injected ``rng``/``sleep``/``clock`` so the chaos-transport
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import random
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -99,15 +97,7 @@ class CallPolicy:
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise InvocationError("CallPolicy.retries must be >= 0")
-        if self.hedging is True:
-            warnings.warn(
-                "repro.resilience.CallPolicy(hedging=True) is deprecated; "
-                "pass a HedgePolicy (hedging=HedgePolicy()) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(self, "hedging", HedgePolicy())
-        elif self.hedging is not False and not isinstance(self.hedging, HedgePolicy):
+        if self.hedging is not False and not isinstance(self.hedging, HedgePolicy):
             raise InvocationError(
                 "CallPolicy.hedging must be False or a HedgePolicy "
                 f"(got {self.hedging!r})"
@@ -169,11 +159,6 @@ class CallPolicy:
     def with_overrides(self, **changes: Any) -> "CallPolicy":
         """A copy with ``changes`` applied (policies are immutable)."""
         return replace(self, **changes)
-
-    @classmethod
-    def from_legacy_timeout(cls, timeout: float | None) -> "CallPolicy":
-        """The shim target for pre-policy ``timeout=`` kwargs."""
-        return cls(timeout=timeout)
 
 
 #: The seed-equivalent policy: single attempt, unbounded, no retries.

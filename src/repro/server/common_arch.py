@@ -11,14 +11,12 @@ synchronously in the HTTP connection thread, one after another.
 from __future__ import annotations
 
 import contextlib
-import warnings
-from typing import Any, Iterator
+from typing import Iterator
 
 from repro.obs.trace import span as obs_span
-from repro.server.config import ServerConfig, build_http_server, config_from_legacy
+from repro.server.config import ServerConfig, build_http_server
 from repro.server.container import ServiceContainer, entry_fault
 from repro.server.endpoint import SoapEndpoint
-from repro.server.service import ServiceDefinition
 from repro.soap.fault import timeout_fault
 from repro.transport.base import Address
 from repro.transport.tcp import TcpTransport
@@ -30,36 +28,12 @@ class CommonSoapServer:
 
     architecture = "common"
 
-    def __init__(
-        self,
-        services: list[ServiceDefinition] | None = None,
-        *,
-        config: ServerConfig | None = None,
-        **legacy: Any,
-    ) -> None:
-        """Build from ``config=``; the old keyword signature still
-        works but warns (use :func:`repro.server.build_server`)."""
-        if config is not None:
-            if services is not None or legacy:
-                raise TypeError(
-                    "pass either config= or the legacy keyword "
-                    "arguments, not both"
-                )
-        else:
-            warnings.warn(
-                "repro.server.CommonSoapServer(services, ...) is deprecated; "
-                "use repro.server.build_server(ServerConfig("
-                "architecture='common', ...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = config_from_legacy("common", services, legacy)
+    def __init__(self, config: ServerConfig) -> None:
         if config.transport is None:
             config = config.replace(transport=TcpTransport())
         self.config = config
         observability = config.observability
         self.observability = observability
-        self.serialization_cache = config.serialization_cache
         self.container = ServiceContainer(
             list(config.services),
             registry=observability.registry if observability is not None else None,
@@ -69,7 +43,6 @@ class CommonSoapServer:
             self._execute,
             chain=config.chain,
             observability=observability,
-            serialization_cache=config.serialization_cache,
         )
         self.transport = config.transport
         self.http = build_http_server(self.endpoint, config)

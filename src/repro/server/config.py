@@ -5,9 +5,9 @@ Before this module, standing up a server meant choosing a class
 :class:`~repro.server.staged_arch.StagedSoapServer`) and threading a
 sprawl of keyword arguments through whichever layers were in between
 (``serve.py`` flags, bench testbeds, test fixtures).  Now every knob —
-architecture, I/O backend, observability, compression, serialization
-cache, SLO budgets, the event-loop's connection/deadline bounds —
-lives in one frozen dataclass, and one facade builds the deployment::
+architecture, I/O backend, observability, compression, SLO budgets,
+the event-loop's connection/deadline bounds — lives in one frozen
+dataclass, and one facade builds the deployment::
 
     from repro.server import ServerConfig, build_server
 
@@ -19,9 +19,6 @@ lives in one frozen dataclass, and one facade builds the deployment::
     ))
     with server.running() as address:
         ...
-
-The old constructors still work but warn with ``DeprecationWarning``
-(errors under pytest); see the README migration table.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from typing import Any, Callable, Sequence
 from repro.http.compression import CompressionPolicy
 from repro.http.core import HttpServerCore
 from repro.obs.trace import Observability
-from repro.soap.sercache import ResponseTemplateCache
 from repro.transport.base import Address, Transport
 
 ARCHITECTURES = ("common", "staged")
@@ -58,8 +54,7 @@ class ServerConfig:
       loop deadlines;
     * **wire** — ``chunk_responses_over`` / ``chunk_size`` (HPDC-11
       chunking), ``compression``;
-    * **observability** — ``observability``, ``serialization_cache``,
-      ``slo_config``.
+    * **observability** — ``observability``, ``slo_config``.
     """
 
     services: Sequence[Any] = ()
@@ -79,7 +74,6 @@ class ServerConfig:
     chunk_responses_over: int | None = None
     chunk_size: int = 8192
     compression: CompressionPolicy | None = None
-    serialization_cache: ResponseTemplateCache | None = None
     observability: Observability | None = None
     slo_config: dict | None = None
 
@@ -105,7 +99,7 @@ def build_server(config: ServerConfig):
     from repro.server.staged_arch import StagedSoapServer
 
     cls = StagedSoapServer if config.architecture == "staged" else CommonSoapServer
-    return cls(config=config)
+    return cls(config)
 
 
 def build_http_server(app: Callable, config: ServerConfig) -> HttpServerCore:
@@ -164,38 +158,3 @@ def _busy_soap_body() -> tuple[str, bytes]:
         busy_fault("server busy: protocol stage shed the request").to_element()
     )
     return SOAP_CONTENT_TYPE, envelope.to_bytes()
-
-
-def config_from_legacy(
-    architecture: str,
-    services: Sequence[Any] | None,
-    legacy: dict[str, Any],
-) -> ServerConfig:
-    """Map an old-style constructor call onto a :class:`ServerConfig`.
-
-    ``legacy`` keys are exactly the old keyword parameters; unknown
-    keys raise ``TypeError`` like any bad keyword argument would.
-    """
-    allowed = {
-        "transport",
-        "address",
-        "chain",
-        "chunk_responses_over",
-        "observability",
-        "serialization_cache",
-        "compression",
-        "slo_config",
-    }
-    if architecture == "staged":
-        allowed |= {"app_workers", "app_queue_limit"}
-    unknown = set(legacy) - allowed
-    if unknown:
-        raise TypeError(
-            f"unexpected keyword argument(s) for {architecture} server: "
-            f"{sorted(unknown)}"
-        )
-    return ServerConfig(
-        services=list(services) if services is not None else [],
-        architecture=architecture,
-        **legacy,
-    )

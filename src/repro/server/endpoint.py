@@ -43,7 +43,6 @@ from repro.soap.constants import (
 from repro.soap.envelope import Envelope
 from repro.soap.fault import SoapFault, fault_code_of
 from repro.soap.multiref import has_multirefs, resolve_multirefs
-from repro.soap.sercache import ResponseTemplateCache
 from repro.server.container import ServiceContainer
 from repro.server.handlers import HandlerChain, MessageContext
 from repro.wsdl.generator import wsdl_for_service
@@ -99,17 +98,12 @@ class SoapEndpoint:
         *,
         chain: HandlerChain | None = None,
         observability: Observability | None = None,
-        serialization_cache: ResponseTemplateCache | None = None,
     ) -> None:
-        """``serialization_cache``: when set, response envelopes render
-        through the template cache (byte-identical output, markup
-        reused across calls).  Fault responses always render fresh."""
         self.container = container
         self.chain = chain if chain is not None else HandlerChain()
         self._executor = executor
         self.stats = EndpointStats()
         self._obs = observability
-        self.serialization_cache = serialization_cache
 
     # -- HTTP entry point ---------------------------------------------------
 
@@ -236,10 +230,7 @@ class SoapEndpoint:
                 response_envelope = Envelope()
                 response_envelope.header_entries = list(context.response_headers)
                 response_envelope.body_entries = list(context.response_entries)
-                if self.serialization_cache is not None:
-                    body = self.serialization_cache.render_envelope(response_envelope)
-                else:
-                    body = response_envelope.to_bytes()
+                body = response_envelope.to_bytes()
                 serialize_span.detail = f"{len(body)}B"
         except ReproError as exc:
             self.stats.envelope_faults += 1

@@ -21,15 +21,13 @@ last worker finishes, then assemble the response in arrival order.
 from __future__ import annotations
 
 import contextlib
-import warnings
-from typing import Any, Iterator
+from typing import Iterator
 
 from repro.errors import PoolSaturatedError, ServiceError
 from repro.obs import trace as obs_trace
-from repro.server.config import ServerConfig, build_http_server, config_from_legacy
+from repro.server.config import ServerConfig, build_http_server
 from repro.server.container import ServiceContainer, entry_fault
 from repro.server.endpoint import SoapEndpoint
-from repro.server.service import ServiceDefinition
 from repro.server.stage import Stage
 from repro.server.threadpool import CompletionLatch
 from repro.soap.fault import SoapFault, busy_fault, timeout_fault
@@ -46,36 +44,12 @@ class StagedSoapServer:
 
     architecture = "staged"
 
-    def __init__(
-        self,
-        services: list[ServiceDefinition] | None = None,
-        *,
-        config: ServerConfig | None = None,
-        **legacy: Any,
-    ) -> None:
-        """Build from ``config=``; the old keyword signature still
-        works but warns (use :func:`repro.server.build_server`)."""
-        if config is not None:
-            if services is not None or legacy:
-                raise TypeError(
-                    "pass either config= or the legacy keyword "
-                    "arguments, not both"
-                )
-        else:
-            warnings.warn(
-                "repro.server.StagedSoapServer(services, ...) is deprecated; "
-                "use repro.server.build_server(ServerConfig("
-                "architecture='staged', ...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = config_from_legacy("staged", services, legacy)
+    def __init__(self, config: ServerConfig) -> None:
         if config.transport is None:
             config = config.replace(transport=TcpTransport())
         self.config = config
         observability = config.observability
         self.observability = observability
-        self.serialization_cache = config.serialization_cache
         self.container = ServiceContainer(
             list(config.services),
             registry=observability.registry if observability is not None else None,
@@ -94,7 +68,6 @@ class StagedSoapServer:
             self._execute,
             chain=config.chain,
             observability=observability,
-            serialization_cache=config.serialization_cache,
         )
         self.transport = config.transport
         self.http = build_http_server(self.endpoint, config)

@@ -13,7 +13,6 @@ logic agree on which faults promise "the work did not run".
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.errors import SoapError, SoapFaultError, is_retryable_faultcode
@@ -142,21 +141,6 @@ def fault_code_of(element: Element) -> str | None:
     code = element.findtext("faultcode", "") or ""
     _, _, local = code.rpartition(":")
     return local
-
-
-def __getattr__(name: str):
-    # The exception half used to be importable only from repro.errors;
-    # post-unification both halves are reachable from this module, the
-    # old spelling via a deprecated alias.
-    if name == "SoapFaultException":
-        warnings.warn(
-            "repro.soap.fault.SoapFaultException is deprecated; use "
-            "repro.errors.SoapFaultError",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return SoapFaultError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

@@ -8,44 +8,35 @@ SOAP engine needs from an XML library, with no dependency on stdlib
 * :mod:`repro.xmlcore.qname` — qualified names, namespace scopes
 * :mod:`repro.xmlcore.tree` — element tree (DOM-like)
 * :mod:`repro.xmlcore.lexer` — tokenizer
-* :mod:`repro.xmlcore.treebuilder` — fused scanner→tree builder
-* :mod:`repro.xmlcore.cursor` — pull navigation over the token stream
+* :mod:`repro.xmlcore.treebuilder` — fused scanner: tree builder and pull API
 * :mod:`repro.xmlcore.api` — the unified ``parse(source, mode=...)`` facade
-* :mod:`repro.xmlcore.parser` — deprecated alias layer for the old parse
-* :mod:`repro.xmlcore.sax` — push/pull event parsing
 * :mod:`repro.xmlcore.writer` — streaming writer and tree serializer
 * :mod:`repro.xmlcore.trie` — expected-tag trie (Chiu et al. optimization)
 
 ``parse(source)`` / ``parse(source, mode="cursor")`` is the one public
-entry point for reading XML; ``parser.parse`` survives as a deprecated
-alias for one release.
+entry point for reading XML; both modes are fronts of one
+:class:`XmlScanner`.
 """
 
 from repro.xmlcore.api import parse
-from repro.xmlcore.cursor import XmlCursor
 from repro.xmlcore.escape import escape_attribute, escape_text, unescape
 from repro.xmlcore.qname import QName, NamespaceScope
-from repro.xmlcore.sax import ContentHandler, PullParser, sax_parse
 from repro.xmlcore.tree import Element
 from repro.xmlcore.treebuilder import XmlScanner, build_tree
 from repro.xmlcore.trie import TagTrie
 from repro.xmlcore.writer import StreamingWriter, serialize, serialize_bytes
 
 __all__ = [
-    "ContentHandler",
     "Element",
     "NamespaceScope",
-    "PullParser",
     "QName",
     "StreamingWriter",
     "TagTrie",
-    "XmlCursor",
     "XmlScanner",
     "build_tree",
     "escape_attribute",
     "escape_text",
     "parse",
-    "sax_parse",
     "serialize",
     "serialize_bytes",
     "unescape",

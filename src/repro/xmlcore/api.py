@@ -1,29 +1,26 @@
 """Unified parse facade for the xmlcore package.
 
-One keyword-driven entry point replaces the old per-module functions:
-
 ``parse(source)``
-    Whole-document tree build (the fused scanner fast path) — what
-    ``parser.parse`` used to do, minus the token stream.
+    Whole-document tree build (the fused scanner fast path).
 ``parse(source, mode="cursor")``
-    A :class:`~repro.xmlcore.cursor.XmlCursor` positioned before the
-    root element, for callers that navigate instead of materializing.
+    An :class:`~repro.xmlcore.treebuilder.XmlScanner` positioned before
+    the root element, for callers that navigate with its pull API
+    instead of materializing.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-from repro.xmlcore.cursor import XmlCursor
 from repro.xmlcore.tree import Element
-from repro.xmlcore.treebuilder import build_tree
+from repro.xmlcore.treebuilder import XmlScanner, build_tree
 
 __all__ = ["parse"]
 
 
 def parse(
     source: str | bytes, *, mode: str = "tree"
-) -> Union[Element, XmlCursor]:
+) -> Union[Element, XmlScanner]:
     """Parse an XML document.
 
     Parameters
@@ -32,10 +29,10 @@ def parse(
         Complete document as ``str`` or (BOM/encoding-aware) ``bytes``.
     mode:
         ``"tree"`` (default) returns the root :class:`Element`;
-        ``"cursor"`` returns an :class:`XmlCursor` for pull navigation.
+        ``"cursor"`` returns an :class:`XmlScanner` for pull navigation.
     """
     if mode == "tree":
         return build_tree(source)
     if mode == "cursor":
-        return XmlCursor(source)
+        return XmlScanner(source)
     raise ValueError(f"unknown parse mode {mode!r} (expected 'tree' or 'cursor')")

@@ -10,15 +10,11 @@ Attribute storage is a tuple of ``(name, value)`` pairs behind accessor
 methods (:meth:`Element.get` / :meth:`Element.set` /
 :meth:`Element.items`), not a dict: SOAP elements carry zero to three
 attributes, so a pair tuple is cheaper to build than a dict on the
-parse hot path and a linear scan beats hashing on lookup.  The old
-``element.attributes`` mapping survives as a deprecated live view for
-one transition release.
+parse hot path and a linear scan beats hashing on lookup.
 """
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import MutableMapping
 from typing import Iterable, Iterator, Union
 
 from repro.errors import XmlError
@@ -141,30 +137,6 @@ class Element:
         else:
             self._attrs = tuple(attributes)
 
-    @property
-    def attributes(self) -> "_AttributesView":
-        """Deprecated dict-style live view of the attributes.
-
-        Use :meth:`get` / :meth:`set` / :meth:`items` /
-        :meth:`pop_attribute` instead; this view exists so pre-redesign
-        callers keep working for one release.
-        """
-        warnings.warn(
-            "Element.attributes is deprecated; use Element.get/set/items",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _AttributesView(self)
-
-    @attributes.setter
-    def attributes(self, value: "dict[str, str] | Iterable[tuple[str, str]]") -> None:
-        warnings.warn(
-            "assigning Element.attributes is deprecated; use Element.replace_attributes",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.replace_attributes(value)
-
     # -- inspection ----------------------------------------------------
 
     @property
@@ -278,46 +250,6 @@ class Element:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Element {self.tag} attrs={len(self._attrs)} children={len(self.children)}>"
-
-
-class _AttributesView(MutableMapping):
-    """Mutable dict-style view over an Element's attribute tuple.
-
-    Backs the deprecated ``Element.attributes`` property; every read
-    and write goes straight through to the element, so pre-redesign
-    code observes exactly the old semantics (insertion order, in-place
-    ``del``/``pop``, dict equality).
-    """
-
-    __slots__ = ("_element",)
-
-    def __init__(self, element: Element) -> None:
-        self._element = element
-
-    def __getitem__(self, key: str) -> str:
-        value = self._element.get(key, _MISSING)
-        if value is _MISSING:
-            raise KeyError(key)
-        return value  # type: ignore[return-value]
-
-    def __setitem__(self, key: str, value: str) -> None:
-        self._element.set(key, value)
-
-    def __delitem__(self, key: str) -> None:
-        if self._element.pop_attribute(key, _MISSING) is _MISSING:
-            raise KeyError(key)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter([name for name, _ in self._element._attrs])
-
-    def __len__(self) -> int:
-        return len(self._element._attrs)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return repr(dict(self._element._attrs))
-
-
-_MISSING = object()
 
 
 def _tag_matches(element: Element, pattern: str) -> bool:

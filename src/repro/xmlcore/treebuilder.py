@@ -32,9 +32,9 @@ start tags repeated thousands of times, so its per-node loop
 
 The pull API behind ``soap.envelope`` parsing — :meth:`root` /
 :meth:`enter` / :meth:`next_child` / :meth:`skip` /
-:meth:`read_element` / :meth:`finish`, mirroring
-:class:`~repro.xmlcore.cursor.XmlCursor` — walks the same lexer token by
-token and shares its position, so the two styles interleave.
+:meth:`read_element` / :meth:`finish`, what
+``repro.xmlcore.parse(mode="cursor")`` returns — walks the same lexer
+token by token and shares its position, so the two styles interleave.
 :func:`build_tree` is the whole-document entry point behind
 :func:`repro.xmlcore.parse`.
 """

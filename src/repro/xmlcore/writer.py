@@ -172,67 +172,6 @@ class StreamingWriter:
             raise XmlNamespaceError(f"unclosed element <{self._open[-1][2:-1]}>")
         return "".join(self._parts)
 
-    # -- capture hooks (serialization template cache) ------------------
-    #
-    # The sercache records the markup a subtree produced during a
-    # normal render by bracketing it with part-list positions; the
-    # three accessors below expose just enough writer state to make
-    # that capture sound without copying any output.
-
-    def close_pending(self) -> None:
-        """Close any open start tag now.
-
-        Callers bracketing a capture must call this first, otherwise
-        the parent's ``>`` (emitted lazily by the next child event)
-        lands inside the captured range.
-        """
-        self._close_start_tag()
-
-    def position(self) -> int:
-        """Current length of the internal parts list.
-
-        A position taken before rendering a subtree, paired with
-        :meth:`capture`, brackets exactly that subtree's markup.
-        """
-        return len(self._parts)
-
-    def capture(self, start: int, end: int | None = None) -> tuple[str, ...]:
-        """The output parts appended between two :meth:`position` marks."""
-        return tuple(self._parts[start:end])
-
-    @property
-    def generated_prefixes(self) -> int:
-        """How many ``ns0``, ``ns1``, ... prefixes this writer has
-        generated so far.  The counter is monotonic across the whole
-        document (never reset on scope pop), so markup that triggered
-        generation is *position-dependent* — a captured copy would
-        replay stale prefix numbers.  Callers caching captured markup
-        must require this value unchanged across the capture.
-        """
-        return self._counter
-
-    @property
-    def scope_version(self) -> int:
-        """The namespace scope's declaration version.
-
-        Unchanged between sibling subtrees rendered under one parent,
-        so a caller issuing many :meth:`scope_key` queries may memoize
-        them for as long as this value holds still.
-        """
-        return self._scope.version
-
-    def scope_key(self, uris: Iterable[str]) -> tuple:
-        """Resolution context for ``uris`` at the current scope.
-
-        Returns ``(default namespace, (prefix-or-None per uri))`` — the
-        validity key for externally cached pre-rendered markup: two
-        renders whose scope keys match resolve every listed URI (and
-        unprefixed names) to identical prefixes, so byte-identical
-        input subtrees produce byte-identical markup.
-        """
-        scope = self._scope
-        return (scope.resolve(""), tuple(scope.prefix_for(uri) for uri in uris))
-
     # -- internals -------------------------------------------------------
 
     def _close_start_tag(self) -> None:

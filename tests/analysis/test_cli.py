@@ -91,7 +91,6 @@ class TestOtherCommands:
         assert main(["rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (
-            "no-deprecated-api",
             "no-wallclock-duration",
             "no-direct-sleep-random",
             "require-slots",

@@ -23,18 +23,6 @@ def corpus_findings(name: str, rules=None):
 
 
 class TestPositiveFixtures:
-    def test_no_deprecated_api(self):
-        findings = corpus_findings("deprecated_pos.py")
-        assert {f.rule_id for f in findings} == {"no-deprecated-api"}
-        messages = "\n".join(f.message for f in findings)
-        assert len(findings) == 8
-        assert "repro.errors.SoapFault" in messages
-        assert "SoapFaultException" in messages
-        assert "repro.xmlcore.parser.parse" in messages
-        assert "Envelope.from_string_pull" in messages
-        assert "invoke_all(timeout=...)" in messages
-        assert all(f.severity == "error" for f in findings)
-
     def test_no_wallclock_duration(self):
         findings = corpus_findings("wallclock_pos.py")
         assert {f.rule_id for f in findings} == {"no-wallclock-duration"}
@@ -135,7 +123,6 @@ class TestPositiveFixtures:
 @pytest.mark.parametrize(
     "name",
     [
-        "deprecated_neg.py",
         "wallclock_neg.py",
         "sleep_neg.py",
         "slots_neg.py",

@@ -44,14 +44,14 @@ def test_a_seeded_violation_fails_the_gate(at_repo_root, capsys):
     exit_code = main(
         [
             "check",
-            "tests/analysis/fixtures/deprecated_pos.py",
+            "tests/analysis/fixtures/wallclock_pos.py",
             "--baseline",
             str(BASELINE),
         ]
     )
     out = capsys.readouterr().out
     assert exit_code == 1
-    assert "no-deprecated-api" in out
+    assert "no-wallclock-duration" in out
 
 
 def test_no_stale_baseline_entries(at_repo_root, capsys):

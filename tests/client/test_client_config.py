@@ -1,8 +1,8 @@
-"""The ClientConfig facade and the legacy ServiceProxy constructor shim."""
+"""The ClientConfig facade."""
 
 import pytest
 
-from repro.client.config import ClientConfig, build_proxy, config_from_legacy
+from repro.client.config import ClientConfig, build_proxy
 from repro.client.proxy import ServiceProxy
 from repro.errors import InvocationError
 from repro.resilience.hedge import HedgePolicy
@@ -15,6 +15,8 @@ class TestClientConfig:
     def test_transport_and_namespace_required(self):
         with pytest.raises(InvocationError, match="transport"):
             ClientConfig(namespace="urn:x")
+        with pytest.raises(InvocationError, match="address"):
+            ClientConfig(InProcTransport(), namespace="urn:x")
         with pytest.raises(InvocationError, match="namespace"):
             ClientConfig(InProcTransport(), "addr")
 
@@ -52,34 +54,3 @@ class TestClientConfig:
         assert proxy.policy is policy
         assert proxy.hedge is hedge
         assert proxy.limiter is limiter
-
-
-class TestLegacyShim:
-    def test_legacy_constructor_warns_and_builds_the_same_config(self):
-        transport = InProcTransport()
-        with pytest.warns(DeprecationWarning, match="build_proxy"):
-            proxy = ServiceProxy(
-                transport, "addr", namespace="urn:x", reuse_connections=True
-            )
-        assert proxy.config == ClientConfig(
-            transport, "addr", namespace="urn:x", reuse_connections=True
-        )
-        proxy.close()
-
-    def test_config_plus_legacy_arguments_rejected(self):
-        config = ClientConfig(InProcTransport(), "addr", namespace="urn:x")
-        with pytest.raises(InvocationError, match="legacy"):
-            ServiceProxy(InProcTransport(), config=config)
-        with pytest.raises(InvocationError, match="legacy"):
-            ServiceProxy(config=config, namespace="urn:y")
-
-    def test_unknown_legacy_keyword_rejected(self):
-        with pytest.raises(TypeError, match="unexpected"):
-            config_from_legacy(InProcTransport(), "addr", {"namespce": "urn:x"})
-
-    def test_legacy_shim_accepts_the_new_knobs(self):
-        hedge = HedgePolicy()
-        config = config_from_legacy(
-            InProcTransport(), "addr", {"namespace": "urn:x", "hedge": hedge}
-        )
-        assert config.hedge is hedge

@@ -1,12 +1,10 @@
-"""End-to-end tests for the PR-6 stack: template cache + client
-response cache + negotiated compression, composed with SPI packs,
-keep-alive, retries and chaos.
+"""End-to-end tests for the client response cache + negotiated
+compression, composed with SPI packs, keep-alive, retries and chaos.
 
 The load-bearing guarantees:
 
-* with every PR-6 feature on, answers are still correct and the
-  counters (``cache.sercache.*``, ``cache.client.*``, ``compress.*``)
-  move;
+* with both features on, answers are still correct and the
+  counters (``cache.client.*``, ``compress.*``) move;
 * a retrying call never satisfies itself from a cached body — the
   cache consult sits *outside* the retry loop, so every retry attempt
   goes to the wire;
@@ -25,7 +23,6 @@ from repro.http.compression import CompressionPolicy
 from repro.obs import Observability
 from repro.resilience.policy import CallPolicy
 from repro.server.handlers import HandlerChain
-from repro.soap.sercache import ResponseTemplateCache
 from repro.transport.chaos import ChaosTransport
 from repro.transport.inproc import InProcTransport
 
@@ -39,9 +36,6 @@ def full_stack_testbed(observability):
         profile="inproc",
         architecture="staged",
         observability=observability,
-        serialization_cache=ResponseTemplateCache(
-            registry=observability.registry
-        ),
         compression=CompressionPolicy(min_size=64),
     )
 
@@ -68,7 +62,6 @@ class TestFullStack:
             proxy.close()
         assert first == second == [f"payload-{i}" * 20 for i in range(4)]
         registry = obs.registry
-        assert registry.counter("cache.sercache.miss").value >= 1
         assert registry.counter("cache.client.miss").value == 1
         assert registry.counter("cache.client.hit").value == 1
         assert registry.counter("compress.responses").value >= 1
@@ -94,7 +87,7 @@ class TestRetryInterplay:
         loop starts, never mid-loop."""
         obs = Observability()
         transport = ChaosTransport(InProcTransport(), drop_rate=0.5, seed=7)
-        server = build_server(ServerConfig(services=[make_echo_service()], architecture="staged", transport=transport, address="cache-chaos", chain=HandlerChain(spi_server_handlers()), serialization_cache=ResponseTemplateCache(), observability=obs))
+        server = build_server(ServerConfig(services=[make_echo_service()], architecture="staged", transport=transport, address="cache-chaos", chain=HandlerChain(spi_server_handlers()), observability=obs))
         address = server.start()
         try:
             cache = ResponseCache(CachePolicy(ttl=None), registry=obs.registry)

@@ -1,10 +1,7 @@
-"""Property tests for the PR-6 caches and wire compression.
+"""Property tests for wire compression.
 
-Three contracts:
+Two contracts:
 
-* the serialization template cache is *invisible*: for any response
-  envelope shape, cached rendering is byte-identical to a fresh
-  ``to_bytes()`` — including on repeat renders that splice templates;
 * content-coding roundtrips: any body compressed with any supported
   coding survives the incremental HTTP parser (identity, plain and
   chunked framing) byte-for-byte;
@@ -12,74 +9,12 @@ Three contracts:
   values in range.
 """
 
-import string
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.packformat import build_parallel_method
 from repro.http.compression import SUPPORTED_ENCODINGS, compress
 from repro.http.message import parse_qvalues
 from repro.http.parser import ChannelReader, encode_chunked, read_response
-from repro.soap.envelope import Envelope
-from repro.soap.sercache import ResponseTemplateCache
-from repro.soap.serializer import serialize_rpc_response
-
-ncnames = st.text(alphabet=string.ascii_letters, min_size=1, max_size=8)
-
-xml_text = st.text(
-    alphabet=st.characters(
-        blacklist_categories=("Cs",),
-        blacklist_characters="".join(
-            chr(c) for c in range(0x20) if c not in (0x9, 0xA, 0xD)
-        )
-        + "￾￿",
-    ),
-    max_size=40,
-)
-
-# RPC result values the serializer accepts: scalars, lists, flat dicts.
-results = st.one_of(
-    xml_text,
-    st.integers(),
-    st.booleans(),
-    st.lists(xml_text, max_size=4),
-    st.dictionaries(ncnames, xml_text, max_size=4),
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.tuples(ncnames, results), min_size=1, max_size=6),
-    st.integers(min_value=2, max_value=4),
-)
-def test_template_cache_render_is_byte_identical(operations, rounds):
-    cache = ResponseTemplateCache()
-    for _ in range(rounds):
-        envelope = Envelope()
-        envelope.add_body(
-            build_parallel_method(
-                [
-                    serialize_rpc_response("urn:prop", operation, result)
-                    for operation, result in operations
-                ]
-            )
-        )
-        assert cache.render_envelope(envelope) == envelope.to_bytes()
-
-
-@settings(max_examples=60, deadline=None)
-@given(xml_text, xml_text)
-def test_template_shape_reuse_with_fresh_values(first, second):
-    cache = ResponseTemplateCache()
-    for value in (first, second, first + second):
-        envelope = Envelope()
-        envelope.add_body(
-            build_parallel_method(
-                [serialize_rpc_response("urn:prop", "echo", value)]
-            )
-        )
-        assert cache.render_envelope(envelope) == envelope.to_bytes()
 
 
 class _Scripted:

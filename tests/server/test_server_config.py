@@ -1,6 +1,4 @@
-"""The unified ServerConfig API: facade, validation, legacy shims."""
-
-import warnings
+"""The unified ServerConfig API: facade and validation."""
 
 import pytest
 
@@ -90,57 +88,9 @@ class TestBuildServer:
                     architecture=architecture,
                     backend=backend,
                     transport=TcpTransport(),
+                    protocol_workers=3,
                 ))
                 with server.running() as address:
                     assert address[1] > 0
-
-
-class TestLegacyConstructors:
-    def test_staged_constructor_warns(self):
-        with pytest.warns(DeprecationWarning, match="build_server"):
-            server = StagedSoapServer(
-                [make_echo_service()],
-                transport=InProcTransport(),
-                address="legacy-staged",
-            )
-        assert server.config.architecture == "staged"
-
-    def test_common_constructor_warns(self):
-        with pytest.warns(DeprecationWarning, match="build_server"):
-            server = CommonSoapServer(
-                [make_echo_service()],
-                transport=InProcTransport(),
-                address="legacy-common",
-            )
-        assert server.config.architecture == "common"
-
-    def test_legacy_kwargs_still_work_end_to_end(self):
-        with pytest.warns(DeprecationWarning):
-            server = StagedSoapServer(
-                [make_echo_service()],
-                transport=InProcTransport(),
-                address="legacy-e2e",
-                app_workers=4,
-            )
-        with server.running():
-            pass
-
-    def test_config_and_legacy_kwargs_conflict(self):
-        with pytest.raises(TypeError, match="either"):
-            StagedSoapServer(
-                [make_echo_service()],
-                config=ServerConfig(services=[make_echo_service()]),
-                transport=InProcTransport(),
-            )
-
-    def test_unknown_legacy_kwarg_raises_type_error(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="bogus_knob"):
-                StagedSoapServer([make_echo_service()], bogus_knob=1)
-
-    def test_common_rejects_staged_only_kwargs(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="app_workers"):
-                CommonSoapServer([make_echo_service()], app_workers=4)
+                    if backend == "evented":
+                        assert server.http._stage.workers == 3

@@ -4,14 +4,18 @@ Walks every module under ``repro`` and asserts docstrings on modules,
 public classes, public functions and public methods.
 """
 
+import dataclasses
 import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
 import repro
+from repro.client import ClientConfig
+from repro.server import ServerConfig
 
 PACKAGE_ROOT = pathlib.Path(repro.__file__).parent
 
@@ -84,3 +88,22 @@ def test_markdown_documents_exist():
         document = root / name
         assert document.exists(), f"{name} missing at repo root"
         assert document.stat().st_size > 1000, f"{name} is stub-sized"
+
+
+def test_no_deprecation_shims_in_src():
+    offenders = []
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if "warnings.warn(" in source or "DeprecationWarning" in source:
+            offenders.append(str(path.relative_to(PACKAGE_ROOT)))
+    assert not offenders, f"deprecation shims grew back in: {offenders}"
+
+
+@pytest.mark.parametrize("config", [ServerConfig, ClientConfig], ids=lambda c: c.__name__)
+def test_every_config_field_has_a_readme_row(config):
+    readme = (PACKAGE_ROOT.parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split(f"| `{config.__name__}` field |", 1)[1].split("\n\n", 1)[0]
+    first_cells = " ".join(row.split("|")[1] for row in table.splitlines()[2:])
+    documented = set(re.findall(r"`(\w+)`", first_cells))
+    missing = {field.name for field in dataclasses.fields(config)} - documented
+    assert not missing, f"{config.__name__} fields without a README row: {sorted(missing)}"

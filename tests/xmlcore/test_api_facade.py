@@ -1,20 +1,10 @@
-"""The unified parse facade and the deprecated alias layer.
-
-The redesign collapses entry points to ``repro.xmlcore.parse`` and
-``Envelope.parse``; the historical names stay as thin aliases that
-behave identically but announce themselves with a DeprecationWarning
-exactly once per call site (Python's default warning filter dedups on
-location, so a loop over a deprecated alias warns once, not N times).
-"""
-
-import warnings
+"""The unified parse facade: ``repro.xmlcore.parse`` and ``Envelope.parse``."""
 
 import pytest
 
 from repro import xmlcore
 from repro.soap.envelope import Envelope
-from repro.xmlcore import parser
-from repro.xmlcore.cursor import XmlCursor
+from repro.xmlcore import XmlScanner
 from repro.xmlcore.tree import Element
 
 DOC = b'<root a="1"><child>text</child></root>'
@@ -36,15 +26,17 @@ class TestParseFacade:
 
     def test_cursor_mode_returns_cursor(self):
         cursor = xmlcore.parse(DOC, mode="cursor")
-        assert isinstance(cursor, XmlCursor)
+        assert isinstance(cursor, XmlScanner)
+        for method in ("root", "enter", "next_child", "skip", "read_element", "finish"):
+            assert callable(getattr(cursor, method))
         start = cursor.root()
         assert start.name == "root"
         cursor.skip(start)
         cursor.finish()
 
     def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError, match="unknown parse mode 'sax'"):
-            xmlcore.parse(DOC, mode="sax")
+        with pytest.raises(ValueError, match="unknown parse mode 'bogus'"):
+            xmlcore.parse(DOC, mode="bogus")
 
     def test_envelope_parse_skips_headers_by_default(self):
         envelope = Envelope.parse(ENVELOPE)
@@ -54,49 +46,3 @@ class TestParseFacade:
     def test_envelope_parse_server_materializes_headers(self):
         envelope = Envelope.parse(ENVELOPE, server=True)
         assert [h.qname.local for h in envelope.header_entries] == ["Hint"]
-
-
-class TestDeprecatedAliases:
-    def test_parser_parse_still_works_and_warns(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            tree = parser.parse(DOC)  # repro: disable=no-deprecated-api — the alias under test
-        assert tree.structurally_equal(xmlcore.parse(DOC))
-        assert len(caught) == 1
-        assert caught[0].category is DeprecationWarning
-        assert "repro.xmlcore.parse" in str(caught[0].message)
-
-    @pytest.mark.parametrize(
-        "alias, server",
-        [("from_string", True), ("from_string_pull", False), ("from_string_server", True)],
-    )
-    def test_envelope_aliases_match_parse(self, alias, server):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            envelope = getattr(Envelope, alias)(ENVELOPE)
-        assert len(caught) == 1
-        assert caught[0].category is DeprecationWarning
-        assert "Envelope.parse" in str(caught[0].message)
-        reference = Envelope.parse(ENVELOPE, server=server)
-        assert envelope.first_body_entry().structurally_equal(
-            reference.first_body_entry()
-        )
-        assert len(envelope.header_entries) == len(reference.header_entries)
-
-    def test_element_attributes_view_works_and_warns(self):
-        element = Element("e", {"a": "1"})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            view = element.attributes
-            view["b"] = "2"
-            assert view["a"] == "1"
-        assert element.get("b") == "2"
-        assert all(w.category is DeprecationWarning for w in caught)
-        assert caught, "attribute access must warn"
-
-    def test_warning_dedup_is_once_per_call_site(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            for _ in range(5):
-                parser.parse(DOC)  # one call site, five calls  # repro: disable=no-deprecated-api
-        assert len(caught) == 1

@@ -1,11 +1,10 @@
-"""Tests for the pull cursor and the envelope scan fast path."""
+"""Tests for the pull reader (``parse(mode="cursor")``) and the envelope scan fast path."""
 
 import pytest
 
 from repro.errors import SoapError, XmlWellFormednessError
 from repro.soap.constants import SOAP_ENV_NS
 from repro.soap.envelope import Envelope, iter_body_entries
-from repro.xmlcore.cursor import XmlCursor
 from repro.xmlcore import parse
 from repro.xmlcore.writer import serialize
 
@@ -22,11 +21,11 @@ ENV = (
 
 class TestXmlCursor:
     def test_root_skips_prolog(self):
-        cursor = XmlCursor('<?xml version="1.0"?><!-- c --><r/>')
+        cursor = parse('<?xml version="1.0"?><!-- c --><r/>', mode="cursor")
         assert cursor.root().name == "r"
 
     def test_enter_and_children(self):
-        cursor = XmlCursor("<r><a/><b>t</b></r>")
+        cursor = parse("<r><a/><b>t</b></r>", mode="cursor")
         root = cursor.enter(cursor.root())
         assert root.tag == "r"
         first = cursor.next_child()
@@ -39,7 +38,7 @@ class TestXmlCursor:
 
     def test_read_element_matches_tree_parser(self):
         document = '<r xmlns="urn:d"><a x="1">text<b/></a></r>'
-        cursor = XmlCursor(document)
+        cursor = parse(document, mode="cursor")
         cursor.enter(cursor.root())
         subtree = cursor.read_element(cursor.next_child())
         expected = parse(document).element_children()[0]
@@ -49,25 +48,25 @@ class TestXmlCursor:
         # The skipped subtree uses an undeclared prefix: the tree parser
         # rejects the document, the cursor never looks at it.
         document = "<r><junk><bad:x>1</bad:x></junk><keep/></r>"
-        cursor = XmlCursor(document)
+        cursor = parse(document, mode="cursor")
         cursor.enter(cursor.root())
         cursor.skip(cursor.next_child())
         assert cursor.next_child().name == "keep"
 
     def test_mismatched_end_tag_raises(self):
-        cursor = XmlCursor("<r><a></b></r>")
+        cursor = parse("<r><a></b></r>", mode="cursor")
         cursor.enter(cursor.root())
         with pytest.raises(XmlWellFormednessError):
             cursor.read_element(cursor.next_child())
 
     def test_unclosed_document_raises(self):
-        cursor = XmlCursor("<r><a>")
+        cursor = parse("<r><a>", mode="cursor")
         cursor.enter(cursor.root())
         with pytest.raises(XmlWellFormednessError):
             cursor.read_element(cursor.next_child())
 
     def test_finish_rejects_second_root(self):
-        cursor = XmlCursor("<r/><r2/>")
+        cursor = parse("<r/><r2/>", mode="cursor")
         cursor.enter(cursor.root())
         assert cursor.next_child() is None
         with pytest.raises(XmlWellFormednessError):

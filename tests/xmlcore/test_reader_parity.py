@@ -1,20 +1,21 @@
 """The readers agree, and the scanner's start-tag memo never outlives a binding.
 
-Four fronts read the same bytes: the fused scanner's per-node loop as a
-whole-document tree build and behind its pull API, the token-pull
-:class:`XmlCursor`, and the SAX event stream.  The cursor and SAX build
-every element from lexer tokens — no memo, no per-node loop — so they are
-the reference the loop is held to.
+Three readers take the same bytes: the fused scanner's per-node loop as a
+whole-document tree build and behind its pull API
+(``xmlcore.parse(mode="cursor")``), and the token-pull :class:`XmlCursor`
+kept beside these tests.  The cursor builds every element from lexer
+tokens — no memo, no per-node loop — so it is the reference the loop is
+held to.
 """
 
 import pytest
 
 from repro import xmlcore
 from repro.errors import XmlWellFormednessError
-from repro.xmlcore.cursor import XmlCursor
-from repro.xmlcore.sax import EndEvent, StartEvent, TextEvent, iterate_events
 from repro.xmlcore.tree import Element
 from repro.xmlcore.treebuilder import XmlScanner
+
+from .token_reader import XmlCursor
 
 
 def dump(element: Element) -> tuple:
@@ -36,7 +37,7 @@ def read_tree(document):
 
 def read_pull(document):
     """Enter the root, materialize each child subtree on its own."""
-    cursor = XmlScanner(document)
+    cursor = xmlcore.parse(document, mode="cursor")
     root = cursor.enter(cursor.root())
     children = []
     child = cursor.next_child()
@@ -54,21 +55,7 @@ def read_cursor(document):
     return dump(element)
 
 
-def read_sax(document):
-    stack = [Element("document")]
-    for event in iterate_events(document):
-        if isinstance(event, StartEvent):
-            element = Element(event.name, event.attributes)
-            stack[-1].children.append(element)
-            stack.append(element)
-        elif isinstance(event, EndEvent):
-            stack.pop()
-        elif isinstance(event, TextEvent):
-            stack[-1].children.append(event.text)
-    return dump(stack[0].children[0])
-
-
-READERS = {"tree": read_tree, "pull": read_pull, "cursor": read_cursor, "sax": read_sax}
+READERS = {"tree": read_tree, "pull": read_pull, "cursor": read_cursor}
 
 
 # -- the memo is dropped with the binding it was made under -------------------
@@ -255,6 +242,6 @@ def test_cdata_end_marker_is_legal_outside_character_data():
     # ']]>' trips the once-per-document probe; only text runs may not hold it
     document = '<r a="]]>"><!-- ]]> --><b><![CDATA[x]]></b><c k="v"/><c k="v"/></r>'
     expected = read_cursor(document)
-    assert read_tree(document) == expected == read_sax(document)
+    assert read_tree(document) == expected == read_pull(document)
     with pytest.raises(XmlWellFormednessError, match="not allowed in character data"):
         xmlcore.parse("<r><c/><c/>x]]>y</r>")

@@ -1,13 +1,10 @@
-"""Cursor-style pull reading with selective materialization.
+"""Token-pull reference reader: the lexer-token differential for the scanner.
 
-The tree parser expands every name and builds every node it sees.  For
-SOAP that is wasteful: the server only needs the Body's entries (and
-the paper's pack interface only needs the ``Parallel_Method`` children)
-— headers it does not understand, comments, and the envelope scaffolding
-can be skipped at the *token* level, without namespace expansion or
-Element construction.
-
-:class:`XmlCursor` walks the token stream one element at a time:
+:class:`XmlCursor` was the production pull reader until ``XmlScanner``
+took over its API; it is kept here, unchanged, as the reference the
+scanner's per-node loop is held to (``test_reader_parity.py`` and
+``tests/properties/test_reader_parity_properties.py``).  It builds every
+element from lexer tokens — no start-tag memo, no per-node loop:
 
 * :meth:`root` positions on the document root's start tag;
 * :meth:`enter` expands one start tag (opening its namespace scope)
@@ -19,8 +16,6 @@ Element construction.
 * :meth:`read_element` materializes one subtree into an
   :class:`~repro.xmlcore.tree.Element`, equivalent to what
   :func:`repro.xmlcore.parse` would have produced for it.
-
-``soap.envelope.iter_body_entries`` builds envelope scanning on top.
 """
 
 from __future__ import annotations
