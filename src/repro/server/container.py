@@ -129,12 +129,12 @@ class ServiceContainer:
     def matcher(self) -> OperationMatcher:
         return self._matcher
 
-    def _rollup_for(self, entry: Element):
-        """The entry's target rollup, via a lock-free warm-path cache."""
-        key = (entry.namespace, entry.local_name)
+    def _rollup_for(self, namespace: str, operation: str):
+        """The target's rollup, via a lock-free warm-path cache."""
+        key = (namespace, operation)
         rollup = self._rollups.get(key)
         if rollup is None:
-            rollup = self._registry.rollup(entry.namespace, entry.local_name)
+            rollup = self._registry.rollup(namespace, operation)
             self._rollups[key] = rollup
         return rollup
 
@@ -147,8 +147,10 @@ class ServiceContainer:
         can correlate it.
         """
         request_id = entry.get(REQUEST_ID_ATTR)
-        rollup = self._rollup_for(entry) if self._registry is not None else None
-        if rollup is not None:
+        target = entry.qname  # the entry's tag, split once
+        rollup = None
+        if self._registry is not None:
+            rollup = self._rollup_for(target.uri, target.local)
             rollup.begin()
         fault_class: str | None = None
         start = time.perf_counter()
@@ -177,6 +179,6 @@ class ServiceContainer:
             if failed:
                 self.stats.faults += 1
             else:
-                key = entry.namespace
+                key = target.uri
                 self.stats.by_service[key] = self.stats.by_service.get(key, 0) + 1
         return response

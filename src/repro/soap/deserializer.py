@@ -70,29 +70,32 @@ def parse_rpc_request(
     When ``matcher`` is given, unknown operations raise
     :class:`ClientFaultCause` so the endpoint can return a Client fault.
     """
+    qname = element.qname  # the entry's tag, split once
     if matcher is not None and matcher.match(element) is None:
-        raise ClientFaultCause(f"no such operation '{element.local_name}'")
+        raise ClientFaultCause(f"no such operation '{qname.local}'")
     params: dict[str, Any] = {}
-    for child in element.element_children():
-        name = child.local_name
-        if name in params:
-            raise ClientFaultCause(f"duplicate parameter '{name}'")
-        params[name] = decode_value(child)
-    return RpcRequest(element.namespace, element.local_name, params)
+    for child in element.children:
+        if isinstance(child, Element):
+            name = child.tag.rpartition("}")[2]  # its local name
+            if name in params:
+                raise ClientFaultCause(f"duplicate parameter '{name}'")
+            params[name] = decode_value(child)
+    return RpcRequest(qname.uri, qname.local, params)
 
 
 def parse_rpc_response(element: Element) -> RpcResponse:
     """Decode one response body entry; faults raise ``SoapFaultError``."""
     if element.tag == FAULT_TAG:
         raise SoapFault.from_element(element).to_exception()
-    local = element.local_name
+    qname = element.qname  # the entry's tag, split once
+    local = qname.local
     if not local.endswith(RESPONSE_SUFFIX):
         raise SoapError(f"<{local}> is not an RPC response element")
     operation = local[: -len(RESPONSE_SUFFIX)]
     children = element.element_children()
-    if len(children) != 1 or children[0].local_name != RETURN_TAG:
+    if len(children) != 1 or children[0].tag.rpartition("}")[2] != RETURN_TAG:
         raise SoapError(f"response <{local}> must contain exactly one <return>")
-    return RpcResponse(element.namespace, operation, decode_value(children[0]))
+    return RpcResponse(qname.uri, operation, decode_value(children[0]))
 
 
 def parse_response_envelope(envelope: Envelope) -> RpcResponse:

@@ -13,7 +13,7 @@ from repro.soap.envelope import Envelope
 from repro.soap.fault import SoapFault
 from repro.soap.xsdtypes import encode_value
 from repro.xmlcore.qname import is_ncname, qname_of
-from repro.xmlcore.tree import Element
+from repro.xmlcore.tree import Element, new_element
 
 RESPONSE_SUFFIX = "Response"
 RETURN_TAG = "return"
@@ -28,20 +28,19 @@ def serialize_rpc_request(
     positional convention of RPC/encoded SOAP.
     """
     _check_operation_name(operation)
-    request = Element(qname_of(namespace, operation).clark)
+    encoded = []
     for name, value in params.items():
         if not is_ncname(name):
             raise SerializationError(f"'{name}' is not a valid parameter name")
-        request.children.append(encode_value(name, value))
-    return request
+        encoded.append(encode_value(name, value))
+    return new_element(qname_of(namespace, operation).clark, (), encoded)
 
 
 def serialize_rpc_response(namespace: str, operation: str, result: Any) -> Element:
     """Build ``<ns:operationResponse><return .../></ns:operationResponse>``."""
     _check_operation_name(operation)
-    response = Element(qname_of(namespace, operation + RESPONSE_SUFFIX).clark)
-    response.children.append(encode_value(RETURN_TAG, result))
-    return response
+    tag = qname_of(namespace, operation + RESPONSE_SUFFIX).clark
+    return new_element(tag, (), [encode_value(RETURN_TAG, result)])
 
 
 def collect_entry_namespaces(

@@ -154,7 +154,10 @@ class Element:
     @property
     def text(self) -> str:
         """Concatenation of all *direct* text children."""
-        return "".join(c for c in self.children if isinstance(c, str))
+        children = self.children
+        if len(children) == 1 and type(children[0]) is str:
+            return children[0]  # the usual leaf: no generator, no join
+        return "".join(c for c in children if isinstance(c, str))
 
     def full_text(self) -> str:
         """Concatenation of all text in the subtree, document order."""
@@ -250,6 +253,28 @@ class Element:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Element {self.tag} attrs={len(self._attrs)} children={len(self.children)}>"
+
+
+_new = Element.__new__
+
+
+def new_element(tag: str, attrs: AttrItems, children: list[Child]) -> Element:
+    """Trusted constructor for per-node paths outside this package (the
+    RPC value codec): the arguments become the element's fields as they
+    are, which is what the scanner's loop does in line.
+
+    The caller guarantees what ``__init__`` and ``append`` would check:
+    ``tag`` a Clark or local ``str``, ``attrs`` a tuple of ``(name,
+    value)`` pairs, ``children`` a fresh list of elements and strings.
+    Elements may share ``attrs``: no method mutates the tuple,
+    :meth:`Element.set` and its siblings replace it.
+    """
+    element = _new(Element)
+    element.tag = tag
+    element._attrs = attrs
+    element.children = children
+    element.nsmap = {}
+    return element
 
 
 def _tag_matches(element: Element, pattern: str) -> bool:

@@ -10,11 +10,14 @@ work is a memo of rendered names:
 
 * **What is memoised.**  A Clark element name maps to its open-tag and
   end-tag texts (``<p:local`` / ``</p:local>``), a Clark attribute name
-  to its ``' p:local="'`` piece.  :func:`serialize` writes an element
-  whose ``nsmap`` is empty straight from those — no ``QName``, no scope
-  frame, no declarations dict — so the pack envelope's N identical body
-  entries resolve their prefixes once, not N times.
-* **What invalidates it.**  Both memos hold for one namespace scope
+  to its ``' p:local="'`` piece, and a whole attribute tuple — the RPC
+  codec and the reader share one tuple among all elements of a type —
+  to its rendered text (``' xsi:type="xsd:string"'``, escaped).
+  :func:`serialize` writes an element whose ``nsmap`` is empty straight
+  from those — no ``QName``, no scope frame, no declarations dict — so
+  the pack envelope's N identical body entries resolve their prefixes
+  once, not N times.
+* **What invalidates it.**  The memos hold for one namespace scope
   version: they are cleared wherever a declaration is made (an
   ``nsmap``, a generated ``nsN`` prefix, an ``xmlns=""`` reset) and
   wherever a declaring frame is popped.  They live and die with the
@@ -54,11 +57,12 @@ class StreamingWriter:
         self._tag_open = False
         # Rendered names under the current scope version: Clark tag ->
         # (open-tag text, end-tag text); Clark attribute name -> its
-        # ' name="' piece.  Cleared on every scope-version change and
-        # bounded by the writer's lifetime (one document), so no
-        # capacity knob needed.
+        # ' name="' piece and, in the same dict so that the two are
+        # cleared together, attribute tuple -> its whole rendered text.
+        # Cleared on every scope-version change and bounded by the
+        # writer's lifetime (one document), so no capacity knob needed.
         self._elements: dict[str, tuple[str, str]] = {}  # repro: disable=no-unbounded-cache
-        self._attributes: dict[str, str] = {}  # repro: disable=no-unbounded-cache
+        self._attributes: dict[str | tuple, str] = {}  # repro: disable=no-unbounded-cache
         if declaration:
             self._parts.append(XML_DECLARATION)
 
@@ -236,8 +240,7 @@ def _write_element(writer: StreamingWriter, root: Element) -> None:
     references stay good across a scope change.
     """
     writer._close_start_tag()
-    parts = writer._parts
-    append = parts.append
+    append = writer._parts.append
     elements = writer._elements
     pieces = writer._attributes
     # Open elements: (iterator over the children still to write, end-tag
@@ -246,20 +249,26 @@ def _write_element(writer: StreamingWriter, root: Element) -> None:
     node = root
     while True:
         texts = None if node.nsmap else elements.get(node.tag)
-        if texts is not None:
-            mark = len(parts)
-            append(texts[0])
-            for name, value in node._attrs:
-                piece = pieces.get(name)
-                if piece is None:
-                    del parts[mark:]
-                    texts = None
-                    break
-                append(f'{piece}{escape_attribute(value)}"')
+        attrs = node._attrs
+        if attrs and texts is not None:
+            rendered = pieces.get(attrs)
+            if rendered is None:
+                rendered = ""
+                for name, value in attrs:
+                    piece = pieces.get(name)
+                    if piece is None:  # not rendered under this scope yet
+                        texts = None
+                        break
+                    rendered += f'{piece}{escape_attribute(value)}"'
+                else:
+                    pieces[attrs] = rendered
         if texts is None:
-            writer.start(node.tag, node._attrs, node.nsmap)
+            writer.start(node.tag, attrs, node.nsmap)
             end_tag = None
         else:
+            append(texts[0])
+            if attrs:
+                append(rendered)
             end_tag = texts[1]
         children = node.children
         # Empty strings write nothing; an Element is != "" by identity.

@@ -11,15 +11,19 @@ import pytest
 
 from repro.apps.echo import ECHO_NS, make_echo_service
 from repro.client.proxy import ServiceProxy
+from repro.core.assembler import ClientAssembler
 from repro.core.batch import PackBatch
 from repro.core.dispatcher import spi_server_handlers
-from repro.errors import HttpError, ReproError, TransportError
+from repro.core.packformat import unpack_parallel_method
+from repro.errors import HttpError, ReproError, SerializationError, TransportError
 from repro.http.connection import HttpConnection
-from repro.http.message import HttpRequest
+from repro.http.message import Headers, HttpRequest
 from repro.server.handlers import HandlerChain
-from repro.soap.constants import SOAP_CONTENT_TYPE
+from repro.soap.constants import REQUEST_ID_ATTR, SOAP_CONTENT_TYPE
+from repro.soap.deserializer import parse_rpc_response
+from repro.soap.envelope import Envelope
 from repro.transport.inproc import InProcTransport
-from repro.server import ServerConfig, build_server
+from repro.server import ServerConfig, build_server, service_from_functions
 from repro.client.config import ClientConfig, build_proxy
 
 
@@ -173,3 +177,49 @@ class TestBrokenResponses:
         batch.flush()
         assert future.exception(timeout=5) is not None
         thread.join(timeout=5)
+
+
+class TestUnencodableResultInAPack:
+    """An operation whose result cannot be encoded faults its own slot."""
+
+    NS = "urn:test:members"
+
+    def make_server(self, transport, architecture):
+        service = service_from_functions(
+            "Members",
+            self.NS,
+            {"bad": lambda: {"a b": 1}, "good": lambda: "fine"},
+        )
+        return build_server(ServerConfig(services=[service], architecture=architecture, transport=transport, address="members", chain=HandlerChain(spi_server_handlers())))
+
+    @pytest.mark.parametrize("architecture", ["staged", "common"])
+    def test_bad_struct_key_faults_one_slot_and_the_sibling_answers(self, architecture):
+        transport = InProcTransport()
+        with self.make_server(transport, architecture).running() as address:
+            assembler = ClientAssembler(self.NS)
+            assembler.add_call("bad", {})
+            assembler.add_call("good", {})
+            connection = HttpConnection(transport, address)
+            response = connection.request(
+                HttpRequest(
+                    "POST",
+                    "/services/Members",
+                    Headers({"Content-Type": SOAP_CONTENT_TYPE, "SOAPAction": '""'}),
+                    assembler.assemble().to_bytes(),
+                )
+            )
+            connection.close()
+        assert response.status == 200
+        slots = unpack_parallel_method(Envelope.parse(response.body).first_body_entry())
+        assert [slot.local_name for slot in slots] == ["Fault", "goodResponse"]
+        assert [slot.get(REQUEST_ID_ATTR) for slot in slots] == ["r0", "r1"]
+        assert "'a b' is not an XML name" in slots[0].findtext("faultstring")
+        assert parse_rpc_response(slots[1]).value == "fine"
+
+    def test_client_fails_when_the_call_is_added_not_when_the_pack_is_written(self):
+        assembler = ClientAssembler(self.NS)
+        assembler.add_call("good", {})
+        with pytest.raises(SerializationError, match="not an XML name"):
+            assembler.add_call("good", {"record": {"a b": 1}})
+        assert len(assembler) == 1
+        assembler.assemble().to_bytes()  # the pack is still writable

@@ -11,7 +11,6 @@ from repro.soap.xsdtypes import (
     decode_value,
     encode_value,
     python_type_to_xsd,
-    xsd_type_for,
 )
 from repro.xmlcore import parse
 from repro.xmlcore.writer import serialize
@@ -106,6 +105,26 @@ class TestComposites:
         with pytest.raises(SerializationError):
             encode_value("v", {"": "x"})
 
+    @pytest.mark.parametrize("key", ["a b", "1a", "a:b", "{urn:x}a", "a<"])
+    def test_dict_key_that_is_not_an_xml_name_raises(self, key):
+        # at encode time, not when the envelope is written
+        with pytest.raises(SerializationError, match="not an XML name"):
+            encode_value("v", {"ok": 1, key: 2})
+
+    def test_duplicate_struct_member_raises(self):
+        element = parse(
+            '<v xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" '
+            'xsi:type="xsd:struct"><a>1</a><b>x</b><a>2</a></v>'
+        )
+        with pytest.raises(SerializationError, match="<v> repeats a member name"):
+            decode_value(element)
+
+    def test_duplicate_member_under_two_namespaces_raises(self):
+        # members are keyed by local name, whatever namespace they carry
+        element = parse('<v><a>1</a><p:a xmlns:p="urn:p">2</p:a></v>')
+        with pytest.raises(SerializationError, match="repeats a member name"):
+            decode_value(element)
+
 
 class TestErrors:
     def test_unencodable_type_raises(self):
@@ -144,20 +163,12 @@ class TestUntypedDecoding:
     def test_untyped_with_children_is_struct(self):
         assert decode_value(parse("<v><a>1</a><b>2</b></v>")) == {"a": "1", "b": "2"}
 
+    def test_untyped_struct_with_duplicate_member_raises(self):
+        with pytest.raises(SerializationError, match="<v> repeats a member name"):
+            decode_value(parse("<v><a>1</a><a>2</a></v>"))
+
 
 class TestTypeNames:
-    def test_xsd_type_for(self):
-        assert xsd_type_for("s") == "xsd:string"
-        assert xsd_type_for(True) == "xsd:boolean"
-        assert xsd_type_for(1) == "xsd:int"
-        assert xsd_type_for(1.0) == "xsd:double"
-        assert xsd_type_for([1]) == "SOAP-ENC:Array"
-        assert xsd_type_for({"a": 1}) == "xsd:struct"
-
-    def test_xsd_type_for_unknown_raises(self):
-        with pytest.raises(SerializationError):
-            xsd_type_for(object())
-
     def test_python_type_to_xsd(self):
         assert python_type_to_xsd(str) == "xsd:string"
         assert python_type_to_xsd(int) == "xsd:int"

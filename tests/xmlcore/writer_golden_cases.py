@@ -2,8 +2,9 @@
 output is pinned in ``golden/writer.json``.
 
 The JSON was rendered at the commit *before* the writer's per-node memo
-(PR 15), so the test holds the memo writer to byte-identity with the
-writer it replaced.  Regenerate — only for a deliberate output change —
+(PR 15) — ``shared_attribute_tuples`` at the commit before the memo of
+whole attribute tuples (PR 19) — so the test holds the memo writer to
+byte-identity with the writer it replaced.  Regenerate — only for a deliberate output change —
 with ``PYTHONPATH=src python -m tests.xmlcore.writer_golden_cases``.
 """
 
@@ -104,6 +105,26 @@ def _packed_envelope() -> str:
     return envelope.to_string()
 
 
+def _shared_attribute_tuples() -> str:
+    # One tuple object on every element, as the RPC codec and the reader
+    # share them: its rendered text must not outlive the scope that made it.
+    qualified = ((f"{{{A}}}k", EVERY_ESCAPE), ("plain", "v"))
+    foreign = ((f"{{{B}}}id", "1"),)
+    root = Element("root", nsmap={"p": A})
+    root.subelement("e", qualified)
+    root.subelement("e", qualified)  # from the memo
+    rebound = root.subelement("holder", nsmap={"p": "urn:other", "q": A})
+    rebound.subelement("e", qualified)  # p is rebound: q:k
+    rebound.subelement("e", qualified)
+    root.subelement("e", qualified)  # p:k again
+    for _ in range(2):  # no prefix for urn:b: a fresh nsN on each element
+        row = root.subelement("e", foreign)
+        row.subelement("e", foreign)  # inherits its parent's nsN
+    default = root.subelement(f"{{{A}}}d", nsmap={"": A})
+    default.subelement(f"{{{A}}}d", qualified)  # an attribute never takes the default
+    return serialize(root)
+
+
 def _streaming_events() -> str:
     writer = StreamingWriter(declaration=True)
     writer.start(QName(A, "root"), {"plain": "1", QName(B, "q"): "2"}, {"a": A})
@@ -128,6 +149,7 @@ CASES = {
     "every_escape": _every_escape,
     "content_shapes": _content_shapes,
     "packed_envelope": _packed_envelope,
+    "shared_attribute_tuples": _shared_attribute_tuples,
     "streaming_events": _streaming_events,
 }
 
