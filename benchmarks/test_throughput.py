@@ -8,11 +8,10 @@ Measures requests/second for a sustained stream of echo requests
 arriving in bursts of 16, for each §4.1 strategy.
 """
 
-import time
-
 import pytest
 
 from benchmarks.conftest import bed_for
+from repro.bench.harness import measure
 from repro.bench.workloads import run_point
 
 BURSTS = 8
@@ -44,9 +43,7 @@ def test_packed_throughput_is_highest(benchmark, common_bed, staged_bed):
     rates = {}
     for approach in APPROACHES:
         bed = bed_for(approach, common_bed, staged_bed)
-        start = time.perf_counter()
-        stream(bed, approach)
-        rates[approach] = TOTAL / (time.perf_counter() - start)
+        rates[approach] = TOTAL / measure(lambda: stream(bed, approach)).median_s
     benchmark.extra_info["requests_per_second"] = rates
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert rates["our-approach"] > rates["multiple-threads"] > rates["no-optimization"]

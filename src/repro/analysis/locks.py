@@ -2,7 +2,7 @@
 
 For every class the analyzer answers two questions the concurrency
 modules (``threadpool``, ``stage``, ``container``, ``service``,
-``diagnostics``, ``obs``) otherwise answer only in review:
+``handlers``, ``obs``) otherwise answer only in review:
 
 1. **Mixed access.**  Which ``self`` attributes are mutated inside
    ``with self._lock:`` blocks — and are those same attributes also

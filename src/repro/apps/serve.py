@@ -2,7 +2,7 @@
 
 Deploys every demo service (echo, weather, the travel trio, the credit
 card service and the SPI plan runner) in one container on real TCP,
-with the SPI pack handlers and diagnostics installed.  Useful for
+with the SPI pack handlers and pack metrics installed.  Useful for
 poking at the stack with a real client::
 
     python -m repro.apps.serve --port 8080
@@ -31,11 +31,10 @@ from repro.apps.travel import (
 from repro.apps.weather import make_weather_service
 from repro.core.dispatcher import spi_server_handlers
 from repro.core.remote_exec import make_plan_runner_service
-from repro.diagnostics import PackMetricsHandler
 from repro.http.compression import CompressionPolicy
 from repro.obs import Observability, SpanStore
 from repro.server import ServerConfig, build_server
-from repro.server.handlers import HandlerChain
+from repro.server.handlers import HandlerChain, PackMetricsHandler
 from repro.transport.tcp import TcpTransport
 
 

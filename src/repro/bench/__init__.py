@@ -1,8 +1,10 @@
-"""Benchmark harness: testbeds, measurement, figure regeneration.
+"""The paper's figures: testbeds, one timer, one engine.
 
 Run ``python -m repro.bench all`` to regenerate every evaluation
-artifact of the paper; the pytest-benchmark front end lives in the
-top-level ``benchmarks/`` directory.
+artifact of the paper (:mod:`repro.bench.figures`);
+``benchmarks/test_claims.py`` asserts the ratios it produces.  How fast
+this stack is, as opposed to what shape the paper's result has, is
+measured by ``perf/run.py``, not here.
 """
 
 from repro.bench.harness import Measurement, measure, speedup

@@ -10,12 +10,6 @@ Usage::
     python -m repro.bench arch
     python -m repro.bench relatedwork
     python -m repro.bench all [--fast]
-    python -m repro.bench xml [--smoke] [--record LABEL]
-    python -m repro.bench e2e [--smoke] [--record LABEL] [--check-overhead PCT]
-                              [--check-regression PCT] [--shed-smoke]
-                              [--hedge-smoke] [--hedge-only]
-                              [--connections N] [--soak-seconds S] [--soak-only]
-                              [--backend threaded|evented]
 
 Profiles: lan (paper's 100 Mbit Ethernet emulation, default), wan,
 loopback (bare TCP), inproc (no sockets).
@@ -37,11 +31,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "experiment",
-        nargs="?",
-        default="xml",
-        choices=[
-            "fig5", "fig6", "fig7", "travel", "wss", "arch", "relatedwork", "all", "xml", "e2e",
-        ],
+        choices=["fig5", "fig6", "fig7", "travel", "wss", "arch", "relatedwork", "all"],
     )
     parser.add_argument(
         "--profile",
@@ -58,99 +48,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=["table", "markdown", "json"],
         help="output format (default: ascii table)",
     )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="xml/e2e experiments: minimal iterations, a CI crash detector",
-    )
-    parser.add_argument(
-        "--record",
-        metavar="LABEL",
-        help="xml/e2e experiments: append results to the trajectory file under LABEL",
-    )
-    parser.add_argument(
-        "--bench-json",
-        default=None,
-        metavar="PATH",
-        help="xml/e2e experiments: trajectory file (default: ./BENCH_xml.json / ./BENCH_e2e.json)",
-    )
-    parser.add_argument(
-        "--check-overhead",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="e2e experiment: exit 1 if obs-on overhead on fig7 exceeds PCT percent",
-    )
-    parser.add_argument(
-        "--check-regression",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="e2e experiment: exit 1 if fig7 obs-off p50 is more than PCT percent "
-        "slower than the newest committed BENCH_e2e.json entry",
-    )
-    parser.add_argument(
-        "--shed-smoke",
-        action="store_true",
-        help="e2e experiment: overload a tiny staged deployment and exit 1 "
-        "unless it sheds with Server.Busy faults and a one-way HTTP 503",
-    )
-    parser.add_argument(
-        "--hedge-smoke",
-        action="store_true",
-        help="e2e experiment: add the adaptive-resilience rail — seeded "
-        "chaos must show hedging cutting p99 within its token budget and "
-        "the AIMD window collapsing then reopening through a busy storm",
-    )
-    parser.add_argument(
-        "--hedge-only",
-        action="store_true",
-        help="e2e experiment: run just the --hedge-smoke rail and its "
-        "assertions, skipping the latency shapes and gates (CI smoke)",
-    )
-    parser.add_argument(
-        "--connections",
-        type=int,
-        default=None,
-        metavar="N",
-        help="e2e experiment: add the C10K soak rail — hold N concurrent "
-        "keep-alive connections against an evented echo deployment and "
-        "fail unless all N are held with real connection reuse",
-    )
-    parser.add_argument(
-        "--soak-seconds",
-        type=float,
-        default=10.0,
-        metavar="S",
-        help="e2e experiment: soak window for --connections (default 10s)",
-    )
-    parser.add_argument(
-        "--soak-only",
-        action="store_true",
-        help="e2e experiment: run just the --connections soak and its "
-        "assertions, skipping the latency shapes and gates (CI smoke)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["threaded", "evented"],
-        help="e2e experiment: protocol backend for --connections / "
-        "--shed-smoke (defaults: evented for the soak, threaded for shed)",
-    )
-    parser.add_argument(
-        "--phase-report",
-        metavar="PATH",
-        nargs="?",
-        const="results/e2e_phases.md",
-        default=None,
-        help="e2e experiment: write the per-phase breakdown report (default path: %(const)s)",
-    )
     args = parser.parse_args(argv)
-
-    if args.experiment == "xml":
-        return _run_xml(args)
-    if args.experiment == "e2e":
-        return _run_e2e(args)
 
     kwargs: dict = {"profile": args.profile}
     if args.experiment == "fig5":
@@ -185,157 +83,6 @@ def main(argv: list[str] | None = None) -> int:
             print()
             print(render(result))
     return 0
-
-
-def _run_xml(args) -> int:
-    from repro.bench import xmlbench
-
-    results = xmlbench.run_xml_bench(smoke=args.smoke)
-    if args.format == "json":
-        import json
-
-        print(json.dumps(results, indent=2))
-    else:
-        print(xmlbench.render_table(results))
-    if args.record:
-        path = args.bench_json or xmlbench.BENCH_JSON
-        xmlbench.record_entry(args.record, results, path=path)
-        print(f"recorded entry '{args.record}' in {path}")
-    return 0
-
-
-def _run_e2e(args) -> int:
-    from repro.bench import e2e
-
-    if args.shed_smoke:
-        return _run_shed_smoke(e2e, backend=args.backend or "threaded")
-    hedge = None
-    hedge_failures: list[str] = []
-    if args.hedge_smoke or args.hedge_only:
-        hedge = e2e.run_hedge_smoke(smoke=args.smoke)
-        print(e2e.render_hedge(hedge))
-        hedge_failures = e2e.check_hedge(hedge)
-        for failure in hedge_failures:
-            print(f"FAIL: {failure}")
-        if args.hedge_only:
-            return 1 if hedge_failures else 0
-    soak = None
-    soak_failures: list[str] = []
-    if args.connections:
-        soak = e2e.run_connection_soak(
-            connections=args.connections,
-            soak_seconds=args.soak_seconds,
-            backend=args.backend or "evented",
-        )
-        print(e2e.render_soak(soak))
-        soak_failures = e2e.check_soak(soak)
-        for failure in soak_failures:
-            print(f"FAIL: {failure}")
-        if args.soak_only:
-            return 1 if soak_failures else 0
-    results = e2e.run_e2e_bench(smoke=args.smoke)
-    if soak is not None:
-        results["c10k"] = soak
-    if hedge is not None:
-        results["hedge_smoke"] = hedge
-    # cache-warm latency and bytes-on-wire rails ride on fig7; they
-    # must land before gating so the bytes gate sees the current run
-    e2e.add_cache_rails(results, smoke=args.smoke)
-    e2e.add_sketch_rail(results, smoke=args.smoke)
-    # gate against the committed baseline BEFORE --record appends the
-    # current run (which would otherwise become its own baseline)
-    regression = (
-        e2e.check_regression(
-            results, args.check_regression, path=args.bench_json or e2e.BENCH_JSON
-        )
-        if args.check_regression is not None
-        else None
-    )
-    if args.format == "json":
-        import json
-
-        print(json.dumps(e2e.strip_private(results), indent=2))
-    else:
-        print(e2e.render_table(results))
-    if args.phase_report:
-        report = e2e.write_phase_report(results, args.phase_report)
-        print(f"phase report written to {report}")
-    if args.check_overhead is not None:
-        # settle BEFORE --record so the trajectory stores the settled
-        # number: a noisy reading re-measures, a real regression fails
-        # every retry anyway
-        readings = e2e.settle_overhead(
-            results, args.check_overhead, smoke=args.smoke
-        )
-        if readings:
-            print(
-                f"overhead gate: re-measured {e2e.OVERHEAD_GATE_CASE} "
-                f"{' '.join(f'{r:.2f}%' for r in readings)} -> "
-                f"{results[e2e.OVERHEAD_GATE_CASE]['overhead_pct']:.2f}%"
-            )
-    if args.record:
-        path = args.bench_json or e2e.BENCH_JSON
-        e2e.record_entry(args.record, results, path=path)
-        print(f"recorded entry '{args.record}' in {path}")
-    if args.check_overhead is not None:
-        gate = e2e.OVERHEAD_GATE_CASE
-        pct = results[gate]["overhead_pct"]
-        if not e2e.check_overhead(results, args.check_overhead):
-            print(
-                f"FAIL: obs-on overhead on {gate} is {pct:.2f}% "
-                f"(limit {args.check_overhead:.2f}%)"
-            )
-            return 1
-        print(f"overhead gate OK: {gate} {pct:.2f}% <= {args.check_overhead:.2f}%")
-    if regression is not None:
-        gate = e2e.OVERHEAD_GATE_CASE
-        limit = args.check_regression
-        if regression["baseline_ms"] is None:
-            print(f"regression gate: no committed baseline for {gate}, passing")
-        else:
-            latency_verdict = "OK" if regression["delta_pct"] <= limit else "FAIL"
-            print(
-                f"regression gate {latency_verdict}: {gate} obs-off p50 "
-                f"{regression['current_ms']:.3f} ms, {regression['delta_pct']:+.2f}% "
-                f"vs baseline '{regression['baseline_label']}' "
-                f"{regression['baseline_ms']:.3f} ms (limit {limit:+.2f}%)"
-            )
-            if regression["bytes_baseline"] is not None:
-                bytes_verdict = "OK" if regression["bytes_delta_pct"] <= limit else "FAIL"
-                print(
-                    f"bytes gate {bytes_verdict}: {gate} "
-                    f"{regression['bytes_current']}B/trip coded, "
-                    f"{regression['bytes_delta_pct']:+.2f}% vs baseline "
-                    f"{regression['bytes_baseline']}B (limit {limit:+.2f}%)"
-                )
-            if not regression["ok"]:
-                return 1
-    return 1 if (soak_failures or hedge_failures) else 0
-
-
-def _run_shed_smoke(e2e, *, backend: str = "threaded") -> int:
-    outcome = e2e.run_shed_smoke(backend=backend)
-    print(
-        f"shed smoke [{outcome['backend']}]: pack of {outcome['pack_size']} -> "
-        f"{outcome['served']} served, {outcome['shed']} shed with Server.Busy; "
-        f"one-way probe under saturation -> HTTP {outcome['oneway_status']}; "
-        f"counters: resilience.shed={outcome['shed_counter']} "
-        f"stage.application.rejected={outcome['rejected_counter']}"
-    )
-    failures = []
-    if outcome["shed"] == 0:
-        failures.append("overloaded pack shed no entries")
-    if outcome["served"] == 0:
-        failures.append("no sibling entry survived the overload")
-    if outcome["oneway_status"] != 503:
-        failures.append(
-            f"saturated one-way probe returned {outcome['oneway_status']}, not 503"
-        )
-    if outcome["shed_counter"] == 0 or outcome["rejected_counter"] == 0:
-        failures.append("shed counters did not move")
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    return 1 if failures else 0
 
 
 if __name__ == "__main__":

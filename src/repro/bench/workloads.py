@@ -26,17 +26,14 @@ from repro.client.invoker import (
     ThreadedInvoker,
 )
 from repro.client.proxy import ServiceProxy
-from repro.resilience.hedge import HedgePolicy
-from repro.resilience.limiter import AdaptiveLimiter
 from repro.core.batch import PackedInvoker
 from repro.core.dispatcher import spi_server_handlers
-from repro.diagnostics import PackMetricsHandler
 from repro.errors import ReproError
 from repro.http.compression import CompressionPolicy
 from repro.resilience.policy import CallPolicy
 from repro.obs.trace import Observability, Tracer
 from repro.server import ServerConfig, build_server
-from repro.server.handlers import HandlerChain
+from repro.server.handlers import HandlerChain, PackMetricsHandler
 from repro.soap.wssecurity import Credentials, attach_security_header
 from repro.transport.base import Transport
 from repro.transport.inproc import InProcTransport
@@ -85,27 +82,21 @@ class Testbed:
         response_cache: ResponseCache | None = None,
         accept_encoding: str | None = None,
         request_compression: CompressionPolicy | None = None,
-        hedge: HedgePolicy | None = None,
-        limiter: AdaptiveLimiter | None = None,
-        transport: Transport | None = None,
     ) -> ServiceProxy:
         """A fresh client proxy for this deployment.
 
         When the testbed carries an :class:`Observability` and no
         explicit ``tracer`` is given, the proxy shares the testbed's
         tracer so client and server spans land in the same trace.
-        The PR-6 knobs pass straight through: ``response_cache``
-        (client-side parameterized response cache), ``accept_encoding``
-        (offer response compression), ``request_compression`` (compress
-        request bodies).  The PR-9 knobs too: ``hedge`` (tail-at-scale
-        hedged requests), ``limiter`` (AIMD adaptive concurrency), and
-        ``transport`` (override the wire, e.g. wrap it in a
-        :class:`~repro.transport.chaos.ChaosTransport`).
+        ``response_cache`` (client-side parameterized response cache),
+        ``accept_encoding`` (offer response compression) and
+        ``request_compression`` (compress request bodies) pass straight
+        through to :class:`~repro.client.config.ClientConfig`.
         """
         if tracer is None and self.observability is not None:
             tracer = self.observability.tracer
         return build_proxy(ClientConfig(
-            transport=transport if transport is not None else self.transport,
+            transport=self.transport,
             address=self.address,
             namespace=ECHO_NS,
             service_name=ECHO_SERVICE,
@@ -114,8 +105,6 @@ class Testbed:
             response_cache=response_cache,
             accept_encoding=accept_encoding,
             request_compression=request_compression,
-            hedge=hedge,
-            limiter=limiter,
         ))
 
 
@@ -139,7 +128,7 @@ def echo_testbed(
 
     ``observability``: threads an obs subsystem through the server
     (spans, /metrics, /healthz) and installs a
-    :class:`~repro.diagnostics.PackMetricsHandler` feeding its registry,
+    :class:`~repro.server.handlers.PackMetricsHandler` feeding its registry,
     so pack-degree and execute-latency histograms show up in /metrics.
 
     ``app_queue_limit`` (staged only): bound on the application stage's

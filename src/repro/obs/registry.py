@@ -1,7 +1,7 @@
 """Unified metrics primitives: counters, gauges, histograms, registry.
 
 Before this module existed the repo grew two independent fixed-bucket
-histogram implementations (``repro.diagnostics.Histogram`` and the
+histogram implementations (one beside the pack-metrics handler and the
 mean/max accounting inside ``repro.server.stage.StageStats``) and a
 scatter of ad-hoc counter attributes guarded by per-object locks.  The
 :class:`MetricsRegistry` absorbs them: every layer that wants a metric
@@ -9,8 +9,8 @@ asks the registry for a named instrument, and the admin ``/metrics``
 route renders one coherent snapshot of the whole process.
 
 Instruments are cheap, thread-safe, and dependency-free, so they can
-live on the request hot path.  ``diagnostics`` and ``stage`` now import
-:class:`Histogram` from here instead of rolling their own.
+live on the request hot path.  ``server.handlers.PackMetricsHandler``
+and ``server.stage`` take their :class:`Histogram` from here.
 """
 
 from __future__ import annotations

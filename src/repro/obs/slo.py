@@ -1,23 +1,15 @@
-"""SLO budgets evaluated against bench trajectories and live snapshots.
+"""SLO budgets evaluated against live metrics snapshots.
 
 A service-level objective here is a *budget on a number the telemetry
-plane already produces*: "obs-on overhead under 5%", "echo p99 under
-250 ms", "shed rate EWMA under 20%".  The config (``slo.json`` at the
-repo root) has two sections:
-
-* ``"bench"`` — budgets over recorded :file:`BENCH_e2e.json` entries,
-  keyed by case name (``fig5``/``fig6``/``fig7``) then by a dotted
-  metric path into that case's results.  These are the CI gates: the
-  ``obs-slo`` job replays the committed trajectory's latest entry
-  through the checker and fails the build on a bust.  Ratio metrics
-  (``overhead_pct``, ``wire_saved_pct``) are machine-independent;
-  absolute ceilings are deliberately generous so a slow CI box does
-  not flap the gate.
-* ``"live"`` — budgets over a live ``/metrics`` JSON snapshot, keyed
-  by rollup target (``service#operation``) then dotted path into the
-  rollup snapshot (``latency_p99_s``, ``error_rate``,
-  ``error_rate_by_class.shed``).  The admin ``/slo`` route and
-  ``serve --slo`` evaluate these against the running registry.
+plane already produces*: "echo p99 under 250 ms", "shed rate EWMA
+under 20%".  The config (``slo.json`` at the repo root) has one
+section, ``"live"`` — budgets over a ``/metrics`` JSON snapshot:
+``"targets"`` keyed by rollup target (``service#operation``) then
+dotted path into the rollup snapshot (``latency_p99_s``,
+``error_rate``, ``error_rate_by_class.shed``), and ``"sketches"`` keyed
+by sketch name then dotted path (``quantiles.p99``).  The admin
+``/slo`` route and ``serve --slo`` evaluate these against the running
+registry.
 
 Each budget is ``{"max": x}`` and/or ``{"min": y}``.  A metric the
 snapshot does not carry is *skipped* (reported, not failed) unless
@@ -26,8 +18,7 @@ snapshot does not carry is *skipped* (reported, not failed) unless
 CLI::
 
     python -m repro.obs.slo check --config slo.json \
-        --bench BENCH_e2e.json [--label PR-7] [--snapshot snap.json] \
-        [--strict]
+        --snapshot snap.json [--strict]
 
 Exit status 0 when every evaluated budget holds, 1 on any bust, 2 on
 usage/config errors.
@@ -117,38 +108,6 @@ def _eval_budget(
             yield SloCheck(subject, metric, value, bound, kind, ok=value >= bound)
 
 
-def pick_entry(trajectory: dict, label: str | None = None) -> dict | None:
-    """The trajectory entry named ``label``, or the latest one."""
-    entries = trajectory.get("entries", [])
-    if not entries:
-        return None
-    if label is None:
-        return entries[-1]
-    for entry in entries:
-        if entry.get("label") == label:
-            return entry
-    return None
-
-
-def evaluate_bench(
-    config: dict, trajectory: dict, *, label: str | None = None
-) -> list[SloCheck]:
-    """The ``"bench"`` section against one recorded trajectory entry."""
-    budgets = config.get("bench", {})
-    entry = pick_entry(trajectory, label)
-    checks: list[SloCheck] = []
-    results = entry.get("results", {}) if entry else {}
-    subject_prefix = entry.get("label", "?") if entry else "?"
-    for case, case_budgets in sorted(budgets.items()):
-        case_results = results.get(case, {})
-        for metric, budget in sorted(case_budgets.items()):
-            value = _lookup(case_results, metric)
-            checks.extend(
-                _eval_budget(f"bench:{subject_prefix}/{case}", metric, value, budget)
-            )
-    return checks
-
-
 def evaluate_snapshot(config: dict, snapshot: dict) -> list[SloCheck]:
     """The ``"live"`` section against a ``/metrics``-shaped snapshot.
 
@@ -197,18 +156,11 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point: ``check --config slo.json [...]``; exits 0/1/2."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.slo",
-        description="Evaluate SLO budgets against bench trajectories "
-        "and metrics snapshots.",
+        description="Evaluate SLO budgets against a metrics snapshot.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     check = sub.add_parser("check", help="evaluate budgets; exit 1 on a bust")
     check.add_argument("--config", required=True, help="slo.json path")
-    check.add_argument(
-        "--bench", help="BENCH_e2e.json-style trajectory to gate on"
-    )
-    check.add_argument(
-        "--label", help="trajectory entry label (default: latest entry)"
-    )
     check.add_argument(
         "--snapshot", help="a /metrics JSON snapshot to gate on"
     )
@@ -226,13 +178,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     checks: list[SloCheck] = []
-    if args.bench:
-        try:
-            trajectory = _load_json(args.bench)
-        except (OSError, ValueError) as exc:
-            print(f"slo: cannot read bench {args.bench}: {exc}", file=sys.stderr)
-            return 2
-        checks.extend(evaluate_bench(config, trajectory, label=args.label))
     if args.snapshot:
         try:
             snapshot = _load_json(args.snapshot)
@@ -244,8 +189,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         checks.extend(evaluate_snapshot(config, snapshot))
     if not checks:
-        print("slo: nothing to evaluate (pass --bench and/or --snapshot)",
-              file=sys.stderr)
+        print("slo: nothing to evaluate (pass --snapshot)", file=sys.stderr)
         return 2
 
     for result in checks:

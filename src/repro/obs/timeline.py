@@ -73,8 +73,8 @@ def render_all(tracer: Tracer, *, width: int = BAR_WIDTH) -> str:
 def phase_breakdown(spans: list[Span]) -> dict[str, dict]:
     """Aggregate spans by name: count, total/mean milliseconds.
 
-    The e2e bench report uses this to turn one trace's spans into the
-    per-phase cost table the paper's argument is about.
+    Turns one trace's spans into the per-phase cost table the paper's
+    argument is about.
     """
     phases: dict[str, dict] = {}
     for s in spans:

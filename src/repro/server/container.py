@@ -85,7 +85,7 @@ class ServiceContainer:
         :class:`~repro.obs.rollup.ObsRollup` — latency EWMA, error-rate
         EWMAs by fault class, in-flight gauge — which is what
         ``registry.rollup(ns, op)`` consumers (hedging thresholds, the
-        live ``/slo`` gate, the bench reporter) read."""
+        live ``/slo`` gate) read."""
         self._services: dict[str, ServiceDefinition] = {}
         self._matcher = OperationMatcher()
         self._registry = registry

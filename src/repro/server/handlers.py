@@ -10,9 +10,12 @@ in :mod:`repro.core.dispatcher` is exactly such a handler.
 
 from __future__ import annotations
 
+import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.obs.registry import Histogram, MetricsRegistry
 from repro.resilience.policy import Deadline
 from repro.soap.envelope import Envelope
 from repro.xmlcore.tree import Element
@@ -107,3 +110,64 @@ class HeaderEchoHandler(Handler):
     def invoke_response(self, context: MessageContext) -> None:
         for entry in context.properties.get("echoed-headers", []):
             context.response_headers.append(entry.copy())
+
+
+EXECUTE_MS_BOUNDS = (1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0)
+
+
+class PackMetricsHandler(Handler):
+    """Measures packing effectiveness on the server.
+
+    Records, per HTTP exchange: the packing degree (entries per
+    message), and end-to-end service time between the request chain and
+    the response chain (i.e. the whole execution phase).
+
+    With a ``registry``, the two histograms are created *in* it (names
+    ``pack.degree`` and ``pack.execute_ms``) so they appear in the
+    unified ``/metrics`` snapshot alongside the span histograms.
+    """
+
+    name = "pack-metrics"
+
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+        if registry is None:
+            self.pack_degree = Histogram()
+            self.execute_ms = Histogram(bounds=EXECUTE_MS_BOUNDS)
+        else:
+            self.pack_degree = registry.histogram("pack.degree")
+            self.execute_ms = registry.histogram("pack.execute_ms", EXECUTE_MS_BOUNDS)
+        self.packed_messages = 0
+        self.plain_messages = 0
+        self._lock = threading.Lock()
+
+    def invoke_request(self, context: MessageContext) -> None:
+        context.properties["pack-metrics.start"] = time.perf_counter()
+
+    def invoke_response(self, context: MessageContext) -> None:
+        start = context.properties.get("pack-metrics.start")
+        elapsed_ms = (time.perf_counter() - start) * 1e3 if start else 0.0
+        degree = len(context.request_entries)
+        with self._lock:
+            self.pack_degree.record(degree)
+            self.execute_ms.record(elapsed_ms)
+            if context.packed:
+                self.packed_messages += 1
+            else:
+                self.plain_messages += 1
+
+    @property
+    def amortization(self) -> float:
+        """Mean requests carried per SOAP message — the quantity SPI
+        exists to raise above 1.0."""
+        return self.pack_degree.mean
+
+    def snapshot(self) -> dict:
+        """All counters as a plain dict."""
+        with self._lock:
+            return {
+                "packed_messages": self.packed_messages,
+                "plain_messages": self.plain_messages,
+                "amortization": self.amortization,
+                "pack_degree": self.pack_degree.snapshot(),
+                "execute_ms": self.execute_ms.snapshot(),
+            }

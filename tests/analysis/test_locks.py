@@ -112,7 +112,7 @@ class TestModuleReport:
             "server/threadpool.py",
             "server/container.py",
             "server/service.py",
-            "diagnostics.py",
+            "server/handlers.py",
             "obs/registry.py",
             "obs/trace.py",
         ):

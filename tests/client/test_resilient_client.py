@@ -260,6 +260,43 @@ class TestAdaptiveLimiterClient:
         finally:
             server.stop()
 
+    def test_gated_wave_retries_through_the_reopened_window(self):
+        """A wave wider than the window is gated locally, backs off
+        under its policy and converges once a slot frees up."""
+        base = InProcTransport()
+        server, address = start_echo_server(base)
+        try:
+            limiter = AdaptiveLimiter(initial=1.0)
+            policy = CallPolicy(
+                retries=500, backoff_base=0.002, backoff_max=0.01, jitter=0.0
+            )
+            proxy = make_hedging_proxy(
+                base, address, limiter=limiter, policy=policy
+            )
+            assert limiter.try_acquire()  # window full: every caller is gated
+            results = []
+            wave = [
+                threading.Thread(
+                    target=lambda i=i: results.append(proxy.echo(payload=f"w{i}"))
+                )
+                for i in range(4)
+            ]
+            for thread in wave:
+                thread.start()
+            gated = proxy.metrics.counter("client.limiter.gated")
+            give_up = time.monotonic() + 10
+            while gated.value < len(wave):
+                assert time.monotonic() < give_up, "the wave was never gated"
+                time.sleep(0.001)
+            assert proxy.connections_opened == 0  # nothing reached the wire
+            limiter.release("success")  # the window reopens
+            for thread in wave:
+                thread.join(timeout=10)
+            assert sorted(results) == ["w0", "w1", "w2", "w3"]
+            proxy.close()
+        finally:
+            server.stop()
+
 
 class TestDeadlineRebasedIo:
     def test_wire_timeout_carries_grace_over_the_budget(self):

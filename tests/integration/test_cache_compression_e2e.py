@@ -26,7 +26,7 @@ from repro.server.handlers import HandlerChain
 from repro.transport.chaos import ChaosTransport
 from repro.transport.inproc import InProcTransport
 
-from repro.bench.workloads import echo_testbed
+from repro.bench.workloads import echo_calls, echo_testbed
 from repro.server import ServerConfig, build_server
 from repro.client.config import ClientConfig, build_proxy
 
@@ -78,6 +78,27 @@ class TestFullStack:
                 payload = f"<&special> round {i} " * 50
                 assert proxy.call("echo", payload=payload) == payload
             proxy.close()
+
+    def test_coding_both_ways_moves_a_tenth_of_the_identity_bytes(self):
+        """The Fig. 7 shape, a 4 x 100 KB echo pack, counted on the
+        shaped link: identity against request + response coding."""
+
+        def bytes_per_pack(coded):
+            policy = CompressionPolicy() if coded else None
+            with echo_testbed(profile="lan", compression=policy) as bed:
+                proxy = bed.make_proxy(
+                    accept_encoding="gzip, deflate" if coded else None,
+                    request_compression=policy,
+                )
+                calls = echo_calls(4, 100_000)
+                assert PackedInvoker(proxy).invoke_all(calls) == [
+                    call.params["payload"] for call in calls
+                ]
+                proxy.close()
+                links = bed.transport.wire_stats()
+            return links["uplink"]["bytes"] + links["downlink"]["bytes"]
+
+        assert bytes_per_pack(coded=True) <= 0.10 * bytes_per_pack(coded=False)
 
 
 class TestRetryInterplay:

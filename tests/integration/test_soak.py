@@ -1,4 +1,5 @@
-"""Soak test: sustained mixed load against one staged server.
+"""Soak tests: sustained mixed load against one staged server, and a
+thousand keep-alive connections held at once by the evented backend.
 
 Eight client threads hammer the server with a mixture of plain calls,
 packed batches, WSDL fetches and deliberately faulting requests, then
@@ -6,17 +7,23 @@ the test cross-checks every counter in the stack for consistency.
 """
 
 import random
+import resource
 import threading
+import time
 
 import pytest
 
 from repro.apps.echo import ECHO_NS, make_echo_service
+from repro.bench.workloads import echo_testbed
 from repro.client.proxy import ServiceProxy
 from repro.core.batch import PackBatch
 from repro.core.dispatcher import spi_server_handlers
-from repro.diagnostics import PackMetricsHandler
 from repro.errors import SoapFaultError
-from repro.server.handlers import HandlerChain
+from repro.http.message import Headers, HttpRequest
+from repro.http.parser import ChannelReader, read_response
+from repro.server.handlers import HandlerChain, PackMetricsHandler
+from repro.soap.constants import SOAP_CONTENT_TYPE
+from repro.soap.serializer import build_request_envelope
 from repro.transport.inproc import InProcTransport
 from repro.server import ServerConfig, build_server
 from repro.client.config import ClientConfig, build_proxy
@@ -151,3 +158,50 @@ class TestLargeBatchBoundaries:
             )
         finally:
             proxy.close()
+
+
+C10K_CONNECTIONS = 1000
+#: connections opened per ramp-up wave: under the transport's listen
+#: backlog (128), so no SYN waits out a retransmit
+C10K_WAVE = 100
+C10K_ROUNDS = 4
+
+
+def test_evented_backend_holds_a_thousand_keepalive_connections():
+    """N sockets stay open across four request rounds: every response is
+    a 200, every socket was accepted once and all were open at once."""
+    soft_limit, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+    # both ends of every connection live in this process
+    n = min(C10K_CONNECTIONS, (soft_limit - 256) // 2)
+    request = HttpRequest(
+        "POST",
+        "/services/EchoService",
+        Headers({"Host": "c10k", "Content-Type": SOAP_CONTENT_TYPE}),
+        build_request_envelope(ECHO_NS, "echo", {"payload": "x" * 64}).to_bytes(),
+    ).to_bytes()
+
+    with echo_testbed(profile="loopback", backend="evented") as bed:
+        http = bed.server.http
+        channels = []
+        try:
+            while len(channels) < n:
+                for _ in range(min(C10K_WAVE, n - len(channels))):
+                    channels.append(bed.transport.connect(bed.address, timeout=30))
+                give_up = time.monotonic() + 30
+                while http.connections_accepted < len(channels):
+                    assert time.monotonic() < give_up, "accepts fell behind a wave"
+                    time.sleep(0.001)
+            readers = [ChannelReader(channel) for channel in channels]
+            statuses = []
+            for _ in range(C10K_ROUNDS):
+                for channel in channels:
+                    channel.sendall(request)
+                statuses.extend(read_response(reader).status for reader in readers)
+        finally:
+            for channel in channels:
+                channel.close()
+
+    assert statuses == [200] * (C10K_ROUNDS * n)
+    assert http.connections_accepted == n
+    assert http.max_concurrent_connections == n
+    assert http.requests_served == C10K_ROUNDS * n

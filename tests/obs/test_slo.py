@@ -1,25 +1,13 @@
-"""SLO checker: budget evaluation over bench trajectories and live
-snapshots, plus the CLI's exit-code contract."""
+"""SLO checker: budget evaluation over live snapshots, plus the CLI's
+exit-code contract."""
 
 import json
 
 import pytest
 
-from repro.obs.slo import (
-    evaluate_bench,
-    evaluate_snapshot,
-    main,
-    pick_entry,
-    summarize,
-)
+from repro.obs.slo import evaluate_snapshot, main, summarize
 
 CONFIG = {
-    "bench": {
-        "fig7": {
-            "overhead_pct": {"max": 5.0},
-            "wire_saved_pct": {"min": 90.0},
-        }
-    },
     "live": {
         "targets": {
             "urn:svc#op": {
@@ -32,76 +20,27 @@ CONFIG = {
 }
 
 
-def trajectory(overhead=3.0, saved=95.0):
+def snapshot(p99=0.1, shed=0.05):
     return {
-        "entries": [
-            {"label": "PR-6", "results": {"fig7": {"overhead_pct": 1.0}}},
-            {
-                "label": "PR-7",
-                "results": {
-                    "fig7": {"overhead_pct": overhead, "wire_saved_pct": saved}
-                },
-            },
-        ]
+        "rollups": {
+            "urn:svc#op": {
+                "latency_p99_s": p99,
+                "error_rate_by_class": {"shed": shed},
+            }
+        },
+        "sketches": {
+            "span.execute.seconds": {"quantiles": {"p99": 0.01}}
+        },
     }
 
 
-class TestPickEntry:
-    def test_default_is_latest(self):
-        assert pick_entry(trajectory())["label"] == "PR-7"
-
-    def test_by_label(self):
-        assert pick_entry(trajectory(), "PR-6")["label"] == "PR-6"
-
-    def test_missing_label_and_empty(self):
-        assert pick_entry(trajectory(), "PR-99") is None
-        assert pick_entry({"entries": []}) is None
-
-
-class TestEvaluateBench:
-    def test_within_budget_passes(self):
-        checks = evaluate_bench(CONFIG, trajectory())
-        assert all(c.ok for c in checks)
-        assert {c.kind for c in checks} == {"max", "min"}
-
-    def test_bust_fails_the_right_check(self):
-        checks = evaluate_bench(CONFIG, trajectory(overhead=9.9))
-        failed = [c for c in checks if not c.ok]
-        assert [c.metric for c in failed] == ["overhead_pct"]
-        assert failed[0].value == 9.9 and failed[0].bound == 5.0
-
-    def test_min_budget_direction(self):
-        checks = evaluate_bench(CONFIG, trajectory(saved=50.0))
-        failed = [c for c in checks if not c.ok]
-        assert [c.metric for c in failed] == ["wire_saved_pct"]
-
-    def test_absent_metric_is_skipped_not_failed(self):
-        checks = evaluate_bench(CONFIG, trajectory(), label="PR-6")
-        skipped = [c for c in checks if c.skipped]
-        assert [c.metric for c in skipped] == ["wire_saved_pct"]
-        assert all(c.ok for c in checks)
-
-
 class TestEvaluateSnapshot:
-    def snapshot(self, p99=0.1, shed=0.05):
-        return {
-            "rollups": {
-                "urn:svc#op": {
-                    "latency_p99_s": p99,
-                    "error_rate_by_class": {"shed": shed},
-                }
-            },
-            "sketches": {
-                "span.execute.seconds": {"quantiles": {"p99": 0.01}}
-            },
-        }
-
     def test_within_budget_passes(self):
-        checks = evaluate_snapshot(CONFIG, self.snapshot())
+        checks = evaluate_snapshot(CONFIG, snapshot())
         assert len(checks) == 3 and all(c.ok for c in checks)
 
     def test_dotted_path_reaches_nested_class_rates(self):
-        checks = evaluate_snapshot(CONFIG, self.snapshot(shed=0.9))
+        checks = evaluate_snapshot(CONFIG, snapshot(shed=0.9))
         failed = [c for c in checks if not c.ok]
         assert [c.metric for c in failed] == ["error_rate_by_class.shed"]
 
@@ -117,7 +56,7 @@ class TestSummarize:
         assert summarize(checks, strict=True)["ok"] is False
 
     def test_document_shape(self):
-        doc = summarize(evaluate_bench(CONFIG, trajectory()))
+        doc = summarize(evaluate_snapshot(CONFIG, snapshot()))
         assert doc["failed"] == 0 and doc["checks"] == len(doc["results"])
         assert {"subject", "metric", "value", "bound", "kind", "ok", "skipped"} <= set(
             doc["results"][0]
@@ -130,32 +69,23 @@ class TestCli:
         path.write_text(json.dumps(doc))
         return str(path)
 
-    def test_passing_bench_gate_exits_zero(self, tmp_path, capsys):
+    def test_passing_gate_exits_zero(self, tmp_path, capsys):
         config = self.write(tmp_path, "slo.json", CONFIG)
-        bench = self.write(tmp_path, "bench.json", trajectory())
-        assert main(["check", "--config", config, "--bench", bench]) == 0
+        snap = self.write(tmp_path, "snap.json", snapshot())
+        assert main(["check", "--config", config, "--snapshot", snap]) == 0
         out = capsys.readouterr().out
         assert "-> OK" in out and "[ok  ]" in out
 
     def test_bust_exits_one(self, tmp_path, capsys):
         config = self.write(tmp_path, "slo.json", CONFIG)
-        bench = self.write(tmp_path, "bench.json", trajectory(overhead=50.0))
-        assert main(["check", "--config", config, "--bench", bench]) == 1
+        snap = self.write(tmp_path, "snap.json", snapshot(p99=5.0))
+        assert main(["check", "--config", config, "--snapshot", snap]) == 1
         assert "FAIL" in capsys.readouterr().out
-
-    def test_label_selects_the_gated_entry(self, tmp_path):
-        config = self.write(tmp_path, "slo.json", CONFIG)
-        bench = self.write(tmp_path, "bench.json", trajectory(overhead=50.0))
-        # PR-6 recorded 1.0% overhead; gating that entry passes
-        assert main(
-            ["check", "--config", config, "--bench", bench, "--label", "PR-6"]
-        ) == 0
 
     def test_strict_fails_on_skips(self, tmp_path):
         config = self.write(tmp_path, "slo.json", CONFIG)
-        bench = self.write(tmp_path, "bench.json", trajectory())
-        snapshot = self.write(tmp_path, "snap.json", {"rollups": {}, "sketches": {}})
-        args = ["check", "--config", config, "--bench", bench, "--snapshot", snapshot]
+        snap = self.write(tmp_path, "snap.json", {"rollups": {}, "sketches": {}})
+        args = ["check", "--config", config, "--snapshot", snap]
         assert main(args) == 0
         assert main(args + ["--strict"]) == 1
 
@@ -163,17 +93,3 @@ class TestCli:
         config = self.write(tmp_path, "slo.json", CONFIG)
         assert main(["check", "--config", str(tmp_path / "nope.json")]) == 2
         assert main(["check", "--config", config]) == 2  # nothing to evaluate
-
-    def test_repo_slo_config_gates_the_committed_trajectory(self):
-        # the committed slo.json + BENCH_e2e.json must stay green — this
-        # is exactly what the CI obs-slo job runs
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parents[2]
-        assert main(
-            [
-                "check",
-                "--config", str(root / "slo.json"),
-                "--bench", str(root / "BENCH_e2e.json"),
-            ]
-        ) == 0

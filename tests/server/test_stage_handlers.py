@@ -2,13 +2,20 @@
 
 import pytest
 
+from repro.apps.echo import ECHO_NS, make_echo_service
+from repro.client.config import ClientConfig, build_proxy
+from repro.core.batch import PackBatch
+from repro.core.dispatcher import spi_server_handlers
+from repro.server import ServerConfig, build_server
 from repro.server.handlers import (
     Handler,
     HandlerChain,
     HeaderEchoHandler,
     MessageContext,
+    PackMetricsHandler,
 )
 from repro.server.stage import Stage
+from repro.transport.inproc import InProcTransport
 from repro.soap.envelope import Envelope
 from repro.xmlcore.tree import Element
 
@@ -121,3 +128,49 @@ class TestHandlerChain:
         chain.run_response(context)
         assert len(context.response_headers) == 1
         assert context.response_headers[0].text == "id-7"
+
+
+@pytest.fixture
+def instrumented_server():
+    transport = InProcTransport()
+    metrics = PackMetricsHandler()
+    chain = HandlerChain([metrics, *spi_server_handlers()])
+    server = build_server(ServerConfig(services=[make_echo_service()], architecture="staged", transport=transport, address="diag", chain=chain))
+    with server.running() as address:
+        proxy = build_proxy(ClientConfig(transport, address, namespace=ECHO_NS, service_name="EchoService"))
+        yield proxy, metrics
+        proxy.close()
+
+
+class TestPackMetricsHandler:
+    def test_plain_call_recorded(self, instrumented_server):
+        proxy, metrics = instrumented_server
+        proxy.call("echo", payload="x")
+        snap = metrics.snapshot()
+        assert snap["plain_messages"] == 1
+        assert snap["packed_messages"] == 0
+        assert snap["amortization"] == 1.0
+
+    def test_packed_call_recorded(self, instrumented_server):
+        proxy, metrics = instrumented_server
+        with PackBatch(proxy) as batch:
+            for i in range(8):
+                batch.call("echo", payload=str(i))
+        snap = metrics.snapshot()
+        assert snap["packed_messages"] == 1
+        assert snap["amortization"] == 8.0
+        assert snap["pack_degree"]["buckets"]["<=8"] == 1
+
+    def test_amortization_mixes_plain_and_packed(self, instrumented_server):
+        proxy, metrics = instrumented_server
+        proxy.call("echo", payload="a")
+        with PackBatch(proxy) as batch:
+            batch.call("echo", payload="b")
+            batch.call("echo", payload="c")
+            batch.call("echo", payload="d")
+        assert metrics.amortization == pytest.approx(2.0)  # (1 + 3) / 2
+
+    def test_execute_time_histogram_fills(self, instrumented_server):
+        proxy, metrics = instrumented_server
+        proxy.call("echo", payload="x")
+        assert metrics.execute_ms.total == 1

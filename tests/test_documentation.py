@@ -7,6 +7,7 @@ public classes, public functions and public methods.
 import dataclasses
 import importlib
 import inspect
+import json
 import pathlib
 import pkgutil
 import re
@@ -107,3 +108,34 @@ def test_every_config_field_has_a_readme_row(config):
     documented = set(re.findall(r"`(\w+)`", first_cells))
     missing = {field.name for field in dataclasses.fields(config)} - documented
     assert not missing, f"{config.__name__} fields without a README row: {sorted(missing)}"
+
+
+def test_every_measured_pr_has_a_full_bench_perf_entry():
+    root = PACKAGE_ROOT.parents[1]
+    benchmark = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    wanted = [
+        (workload["name"], metric["name"])
+        for workload in benchmark["workloads"]
+        for metric in benchmark["end_to_end"]
+    ]
+    assert len(wanted) == 24
+    trajectory = json.loads((root / "BENCH_perf.json").read_text(encoding="utf-8"))
+    entries = {entry["pr"]: entry for entry in trajectory["entries"]}
+    changes = (root / "CHANGES.md").read_text(encoding="utf-8")
+    measured = {
+        int(number)
+        for number in re.findall(r"^- PR-(\d+) \((?:perf_opt|simplicity)\)", changes, re.M)
+        if int(number) >= 11  # PR 11 introduced the benchmark
+    }
+    assert measured, "CHANGES.md lists no perf_opt/simplicity PR since PR 11"
+    incomplete = [
+        f"PR {number}: {workload} x {metric} ({side})"
+        for number in sorted(measured)
+        for workload, metric in wanted
+        for side in ("parent", "change")
+        if not isinstance(
+            entries.get(number, {}).get("cells", {}).get(workload, {}).get(metric, {}).get(side),
+            (int, float),
+        )
+    ]
+    assert not incomplete, f"BENCH_perf.json lacks medians for: {incomplete}"
