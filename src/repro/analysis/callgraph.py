@@ -19,10 +19,10 @@ and leans *unsound-but-useful*, in this order of confidence:
    table of the enclosing class and its project-known bases;
    ``self.attr.m()`` goes through *instance bindings* harvested from
    ``self.attr = ClassName(...)`` assignments anywhere in the class.
-4. **Annotations.**  ``def f(conn: EventedConnection)`` and
+4. **Annotations.**  ``def f(conn: ConnectionState)`` and
    ``x: Stage = ...`` type the receiver precisely; so does assigning
    the result of a call whose target carries a class return annotation
-   (``slot = self._new_slot(...)``).
+   (``slot = conn.open_slot(...)``).
 5. **Assignment aliasing.**  ``handler = self._handle; handler()``
    follows the local alias (flow-insensitive: last binding wins only
    in the sense that *all* bindings contribute edges).
@@ -36,7 +36,7 @@ types whatever it is assigned to.  Attribute *loads* that resolve to a
 reads ``conn.finished``; the property body must obey loop rules too).
 
 Function *references* that escape as call arguments
-(``stage.submit(self._handle_request)``, ``Thread(target=self._run)``)
+(``stage.submit(self._handle)``, ``Thread(target=self._run)``)
 are recorded as edges of kind ``"ref"``: the target runs *eventually,
 usually on another thread*, so blocking-fact propagation ignores them
 while reachability-style consumers may opt in.

@@ -142,10 +142,11 @@ HOT_PATH_CLASSES = frozenset(
         "StageStats",
         "TraceEvent",
         "StartTag",
-        # PR-8 event loop: allocated per connection / per in-flight request
-        "EventedConnection",
-        "RequestParser",
-        "_ResponseSlot",
+        # HTTP engine: allocated per connection / per in-flight request
+        "ConnectionState",
+        "_SocketConnection",
+        "MessageParser",
+        "ResponseSlot",
     }
 )
 

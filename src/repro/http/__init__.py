@@ -5,6 +5,7 @@ from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.http.parser import (
     ChannelReader,
     ConnectionClosedCleanly,
+    MessageParser,
     RequestParser,
     encode_chunked,
     read_request,
@@ -23,6 +24,7 @@ __all__ = [
     "HttpRequest",
     "HttpResponse",
     "HttpServer",
+    "MessageParser",
     "RequestParser",
     "encode_chunked",
     "read_request",

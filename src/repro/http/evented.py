@@ -1,24 +1,24 @@
-"""Event-loop HTTP/1.1 backend: one thread, thousands of connections.
+"""Event-loop HTTP/1.1 driver: one thread, thousands of connections.
 
-The C10K counterpart of :class:`~repro.http.server.HttpServer`.  A
-single ``selectors``-based loop thread owns *all* protocol I/O —
-accept, incremental parse (one :class:`~repro.http.parser.RequestParser`
-per connection), and write-back — while every complete request is
-dispatched to a bounded ``http-handler`` :class:`~repro.server.stage.Stage`
-whose workers run the application callable.  Finished responses travel
-back through a completion deque plus a wakeup socketpair, so the loop
-never blocks on application work and workers never touch a socket:
+The C10K counterpart of :class:`~repro.http.server.HttpServer`, over
+the same engine (:mod:`repro.http.core`).  A single ``selectors``-based
+loop thread owns *all* socket I/O — accept, read into each connection's
+:class:`~repro.http.core.ConnectionState`, write-back — while every
+complete request's application half runs on a bounded ``http-handler``
+:class:`~repro.server.stage.Stage`.  Finished responses travel back
+through a completion deque plus a wakeup socketpair, so the loop never
+blocks on application work and workers never touch a socket:
 
 ::
 
     loop thread                         handler stage (bounded pool)
     -----------                         ----------------------------
-    select() ──ready──► recv ──feed──► RequestParser
+    select() ──ready──► recv ──► ConnectionState.receive
        ▲                                  │ complete request
-       │                                  ▼ stage.submit()
-       │                             app(request) ─► payload bytes
+       │                                  ▼ _admit, stage.submit(_handle)
+       │                             app(request) ─► fill response slot
        │  wakeup byte + deque entry ◄─────┘
-       └── drain completions ─► fill response slots ─► send
+       └── drain completions ─► pump finished slots ─► send
 
 The SEDA argument (paper Fig. 2, Welsh et al.): the protocol stage
 must be non-blocking I/O feeding bounded worker pools, so overload
@@ -32,15 +32,15 @@ explosion.  Three shed rungs, outermost first:
 3. the app-stage per-entry sheds of the staged architecture
    (unchanged — entries inside a pack fault individually).
 
-Per-connection read-idle, write-stall, and handler deadlines are
-enforced from the loop with an injectable monotonic clock, so the
-slow-loris tests drive :class:`EventedConnection` directly with a fake
-socket and fake time.
+Per-connection read-idle, write-stall, and handler deadlines are data
+of the connection state; the loop sweeps them with an injectable
+monotonic clock.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import selectors
 import socket
 import threading
@@ -49,23 +49,16 @@ from typing import Callable
 
 from repro.errors import HttpError, PoolSaturatedError
 from repro.http.compression import CompressionPolicy
-from repro.http.core import HttpServerCore, error_response
-from repro.http.message import Headers, HttpRequest, HttpResponse
-from repro.http.parser import RequestParser
-from repro.obs.trace import (
-    TRACE_HTTP_HEADER,
-    Observability,
-    activate,
-    deactivate,
-    new_trace_id,
+from repro.http.core import (
+    App,
+    ConnectionState,
+    Deliver,
+    HttpServerCore,
+    ResponseSlot,
 )
+from repro.http.message import HttpRequest
+from repro.obs.trace import Observability
 from repro.transport.base import Address, Transport
-
-App = Callable[[HttpRequest], HttpResponse]
-
-#: Per-connection cap on dispatched-but-unanswered pipelined requests;
-#: at the cap the loop drops read interest until responses drain.
-MAX_PIPELINED = 16
 
 #: Deadline sweeps run at most this often — O(connections) work that
 #: does not need per-event freshness.
@@ -119,223 +112,15 @@ def _accept_nonblocking(sock):
         return None
 
 
-class _ResponseSlot:
-    """One in-order response position on a connection.
+class _SocketConnection(ConnectionState):
+    """A connection state plus the non-blocking socket the loop moves
+    its bytes through."""
 
-    Requests are dispatched as they parse (pipelining), but HTTP/1.1
-    responses must come back in request order: a worker fills its slot
-    whenever it finishes, the loop writes only the contiguous done
-    prefix.  ``done`` is set last (GIL-ordered) so the loop never reads
-    a half-filled slot.
-    """
+    __slots__ = ("sock",)
 
-    __slots__ = ("payload", "close_after", "done", "dispatched_at")
-
-    def __init__(self, dispatched_at: float = 0.0) -> None:
-        self.payload = b""
-        self.close_after = False
-        self.done = False
-        #: monotonic time the request was dispatched — the handler
-        #: deadline measures from here until ``done``
-        self.dispatched_at = dispatched_at
-
-    def fill(self, payload: bytes, *, close_after: bool) -> None:
-        self.payload = payload
-        self.close_after = close_after
-        self.done = True
-
-
-class EventedConnection:
-    """Per-connection state machine, driven entirely by the loop thread.
-
-    Pure with respect to time: every method that needs a clock takes
-    ``now`` (monotonic seconds) — the slow-loris and partial-write
-    tests feed a fake socket and hand-rolled timestamps.
-    """
-
-    __slots__ = (
-        "sock",
-        "parser",
-        "outbuf",
-        "slots",
-        "idle_timeout",
-        "write_timeout",
-        "handler_timeout",
-        "last_activity",
-        "write_started",
-        "parse_started",
-        "reading_shut",
-        "close_after_write",
-    )
-
-    def __init__(
-        self,
-        sock,
-        *,
-        now: float,
-        idle_timeout: float | None = None,
-        write_timeout: float | None = None,
-        handler_timeout: float | None = None,
-    ) -> None:
+    def __init__(self, sock: socket.socket, **state) -> None:
+        super().__init__(**state)
         self.sock = sock
-        self.parser = RequestParser()
-        self.outbuf = bytearray()
-        #: dispatched-but-unwritten responses, oldest first
-        self.slots: collections.deque[_ResponseSlot] = collections.deque()
-        self.idle_timeout = idle_timeout
-        self.write_timeout = write_timeout
-        self.handler_timeout = handler_timeout
-        self.last_activity = now
-        #: monotonic time the current outbuf started waiting, or None
-        self.write_started: float | None = None
-        #: when the bytes of the currently-parsing request started
-        #: arriving — the start of that request's ``http.parse`` span
-        self.parse_started: float | None = None
-        self.reading_shut = False
-        self.close_after_write = False
-
-    # -- read path ------------------------------------------------------
-
-    def on_readable(self, now: float) -> list[HttpRequest] | None:
-        """Drain the socket; completed requests, or ``None`` = close me.
-
-        ``None`` means the connection is finished *as far as reading
-        goes*: either a clean EOF (pending writes still flush) or a
-        framing error (an error response is already queued with
-        ``close_after``).
-
-        A framing error raises :class:`HttpError` with the batch's
-        valid prefix attached as ``exc.parsed_requests`` — a pipelined
-        burst where request 3 is malformed still gets requests 1 and 2
-        answered (in order, before the error) exactly like the
-        threaded backend.
-        """
-        requests: list[HttpRequest] = []
-        while True:
-            data = _recv_nonblocking(self.sock)
-            if data is None:
-                break
-            if data == b"":
-                self.reading_shut = True
-                if self.parser.has_buffered_data:
-                    # mid-message EOF: nothing to answer, drop after
-                    # any queued responses flush
-                    self.close_after_write = True
-                break
-            self.last_activity = now
-            if self.parse_started is None:
-                self.parse_started = now
-            self.parser.feed(data)
-            try:
-                while (request := self.parser.next_request()) is not None:
-                    requests.append(request)
-            except HttpError as exc:
-                self.reading_shut = True
-                exc.parsed_requests = requests
-                raise
-        if requests:
-            self.parse_started = (
-                now if self.parser.has_buffered_data else None
-            )
-        return requests if not self.reading_shut else (requests or None)
-
-    # -- write path -----------------------------------------------------
-
-    def pump_ready(self, now: float) -> bool:
-        """Move contiguous finished slots into the out-buffer.
-
-        Returns True when new bytes became writable.
-        """
-        moved = False
-        while self.slots and self.slots[0].done:
-            slot = self.slots.popleft()
-            if not self.outbuf:
-                self.write_started = now
-            self.outbuf += slot.payload
-            if slot.close_after:
-                self.close_after_write = True
-                self.slots.clear()
-                self.reading_shut = True
-            moved = True
-        return moved
-
-    def flush(self, now: float) -> bool:
-        """Write what the kernel will take; True when fully drained.
-
-        Raises :class:`_ConnectionLost` when the peer vanished.
-        """
-        while self.outbuf:
-            sent = _send_nonblocking(self.sock, self.outbuf)
-            if sent == 0:
-                return False
-            del self.outbuf[:sent]
-            self.last_activity = now
-            # the write deadline measures *stall*, not total transfer
-            # time: any progress re-arms it, so a slow-but-draining
-            # reader of a large response is never killed
-            self.write_started = now
-        self.write_started = None
-        return True
-
-    # -- deadlines ------------------------------------------------------
-
-    def timed_out(self, now: float) -> str | None:
-        """The deadline this connection has blown, or ``None``.
-
-        ``"write"`` — the peer made no read progress since the last
-        successful send (a stall, not a total-transfer budget);
-        ``"handler"`` — the oldest dispatched request has gone
-        unanswered past the handler deadline (a dropped completion or
-        a wedged worker must not leak the connection forever);
-        ``"idle"`` — no request bytes within the idle window (covers
-        slow-loris: trickling a header forever resets nothing once the
-        window is measured from *our* last useful progress).
-        """
-        if (
-            self.write_timeout is not None
-            and self.write_started is not None
-            and now - self.write_started > self.write_timeout
-        ):
-            return "write"
-        if (
-            self.handler_timeout is not None
-            and self.slots
-            and not self.slots[0].done
-            and now - self.slots[0].dispatched_at > self.handler_timeout
-        ):
-            return "handler"
-        if self.idle_timeout is not None and not self.slots and not self.outbuf:
-            # mid-request the anchor is when the request STARTED arriving
-            # — a slow-loris trickling header bytes resets nothing
-            anchor = (
-                self.parse_started
-                if self.parse_started is not None
-                else self.last_activity
-            )
-            if now - anchor > self.idle_timeout:
-                return "idle"
-        return None
-
-    @property
-    def finished(self) -> bool:
-        """Nothing left to read, write, or wait for."""
-        return (
-            self.reading_shut
-            and not self.slots
-            and not self.outbuf
-        )
-
-    def want_read(self) -> bool:
-        """Should the loop watch this socket for readability?
-
-        False once reading is shut *or* pipelining is maxed out (the
-        back-pressure valve: stop parsing until responses drain).
-        """
-        return not self.reading_shut and len(self.slots) < MAX_PIPELINED
-
-    def want_write(self) -> bool:
-        """Should the loop watch this socket for writability?"""
-        return bool(self.outbuf)
 
 
 class EventedHttpServer(HttpServerCore):
@@ -366,21 +151,14 @@ class EventedHttpServer(HttpServerCore):
         handler_timeout: float | None = 60.0,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
-        """``max_connections`` here is the *accept-overload budget*:
-        past it, new peers get a canned 503 written from the loop
-        before any parsing (rung 1 of the shed ladder) — unlike the
-        threaded backend, which parks excess peers in the backlog.
-
-        ``protocol_workers`` / ``protocol_queue_limit`` size the
-        ``http-handler`` stage between loop and app (rung 2: a full
-        handler queue sheds whole messages with 503).
-
-        ``idle_timeout`` / ``write_timeout`` / ``handler_timeout`` are
-        the per-connection deadlines the loop enforces (read-idle,
-        write-stall, and dispatched-but-unanswered request); ``clock``
-        is the monotonic source for both deadlines *and* span
-        timestamps (``perf_counter`` by default, matching the tracer's
-        timebase; injectable for tests).
+        """Keywords are :class:`~repro.server.config.ServerConfig` fields
+        of the same names, documented there.  ``max_connections`` here
+        is the *accept-overload budget*: past it, new peers get a canned
+        503 written from the loop before any parsing (rung 1 of the shed
+        ladder) — unlike the threaded backend, which parks excess peers
+        in the backlog.  ``clock`` is the monotonic source for deadlines
+        and ``http.parse`` marks (``perf_counter`` by default, matching
+        the tracer's timebase; injectable for tests).
         """
         super().__init__(
             app,
@@ -392,25 +170,24 @@ class EventedHttpServer(HttpServerCore):
             observability=observability,
             compression=compression,
             slo_config=slo_config,
+            idle_timeout=idle_timeout,
+            clock=clock,
         )
         self._max_connections = max_connections
         self._protocol_workers = protocol_workers
         self._protocol_queue_limit = protocol_queue_limit
-        self._idle_timeout = idle_timeout
         self._write_timeout = write_timeout
         self._handler_timeout = handler_timeout
-        self._clock = clock
         self.accept_overload_shed = 0
         self._listen_sock: socket.socket | None = None
         self._selector: selectors.BaseSelector | None = None
         self._loop_thread: threading.Thread | None = None
         self._stage = None
-        self._stopping = threading.Event()
-        self._connections: dict[int, EventedConnection] = {}
+        self._connections: dict[int, _SocketConnection] = {}
         self._masks: dict[int, int] = {}
         # GIL-atomic handoff: workers append, the loop pops; the wakeup
         # socketpair only exists to interrupt select()
-        self._completions: collections.deque[EventedConnection] = (
+        self._completions: collections.deque[_SocketConnection] = (
             collections.deque()
         )
         self._wakeup_recv: socket.socket | None = None
@@ -484,7 +261,8 @@ class EventedHttpServer(HttpServerCore):
         last_sweep = clock()
         try:
             while not self._stopping.is_set():
-                timeout = self._select_timeout(clock())
+                # a worker may have finished between drain and select
+                timeout = 0.0 if self._completions else MAX_POLL_S
                 intended_wake = clock() + timeout
                 events = self._selector.select(timeout)
                 now = clock()
@@ -509,13 +287,6 @@ class EventedHttpServer(HttpServerCore):
         finally:
             self._teardown()
 
-    def _select_timeout(self, now: float) -> float:
-        """Sleep until the next deadline could fire, capped for sweeps."""
-        timeout = MAX_POLL_S
-        if self._completions:
-            return 0.0
-        return timeout
-
     def _accept_ready(self, now: float) -> None:
         assert self._listen_sock is not None
         while True:
@@ -535,7 +306,7 @@ class EventedHttpServer(HttpServerCore):
                 self._shed_accept(sock)
                 continue
             self._note_connection_opened()
-            conn = EventedConnection(
+            conn = _SocketConnection(
                 sock,
                 now=now,
                 idle_timeout=self._idle_timeout,
@@ -580,37 +351,24 @@ class EventedHttpServer(HttpServerCore):
             pass
 
     def _connection_ready(
-        self, conn: EventedConnection, mask: int, now: float
+        self, conn: _SocketConnection, mask: int, now: float
     ) -> None:
         if mask & selectors.EVENT_WRITE:
             try:
-                conn.flush(now)
+                self._flush(conn, now)
             except _ConnectionLost:
                 self._close_connection(conn)
                 return
-        if mask & selectors.EVENT_READ and conn.want_read():
-            try:
-                requests = conn.on_readable(now)
-            except HttpError as exc:
-                # answer the batch's valid prefix first — the error
-                # response must not be misattributed to a request that
-                # parsed fine (threaded-backend parity).  reading_shut
-                # is held False while the prefix dispatches: an admin
-                # or shed response fills-and-flushes synchronously, and
-                # must not see `finished` and close the connection
-                # before the error slot below exists.
-                conn.reading_shut = False
-                try:
-                    for request in getattr(exc, "parsed_requests", ()):
-                        self._dispatch(conn, request, now)
-                finally:
-                    conn.reading_shut = True
-                self._queue_error(conn, exc, now)
-                self._flush_now(conn, now)
-                return
-            if requests:
+        if mask & selectors.EVENT_READ:
+            while conn.want_read():
+                data = _recv_nonblocking(conn.sock)
+                if data is None:
+                    break
+                started, requests, error = conn.receive(data, now)
                 for request in requests:
-                    self._dispatch(conn, request, now)
+                    self._dispatch(conn, request, started, now)
+                if error is not None:
+                    self._reject(error, self._deliver_into(conn, now))
         if conn.finished:
             self._close_connection(conn)
             return
@@ -619,146 +377,49 @@ class EventedHttpServer(HttpServerCore):
     # -- request handling -----------------------------------------------
 
     def _dispatch(
-        self, conn: EventedConnection, request: HttpRequest, now: float
+        self,
+        conn: _SocketConnection,
+        request: HttpRequest,
+        started: float,
+        now: float,
     ) -> None:
-        obs = self._obs
-        parse_start = conn.parse_started
-        trace_id = ""
-        if obs is not None:
-            admin = self._admin_response(request)
-            if admin is not None:
-                self._note_request_served()
-                self._maybe_compress(request, admin)
-                self._complete_slot(
-                    conn, self._new_slot(conn, now), request, admin, now=now
-                )
-                return
-            trace_id = request.headers.get(TRACE_HTTP_HEADER) or new_trace_id()
-            obs.tracer.record_span(
-                "http.parse",
-                trace_id,
-                parse_start if parse_start is not None else now,
-                now,
-                detail=request.path,
-            )
-            obs.registry.counter("http.requests").inc()
-        slot = self._new_slot(conn, now)
+        deliver = self._deliver_into(conn, now)
+        trace_id = self._admit(conn, request, started, deliver)
+        if trace_id is None:
+            return
         assert self._stage is not None
         try:
             self._stage.submit(
-                self._handle_request,
-                conn,
-                slot,
-                request,
-                trace_id,
-                kind="request",
+                self._handle, conn, request, trace_id, deliver, kind="request"
             )
         except PoolSaturatedError:
             # rung 2: the handler stage is the bounded protocol queue
             response = self.make_busy_response(
                 "server busy: handler stage saturated"
             )
-            self._note_request_served()
-            if obs is not None and obs.store is not None and trace_id:
-                obs.store.complete(trace_id, http_status=response.status)
-            self._complete_slot(conn, slot, request, response, now=now)
+            self._finish(conn, request, response, trace_id, deliver)
 
-    def _new_slot(self, conn: EventedConnection, now: float) -> _ResponseSlot:
-        slot = _ResponseSlot(dispatched_at=now)
-        conn.slots.append(slot)
-        return slot
+    def _deliver_into(self, conn: _SocketConnection, now: float) -> Deliver:
+        """The ``deliver`` of the next response position on ``conn``."""
+        return functools.partial(self._fill, conn, conn.open_slot(now))
 
-    def _queue_error(
-        self, conn: EventedConnection, exc: HttpError, now: float
-    ) -> None:
-        """A framing error: answer what we can, then close."""
-        response = error_response(exc)
-        slot = self._new_slot(conn, now)
-        slot.fill(
-            b"".join(self._response_payloads(response, close=True)),
-            close_after=True,
-        )
-        conn.pump_ready(now)
-
-    def _handle_request(
+    def _fill(
         self,
-        conn: EventedConnection,
-        slot: _ResponseSlot,
-        request: HttpRequest,
-        trace_id: str,
+        conn: _SocketConnection,
+        slot: ResponseSlot,
+        payloads: list[bytes],
+        close: bool,
     ) -> None:
-        """Worker-side: run the app, code the response, fill the slot."""
-        obs = self._obs
-        try:
-            if obs is not None and trace_id:
-                activate(obs.tracer, trace_id)
-                try:
-                    with obs.tracer.span(
-                        "server.handle", trace_id, detail=request.path
-                    ):
-                        response = self._app(request)
-                finally:
-                    deactivate()
-            else:
-                response = self._app(request)
-        except Exception as exc:  # app bug: report, keep serving
-            response = HttpResponse(
-                500,
-                Headers({"Content-Type": "text/plain"}),
-                f"internal error: {exc}".encode("utf-8"),
-            )
-        self._note_request_served()
-        self._maybe_compress(request, response)
-        if obs is not None and trace_id:
-            send_mark = self._clock()
-            payload, close_after = self._encode(conn, request, response)
-            obs.tracer.record_span(
-                "http.send",
-                trace_id,
-                send_mark,
-                self._clock(),
-                detail=f"{len(response.body)}B",
-            )
-            if obs.store is not None:
-                # the loop only moves opaque bytes after this point:
-                # the trace is over once the payload is coded
-                obs.store.complete(trace_id, http_status=response.status)
-        else:
-            payload, close_after = self._encode(conn, request, response)
-        slot.fill(payload, close_after=close_after)
+        """Any thread: park a coded response in its slot, tell the loop.
+
+        Loop-side answers (admin, sheds, framing errors) take the same
+        road as the workers': the loop drains its completions after the
+        events of every pass, so nothing is flushed — and no connection
+        judged finished — before every slot of a parsed batch exists.
+        """
+        slot.fill(b"".join(payloads), close_after=close)
         self._completions.append(conn)
         self._wake()
-
-    def _encode(
-        self,
-        conn: EventedConnection,
-        request: HttpRequest,
-        response: HttpResponse,
-    ) -> tuple[bytes, bool]:
-        close = (
-            not request.keep_alive
-            or conn.close_after_write
-            or self._stopping.is_set()
-        )
-        return (
-            b"".join(self._response_payloads(response, close=close)),
-            close,
-        )
-
-    def _complete_slot(
-        self,
-        conn: EventedConnection,
-        slot: _ResponseSlot,
-        request: HttpRequest,
-        response: HttpResponse,
-        *,
-        now: float,
-    ) -> None:
-        """Loop-side slot fill (admin responses, stage sheds)."""
-        payload, close_after = self._encode(conn, request, response)
-        slot.fill(payload, close_after=close_after)
-        if conn.pump_ready(now):
-            self._flush_now(conn, now)
 
     # -- completions + write-back ---------------------------------------
 
@@ -777,10 +438,22 @@ class EventedHttpServer(HttpServerCore):
             if conn.pump_ready(now):
                 self._flush_now(conn, now)
 
-    def _flush_now(self, conn: EventedConnection, now: float) -> None:
+    def _flush(self, conn: _SocketConnection, now: float) -> bool:
+        """Write what the kernel will take; True when fully drained.
+
+        Raises :class:`_ConnectionLost` when the peer vanished.
+        """
+        while conn.outbuf:
+            sent = _send_nonblocking(conn.sock, conn.outbuf)
+            if sent == 0:
+                return False
+            conn.wrote(sent, now)
+        return True
+
+    def _flush_now(self, conn: _SocketConnection, now: float) -> None:
         """Optimistic immediate flush; fall back to write interest."""
         try:
-            drained = conn.flush(now)
+            drained = self._flush(conn, now)
         except _ConnectionLost:
             self._close_connection(conn)
             return
@@ -789,12 +462,12 @@ class EventedHttpServer(HttpServerCore):
             return
         self._update_interest(conn)
 
-    def _register(self, conn: EventedConnection, mask: int) -> None:
+    def _register(self, conn: _SocketConnection, mask: int) -> None:
         assert self._selector is not None
         self._selector.register(conn.sock, mask, conn)
         self._masks[conn.sock.fileno()] = mask
 
-    def _update_interest(self, conn: EventedConnection) -> None:
+    def _update_interest(self, conn: _SocketConnection) -> None:
         assert self._selector is not None
         fileno = conn.sock.fileno()
         if fileno not in self._connections:
@@ -824,11 +497,10 @@ class EventedHttpServer(HttpServerCore):
             if conn.timed_out(now) is not None
         ]
         for conn in expired:
-            if self._obs is not None:
-                self._obs.registry.counter("http.connections.timed_out").inc()
+            self._note_connection_timed_out()
             self._close_connection(conn)
 
-    def _close_connection(self, conn: EventedConnection) -> None:
+    def _close_connection(self, conn: _SocketConnection) -> None:
         fileno = conn.sock.fileno()
         if self._connections.pop(fileno, None) is None:
             return

@@ -1,11 +1,16 @@
-"""Incremental HTTP/1.1 message parsing over a byte channel.
+"""The HTTP/1.1 framer: one incremental parser for requests and responses.
 
-A :class:`ChannelReader` buffers channel reads; :func:`read_request`
-and :func:`read_response` assemble complete messages, supporting
-``Content-Length`` and ``chunked`` framing.
+:class:`MessageParser` is *fed* bytes and asked for complete messages;
+it is the only place ``Content-Length`` / ``chunked`` / trailer framing,
+the size limits and the error statuses are decided.  Both server
+drivers feed it what their sockets deliver; :class:`ChannelReader` with
+:func:`read_request` / :func:`read_response` is the same parser fed from
+a blocking :class:`~repro.transport.base.Channel` (the client side).
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from repro.errors import HttpError
 from repro.http.compression import (
@@ -18,6 +23,8 @@ from repro.transport.base import Channel
 
 MAX_HEAD_BYTES = 64 * 1024
 MAX_BODY_BYTES = 256 * 1024 * 1024
+MAX_CHUNK_SIZE_LINE_BYTES = 1024
+_HEAD_TOO_LONG = f"message head exceeds {MAX_HEAD_BYTES} bytes"
 _CRLF = b"\r\n"
 _HEAD_END = b"\r\n\r\n"
 
@@ -26,57 +33,21 @@ class ConnectionClosedCleanly(HttpError):
     """Peer closed between messages — normal end of a keep-alive session."""
 
 
-class ChannelReader:
-    """Buffered reader over a :class:`Channel`."""
-
-    __slots__ = ("_channel", "_buffer")
-
-    def __init__(self, channel: Channel) -> None:
-        self._channel = channel
-        self._buffer = bytearray()
-
-    def read_until(self, marker: bytes, limit: int) -> bytes:
-        """Read up to and including ``marker``; error past ``limit``."""
-        while True:
-            index = self._buffer.find(marker)
-            if index != -1:
-                end = index + len(marker)
-                data = bytes(self._buffer[:end])
-                del self._buffer[:end]
-                return data
-            if len(self._buffer) > limit:
-                raise HttpError(f"message head exceeds {limit} bytes", status=413)
-            chunk = self._channel.recv()
-            if not chunk:
-                if not self._buffer:
-                    raise ConnectionClosedCleanly("peer closed the connection")
-                raise HttpError("connection closed mid-message")
-            self._buffer.extend(chunk)
-
-    def read_exact(self, nbytes: int) -> bytes:
-        """Read exactly ``nbytes`` or raise on early EOF."""
-        if nbytes > MAX_BODY_BYTES:
-            raise HttpError(f"body of {nbytes} bytes exceeds limit", status=413)
-        while len(self._buffer) < nbytes:
-            chunk = self._channel.recv()
-            if not chunk:
-                raise HttpError("connection closed mid-body")
-            self._buffer.extend(chunk)
-        data = bytes(self._buffer[:nbytes])
-        del self._buffer[:nbytes]
-        return data
+def _parse_head(head: bytes) -> tuple[str, Headers]:
+    lines = head.decode("latin-1").split("\r\n")
+    headers = Headers()
+    for line in lines[1:]:
+        if not line:
+            continue
+        name, sep, value = line.partition(":")
+        if not sep or not name or name != name.strip():
+            raise HttpError(f"malformed header line '{line}'", status=400)
+        headers.add(name, value.strip())
+    return lines[0], headers
 
 
-def read_request(reader: ChannelReader) -> HttpRequest:
-    """Read one complete HTTP request from the channel."""
-    head = reader.read_until(_HEAD_END, MAX_HEAD_BYTES)
-    method, path, version, headers = _parse_request_head(head)
-    body = _read_body(reader, headers, is_request=True)
-    return HttpRequest(method, path, headers, body, version)
-
-
-def _parse_request_head(head: bytes) -> tuple[str, str, str, Headers]:
-    """Validate a request head: ``(method, path, version, headers)``."""
+def _parse_request_head(head: bytes) -> HttpRequest:
+    """Validate a request head; the request it opens, body still empty."""
     request_line, headers = _parse_head(head)
     parts = request_line.split(" ")
     if len(parts) != 3:
@@ -84,12 +55,11 @@ def _parse_request_head(head: bytes) -> tuple[str, str, str, Headers]:
     method, path, version = parts
     if version not in ("HTTP/1.1", "HTTP/1.0"):
         raise HttpError(f"unsupported HTTP version '{version}'", status=400)
-    return method, path, version, headers
+    return HttpRequest(method, path, headers, b"", version)
 
 
-def read_response(reader: ChannelReader) -> HttpResponse:
-    """Read one complete HTTP response from the channel."""
-    head = reader.read_until(_HEAD_END, MAX_HEAD_BYTES)
+def _parse_response_head(head: bytes) -> HttpResponse:
+    """Validate a response head; the response it opens, body still empty."""
     status_line, headers = _parse_head(head)
     parts = status_line.split(" ", 2)
     if len(parts) < 2:
@@ -100,49 +70,7 @@ def read_response(reader: ChannelReader) -> HttpResponse:
         status = int(status_text)
     except ValueError:
         raise HttpError(f"non-numeric status '{status_text}'") from None
-    body = _read_body(reader, headers, is_request=False)
-    return HttpResponse(status, headers, body, reason, version)
-
-
-def _parse_head(head: bytes) -> tuple[str, Headers]:
-    try:
-        text = head.decode("latin-1")
-    except UnicodeDecodeError:  # pragma: no cover - latin-1 never fails
-        raise HttpError("undecodable message head") from None
-    lines = text.split("\r\n")
-    start_line = lines[0]
-    headers = Headers()
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, sep, value = line.partition(":")
-        if not sep or not name or name != name.strip():
-            raise HttpError(f"malformed header line '{line}'", status=400)
-        headers.add(name, value.strip())
-    return start_line, headers
-
-
-def _read_body(reader: ChannelReader, headers: Headers, *, is_request: bool) -> bytes:
-    encoding = headers.get_token("Transfer-Encoding")
-    if encoding == "chunked":
-        return _decode_content(_read_chunked(reader), headers, is_request=is_request)
-    if encoding and encoding != "identity":
-        raise HttpError(f"unsupported transfer encoding '{encoding}'", status=400)
-
-    length_text = headers.get("Content-Length")
-    if length_text is None:
-        # Requests must declare a length (we do not accept read-to-EOF
-        # requests); responses without one have no body in our binding.
-        if is_request and headers.get("Content-Type"):
-            raise HttpError("request has a body but no Content-Length", status=411)
-        return b""
-    try:
-        length = int(length_text)
-        if length < 0:
-            raise ValueError
-    except ValueError:
-        raise HttpError(f"bad Content-Length '{length_text}'", status=400) from None
-    return _decode_content(reader.read_exact(length), headers, is_request=is_request)
+    return HttpResponse(status, headers, b"", reason, version)
 
 
 def _decode_content(body: bytes, headers: Headers, *, is_request: bool) -> bytes:
@@ -179,71 +107,33 @@ def _decode_content(body: bytes, headers: Headers, *, is_request: bool) -> bytes
     return decoded
 
 
-def _read_chunked(reader: ChannelReader) -> bytes:
-    body = bytearray()
-    while True:
-        size_line = reader.read_until(_CRLF, 1024)
-        size_text = size_line.strip().split(b";")[0]
-        try:
-            size = int(size_text, 16)
-        except ValueError:
-            raise HttpError(f"bad chunk size {size_text!r}", status=400) from None
-        if size == 0:
-            # trailer section: read lines until the blank terminator
-            while True:
-                line = reader.read_until(_CRLF, MAX_HEAD_BYTES)
-                if line == _CRLF:
-                    return bytes(body)
-        if len(body) + size > MAX_BODY_BYTES:
-            raise HttpError("chunked body exceeds limit", status=413)
-        body.extend(reader.read_exact(size))
-        terminator = reader.read_exact(2)
-        if terminator != _CRLF:
-            raise HttpError("chunk not terminated by CRLF", status=400)
+class MessageParser:
+    """Incremental (push-mode) HTTP/1.1 parser for one direction of one
+    connection.
 
-
-class RequestParser:
-    """Incremental *push-mode* HTTP/1.1 request parser.
-
-    Where :class:`ChannelReader`/:func:`read_request` *pull* bytes from
-    a blocking channel, this parser is *fed* chunks as they arrive —
-    the shape the evented protocol stage needs: the event loop hands it
-    whatever ``recv`` returned and asks for any completed request.
-
-    Framing (``Content-Length`` and ``chunked``), limits and error
-    statuses match :func:`read_request` exactly; both share the head
-    parsing and content-decoding helpers.  A malformed or oversized
-    message raises :class:`~repro.errors.HttpError` from
-    :meth:`next_request`, after which the connection must be closed
+    :meth:`feed` buffers bytes as they come off the wire;
+    :meth:`next_message` (:meth:`next_request` on the server side)
+    returns the next complete message, or ``None`` until more bytes
+    arrive.  A malformed or oversized message raises
+    :class:`~repro.errors.HttpError` — on the request side with the
+    status to answer — after which the connection must be closed
     (framing state is unrecoverable).
     """
 
-    _HEAD = 0  # accumulating the request head
+    _HEAD = 0  # accumulating the message head
     _BODY = 1  # fixed-length body
     _CHUNK_SIZE = 2  # chunked: expecting a size line
     _CHUNK_DATA = 3  # chunked: expecting size+CRLF bytes of data
     _TRAILER = 4  # chunked: consuming trailer lines
 
-    __slots__ = (
-        "_buffer",
-        "_state",
-        "_head",
-        "_body",
-        "_body_remaining",
-        "_requests_parsed",
-    )
+    __slots__ = ("_buffer", "_state", "_message", "_body", "_body_remaining")
 
     def __init__(self) -> None:
         self._buffer = bytearray()
         self._state = self._HEAD
-        self._head: tuple[str, str, str, Headers] | None = None
+        self._message: HttpRequest | HttpResponse | None = None
         self._body = bytearray()
         self._body_remaining = 0
-        self._requests_parsed = 0
-
-    @property
-    def requests_parsed(self) -> int:
-        return self._requests_parsed
 
     @property
     def has_buffered_data(self) -> bool:
@@ -254,28 +144,38 @@ class RequestParser:
         """Buffer one chunk as read off the wire."""
         self._buffer.extend(data)
 
+    def eof_error(self) -> HttpError:
+        """What an EOF now means: a clean close between messages, or a
+        message cut short."""
+        if not self.has_buffered_data:
+            return ConnectionClosedCleanly("peer closed the connection")
+        where = "message" if self._state == self._HEAD else "body"
+        return HttpError(f"connection closed mid-{where}")
+
     def next_request(self) -> HttpRequest | None:
-        """The next complete request, or ``None`` until more bytes arrive.
+        """The next complete request, or ``None`` until more bytes arrive."""
+        return self.next_message(is_request=True)
+
+    def next_message(self, *, is_request: bool) -> HttpRequest | HttpResponse | None:
+        """Advance the framing machine as far as the buffered bytes go.
 
         Raises :class:`~repro.errors.HttpError` on malformed framing.
         """
+        buffer = self._buffer
         while True:
             if self._state == self._HEAD:
-                index = self._buffer.find(_HEAD_END)
-                if index == -1:
-                    if len(self._buffer) > MAX_HEAD_BYTES:
-                        raise HttpError(
-                            f"message head exceeds {MAX_HEAD_BYTES} bytes",
-                            status=413,
-                        )
+                if not buffer:
                     return None
-                head = bytes(self._buffer[: index + len(_HEAD_END)])
-                del self._buffer[: index + len(_HEAD_END)]
-                self._head = _parse_request_head(head)
-                headers = self._head[3]
+                index = self._scan(_HEAD_END, MAX_HEAD_BYTES, 413, _HEAD_TOO_LONG)
+                if index == -1:
+                    return None
+                head = bytes(buffer[: index + len(_HEAD_END)])
+                del buffer[: index + len(_HEAD_END)]
+                parse_head = _parse_request_head if is_request else _parse_response_head
+                self._message = parse_head(head)
+                headers = self._message.headers
                 encoding = headers.get_token("Transfer-Encoding")
                 if encoding == "chunked":
-                    self._body = bytearray()
                     self._state = self._CHUNK_SIZE
                     continue
                 if encoding and encoding != "identity":
@@ -284,11 +184,14 @@ class RequestParser:
                     )
                 length_text = headers.get("Content-Length")
                 if length_text is None:
-                    if headers.get("Content-Type"):
+                    # Requests must declare a length (we do not accept
+                    # read-to-EOF requests); responses without one have
+                    # no body in our binding.
+                    if is_request and headers.get("Content-Type"):
                         raise HttpError(
                             "request has a body but no Content-Length", status=411
                         )
-                    return self._complete(b"")
+                    return self._complete(b"", is_request)
                 try:
                     length = int(length_text)
                     if length < 0:
@@ -306,22 +209,25 @@ class RequestParser:
                 continue
 
             if self._state == self._BODY:
-                if len(self._buffer) < self._body_remaining:
+                if len(buffer) < self._body_remaining:
                     return None
-                body = bytes(self._buffer[: self._body_remaining])
-                del self._buffer[: self._body_remaining]
-                return self._complete(body)
+                with memoryview(buffer) as view:  # one copy, not slice + bytes
+                    body = bytes(view[: self._body_remaining])
+                del buffer[: self._body_remaining]
+                return self._complete(body, is_request)
 
             if self._state == self._CHUNK_SIZE:
-                line_end = self._buffer.find(_CRLF)
+                line_end = self._scan(
+                    _CRLF, MAX_CHUNK_SIZE_LINE_BYTES, 400, "chunk size line too long"
+                )
                 if line_end == -1:
-                    if len(self._buffer) > 1024:
-                        raise HttpError("chunk size line too long", status=400)
                     return None
-                size_text = bytes(self._buffer[:line_end]).strip().split(b";")[0]
-                del self._buffer[: line_end + len(_CRLF)]
+                size_text = bytes(buffer[:line_end]).strip().split(b";")[0]
+                del buffer[: line_end + len(_CRLF)]
                 try:
                     size = int(size_text, 16)
+                    if size < 0:
+                        raise ValueError
                 except ValueError:
                     raise HttpError(
                         f"bad chunk size {size_text!r}", status=400
@@ -337,51 +243,93 @@ class RequestParser:
 
             if self._state == self._CHUNK_DATA:
                 need = self._body_remaining + len(_CRLF)
-                if len(self._buffer) < need:
+                if len(buffer) < need:
                     return None
-                self._body.extend(self._buffer[: self._body_remaining])
-                terminator = bytes(
-                    self._buffer[self._body_remaining : need]
-                )
-                del self._buffer[:need]
+                self._body.extend(buffer[: self._body_remaining])
+                terminator = bytes(buffer[self._body_remaining : need])
+                del buffer[:need]
                 if terminator != _CRLF:
                     raise HttpError("chunk not terminated by CRLF", status=400)
                 self._state = self._CHUNK_SIZE
                 continue
 
-            assert self._state == self._TRAILER
-            line_end = self._buffer.find(_CRLF)
+            # _TRAILER: trailer fields are consumed and ignored
+            line_end = self._scan(_CRLF, MAX_HEAD_BYTES, 413, "trailer section too long")
             if line_end == -1:
-                if len(self._buffer) > MAX_HEAD_BYTES:
-                    raise HttpError("trailer section too long", status=413)
                 return None
-            line = bytes(self._buffer[: line_end + len(_CRLF)])
-            del self._buffer[: line_end + len(_CRLF)]
-            if line == _CRLF:
-                return self._complete(bytes(self._body))
-            # non-empty trailer line: consumed and ignored (parity with
-            # _read_chunked)
+            del buffer[: line_end + len(_CRLF)]
+            if line_end == 0:
+                return self._complete(bytes(self._body), is_request)
 
-    def _complete(self, body: bytes) -> HttpRequest:
-        assert self._head is not None
-        method, path, version, headers = self._head
-        body = _decode_content(body, headers, is_request=True)
-        self._head = None
+    def _scan(self, marker: bytes, limit: int, status: int, too_long: str) -> int:
+        """Where ``marker`` starts in the buffer, ``-1`` until it arrives.
+
+        More than ``limit`` bytes before it is an error — decided by
+        where the marker is (or can still turn up), never by how the
+        bytes happened to be cut into ``recv`` s.
+        """
+        index = self._buffer.find(marker)
+        preceding = index if index != -1 else len(self._buffer) - len(marker) + 1
+        if preceding > limit:
+            raise HttpError(too_long, status=status)
+        return index
+
+    def _complete(self, body: bytes, is_request: bool) -> HttpRequest | HttpResponse:
+        message = self._message
+        assert message is not None
+        message.body = _decode_content(body, message.headers, is_request=is_request)
+        self._message = None
         self._body = bytearray()
         self._body_remaining = 0
         self._state = self._HEAD
-        self._requests_parsed += 1
-        return HttpRequest(method, path, headers, body, version)
+        return message
+
+
+#: The name the server side knows the parser by.
+RequestParser = MessageParser
+
+
+class ChannelReader:
+    """A :class:`MessageParser` fed from a blocking :class:`Channel`."""
+
+    __slots__ = ("_channel", "_parser")
+
+    def __init__(self, channel: Channel) -> None:
+        self._channel = channel
+        self._parser = MessageParser()
+
+    def read_message(self, *, is_request: bool) -> HttpRequest | HttpResponse:
+        """``feed(channel.recv())`` until a message completes; EOF raises
+        :class:`ConnectionClosedCleanly` between messages and
+        :class:`~repro.errors.HttpError` inside one."""
+        parser = self._parser
+        while (message := parser.next_message(is_request=is_request)) is None:
+            chunk = self._channel.recv()
+            if not chunk:
+                raise parser.eof_error()
+            parser.feed(chunk)
+        return message
+
+
+def read_request(reader: ChannelReader) -> HttpRequest:
+    """Read one complete HTTP request from the channel."""
+    return reader.read_message(is_request=True)
+
+
+def read_response(reader: ChannelReader) -> HttpResponse:
+    """Read one complete HTTP response from the channel."""
+    return reader.read_message(is_request=False)
+
+
+def chunk_frames(body: bytes, chunk_size: int) -> Iterator[bytes]:
+    """``body`` as chunked-transfer frames, the terminator last."""
+    for offset in range(0, len(body), chunk_size):
+        chunk = body[offset : offset + chunk_size]
+        yield f"{len(chunk):x}\r\n".encode("ascii") + chunk + _CRLF
+    yield b"0\r\n\r\n"
 
 
 def encode_chunked(body: bytes, chunk_size: int = 8192) -> bytes:
     """Encode ``body`` using chunked transfer encoding (used by the
     streaming/chunking related-work bench)."""
-    out = bytearray()
-    for offset in range(0, len(body), chunk_size):
-        chunk = body[offset : offset + chunk_size]
-        out.extend(f"{len(chunk):x}\r\n".encode("ascii"))
-        out.extend(chunk)
-        out.extend(_CRLF)
-    out.extend(b"0\r\n\r\n")
-    return bytes(out)
+    return b"".join(chunk_frames(body, chunk_size))

@@ -1,9 +1,12 @@
-"""Threaded HTTP/1.1 server over a :class:`~repro.transport.base.Transport`.
+"""Threaded HTTP/1.1 driver over a :class:`~repro.transport.base.Transport`.
 
-The server is architecture-agnostic: it owns accept + connection
-handling and delegates each parsed request to an application callable
-``app(HttpRequest) -> HttpResponse``.  The paper's two architectures
-differ in what happens *inside* that callable:
+The blocking I/O driver of the engine in :mod:`repro.http.core`: an
+accept loop plus one thread per connection that ``recv`` s into the
+connection's :class:`~repro.http.core.ConnectionState`, walks each
+parsed request through the shared request lifecycle on that same
+thread, and ``sendall`` s the answer.  It is architecture-agnostic; the
+paper's two architectures differ in what happens *inside* the
+application callable ``app(HttpRequest) -> HttpResponse``:
 
 * common architecture (Fig. 1): the connection thread itself performs
   SOAP parsing and service execution — protocol and application
@@ -11,41 +14,20 @@ differ in what happens *inside* that callable:
 * staged architecture (Fig. 2): the callable parses, hands work to the
   application-stage pool and parks until the response is assembled.
 
-Everything that is not thread-per-connection I/O — the admin surface,
-compression negotiation, response wire coding, connection counters —
-lives in :class:`~repro.http.core.HttpServerCore`, shared with the
-event-loop backend in :mod:`repro.http.evented`.
+Framing, the admin surface, tracing, compression negotiation, response
+wire coding and the read-idle deadline are the engine's, shared with the
+event-loop driver in :mod:`repro.http.evented`.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable
 
 from repro.errors import HttpError, TransportError
 from repro.http.compression import CompressionPolicy
-from repro.http.core import (
-    ADMIN_PATHS,
-    TRACE_PATH_PREFIX,
-    HttpServerCore,
-    chunked_head as _chunked_head,
-    error_response as _error_response,
-)
-from repro.http.message import Headers, HttpRequest, HttpResponse
-from repro.http.parser import ChannelReader, ConnectionClosedCleanly, read_request
-from repro.obs.trace import (
-    TRACE_HTTP_HEADER,
-    Observability,
-    activate,
-    deactivate,
-    new_trace_id,
-)
+from repro.http.core import App, ConnectionState, HttpServerCore
+from repro.obs.trace import Observability
 from repro.transport.base import Address, Channel, Listener, ListenerClosed, Transport
-
-App = Callable[[HttpRequest], HttpResponse]
-
-__all__ = ["ADMIN_PATHS", "TRACE_PATH_PREFIX", "App", "HttpServer"]
 
 
 class HttpServer(HttpServerCore):
@@ -70,42 +52,14 @@ class HttpServer(HttpServerCore):
         observability: Observability | None = None,
         compression: CompressionPolicy | None = None,
         slo_config: dict | None = None,
+        idle_timeout: float | None = 30.0,
     ) -> None:
-        """``chunk_responses_over``: when set, response bodies larger
-        than this many bytes are sent with chunked transfer encoding —
-        the "message chunking and streaming" optimization of Chiu et
-        al. (HPDC-11), letting the client start parsing before the full
-        body has been produced.
-
-        ``max_connections`` bounds the protocol stage: at most this many
-        connections are serviced concurrently ("too many concurrent
-        threads will degrade throughput rapidly", §3.3); excess
-        connections wait in the accept backlog.
-
-        ``observability`` lights up tracing and the admin surface: each
-        request gets ``http.parse``/``http.send`` spans on the trace
-        named by its ``X-Repro-Trace-Id`` header (a fresh id is minted
-        for untraced requests), the app callable runs inside a
-        ``server.handle`` root span with the trace context active (so
-        phase spans tree under it), and ``GET /metrics`` / ``GET
-        /healthz`` / ``GET /traces`` / ``GET /trace/<id>`` / ``GET
-        /slo`` return JSON without entering the app.  When the
-        observability bundle carries a
-        :class:`~repro.obs.store.SpanStore`, every traced response also
-        completes its trace there (status-aware, so 503/504/5xx mark
-        shed/deadline/fault).  Without observability the seed code path
-        runs unchanged.
-
-        ``slo_config``: a parsed ``slo.json`` document; when present
-        (and observability is on) ``GET /slo`` evaluates the config's
-        ``"live"`` budgets against the current metrics snapshot.
-
-        ``compression``: when set, response bodies at least
-        ``compression.min_size`` bytes long are content-coded with the
-        best coding the request's ``Accept-Encoding`` admits (identity
-        when it admits none, or when coding would grow the body).
-        Compression runs before chunking, so both compose.  ``None``
-        (the default) keeps the seed wire format byte-for-byte.
+        """Keywords are :class:`~repro.server.config.ServerConfig` fields
+        of the same names, documented there.  ``max_connections`` here
+        bounds the protocol stage: at most this many connections are
+        serviced concurrently ("too many concurrent threads will
+        degrade throughput rapidly", §3.3); excess connections wait in
+        the accept backlog.
         """
         super().__init__(
             app,
@@ -117,6 +71,7 @@ class HttpServer(HttpServerCore):
             observability=observability,
             compression=compression,
             slo_config=slo_config,
+            idle_timeout=idle_timeout,
         )
         self._connection_slots = (
             threading.Semaphore(max_connections) if max_connections else None
@@ -125,7 +80,6 @@ class HttpServer(HttpServerCore):
         self._accept_thread: threading.Thread | None = None
         self._connection_threads: set[threading.Thread] = set()
         self._threads_lock = threading.Lock()
-        self._stopping = threading.Event()
 
     # -- lifecycle ------------------------------------------------------
 
@@ -191,89 +145,47 @@ class HttpServer(HttpServerCore):
             thread.start()
 
     def _serve_connection(self, channel: Channel) -> None:
-        reader = ChannelReader(channel)
-        obs = self._obs
+        clock = self._clock
+        deadline = self._idle_timeout is not None
+        conn = ConnectionState(now=clock(), idle_timeout=self._idle_timeout)
+
+        def deliver(payloads: list[bytes], close: bool) -> None:
+            if close:
+                conn.close_after_write = True
+            if deadline:
+                # the read deadline must not cut a slow reader's response
+                channel.set_timeout(None)
+            try:
+                # one sendall per payload: the shaped transport prices
+                # each sendall, so chunked framing keeps its per-frame cost
+                for payload in payloads:
+                    channel.sendall(payload)
+            except TransportError:
+                conn.close_after_write = True
+
         try:
-            while not self._stopping.is_set():
-                # With obs on, the parse span starts here; on a fresh
-                # connection that is the moment bytes become readable,
-                # on a reused keep-alive connection it includes client
-                # think time between requests.
-                parse_start = time.perf_counter() if obs is not None else 0.0
+            while not conn.reading_shut and not self._stopping.is_set():
                 try:
-                    request = read_request(reader)
-                except ConnectionClosedCleanly:
-                    return
-                except HttpError as exc:
-                    self._send(channel, _error_response(exc), close=True)
-                    return
+                    if deadline:
+                        remaining = conn.idle_remaining(clock())
+                        if remaining <= 0:
+                            raise TransportError("read-idle deadline passed")
+                        channel.set_timeout(remaining)
+                    data = channel.recv()
                 except TransportError:
+                    # a reset — or the read deadline: the clock tells
+                    if conn.timed_out(clock()) is not None:
+                        self._note_connection_timed_out()
                     return
-
-                trace_id = ""
-                if obs is not None:
-                    admin = self._admin_response(request)
-                    if admin is not None:
-                        self._note_request_served()
-                        keep_alive = request.keep_alive and not self._stopping.is_set()
-                        self._maybe_compress(request, admin)
-                        self._send(channel, admin, close=not keep_alive)
-                        if not keep_alive:
-                            return
-                        continue
-                    trace_id = (
-                        request.headers.get(TRACE_HTTP_HEADER) or new_trace_id()
-                    )
-                    obs.tracer.record_span(
-                        "http.parse",
-                        trace_id,
-                        parse_start,
-                        time.perf_counter(),
-                        detail=request.path,
-                    )
-                    obs.registry.counter("http.requests").inc()
-                    activate(obs.tracer, trace_id)
-                try:
-                    if obs is not None:
-                        # the root span of the handling tree: phase
-                        # spans opened inside the app (soap.parse,
-                        # spi.unpack, execute x M, ...) parent under it
-                        # via the thread's ambient span stack
-                        with obs.tracer.span(
-                            "server.handle", trace_id, detail=request.path
-                        ):
-                            response = self._app(request)
-                    else:
-                        response = self._app(request)
-                except Exception as exc:  # app bug: report, keep serving
-                    response = HttpResponse(
-                        500, Headers({"Content-Type": "text/plain"}),
-                        f"internal error: {exc}".encode("utf-8"),
-                    )
-                finally:
-                    if obs is not None:
-                        deactivate()
-                self._note_request_served()
-                self._maybe_compress(request, response)
-
-                keep_alive = request.keep_alive and not self._stopping.is_set()
-                if obs is not None:
-                    with obs.tracer.span(
-                        "http.send", trace_id, detail=f"{len(response.body)}B"
-                    ):
-                        self._send(channel, response, close=not keep_alive)
-                    if obs.store is not None:
-                        # the trace is over once the bytes are on the
-                        # wire: run the tail-sampling decision now,
-                        # status-aware (503 shed / 504 deadline / 4xx+
-                        # fault)
-                        obs.store.complete(
-                            trace_id, http_status=response.status
-                        )
-                else:
-                    self._send(channel, response, close=not keep_alive)
-                if not keep_alive:
-                    return
+                started, requests, error = conn.receive(data, clock())
+                for request in requests:
+                    trace_id = self._admit(conn, request, started, deliver)
+                    if trace_id is not None:
+                        self._handle(conn, request, trace_id, deliver)
+                    if conn.close_after_write:
+                        return
+                if error is not None:
+                    self._reject(error, deliver)
         finally:
             channel.close()
             self._note_connection_closed()
@@ -284,12 +196,3 @@ class HttpServer(HttpServerCore):
     def _release_slot(self) -> None:
         if self._connection_slots is not None:
             self._connection_slots.release()
-
-    def _send(self, channel: Channel, response: HttpResponse, *, close: bool) -> None:
-        try:
-            # one sendall per payload: the shaped transport prices each
-            # sendall, so chunked framing keeps its per-frame cost
-            for payload in self._response_payloads(response, close=close):
-                channel.sendall(payload)
-        except TransportError:
-            pass

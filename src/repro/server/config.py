@@ -48,10 +48,10 @@ class ServerConfig:
       stage; ignored by the common architecture);
     * **protocol** — ``backend``, ``transport``, ``address``,
       ``max_connections`` (threaded: accept gate; evented: the
-      accept-overload shed budget), and the evented-only
-      ``protocol_workers`` / ``protocol_queue_limit`` handler stage
-      plus ``idle_timeout`` / ``write_timeout`` / ``handler_timeout``
-      loop deadlines;
+      accept-overload shed budget), the ``idle_timeout`` read-idle
+      deadline, and the evented-only ``protocol_workers`` /
+      ``protocol_queue_limit`` handler stage plus ``write_timeout`` /
+      ``handler_timeout`` loop deadlines;
     * **wire** — ``chunk_responses_over`` / ``chunk_size`` (HPDC-11
       chunking), ``compression``;
     * **observability** — ``observability``, ``slo_config``.
@@ -121,6 +121,7 @@ def build_http_server(app: Callable, config: ServerConfig) -> HttpServerCore:
         observability=config.observability,
         compression=config.compression,
         slo_config=config.slo_config,
+        idle_timeout=config.idle_timeout,
     )
     if config.backend == "evented":
         from repro.http.evented import EventedHttpServer
@@ -129,7 +130,6 @@ def build_http_server(app: Callable, config: ServerConfig) -> HttpServerCore:
             app,
             protocol_workers=config.protocol_workers,
             protocol_queue_limit=config.protocol_queue_limit,
-            idle_timeout=config.idle_timeout,
             write_timeout=config.write_timeout,
             handler_timeout=config.handler_timeout,
             **common,

@@ -1,53 +1,21 @@
-"""Event-loop protocol stage: parser, connection state machine, server.
+"""The HTTP engine's parser and connection state, then the event loop.
 
-The connection tests drive :class:`EventedConnection` directly with a
-fake socket and hand-rolled ``now`` values — no threads, no clocks —
-which is the point of the state machine being pure with respect to
-time.  A handful of real-socket tests then cover the loop itself.
+The connection tests drive :class:`ConnectionState` with bytes and
+hand-rolled ``now`` values — no socket, no threads, no clocks — which is
+the point of the state being pure with respect to I/O and time.  A
+handful of real-socket tests then cover the loop itself.
 """
 
-import collections
 import socket
 
 import pytest
 
 from repro.errors import HttpError
-from repro.http.evented import (
-    MAX_PIPELINED,
-    EventedConnection,
-    EventedHttpServer,
-    _ResponseSlot,
-)
+from repro.http.core import MAX_PIPELINED, ConnectionState
+from repro.http.evented import EventedHttpServer
 from repro.http.message import Headers, HttpResponse
 from repro.http.parser import MAX_HEAD_BYTES, RequestParser
 from repro.transport.tcp import TcpTransport
-
-
-class FakeSocket:
-    """Scripted socket: recv pops chunks, send honours an accept budget."""
-
-    def __init__(self, chunks=(), accept=None):
-        self.chunks = collections.deque(chunks)
-        #: per-send byte budgets; None = accept everything
-        self.accept = collections.deque(accept) if accept is not None else None
-        self.sent = bytearray()
-
-    def recv(self, max_bytes):
-        if not self.chunks:
-            raise BlockingIOError
-        return self.chunks.popleft()
-
-    def send(self, data):
-        if self.accept is None:
-            self.sent += data
-            return len(data)
-        if not self.accept:
-            raise BlockingIOError
-        budget = self.accept.popleft()
-        taken = min(budget, len(data))
-        self.sent += bytes(data[:taken])
-        return taken
-
 
 SIMPLE = b"POST /svc HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\n\r\nhello"
 
@@ -63,7 +31,6 @@ class TestRequestParser:
         assert request is not None
         assert (request.method, request.path) == ("POST", "/svc")
         assert request.body == b"hello"
-        assert parser.requests_parsed == 1
         assert not parser.has_buffered_data
 
     def test_pipelined_requests_in_one_feed(self):
@@ -73,7 +40,6 @@ class TestRequestParser:
         second = parser.next_request()
         assert first.body == second.body == b"hello"
         assert parser.next_request() is None
-        assert parser.requests_parsed == 2
 
     def test_chunked_body_with_trailer(self):
         parser = RequestParser()
@@ -121,53 +87,44 @@ class TestRequestParser:
         assert request.body == b""
 
 
-def make_conn(
-    sock, *, now=0.0, idle_timeout=None, write_timeout=None, handler_timeout=None
-):
-    return EventedConnection(
-        sock,
-        now=now,
-        idle_timeout=idle_timeout,
-        write_timeout=write_timeout,
-        handler_timeout=handler_timeout,
-    )
-
-
 def queue_response(conn, payload, *, now, close_after=False):
-    """What the server does when a worker finishes: fill + pump."""
-    slot = _ResponseSlot()
-    conn.slots.append(slot)
-    slot.fill(payload, close_after=close_after)
+    """What a driver does when a worker finishes: fill + pump."""
+    conn.open_slot(now).fill(payload, close_after=close_after)
     return conn.pump_ready(now)
 
 
 class TestEventedConnection:
     def test_reads_complete_request(self):
-        conn = make_conn(FakeSocket([SIMPLE]))
-        requests = conn.on_readable(now=1.0)
+        conn = ConnectionState(now=0.0)
+        started, requests, error = conn.receive(SIMPLE, now=1.0)
         assert [r.body for r in requests] == [b"hello"]
+        assert (started, error) == (1.0, None)
         assert conn.parse_started is None  # nothing half-parsed remains
 
     def test_pipelined_burst_returns_all_requests(self):
-        conn = make_conn(FakeSocket([SIMPLE + SIMPLE + SIMPLE]))
-        assert len(conn.on_readable(now=0.0)) == 3
+        conn = ConnectionState(now=0.0)
+        assert len(conn.receive(SIMPLE + SIMPLE + SIMPLE, now=0.0)[1]) == 3
+
+    def test_request_started_is_when_its_first_bytes_arrived(self):
+        conn = ConnectionState(now=0.0)
+        assert conn.receive(SIMPLE[:10], now=1.0)[1] == []
+        started, requests, _error = conn.receive(SIMPLE[10:], now=3.0)
+        assert started == 1.0
+        assert len(requests) == 1
 
     def test_partial_write_resumes_where_it_stopped(self):
-        sock = FakeSocket(accept=[4])
-        conn = make_conn(sock, write_timeout=30.0)
+        conn = ConnectionState(now=0.0, write_timeout=30.0)
         assert queue_response(conn, b"ABCDEFGH", now=1.0)
-        assert conn.flush(now=1.0) is False  # kernel took 4, then blocked
-        assert bytes(sock.sent) == b"ABCD"
+        conn.wrote(4, now=1.0)  # kernel took 4, then blocked
+        assert bytes(conn.outbuf) == b"EFGH"
         assert conn.write_started == 1.0
-        sock.accept.append(100)
-        assert conn.flush(now=2.0) is True
-        assert bytes(sock.sent) == b"ABCDEFGH"
+        conn.wrote(4, now=2.0)
+        assert not conn.want_write()
         assert conn.write_started is None
 
     def test_stalled_peer_blows_write_deadline(self):
-        conn = make_conn(FakeSocket(accept=[]), write_timeout=5.0)
+        conn = ConnectionState(now=0.0, write_timeout=5.0)
         queue_response(conn, b"stuck", now=10.0)
-        conn.flush(now=10.0)
         assert conn.timed_out(now=14.9) is None
         assert conn.timed_out(now=15.1) == "write"
 
@@ -175,14 +132,11 @@ class TestEventedConnection:
         # A slow-but-progressing reader must NOT be killed: every byte
         # of progress re-arms the write deadline, so only a genuine
         # stall (no progress for write_timeout) blows it.
-        sock = FakeSocket(accept=[1])
-        conn = make_conn(sock, write_timeout=5.0)
+        conn = ConnectionState(now=0.0, write_timeout=5.0)
         queue_response(conn, b"ABCD", now=0.0)
-        assert conn.flush(now=0.0) is False  # 1 byte, then blocked
-        for tick in (4.0, 8.0):  # total elapsed far exceeds 5s
-            sock.accept.append(1)
+        for tick in (0.0, 4.0, 8.0):  # total elapsed far exceeds 5s
             assert conn.timed_out(now=tick) is None
-            assert conn.flush(now=tick) is False
+            conn.wrote(1, now=tick)
         assert conn.write_started == 8.0  # anchored at last progress
         assert conn.timed_out(now=12.9) is None
         assert conn.timed_out(now=13.1) == "write"
@@ -191,58 +145,54 @@ class TestEventedConnection:
         # A dispatched request whose slot is never filled (dropped
         # completion, wedged worker) must not wedge the connection
         # forever: the handler deadline reclaims it.
-        conn = make_conn(FakeSocket(), handler_timeout=10.0)
-        slot = _ResponseSlot(dispatched_at=2.0)
-        conn.slots.append(slot)
+        conn = ConnectionState(now=0.0, handler_timeout=10.0)
+        slot = conn.open_slot(now=2.0)
         assert conn.timed_out(now=11.9) is None
         assert conn.timed_out(now=12.1) == "handler"
         slot.fill(b"late", close_after=False)  # answered: deadline off
         assert conn.timed_out(now=12.1) is None
 
     def test_framing_error_carries_parsed_valid_prefix(self):
-        # Pipelined batch where request 2 is malformed: the HttpError
-        # must surface request 1 so the server answers it first.
+        # Pipelined batch where request 2 is malformed: request 1 comes
+        # back beside the error so the driver answers it first.
         bad = b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"
-        conn = make_conn(FakeSocket([SIMPLE + bad]))
-        with pytest.raises(HttpError) as err:
-            conn.on_readable(now=0.0)
-        assert [r.body for r in err.value.parsed_requests] == [b"hello"]
+        conn = ConnectionState(now=0.0)
+        _started, requests, error = conn.receive(SIMPLE + bad, now=0.0)
+        assert [r.body for r in requests] == [b"hello"]
+        assert error.status == 400
         assert conn.reading_shut
 
     def test_slow_loris_idle_anchor_is_parse_start(self):
         # Trickling one header fragment per second must NOT keep the
         # connection alive: the idle anchor is when the request started
         # arriving, not the last trickled byte.
-        sock = FakeSocket([b"POST / HT"])
-        conn = make_conn(sock, idle_timeout=10.0)
-        assert conn.on_readable(now=0.0) == []
+        conn = ConnectionState(now=0.0, idle_timeout=10.0)
+        assert conn.receive(b"POST / HT", now=0.0)[1] == []
         assert conn.parse_started == 0.0
         for second in range(1, 9):
-            sock.chunks.append(b"x")  # more header bytes, never finishing
-            conn.on_readable(now=float(second))
+            # more header bytes, never finishing
+            conn.receive(b"x", now=float(second))
         assert conn.last_activity == 8.0
         assert conn.parse_started == 0.0  # anchor did not move
+        assert conn.idle_remaining(now=9.0) == 1.0
         assert conn.timed_out(now=9.9) is None
         assert conn.timed_out(now=10.1) == "idle"
 
     def test_idle_between_requests_anchors_at_last_activity(self):
-        sock = FakeSocket([SIMPLE])
-        conn = make_conn(sock, idle_timeout=10.0)
-        conn.on_readable(now=5.0)
+        conn = ConnectionState(now=0.0, idle_timeout=10.0)
+        conn.receive(SIMPLE, now=5.0)
         assert conn.timed_out(now=14.9) is None
         assert conn.timed_out(now=15.1) == "idle"
 
     def test_no_idle_timeout_while_response_pending(self):
-        conn = make_conn(FakeSocket([SIMPLE]), idle_timeout=1.0)
-        conn.on_readable(now=0.0)
-        slot = _ResponseSlot()
-        conn.slots.append(slot)  # dispatched, worker still running
+        conn = ConnectionState(now=0.0, idle_timeout=1.0)
+        conn.receive(SIMPLE, now=0.0)
+        conn.open_slot(now=0.0)  # dispatched, worker still running
         assert conn.timed_out(now=100.0) is None
 
     def test_out_of_order_fills_write_in_request_order(self):
-        conn = make_conn(FakeSocket())
-        first, second = _ResponseSlot(), _ResponseSlot()
-        conn.slots.extend([first, second])
+        conn = ConnectionState(now=0.0)
+        first, second = conn.open_slot(now=0.0), conn.open_slot(now=0.0)
         second.fill(b"SECOND", close_after=False)
         assert conn.pump_ready(now=0.0) is False  # head of line not done
         first.fill(b"FIRST", close_after=False)
@@ -250,32 +200,36 @@ class TestEventedConnection:
         assert bytes(conn.outbuf) == b"FIRSTSECOND"
 
     def test_close_after_slot_shuts_reading(self):
-        conn = make_conn(FakeSocket())
+        conn = ConnectionState(now=0.0)
         queue_response(conn, b"bye", now=0.0, close_after=True)
         assert conn.close_after_write
         assert conn.reading_shut
 
     def test_clean_eof_finishes_connection(self):
-        conn = make_conn(FakeSocket([b""]))
-        assert conn.on_readable(now=0.0) is None
+        conn = ConnectionState(now=0.0)
+        assert conn.receive(b"", now=0.0)[1:] == ([], None)
         assert not conn.close_after_write
         assert conn.finished
 
     def test_eof_mid_message_marks_drop(self):
-        conn = make_conn(FakeSocket([b"POST / HTTP/1.1\r\nContent-L", b""]))
-        assert conn.on_readable(now=0.0) is None
+        conn = ConnectionState(now=0.0)
+        conn.receive(b"POST / HTTP/1.1\r\nContent-L", now=0.0)
+        assert conn.receive(b"", now=0.0)[1:] == ([], None)  # nothing to answer
         assert conn.close_after_write
 
-    def test_framing_error_raises_and_shuts_reading(self):
-        conn = make_conn(FakeSocket([b"NOT HTTP\r\n\r\n"]))
-        with pytest.raises(HttpError):
-            conn.on_readable(now=0.0)
+    def test_framing_error_is_returned_and_shuts_reading(self):
+        conn = ConnectionState(now=0.0)
+        _started, requests, error = conn.receive(b"NOT HTTP\r\n\r\n", now=0.0)
+        assert requests == []
+        assert isinstance(error, HttpError)
         assert conn.reading_shut
+        assert not conn.want_read()
 
     def test_pipelining_cap_drops_read_interest(self):
-        conn = make_conn(FakeSocket())
+        conn = ConnectionState(now=0.0)
         assert conn.want_read()
-        conn.slots.extend(_ResponseSlot() for _ in range(MAX_PIPELINED))
+        for _ in range(MAX_PIPELINED):
+            conn.open_slot(now=0.0)
         assert not conn.want_read()
 
 

@@ -183,3 +183,28 @@ class TestChunked:
         raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n"
         with pytest.raises(HttpError, match="unsupported transfer"):
             read_response(reader_for(raw))
+
+    def test_negative_chunk_size_raises(self):
+        raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-2\r\nab\r\n0\r\n\r\n"
+        with pytest.raises(HttpError, match="chunk size"):
+            read_response(reader_for(raw))
+
+    def test_oversized_chunk_size_line_is_400_not_a_head(self):
+        raw = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n" + b"f" * 1100
+        with pytest.raises(HttpError, match="chunk size line too long") as excinfo:
+            read_request(reader_for(raw))
+        assert excinfo.value.status == 400
+
+    def test_oversized_trailer_is_413(self):
+        raw = (
+            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\nX-T: "
+            + b"x" * 70_000
+        )
+        with pytest.raises(HttpError, match="trailer section too long") as excinfo:
+            read_request(reader_for(raw))
+        assert excinfo.value.status == 413
+
+    def test_close_mid_chunk_raises(self):
+        raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhel"
+        with pytest.raises(HttpError, match="mid-body"):
+            read_response(reader_for(raw))
