@@ -8,9 +8,9 @@ tag-trie matching of Chiu et al.
 
 import pytest
 
-from repro.soap.diffser import DifferentialSerializer, ParameterizedMessageCache
+from repro.relatedwork.diffser import DifferentialSerializer, ParameterizedMessageCache
 from repro.soap.serializer import build_request_envelope
-from repro.xmlcore.trie import LinearTagMatcher, TagTrie
+from repro.relatedwork.trie import LinearTagMatcher, TagTrie
 
 NS = "urn:bench:weather"
 CITIES = [f"City{i}" for i in range(100)]
@@ -81,7 +81,7 @@ def full_deserialization(messages):
 
 
 def differential_deserialization(messages):
-    from repro.soap.diffdeser import DifferentialDeserializer
+    from repro.relatedwork.diffdeser import DifferentialDeserializer
 
     dd = DifferentialDeserializer()
     for raw in messages:

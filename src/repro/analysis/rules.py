@@ -81,9 +81,9 @@ class NoDirectSleepRandom(Rule):
 
     ``repro.resilience`` and ``repro.transport`` own the
     clock/rng/sleep injection points (``CallPolicy`` retries,
-    ``ChaosTransport``, ``LinkScheduler``); everywhere else a direct
-    ``time.sleep`` or module-level ``random`` call makes behaviour
-    untestable and nondeterministic.
+    ``LinkScheduler``); everywhere else a direct ``time.sleep`` or
+    module-level ``random`` call makes behaviour untestable and
+    nondeterministic.
     """
 
     id = "no-direct-sleep-random"
@@ -442,197 +442,6 @@ class NoUnboundedSpanStore(Rule):
             )
 
 
-# -- no-blocking-call-on-event-loop -------------------------------------
-
-#: Socket methods that block (or throw) unless routed through the
-#: module's EAGAIN-aware wrappers.
-_LOOP_SOCKET_METHODS = frozenset({"recv", "send", "sendall", "accept"})
-
-#: The only functions allowed to touch raw socket I/O in the event-loop
-#: module — each one translates EAGAIN/EOF/errors into loop-safe values.
-_LOOP_IO_WRAPPERS = frozenset(
-    {"_recv_nonblocking", "_send_nonblocking", "_accept_nonblocking"}
-)
-
-
-class NoBlockingCallOnEventLoop(Rule):
-    """A call that can block (or mishandle EAGAIN) in the event-loop module.
-
-    The evented backend's whole contract is that the loop thread never
-    blocks: every socket is non-blocking, deadlines live in the
-    selector timeout, and application work leaves through a bounded
-    stage.  One blocking call on the loop stalls every connection at
-    once, so the loop module is held to a stricter standard than the
-    rest of the codebase:
-
-    * raw ``.recv()``/``.send()``/``.sendall()``/``.accept()`` must go
-      through the module's EAGAIN-aware wrappers
-      (``_recv_nonblocking``/``_send_nonblocking``/``_accept_nonblocking``);
-    * ``time.sleep`` never — waiting is the selector's job;
-    * ``.acquire()`` without a ``timeout=``/``blocking=`` argument can
-      park the loop behind a worker;
-    * ``.submit(...).result()`` makes the loop wait on its own handler
-      stage — a self-deadlock once the queue fills;
-    * ``.select()`` with no timeout parks forever when no fd is ready —
-      legal only in the main loop body (``_run_loop``), where waiting
-      *is* the job and the deadline sweep feeds the timeout.
-    """
-
-    id = "no-blocking-call-on-event-loop"
-    severity = SEVERITY_ERROR
-    fix_hint = (
-        "route socket I/O through the _*_nonblocking wrappers, replace "
-        "sleeps with the selector timeout, give acquire() a timeout, and "
-        "hand stage results back via the completion queue instead of "
-        ".result()"
-    )
-    rationale = (
-        "the evented backend multiplexes every connection onto one loop "
-        "thread; a single blocking call there stalls the whole server, "
-        "not one request"
-    )
-    node_types = ()  # whole-module walk: findings depend on the enclosing function
-    only_parts = frozenset({"evented.py"})
-    exempt_parts = frozenset({"tests"})
-
-    def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        """Walk the module tracking each call's enclosing function."""
-        yield from self._walk(ctx.tree, ctx, None)
-
-    def _walk(
-        self, node: ast.AST, ctx: ModuleContext, function: str | None
-    ) -> Iterator[Finding]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                yield from self._visit_call(child, ctx, function)
-            enclosing = (
-                child.name
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                else function
-            )
-            yield from self._walk(child, ctx, enclosing)
-
-    def _visit_call(
-        self, node: ast.Call, ctx: ModuleContext, function: str | None
-    ) -> Iterator[Finding]:
-        func = node.func
-        if dotted_name(func) == "time.sleep":
-            yield self.finding(
-                ctx,
-                node.lineno,
-                "time.sleep() in the event-loop module; waiting belongs to "
-                "the selector timeout",
-            )
-            return
-        if not isinstance(func, ast.Attribute):
-            return
-        if func.attr in _LOOP_SOCKET_METHODS and function not in _LOOP_IO_WRAPPERS:
-            yield self.finding(
-                ctx,
-                node.lineno,
-                f"raw socket .{func.attr}() outside the non-blocking "
-                f"wrappers (in {function or '<module>'})",
-            )
-        elif func.attr == "acquire" and not (
-            node.args
-            or any(kw.arg in ("timeout", "blocking") for kw in node.keywords)
-        ):
-            yield self.finding(
-                ctx,
-                node.lineno,
-                ".acquire() without a timeout can park the event loop",
-            )
-        elif (
-            func.attr == "result"
-            and isinstance(func.value, ast.Call)
-            and isinstance(func.value.func, ast.Attribute)
-            and func.value.func.attr == "submit"
-        ):
-            yield self.finding(
-                ctx,
-                node.lineno,
-                ".submit(...).result() blocks the loop on its own stage "
-                "queue (self-deadlock once the queue fills)",
-            )
-        elif (
-            func.attr == "select"
-            and not node.args
-            and not node.keywords
-            and function != "_run_loop"
-        ):
-            yield self.finding(
-                ctx,
-                node.lineno,
-                f".select() with no timeout outside the main loop body "
-                f"(in {function or '<module>'}) parks until an fd is "
-                "ready — deadline sweeps and shutdown never run",
-            )
-
-
-# -- no-wallclock-in-hedge ----------------------------------------------
-
-#: ``time`` functions the hedge/limiter modules may only reach through
-#: their injected-clock seams.  Referencing one as a *default value*
-#: (``clock=time.monotonic``) is the seam itself and stays legal; calling
-#: one inline bypasses the injection and breaks replayable tests.
-_WALLCLOCK_FUNCTIONS = frozenset({"time", "sleep", "monotonic", "perf_counter"})
-
-
-class NoWallclockInHedge(Rule):
-    """An inline clock read (or sleep) in the hedge/limiter modules.
-
-    Hedged requests and the AIMD limiter are *timing policies*: their
-    tests replay storms and races deterministically by injecting the
-    clock (``AdaptiveLimiter(clock=...)``, rollup-driven triggers) and
-    never sleeping.  A single inline ``time.time()``/``time.sleep()``
-    there makes every hedging test flaky, so those two modules are held
-    to a stricter standard than the general resilience exemption:
-    ``time.*`` may appear only as an injectable default
-    (``clock=time.monotonic``), never as a call.
-    """
-
-    id = "no-wallclock-in-hedge"
-    severity = SEVERITY_ERROR
-    fix_hint = (
-        "take the clock as a constructor argument (clock=time.monotonic as "
-        "the default is fine) and call the injected seam; never call "
-        "time.time/sleep/monotonic/perf_counter inline in hedge/limiter code"
-    )
-    rationale = (
-        "hedge triggers and AIMD cooldowns are timing policies whose tests "
-        "replay deterministically only if every clock read goes through an "
-        "injected seam; one inline wall-clock call makes them flaky"
-    )
-    node_types = (ast.Call, ast.ImportFrom)
-    only_parts = frozenset({"hedge.py", "limiter.py"})
-    exempt_parts = frozenset({"tests"})
-
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
-        """Flag inline ``time.*`` calls and from-imports of its functions."""
-        if isinstance(node, ast.ImportFrom):
-            if node.module == "time":
-                for alias in node.names:
-                    if alias.name in _WALLCLOCK_FUNCTIONS:
-                        yield self.finding(
-                            ctx,
-                            node.lineno,
-                            f"from time import {alias.name} in hedge/limiter "
-                            "code; inject the clock instead",
-                        )
-            return
-        assert isinstance(node, ast.Call)
-        chain = dotted_name(node.func)
-        if chain is not None and chain.startswith("time."):
-            name = chain.split(".", 1)[1]
-            if name in _WALLCLOCK_FUNCTIONS:
-                yield self.finding(
-                    ctx,
-                    node.lineno,
-                    f"inline {chain}() in hedge/limiter code; call the "
-                    "injected clock seam instead",
-                )
-
-
 # -- no-bare-except / no-swallowed-fault --------------------------------
 
 
@@ -731,8 +540,6 @@ def lint_rules() -> list[Rule]:
         NoUnboundedQueue(),
         NoUnboundedCache(),
         NoUnboundedSpanStore(),
-        NoBlockingCallOnEventLoop(),
-        NoWallclockInHedge(),
         NoBareExcept(),
         NoSwallowedFault(),
     ]

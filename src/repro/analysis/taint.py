@@ -6,10 +6,10 @@ Three whole-program passes ride on :mod:`repro.analysis.callgraph`:
   (``time.sleep``, raw ``socket`` I/O, untimed ``Lock.acquire``,
   zero-arg ``queue.get``/``Future.result``/``join``/``wait``,
   ``subprocess``) and error on any sink-containing function reachable
-  through synchronous calls from ``EventedHttpServer._run_loop``.  The
-  per-module rule of PR-8 only sees ``http/evented.py``; this pass
-  follows the loop into every helper it calls, however many modules
-  away.  The sanctioned EAGAIN-aware wrappers
+  through synchronous calls from the loop body (``_run_loop``) —
+  in the loop's own module or however many modules away; code that only
+  runs on a handler-stage worker may block and is not flagged.  The
+  sanctioned EAGAIN-aware wrappers
   (``_recv_nonblocking`` & co.) and functions marked
   ``# repro: nonblocking`` on their ``def`` line are *barriers*:
   traversal does not descend into them, and sinks inside them do not
@@ -18,13 +18,13 @@ Three whole-program passes ride on :mod:`repro.analysis.callgraph`:
   runs on a worker thread, off the loop.
 
 * **wallclock-taint** — seed at direct ``time.time()`` /
-  ``time.monotonic()`` / ``time.perf_counter()`` *calls* (default-arg
-  references like ``clock: Callable = time.monotonic`` stay legal —
-  that is the injection seam), propagate up callers, and flag
-  clock-disciplined code (``hedge.py``/``limiter.py``/``rollup.py``)
-  that reaches a tainted helper.  Direct in-file calls are already the
-  per-module ``no-wallclock-in-hedge`` rule's job; this pass owns the
-  transitive case and skips direct ones to avoid double-reporting.
+  ``time.monotonic()`` / ``time.perf_counter()`` / ``time.sleep()``
+  *calls* (default-arg references like ``clock: Callable =
+  time.monotonic`` stay legal — that is the injection seam), propagate
+  up callers, and flag clock-disciplined code (``hedge.py`` /
+  ``limiter.py`` / ``rollup.py``) that makes such a call inline or
+  reaches a helper that does; ``from time import <one of them>`` in
+  those files is flagged too, since it hides the call from the seed.
 
 * **fault-flow-escape** — compute, per function, the set of exception
   types that may escape it (raise sites plus callee escapes, filtered
@@ -77,9 +77,11 @@ _SUBPROCESS_CALLS = frozenset(
     {"run", "call", "check_call", "check_output", "Popen", "communicate"}
 )
 
-#: Wall-clock reading functions; ``monotonic``/``perf_counter`` count
-#: too — the discipline is *injected* clocks, not merely monotonic ones.
-_WALLCLOCK_FUNCS = frozenset({"time", "monotonic", "perf_counter"})
+#: ``time`` functions clock-disciplined code may only reach through an
+#: injected seam; ``monotonic``/``perf_counter`` count too — the
+#: discipline is *injected* clocks, not merely monotonic ones — and so
+#: does ``sleep``: timing policies race futures, they never wait.
+_WALLCLOCK_FUNCS = frozenset({"time", "sleep", "monotonic", "perf_counter"})
 
 #: Files whose code must take clocks by injection.
 _CLOCK_DISCIPLINED_FILES = frozenset({"hedge.py", "limiter.py", "rollup.py"})
@@ -245,19 +247,27 @@ def blocking_sinks(fn: FunctionNode) -> list[tuple[int, str]]:
     return sinks
 
 
+def _wallclock_call(node: ast.AST) -> str | None:
+    """``"time.monotonic()"`` when ``node`` is a direct wall-clock
+    *call* (references don't count), else None."""
+    if not isinstance(node, ast.Call):
+        return None
+    chain = dotted_name(node.func)
+    if chain is None:
+        return None
+    parts = chain.split(".")
+    if len(parts) == 2 and parts[0] == "time" and parts[1] in _WALLCLOCK_FUNCS:
+        return f"{chain}()"
+    return None
+
+
 def wallclock_sinks(fn: FunctionNode) -> list[tuple[int, str]]:
-    """Direct wall-clock *calls* in ``fn`` (references don't count)."""
-    sinks: list[tuple[int, str]] = []
-    for node in walk_own(fn.node):
-        if not isinstance(node, ast.Call):
-            continue
-        chain = dotted_name(node.func)
-        if chain is None:
-            continue
-        parts = chain.split(".")
-        if len(parts) == 2 and parts[0] == "time" and parts[1] in _WALLCLOCK_FUNCS:
-            sinks.append((node.lineno, f"{chain}()"))
-    return sinks
+    """Direct wall-clock calls in ``fn``'s own body."""
+    return [
+        (node.lineno, call)
+        for node in walk_own(fn.node)
+        if (call := _wallclock_call(node)) is not None
+    ]
 
 
 def _def_line_pragma(ctx: ModuleContext | None, line: int) -> bool:
@@ -299,7 +309,7 @@ class ProjectAnalysis:
 
     def finding(
         self,
-        fn: FunctionNode,
+        path: str,
         line: int,
         message: str,
         chain: tuple[str, ...] = (),
@@ -308,7 +318,7 @@ class ProjectAnalysis:
         return Finding(
             rule_id=self.id,
             severity=self.severity,
-            path=fn.path,
+            path=path,
             line=line,
             message=message,
             fix_hint=self.fix_hint,
@@ -332,13 +342,13 @@ class MayBlockOnLoop(ProjectAnalysis):
         "wrappers, or mark a vouched-for helper '# repro: nonblocking'"
     )
     rationale = (
-        "nothing synchronously reachable from EventedHttpServer._run_loop "
+        "nothing synchronously reachable from the loop body (_run_loop) "
         "may park the loop thread: every parked millisecond stalls every "
         "connection (C10K invariant, checked transitively)"
     )
 
-    #: loop entry points, matched as (class, method)
-    entries = (("EventedHttpServer", "_run_loop"),)
+    #: the loop body: every function of this name is an entry point
+    entry_name = "_run_loop"
 
     def run(
         self, graph: CallGraph, contexts: dict[str, ModuleContext]
@@ -346,7 +356,7 @@ class MayBlockOnLoop(ProjectAnalysis):
         entry_qualnames = [
             qualname
             for qualname, fn in graph.functions.items()
-            if (fn.cls, fn.name) in self.entries
+            if fn.name == self.entry_name
         ]
         if not entry_qualnames:
             return
@@ -365,7 +375,7 @@ class MayBlockOnLoop(ProjectAnalysis):
                 chain = chain_from(parents, qualname)
                 labels = _pretty_chain(graph, chain)
                 yield self.finding(
-                    fn,
+                    fn.path,
                     line,
                     f"{description} reachable from the event loop via "
                     + " -> ".join(labels),
@@ -374,29 +384,39 @@ class MayBlockOnLoop(ProjectAnalysis):
 
 
 class WallclockTaint(ProjectAnalysis):
-    """Clock-disciplined code transitively reading the wall clock.
+    """Clock-disciplined code reading the wall clock, inline or through
+    a helper.
 
-    Upward propagation from direct ``time.time()``-family calls; a
-    function in ``hedge.py``/``limiter.py``/``rollup.py`` whose taint
-    arrives *through a callee* is flagged (direct in-file calls stay
-    the per-module rule's report).
+    Hedged requests, the AIMD limiter and the rollups they read are
+    *timing policies*: their tests replay storms and races
+    deterministically by injecting the clock and never sleeping.  In
+    ``hedge.py``/``limiter.py``/``rollup.py`` a ``time.*`` function may
+    therefore appear only as an injectable default
+    (``clock=time.monotonic``) — never as an inline call, a
+    ``from time import``, or behind a helper (upward propagation from
+    every direct call finds those).
     """
 
     id = "wallclock-taint"
     severity = "error"
     fix_hint = (
-        "thread the injected clock through the helper (clock parameter "
-        "with a time.monotonic default) instead of reading time directly"
+        "take the clock as a constructor argument (clock=time.monotonic "
+        "as the default is fine), call the injected seam, and thread it "
+        "through helpers instead of reading time directly"
     )
     rationale = (
         "hedge/limiter/rollup logic must take clocks by injection so "
-        "tests can drive time; helpers that read time.time() two frames "
-        "down defeat the seam (checked transitively)"
+        "tests can drive time; one inline time.*() call — or a helper "
+        "that reads time.time() two frames down — defeats the seam "
+        "(checked inline and transitively)"
     )
 
     def run(
         self, graph: CallGraph, contexts: dict[str, ModuleContext]
     ) -> Iterator[Finding]:
+        for ctx in contexts.values():
+            if ctx.path.rsplit("/", 1)[-1] in _CLOCK_DISCIPLINED_FILES:
+                yield from self._inline(ctx)
         seeds: dict[str, str] = {}
         for qualname, fn in graph.functions.items():
             sinks = wallclock_sinks(fn)
@@ -409,13 +429,9 @@ class WallclockTaint(ProjectAnalysis):
             fn = graph.functions[qualname]
             if fn.path.rsplit("/", 1)[-1] not in _CLOCK_DISCIPLINED_FILES:
                 continue
-            if qualname in seeds:
-                # a direct call in-file: the per-module
-                # no-wallclock-in-hedge rule owns that report
-                continue
             tainted_callee = facts[qualname][0]
             if tainted_callee is None:
-                continue
+                continue  # a seed: its inline calls are reported above
             edge_line = fn.line
             for edge in graph.edges_out(qualname):
                 if edge.callee == tainted_callee:
@@ -427,13 +443,36 @@ class WallclockTaint(ProjectAnalysis):
             chain = witness_down(facts, qualname)
             labels = _pretty_chain(graph, chain)
             yield self.finding(
-                fn,
+                fn.path,
                 edge_line,
                 "transitively reads the wall clock via "
                 + " -> ".join(labels)
                 + f" ({facts[qualname][1]})",
                 chain=tuple(labels),
             )
+
+    def _inline(self, ctx: ModuleContext) -> Iterator[Finding]:
+        """Inline calls and ``from time import`` anywhere in one
+        clock-disciplined file, module level included."""
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "time":
+                messages = [
+                    f"from time import {alias.name} in clock-disciplined "
+                    "code; inject the clock instead"
+                    for alias in node.names
+                    if alias.name in _WALLCLOCK_FUNCS
+                ]
+            elif (call := _wallclock_call(node)) is not None:
+                messages = [
+                    f"inline {call} in clock-disciplined code; call the "
+                    "injected clock seam instead"
+                ]
+            else:
+                continue
+            if ctx.is_suppressed(self.id, node.lineno):
+                continue
+            for message in messages:
+                yield self.finding(ctx.path, node.lineno, message)
 
 
 class _HandlerFrame:
@@ -514,7 +553,7 @@ class FaultFlowEscape(ProjectAnalysis):
                     continue
                 labels = _pretty_chain(graph, chain_qualnames)
                 yield self.finding(
-                    fn,
+                    fn.path,
                     report_line,
                     f"{exc} can escape dispatch entry {fn.short} "
                     "unclassified (no SoapFault/FAULTCODE_HTTP_STATUS "

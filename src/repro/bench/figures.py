@@ -221,9 +221,9 @@ def relatedwork_ablation(*, iterations: int = 200) -> ScalarResult:
     """Related-work baselines (§2.2): differential serialization and the
     tag trie.  CPU-only microbenchmarks — these optimizations reduce
     per-message processing, orthogonal to SPI's message-count reduction."""
-    from repro.soap.diffser import DifferentialSerializer
+    from repro.relatedwork.diffser import DifferentialSerializer
+    from repro.relatedwork.trie import LinearTagMatcher, TagTrie
     from repro.soap.serializer import build_request_envelope
-    from repro.xmlcore.trie import LinearTagMatcher, TagTrie
 
     result = ScalarResult(f"Related-work ablation ({iterations} iterations)", unit="ms")
 

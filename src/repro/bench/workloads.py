@@ -68,7 +68,7 @@ class Testbed:
     """A running echo deployment + how to reach it."""
 
     transport: Transport
-    server: object  # CommonSoapServer | StagedSoapServer
+    server: object  # SoapServer
     address: object
     profile: str
     architecture: str

@@ -30,13 +30,13 @@ from repro.client.config import ClientConfig
 from repro.client.futures import CompletionWatcher, InvocationFuture
 from repro.errors import (
     FAULTCODE_SERVER_BUSY,
-    FAULTCODE_SERVER_TIMEOUT,
+    FAULTCODE_TABLE,
     HttpError,
     InvocationError,
     ReproError,
     SoapFaultError,
     TransportError,
-    is_retryable_faultcode,
+    fault_class_of,
 )
 from repro.http.compression import compress
 from repro.http.connection import ConnectionPool, HttpConnection
@@ -105,21 +105,17 @@ def _body_is_cacheable(body: bytes) -> bool:
     return b"Fault" not in body
 
 
+# a bare HTTP status (no fault body survived) classifies like the
+# faultcode the endpoint would have sent it for
+_STATUS_FAULT_CLASSES = {status: cls for cls, status in FAULTCODE_TABLE.values()}
+
+
 def _fault_class_of(error: BaseException) -> str | None:
     """The rollup fault class for one failed attempt."""
     if isinstance(error, SoapFaultError):
-        local = error.faultcode.rpartition(":")[2]
-        if local == FAULTCODE_SERVER_BUSY:
-            return "shed"
-        if local == FAULTCODE_SERVER_TIMEOUT:
-            return "timeout"
-        return "retryable" if is_retryable_faultcode(error.faultcode) else "fatal"
+        return fault_class_of(error.faultcode)
     if isinstance(error, HttpError):
-        if error.status == 503:
-            return "shed"
-        if error.status == 504:
-            return "timeout"
-        return "fatal"
+        return _STATUS_FAULT_CLASSES.get(error.status, "fatal")
     if isinstance(error, TransportError):
         return "retryable"
     return "fatal"

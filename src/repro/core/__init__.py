@@ -12,7 +12,6 @@ Install :func:`spi_server_handlers` into a server's handler chain to
 enable packing server-side; service code needs no change.
 """
 
-from repro.core.adaptive import AdaptiveAutoPacker, WindowController
 from repro.core.assembler import ClientAssembler, ServerAssembler
 from repro.core.autopack import AutoPacker
 from repro.core.batch import PackBatch, PackedInvoker
@@ -32,9 +31,7 @@ from repro.core.remote_exec import (
 from repro.core.spi import SpiClient, connect
 
 __all__ = [
-    "AdaptiveAutoPacker",
     "AutoPacker",
-    "WindowController",
     "ClientAssembler",
     "ClientDispatcher",
     "ExecutionPlan",

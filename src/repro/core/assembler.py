@@ -23,8 +23,6 @@ from repro.soap.envelope import Envelope
 from repro.soap.serializer import serialize_rpc_request
 from repro.xmlcore.tree import Element
 
-PACKED_FLAG_PROPERTY = "spi.packed"
-
 
 class ClientAssembler:
     """Builds one packed request envelope for a batch of calls."""
@@ -86,7 +84,7 @@ class ClientAssembler:
 class ServerAssembler(Handler):
     """Response side of the SPI server handler pair.
 
-    Runs only when the request was packed (flag left by the
+    Runs only when the request was packed (``context.packed``, set by the
     :class:`~repro.core.dispatcher.ServerDispatcher`); folds the M
     response entries back into one Parallel_Method so the protocol
     stage serializes a single envelope.
@@ -95,7 +93,7 @@ class ServerAssembler(Handler):
     name = "spi-server-assembler"
 
     def invoke_response(self, context: MessageContext) -> None:
-        if not context.properties.get(PACKED_FLAG_PROPERTY):
+        if not context.packed:
             return
         # ids were copied request→response by the container, so no
         # reassignment here

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from repro.client.futures import InvocationFuture
 from repro.core import packformat
-from repro.core.assembler import PACKED_FLAG_PROPERTY
 from repro.errors import PackError
 from repro.obs.trace import span as obs_span
 from repro.server.handlers import Handler, MessageContext
@@ -46,7 +45,6 @@ class ServerDispatcher(Handler):
             unpack_span.detail = f"entries={len(children)}"
         context.request_entries = children
         context.packed = True
-        context.properties[PACKED_FLAG_PROPERTY] = True
         self.packed_messages += 1
         self.unpacked_requests += len(children)
 

@@ -24,9 +24,16 @@ from __future__ import annotations
 FAULTCODE_SERVER_TIMEOUT = "Server.Timeout"
 FAULTCODE_SERVER_BUSY = "Server.Busy"
 
-RETRYABLE_FAULTCODES: frozenset[str] = frozenset(
-    {FAULTCODE_SERVER_TIMEOUT, FAULTCODE_SERVER_BUSY}
-)
+# The one faultcode table: local faultcode -> (fault class, HTTP status
+# of a whole-message fault).  The class is the rollup/trace-flag
+# taxonomy; a code not listed is ``fatal`` and keeps the SOAP 1.1
+# default status of 500.  Every listed code is retryable.
+FAULTCODE_TABLE: dict[str, tuple[str, int]] = {
+    FAULTCODE_SERVER_BUSY: ("shed", 503),
+    FAULTCODE_SERVER_TIMEOUT: ("timeout", 504),
+}
+
+RETRYABLE_FAULTCODES: frozenset[str] = frozenset(FAULTCODE_TABLE)
 
 
 def is_retryable_faultcode(faultcode: str) -> bool:
@@ -38,6 +45,14 @@ def is_retryable_faultcode(faultcode: str) -> bool:
     """
     _, _, local = faultcode.rpartition(":")
     return local in RETRYABLE_FAULTCODES
+
+
+def fault_class_of(faultcode: str) -> str:
+    """``shed`` / ``timeout`` / ``fatal`` for a local or prefixed
+    faultcode — what rollups, limiters and trace flags key on."""
+    _, _, local = faultcode.rpartition(":")
+    row = FAULTCODE_TABLE.get(local)
+    return row[0] if row is not None else "fatal"
 
 
 class ReproError(Exception):

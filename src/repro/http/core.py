@@ -451,7 +451,10 @@ class HttpServerCore:
         Every answer to a parsed request leaves through here — the
         app's, an admin document, a handler-stage shed — so each is
         counted once and each trace completes status-aware (503 shed /
-        504 deadline / 4xx+ fault) once its bytes are handed over.
+        504 deadline / 4xx+ fault) *before* its bytes are handed over:
+        a peer that has read its response can list its trace.  The
+        ``http.send`` span ends after that and joins the retained
+        record late.
         """
         with self._counter_lock:
             self.requests_served += 1
@@ -465,10 +468,11 @@ class HttpServerCore:
             deliver(self._response_payloads(response, close=close), close)
             return
         obs = self._obs
-        with obs.tracer.span("http.send", trace_id, detail=f"{len(response.body)}B"):
-            deliver(self._response_payloads(response, close=close), close)
+        payloads = self._response_payloads(response, close=close)
         if obs.store is not None:
             obs.store.complete(trace_id, http_status=response.status)
+        with obs.tracer.span("http.send", trace_id, detail=f"{len(response.body)}B"):
+            deliver(payloads, close)
 
     def _reject(self, error: HttpError, deliver: Deliver) -> None:
         """Answer a framing error with its status, then close: after it

@@ -77,8 +77,8 @@ def _recv_nonblocking(sock, max_bytes: int = 65536) -> bytes | None:
     """One non-blocking recv: ``None`` = no data yet, ``b''`` = EOF.
 
     The loop's only read primitive — the
-    ``no-blocking-call-on-event-loop`` analysis rule holds every other
-    ``recv`` in this module to it.
+    ``may-block-on-event-loop-transitive`` analysis holds every other
+    ``recv`` the loop reaches to it.
     """
     try:
         return sock.recv(max_bytes)

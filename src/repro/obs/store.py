@@ -205,10 +205,20 @@ class SpanStore:
     # -- ingest path ---------------------------------------------------
 
     def ingest(self, span: Span) -> None:
-        """File one finished span under its (pending) trace."""
+        """File one finished span under its (pending) trace.
+
+        A span that finishes after its trace completed and was retained
+        (``http.send``: the trace completes before the response bytes
+        leave) joins the retained record directly.
+        """
         with self._lock:
             pending = self._pending.get(span.trace_id)
             if pending is None:
+                record = self._retained.get(span.trace_id)
+                if record is not None:
+                    self._extend_locked(record, [span])
+                    self._enforce_bounds_locked()
+                    return
                 while len(self._pending) >= self.max_pending:
                     self._pending.popitem(last=False)
                     self.pending_evicted += 1
@@ -244,8 +254,13 @@ class SpanStore:
         """
         with self._lock:
             pending = self._pending.pop(trace_id, None)
+            existing = self._retained.get(trace_id)
             if pending is None:
-                return trace_id in self._retained
+                if existing is None:
+                    return False
+                # a retry whose spans all joined the record on ingest:
+                # only its status and the completion itself are new
+                pending = _Pending()
             if http_status is not None:
                 if http_status == 503:
                     pending.flags.add(FLAG_SHED)
@@ -254,6 +269,11 @@ class SpanStore:
                 elif http_status >= 400:
                     pending.flags.add(FLAG_FAULT)
             self.completed += 1
+            if existing is not None:
+                # retry reusing the trace id: merge into the record
+                self._merge_locked(existing, pending)
+                self._enforce_bounds_locked()
+                return True
 
             start = min((s.start for s in pending.spans), default=0.0)
             end = max((s.end for s in pending.spans), default=0.0)
@@ -261,13 +281,6 @@ class SpanStore:
             threshold = self._durations.quantile(self.keep_percentile)
             seen_enough = self._durations.count >= 20
             self._durations.record(duration)
-
-            existing = self._retained.get(trace_id)
-            if existing is not None:
-                # retry reusing the trace id: merge into the record
-                self._merge_locked(existing, pending)
-                self._enforce_bounds_locked()
-                return True
 
             if pending.flags:
                 self.kept_flagged += 1
@@ -290,14 +303,16 @@ class SpanStore:
             return trace_id in self._retained
 
     def _merge_locked(self, record: TraceRecord, pending: _Pending) -> None:
-        room = self.max_spans_per_trace - len(record.spans)
-        added = pending.spans[: max(room, 0)]
-        record.spans.extend(added)
-        record.dropped_spans += pending.dropped_spans + (
-            len(pending.spans) - len(added)
-        )
+        self._extend_locked(record, pending.spans)
+        record.dropped_spans += pending.dropped_spans
         record.flags |= pending.flags
         record.completions += 1
+
+    def _extend_locked(self, record: TraceRecord, spans: list[Span]) -> None:
+        room = self.max_spans_per_trace - len(record.spans)
+        added = spans[: max(room, 0)]
+        record.spans.extend(added)
+        record.dropped_spans += len(spans) - len(added)
         grown = sum(_span_cost(s) for s in added)
         record.byte_size += grown
         self._retained_bytes += grown

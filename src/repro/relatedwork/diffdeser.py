@@ -1,6 +1,6 @@
 """Differential deserialization (Abu-Ghazaleh & Lewis, SC-05;
 Suzumura et al., ICWS'05) — the server-side analogue of
-:mod:`repro.soap.diffser`.
+:mod:`repro.relatedwork.diffser`.
 
 "Both of the approaches take advantage of similarities among messages
 in an incoming message stream to a web service" (paper §2.2).  When a

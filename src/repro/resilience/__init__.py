@@ -11,7 +11,8 @@ calls degrade gracefully::
 Server-side counterparts (bounded stage queues with ``Server.Busy``
 shedding, per-entry deadline skip with ``Server.Timeout`` faults) live
 in :mod:`repro.server`; the deterministic fault-injection transport
-that exercises all of it is :class:`repro.transport.chaos.ChaosTransport`.
+that exercises all of it is ``ChaosTransport`` in
+``tests/transport/chaos.py``.
 """
 
 from repro.resilience.deadline import (

@@ -19,7 +19,7 @@ half of that idea:
 The racing itself (threads, connection abandonment, first-response-
 wins) lives in :mod:`repro.client.proxy`; keeping the decision logic
 here means it is testable with a handful of floats and enforceable by
-the ``no-wallclock-in-hedge`` analysis rule: nothing in this module
+the ``wallclock-taint`` analysis: nothing in this module
 may read the wall clock or sleep — time only ever arrives as an
 argument.
 """

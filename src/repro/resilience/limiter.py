@@ -17,7 +17,7 @@ window transplanted onto in-flight calls:
   backs off and retries.
 
 All state lives behind one lock; time only enters through the injected
-``clock`` (enforced by the ``no-wallclock-in-hedge`` analysis rule), so
+``clock`` (enforced by the ``wallclock-taint`` analysis), so
 the seeded chaos convergence suite is deterministic.
 """
 

@@ -1,13 +1,8 @@
 """One :class:`ServerConfig` + :func:`build_server` for every deployment.
 
-Before this module, standing up a server meant choosing a class
-(:class:`~repro.server.common_arch.CommonSoapServer` /
-:class:`~repro.server.staged_arch.StagedSoapServer`) and threading a
-sprawl of keyword arguments through whichever layers were in between
-(``serve.py`` flags, bench testbeds, test fixtures).  Now every knob —
-architecture, I/O backend, observability, compression, SLO budgets,
-the event-loop's connection/deadline bounds — lives in one frozen
-dataclass, and one facade builds the deployment::
+Every knob — architecture, I/O backend, observability, compression,
+SLO budgets, the event-loop's connection/deadline bounds — lives in one
+frozen dataclass, and one facade builds the deployment::
 
     from repro.server import ServerConfig, build_server
 
@@ -45,7 +40,7 @@ class ServerConfig:
 
     * **application** — ``services``, ``chain``, ``architecture``,
       ``app_workers`` / ``app_queue_limit`` (the Fig. 2 application
-      stage; ignored by the common architecture);
+      stage; the common architecture builds none);
     * **protocol** — ``backend``, ``transport``, ``address``,
       ``max_connections`` (threaded: accept gate; evented: the
       accept-overload shed budget), the ``idle_timeout`` read-idle
@@ -95,15 +90,13 @@ class ServerConfig:
 
 def build_server(config: ServerConfig):
     """The facade: one config in, one ready-to-``start()`` server out."""
-    from repro.server.common_arch import CommonSoapServer
-    from repro.server.staged_arch import StagedSoapServer
+    from repro.server.soap_server import SoapServer
 
-    cls = StagedSoapServer if config.architecture == "staged" else CommonSoapServer
-    return cls(config)
+    return SoapServer(config)
 
 
 def build_http_server(app: Callable, config: ServerConfig) -> HttpServerCore:
-    """The HTTP layer for ``config`` — shared by both architectures.
+    """The HTTP layer for ``config``.
 
     Picks the backend class, and on the evented path installs the SOAP
     ``Server.Busy`` body for accept-overload 503s (the http layer

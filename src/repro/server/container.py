@@ -1,10 +1,11 @@
 """Service container: the registry + per-entry execution core.
 
-Shared by both server architectures.  Given one request body entry,
-:meth:`ServiceContainer.execute_entry` decodes it (trie-matched), runs
-the operation, and returns a response element — or a Fault element for
-that entry alone, which matters in packed mode where one bad request
-must not poison its siblings.
+Shared by both scheduling policies of the server.  Given one request
+body entry, :meth:`ServiceContainer.execute_entry` resolves its
+operation (one look-up), decodes it, runs the operation, and returns a
+response element — or a Fault element for that entry alone, which
+matters in packed mode where one bad request must not poison its
+siblings.
 """
 
 from __future__ import annotations
@@ -13,27 +14,14 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import ServiceError
+from repro.errors import ServiceError, fault_class_of
 from repro.obs.registry import MetricsRegistry
-from repro.soap.constants import (
-    FAULT_SERVER_BUSY,
-    FAULT_SERVER_TIMEOUT,
-    REQUEST_ID_ATTR,
-)
+from repro.soap.constants import REQUEST_ID_ATTR
 from repro.soap.deserializer import OperationMatcher, parse_rpc_request
-from repro.soap.fault import SoapFault
+from repro.soap.fault import ClientFaultCause, SoapFault
 from repro.soap.serializer import serialize_rpc_response
 from repro.server.service import ServiceDefinition
 from repro.xmlcore.tree import Element
-
-
-def _fault_class(fault: SoapFault) -> str:
-    """Map a fault onto the rollup taxonomy (shed/timeout/retryable/fatal)."""
-    if fault.faultcode == FAULT_SERVER_BUSY:
-        return "shed"
-    if fault.faultcode == FAULT_SERVER_TIMEOUT:
-        return "timeout"
-    return "retryable" if fault.is_retryable() else "fatal"
 
 
 def entry_fault(entry: Element, fault: SoapFault) -> Element:
@@ -156,7 +144,9 @@ class ServiceContainer:
         start = time.perf_counter()
         try:
             service = self._matcher.match(entry)
-            request = parse_rpc_request(entry, self._matcher)
+            if service is None:
+                raise ClientFaultCause(f"no such operation '{target.local}'")
+            request = parse_rpc_request(entry)
             result = service.invoke(request.operation, request.params)
             response = serialize_rpc_response(
                 request.namespace, request.operation, result
@@ -165,7 +155,7 @@ class ServiceContainer:
         except BaseException as exc:
             fault = SoapFault.from_exception(exc)
             response = fault.to_element()
-            fault_class = _fault_class(fault)
+            fault_class = fault_class_of(fault.faultcode)
             failed = True
         elapsed = time.perf_counter() - start
         if rollup is not None:

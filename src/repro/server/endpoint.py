@@ -1,11 +1,11 @@
-"""SOAP-over-HTTP endpoint shared by both server architectures.
+"""SOAP-over-HTTP endpoint: the HTTP app in front of the container.
 
 Turns an :class:`HttpRequest` into an :class:`HttpResponse`:
 
 1. parse the envelope (protocol processing);
 2. run the request handler chain (where SPI unpacking happens);
 3. fault if a mustUnderstand header survived un-understood;
-4. hand the request entries to the architecture's executor;
+4. hand the request entries to the server's executor;
 5. run the response handler chain (where SPI re-packing happens);
 6. serialize the response envelope.
 
@@ -17,9 +17,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
-from repro.errors import PoolSaturatedError, ReproError, ServerBusyError
+from repro.errors import (
+    FAULTCODE_TABLE,
+    PoolSaturatedError,
+    ReproError,
+    ServerBusyError,
+    fault_class_of,
+)
 from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.obs.registry import DEFAULT_BOUNDS
 from repro.obs.store import FLAG_DEADLINE, FLAG_FAULT, FLAG_SHED
@@ -36,7 +42,6 @@ from repro.soap.constants import (
     FAULT_CLIENT,
     FAULT_MUST_UNDERSTAND,
     FAULT_SERVER_BUSY,
-    FAULT_SERVER_TIMEOUT,
     FAULT_TAG,
     SOAP_CONTENT_TYPE,
 )
@@ -56,9 +61,11 @@ Executor = Callable[[list[Element], MessageContext], list[Element]]
 # to 503 (shed, retry later) and Timeout to 504 (deadline expired);
 # everything else keeps the SOAP 1.1 default of 500.
 FAULTCODE_HTTP_STATUS = {
-    FAULT_SERVER_BUSY: 503,
-    FAULT_SERVER_TIMEOUT: 504,
+    code: status for code, (_, status) in FAULTCODE_TABLE.items()
 }
+
+# span-store flag for a per-entry fault, by fault class
+_FAULT_CLASS_FLAGS = {"shed": FLAG_SHED, "timeout": FLAG_DEADLINE}
 
 
 @dataclass(slots=True)
@@ -80,12 +87,6 @@ class EndpointStats:
             "parse_time_s": self.parse_time,
             "serialize_time_s": self.serialize_time,
         }
-
-
-class SupportsExecute(Protocol):  # pragma: no cover - typing aid
-    def __call__(
-        self, entries: list[Element], context: MessageContext
-    ) -> list[Element]: ...
 
 
 class SoapEndpoint:
@@ -278,14 +279,8 @@ class SoapEndpoint:
         for entry in entries:
             if entry.tag != FAULT_TAG:
                 continue
-            code = fault_code_of(entry) or ""
-            if code == FAULT_SERVER_BUSY:
-                flag = FLAG_SHED
-            elif code == FAULT_SERVER_TIMEOUT:
-                flag = FLAG_DEADLINE
-            else:
-                flag = FLAG_FAULT
-            store.mark(trace_id, flag)
+            fault_class = fault_class_of(fault_code_of(entry) or "")
+            store.mark(trace_id, _FAULT_CLASS_FLAGS.get(fault_class, FLAG_FAULT))
 
     def _fault_response(self, fault: SoapFault, *, status: int) -> HttpResponse:
         envelope = Envelope()

@@ -92,26 +92,6 @@ class HandlerChain:
             handler.invoke_response(context)
 
 
-class HeaderEchoHandler(Handler):
-    """Diagnostic handler: copies request header entries whose tag is in
-    ``tags`` onto the response (correlation ids and the like)."""
-
-    name = "header-echo"
-
-    def __init__(self, tags: set[str]):
-        self._tags = tags
-
-    def invoke_request(self, context: MessageContext) -> None:
-        for entry in context.request_envelope.header_entries:
-            if entry.tag in self._tags:
-                context.properties.setdefault("echoed-headers", []).append(entry)
-                context.understood_headers.add(entry.tag)
-
-    def invoke_response(self, context: MessageContext) -> None:
-        for entry in context.properties.get("echoed-headers", []):
-            context.response_headers.append(entry.copy())
-
-
 EXECUTE_MS_BOUNDS = (1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0)
 
 

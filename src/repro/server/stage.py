@@ -31,7 +31,7 @@ from repro.server.threadpool import TaskFuture, ThreadPool
 class StageStats:
     """Per-stage event accounting over a latency quantile sketch.
 
-    Any instrument speaking ``record``/``sum``/``mean`` works (the
+    Any instrument speaking ``record``/``mean`` works (the
     sketch and the fixed-bucket histogram both do).
     """
 
@@ -57,10 +57,6 @@ class StageStats:
         if elapsed > self.max_service_time:
             self.max_service_time = elapsed
         self.per_kind[kind] = self.per_kind.get(kind, 0) + 1
-
-    @property
-    def total_service_time(self) -> float:
-        return self.service_time.sum
 
     @property
     def mean_service_time(self) -> float:

@@ -149,32 +149,25 @@ class ThreadPool:
         ``max_queue`` — the caller decides how to shed (the SOAP stack
         maps it to a ``Server.Busy`` fault + HTTP 503).
         """
+        future = TaskFuture()
+        # Check and enqueue in one critical section: the bound holds
+        # under concurrent submitters, and a task can never land behind
+        # shutdown()'s drain (put on the unbounded queue does not block).
         with self._lock:
             if self._shutdown:
                 raise ServiceError(f"pool '{self.name}' is shut down")
-            if (
-                self.max_queue is not None
-                and self._queue.qsize() >= self.max_queue
-            ):
+            depth = self._queue.qsize()
+            if self.max_queue is not None and depth >= self.max_queue:
                 self.stats.rejected += 1
                 raise PoolSaturatedError(
                     f"pool '{self.name}' queue is full "
                     f"({self.max_queue} tasks waiting)"
                 )
             self.stats.submitted += 1
-        future = TaskFuture()
-        self._queue.put((future, func, args, kwargs))
-        depth = self._queue.qsize()
-        with self._lock:
-            if depth > self.stats.max_queue_depth:
-                self.stats.max_queue_depth = depth
+            self._queue.put((future, func, args, kwargs))
+            if depth + 1 > self.stats.max_queue_depth:
+                self.stats.max_queue_depth = depth + 1
         return future
-
-    def map_wait(self, func: Callable[[Any], Any], items: list[Any],
-                 timeout: float | None = None) -> list[Any]:
-        """Submit ``func`` for every item and wait for all results."""
-        futures = [self.submit(func, item) for item in items]
-        return [future.result(timeout) for future in futures]
 
     def shutdown(self, *, join_timeout: float = 5.0) -> None:
         """Cancel queued tasks, then join every worker; idempotent.
@@ -266,8 +259,3 @@ class CompletionLatch:
             if self._count == 0:
                 return True
             return self._condition.wait_for(lambda: self._count == 0, timeout)
-
-    @property
-    def remaining(self) -> int:
-        with self._condition:
-            return self._count

@@ -1,7 +1,7 @@
 """SOAP 1.1 engine: envelopes, typed values, RPC codecs, WS-Security.
 
 Layered directly on :mod:`repro.xmlcore`; used by both the client and
-the two server architectures.  The SPI pack format in
+the server.  The SPI pack format in
 :mod:`repro.core.packformat` builds on the RPC codecs defined here.
 """
 
@@ -22,8 +22,6 @@ from repro.soap.deserializer import (
     parse_rpc_request,
     parse_rpc_response,
 )
-from repro.soap.diffdeser import DifferentialDeserializer
-from repro.soap.diffser import DifferentialSerializer, ParameterizedMessageCache
 from repro.soap.envelope import Envelope
 from repro.soap.fault import (
     ClientFaultCause,
@@ -32,7 +30,6 @@ from repro.soap.fault import (
     fault_code_of,
     timeout_fault,
 )
-from repro.soap.message import MessageStats, SoapMessage
 from repro.soap.serializer import (
     build_fault_envelope,
     build_request_envelope,
@@ -51,22 +48,17 @@ __all__ = [
     "BODY_TAG",
     "ClientFaultCause",
     "Credentials",
-    "DifferentialDeserializer",
-    "DifferentialSerializer",
     "ENVELOPE_TAG",
     "Envelope",
     "FAULT_TAG",
     "HEADER_TAG",
-    "MessageStats",
     "OperationMatcher",
     "PARALLEL_METHOD",
-    "ParameterizedMessageCache",
     "RpcRequest",
     "RpcResponse",
     "SOAP_ENV_NS",
     "SPI_NS",
     "SoapFault",
-    "SoapMessage",
     "attach_security_header",
     "build_fault_envelope",
     "busy_fault",

@@ -1,15 +1,9 @@
-"""RPC-style SOAP deserialization.
-
-The server side uses an :class:`OperationMatcher` — a tag trie over the
-expected operation names (the Chiu et al. optimization the paper cites)
-— so matching an incoming body entry against N registered operations
-costs one trie walk instead of N string comparisons.
-"""
+"""RPC-style SOAP deserialization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import SoapError
 from repro.soap.constants import FAULT_TAG
@@ -18,7 +12,6 @@ from repro.soap.fault import ClientFaultCause, SoapFault
 from repro.soap.serializer import RESPONSE_SUFFIX, RETURN_TAG
 from repro.soap.xsdtypes import decode_value
 from repro.xmlcore.tree import Element
-from repro.xmlcore.trie import TagTrie
 
 
 @dataclass(slots=True)
@@ -42,24 +35,24 @@ class RpcResponse:
 
 
 class OperationMatcher:
-    """Trie-backed lookup of expected ``{namespace}operation`` tags."""
+    """Lookup of expected ``{namespace}operation`` tags."""
 
     def __init__(self) -> None:
-        self._trie: TagTrie = TagTrie()
+        self._handlers: dict[str, Any] = {}
 
     def register(self, namespace: str, operation: str, handler: Any = True) -> None:
-        """Add an expected operation (and its handler) to the trie."""
-        self._trie.insert(f"{{{namespace}}}{operation}", handler)
+        """Add an expected operation (and its handler)."""
+        self._handlers[f"{{{namespace}}}{operation}"] = handler
 
     def match(self, element: Element) -> Any:
         """Handler registered for this element's tag, or None."""
-        return self._trie.lookup(element.tag)
+        return self._handlers.get(element.tag)
 
     def __contains__(self, tag: str) -> bool:
-        return tag in self._trie
+        return tag in self._handlers
 
     def __len__(self) -> int:
-        return len(self._trie)
+        return len(self._handlers)
 
 
 def parse_rpc_request(
@@ -103,45 +96,7 @@ def parse_response_envelope(envelope: Envelope) -> RpcResponse:
     return parse_rpc_response(envelope.first_body_entry())
 
 
-def iter_rpc_requests(
-    document: str | bytes, matcher: OperationMatcher | None = None
-) -> Iterator[RpcRequest]:
-    """Stream-decode a request document's body entries.
-
-    The pull fast path: envelope scaffolding and headers are consumed at
-    the token level (see :func:`repro.soap.envelope.iter_body_entries`)
-    and each body entry is fed to ``matcher`` as soon as it
-    materializes, so an unknown operation faults before the rest of the
-    document is even tokenized.
-    """
-    for entry in iter_body_entries(document):
-        yield parse_rpc_request(entry, matcher)
-
-
 def parse_response_document(document: str | bytes) -> RpcResponse:
     """Decode a classic single-entry response document via the pull
     path, skipping any response headers."""
     return parse_rpc_response(next(iter_body_entries(document)))
-
-
-@dataclass(slots=True)
-class DeserializationStats:
-    """Counters the ablation benches read."""
-
-    requests: int = 0
-    params: int = 0
-    trie_hits: int = 0
-    trie_misses: int = 0
-    by_operation: dict[str, int] = field(default_factory=dict)
-
-    def record(self, request: RpcRequest, *, matched: bool) -> None:
-        """Account one decoded request."""
-        self.requests += 1
-        self.params += len(request.params)
-        if matched:
-            self.trie_hits += 1
-        else:
-            self.trie_misses += 1
-        self.by_operation[request.operation] = (
-            self.by_operation.get(request.operation, 0) + 1
-        )

@@ -1,5 +1,7 @@
-"""Byte transports: in-process, loopback TCP, shaped (netem) TCP, and
-the chaos fault-injection wrapper."""
+"""Byte transports: in-process, loopback TCP and shaped (netem) TCP.
+
+The chaos fault-injection wrapper the resilience tests use is a test
+fixture and lives with them, in ``tests/transport/chaos.py``."""
 
 from repro.transport.base import (
     Address,
@@ -9,7 +11,6 @@ from repro.transport.base import (
     ListenerClosed,
     Transport,
 )
-from repro.transport.chaos import ChaosStats, ChaosTransport
 from repro.transport.inproc import InProcTransport
 from repro.transport.netprofile import (
     NULL_PROFILE,
@@ -25,8 +26,6 @@ __all__ = [
     "Address",
     "Channel",
     "ChannelClosed",
-    "ChaosStats",
-    "ChaosTransport",
     "InProcTransport",
     "LinkScheduler",
     "Listener",

@@ -11,7 +11,6 @@ SOAP engine needs from an XML library, with no dependency on stdlib
 * :mod:`repro.xmlcore.treebuilder` — fused scanner: tree builder and pull API
 * :mod:`repro.xmlcore.api` — the unified ``parse(source, mode=...)`` facade
 * :mod:`repro.xmlcore.writer` — streaming writer and tree serializer
-* :mod:`repro.xmlcore.trie` — expected-tag trie (Chiu et al. optimization)
 
 ``parse(source)`` / ``parse(source, mode="cursor")`` is the one public
 entry point for reading XML; both modes are fronts of one
@@ -23,7 +22,6 @@ from repro.xmlcore.escape import escape_attribute, escape_text, unescape
 from repro.xmlcore.qname import QName, NamespaceScope
 from repro.xmlcore.tree import Element
 from repro.xmlcore.treebuilder import XmlScanner, build_tree
-from repro.xmlcore.trie import TagTrie
 from repro.xmlcore.writer import StreamingWriter, serialize, serialize_bytes
 
 __all__ = [
@@ -31,7 +29,6 @@ __all__ = [
     "NamespaceScope",
     "QName",
     "StreamingWriter",
-    "TagTrie",
     "XmlScanner",
     "build_tree",
     "escape_attribute",

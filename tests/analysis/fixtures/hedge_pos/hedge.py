@@ -1,7 +1,7 @@
 """Positive corpus: inline wall-clock use inside a hedge module.
 
-The file is named ``hedge.py`` because no-wallclock-in-hedge scopes
-itself to the hedge/limiter filenames.
+The file is named ``hedge.py`` because wallclock-taint scopes itself to
+the clock-disciplined filenames (hedge / limiter / rollup).
 """
 
 import time

@@ -1,7 +1,7 @@
 """Negative corpus: the loop-safe idioms the rule must accept.
 
-The file is named ``evented.py`` because no-blocking-call-on-event-loop
-scopes itself to that filename.
+Everything here is reachable from ``_run_loop``, where
+may-block-on-event-loop-transitive starts.
 """
 
 
@@ -27,6 +27,7 @@ def _accept_nonblocking(sock):
 
 
 def _run_loop(selector, stage, lock, completions):
+    _drain_ready(selector)
     for key, _mask in selector.select(0.2):
         data = _recv_nonblocking(key.fileobj, 65536)
         if not data:

@@ -1,14 +1,16 @@
 """Positive corpus: blocking calls inside an event-loop module.
 
-The file is named ``evented.py`` because no-blocking-call-on-event-loop
-scopes itself to that filename.
+may-block-on-event-loop-transitive starts at the function named
+``_run_loop`` and follows every synchronous call out of it.
 """
 
 import time
 
 
-def _run_loop(selector, stage, lock):
-    for key, _mask in selector.select():
+def _run_loop(selector, stage, lock, listener):
+    _accept_ready(listener)
+    _wait_for_events(selector)
+    for key, _mask in selector.select():  # no timeout: idle sweeps never run
         sock = key.fileobj
         data = sock.recv(65536)  # raw recv on the loop
         if not data:
@@ -26,8 +28,8 @@ def _accept_ready(listener):
 
 
 def _wait_for_events(selector):
-    # no-timeout select outside _run_loop: parks until an fd is ready,
-    # so deadline sweeps and shutdown never get a turn
+    # no-timeout select: parks until an fd is ready, so deadline sweeps
+    # and shutdown never get a turn
     return selector.select()
 
 

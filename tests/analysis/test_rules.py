@@ -4,22 +4,44 @@ The corpus lives in ``fixtures/`` (excluded from implicit directory
 walks); tests hand the engine explicit file paths with ``root`` set to
 the corpus directory, so fixture paths carry no ``tests`` segment and
 rules that exempt ``tests`` still apply.
+
+The event-loop and clock-discipline invariants are owned by the
+interprocedural pack (``may-block-on-event-loop-transitive``,
+``wallclock-taint``); their single-file fixtures live here beside the
+per-module ones.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import check_paths, default_rules, lint_rules
+from repro.analysis import (
+    MayBlockOnLoop,
+    WallclockTaint,
+    check_paths,
+    default_rules,
+    lint_rules,
+    project_analyses,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def corpus_findings(name: str, rules=None):
+def corpus_findings(name: str, rules=None, analyses=None):
     """Run the engine over one fixture file, anchored at the corpus."""
+    if rules is None and analyses is None:
+        rules = lint_rules()
     return check_paths(
-        [FIXTURES / name], rules if rules is not None else lint_rules(), root=FIXTURES
+        [FIXTURES / name], rules or [], root=FIXTURES, project_analyses=analyses
     )
+
+
+def findings_at(tmp_path, relative: str, source: str, analysis):
+    """Run one analysis over ``source`` written at ``relative``."""
+    target = tmp_path / relative
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(source)
+    return check_paths([target], [], root=tmp_path, project_analyses=[analysis])
 
 
 class TestPositiveFixtures:
@@ -75,40 +97,38 @@ class TestPositiveFixtures:
         assert all(f.path == "server/swallow_pos.py" for f in findings)
 
     def test_no_blocking_call_on_event_loop(self):
-        from repro.analysis.rules import NoBlockingCallOnEventLoop
-
-        # run the loop rule alone: the corpus deliberately also trips
-        # no-direct-sleep-random, which is not under test here
+        # run the loop analysis alone: the corpus deliberately also
+        # trips no-direct-sleep-random, which is not under test here
         findings = corpus_findings(
-            "loop_pos/evented.py", rules=[NoBlockingCallOnEventLoop()]
+            "loop_pos/evented.py", analyses=[MayBlockOnLoop()]
         )
-        assert {f.rule_id for f in findings} == {"no-blocking-call-on-event-loop"}
+        assert {f.rule_id for f in findings} == {
+            "may-block-on-event-loop-transitive"
+        }
         messages = "\n".join(f.message for f in findings)
-        assert ".recv()" in messages
-        assert ".sendall()" in messages
-        assert ".send()" in messages
-        assert ".accept()" in messages
+        assert "socket .recv()" in messages
+        assert "socket .sendall()" in messages
+        assert "socket .send()" in messages
         assert "time.sleep()" in messages
-        assert ".acquire() without a timeout" in messages
-        assert ".submit(...).result()" in messages
-        assert ".select() with no timeout outside the main loop body" in messages
-        # the no-arg select() inside _run_loop itself stays legal:
-        # waiting is the loop body's job
-        assert "(in _wait_for_events)" in messages
+        assert "untimed .acquire()" in messages
+        assert "zero-arg .result()" in messages
+        # sinks in helpers are reported where they live, with the chain
+        via = "reachable from the event loop via _run_loop"
+        assert f"socket .accept() {via} -> _accept_ready" in messages
+        assert f"zero-arg .select() {via} -> _wait_for_events" in messages
         # recv + sendall + sleep + acquire + submit().result() + send
-        # + accept + helper select()
-        assert len(findings) == 8
+        # + accept + helper select() + the loop body's own untimed
+        # select() (an idle loop that never wakes runs no deadline sweep)
+        assert len(findings) == 9
         assert all(f.severity == "error" for f in findings)
 
     def test_no_wallclock_in_hedge(self):
-        from repro.analysis.rules import NoWallclockInHedge
-
-        # run the hedge rule alone: the corpus deliberately also trips
-        # no-direct-sleep-random, which is not under test here
+        # run the clock analysis alone: the corpus deliberately also
+        # trips no-direct-sleep-random, which is not under test here
         findings = corpus_findings(
-            "hedge_pos/hedge.py", rules=[NoWallclockInHedge()]
+            "hedge_pos/hedge.py", analyses=[WallclockTaint()]
         )
-        assert {f.rule_id for f in findings} == {"no-wallclock-in-hedge"}
+        assert {f.rule_id for f in findings} == {"wallclock-taint"}
         messages = "\n".join(f.message for f in findings)
         assert "from time import monotonic" in messages
         assert "time.time()" in messages
@@ -118,6 +138,16 @@ class TestPositiveFixtures:
         # one from-import + four inline calls
         assert len(findings) == 5
         assert all(f.severity == "error" for f in findings)
+
+    def test_inline_clock_read_in_a_rollup_module(self):
+        # the rollup feeds the hedge trigger: same discipline, and the
+        # injectable default on the line above the read stays legal
+        findings = corpus_findings(
+            "rollup_pos/rollup.py", analyses=[WallclockTaint()]
+        )
+        assert [f.rule_id for f in findings] == ["wallclock-taint"]
+        assert findings[0].severity == "error"
+        assert "inline time.monotonic()" in findings[0].message
 
 
 @pytest.mark.parametrize(
@@ -136,7 +166,7 @@ class TestPositiveFixtures:
     ],
 )
 def test_negative_fixture_is_clean(name):
-    assert corpus_findings(name) == []
+    assert corpus_findings(name, lint_rules(), project_analyses()) == []
 
 
 class TestScoping:
@@ -159,28 +189,26 @@ class TestScoping:
         assert check_source(source, path="transport/chaos.py", rules=rule) == []
         assert check_source(source, path="apps/echo.py", rules=rule) != []
 
-    def test_loop_rule_only_patrols_the_evented_module(self):
-        # The same blocking calls are legal anywhere but evented.py —
-        # the threaded backend blocks by design.
+    def test_loop_rule_only_patrols_what_the_loop_reaches(self, tmp_path):
+        # The same blocking calls are legal off the loop — a connection
+        # thread or a handler-stage worker blocks by design — whatever
+        # the file is called; what the loop body reaches is not.
         source = (FIXTURES / "loop_pos" / "evented.py").read_text()
-        from repro.analysis import check_source
-        from repro.analysis.rules import NoBlockingCallOnEventLoop
+        off_loop = source.replace("_run_loop", "_serve_connection")
+        rule = MayBlockOnLoop()
+        assert findings_at(tmp_path, "http/evented.py", off_loop, rule) == []
+        assert findings_at(tmp_path, "http/core.py", source, rule) != []
 
-        rule = [NoBlockingCallOnEventLoop()]
-        assert check_source(source, path="http/server.py", rules=rule) == []
-        assert check_source(source, path="http/evented.py", rules=rule) != []
-
-    def test_hedge_rule_only_patrols_hedge_and_limiter_modules(self):
+    def test_clock_rule_only_patrols_clock_disciplined_modules(self, tmp_path):
         # The same inline clock reads are legal elsewhere (subject only
         # to the general wallclock/sleep rules, not this stricter one).
         source = (FIXTURES / "hedge_pos" / "hedge.py").read_text()
-        from repro.analysis import check_source
-        from repro.analysis.rules import NoWallclockInHedge
-
-        rule = [NoWallclockInHedge()]
-        assert check_source(source, path="client/proxy.py", rules=rule) == []
-        assert check_source(source, path="resilience/hedge.py", rules=rule) != []
-        assert check_source(source, path="resilience/limiter.py", rules=rule) != []
+        rule = WallclockTaint()
+        assert findings_at(tmp_path, "client/proxy.py", source, rule) == []
+        for disciplined in (
+            "resilience/hedge.py", "resilience/limiter.py", "obs/rollup.py"
+        ):
+            assert findings_at(tmp_path, disciplined, source, rule) != []
 
     def test_suppression_pragmas_silence_everything(self):
         assert corpus_findings("suppressed.py", rules=default_rules()) == []

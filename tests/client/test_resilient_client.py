@@ -25,7 +25,7 @@ from repro.resilience.policy import CallPolicy
 from repro.server import ServerConfig, build_server
 from repro.server.handlers import HandlerChain
 from repro.transport.base import Channel, Transport
-from repro.transport.chaos import ChaosTransport
+from ..transport.chaos import ChaosTransport
 from repro.transport.inproc import InProcTransport
 
 STRAGGLE_S = 0.25

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.client.futures import InvocationFuture
-from repro.core.assembler import PACKED_FLAG_PROPERTY, ClientAssembler, ServerAssembler
+from repro.core.assembler import ClientAssembler, ServerAssembler
 from repro.core.dispatcher import ClientDispatcher, ServerDispatcher, spi_server_handlers
 from repro.core.packformat import build_parallel_method, is_parallel_method
 from repro.errors import PackError, SoapFaultError
@@ -83,7 +83,6 @@ class TestServerDispatcher:
         dispatcher.invoke_request(context)
         assert len(context.request_entries) == 2
         assert context.packed
-        assert context.properties[PACKED_FLAG_PROPERTY]
         assert dispatcher.packed_messages == 1
         assert dispatcher.unpacked_requests == 2
 
@@ -116,7 +115,7 @@ class TestServerDispatcher:
 class TestServerAssembler:
     def test_packs_responses_when_flagged(self):
         context = packed_context(serialize_rpc_request(NS, "echo", {"payload": "a"}))
-        context.properties[PACKED_FLAG_PROPERTY] = True
+        context.packed = True
         r0 = serialize_rpc_response(NS, "echo", "a")
         r0.set(REQUEST_ID_ATTR, "r0")
         r1 = serialize_rpc_response(NS, "echo", "b")

@@ -78,21 +78,3 @@ class TestFacade:
             c.call("echo", payload="a")
             c.call("echo", payload="b")
         assert server.http.connections_accepted - before == 2
-
-
-class TestMessageStats:
-    def test_counters(self):
-        from repro.soap.message import MessageStats
-
-        stats = MessageStats()
-        stats.sent(100)
-        stats.sent(50)
-        stats.received(70)
-        stats.bump("retries")
-        stats.bump("retries", 2)
-        snap = stats.snapshot()
-        assert snap["messages_sent"] == 2
-        assert snap["bytes_sent"] == 150
-        assert snap["messages_received"] == 1
-        assert snap["bytes_received"] == 70
-        assert snap["retries"] == 3

@@ -23,7 +23,7 @@ from repro.http.compression import CompressionPolicy
 from repro.obs import Observability
 from repro.resilience.policy import CallPolicy
 from repro.server.handlers import HandlerChain
-from repro.transport.chaos import ChaosTransport
+from ..transport.chaos import ChaosTransport
 from repro.transport.inproc import InProcTransport
 
 from repro.bench.workloads import echo_calls, echo_testbed

@@ -35,7 +35,7 @@ from repro.obs import Observability
 from repro.resilience.policy import CallPolicy
 from repro.server.handlers import HandlerChain
 from repro.soap.serializer import build_request_envelope
-from repro.transport.chaos import ChaosTransport
+from ..transport.chaos import ChaosTransport
 from repro.transport.inproc import InProcTransport
 from repro.transport.tcp import TcpTransport
 from repro.server import ServerConfig, build_server

@@ -5,7 +5,10 @@ declaration) so that refactors of the writer/serializer cannot silently
 change interop-relevant bytes.
 """
 
+from repro.apps.echo import ECHO_NS, ECHO_SERVICE, make_echo_service
+from repro.client.config import ClientConfig, build_proxy
 from repro.core.packformat import build_parallel_method
+from repro.server import ServerConfig, build_server
 from repro.soap.envelope import Envelope
 from repro.soap.fault import SoapFault
 from repro.soap.serializer import (
@@ -13,6 +16,8 @@ from repro.soap.serializer import (
     build_request_envelope,
     serialize_rpc_request,
 )
+from repro.transport.base import Channel, Transport
+from repro.transport.inproc import InProcTransport
 
 XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>'
 
@@ -89,19 +94,62 @@ class TestGoldenMessages:
         assert envelope.to_string() == envelope.to_string()
 
 
+class _RecordingChannel(Channel):
+    """Client channel that keeps every byte the proxy sends."""
+
+    def __init__(self, inner, sent):
+        self._inner = inner
+        self._sent = sent
+
+    def sendall(self, data):
+        self._sent.append(bytes(data))
+        self._inner.sendall(data)
+
+    def recv(self, max_bytes=65536):
+        return self._inner.recv(max_bytes)
+
+    def set_timeout(self, timeout):
+        self._inner.set_timeout(timeout)
+
+    def close(self):
+        self._inner.close()
+
+
+class _RecordingTransport(Transport):
+    def __init__(self, base):
+        self.base = base
+        self.sent = []
+
+    def listen(self, address):
+        return self.base.listen(address)
+
+    def connect(self, address, timeout=None):
+        return _RecordingChannel(self.base.connect(address, timeout), self.sent)
+
+
 class TestHttpBinding:
+    """The HTTP binding as :class:`ServiceProxy` puts it on the wire —
+    the WS-I Basic Profile rule (quoted SOAPAction) checked where the
+    header is produced."""
+
+    def _request_head(self):
+        recording = _RecordingTransport(InProcTransport())
+        server = build_server(ServerConfig(
+            services=[make_echo_service()],
+            transport=recording.base,
+            address="wire-format",
+        ))
+        with server.running() as address:
+            proxy = build_proxy(ClientConfig(
+                recording, address, namespace=ECHO_NS, service_name=ECHO_SERVICE
+            ))
+            assert proxy.call("echo", payload="x") == "x"
+            proxy.close()
+        head, _, _ = b"".join(recording.sent).partition(b"\r\n\r\n")
+        return head.decode("ascii").split("\r\n")
+
     def test_request_headers(self):
-        from repro.soap.message import SoapMessage
-
-        envelope = build_request_envelope("urn:svc", "echo", {"payload": "x"})
-        message = SoapMessage(envelope, action="urn:svc#echo")
-        headers = message.http_headers()
-        assert headers["Content-Type"] == "text/xml; charset=utf-8"
-        assert headers["SOAPAction"] == '"urn:svc#echo"'
-
-    def test_message_size_matches_bytes(self):
-        from repro.soap.message import SoapMessage
-
-        envelope = build_request_envelope("urn:svc", "echo", {"payload": "x" * 100})
-        message = SoapMessage(envelope)
-        assert message.size == len(message.to_bytes())
+        lines = self._request_head()
+        assert lines[0].startswith("POST ")
+        assert f'SOAPAction: "{ECHO_NS}#echo"' in lines
+        assert "Content-Type: text/xml; charset=utf-8" in lines

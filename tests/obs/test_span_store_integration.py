@@ -11,9 +11,13 @@ from repro.bench.workloads import echo_calls, echo_testbed, make_invoker
 from repro.core.batch import PackBatch
 from repro.errors import SoapFaultError
 from repro.http.connection import HttpConnection
-from repro.http.message import Headers, HttpRequest
+from repro.http.core import ConnectionState
+from repro.http.evented import EventedHttpServer
+from repro.http.message import Headers, HttpRequest, HttpResponse
+from repro.http.server import HttpServer
 from repro.obs import FLAG_FAULT, FLAG_SHED, Observability, SpanStore
 from repro.resilience.policy import CallPolicy
+from repro.transport.tcp import TcpTransport
 
 
 @pytest.fixture(params=["threaded", "evented"])
@@ -113,6 +117,42 @@ class TestPackedTraceTree:
                     HttpRequest("GET", "/traces", Headers({"Host": "t"}))
                 )
         assert listing.status == 404
+
+
+class TestTraceIsListableOnceItsResponseIsRead:
+    """PROTOCOL.md: the trace completes before its response bytes are
+    handed to the driver, so a peer that has read the response finds it
+    under ``/trace/<id>`` and ``/traces`` — on either backend, since
+    both leave through ``HttpServerCore._finish``."""
+
+    @pytest.mark.parametrize("server_class", [HttpServer, EventedHttpServer])
+    def test_trace_is_retained_when_the_bytes_are_handed_over(self, server_class):
+        store, obs = store_testbed(sample_rate=1.0)
+        server = server_class(
+            lambda request: HttpResponse(200, Headers(), b"ok"),
+            transport=TcpTransport(),
+            address=("127.0.0.1", 0),
+            observability=obs,
+        )
+        conn = ConnectionState(now=0.0)
+        request = HttpRequest("POST", "/svc", Headers({"Host": "t"}), b"")
+        seen_at_delivery = []
+
+        def deliver(payloads, close):
+            seen_at_delivery.append(store.get(trace_id))
+
+        trace_id = server._admit(conn, request, 0.0, deliver)
+        server._handle(conn, request, trace_id, deliver)
+
+        (tree,) = seen_at_delivery
+        assert tree is not None, "response delivered before its trace completed"
+        assert [root["name"] for root in tree["roots"]] == [
+            "http.parse", "server.handle"
+        ]
+        # http.send ends after the hand-over and joins the record late
+        names = [root["name"] for root in store.get(trace_id)["roots"]]
+        assert names == ["http.parse", "server.handle", "http.send"]
+        assert store.stats()["completed"] == 1
 
 
 class TestSeededChaosRetention:

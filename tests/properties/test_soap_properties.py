@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.soap.deserializer import parse_rpc_request, parse_rpc_response
-from repro.soap.diffser import DifferentialSerializer
+from repro.relatedwork.diffser import DifferentialSerializer
 from repro.soap.envelope import Envelope
 from repro.soap.serializer import build_request_envelope, build_response_envelope
 
@@ -93,7 +93,7 @@ def _normalize(value):
 def test_diffdeser_hits_equal_full_parse(cities):
     """Every differential-deserialization result must equal what a full
     parse produces, hit or miss."""
-    from repro.soap.diffdeser import DifferentialDeserializer
+    from repro.relatedwork.diffdeser import DifferentialDeserializer
     from repro.soap.serializer import build_request_envelope
 
     dd = DifferentialDeserializer()

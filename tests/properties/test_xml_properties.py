@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.xmlcore.escape import escape_attribute, escape_text, unescape
 from repro.xmlcore import parse
 from repro.xmlcore.tree import Element
-from repro.xmlcore.trie import LinearTagMatcher, TagTrie
+from repro.relatedwork.trie import LinearTagMatcher, TagTrie
 from repro.xmlcore.writer import serialize
 
 # Text that is legal inside XML documents (no control chars except \t\n\r).

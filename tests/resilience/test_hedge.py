@@ -1,7 +1,7 @@
 """Unit tests for the hedge policy, budget bucket and trigger function.
 
 Everything here is pure: time only ever arrives as an argument (the
-``no-wallclock-in-hedge`` contract), so the tests are plain arithmetic.
+``wallclock-taint`` contract), so the tests are plain arithmetic.
 """
 
 import pytest

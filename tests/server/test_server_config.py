@@ -7,8 +7,7 @@ from repro.errors import TransportError
 from repro.http.evented import EventedHttpServer
 from repro.http.server import HttpServer
 from repro.server import ServerConfig, build_server
-from repro.server.common_arch import CommonSoapServer
-from repro.server.staged_arch import StagedSoapServer
+from repro.server import SoapServer
 from repro.transport.inproc import InProcTransport
 
 
@@ -39,14 +38,23 @@ class TestServerConfig:
 
 
 class TestBuildServer:
-    def test_architecture_selects_server_class(self):
+    def test_architecture_selects_scheduling_policy(self):
+        # one server class; Fig. 2 builds an application stage, Fig. 1
+        # builds none
         services = [make_echo_service()]
-        staged = build_server(ServerConfig(services=services))
+        staged = build_server(ServerConfig(services=services, app_workers=3))
         common = build_server(
             ServerConfig(services=services, architecture="common")
         )
-        assert isinstance(staged, StagedSoapServer)
-        assert isinstance(common, CommonSoapServer)
+        try:
+            assert type(staged) is type(common) is SoapServer
+            assert staged.architecture == "staged"
+            assert staged.app_stage.workers == 3
+            assert common.architecture == "common"
+            assert common.app_stage is None
+            assert "app_stage" not in common.stats()
+        finally:
+            staged.stop()
 
     def test_backend_selects_http_class(self):
         services = [make_echo_service()]

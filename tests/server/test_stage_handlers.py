@@ -10,7 +10,6 @@ from repro.server import ServerConfig, build_server
 from repro.server.handlers import (
     Handler,
     HandlerChain,
-    HeaderEchoHandler,
     MessageContext,
     PackMetricsHandler,
 )
@@ -113,21 +112,6 @@ class TestHandlerChain:
         context = make_context(wrapper)
         HandlerChain([Splitter()]).run_request(context)
         assert context.request_entries == [a, b]
-
-    def test_header_echo_handler(self):
-        envelope = Envelope()
-        token = Element("{urn:h}correlation")
-        token.append("id-7")
-        envelope.add_header(token)
-        envelope.add_body(Element("op"))
-        context = MessageContext.for_envelope(envelope)
-        handler = HeaderEchoHandler({"{urn:h}correlation"})
-        chain = HandlerChain([handler])
-        chain.run_request(context)
-        assert "{urn:h}correlation" in context.understood_headers
-        chain.run_response(context)
-        assert len(context.response_headers) == 1
-        assert context.response_headers[0].text == "id-7"
 
 
 @pytest.fixture

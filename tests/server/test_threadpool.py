@@ -72,11 +72,6 @@ class TestThreadPool:
             pool.submit(lambda: 1 / 0).exception(timeout=5)
             assert pool.submit(lambda: "alive").result(timeout=5) == "alive"
 
-    def test_map_wait_preserves_order(self):
-        with ThreadPool(4) as pool:
-            results = pool.map_wait(lambda x: x * x, list(range(10)), timeout=5)
-        assert results == [x * x for x in range(10)]
-
     def test_concurrency_actually_happens(self):
         barrier = threading.Barrier(3, timeout=5)
 
@@ -169,14 +164,99 @@ class TestBoundedQueue:
             ThreadPool(1, max_queue=0)
 
 
+class TestSubmitIsAtomic:
+    """``submit`` checks the bound / the shutdown flag and enqueues in
+    one critical section.  Each test widens the window between check
+    and enqueue by slowing the queue's ``put`` for task items."""
+
+    @staticmethod
+    def slow_task_puts(pool, before_put):
+        real_put = pool._queue.put
+
+        def put(item):
+            if isinstance(item, tuple):  # a task, not a shutdown sentinel
+                before_put()
+            real_put(item)
+
+        pool._queue.put = put
+
+    def test_concurrent_submitters_cannot_overshoot_max_queue(self):
+        submitters = 8
+        release = threading.Event()
+        started = threading.Event()
+        pool = ThreadPool(1, max_queue=1)
+        try:
+            def blocker():
+                started.set()
+                release.wait(5)
+
+            pool.submit(blocker)
+            assert started.wait(5)  # the one worker is parked; queue empty
+            self.slow_task_puts(pool, lambda: time.sleep(0.02))
+            barrier = threading.Barrier(submitters, timeout=5)
+            accepted, rejected = [], []
+
+            def submit():
+                barrier.wait()
+                try:
+                    accepted.append(pool.submit(lambda: None))
+                except PoolSaturatedError as exc:
+                    rejected.append(exc)
+
+            threads = [threading.Thread(target=submit) for _ in range(submitters)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert len(accepted) == 1
+            assert len(rejected) == submitters - 1
+            assert pool.queue_depth() == 1
+            assert pool.stats.max_queue_depth == 1
+            assert pool.stats.rejected == submitters - 1
+        finally:
+            release.set()
+            pool.shutdown()
+
+    def test_submit_racing_shutdown_completes_or_cancels(self):
+        in_put = threading.Event()
+        shut_down = threading.Event()
+        pool = ThreadPool(1)
+
+        def before_put():
+            in_put.set()
+            # past the shutdown check, not yet enqueued: give shutdown()
+            # every chance to drain the queue and post its sentinels
+            shut_down.wait(0.3)
+
+        self.slow_task_puts(pool, before_put)
+        futures = []
+        submitter = threading.Thread(
+            target=lambda: futures.append(pool.submit(lambda: "ran"))
+        )
+        submitter.start()
+        assert in_put.wait(5)
+        pool.shutdown()
+        shut_down.set()
+        submitter.join(timeout=5)
+        assert not submitter.is_alive()
+        (future,) = futures
+        # run by the worker or cancelled by the drain — never stranded
+        # behind the sentinels with nobody left to complete it
+        try:
+            assert future.result(timeout=2) == "ran"
+        except CancelledError:
+            pass
+        assert future.done()
+
+
 class TestCompletionLatch:
     def test_wait_returns_when_counted_down(self):
         latch = CompletionLatch(2)
         latch.count_down()
-        assert latch.remaining == 1
+        assert not latch.wait(timeout=0)
         latch.count_down()
         assert latch.wait(timeout=1)
-        assert latch.remaining == 0
 
     def test_zero_latch_is_immediately_open(self):
         assert CompletionLatch(0).wait(timeout=0)
@@ -188,7 +268,7 @@ class TestCompletionLatch:
         latch = CompletionLatch(1)
         latch.count_down()
         latch.count_down()
-        assert latch.remaining == 0
+        assert latch.wait(timeout=0)
 
     def test_negative_count_raises(self):
         with pytest.raises(ServiceError):

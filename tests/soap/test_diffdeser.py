@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.soap.diffdeser import DifferentialDeserializer
+from repro.relatedwork.diffdeser import DifferentialDeserializer
 from repro.soap.serializer import build_request_envelope
 
 NS = "urn:svc:weather"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.soap.diffser import DifferentialSerializer, ParameterizedMessageCache
+from repro.relatedwork.diffser import DifferentialSerializer, ParameterizedMessageCache
 from repro.soap.envelope import Envelope
 from repro.soap.deserializer import parse_rpc_request
 

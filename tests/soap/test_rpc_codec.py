@@ -5,7 +5,6 @@ import pytest
 from repro.errors import SerializationError, SoapError, SoapFaultError
 from repro.soap.constants import FAULT_SERVER
 from repro.soap.deserializer import (
-    DeserializationStats,
     OperationMatcher,
     parse_response_envelope,
     parse_rpc_request,
@@ -129,16 +128,3 @@ class TestResponseCodec:
         entry.children.clear()
         with pytest.raises(SoapError, match="exactly one"):
             parse_rpc_response(entry)
-
-
-class TestStats:
-    def test_record(self):
-        stats = DeserializationStats()
-        req = parse_rpc_request(serialize_rpc_request(NS, "echo", {"a": 1, "b": 2}))
-        stats.record(req, matched=True)
-        stats.record(req, matched=False)
-        assert stats.requests == 2
-        assert stats.params == 4
-        assert stats.trie_hits == 1
-        assert stats.trie_misses == 1
-        assert stats.by_operation == {"echo": 2}

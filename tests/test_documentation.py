@@ -4,6 +4,7 @@ Walks every module under ``repro`` and asserts docstrings on modules,
 public classes, public functions and public methods.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -98,6 +99,98 @@ def test_no_deprecation_shims_in_src():
         if "warnings.warn(" in source or "DeprecationWarning" in source:
             offenders.append(str(path.relative_to(PACKAGE_ROOT)))
     assert not offenders, f"deprecation shims grew back in: {offenders}"
+
+
+def _src_imports():
+    """``{module: set of repro modules it imports}`` over ``src/repro``,
+    by reading the source.  ``from package import name`` counts as an
+    import of the module the package's ``__init__`` re-exports ``name``
+    from, so a module used through its package facade has importers."""
+    paths = {}
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        parts = list(path.relative_to(PACKAGE_ROOT.parent).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+        paths[".".join(parts)] = path
+
+    def froms(name):
+        """(base module, imported name) pairs, relative imports resolved."""
+        path = paths[name]
+        package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield alias.name, None
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    anchor = package.split(".")
+                    anchor = anchor[: len(anchor) - (node.level - 1)]
+                    base = ".".join(anchor + ([base] if base else []))
+                for alias in node.names:
+                    yield base, alias.name
+
+    reexports = {
+        name: {imported: base for base, imported in froms(name) if imported}
+        for name, path in paths.items()
+        if path.name == "__init__.py"
+    }
+    imports = {}
+    for name in paths:
+        found = set()
+        for base, imported in froms(name):
+            found.add(base)
+            if imported:
+                found.add(f"{base}.{imported}")
+                found.add(reexports.get(base, {}).get(imported, ""))
+        imports[name] = {target for target in found if target in paths}
+    return paths, imports
+
+
+#: Modules nothing else in ``src/`` imports, and what asks for each.
+ENTRY_POINTS = {
+    "repro.apps.serve": "CLI: python -m repro.apps.serve",
+    "repro.apps.call": "CLI: python -m repro.apps.call",
+    "repro.core.spi": "the user-facing facade (connect / SpiClient)",
+    "repro.obs.timeline": "README waterfall rendering; tests/obs/test_timeline.py",
+    "repro.server.security_handler": "README operations row; examples/secure_services.py",
+    "repro.relatedwork.diffdeser": "benchmarks/test_relatedwork_ablation.py",
+}
+
+
+def test_every_src_module_has_an_importer_in_src():
+    """Nothing lives in ``src/`` for its own unit tests alone: every
+    module is imported by another ``src/`` module that is not merely
+    its package ``__init__`` — or is a listed entry point."""
+    paths, imports = _src_imports()
+    orphans = []
+    for name, path in paths.items():
+        if path.name in ("__init__.py", "__main__.py") or name in ENTRY_POINTS:
+            continue
+        if name.startswith("repro.analysis."):
+            continue  # a tool run from CI, entered through its __main__
+        package = name.rpartition(".")[0]
+        importers = {
+            other for other, targets in imports.items() if name in targets
+        } - {name, package}
+        if not importers:
+            orphans.append(name)
+    assert not orphans, f"modules only their own package/tests import: {orphans}"
+    stale = [name for name in ENTRY_POINTS if name not in paths]
+    assert not stale, f"ENTRY_POINTS names modules that are gone: {stale}"
+
+
+def test_relatedwork_baselines_stay_off_the_request_path():
+    """``repro.relatedwork`` is measured by ``bench.figures`` and
+    ``benchmarks/`` only; the live stack never imports it."""
+    _, imports = _src_imports()
+    importers = sorted(
+        name
+        for name, targets in imports.items()
+        if any(target.startswith("repro.relatedwork") for target in targets)
+        and not name.startswith("repro.relatedwork")
+    )
+    assert importers == ["repro.bench.figures"]
 
 
 @pytest.mark.parametrize("config", [ServerConfig, ClientConfig], ids=lambda c: c.__name__)

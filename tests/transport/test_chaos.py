@@ -8,7 +8,7 @@ from repro.core.dispatcher import spi_server_handlers
 from repro.errors import SoapFaultError, TransportError
 from repro.resilience.policy import CallPolicy
 from repro.server.handlers import HandlerChain
-from repro.transport.chaos import BUSY, DROP, PASS, ChaosTransport
+from .chaos import BUSY, DROP, PASS, ChaosTransport
 from repro.transport.inproc import InProcTransport
 from repro.transport.tcp import TcpTransport
 from repro.server import ServerConfig, build_server

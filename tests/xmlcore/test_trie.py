@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.xmlcore.trie import LinearTagMatcher, TagTrie
+from repro.relatedwork.trie import LinearTagMatcher, TagTrie
 
 
 @pytest.fixture(params=[TagTrie, LinearTagMatcher])
