@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.errors import ServiceError, fault_class_of
 from repro.obs.registry import MetricsRegistry
@@ -42,17 +42,11 @@ def entry_fault(entry: Element, fault: SoapFault) -> Element:
 class ContainerStats:
     entries_executed: int = 0
     faults: int = 0
-    total_execute_time: float = 0.0
     by_service: dict[str, int] = field(default_factory=dict)
 
     def snapshot(self) -> dict:
         """Counters as a plain dict."""
-        return {
-            "entries_executed": self.entries_executed,
-            "faults": self.faults,
-            "total_execute_time_s": self.total_execute_time,
-            "by_service": dict(self.by_service),
-        }
+        return asdict(self)
 
 
 class ServiceContainer:
@@ -165,7 +159,6 @@ class ServiceContainer:
             response.set(REQUEST_ID_ATTR, request_id)
         with self._lock:
             self.stats.entries_executed += 1
-            self.stats.total_execute_time += elapsed
             if failed:
                 self.stats.faults += 1
             else:

@@ -15,17 +15,10 @@ Axis does.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
-from repro.errors import (
-    FAULTCODE_TABLE,
-    PoolSaturatedError,
-    ReproError,
-    ServerBusyError,
-    fault_class_of,
-)
+from repro.errors import FAULTCODE_TABLE, ReproError, fault_class_of
 from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.obs.registry import DEFAULT_BOUNDS
 from repro.obs.store import FLAG_DEADLINE, FLAG_FAULT, FLAG_SHED
@@ -41,7 +34,6 @@ from repro.resilience.deadline import DEADLINE_HEADER_TAG, extract_deadline
 from repro.soap.constants import (
     FAULT_CLIENT,
     FAULT_MUST_UNDERSTAND,
-    FAULT_SERVER_BUSY,
     FAULT_TAG,
     SOAP_CONTENT_TYPE,
 )
@@ -53,8 +45,8 @@ from repro.server.handlers import HandlerChain, MessageContext
 from repro.wsdl.generator import wsdl_for_service
 from repro.xmlcore.tree import Element
 
-# The executor receives the (possibly unpacked) request entries plus the
-# message context, whose ``deadline`` it must honour per entry.
+# The executor gives each (possibly unpacked) request entry one slot; a
+# shed entry, or one past ``context.deadline``, gets a fault of its own.
 Executor = Callable[[list[Element], MessageContext], list[Element]]
 
 # HTTP status for a whole-message fault, by local faultcode.  Busy maps
@@ -74,19 +66,10 @@ class EndpointStats:
     soap_messages: int = 0
     envelope_faults: int = 0
     wsdl_requests: int = 0
-    parse_time: float = 0.0
-    serialize_time: float = 0.0
 
     def snapshot(self) -> dict:
         """Counters as a plain dict."""
-        return {
-            "http_requests": self.http_requests,
-            "soap_messages": self.soap_messages,
-            "envelope_faults": self.envelope_faults,
-            "wsdl_requests": self.wsdl_requests,
-            "parse_time_s": self.parse_time,
-            "serialize_time_s": self.serialize_time,
-        }
+        return asdict(self)
 
 
 class SoapEndpoint:
@@ -160,11 +143,9 @@ class SoapEndpoint:
     # -- SOAP --------------------------------------------------------------------
 
     def _handle_soap(self, request: HttpRequest) -> HttpResponse:
-        start = time.perf_counter()
         try:
-            # Pull-cursor request parse: header and body entries come
-            # straight off the token stream, no scaffold tree (the
-            # server-side extension of the PR-1 pull fast path).
+            # header and body entries come straight off the scanner's
+            # pull front, no scaffold tree
             with obs_span("soap.parse", detail=f"{len(request.body)}B"):
                 envelope = Envelope.parse(request.body, server=True)
             if has_multirefs(envelope.body_entries):
@@ -175,7 +156,6 @@ class SoapEndpoint:
             self.stats.envelope_faults += 1
             fault = SoapFault(FAULT_CLIENT, f"unparseable SOAP message: {exc}")
             return self._fault_response(fault, status=400)
-        self.stats.parse_time += time.perf_counter() - start
         self.stats.soap_messages += 1
         if self._obs is not None:
             self._adopt_soap_trace(envelope)
@@ -204,17 +184,7 @@ class SoapEndpoint:
             )
             return self._fault_response(fault, status=500)
 
-        try:
-            context.response_entries = self._executor(context.request_entries, context)
-        except (ServerBusyError, PoolSaturatedError) as exc:
-            # whole-message shed: the architecture could not take even
-            # part of this request (e.g. a saturated application stage)
-            self.stats.envelope_faults += 1
-            if self._obs is not None:
-                self._obs.registry.counter("resilience.shed").inc()
-            return self._fault_response(
-                SoapFault(FAULT_SERVER_BUSY, str(exc)), status=503
-            )
+        context.response_entries = self._executor(context.request_entries, context)
         if self._obs is not None and self._obs.store is not None:
             # Packed responses carry per-entry faults inside an HTTP 200
             # — invisible to the status-based flagging at completion
@@ -224,19 +194,16 @@ class SoapEndpoint:
         # Response phase: handler chain and serialization were the last
         # dispatch segment that could leak a ReproError to the HTTP
         # layer as an unclassified 500 (found by fault-flow-escape).
-        start = time.perf_counter()
         try:
             self.chain.run_response(context)
             with obs_span("soap.serialize") as serialize_span:
                 response_envelope = Envelope()
-                response_envelope.header_entries = list(context.response_headers)
                 response_envelope.body_entries = list(context.response_entries)
                 body = response_envelope.to_bytes()
                 serialize_span.detail = f"{len(body)}B"
         except ReproError as exc:
             self.stats.envelope_faults += 1
             return self._fault_response(SoapFault.from_exception(exc), status=500)
-        self.stats.serialize_time += time.perf_counter() - start
 
         status = 200
         if (
@@ -247,8 +214,6 @@ class SoapEndpoint:
             code = fault_code_of(context.response_entries[0]) or ""
             status = FAULTCODE_HTTP_STATUS.get(code, 500)
             self.stats.envelope_faults += 1
-            if self._obs is not None and status == 503:
-                self._obs.registry.counter("resilience.shed").inc()
         return HttpResponse(
             status, Headers({"Content-Type": SOAP_CONTENT_TYPE}), body
         )

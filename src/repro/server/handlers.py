@@ -40,7 +40,6 @@ class MessageContext:
     request_envelope: Envelope
     request_entries: list[Element] = field(default_factory=list)
     response_entries: list[Element] = field(default_factory=list)
-    response_headers: list[Element] = field(default_factory=list)
     understood_headers: set[str] = field(default_factory=set)
     properties: dict[str, Any] = field(default_factory=dict)
     packed: bool = False

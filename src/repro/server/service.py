@@ -10,7 +10,6 @@ below this layer.
 from __future__ import annotations
 
 import inspect
-import threading
 from typing import Any, Callable, Mapping
 
 from repro.errors import ServiceError
@@ -46,9 +45,8 @@ class ServiceDefinition:
             raise ServiceError("service namespace must be non-empty")
         self.name = name
         self.namespace = namespace
-        self._operations: dict[str, Callable[..., Any]] = {}
-        self._lock = threading.Lock()
-        self.invocations = 0
+        # wire name -> (callable, its signature, computed once at deploy)
+        self._operations: dict[str, tuple[Callable[..., Any], inspect.Signature]] = {}
 
     # -- registration -----------------------------------------------------
 
@@ -58,39 +56,33 @@ class ServiceDefinition:
             raise ServiceError(f"'{op_name}' is not a valid operation name")
         if op_name in self._operations:
             raise ServiceError(f"operation '{op_name}' already registered on {self.name}")
-        self._operations[op_name] = func
+        self._operations[op_name] = (func, inspect.signature(func))
 
     def operation_names(self) -> tuple[str, ...]:
         """Registered operation names, in registration order."""
         return tuple(self._operations)
-
-    def get_operation(self, op_name: str) -> Callable[..., Any]:
-        """The callable for ``op_name``; Client fault if unknown."""
-        try:
-            return self._operations[op_name]
-        except KeyError:
-            raise ClientFaultCause(
-                f"service '{self.name}' has no operation '{op_name}'"
-            ) from None
 
     # -- execution -------------------------------------------------------------
 
     def invoke(self, op_name: str, params: Mapping[str, Any]) -> Any:
         """Execute one operation with keyword parameters.
 
-        Signature mismatches are the caller's fault and surface as
-        Client faults; anything raised inside the operation propagates
-        for the endpoint to map to a Server fault.
+        Unknown operations and signature mismatches are the caller's
+        fault and surface as Client faults; anything raised inside the
+        operation propagates for the endpoint to map to a Server fault.
         """
-        func = self.get_operation(op_name)
         try:
-            inspect.signature(func).bind(**params)
+            func, signature = self._operations[op_name]
+        except KeyError:
+            raise ClientFaultCause(
+                f"service '{self.name}' has no operation '{op_name}'"
+            ) from None
+        try:
+            signature.bind(**params)
         except TypeError as exc:
             raise ClientFaultCause(
                 f"{self.name}.{op_name}: bad parameters: {exc}"
             ) from None
-        with self._lock:
-            self.invocations += 1
         return func(**params)
 
     # -- description -------------------------------------------------------------
@@ -98,8 +90,7 @@ class ServiceDefinition:
     def describe(self, location: str = "") -> WsdlService:
         """Introspect operations into a WSDL service model."""
         ops = []
-        for op_name, func in self._operations.items():
-            signature = inspect.signature(func)
+        for op_name, (func, signature) in self._operations.items():
             params = tuple(
                 (
                     pname,

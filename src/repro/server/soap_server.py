@@ -14,10 +14,15 @@ message has been parsed: *which thread runs its entries*.
   complete the services request.  When the event about the completion
   of services application execution happens ... the sleeping thread of
   protocol processing stage will be waked up to complete generating the
-  packet."  Entries fan out to a :class:`~repro.server.stage.Stage`,
-  the protocol thread parks on a
+  packet."  The pack goes to a :class:`~repro.server.stage.Stage` as
+  one batch, the protocol thread parks on a
   :class:`~repro.server.threadpool.CompletionLatch`, and the response
-  is assembled in arrival order.
+  is assembled in arrival order.  The stage admits one entry per idle
+  worker plus one per free ``app_queue_limit`` slot (each entry past
+  that gets its own ``Server.Busy`` slot); its workers cascade — each
+  claims an entry, wakes at most one more while some stay unclaimed,
+  runs its entry and claims again — so a pack costs a couple of
+  wake-ups, not one hand-off per entry.
 
 :meth:`SoapServer._execute` is that decision and nothing else; what
 happens to an entry whose deadline has passed, or whose sender does not
@@ -29,7 +34,7 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator
 
-from repro.errors import PoolSaturatedError, ServiceError, fault_class_of
+from repro.errors import fault_class_of
 from repro.obs import trace as obs_trace
 from repro.server.config import ServerConfig, build_http_server
 from repro.server.container import ServiceContainer, entry_fault
@@ -50,6 +55,11 @@ _SKIP_COUNTERS = {
     "shed": "resilience.shed",
 }
 
+# the application stage's per-kind counts: entries the caller waits
+# for, and one-way entries it does not
+_AWAITED = "service-execution"
+_DETACHED = "one-way-execution"
+
 
 class SoapServer:
     """One SOAP deployment; ``config.architecture`` picks who executes."""
@@ -63,10 +73,8 @@ class SoapServer:
         self.observability = observability
         registry = observability.registry if observability is not None else None
         self.container = ServiceContainer(list(config.services), registry=registry)
-        # Figure 2's application stage; Figure 1 has none.
-        # app_queue_limit bounds its backlog: once that many entries
-        # wait for a worker, further entries shed with a Server.Busy
-        # fault instead of queueing unboundedly.
+        # Figure 2's application stage (admission: see _fan_out);
+        # Figure 1 has none.
         self.app_stage: Stage | None = None
         if config.architecture == "staged":
             self.app_stage = Stage(
@@ -84,9 +92,7 @@ class SoapServer:
         self.transport = config.transport
         self.http = build_http_server(self.endpoint, config)
 
-    def _execute(
-        self, entries: list[Element], context: MessageContext
-    ) -> list[Element]:
+    def _execute(self, entries: list[Element], context: MessageContext) -> list[Element]:
         from repro.core.oneway import accepted_response, is_one_way
 
         deadline = context.deadline
@@ -96,16 +102,15 @@ class SoapServer:
         # per-entry execute span explicitly.
         ctx = obs_trace.current()
         results: list[Element | None] = [None] * len(entries)
-        waited: list[tuple[int, Element]] = []
+        staged: list[tuple[str, int, Element]] = []  # (kind, slot, entry)
 
         # Triage — the same under both policies — then who runs it.
         # Each fault claims only its own slot: siblings still answer
         # (partial-success packs).
         for index, entry in enumerate(entries):
             if deadline is not None and deadline.expired():
-                # The client's budget is gone; running the entry would
-                # only produce an answer nobody is waiting for.
-                # Retryable: the work never ran.
+                # The client's budget is gone: nobody waits for an
+                # answer.  Retryable: the work never ran.
                 results[index] = self._skipped(
                     entry,
                     timeout_fault(f"deadline expired before '{entry.local_name}' ran"),
@@ -118,50 +123,56 @@ class SoapServer:
                 if stage is None:
                     self._run(ctx, entry)
                 else:
-                    self._submit(
-                        results, index, entry, self._run, ctx, entry,
-                        kind="one-way-execution",
-                    )
+                    staged.append((_DETACHED, index, entry))
             elif stage is None:
                 # Figure 1: run here, in order — so the deadline is read
                 # again after every sibling
                 results[index] = self._run(ctx, entry)
             else:
-                waited.append((index, entry))
+                staged.append((_AWAITED, index, entry))
 
-        if len(waited) == 1:
-            # Figure 2 with nothing to overlap: keep a single waited
-            # request on the calling thread and spare a context switch.
-            # On the threaded backend that is the HTTP connection
-            # thread; on the evented backend it is a bounded
-            # http-handler stage worker — never the event loop — so the
-            # fast path stays safe under SEDA's "nothing heavy on the
-            # loop" rule and the app stage still bounds overlapped
-            # packs.
-            index, entry = waited[0]
+        if len(staged) == 1 and staged[0][0] is _AWAITED:
+            # Figure 2 with nothing to overlap: stay on the calling
+            # thread — the HTTP connection thread, or on the evented
+            # backend a bounded http-handler worker, never the loop.
+            _, index, entry = staged[0]
             results[index] = self._run(ctx, entry)
-        elif waited:
-            self._fan_out(waited, results, ctx, deadline)
+        elif staged:
+            self._fan_out(staged, results, ctx, deadline)
         return [entry for entry in results if entry is not None]
 
-    def _fan_out(self, waited, results, ctx, deadline) -> None:
-        """Figure 2: one stage worker per entry, the caller parked on a
-        latch until the last one counts down."""
-        latch = CompletionLatch(len(waited))
+    def _fan_out(self, staged, results, ctx, deadline) -> None:
+        """Figure 2: the pack goes to the application stage as one batch
+        and the caller parks on a latch until the last awaited entry
+        counts down.
 
-        def run(index: int, entry: Element) -> None:
-            try:
-                results[index] = self._run(ctx, entry)
-            except BaseException as exc:  # fault the slot, not the pack
-                results[index] = entry_fault(entry, SoapFault.from_exception(exc))
-            finally:
+        Admission is per entry: one per idle worker plus one per free
+        ``app_queue_limit`` slot, and each entry past that answers with
+        its own retryable ``Server.Busy`` slot.  Workers cascade: each
+        claims an entry, wakes at most one more while some stay
+        unclaimed, runs its entry and claims again.  One-way entries
+        ride the same batch but nobody waits for them.
+        """
+        latch = CompletionLatch(sum(kind is _AWAITED for kind, _, _ in staged))
+
+        def settle(item: tuple[str, int, Element], shed: str | None = None) -> None:
+            kind, index, entry = item
+            if shed is not None:  # retryable: the work never ran
+                results[index] = self._skipped(
+                    entry, busy_fault(f"'{entry.local_name}' not run: application stage {shed}")
+                )
+            else:
+                try:
+                    result = self._run(ctx, entry)
+                except BaseException as exc:  # fault the slot, not the pack
+                    result = entry_fault(entry, SoapFault.from_exception(exc))
+                if kind is _AWAITED:
+                    results[index] = result
+            if kind is _AWAITED:
                 latch.count_down()
 
-        for index, entry in waited:
-            if not self._submit(
-                results, index, entry, run, index, entry, kind="service-execution"
-            ):
-                latch.count_down()
+        for item in self.app_stage.run_batch(staged, settle):
+            settle(item, "is full")
 
         # the protocol thread "goes to sleep" here; its patience is the
         # client's remaining budget, capped by the local bound
@@ -172,32 +183,14 @@ class SoapServer:
             # Workers may still be running; answer for them with a
             # retryable timeout fault per unfinished slot rather than
             # failing the entire message.
-            for index, entry in waited:
-                if results[index] is None:
-                    results[index] = self._skipped(
-                        entry,
-                        timeout_fault(
-                            f"'{entry.local_name}' did not finish "
-                            f"within {wait_s:.3f}s"
-                        ),
-                    )
+            for kind, index, entry in staged:
+                if kind is _AWAITED and results[index] is None:
+                    late = f"'{entry.local_name}' did not finish within {wait_s:.3f}s"
+                    results[index] = self._skipped(entry, timeout_fault(late))
 
     def _run(self, ctx, entry: Element) -> Element:
         with obs_trace.span_in(ctx, "execute", detail=entry.local_name):
             return self.container.execute_entry(entry)
-
-    def _submit(self, results, index, entry, func, *args, kind: str) -> bool:
-        """Hand one entry to the application stage; a saturated stage
-        sheds that entry alone, retryably, into its slot."""
-        try:
-            self.app_stage.submit(func, *args, kind=kind)
-        except (PoolSaturatedError, ServiceError) as exc:
-            # A ServiceError means the stage is draining for shutdown —
-            # same retryable busy answer, not a bare 500
-            # (fault-flow-escape invariant).
-            results[index] = self._skipped(entry, busy_fault(str(exc)))
-            return False
-        return True
 
     def _skipped(self, entry: Element, fault: SoapFault) -> Element:
         """The slot of an entry answered without (or instead of)
@@ -248,5 +241,4 @@ class SoapServer:
         }
         if self.app_stage is not None:
             stats["app_stage"] = self.app_stage.stats.snapshot()
-            stats["app_pool"] = self.app_stage.pool_stats()
         return stats

@@ -1,10 +1,6 @@
-"""Bounded worker thread pool with its own future type.
-
-Both stages of the paper's Figure 2 architecture sit on this pool: the
-application-processing stage directly, the protocol stage implicitly
-(its threads are the HTTP connection threads).  The pool is built from
-primitives rather than ``concurrent.futures`` so the benches can read
-scheduling counters the stock executor does not expose.
+"""Bounded worker thread pool with its own future type, and the latch
+Figure 2's protocol thread sleeps on.  Built from primitives rather than
+``concurrent.futures`` so its scheduling counters can be read.
 """
 
 from __future__ import annotations
@@ -12,7 +8,7 @@ from __future__ import annotations
 import queue
 import threading
 from concurrent.futures import CancelledError
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from repro.errors import PoolSaturatedError, ServiceError
@@ -87,15 +83,7 @@ class PoolStats:
 
     def snapshot(self) -> dict[str, int]:
         """Counters as a plain dict."""
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "cancelled": self.cancelled,
-            "max_queue_depth": self.max_queue_depth,
-            "max_concurrency": self.max_concurrency,
-        }
+        return asdict(self)
 
 
 _SHUTDOWN = object()
@@ -104,12 +92,10 @@ _SHUTDOWN = object()
 class ThreadPool:
     """Fixed-size worker pool fed by one queue (event-driven model [5]).
 
-    ``max_queue`` bounds the backlog: a submit that would push the
-    queue past the bound is rejected with :class:`PoolSaturatedError`
-    instead of queueing unboundedly — the SEDA-style explicit shed
-    point ("too many concurrent threads will degrade throughput
-    rapidly", §3.3, applies just as much to unbounded queues under
-    overload).  ``None`` keeps the seed's unbounded behaviour.
+    ``max_queue`` bounds the backlog: a submit past it raises
+    :class:`PoolSaturatedError` — the SEDA-style explicit shed point
+    (§3.3's "too many concurrent threads" applies to unbounded queues
+    too).  ``None`` leaves the queue unbounded.
     """
 
     def __init__(
@@ -149,6 +135,14 @@ class ThreadPool:
         ``max_queue`` — the caller decides how to shed (the SOAP stack
         maps it to a ``Server.Busy`` fault + HTTP 503).
         """
+        return self._enqueue(func, args, kwargs, self.max_queue)
+
+    def submit_admitted(self, func: Callable[..., Any], /, *args: Any) -> TaskFuture:
+        """Queue ``func(*args)`` past ``max_queue``: for work the caller
+        admitted by its own count (a :class:`~repro.server.stage.Stage` batch)."""
+        return self._enqueue(func, args, {}, None)
+
+    def _enqueue(self, func, args, kwargs, bound: int | None) -> TaskFuture:
         future = TaskFuture()
         # Check and enqueue in one critical section: the bound holds
         # under concurrent submitters, and a task can never land behind
@@ -157,7 +151,7 @@ class ThreadPool:
             if self._shutdown:
                 raise ServiceError(f"pool '{self.name}' is shut down")
             depth = self._queue.qsize()
-            if self.max_queue is not None and depth >= self.max_queue:
+            if bound is not None and depth >= bound:
                 self.stats.rejected += 1
                 raise PoolSaturatedError(
                     f"pool '{self.name}' queue is full "

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.soap.fault import ClientFaultCause
+from repro.soap.serializer import serialize_rpc_request
+from repro.server.container import ServiceContainer
 from repro.server.service import (
     ServiceDefinition,
     operation,
@@ -74,13 +76,6 @@ class TestServiceDefinition:
         with pytest.raises(RuntimeError, match="inside"):
             svc.invoke("op", {})
 
-    def test_invocation_counter(self):
-        svc = ServiceDefinition("Svc", "urn:x")
-        svc.register("op", lambda: 1)
-        svc.invoke("op", {})
-        svc.invoke("op", {})
-        assert svc.invocations == 2
-
 
 class TestServiceFromObject:
     def test_discovers_operations(self):
@@ -116,6 +111,80 @@ class TestServiceFromFunctions:
             "Echo", "urn:echo", {"echo": lambda payload: payload}
         )
         assert svc.invoke("echo", {"payload": "hi"}) == "hi"
+
+
+class Greeter:
+    @operation
+    def greet(self, name: str, punct: str = "!") -> str:
+        return name + punct
+
+
+def echo_times(payload: str, times: int = 1) -> str:
+    return payload * times
+
+
+class TestSignatureBoundAtDeploy:
+    """``register`` computes each operation's signature once; a mismatch
+    is the same Client fault, word for word, as when ``invoke`` rebuilt
+    the signature per call (strings recorded before the change)."""
+
+    RECORDED = {
+        ("Fn", "missing"): "ClientFaultCause: Fn.echo: bad parameters: "
+        "missing a required argument: 'payload'",
+        ("Fn", "unexpected"): "ClientFaultCause: Fn.echo: bad parameters: "
+        "got an unexpected keyword argument 'bogus'",
+        ("Fn", "duplicate"): "ClientFaultCause: duplicate parameter 'payload'",
+        ("Greeter", "missing"): "ClientFaultCause: Greeter.greet: bad parameters: "
+        "missing a required argument: 'name'",
+        ("Greeter", "unexpected"): "ClientFaultCause: Greeter.greet: bad parameters: "
+        "got an unexpected keyword argument 'bogus'",
+        ("Greeter", "duplicate"): "ClientFaultCause: duplicate parameter 'name'",
+    }
+
+    @pytest.fixture(scope="class")
+    def container(self):
+        return ServiceContainer([
+            service_from_functions("Fn", "urn:fn", {"echo": echo_times}),
+            service_from_object(Greeter(), namespace="urn:greeter"),  # bound method
+        ])
+
+    CASES = {
+        "Fn": ("urn:fn", "echo", "payload"),
+        "Greeter": ("urn:greeter", "greet", "name"),
+    }
+
+    @pytest.mark.parametrize("service", ["Fn", "Greeter"])
+    @pytest.mark.parametrize("mismatch", ["missing", "unexpected", "duplicate"])
+    def test_client_fault_text_is_unchanged(self, container, service, mismatch):
+        namespace, op, required = self.CASES[service]
+        params = {} if mismatch == "missing" else {required: "a"}
+        if mismatch == "unexpected":
+            params["bogus"] = 1
+        entry = serialize_rpc_request(namespace, op, params)
+        if mismatch == "duplicate":
+            entry.append(entry.element_children()[0].copy())
+        slot = container.execute_entry(entry)
+        assert slot.findtext("faultcode") == "SOAP-ENV:Client"
+        assert slot.findtext("faultstring") == self.RECORDED[(service, mismatch)]
+
+    def test_defaults_and_bound_self_still_bind(self, container):
+        entry = serialize_rpc_request("urn:greeter", "greet", {"name": "ann"})
+        assert container.execute_entry(entry).require("return").text == "ann!"
+        entry = serialize_rpc_request("urn:fn", "echo", {"payload": "ab", "times": 2})
+        assert container.execute_entry(entry).require("return").text == "abab"
+
+    def test_signature_is_computed_once_at_register(self, monkeypatch):
+        import inspect
+
+        svc = service_from_functions("Fn", "urn:fn", {"echo": echo_times})
+        calls = []
+        real = inspect.signature
+        monkeypatch.setattr(inspect, "signature", lambda f: calls.append(f) or real(f))
+        for _ in range(3):
+            assert svc.invoke("echo", {"payload": "x"}) == "x"
+        with pytest.raises(ClientFaultCause, match="bad parameters"):
+            svc.invoke("echo", {})
+        assert calls == []
 
 
 class TestDescribe:
