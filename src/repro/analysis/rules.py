@@ -138,6 +138,7 @@ HOT_PATH_CLASSES = frozenset(
         "_SpanHandle",
         "TaskFuture",
         "InvocationFuture",
+        "ResultArray",
         "PoolStats",
         "StageStats",
         "TraceEvent",

@@ -7,7 +7,7 @@ from repro.client.cache import (
     response_cache_key,
 )
 from repro.client.config import ClientConfig, build_proxy
-from repro.client.futures import CompletionWatcher, InvocationFuture, wait_all
+from repro.client.futures import InvocationFuture, ResultArray, wait_all
 from repro.client.invoker import (
     Call,
     Invoker,
@@ -22,11 +22,11 @@ __all__ = [
     "Call",
     "ClientCacheStats",
     "ClientConfig",
-    "CompletionWatcher",
     "InvocationFuture",
     "Invoker",
     "KeepAliveSerialInvoker",
     "ResponseCache",
+    "ResultArray",
     "SerialInvoker",
     "ServiceProxy",
     "ThreadedInvoker",

@@ -7,8 +7,9 @@ parameterized client-side caching") showed SOAP response caching keyed
 by call parameters pays for itself quickly on read-mostly services;
 here the idea lands :class:`CallPolicy`-style — a small frozen
 :class:`CachePolicy` carried by the proxy, consulted in
-``exchange_raw`` *outside* the resilience retry loop, so retries always
-go to the wire and can never replay a cached body as a fresh success.
+``ServiceProxy.exchange`` *outside* the resilience retry loop, so
+retries always go to the wire and can never replay a cached body as a
+fresh success.
 
 Semantics:
 
@@ -82,6 +83,18 @@ class ClientCacheStats:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+def is_fault_free(body: bytes) -> bool:
+    """Conservative fault screen: may ``body`` be stored as known-good?
+
+    Any body that might carry a SOAP Fault — a 500 single-entry fault,
+    or a per-entry fault inside a packed response — must not be.
+    Probing for the substring is deliberately over-broad: a payload that
+    merely *mentions* "Fault" costs one skipped insertion, never a wrong
+    cache hit.
+    """
+    return b"Fault" not in body
 
 
 def response_cache_key(

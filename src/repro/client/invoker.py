@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.client.futures import InvocationFuture
+from repro.client.futures import InvocationFuture, ResultArray, unwrap
 from repro.client.proxy import ServiceProxy
 from repro.resilience.policy import CallPolicy
 
@@ -35,37 +35,39 @@ class Call:
 
 
 class Invoker:
-    """Strategy interface: run a batch of calls, return futures.
+    """Strategy interface: run a batch of calls into one result array.
 
-    Every strategy consumes one :class:`~repro.resilience.CallPolicy`:
-    the ``policy`` argument if given, else the invoker's own (set at
-    construction), else the proxy's default.
+    A strategy implements :meth:`run_all`; :meth:`submit_all` hands the
+    array out as futures (views onto its slots) and :meth:`invoke_all`
+    as values.  Every strategy consumes one
+    :class:`~repro.resilience.CallPolicy`: the ``policy`` argument if
+    given, else the invoker's own (set at construction), else the
+    proxy's default.
     """
 
     name = "invoker"
     policy: CallPolicy | None = None
 
+    def run_all(self, calls: list[Call], policy: CallPolicy | None) -> list[Any]:
+        """Run all calls; one slot per call, in order: its value, or the
+        exception it failed with."""
+        raise NotImplementedError
+
     def submit_all(
         self, calls: list[Call], policy: CallPolicy | None = None
     ) -> list[InvocationFuture]:
         """Run all calls; returns one future per call, in order."""
-        raise NotImplementedError
+        results = ResultArray()
+        futures = [results.add(call.operation) for call in calls]
+        results.fill(self.run_all(calls, self._effective_policy(policy)))
+        return futures
 
     def invoke_all(
         self, calls: list[Call], policy: CallPolicy | None = None
     ) -> list[Any]:
-        """Run all calls and return their results, in call order."""
-        effective = policy if policy is not None else self.policy
-        # the future wait is the whole-call budget: a retrying policy's
-        # per-attempt timeout would undercut its own deadline
-        wait = None
-        if effective is not None:
-            wait = (
-                effective.deadline
-                if effective.deadline is not None
-                else effective.timeout
-            )
-        return [future.result(wait) for future in self.submit_all(calls, policy)]
+        """Run all calls and return their results, in call order; the
+        first failure propagates once every call has run."""
+        return unwrap(self.run_all(calls, self._effective_policy(policy)))
 
     def _effective_policy(self, policy: CallPolicy | None) -> CallPolicy | None:
         return policy if policy is not None else self.policy
@@ -80,27 +82,18 @@ class SerialInvoker(Invoker):
         self.proxy = proxy
         self.policy = policy
 
-    def submit_all(
-        self, calls: list[Call], policy: CallPolicy | None = None
-    ) -> list[InvocationFuture]:
+    def run_all(self, calls: list[Call], policy: CallPolicy | None) -> list[Any]:
         """One blocking request/response exchange per call."""
-        effective = self._effective_policy(policy)
-        futures = []
+        slots: list[Any] = []
         for call in calls:
-            future = InvocationFuture(call.operation)
             try:
-                future.resolve(
-                    self.proxy.call_with_policy(
-                        call.operation, effective, **dict(call.params)
-                    )
-                )
+                slots.append(self.proxy.call_with_policy(call.operation, policy, **call.params))
             except BaseException as exc:
-                future.fail(exc)
-            futures.append(future)
-        return futures
+                slots.append(exc)
+        return slots
 
 
-class KeepAliveSerialInvoker(Invoker):
+class KeepAliveSerialInvoker(SerialInvoker):
     """Serial requests over ONE persistent connection.
 
     Not one of the paper's three strategies — an ablation this
@@ -116,38 +109,18 @@ class KeepAliveSerialInvoker(Invoker):
     def __init__(self, proxy: ServiceProxy, *, policy: CallPolicy | None = None) -> None:
         from repro.client.config import build_proxy
 
-        self.policy = policy
-        if proxy.reuse_connections:
-            self.proxy = proxy
-            self._owned = False
-        else:
-            self.proxy = build_proxy(
-                proxy.config.replace(reuse_connections=True)
-            )
-            self._owned = True
+        self._owned = not proxy.reuse_connections
+        if self._owned:
+            proxy = build_proxy(proxy.config.replace(reuse_connections=True))
+        super().__init__(proxy, policy=policy)
 
-    def submit_all(
-        self, calls: list[Call], policy: CallPolicy | None = None
-    ) -> list[InvocationFuture]:
+    def run_all(self, calls: list[Call], policy: CallPolicy | None) -> list[Any]:
         """Serial exchanges over one pooled connection."""
-        effective = self._effective_policy(policy)
-        futures = []
         try:
-            for call in calls:
-                future = InvocationFuture(call.operation)
-                try:
-                    future.resolve(
-                        self.proxy.call_with_policy(
-                            call.operation, effective, **dict(call.params)
-                        )
-                    )
-                except BaseException as exc:
-                    future.fail(exc)
-                futures.append(future)
+            return super().run_all(calls, policy)
         finally:
             if self._owned:
                 self.proxy.close()
-        return futures
 
 
 class ThreadedInvoker(Invoker):
@@ -171,34 +144,27 @@ class ThreadedInvoker(Invoker):
         self.max_threads = max_threads
         self.policy = policy
 
-    def submit_all(
-        self, calls: list[Call], policy: CallPolicy | None = None
-    ) -> list[InvocationFuture]:
+    def run_all(self, calls: list[Call], policy: CallPolicy | None) -> list[Any]:
         """One client thread (and connection) per call."""
-        effective = self._effective_policy(policy)
-        futures = [InvocationFuture(call.operation) for call in calls]
+        slots: list[Any] = [None] * len(calls)
         limit = threading.Semaphore(self.max_threads) if self.max_threads else None
 
-        def worker(call: Call, future: InvocationFuture) -> None:
+        def worker(index: int, call: Call) -> None:
             try:
-                result = self.proxy.call_with_policy(
-                    call.operation, effective, **dict(call.params)
-                )
+                slots[index] = self.proxy.call_with_policy(call.operation, policy, **call.params)
             except BaseException as exc:
-                future.fail(exc)
-            else:
-                future.resolve(result)
+                slots[index] = exc
             finally:
                 if limit is not None:
                     limit.release()
 
         threads = []
-        for call, future in zip(calls, futures):
+        for index, call in enumerate(calls):
             if limit is not None:
                 limit.acquire()
-            thread = threading.Thread(target=worker, args=(call, future), daemon=True)
+            thread = threading.Thread(target=worker, args=(index, call), daemon=True)
             thread.start()
             threads.append(thread)
         for thread in threads:
             thread.join()
-        return futures
+        return slots

@@ -1,72 +1,52 @@
 """Dynamic service proxy — the classic one-call-one-message client.
 
-PR-9 made this the *adaptive* client: every exchange feeds a
-per-(service, operation) rollup, and three resilience mechanisms read
-it back:
+Every client entry point (``call``, the invokers, the pack path) goes
+through :meth:`ServiceProxy.exchange`, which runs PROTOCOL.md §10's
+client steps in order:
 
-* **hedged requests** — once the first attempt outlives the operation's
-  own latency quantile, a speculative second attempt races it
-  (first response wins, the loser's connection is abandoned);
-* **AIMD concurrency limiting** — an :class:`AdaptiveLimiter` gates
-  calls locally with a fast retryable fault when the window is full,
-  halving the window on ``Server.Busy`` sheds and growing it additively
-  on success;
-* **deadline-rebased I/O timeouts** — each attempt's channel timeout is
-  the remaining whole-call budget, so a hung server cannot consume
-  later attempts' time.
+1. **cache** — a stored fault-free body answers the call outright;
+2. **limiter** — each attempt takes an AIMD slot or is gated locally;
+3. **deadline** — each attempt re-bases the ``<res:Deadline>`` header
+   and its wire timeout on the whole-call budget left;
+4. **attempt** — one wire send, raced by at most one hedge once it
+   outlives the operation's own latency quantile in the client rollup;
+5. **retry classification** — a retryable failure goes round 2–4 again
+   under the :class:`CallPolicy`, while budget remains.
 
-Construction goes through :class:`~repro.client.config.ClientConfig` +
+Construct through :class:`~repro.client.config.ClientConfig` +
 :func:`~repro.client.config.build_proxy`.
 """
 
 from __future__ import annotations
 
+import functools
+import queue
 import threading
 import time
-from typing import Any, Callable
+from typing import Any, NamedTuple
 
-from repro.client.cache import response_cache_key
+from repro.client.cache import is_fault_free, response_cache_key
 from repro.client.config import ClientConfig
-from repro.client.futures import CompletionWatcher, InvocationFuture
 from repro.errors import (
-    FAULTCODE_SERVER_BUSY,
-    FAULTCODE_TABLE,
-    HttpError,
-    InvocationError,
-    ReproError,
-    SoapFaultError,
-    TransportError,
-    fault_class_of,
+    FAULTCODE_SERVER_BUSY, HttpError, ReproError, SoapFaultError, TransportError,
+    fault_class_of, fault_class_of_status,
 )
 from repro.http.compression import compress
 from repro.http.connection import ConnectionPool, HttpConnection
 from repro.http.message import Headers, HttpRequest
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import (
-    OBS_NS,
-    TRACE_HEADER_TAG,
-    TRACE_HTTP_HEADER,
-    TRACE_ID_ATTR,
-    new_trace_id,
+    OBS_NS, TRACE_HEADER_TAG, TRACE_HTTP_HEADER, TRACE_ID_ATTR, new_trace_id,
 )
-from repro.resilience.deadline import attach_deadline
+from repro.resilience.deadline import attach_deadline, wire_timeout
 from repro.resilience.hedge import HedgeBudget, HedgePolicy, hedge_trigger
-from repro.resilience.limiter import (
-    OUTCOME_ERROR,
-    OUTCOME_OVERLOAD,
-    OUTCOME_SUCCESS,
-)
+from repro.resilience.limiter import OUTCOME_ERROR, OUTCOME_OVERLOAD, OUTCOME_SUCCESS
 from repro.resilience.policy import (
-    CallPolicy,
-    DEFAULT_POLICY,
-    Deadline,
-    RetryState,
-    execute_with_policy,
+    DEFAULT_POLICY, CallPolicy, Deadline, RetryState, execute_with_policy,
 )
-from repro.soap.constants import FAULT_TAG, SOAP_ACTION_HEADER, SOAP_CONTENT_TYPE
+from repro.soap.constants import SOAP_ACTION_HEADER, SOAP_CONTENT_TYPE
 from repro.soap.deserializer import parse_response_document
 from repro.soap.envelope import Envelope
-from repro.soap.fault import SoapFault
 from repro.soap.serializer import build_request_envelope
 from repro.wsdl.parser import parse_wsdl
 from repro.xmlcore.tree import Element
@@ -76,49 +56,52 @@ from repro.xmlcore.tree import Element
 #: client's view of an operation with the server's own per-target row.
 CLIENT_ROLLUP_PREFIX = "client:"
 
-#: Wire-level grace on top of the logical attempt budget.  The server
-#: enforces the propagated deadline itself and answers AT it (rendering
-#: per-entry timeout faults), so the socket timeout must outlive the
-#: budget slightly — a wire timeout equal to the budget would cut the
-#: connection just as the server's deadline fault is being written.
-IO_GRACE_FRACTION = 0.25
-IO_GRACE_FLOOR_S = 0.05
-
-
-def _wire_timeout(budget: float | None) -> float | None:
-    """The channel I/O timeout for one attempt with ``budget`` seconds
-    of logical deadline left: the budget plus a grace margin."""
-    if budget is None:
-        return None
-    return budget + max(budget * IO_GRACE_FRACTION, IO_GRACE_FLOOR_S)
-
-
-def _body_is_cacheable(body: bytes) -> bool:
-    """Conservative fault screen for the response cache.
-
-    Any body that might carry a SOAP Fault — a 500 single-entry fault,
-    or a per-entry fault inside a packed response — must not be stored
-    as a known-good answer.  Probing for the substring is deliberately
-    over-broad: a payload that merely *mentions* "Fault" costs one
-    skipped insertion, never a wrong cache hit.
-    """
-    return b"Fault" not in body
-
-
-# a bare HTTP status (no fault body survived) classifies like the
-# faultcode the endpoint would have sent it for
-_STATUS_FAULT_CLASSES = {status: cls for cls, status in FAULTCODE_TABLE.values()}
-
 
 def _fault_class_of(error: BaseException) -> str | None:
     """The rollup fault class for one failed attempt."""
     if isinstance(error, SoapFaultError):
         return fault_class_of(error.faultcode)
     if isinstance(error, HttpError):
-        return _STATUS_FAULT_CLASSES.get(error.status, "fatal")
+        return fault_class_of_status(error.status)
     if isinstance(error, TransportError):
         return "retryable"
     return "fatal"
+
+
+def _fault_of(response) -> Exception:
+    """The SoapFaultError carried by a 503/504 body, or an HttpError when
+    the body is not a parseable fault envelope."""
+    try:
+        parse_response_document(response.body)
+    except SoapFaultError as fault:
+        return fault
+    except (ReproError, StopIteration):
+        pass
+    return HttpError(f"server returned HTTP {response.status}", status=response.status)
+
+
+class _Call(NamedTuple):
+    """What every attempt of one logical exchange shares."""
+
+    envelope: Envelope
+    headers: dict
+    policy: CallPolicy
+    rollup: Any
+    hedge: HedgePolicy | None
+
+
+class _Attempt:
+    """One racing wire attempt: the connection it is on, and whether the
+    race is over for it (an abandoned attempt sends nothing more and its
+    latency is not observed)."""
+
+    connection: HttpConnection | None = None
+    abandoned = False
+
+    def abandon(self) -> None:
+        self.abandoned = True
+        if self.connection is not None:
+            self.connection.close()
 
 
 class ServiceProxy:
@@ -126,17 +109,9 @@ class ServiceProxy:
 
     ``proxy.call("echo", payload="x")`` or ``proxy.echo(payload="x")``
     issues one SOAP message per invocation — the paper's baseline
-    communication model that SPI improves upon.
-
-    Connection policy:
-
-    * ``reuse_connections=False`` (default) opens a fresh connection per
-      call, matching the paper's "No Optimization" client and its
-      M-TCP-connections cost model;
-    * ``reuse_connections=True`` goes through a keep-alive pool.
-
-    Construct with ``ServiceProxy(ClientConfig(...))`` (or the
-    :func:`~repro.client.config.build_proxy` facade).
+    communication model that SPI improves upon.  ``reuse_connections``
+    picks a keep-alive pool over the paper's "No Optimization" fresh
+    connection per call.
     """
 
     def __init__(self, config: ClientConfig) -> None:
@@ -147,66 +122,42 @@ class ServiceProxy:
         self.service_name = config.service_name
         self.path = config.path or f"/services/{config.service_name}"
         self.reuse_connections = config.reuse_connections
-        self.interface = config.interface
         self.extra_headers = list(config.extra_headers or ())
-        self.credentials = config.credentials
         self.tracer = config.tracer
         self.policy = config.policy if config.policy is not None else DEFAULT_POLICY
         self.hedge = config.hedge
         self.limiter = config.limiter
         self.response_cache = config.response_cache
-        self.accept_encoding = config.accept_encoding
-        self.request_compression = config.request_compression
         # the proxy's metric home: the tracer's registry when one is
         # wired (so counters land next to the server's in /metrics),
         # else a private registry that still feeds the hedge rollups
-        self.metrics = (
-            config.tracer.registry
-            if config.tracer is not None and config.tracer.registry is not None
-            else MetricsRegistry()
-        )
+        registry = getattr(config.tracer, "registry", None)
+        self.metrics = registry if registry is not None else MetricsRegistry()
         self.last_trace_id: str | None = None
         self._pool = ConnectionPool(config.transport) if config.reuse_connections else None
-        self._hedge_lock = threading.Lock()
-        self._hedge_budget: HedgeBudget | None = (
-            HedgeBudget.for_policy(config.hedge) if config.hedge is not None else None
-        )
-        self._limiter_gauge = (
-            self.metrics.gauge("client.limiter.limit")
-            if config.limiter is not None
-            else None
-        )
+        self._hedge_budget = config.hedge and HedgeBudget.for_policy(config.hedge)
+        host = self.address
+        if isinstance(host, (tuple, list)):
+            host = f"{host[0]}:{host[1]}"
+        self._headers = {"Host": str(host)}  # after Content-Type and SOAPAction
+        if config.accept_encoding:
+            self._headers["Accept-Encoding"] = config.accept_encoding
         if self.limiter is not None:
+            self._limiter_gauge = self.metrics.gauge("client.limiter.limit")
             self._limiter_gauge.set(self.limiter.limit)
         self.calls = 0
         self.connections_opened = 0
         self.retries = 0
 
-    # -- construction helpers ------------------------------------------------
-
     @classmethod
-    def from_wsdl(
-        cls,
-        document: str | bytes,
-        transport,
-        address,
-        **kwargs: Any,
-    ) -> "ServiceProxy":
-        """Build a proxy whose operations are checked against a WSDL.
-
-        ``kwargs`` are :class:`ClientConfig` fields (``policy``,
-        ``hedge``, ``reuse_connections``, ...).
-        """
+    def from_wsdl(cls, document: str | bytes, transport, address, **kwargs: Any) -> "ServiceProxy":
+        """Build a proxy whose operations are checked against a WSDL;
+        ``kwargs`` are further :class:`ClientConfig` fields."""
         service = parse_wsdl(document).service
-        config = ClientConfig(
-            transport=transport,
-            address=address,
-            namespace=service.namespace,
-            service_name=service.name,
-            interface=service,
-            **kwargs,
-        )
-        return cls(config)
+        return cls(ClientConfig(
+            transport, address, namespace=service.namespace,
+            service_name=service.name, interface=service, **kwargs,
+        ))
 
     # -- invocation --------------------------------------------------------------
 
@@ -221,7 +172,8 @@ class ServiceProxy:
         """Like :meth:`call` but under an explicit per-call policy
         (``None`` falls back to the proxy default).  Positional-only so
         operations may legitimately take a ``policy`` parameter."""
-        self._check_interface(operation, params)
+        if self.config.interface is not None:
+            self.config.interface.check_call(operation, params)
         cache = self.response_cache
         cache_key = None
         if cache is not None and cache.policy.is_cacheable(operation):
@@ -229,432 +181,254 @@ class ServiceProxy:
         envelope = build_request_envelope(
             self.namespace, operation, params, headers=[h.copy() for h in self.extra_headers]
         )
-        response_body = self.exchange_raw(
-            envelope, operation, policy=policy, cache_key=cache_key
-        )
+        response_body = self.exchange(envelope, operation, policy=policy, cache_key=cache_key)
         self.calls += 1
         # Pull-parse the response: skip straight to the body entry
         # without materializing headers this client never reads.
         return parse_response_document(response_body).value
 
     def exchange(
-        self,
-        envelope: Envelope,
-        action: str = "",
-        *,
-        policy: CallPolicy | None = None,
-        cache_key: tuple | None = None,
-        hedgeable: bool = True,
-    ) -> Envelope:
-        """Send a raw request envelope, return the raw response envelope.
-
-        This is the hook the SPI packed client shares: it builds its own
-        Parallel_Method envelope and still reuses the proxy's HTTP path.
-        ``cache_key``: callers that know their envelope's semantic
-        identity (e.g. the pack assembler) pass it to join the
-        response cache; ``None`` bypasses caching.
-        ``hedgeable=False`` disarms hedging for envelopes that are not
-        safe to send twice (a pack carrying one-way casts).
-        """
-        return Envelope.parse(
-            self.exchange_raw(
-                envelope, action, policy=policy, cache_key=cache_key,
-                hedgeable=hedgeable,
-            ),
-            server=True,
-        )
-
-    def exchange_raw(
-        self,
-        envelope: Envelope,
-        action: str = "",
-        *,
-        policy: CallPolicy | None = None,
-        cache_key: tuple | None = None,
-        hedgeable: bool = True,
+        self, envelope: Envelope, action: str = "", *, policy: CallPolicy | None = None,
+        cache_key: tuple | None = None, hedgeable: bool = True,
     ) -> bytes:
-        """Like :meth:`exchange` but returns the undecoded response body.
+        """Send a request envelope; return the undecoded response body.
 
-        When ``cache_key`` is given and the proxy has a response cache,
-        the cache is consulted first (single-flight on concurrent
-        misses) and fault-free response bodies are stored; the wire
-        exchange below — retries included — runs only on a miss.
-
-        All resilience behaviour lives here, so every client entry point
-        (``call``, the invokers, the pack path) gets it uniformly:
-
-        * the whole-call deadline is started and, when the policy says
-          so, propagated as a ``<res:Deadline>`` SOAP header refreshed
-          on every attempt;
-        * each attempt's channel I/O timeout is rebased to the remaining
-          whole-call budget (min of the per-attempt ``timeout`` and what
-          the deadline has left);
-        * the AIMD limiter gates the attempt before it touches the wire;
-        * once the live rollup has enough samples, a slow first attempt
-          is hedged with a speculative second (budget permitting);
-        * 503/504 responses are decoded into their retryable
-          :class:`~repro.errors.SoapFaultError` and — like transport
-          drops — retried with backoff while budget remains.
+        Step 1, the cache: under ``cache_key`` (``None`` bypasses it) a
+        stored body answers without taking a limiter slot, opening a
+        connection or counting a retry; concurrent misses fetch once and
+        only fault-free bodies are stored.  ``hedgeable=False`` disarms
+        hedging for envelopes unsafe to send twice (packs with a cast).
         """
         cache = self.response_cache
-        if cache is not None and cache_key is not None:
-            body, _ = cache.get_or_fetch(
-                cache_key,
-                lambda: self._exchange_uncached(
-                    envelope, action, policy, hedgeable=hedgeable
-                ),
-                validate=_body_is_cacheable,
-            )
-            return body
-        return self._exchange_uncached(envelope, action, policy, hedgeable=hedgeable)
+        if cache is None or cache_key is None:
+            return self._exchange_uncached(envelope, action, policy, hedgeable)
+        body, _ = cache.get_or_fetch(
+            cache_key,
+            lambda: self._exchange_uncached(envelope, action, policy, hedgeable),
+            validate=is_fault_free,
+        )
+        return body
 
     def _exchange_uncached(
-        self,
-        envelope: Envelope,
-        action: str,
-        policy: CallPolicy | None,
-        *,
-        hedgeable: bool = True,
+        self, envelope: Envelope, action: str, policy: CallPolicy | None, hedgeable: bool
     ) -> bytes:
+        """Step 5, retry classification, around steps 2–4 per attempt."""
         policy = policy if policy is not None else self.policy
-        hedge: HedgePolicy | None = None
-        if hedgeable:
-            hedge = policy.hedge_policy or self.hedge
-        rollup = self.metrics.rollup(
-            CLIENT_ROLLUP_PREFIX + self.namespace, action or "exchange"
-        )
-        header_fields = {
-            "Content-Type": SOAP_CONTENT_TYPE,
-            SOAP_ACTION_HEADER: f'"{self.namespace}#{action}"',
-            "Host": self._host_header(),
-        }
-        if self.accept_encoding:
-            header_fields["Accept-Encoding"] = self.accept_encoding
+        headers = {"Content-Type": SOAP_CONTENT_TYPE,
+                   SOAP_ACTION_HEADER: f'"{self.namespace}#{action}"', **self._headers}
         trace_id = None
         if self.tracer is not None:
-            trace_id = new_trace_id()
-            self.last_trace_id = trace_id
-            header_fields[TRACE_HTTP_HEADER] = trace_id
+            trace_id = self.last_trace_id = headers[TRACE_HTTP_HEADER] = new_trace_id()
             # mustUnderstand stays unset (=false): servers without the
             # obs subsystem must keep accepting the message untouched.
             envelope.add_header(
                 Element(TRACE_HEADER_TAG, {TRACE_ID_ATTR: trace_id}, nsmap={"obs": OBS_NS})
             )
-        if self.credentials is not None:
+        if self.config.credentials is not None:
             from repro.soap.wssecurity import attach_security_header
 
-            attach_security_header(envelope, self.credentials)
+            attach_security_header(envelope, self.config.credentials)
+        rollup = self.metrics.rollup(CLIENT_ROLLUP_PREFIX + self.namespace, action or "exchange")
+        call = _Call(envelope, headers, policy, rollup, self.hedge if hedgeable else None)
+        if trace_id is None:
+            return self._retry(call)
+        in_flight = self.tracer.registry.gauge("client.calls.in_flight")
+        in_flight.add(1)
+        try:
+            with self.tracer.span("client.call", trace_id, detail=action or "exchange"):
+                return self._retry(call)
+        finally:
+            in_flight.add(-1)
 
-        def attempt(deadline: Deadline) -> bytes:
-            limiter = self.limiter
-            if limiter is not None and not limiter.try_acquire():
-                self.metrics.counter("client.limiter.gated").inc()
-                self._limiter_gauge.set(limiter.limit)
-                # a fast local fault wearing the server's own shed
-                # faultcode, so the normal retry machinery backs off
-                raise SoapFaultError(
-                    FAULTCODE_SERVER_BUSY,
-                    "client: adaptive concurrency limiter gated the call "
-                    "(local shed before the wire)",
-                )
-            outcome = OUTCOME_ERROR
-            try:
-                body = self._attempt_exchange(
-                    envelope, header_fields, policy, deadline, hedge, rollup
-                )
-                outcome = OUTCOME_SUCCESS
-                return body
-            except BaseException as exc:
-                if _fault_class_of(exc) == "shed":
-                    outcome = OUTCOME_OVERLOAD
-                raise
-            finally:
-                if limiter is not None:
-                    limiter.release(outcome)
-                    self._limiter_gauge.set(limiter.limit)
-
+    def _retry(self, call: _Call) -> bytes:
         state = RetryState()
+        try:
+            return execute_with_policy(
+                functools.partial(self._attempt, call),
+                call.policy,
+                on_retry=lambda *_: self.metrics.counter("client.retries").inc(),
+                state=state,
+            )
+        finally:
+            self.retries += state.retries
 
-        def run() -> bytes:
-            try:
-                return execute_with_policy(
-                    attempt, policy, on_retry=self._on_retry, state=state
-                )
-            finally:
-                self.retries += state.retries
+    def _attempt(self, call: _Call, deadline: Deadline) -> bytes:
+        """Step 2, the limiter: every attempt, retries included, takes an
+        AIMD slot first or is gated with a local ``Server.Busy``."""
+        limiter = self.limiter
+        if limiter is None:
+            return self._send(call, deadline)
+        if not limiter.try_acquire():
+            self.metrics.counter("client.limiter.gated").inc()
+            self._limiter_gauge.set(limiter.limit)
+            # a fast local fault wearing the server's own shed faultcode,
+            # so the retry step backs off as it would from the server's
+            raise SoapFaultError(FAULTCODE_SERVER_BUSY, "client: adaptive concurrency "
+                                 "limiter gated the call (local shed before the wire)")
+        outcome = OUTCOME_SUCCESS
+        try:
+            return self._send(call, deadline)
+        except BaseException as exc:
+            outcome = OUTCOME_OVERLOAD if _fault_class_of(exc) == "shed" else OUTCOME_ERROR
+            raise
+        finally:
+            limiter.release(outcome)
+            self._limiter_gauge.set(limiter.limit)
 
-        if trace_id is not None:
-            in_flight = self.tracer.registry.gauge("client.calls.in_flight")
-            in_flight.add(1)
-            try:
-                with self.tracer.span(
-                    "client.call", trace_id, detail=action or "exchange"
-                ):
-                    return run()
-            finally:
-                in_flight.add(-1)
-        return run()
+    def _send(self, call: _Call, deadline: Deadline) -> bytes:
+        """Steps 3 and 4: re-base the deadline, then send the attempt —
+        raced by one hedge once it outlives the rollup quantile."""
+        request, budget, io_budget = self._rebase(call, deadline)
+        trigger = None
+        if call.hedge is not None:
+            self._hedge_budget.note_call()
+            trigger = hedge_trigger(call.hedge, call.rollup, budget)
+        if trigger is None:
+            return self._measured_send(request, io_budget, call.rollup, _Attempt())
+        return self._race(call, request, io_budget, trigger, deadline)
 
-    # -- one physical attempt ------------------------------------------------
-
-    def _attempt_exchange(
-        self,
-        envelope: Envelope,
-        header_fields: dict,
-        policy: CallPolicy,
-        deadline: Deadline,
-        hedge: HedgePolicy | None,
-        rollup,
-    ) -> bytes:
+    def _rebase(self, call: _Call, deadline: Deadline) -> tuple[HttpRequest, Any, Any]:
+        """Step 3: this attempt's budget, its request with that budget in
+        the ``<res:Deadline>`` header, and its wire timeout budget."""
+        policy = call.policy
         budget = policy.attempt_budget(deadline)
+        if budget is not None and policy.propagate_deadline:
+            attach_deadline(call.envelope, budget)
+        body = call.envelope.to_bytes()
+        headers = Headers(call.headers)
+        coding = self.config.request_compression
+        if coding is not None and len(body) >= coding.min_size:
+            coded = compress(body, coding.encodings[0], level=coding.level)
+            if len(coded) < len(body):
+                self.metrics.counter("compress.bytes_saved").inc(len(body) - len(coded))
+                body = coded
+                headers.set("Content-Encoding", coding.encodings[0])
         # The wire timeout is armed only by a hard whole-call deadline:
         # ``timeout`` alone is a soft budget the *server* enforces (and
         # may legitimately over-run to finish an in-flight entry), so it
         # must not cut the connection from the client side.
         io_budget = budget if policy.deadline is not None else None
-        request = self._build_request(envelope, header_fields, policy, budget)
-        trigger = None
-        if hedge is not None:
-            self._hedge_budget_for(hedge).note_call()
-            trigger = hedge_trigger(hedge, rollup, budget)
-        if trigger is None:
-            return self._measured_send(request, io_budget, rollup)
-        return self._hedged_send(
-            request, io_budget, trigger, policy, envelope, header_fields,
-            deadline, rollup,
-        )
+        return HttpRequest("POST", self.path, headers, body), budget, io_budget
 
-    def _build_request(
-        self,
-        envelope: Envelope,
-        header_fields: dict,
-        policy: CallPolicy,
-        budget: float | None,
-    ) -> HttpRequest:
-        if budget is not None and policy.propagate_deadline:
-            # refreshed per attempt: each retry (and each hedge)
-            # re-tells the server how much budget is actually left
-            attach_deadline(envelope, budget)
-        body = envelope.to_bytes()
-        request_headers = Headers(header_fields)
-        coding = self.request_compression
-        if coding is not None and len(body) >= coding.min_size:
-            coded = compress(body, coding.encodings[0], level=coding.level)
-            if len(coded) < len(body):
-                self.metrics.counter("compress.bytes_saved").inc(
-                    len(body) - len(coded)
-                )
-                body = coded
-                request_headers.set("Content-Encoding", coding.encodings[0])
-        return HttpRequest("POST", self.path, request_headers, body)
+    # -- step 4: the wire attempt and the hedge race ----------------------------
 
-    def _measured_send(
-        self,
-        request: HttpRequest,
-        budget: float | None,
-        rollup,
-        *,
-        register_cancel: Callable[[Callable[[], None]], None] | None = None,
-        abandoned: Callable[[], bool] | None = None,
+    def _race(
+        self, call: _Call, request: HttpRequest, io_budget, trigger: float, deadline: Deadline
     ) -> bytes:
-        """One wire attempt, observed into the client rollup.
+        """Race the primary attempt against one speculative hedge.
 
-        ``abandoned``: hedge losers report True once the race is over —
-        their latency (an artifact of abandonment, not the server) is
-        not signal and must not poison the hedge trigger.
+        Each attempt runs in its own thread and posts ``(index, body or
+        exception)`` to one queue.  If nothing arrives within ``trigger``
+        seconds and the hedge budget grants a token, a second attempt
+        with a freshly re-based deadline joins.  The first success wins;
+        every other attempt is abandoned.
         """
-        started = time.perf_counter()
-
-        def observe(fault_class: str | None) -> None:
-            if abandoned is not None and abandoned():
-                return
-            rollup.observe(time.perf_counter() - started, fault_class)
-
+        outcomes: queue.SimpleQueue = queue.SimpleQueue()
+        attempts = [self._launch(outcomes, 0, request, io_budget, call.rollup)]
         try:
-            response = self._timed_send(
-                request, budget, register_cancel=register_cancel
-            )
-        except BaseException as exc:
-            observe(_fault_class_of(exc))
-            raise
-        if response.status in (503, 504):
-            # shed/timed-out server: surface the fault as its
-            # exception so the retry loop can classify it
-            error = self._decode_fault(response)
-            observe(_fault_class_of(error))
-            raise error
-        if response.status not in (200, 500):
-            # 500 carries a SOAP Fault the caller's parse surfaces
-            # properly; anything else is an HTTP-level failure.
-            observe("fatal")
-            response.raise_for_status()
-        observe("fatal" if response.status == 500 else None)
-        return response.body
+            first = outcomes.get(timeout=trigger)
+        except queue.Empty:
+            first = None
+            if self._hedge_budget.try_spend():
+                self.metrics.counter("client.hedges").inc()
+                hedge_request, _, hedge_io = self._rebase(call, deadline)
+                attempts.append(self._launch(outcomes, 1, hedge_request, hedge_io, call.rollup))
+        failures: dict[int, BaseException] = {}
+        winner = None
+        for _ in attempts:
+            index, outcome = first if first is not None else outcomes.get()
+            first = None
+            if not isinstance(outcome, BaseException):
+                winner = index
+                break
+            failures[index] = outcome
+        for index, attempt in enumerate(attempts):
+            if index != winner:
+                attempt.abandon()
+        if winner is None:
+            raise failures[0]
+        if winner == 1:
+            self.metrics.counter("client.hedge_wins").inc()
+        return outcome
 
-    def _timed_send(
-        self,
-        request: HttpRequest,
-        budget: float | None,
-        *,
-        register_cancel: Callable[[Callable[[], None]], None] | None = None,
-    ):
+    def _launch(self, outcomes, index: int, request: HttpRequest, io_budget, rollup) -> _Attempt:
+        """Start one race attempt in its own thread."""
+        attempt = _Attempt()
+
+        def run() -> None:
+            try:
+                outcome = self._measured_send(request, io_budget, rollup, attempt)
+            except BaseException as exc:
+                outcome = exc
+            outcomes.put((index, outcome))
+
+        threading.Thread(target=run, name=f"hedge-{index}", daemon=True).start()
+        return attempt
+
+    def _measured_send(self, request: HttpRequest, budget, rollup, attempt: _Attempt) -> bytes:
+        """One wire attempt, observed into the client rollup — unless
+        the hedge race abandoned it: a loser's latency is an artifact of
+        abandonment, not the server, and must not poison the trigger."""
+        started = time.perf_counter()
+        fault_class = None
+        try:
+            response = self._timed_send(request, budget, attempt)
+            if response.status in (503, 504):
+                # shed/timed-out server: surface the fault as its
+                # exception so the retry step can classify it
+                raise _fault_of(response)
+            if response.status == 500:
+                # 500 carries a SOAP Fault the caller's parse surfaces
+                fault_class = "fatal"
+            elif response.status != 200:
+                response.raise_for_status()
+            return response.body
+        except BaseException as exc:
+            fault_class = _fault_class_of(exc)
+            raise
+        finally:
+            if not attempt.abandoned:
+                rollup.observe(time.perf_counter() - started, fault_class)
+
+    def _timed_send(self, request: HttpRequest, budget, attempt: _Attempt):
         """Send ``request`` with channel I/O bounded to ``budget``.
 
-        ``register_cancel`` hands the caller a handle that abandons the
-        in-flight exchange (closes its connection) — the hedge race uses
-        it to cut losers loose.
+        A pooled connection that was kept alive may have died idle: the
+        send is retried once on another.  ``attempt`` exposes the
+        connection so a hedge race can close it; an abandoned attempt
+        sends nothing more, so a loser never re-sends.
         """
-        if self._pool is None:
-            self.connections_opened += 1
-            connection = HttpConnection(self.transport, self.address)
-            if register_cancel is not None:
-                register_cancel(connection.close)
-            with connection:
-                connection.set_io_timeout(_wire_timeout(budget))
-                return connection.request(request)
-        # pooled: retry once if a kept-alive connection turns out dead
         for retry in (0, 1):
-            connection = self._pool.acquire(self.address)
-            if register_cancel is not None:
-                register_cancel(connection.close)
+            if attempt.abandoned:
+                raise TransportError("attempt abandoned by the hedge race")
+            if self._pool is None:
+                self.connections_opened += 1
+                connection = HttpConnection(self.transport, self.address)
+            else:
+                connection = self._pool.acquire(self.address)
+            attempt.connection = connection
             was_warm = connection.exchanges > 0
-            connection.set_io_timeout(_wire_timeout(budget))
+            connection.set_io_timeout(wire_timeout(budget))
             try:
                 response = connection.request(request)
+                break
             except (HttpError, TransportError):
                 connection.close()
                 if retry or not was_warm:
                     raise
-                continue
+        # detach before the check: abandon() then never closes a
+        # connection this attempt hands back to the pool
+        attempt.connection = None
+        if self._pool is None or attempt.abandoned:
+            connection.close()
+        else:
             connection.set_io_timeout(None)
             self._pool.release(self.address, connection)
-            return response
-        raise HttpError("unreachable")  # pragma: no cover
-
-    def _hedged_send(
-        self,
-        request: HttpRequest,
-        io_budget: float | None,
-        trigger: float,
-        policy: CallPolicy,
-        envelope: Envelope,
-        header_fields: dict,
-        deadline: Deadline,
-        rollup,
-    ) -> bytes:
-        """Race the primary attempt against one speculative hedge.
-
-        The primary runs in a worker thread; if it has not completed
-        within ``trigger`` seconds (the rollup quantile) and the hedge
-        budget grants a token, a second attempt with a freshly rebased
-        deadline joins the race.  First success wins; the loser's
-        connection is closed and its late result discarded.
-        """
-        watcher = CompletionWatcher()
-        race_over = threading.Event()
-        attempts: list[InvocationFuture] = []
-        cancels: list[Callable[[], None]] = []
-
-        def launch(tag: str, req: HttpRequest, attempt_budget: float | None):
-            index = len(attempts)
-            future = InvocationFuture(tag)
-            cancels.append(lambda: None)
-
-            def register_cancel(cancel: Callable[[], None]) -> None:
-                cancels[index] = cancel
-
-            def runner() -> None:
-                try:
-                    future.resolve(
-                        self._measured_send(
-                            req,
-                            attempt_budget,
-                            rollup,
-                            register_cancel=register_cancel,
-                            abandoned=race_over.is_set,
-                        )
-                    )
-                except BaseException as exc:
-                    future.fail(exc)
-
-            attempts.append(future)
-            watcher.watch(future)
-            threading.Thread(
-                target=runner, name=f"hedge-{tag}", daemon=True
-            ).start()
-            return future
-
-        primary = launch("primary", request, io_budget)
-        first = watcher.next_completed(trigger)
-        if first is None and self._hedge_budget_for(None).try_spend():
-            self.metrics.counter("client.hedges").inc()
-            # the hedge's deadline header and I/O timeout are rebased to
-            # what is left NOW, not what the primary started with
-            hedge_budget = policy.attempt_budget(deadline)
-            hedge_request = self._build_request(
-                envelope, header_fields, policy, hedge_budget
-            )
-            launch("hedge", hedge_request,
-                   hedge_budget if policy.deadline is not None else None)
-
-        winner: InvocationFuture | None = None
-        pending = len(attempts)
-        future = first
-        while True:
-            if future is None:
-                future = watcher.next_completed(None)
-                continue
-            pending -= 1
-            if future.exception(timeout=0) is None:
-                winner = future
-                break
-            if pending == 0:
-                break
-            future = watcher.next_completed(None)
-        race_over.set()
-        for index, attempt_future in enumerate(attempts):
-            if attempt_future is not winner:
-                try:
-                    cancels[index]()
-                except Exception:
-                    pass  # abandoning a loser is best-effort
-        if winner is None:
-            raise primary.exception(timeout=0)
-        if len(attempts) > 1 and winner is attempts[1]:
-            self.metrics.counter("client.hedge_wins").inc()
-        return winner.result(timeout=0)
-
-    def _hedge_budget_for(self, hedge: HedgePolicy | None) -> HedgeBudget:
-        """The per-proxy hedge token bucket, created on first armed use
-        (rates come from the first hedge policy seen)."""
-        with self._hedge_lock:
-            bucket = self._hedge_budget
-            if bucket is None:
-                bucket = self._hedge_budget = (
-                    HedgeBudget.for_policy(hedge) if hedge is not None else HedgeBudget()
-                )
-        return bucket
-
-    def _on_retry(self, retry_index: int, error: BaseException, delay: float) -> None:
-        self.metrics.counter("client.retries").inc()
-
-    def _decode_fault(self, response) -> Exception:
-        """The SoapFaultError carried by a 503/504 body (or an HttpError
-        when the body is not a parseable fault envelope)."""
-        try:
-            envelope = Envelope.parse(response.body, server=True)
-            entries = envelope.body_entries
-            if entries and entries[0].tag == FAULT_TAG:
-                return SoapFault.from_element(entries[0]).to_exception()
-        except ReproError:
-            pass
-        return HttpError(
-            f"server returned HTTP {response.status}", status=response.status
-        )
+        return response
 
     def fetch_wsdl(self) -> str:
         """GET this service's generated WSDL from the server."""
-        request = HttpRequest("GET", f"{self.path}?wsdl", Headers({"Host": self._host_header()}))
+        request = HttpRequest("GET", f"{self.path}?wsdl", Headers({"Host": self._headers["Host"]}))
         with HttpConnection(self.transport, self.address) as connection:
             response = connection.request(request)
         response.raise_for_status()
@@ -674,28 +448,3 @@ class ServiceProxy:
 
         method.__name__ = name
         return method
-
-    # -- internals -----------------------------------------------------------------
-
-    def _check_interface(self, operation: str, params: dict[str, Any]) -> None:
-        if self.interface is None:
-            return
-        try:
-            op = self.interface.operation(operation)
-        except Exception:
-            raise InvocationError(
-                f"'{operation}' is not an operation of {self.service_name} "
-                f"(WSDL lists: {', '.join(self.interface.operation_names())})"
-            ) from None
-        expected = set(op.parameter_names())
-        got = set(params)
-        if expected != got:
-            raise InvocationError(
-                f"{self.service_name}.{operation} expects parameters "
-                f"{sorted(expected)}, got {sorted(got)}"
-            )
-
-    def _host_header(self) -> str:
-        if isinstance(self.address, (tuple, list)):
-            return f"{self.address[0]}:{self.address[1]}"
-        return str(self.address)

@@ -5,7 +5,8 @@ data, which are carried by multiple SOAP messages in general model,
 into one SOAP message.  Assemblers exist both on client and server."
 
 * :class:`ClientAssembler` — congregates multiple service request data
-  into one SOAP body, returning the envelope plus one future per call.
+  into one SOAP body; each call's future views one slot of the pack's
+  single :class:`~repro.client.futures.ResultArray`.
 * :class:`ServerAssembler` — a response-side handler that congregates
   the response entries produced by the application stage back into a
   single ``Parallel_Method`` body entry.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.client.futures import InvocationFuture
+from repro.client.futures import InvocationFuture, ResultArray
 from repro.core import packformat
 from repro.obs.trace import span as obs_span
 from repro.server.handlers import Handler, MessageContext
@@ -29,6 +30,7 @@ class ClientAssembler:
 
     def __init__(self, namespace: str) -> None:
         self.namespace = namespace
+        self.results = ResultArray()
         self._entries: list[Element] = []
         self._futures: list[InvocationFuture] = []
 
@@ -53,8 +55,7 @@ class ClientAssembler:
             from repro.core.oneway import mark_one_way
 
             mark_one_way(entry)
-        rid = packformat.request_id(len(self._entries))
-        future = InvocationFuture(operation, request_id=rid)
+        future = self.results.add(operation, packformat.request_id(len(self._entries)))
         self._entries.append(entry)
         self._futures.append(future)
         return future

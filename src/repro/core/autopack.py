@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.client.futures import InvocationFuture
+from repro.client.futures import InvocationFuture, settle
 from repro.client.proxy import ServiceProxy
 from repro.core.batch import PackBatch
 from repro.errors import PackError
@@ -146,25 +146,6 @@ class AutoPacker:
         self.stats.flushes += 1
         self.stats.packed_calls += len(batch)
         pack = PackBatch(self._proxy)
-        inner_futures = []
-        for operation, params, outer in batch:
-            inner = pack.call(operation, **params)
-            inner.add_done_callback(_bridge(outer))
-            inner_futures.append(inner)
-        try:
-            pack.flush()
-        except BaseException as exc:  # pragma: no cover - flush already shields
-            for _, _, outer in batch:
-                if not outer.done():
-                    outer.fail(exc)
-
-
-def _bridge(outer: InvocationFuture):
-    def transfer(inner: InvocationFuture) -> None:
-        error = inner.exception(timeout=0)
-        if error is not None:
-            outer.fail(error)
-        else:
-            outer.resolve(inner.result(timeout=0))
-
-    return transfer
+        for operation, params, _ in batch:
+            pack.call(operation, **params)
+        settle([outer for _, _, outer in batch], pack.send())

@@ -3,7 +3,7 @@
 :class:`PackBatch` is the programming interface the paper's client
 library provides ("the client should use the library provided by
 assembler module", §3.4): collect calls, send them as one SOAP
-message, get futures back.
+message, get futures back — views onto the pack's one result array.
 
 :class:`PackedInvoker` adapts the same machinery to the
 :class:`~repro.client.invoker.Invoker` interface so the benches can
@@ -20,9 +20,10 @@ from repro.client.futures import InvocationFuture
 from repro.client.invoker import Call, Invoker
 from repro.client.proxy import ServiceProxy
 from repro.core.assembler import ClientAssembler
-from repro.core.dispatcher import ClientDispatcher
+from repro.core.dispatcher import pack_results
 from repro.errors import PackError
 from repro.resilience.policy import CallPolicy
+from repro.soap.envelope import Envelope
 
 
 class PackBatch:
@@ -41,7 +42,6 @@ class PackBatch:
         self._proxy = proxy
         self._policy = policy  # None -> the proxy's default at flush time
         self._assembler = ClientAssembler(proxy.namespace)
-        self._dispatcher = ClientDispatcher()
         self._flushed = False
         # (namespace, operation, params) per queued call — the raw
         # material for the pack-level response-cache key.  One-way
@@ -102,34 +102,40 @@ class PackBatch:
         return len(self._assembler)
 
     def flush(self) -> list[InvocationFuture]:
-        """Send the packed message and resolve every queued future."""
+        """Send the packed message and complete every queued future."""
+        self.send()
+        return self._assembler.futures
+
+    def send(self) -> list[Any]:
+        """Send the packed message; returns the pack's result array, one
+        slot per queued call in call order (see
+        :func:`~repro.core.dispatcher.pack_results`).  An assembly or
+        transport failure fills every slot instead of raising."""
         if self._flushed:
             raise PackError("batch already flushed")
         self._flushed = True
-        futures = self._assembler.futures
-        if not futures:
+        assembler = self._assembler
+        if not len(assembler):
             return []
+        futures = assembler.futures
         try:
-            envelope = self._assembler.assemble(
+            envelope = assembler.assemble(
                 headers=[h.copy() for h in self._proxy.extra_headers]
             )
             # one policy covers the whole pack: one deadline header, one
             # retry budget for the single packed exchange
-            response = self._proxy.exchange(
+            body = self._proxy.exchange(
                 envelope,
                 action="Parallel_Method",
                 policy=self._policy,
                 cache_key=self._pack_cache_key(),
                 hedgeable=not self._has_cast,
             )
+            slots = pack_results(Envelope.parse(body, server=True), futures)
         except BaseException as exc:
-            # assembly or transport failure: no future may dangle
-            for future in futures:
-                if not future.done():
-                    future.fail(exc)
-            return futures
-        self._dispatcher.dispatch(response, futures)
-        return futures
+            slots = [exc] * len(futures)
+        assembler.results.fill(slots)
+        return slots
 
     def __enter__(self) -> "PackBatch":
         return self
@@ -138,12 +144,11 @@ class PackBatch:
         # on an exception inside the with-block, fail the queued futures
         # instead of sending a half-built batch
         if exc_type is not None:
-            self._flushed = True
-            for future in self._assembler.futures:
-                if not future.done():
-                    future.fail(
-                        PackError(f"batch abandoned: {exc_type.__name__}: {exc}")
-                    )
+            if not self._flushed:
+                self._flushed = True
+                self._assembler.results.fail(
+                    PackError(f"batch abandoned: {exc_type.__name__}: {exc}")
+                )
             return
         self.flush()
 
@@ -157,11 +162,9 @@ class PackedInvoker(Invoker):
         self.proxy = proxy
         self.policy = policy
 
-    def submit_all(
-        self, calls: list[Call], policy: CallPolicy | None = None
-    ) -> list[InvocationFuture]:
-        """Queue every call into one batch and flush it."""
-        batch = PackBatch(self.proxy, policy=self._effective_policy(policy))
-        futures = [batch.call(c.operation, **dict(c.params)) for c in calls]
-        batch.flush()
-        return futures
+    def run_all(self, calls: list[Call], policy: CallPolicy | None) -> list[Any]:
+        """Queue every call into one batch; its result array."""
+        batch = PackBatch(self.proxy, policy=policy)
+        for call in calls:
+            batch.call(call.operation, **call.params)
+        return batch.send()

@@ -9,22 +9,25 @@ services operations or to different client methods."
   wrapper entry with its M children so the architecture's executor
   (sequential in Fig. 1, application-stage workers in Fig. 2) runs one
   task per packed request.
-* :class:`ClientDispatcher` — extracts the M response entries from the
-  packed response envelope and resolves each call's future, including
-  per-request faults.
+* :func:`pack_results` / :class:`ClientDispatcher` — extracts the M
+  response entries from the packed response envelope into one result
+  array, per-request faults included, and completes the calls' futures
+  from it.
 """
 
 from __future__ import annotations
 
-from repro.client.futures import InvocationFuture
+from repro.client.futures import InvocationFuture, settle
 from repro.core import packformat
+from repro.core.oneway import is_accepted
 from repro.errors import PackError
 from repro.obs.trace import span as obs_span
 from repro.server.handlers import Handler, MessageContext
-from repro.soap.constants import FAULT_TAG
+from repro.soap.constants import FAULT_TAG, REQUEST_ID_ATTR
 from repro.soap.deserializer import parse_rpc_response
 from repro.soap.envelope import Envelope
 from repro.soap.fault import SoapFault
+from repro.xmlcore.tree import Element
 
 
 class ServerDispatcher(Handler):
@@ -49,54 +52,62 @@ class ServerDispatcher(Handler):
         self.unpacked_requests += len(children)
 
 
+_MISSING = object()  # a slot whose requestID has not come back
+
+
+def pack_results(envelope: Envelope, handles: list) -> list:
+    """The pack's result array: one slot per handle, in handle order.
+
+    ``handles`` carry the ``request_id`` (and ``operation``) each slot
+    answers.  One pass over the response children fills a slot with the
+    value, the entry's fault exception, ``None`` for an ``spi:Accepted``
+    ack, or a :class:`PackError` when its requestID never came back.  An
+    envelope-level fault or a malformed pack fills every slot with it.
+    """
+    entry = envelope.first_body_entry()
+    if entry.tag == FAULT_TAG:
+        return [SoapFault.from_element(entry).to_exception()] * len(handles)
+    try:
+        children = packformat.unpack_parallel_method(entry)
+    except PackError as exc:
+        return [exc] * len(handles)
+    index_of = {handle.request_id: index for index, handle in enumerate(handles)}
+    slots: list = [_MISSING] * len(handles)
+    for child in children:
+        index = index_of.get(child.get(REQUEST_ID_ATTR))
+        if index is not None:
+            slots[index] = _slot_of(child)
+    for index, slot in enumerate(slots):
+        if slot is _MISSING:
+            handle = handles[index]
+            slots[index] = PackError(
+                f"packed response is missing requestID "
+                f"'{handle.request_id}' for operation '{handle.operation}'"
+            )
+    return slots
+
+
+def _slot_of(response: Element):
+    if is_accepted(response):
+        return None
+    if response.tag == FAULT_TAG:
+        return SoapFault.from_element(response).to_exception()
+    try:
+        return parse_rpc_response(response).value
+    except Exception as exc:
+        return exc
+
+
 class ClientDispatcher:
     """Routes packed response entries back to their futures."""
 
     def dispatch(self, envelope: Envelope, futures: list[InvocationFuture]) -> None:
-        """Resolve every future from the packed response envelope.
+        """Complete every future from the packed response envelope.
 
         Robust to out-of-order children (correlated by requestID) and to
-        per-request faults.  A missing response fails its future rather
-        than hanging it; an envelope-level fault fails all of them.
+        per-request faults; see :func:`pack_results`.
         """
-        entry = envelope.first_body_entry()
-        if entry.tag == FAULT_TAG:
-            error = SoapFault.from_element(entry).to_exception()
-            for future in futures:
-                if not future.done():
-                    future.fail(error)
-            return
-
-        try:
-            children = packformat.unpack_parallel_method(entry)
-        except PackError as exc:
-            for future in futures:
-                if not future.done():
-                    future.fail(exc)
-            return
-
-        from repro.core.oneway import resolve_if_accepted
-
-        by_id = packformat.correlate(children)
-        for future in futures:
-            response = by_id.get(future.request_id or "")
-            if response is None:
-                future.fail(
-                    PackError(
-                        f"packed response is missing requestID "
-                        f"'{future.request_id}' for operation '{future.operation}'"
-                    )
-                )
-                continue
-            if resolve_if_accepted(future, response):
-                continue
-            if response.tag == FAULT_TAG:
-                future.fail(SoapFault.from_element(response).to_exception())
-                continue
-            try:
-                future.resolve(parse_rpc_response(response).value)
-            except BaseException as exc:
-                future.fail(exc)
+        settle(futures, pack_results(envelope, futures))
 
 
 def spi_server_handlers() -> list[Handler]:

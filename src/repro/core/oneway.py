@@ -19,7 +19,6 @@ mix waited calls (:meth:`~repro.core.batch.PackBatch.call`) and casts
 
 from __future__ import annotations
 
-from repro.client.futures import InvocationFuture
 from repro.soap.constants import REQUEST_ID_ATTR, SPI_NS
 from repro.xmlcore.tree import Element
 
@@ -50,12 +49,3 @@ def accepted_response(entry: Element) -> Element:
 def is_accepted(element: Element) -> bool:
     """True for an spi:Accepted acknowledgement element."""
     return element.tag == ACCEPTED_TAG
-
-
-def resolve_if_accepted(future: InvocationFuture, element: Element) -> bool:
-    """Resolve a one-way future from an Accepted ack; returns True when
-    the element was one."""
-    if not is_accepted(element):
-        return False
-    future.resolve(None)
-    return True

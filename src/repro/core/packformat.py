@@ -82,8 +82,3 @@ def unpack_parallel_method(element: Element) -> list[Element]:
             raise PackError(f"duplicate requestID '{rid}' in Parallel_Method")
         seen.add(rid)
     return entries
-
-
-def correlate(entries: list[Element]) -> dict[str, Element]:
-    """Map requestID → entry (for the client dispatcher)."""
-    return {entry.get(REQUEST_ID_ATTR): entry for entry in entries}  # type: ignore[misc]

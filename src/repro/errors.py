@@ -55,6 +55,19 @@ def fault_class_of(faultcode: str) -> str:
     return row[0] if row is not None else "fatal"
 
 
+# A bare HTTP status (no fault body survived) classifies like the
+# faultcode the endpoint sends it for.
+_STATUS_FAULT_CLASSES: dict[int, str] = {
+    status: cls for cls, status in FAULTCODE_TABLE.values()
+}
+
+
+def fault_class_of_status(status: int | None) -> str:
+    """``shed`` / ``timeout`` / ``fatal`` for an HTTP error status — the
+    one reader of fault class by status (client rollups, trace flags)."""
+    return _STATUS_FAULT_CLASSES.get(status, "fatal")
+
+
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 

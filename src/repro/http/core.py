@@ -34,7 +34,7 @@ from typing import Callable, Iterator
 
 from repro.errors import HttpError
 from repro.http.compression import CompressionPolicy, choose_encoding, compress
-from repro.http.message import Headers, HttpRequest, HttpResponse
+from repro.http.message import Headers, HttpRequest, HttpResponse, encode_head
 from repro.http.parser import MessageParser, chunk_frames
 from repro.obs.trace import (
     TRACE_HTTP_HEADER,
@@ -648,9 +648,7 @@ def chunked_head(response: HttpResponse) -> bytes:
     headers = response.headers.copy()
     headers.remove("Content-Length")
     headers.set("Transfer-Encoding", "chunked")
-    lines = [f"{response.version} {response.status} {response.reason}"]
-    lines.extend(f"{name}: {value}" for name, value in headers.items())
-    return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
+    return encode_head(f"{response.version} {response.status} {response.reason}", headers)
 
 
 def error_response(exc: HttpError) -> HttpResponse:

@@ -134,6 +134,13 @@ def parse_qvalues(value: str | None) -> list[tuple[str, float]]:
     return pairs
 
 
+def encode_head(start_line: str, headers: Headers) -> bytes:
+    """The one HTTP head encoder: start line, header lines, blank line."""
+    lines = [start_line]
+    lines.extend(f"{name}: {value}" for name, value in headers.items())
+    return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
+
+
 @dataclass(slots=True)
 class HttpRequest:
     method: str = "POST"
@@ -146,10 +153,7 @@ class HttpRequest:
         """Serialize head+body with a correct Content-Length."""
         headers = self.headers.copy()
         headers.set("Content-Length", str(len(self.body)))
-        lines = [f"{self.method} {self.path} {self.version}"]
-        lines.extend(f"{name}: {value}" for name, value in headers.items())
-        head = "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
-        return head + self.body
+        return encode_head(f"{self.method} {self.path} {self.version}", headers) + self.body
 
     @property
     def keep_alive(self) -> bool:
@@ -175,10 +179,7 @@ class HttpResponse:
         """Serialize head+body with a correct Content-Length."""
         headers = self.headers.copy()
         headers.set("Content-Length", str(len(self.body)))
-        lines = [f"{self.version} {self.status} {self.reason}"]
-        lines.extend(f"{name}: {value}" for name, value in headers.items())
-        head = "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
-        return head + self.body
+        return encode_head(f"{self.version} {self.status} {self.reason}", headers) + self.body
 
     @property
     def ok(self) -> bool:

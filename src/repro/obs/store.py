@@ -37,6 +37,7 @@ import threading
 from collections import OrderedDict
 from typing import Iterable
 
+from repro.errors import fault_class_of_status
 from repro.obs.sketch import QuantileSketch
 from repro.obs.trace import Span
 
@@ -44,6 +45,9 @@ from repro.obs.trace import Span
 FLAG_FAULT = "fault"
 FLAG_SHED = "shed"
 FLAG_DEADLINE = "deadline"
+
+# an HTTP error status flags its trace by the status's fault class
+_FLAG_OF_CLASS = {"shed": FLAG_SHED, "timeout": FLAG_DEADLINE, "fatal": FLAG_FAULT}
 
 DEFAULT_MAX_TRACES = 256
 DEFAULT_MAX_PENDING = 512
@@ -261,13 +265,8 @@ class SpanStore:
                 # a retry whose spans all joined the record on ingest:
                 # only its status and the completion itself are new
                 pending = _Pending()
-            if http_status is not None:
-                if http_status == 503:
-                    pending.flags.add(FLAG_SHED)
-                elif http_status == 504:
-                    pending.flags.add(FLAG_DEADLINE)
-                elif http_status >= 400:
-                    pending.flags.add(FLAG_FAULT)
+            if http_status is not None and http_status >= 400:
+                pending.flags.add(_FLAG_OF_CLASS[fault_class_of_status(http_status)])
             self.completed += 1
             if existing is not None:
                 # retry reusing the trace id: merge into the record

@@ -27,6 +27,14 @@ RESILIENCE_NS = "urn:repro:resilience"
 DEADLINE_HEADER_TAG = f"{{{RESILIENCE_NS}}}Deadline"
 REMAINING_MS_ATTR = "remainingMs"
 
+#: Wire-level grace on top of the logical attempt budget.  The server
+#: enforces the propagated deadline itself and answers AT it (rendering
+#: per-entry timeout faults), so the socket timeout must outlive the
+#: budget slightly — a wire timeout equal to the budget would cut the
+#: connection just as the server's deadline fault is being written.
+IO_GRACE_FRACTION = 0.25
+IO_GRACE_FLOOR_S = 0.05
+
 # Budgets below one millisecond still propagate as 1 ms rather than 0:
 # a zero would be indistinguishable from "header absent" on some peers.
 _MIN_REMAINING_MS = 1
@@ -56,6 +64,14 @@ def attach_deadline(envelope: Envelope, remaining_s: float) -> Element:
     header = deadline_header(remaining_s)
     envelope.add_header(header)
     return header
+
+
+def wire_timeout(budget: float | None) -> float | None:
+    """The channel I/O timeout for one attempt with ``budget`` seconds
+    of logical deadline left: the budget plus a grace margin."""
+    if budget is None:
+        return None
+    return budget + max(budget * IO_GRACE_FRACTION, IO_GRACE_FLOOR_S)
 
 
 def extract_deadline(envelope: Envelope) -> Deadline | None:

@@ -16,9 +16,9 @@ futures pack path:
 * ``retries`` — how many times a *retryable* failure may be retried,
   with exponential backoff and full jitter between attempts;
 * ``retryable_faultcodes`` — which SOAP faultcodes are safe to retry
-  (defaults to the taxonomy codes that promise "the work did not run");
-* ``hedging`` — a :class:`~repro.resilience.hedge.HedgePolicy` arming
-  the tail-at-scale speculative second attempt (``False`` disables it).
+  (defaults to the taxonomy codes that promise "the work did not run").
+
+Hedging is a per-proxy behaviour, armed by ``ClientConfig.hedge``.
 
 The retry loop itself is :func:`execute_with_policy`, deterministic
 under an injected ``rng``/``sleep``/``clock`` so the chaos-transport
@@ -39,7 +39,6 @@ from repro.errors import (
     SoapFaultError,
     TransportError,
 )
-from repro.resilience.hedge import HedgePolicy
 
 # Process-wide RNG for backoff jitter; tests inject their own seeded one.
 _JITTER_RNG = random.Random()
@@ -92,23 +91,12 @@ class CallPolicy:
     retryable_faultcodes: frozenset[str] = field(default=RETRYABLE_FAULTCODES)
     retry_transport_errors: bool = True
     propagate_deadline: bool = True
-    hedging: "HedgePolicy | bool" = False
 
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise InvocationError("CallPolicy.retries must be >= 0")
-        if self.hedging is not False and not isinstance(self.hedging, HedgePolicy):
-            raise InvocationError(
-                "CallPolicy.hedging must be False or a HedgePolicy "
-                f"(got {self.hedging!r})"
-            )
         if not 0.0 <= self.jitter <= 1.0:
             raise InvocationError("CallPolicy.jitter must be within [0, 1]")
-
-    @property
-    def hedge_policy(self) -> HedgePolicy | None:
-        """The armed :class:`HedgePolicy`, or None when hedging is off."""
-        return self.hedging if isinstance(self.hedging, HedgePolicy) else None
 
     # -- derived helpers ---------------------------------------------------
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import WsdlError
+from repro.errors import InvocationError, WsdlError
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,6 +49,23 @@ class WsdlService:
     def operation_names(self) -> tuple[str, ...]:
         """Operation names in declaration order."""
         return tuple(op.name for op in self.operations)
+
+    def check_call(self, operation: str, params) -> None:
+        """Raise InvocationError unless ``operation(**params)`` matches
+        this interface: a listed operation, exactly its parameters."""
+        try:
+            op = self.operation(operation)
+        except WsdlError:
+            raise InvocationError(
+                f"'{operation}' is not an operation of {self.name} "
+                f"(WSDL lists: {', '.join(self.operation_names())})"
+            ) from None
+        expected = set(op.parameter_names())
+        if expected != set(params):
+            raise InvocationError(
+                f"{self.name}.{operation} expects parameters "
+                f"{sorted(expected)}, got {sorted(params)}"
+            )
 
     def with_location(self, location: str) -> "WsdlService":
         """Copy of this service bound to a concrete endpoint URL."""

@@ -98,7 +98,7 @@ class TestFigure4:
             proxy = build_proxy(ClientConfig(
                 transport, address, namespace=WEATHER_NS, service_name="GlobalWeather"
             ))
-            response = proxy.exchange(figure4_envelope())
+            response = Envelope.parse(proxy.exchange(figure4_envelope()), server=True)
         results = unpack_parallel_method(response.first_body_entry())
         texts = [r.require("return").text for r in results]
         assert "Beijing" in texts[0]

@@ -8,18 +8,21 @@ known number, and the limiter is occupied by hand where gating is under
 test.
 """
 
+import re
 import threading
 import time
 
 import pytest
 
 from repro.apps.echo import ECHO_NS, ECHO_SERVICE, make_echo_service
+from repro.client.cache import CachePolicy, ResponseCache
 from repro.client.config import ClientConfig, build_proxy
-from repro.client.proxy import CLIENT_ROLLUP_PREFIX, _wire_timeout
+from repro.client.proxy import CLIENT_ROLLUP_PREFIX
 from repro.core.batch import PackBatch
 from repro.core.dispatcher import spi_server_handlers
 from repro.errors import SoapFaultError, TransportError
 from repro.resilience.hedge import HedgePolicy
+from repro.resilience.deadline import wire_timeout
 from repro.resilience.limiter import AdaptiveLimiter
 from repro.resilience.policy import CallPolicy
 from repro.server import ServerConfig, build_server
@@ -32,20 +35,23 @@ STRAGGLE_S = 0.25
 
 
 class _StragglerChannel(Channel):
-    """Delegating channel whose first recv stalls for ``delay_s``."""
+    """Delegating channel whose next recv stalls for ``delay_s`` (0 = no
+    stall); every sendall is recorded on the owning transport."""
 
-    def __init__(self, inner, delay_s):
+    def __init__(self, inner, transport, delay_s):
         self._inner = inner
-        self._delay_s = delay_s
-        self._stalled = False
+        self._transport = transport
+        self.delay_s = delay_s
 
     def sendall(self, data):
+        with self._transport._lock:
+            self._transport.sent.append(bytes(data))
         self._inner.sendall(data)
 
     def recv(self, max_bytes=65536):
-        if not self._stalled:
-            self._stalled = True
-            time.sleep(self._delay_s)
+        delay_s, self.delay_s = self.delay_s, 0.0
+        if delay_s:
+            time.sleep(delay_s)
         return self._inner.recv(max_bytes)
 
     def close(self):
@@ -67,19 +73,19 @@ class StragglerTransport(Transport):
         self.base = base
         self.delay_s = delay_s
         self._straggle = set(straggle)
-        self._connects = 0
+        self.channels = []
+        self.sent = []  # every request put on the wire, in send order
         self._lock = threading.Lock()
 
     def listen(self, address):
         return self.base.listen(address)
 
     def connect(self, address, timeout=None):
-        channel = self.base.connect(address, timeout)
+        inner = self.base.connect(address, timeout)
         with self._lock:
-            index = self._connects
-            self._connects += 1
-        if index in self._straggle:
-            return _StragglerChannel(channel, self.delay_s)
+            stall = self.delay_s if len(self.channels) in self._straggle else 0.0
+            channel = _StragglerChannel(inner, self, stall)
+            self.channels.append(channel)
         return channel
 
 
@@ -98,7 +104,8 @@ def start_echo_server(transport):
 
 
 def make_hedging_proxy(base, address, *, client_transport=None, hedge=None,
-                       limiter=None, policy=None):
+                       limiter=None, policy=None, reuse_connections=False,
+                       response_cache=None):
     return build_proxy(ClientConfig(
         client_transport if client_transport is not None else base,
         address,
@@ -107,7 +114,14 @@ def make_hedging_proxy(base, address, *, client_transport=None, hedge=None,
         hedge=hedge,
         limiter=limiter,
         policy=policy,
+        reuse_connections=reuse_connections,
+        response_cache=response_cache,
     ))
+
+
+def remaining_ms(sent):
+    """The ``<res:Deadline remainingMs>`` each sent request carried."""
+    return [int(re.search(rb'remainingMs="(\d+)"', data).group(1)) for data in sent]
 
 
 def prime_rollup(proxy, operation, latency_s=0.005, samples=32):
@@ -128,7 +142,8 @@ class TestHedgedRequests:
         try:
             wire = StragglerTransport(base)
             proxy = make_hedging_proxy(
-                base, address, client_transport=wire, hedge=FAST_HEDGE
+                base, address, client_transport=wire, hedge=FAST_HEDGE,
+                policy=CallPolicy(deadline=5.0),
             )
             prime_rollup(proxy, "echo")
             started = time.perf_counter()
@@ -139,6 +154,10 @@ class TestHedgedRequests:
             assert proxy.metrics.counter("client.hedges").value == 1
             assert proxy.metrics.counter("client.hedge_wins").value == 1
             assert proxy.connections_opened == 2  # primary + hedge
+            # the hedge re-based the deadline header: it left after the
+            # trigger fired, with less of the whole-call budget
+            primary, hedge = remaining_ms(wire.sent)
+            assert hedge < primary <= 5000
             proxy.close()
         finally:
             server.stop()
@@ -188,6 +207,30 @@ class TestHedgedRequests:
         finally:
             server.stop()
 
+    def test_abandoned_loser_never_resends_on_a_pooled_proxy(self):
+        base = InProcTransport()
+        server, address = start_echo_server(base)
+        try:
+            wire = StragglerTransport(base, straggle=set())
+            proxy = make_hedging_proxy(
+                base, address, client_transport=wire, hedge=FAST_HEDGE,
+                reuse_connections=True,
+            )
+            # a cold rollup never hedges: this call only warms connection 0
+            assert proxy.echo(payload="warm") == "warm"
+            prime_rollup(proxy, "echo")
+            wire.channels[0].delay_s = STRAGGLE_S  # the warm primary stalls
+            sends_before = len(wire.sent)
+            assert proxy.echo(payload="tail") == "tail"
+            assert proxy.metrics.counter("client.hedges").value == 1
+            time.sleep(STRAGGLE_S + 0.1)  # let the abandoned loser wake up
+            # primary + hedge: the loser, its warm connection closed by
+            # the race, must not take the dead-keep-alive re-send branch
+            assert len(wire.sent) - sends_before == 2
+            proxy.close()
+        finally:
+            server.stop()
+
     def test_cast_batches_are_never_hedged(self):
         base = InProcTransport()
         server, address = start_echo_server(base)
@@ -219,7 +262,10 @@ class TestAdaptiveLimiterClient:
         server, address = start_echo_server(base)
         try:
             limiter = AdaptiveLimiter(initial=1.0)
-            proxy = make_hedging_proxy(base, address, limiter=limiter)
+            proxy = make_hedging_proxy(
+                base, address, limiter=limiter,
+                response_cache=ResponseCache(CachePolicy(ttl=None)),
+            )
             assert limiter.try_acquire()  # occupy the single slot
             with pytest.raises(SoapFaultError) as excinfo:
                 proxy.echo(payload="gated")
@@ -229,6 +275,17 @@ class TestAdaptiveLimiterClient:
             assert proxy.connections_opened == 0  # shed before the wire
             limiter.release("success")
             assert proxy.echo(payload="admitted") == "admitted"
+            # the cache step comes before the limiter and outside the
+            # retry loop: a hit with the window full again takes no
+            # slot, opens no connection and counts no retry
+            assert limiter.try_acquire()
+            retrying = CallPolicy(retries=3, backoff_base=0.0, jitter=0.0)
+            assert proxy.call_with_policy("echo", retrying, payload="admitted") == "admitted"
+            assert proxy.response_cache.stats().hits == 1
+            assert proxy.metrics.counter("client.limiter.gated").value == 1
+            assert proxy.connections_opened == 1
+            assert proxy.retries == 0
+            limiter.release("success")
             proxy.close()
         finally:
             server.stop()
@@ -285,7 +342,9 @@ class TestAdaptiveLimiterClient:
                 thread.start()
             gated = proxy.metrics.counter("client.limiter.gated")
             give_up = time.monotonic() + 10
-            while gated.value < len(wave):
+            # every retry attempt re-checks the window, so the gate count
+            # outgrows the wave while the slot stays taken
+            while gated.value < 3 * len(wave):
                 assert time.monotonic() < give_up, "the wave was never gated"
                 time.sleep(0.001)
             assert proxy.connections_opened == 0  # nothing reached the wire
@@ -300,16 +359,17 @@ class TestAdaptiveLimiterClient:
 
 class TestDeadlineRebasedIo:
     def test_wire_timeout_carries_grace_over_the_budget(self):
-        assert _wire_timeout(None) is None
-        assert _wire_timeout(0.1) == pytest.approx(0.15)  # floor-dominated
-        assert _wire_timeout(10.0) == pytest.approx(12.5)  # fraction-dominated
+        assert wire_timeout(None) is None
+        assert wire_timeout(0.1) == pytest.approx(0.15)  # floor-dominated
+        assert wire_timeout(10.0) == pytest.approx(12.5)  # fraction-dominated
 
     def test_hung_server_cannot_eat_the_whole_deadline(self):
         # a listener nobody accepts on: connects succeed, recv hangs
         base = InProcTransport()
         listener = base.listen("hung-server")
         try:
-            proxy = make_hedging_proxy(base, "hung-server")
+            wire = StragglerTransport(base, straggle=set())
+            proxy = make_hedging_proxy(base, "hung-server", client_transport=wire)
             policy = CallPolicy(
                 timeout=0.2, deadline=0.4, retries=5,
                 backoff_base=0.0, jitter=0.0,
@@ -322,6 +382,11 @@ class TestDeadlineRebasedIo:
             # what the whole-call deadline has left — never 6 x 0.2
             assert 0.2 <= elapsed < 1.0
             assert proxy.connections_opened >= 2  # it did rebase and retry
+            # every attempt re-based its <res:Deadline> header on what the
+            # whole-call deadline had left when it was sent
+            sent = remaining_ms(wire.sent)
+            assert sent[0] == 200 and sent[1] < sent[0]
+            assert sent == sorted(sent, reverse=True)
             proxy.close()
         finally:
             listener.close()

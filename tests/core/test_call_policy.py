@@ -66,18 +66,6 @@ class TestCallPolicyValidation:
         with pytest.raises(InvocationError):
             CallPolicy(retries=-1)
 
-    def test_hedging_accepts_policy(self):
-        hedge = HedgePolicy(quantile=0.9, budget_rate=0.02)
-        policy = CallPolicy(hedging=hedge)
-        assert policy.hedge_policy is hedge
-        assert CallPolicy().hedge_policy is None
-
-    def test_hedging_rejects_other_types(self):
-        with pytest.raises(InvocationError, match="hedging"):
-            CallPolicy(hedging="yes")
-        with pytest.raises(InvocationError, match="hedging"):
-            CallPolicy(hedging=True)
-
     def test_hedge_policy_validation(self):
         with pytest.raises(InvocationError, match="quantile"):
             HedgePolicy(quantile=1.0)

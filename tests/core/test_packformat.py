@@ -110,7 +110,21 @@ class TestUnpack:
 
 class TestCorrelate:
     def test_mapping(self):
-        wrapper = packformat.build_parallel_method(weather_requests())
-        mapping = packformat.correlate(wrapper.element_children())
-        assert set(mapping) == {"r0", "r1"}
-        assert mapping["r1"].require("city").text == "Shanghai"
+        """The client's one pass over a packed response puts each child
+        in its request's slot by requestID, whatever the child order."""
+        from repro.core.assembler import ClientAssembler
+        from repro.core.dispatcher import pack_results
+        from repro.soap.envelope import Envelope
+        from repro.soap.serializer import serialize_rpc_response
+
+        assembler = ClientAssembler(WEATHER_NS)
+        handles = [assembler.add_call("GetWeather", {"city": c}) for c in ("Beijing", "Shanghai")]
+        responses = []
+        for rid, value in (("r1", "rain"), ("r0", "sun")):
+            response = serialize_rpc_response(WEATHER_NS, "GetWeather", value)
+            response.set(REQUEST_ID_ATTR, rid)
+            responses.append(response)
+        envelope = Envelope()
+        envelope.add_body(packformat.build_parallel_method(responses, assign_ids=False))
+        reparsed = Envelope.parse(envelope.to_bytes(), server=True)
+        assert pack_results(reparsed, handles) == ["sun", "rain"]

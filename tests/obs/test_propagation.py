@@ -137,7 +137,7 @@ class TestObsOffIsByteIdentical:
                 envelope.add_body(
                     serialize_rpc_request(ECHO_NS, "echo", {"payload": "same"})
                 )
-                bodies[label] = proxy.exchange_raw(envelope, "echo")
+                bodies[label] = proxy.exchange(envelope, "echo")
                 proxy.close()
         assert bodies["off"] == bodies["on"]
 

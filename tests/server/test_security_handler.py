@@ -9,6 +9,7 @@ from repro.core.dispatcher import spi_server_handlers
 from repro.errors import SoapFaultError
 from repro.server.handlers import HandlerChain
 from repro.server.security_handler import SecurityVerifyHandler
+from repro.soap.envelope import Envelope
 from repro.soap.wssecurity import Credentials
 from repro.transport.inproc import InProcTransport
 from repro.server import ServerConfig, build_server
@@ -102,7 +103,7 @@ class TestSecurityEnforcement:
         wrapper = envelope.first_body_entry()
         wrapper.element_children()[0].element_children()[0].children[:] = ["tampered"]
         proxy = proxy_for(transport, address)
-        response = proxy.exchange(envelope)
+        response = Envelope.parse(proxy.exchange(envelope), server=True)
         assert response.first_body_entry().local_name == "Fault"
 
     def test_must_understand_satisfied_by_verifier(self, secured_env):
