@@ -86,12 +86,14 @@ def test_claim_packing_stops_winning_at_100kb():
 def test_claim_message_and_connection_reduction(staged_bed):
     """§4.2: 'the number of TCP connection and SOAP Header is reduced
     from M to one' — counted directly from server statistics."""
-    server = staged_bed.server
-    before_msgs = server.endpoint.stats.soap_messages
-    before_conns = server.http.connections_accepted
+    registry = staged_bed.server.registry
+    before = registry.snapshot()["counters"]
     run_point(staged_bed, PACKED, 16, 10)
-    assert server.endpoint.stats.soap_messages - before_msgs == 1
-    assert server.http.connections_accepted - before_conns == 1
+    after = registry.snapshot()["counters"]
+    assert after["soap.messages"] - before["soap.messages"] == 1
+    assert (
+        after["http.connections.accepted"] - before["http.connections.accepted"] == 1
+    )
 
 
 def test_claim_staged_overlaps_what_common_serialises():

@@ -101,10 +101,10 @@ def test_burst_workload(benchmark, echo_bed, runner):
 
 def test_autopack_fewer_messages_than_serial(benchmark, echo_bed):
     benchmark.group = "claims"
-    server = echo_bed.server
-    before = server.endpoint.stats.soap_messages
+    registry = echo_bed.server.registry
+    before = registry.snapshot()["counters"]["soap.messages"]
     autopack_burst(echo_bed)
-    autopack_messages = server.endpoint.stats.soap_messages - before
+    autopack_messages = registry.snapshot()["counters"]["soap.messages"] - before
     benchmark.extra_info["messages"] = {"serial": M, "autopack": autopack_messages}
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert autopack_messages < M

@@ -53,7 +53,8 @@ def main() -> None:
             print(f"client calls          : {packer.stats.calls}")
             print(f"SOAP messages flushed : {packer.stats.flushes}")
             print(f"mean batch size       : {packer.stats.mean_batch_size:.1f}")
-            print(f"server message count  : {server.endpoint.stats.soap_messages}")
+            messages = server.registry.snapshot()["counters"]["soap.messages"]
+            print(f"server message count  : {messages}")
 
         proxy.close()
 

@@ -21,6 +21,11 @@ from repro.client.config import ClientConfig, build_proxy
 JOBS = 12
 
 
+def soap_messages(server) -> int:
+    """SOAP messages the server has parsed so far."""
+    return server.registry.snapshot()["counters"]["soap.messages"]
+
+
 def monitor_run(transport, address, server, use_packing: bool) -> None:
     label = "packed (SPI)" if use_packing else "serial      "
     proxy = build_proxy(ClientConfig(
@@ -29,13 +34,13 @@ def monitor_run(transport, address, server, use_packing: bool) -> None:
     ))
     monitor = GridMonitor(proxy, use_packing=use_packing)
 
-    before_msgs = server.endpoint.stats.soap_messages
+    before_msgs = soap_messages(server)
     start = time.perf_counter()
     job_ids = monitor.submit_batch([f"render frame {i}" for i in range(JOBS)])
     statuses, poll_messages = monitor.wait_all_done(job_ids, timeout=30)
     results = monitor.fetch_results(job_ids)
     elapsed = (time.perf_counter() - start) * 1e3
-    messages = server.endpoint.stats.soap_messages - before_msgs
+    messages = soap_messages(server) - before_msgs
 
     done = sum(1 for s in statuses if s["state"] == "DONE")
     print(

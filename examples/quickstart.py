@@ -49,10 +49,10 @@ def main() -> None:
             print(future.result())
         print("packed add:", sum_future.result())
 
-        stats = server.stats()
+        metrics = server.registry.snapshot()
         print(
-            f"server saw {stats['endpoint']['soap_messages']} SOAP messages "
-            f"for {stats['container']['entries_executed']} operations"
+            f"server saw {metrics['counters']['soap.messages']} SOAP messages "
+            f"for {metrics['sketches']['soap.pack_degree']['sum']:.0f} operations"
         )
         client.close()
 

@@ -56,7 +56,8 @@ def main() -> None:
         print(f"  reservation id : {results[0]}")
         print(f"  authorization  : {results[1]}")
         print(f"  confirmation   : {results[2]}")
-        print(f"server SOAP messages: {server.endpoint.stats.soap_messages}")
+        messages = server.registry.snapshot()["counters"]["soap.messages"]
+        print(f"server SOAP messages: {messages}")
 
 
 if __name__ == "__main__":

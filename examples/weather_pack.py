@@ -35,11 +35,12 @@ def main() -> None:
         print("executed against the local weather service (ONE SOAP message):")
         print(" ", beijing.result())
         print(" ", shanghai.result())
+        metrics = server.registry.snapshot()
         print(
             "server message count:",
-            server.endpoint.stats.soap_messages,
+            metrics["counters"]["soap.messages"],
             "| operations executed:",
-            server.container.stats.entries_executed,
+            int(metrics["sketches"]["soap.pack_degree"]["sum"]),
         )
         client.close()
 

@@ -139,8 +139,6 @@ HOT_PATH_CLASSES = frozenset(
         "TaskFuture",
         "InvocationFuture",
         "ResultArray",
-        "PoolStats",
-        "StageStats",
         "TraceEvent",
         "StartTag",
         # HTTP engine: allocated per connection / per in-flight request

@@ -2,7 +2,7 @@
 
 Deploys every demo service (echo, weather, the travel trio, the credit
 card service and the SPI plan runner) in one container on real TCP,
-with the SPI pack handlers and pack metrics installed.  Useful for
+with the SPI pack handlers installed.  Useful for
 poking at the stack with a real client::
 
     python -m repro.apps.serve --port 8080
@@ -34,7 +34,7 @@ from repro.core.remote_exec import make_plan_runner_service
 from repro.http.compression import CompressionPolicy
 from repro.obs import Observability, SpanStore
 from repro.server import ServerConfig, build_server
-from repro.server.handlers import HandlerChain, PackMetricsHandler
+from repro.server.handlers import HandlerChain
 from repro.transport.tcp import TcpTransport
 
 
@@ -49,13 +49,12 @@ def build_demo_server(
     compression: bool = False,
     slo_config: dict | None = None,
 ):
-    """Assemble the full demo container with SPI + metrics handlers.
+    """Assemble the full demo container with the SPI handlers.
 
     With an :class:`Observability`, the server records per-phase spans
     and serves ``GET /metrics`` and ``GET /healthz``; when the bundle
     carries a span store, ``GET /traces`` and ``GET /trace/<id>`` serve
-    retained span trees too.  The pack metrics feed its registry so
-    everything lands in one snapshot.
+    retained span trees too.
 
     ``compression`` enables negotiated gzip/deflate response coding for
     clients that send ``Accept-Encoding``; ``slo_config`` (a parsed
@@ -69,10 +68,7 @@ def build_demo_server(
         *[make_airline_service(n, 480 + 70 * i) for i, n in enumerate(AIRLINE_NAMES)],
         *[make_hotel_service(n, 120 + 35 * i) for i, n in enumerate(HOTEL_NAMES)],
     ]
-    metrics = PackMetricsHandler(
-        observability.registry if observability is not None else None
-    )
-    chain = HandlerChain([metrics, *spi_server_handlers()])
+    chain = HandlerChain(spi_server_handlers())
     server = build_server(ServerConfig(
         services=services,
         architecture=architecture,
@@ -86,7 +82,7 @@ def build_demo_server(
         slo_config=slo_config,
     ))
     server.container.deploy(make_plan_runner_service(server.container))
-    return server, metrics
+    return server
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -147,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         else None
     )
     observability = None if args.no_obs else Observability(span_store=store)
-    server, metrics = build_demo_server(
+    server = build_demo_server(
         args.host,
         args.port,
         architecture=args.arch,
@@ -182,7 +178,13 @@ def main(argv: list[str] | None = None) -> int:
         while not stop.wait(timeout=1.0):
             pass
     finally:
-        print("\npack metrics:", metrics.snapshot())
+        snapshot = server.registry.snapshot()
+        counters = snapshot["counters"]
+        print(
+            f"\n{counters['soap.messages']} SOAP messages, "
+            f"{counters['soap.packed_messages']} packed, "
+            f"{snapshot['sketches']['soap.pack_degree']['mean']:.1f} entries per message"
+        )
         server.stop()
     return 0
 

@@ -33,7 +33,7 @@ from repro.http.compression import CompressionPolicy
 from repro.resilience.policy import CallPolicy
 from repro.obs.trace import Observability, Tracer
 from repro.server import ServerConfig, build_server
-from repro.server.handlers import HandlerChain, PackMetricsHandler
+from repro.server.handlers import HandlerChain
 from repro.soap.wssecurity import Credentials, attach_security_header
 from repro.transport.base import Transport
 from repro.transport.inproc import InProcTransport
@@ -127,9 +127,7 @@ def echo_testbed(
     needs a socket profile, i.e. not ``"inproc"``).
 
     ``observability``: threads an obs subsystem through the server
-    (spans, /metrics, /healthz) and installs a
-    :class:`~repro.server.handlers.PackMetricsHandler` feeding its registry,
-    so pack-degree and execute-latency histograms show up in /metrics.
+    (spans, /metrics, /healthz); the server counts into its registry.
 
     ``app_queue_limit`` (staged only): bound on the application stage's
     backlog; entries beyond it shed with ``Server.Busy``.
@@ -139,10 +137,7 @@ def echo_testbed(
     """
     transport = build_transport(profile)
     address = "echo-bench" if profile == "inproc" else ("127.0.0.1", 0)
-    handlers = spi_server_handlers() if spi else []
-    if observability is not None and spi:
-        handlers.insert(0, PackMetricsHandler(observability.registry))
-    chain = HandlerChain(handlers) if handlers else None
+    chain = HandlerChain(spi_server_handlers()) if spi else None
 
     if architecture not in ("common", "staged"):
         raise ReproError(f"unknown architecture '{architecture}'")

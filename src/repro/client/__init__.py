@@ -2,7 +2,6 @@
 
 from repro.client.cache import (
     CachePolicy,
-    ClientCacheStats,
     ResponseCache,
     response_cache_key,
 )
@@ -20,7 +19,6 @@ from repro.client.proxy import ServiceProxy
 __all__ = [
     "CachePolicy",
     "Call",
-    "ClientCacheStats",
     "ClientConfig",
     "InvocationFuture",
     "Invoker",

@@ -25,6 +25,10 @@ Semantics:
   entries and bumps a version counter checked at insert time, so a
   fetch that was in flight across the invalidation cannot re-insert a
   stale body.
+
+Every count is a ``cache.client.*`` counter in one
+:class:`~repro.obs.registry.MetricsRegistry` — the one given, or the
+cache's own.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
+
+from repro.obs.registry import MetricsRegistry
 
 DEFAULT_TTL = 30.0
 DEFAULT_MAX_ENTRIES = 128
@@ -66,23 +72,6 @@ class CachePolicy:
 
 #: Read-mostly default: cache everything for 30 s, 128 entries.
 DEFAULT_CACHE_POLICY = CachePolicy()
-
-
-@dataclass(slots=True)
-class ClientCacheStats:
-    """Point-in-time counters for one cache instance."""
-
-    hits: int = 0
-    misses: int = 0
-    coalesced: int = 0
-    expirations: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 def is_fault_free(body: bytes) -> bool:
@@ -136,16 +125,16 @@ class ResponseCache:
     response body bytes, which are immutable — no aliasing hazards).
     """
 
-    __slots__ = ("policy", "_lock", "_entries", "_inflight", "_version",
-                 "_clock", "_stats", "_hit_counter", "_miss_counter",
-                 "_eviction_counter", "_hit_ratio_gauge")
+    __slots__ = ("policy", "registry", "_lock", "_entries", "_inflight",
+                 "_version", "_clock", "_hits", "_misses", "_coalesced",
+                 "_expirations", "_evictions", "_invalidations")
 
     def __init__(
         self,
         policy: CachePolicy = DEFAULT_CACHE_POLICY,
         *,
         clock: Callable[[], float] = time.monotonic,
-        registry=None,
+        registry: MetricsRegistry | None = None,
     ) -> None:
         self.policy = policy
         self._lock = threading.Lock()
@@ -154,17 +143,13 @@ class ResponseCache:
         self._inflight: dict[tuple, threading.Event] = {}
         self._version = 0
         self._clock = clock
-        self._stats = ClientCacheStats()
-        if registry is not None:
-            self._hit_counter = registry.counter("cache.client.hit")
-            self._miss_counter = registry.counter("cache.client.miss")
-            self._eviction_counter = registry.counter("cache.client.evictions")
-            self._hit_ratio_gauge = registry.gauge("cache.client.hit_ratio")
-        else:
-            self._hit_counter = None
-            self._miss_counter = None
-            self._eviction_counter = None
-            self._hit_ratio_gauge = None
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._hits = self.registry.counter("cache.client.hit")
+        self._misses = self.registry.counter("cache.client.miss")
+        self._coalesced = self.registry.counter("cache.client.coalesced")
+        self._expirations = self.registry.counter("cache.client.expirations")
+        self._evictions = self.registry.counter("cache.client.evictions")
+        self._invalidations = self.registry.counter("cache.client.invalidations")
 
     # -- lookup --------------------------------------------------------
 
@@ -187,9 +172,7 @@ class ResponseCache:
             with self._lock:
                 found = self._lookup_locked(key)
                 if found is not None:
-                    if self._hit_counter is not None:
-                        self._hit_counter.inc()
-                    self._update_ratio_locked()
+                    self._hits.inc()
                     return found[0], True
                 event = self._inflight.get(key)
                 if event is None:
@@ -197,7 +180,7 @@ class ResponseCache:
                     self._inflight[key] = event
                     version = self._version
                     break
-                self._stats.coalesced += 1
+                self._coalesced.inc()
             # Another thread is fetching this key: park, then re-check.
             # If the leader failed we will find no entry and promote
             # ourselves to leader on the next loop.
@@ -209,23 +192,12 @@ class ResponseCache:
             with self._lock:
                 self._inflight.pop(key, None)
             event.set()
-        if self._miss_counter is not None:
-            self._miss_counter.inc()
+        self._misses.inc()
         if validate is None or validate(value):
             with self._lock:
-                self._stats.misses += 1
-                self._update_ratio_locked()
                 if self._version == version:
                     self._store_locked(key, value)
-        else:
-            with self._lock:
-                self._stats.misses += 1
-                self._update_ratio_locked()
         return value, False
-
-    def _update_ratio_locked(self) -> None:
-        if self._hit_ratio_gauge is not None:
-            self._hit_ratio_gauge.set(self._stats.hit_rate)
 
     def _lookup_locked(self, key: tuple) -> tuple[Any] | None:
         entry = self._entries.get(key)
@@ -234,10 +206,9 @@ class ResponseCache:
         expires_at, value = entry
         if expires_at is not None and self._clock() >= expires_at:
             del self._entries[key]
-            self._stats.expirations += 1
+            self._expirations.inc()
             return None
         self._entries.move_to_end(key)
-        self._stats.hits += 1
         return (value,)
 
     def _store_locked(self, key: tuple, value: Any) -> None:
@@ -247,9 +218,7 @@ class ResponseCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.policy.max_entries:
             self._entries.popitem(last=False)
-            self._stats.evictions += 1
-            if self._eviction_counter is not None:
-                self._eviction_counter.inc()
+            self._evictions.inc()
 
     # -- maintenance ---------------------------------------------------
 
@@ -260,7 +229,7 @@ class ResponseCache:
         in-flight fetches from inserting; returns the count dropped."""
         with self._lock:
             self._version += 1
-            self._stats.invalidations += 1
+            self._invalidations.inc()
             if namespace is None and operation is None:
                 dropped = len(self._entries)
                 self._entries.clear()
@@ -274,19 +243,6 @@ class ResponseCache:
             for key in doomed:
                 del self._entries[key]
             return len(doomed)
-
-    def stats(self) -> ClientCacheStats:
-        """A snapshot copy of the counters."""
-        with self._lock:
-            stats = self._stats
-            return ClientCacheStats(
-                stats.hits,
-                stats.misses,
-                stats.coalesced,
-                stats.expirations,
-                stats.evictions,
-                stats.invalidations,
-            )
 
     def __len__(self) -> int:
         with self._lock:

@@ -35,10 +35,6 @@ class ServerDispatcher(Handler):
 
     name = "spi-server-dispatcher"
 
-    def __init__(self) -> None:
-        self.packed_messages = 0
-        self.unpacked_requests = 0
-
     def invoke_request(self, context: MessageContext) -> None:
         entries = context.request_entries
         if len(entries) != 1 or not packformat.is_parallel_method(entries[0]):
@@ -48,8 +44,6 @@ class ServerDispatcher(Handler):
             unpack_span.detail = f"entries={len(children)}"
         context.request_entries = children
         context.packed = True
-        self.packed_messages += 1
-        self.unpacked_requests += len(children)
 
 
 _MISSING = object()  # a slot whose requestID has not come back

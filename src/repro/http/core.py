@@ -9,7 +9,7 @@
   500 on an app exception → content coding → keep-alive decision → wire
   encoding → ``http.send`` span → trace completion), the chunked-
   transfer framing of the HPDC-11 "message chunking" optimization, the
-  connection/request counters behind ``/healthz`` and the canned
+  ``http.*`` instruments behind ``/healthz`` and the canned
   accept-overload 503.
 
 The backends are I/O drivers over these two and differ only in where
@@ -36,6 +36,7 @@ from repro.errors import HttpError
 from repro.http.compression import CompressionPolicy, choose_encoding, compress
 from repro.http.message import Headers, HttpRequest, HttpResponse, encode_head
 from repro.http.parser import MessageParser, chunk_frames
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import (
     TRACE_HTTP_HEADER,
     Observability,
@@ -288,6 +289,10 @@ class HttpServerCore:
     :meth:`_note_connection_opened` / :meth:`_note_connection_closed` /
     :meth:`_note_connection_timed_out` so ``/healthz`` and the
     ``http.connections.*`` metrics agree across backends.
+
+    Every count lives in one :class:`~repro.obs.registry.MetricsRegistry`:
+    ``observability.registry`` when there is one, else ``registry`` when
+    given, else the core's own.
     """
 
     def __init__(
@@ -300,15 +305,18 @@ class HttpServerCore:
         chunk_responses_over: int | None = None,
         chunk_size: int = 8192,
         observability: Observability | None = None,
+        registry: MetricsRegistry | None = None,
         compression: CompressionPolicy | None = None,
         slo_config: dict | None = None,
         idle_timeout: float | None = 30.0,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         """Keywords are :class:`~repro.server.config.ServerConfig` fields
-        of the same names, documented there; ``clock`` is the monotonic
-        source for deadlines and ``http.parse`` marks (``perf_counter``
-        matches the tracer's timebase)."""
+        of the same names, documented there; ``registry`` is where the
+        ``http.*`` instruments live (see the class docstring);
+        ``clock`` is the monotonic source for deadlines and
+        ``http.parse`` marks (``perf_counter`` matches the tracer's
+        timebase)."""
         self._app = app
         self._obs = observability
         self._slo_config = slo_config
@@ -323,11 +331,19 @@ class HttpServerCore:
         self._compression = compression
         self._idle_timeout = idle_timeout
         self._stopping = threading.Event()
-        self.max_concurrent_connections = 0
-        self._current_connections = 0
-        self.connections_accepted = 0
-        self.requests_served = 0
-        self._counter_lock = threading.Lock()
+        if observability is not None:
+            registry = observability.registry
+        elif registry is None:
+            registry = MetricsRegistry()
+        self.registry = registry
+        self._accepted = registry.counter("http.connections.accepted")
+        self._active = registry.gauge("http.connections.active")
+        self._peak = registry.gauge("http.connections.max_active")
+        self._timed_out = registry.counter("http.connections.timed_out")
+        self._requests = registry.counter("http.requests")
+        self._compressed = registry.counter("compress.responses")
+        self._bytes_saved = registry.counter("compress.bytes_saved")
+        self._peak_lock = threading.Lock()
         self._busy_body: tuple[str, bytes] | None = None
 
     # -- lifecycle (subclass responsibility) ----------------------------
@@ -351,29 +367,20 @@ class HttpServerCore:
 
     # -- traffic accounting ---------------------------------------------
 
-    def _note_connection_opened(self) -> int:
-        """Count an accepted connection; returns the active count."""
-        with self._counter_lock:
-            self.connections_accepted += 1
-            self._current_connections += 1
-            if self._current_connections > self.max_concurrent_connections:
-                self.max_concurrent_connections = self._current_connections
-            active = self._current_connections
-        if self._obs is not None:
-            self._obs.registry.gauge("http.connections.active").set(active)
-        return active
+    def _note_connection_opened(self) -> None:
+        """Count an accepted connection and the high-water mark."""
+        self._accepted.inc()
+        self._active.add(1)
+        with self._peak_lock:
+            active = self._active.value
+            if active > self._peak.value:
+                self._peak.set(active)
 
-    def _note_connection_closed(self) -> int:
-        with self._counter_lock:
-            self._current_connections -= 1
-            active = self._current_connections
-        if self._obs is not None:
-            self._obs.registry.gauge("http.connections.active").set(active)
-        return active
+    def _note_connection_closed(self) -> None:
+        self._active.add(-1)
 
     def _note_connection_timed_out(self) -> None:
-        if self._obs is not None:
-            self._obs.registry.counter("http.connections.timed_out").inc()
+        self._timed_out.inc()
 
     # -- request lifecycle ----------------------------------------------
 
@@ -402,7 +409,6 @@ class HttpServerCore:
         obs.tracer.record_span(
             "http.parse", trace_id, started, self._clock(), detail=request.path
         )
-        obs.registry.counter("http.requests").inc()
         return trace_id
 
     def _handle(
@@ -456,8 +462,7 @@ class HttpServerCore:
         ``http.send`` span ends after that and joins the retained
         record late.
         """
-        with self._counter_lock:
-            self.requests_served += 1
+        self._requests.inc()
         self._maybe_compress(request, response)
         close = (
             not request.keep_alive
@@ -512,7 +517,7 @@ class HttpServerCore:
             return HttpResponse(
                 200,
                 Headers({"Content-Type": CONTENT_TYPE}),
-                render_prometheus(self._obs.registry).encode("utf-8"),
+                render_prometheus(self.registry).encode("utf-8"),
             )
         else:
             payload = self._obs.metrics_snapshot()
@@ -554,15 +559,14 @@ class HttpServerCore:
 
     def health_snapshot(self) -> dict:
         """The ``/healthz`` document: liveness plus connection counters."""
-        with self._counter_lock:
-            return {
-                "status": "ok",
-                "uptime_s": round(time.monotonic() - self._started_at, 3),
-                "connections_accepted": self.connections_accepted,
-                "current_connections": self._current_connections,
-                "max_concurrent_connections": self.max_concurrent_connections,
-                "requests_served": self.requests_served,
-            }
+        return {
+            "status": "ok",
+            "uptime_s": round(time.monotonic() - self._started_at, 3),
+            "connections_accepted": self._accepted.value,
+            "current_connections": int(self._active.value),
+            "max_concurrent_connections": int(self._peak.value),
+            "requests_served": self._requests.value,
+        }
 
     # -- response coding ------------------------------------------------
 
@@ -592,10 +596,8 @@ class HttpServerCore:
         response.body = coded
         response.headers.set("Content-Encoding", encoding)
         response.headers.set("Vary", "Accept-Encoding")
-        if self._obs is not None:
-            registry = self._obs.registry
-            registry.counter("compress.responses").inc()
-            registry.counter("compress.bytes_saved").inc(raw_size - len(coded))
+        self._compressed.inc()
+        self._bytes_saved.inc(raw_size - len(coded))
 
     def _response_payloads(
         self, response: HttpResponse, *, close: bool

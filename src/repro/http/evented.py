@@ -57,6 +57,7 @@ from repro.http.core import (
     ResponseSlot,
 )
 from repro.http.message import HttpRequest
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Observability
 from repro.transport.base import Address, Transport
 
@@ -142,6 +143,7 @@ class EventedHttpServer(HttpServerCore):
         chunk_size: int = 8192,
         max_connections: int | None = None,
         observability: Observability | None = None,
+        registry: MetricsRegistry | None = None,
         compression: CompressionPolicy | None = None,
         slo_config: dict | None = None,
         protocol_workers: int = 8,
@@ -168,6 +170,7 @@ class EventedHttpServer(HttpServerCore):
             chunk_responses_over=chunk_responses_over,
             chunk_size=chunk_size,
             observability=observability,
+            registry=registry,
             compression=compression,
             slo_config=slo_config,
             idle_timeout=idle_timeout,
@@ -178,13 +181,13 @@ class EventedHttpServer(HttpServerCore):
         self._protocol_queue_limit = protocol_queue_limit
         self._write_timeout = write_timeout
         self._handler_timeout = handler_timeout
-        self.accept_overload_shed = 0
+        self._accept_shed = self.registry.counter("http.accept_overload.shed")
+        self._loop_lag = self.registry.gauge("http.loop.lag_s")
         self._listen_sock: socket.socket | None = None
         self._selector: selectors.BaseSelector | None = None
         self._loop_thread: threading.Thread | None = None
         self._stage = None
         self._connections: dict[int, _SocketConnection] = {}
-        self._masks: dict[int, int] = {}
         # GIL-atomic handoff: workers append, the loop pops; the wakeup
         # socketpair only exists to interrupt select()
         self._completions: collections.deque[_SocketConnection] = (
@@ -192,7 +195,6 @@ class EventedHttpServer(HttpServerCore):
         )
         self._wakeup_recv: socket.socket | None = None
         self._wakeup_send: socket.socket | None = None
-        self._busy_payload: bytes | None = None
 
     # -- lifecycle ------------------------------------------------------
 
@@ -208,7 +210,7 @@ class EventedHttpServer(HttpServerCore):
         self._stage = Stage(
             "http-handler",
             self._protocol_workers,
-            registry=self._obs.registry if self._obs is not None else None,
+            registry=self.registry,
             max_queue=self._protocol_queue_limit,
         )
         self._wakeup_recv, self._wakeup_send = socket.socketpair()
@@ -244,20 +246,11 @@ class EventedHttpServer(HttpServerCore):
             raise HttpError("server not started")
         return self._listen_sock.getsockname()
 
-    def set_busy_body(self, content_type: str, payload: bytes) -> None:
-        super().set_busy_body(content_type, payload)
-        self._busy_payload = None  # re-render on next shed
-
     # -- the loop -------------------------------------------------------
 
     def _run_loop(self) -> None:
         assert self._selector is not None
         clock = self._clock
-        lag_gauge = open_gauge = None
-        if self._obs is not None:
-            registry = self._obs.registry
-            lag_gauge = registry.gauge("http.loop.lag_s")
-            open_gauge = registry.gauge("http.loop.open_connections")
         last_sweep = clock()
         try:
             while not self._stopping.is_set():
@@ -266,11 +259,11 @@ class EventedHttpServer(HttpServerCore):
                 intended_wake = clock() + timeout
                 events = self._selector.select(timeout)
                 now = clock()
-                if lag_gauge is not None and events:
+                if events:
                     # how late the loop is to ready work: the C10K
                     # health signal (a busy loop shows rising lag long
                     # before connections error out)
-                    lag_gauge.set(max(0.0, now - intended_wake))
+                    self._loop_lag.set(max(0.0, now - intended_wake))
                 for key, mask in events:
                     if key.data == "accept":
                         self._accept_ready(now)
@@ -282,8 +275,6 @@ class EventedHttpServer(HttpServerCore):
                 if now - last_sweep >= SWEEP_INTERVAL_S:
                     last_sweep = now
                     self._sweep_deadlines(now)
-                    if open_gauge is not None:
-                        open_gauge.set(len(self._connections))
         finally:
             self._teardown()
 
@@ -314,24 +305,17 @@ class EventedHttpServer(HttpServerCore):
                 handler_timeout=self._handler_timeout,
             )
             self._connections[sock.fileno()] = conn
-            self._register(conn, selectors.EVENT_READ)
+            self._selector.register(sock, selectors.EVENT_READ, conn)
 
     def _shed_accept(self, sock: socket.socket) -> None:
         """Rung 1: over the connection budget — 503 before parse."""
-        self.accept_overload_shed += 1
-        if self._obs is not None:
-            self._obs.registry.counter("http.accept_overload.shed").inc()
-        if self._busy_payload is None:
-            response = self.make_busy_response(
-                "server busy: connection budget exceeded"
-            )
-            self._busy_payload = b"".join(
-                self._response_payloads(response, close=True)
-            )
+        self._accept_shed.inc()
+        response = self.make_busy_response("server busy: connection budget exceeded")
+        payload = b"".join(self._response_payloads(response, close=True))
         try:
             # best-effort: the canned 503 fits any fresh socket buffer;
             # a peer that vanished just gets the close
-            _send_nonblocking(sock, self._busy_payload)
+            _send_nonblocking(sock, payload)
         except _ConnectionLost:
             pass
         sock.close()
@@ -390,7 +374,7 @@ class EventedHttpServer(HttpServerCore):
         assert self._stage is not None
         try:
             self._stage.submit(
-                self._handle, conn, request, trace_id, deliver, kind="request"
+                self._handle, conn, request, trace_id, deliver
             )
         except PoolSaturatedError:
             # rung 2: the handler stage is the bounded protocol queue
@@ -462,22 +446,17 @@ class EventedHttpServer(HttpServerCore):
             return
         self._update_interest(conn)
 
-    def _register(self, conn: _SocketConnection, mask: int) -> None:
-        assert self._selector is not None
-        self._selector.register(conn.sock, mask, conn)
-        self._masks[conn.sock.fileno()] = mask
-
     def _update_interest(self, conn: _SocketConnection) -> None:
         assert self._selector is not None
-        fileno = conn.sock.fileno()
-        if fileno not in self._connections:
+        if conn.sock.fileno() not in self._connections:
             return
         mask = 0
         if conn.want_read():
             mask |= selectors.EVENT_READ
         if conn.want_write():
             mask |= selectors.EVENT_WRITE
-        current = self._masks.get(fileno, 0)
+        key = self._selector.get_map().get(conn.sock)
+        current = key.events if key is not None else 0
         if mask == current:
             return
         if mask == 0:
@@ -488,7 +467,6 @@ class EventedHttpServer(HttpServerCore):
             self._selector.register(conn.sock, mask, conn)
         else:
             self._selector.modify(conn.sock, mask, conn)
-        self._masks[fileno] = mask
 
     def _sweep_deadlines(self, now: float) -> None:
         expired = [
@@ -504,12 +482,11 @@ class EventedHttpServer(HttpServerCore):
         fileno = conn.sock.fileno()
         if self._connections.pop(fileno, None) is None:
             return
-        if self._masks.pop(fileno, 0):
-            assert self._selector is not None
-            try:
-                self._selector.unregister(conn.sock)
-            except (KeyError, ValueError):
-                pass
+        assert self._selector is not None
+        try:
+            self._selector.unregister(conn.sock)
+        except (KeyError, ValueError):
+            pass  # parked: not registered
         try:
             conn.sock.close()
         except OSError:

@@ -26,6 +26,7 @@ import threading
 from repro.errors import HttpError, TransportError
 from repro.http.compression import CompressionPolicy
 from repro.http.core import App, ConnectionState, HttpServerCore
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Observability
 from repro.transport.base import Address, Channel, Listener, ListenerClosed, Transport
 
@@ -50,6 +51,7 @@ class HttpServer(HttpServerCore):
         chunk_size: int = 8192,
         max_connections: int | None = None,
         observability: Observability | None = None,
+        registry: MetricsRegistry | None = None,
         compression: CompressionPolicy | None = None,
         slo_config: dict | None = None,
         idle_timeout: float | None = 30.0,
@@ -69,6 +71,7 @@ class HttpServer(HttpServerCore):
             chunk_responses_over=chunk_responses_over,
             chunk_size=chunk_size,
             observability=observability,
+            registry=registry,
             compression=compression,
             slo_config=slo_config,
             idle_timeout=idle_timeout,

@@ -4,8 +4,8 @@ The paper's whole argument is about *where* time goes (parse vs.
 dispatch vs. execute vs. serialize); this package is the measurement
 substrate that makes those phases visible end-to-end:
 
-* :mod:`repro.obs.registry` — thread-safe counters/gauges/histograms
-  unified behind one :class:`MetricsRegistry`;
+* :mod:`repro.obs.registry` — thread-safe counters/gauges/sketches
+  behind one :class:`MetricsRegistry`, the one a server counts into;
 * :mod:`repro.obs.trace` — trace ids minted client-side, propagated as
   an HTTP header plus a SOAP header entry (surviving SPI packing), and
   recorded server-side as per-phase spans;
@@ -21,19 +21,13 @@ substrate that makes those phases visible end-to-end:
 * :mod:`repro.obs.slo` — budgets-vs-snapshot checker behind
   ``python -m repro.obs.slo check`` and the CI gate.
 
-Attach one :class:`Observability` to a server (and optionally share its
-tracer with a client proxy) to light everything up; servers without one
-run the seed byte-identical fast path.
+Every server owns a registry.  Attach one :class:`Observability` to a
+server (and optionally share its tracer with a client proxy) to add the
+spans, the span store, the per-target rollups and the admin routes; the
+server then counts into ``observability.registry``.
 """
 
-from repro.obs.registry import (
-    Counter,
-    DEFAULT_BOUNDS,
-    Gauge,
-    Histogram,
-    LATENCY_BOUNDS_S,
-    MetricsRegistry,
-)
+from repro.obs.registry import Counter, Gauge, MetricsRegistry
 from repro.obs.rollup import Ewma, ObsRollup, rollup_key
 from repro.obs.sketch import QuantileSketch
 from repro.obs.store import (
@@ -60,14 +54,11 @@ from repro.obs.timeline import phase_breakdown, render_all, render_spans, render
 
 __all__ = [
     "Counter",
-    "DEFAULT_BOUNDS",
     "Ewma",
     "FLAG_DEADLINE",
     "FLAG_FAULT",
     "FLAG_SHED",
     "Gauge",
-    "Histogram",
-    "LATENCY_BOUNDS_S",
     "MetricsRegistry",
     "NULL_SPAN",
     "OBS_NS",

@@ -6,10 +6,6 @@ server can sit behind a stock Prometheus without an exporter sidecar:
 
 * counters  → ``# TYPE name counter`` + the cumulative value
 * gauges    → ``# TYPE name gauge`` + the current value
-* histograms → cumulative ``name_bucket{le="..."}`` series (per the
-  Prometheus convention each bucket includes everything below it, and
-  the ``le="+Inf"`` bucket equals ``name_count``) plus ``name_sum``
-  and ``name_count``
 * quantile sketches → ``# TYPE name summary``: one
   ``name{quantile="0.5"}``-style line per pre-rendered quantile, plus
   ``name_sum`` and ``name_count`` (summaries are the Prometheus type
@@ -28,7 +24,7 @@ from __future__ import annotations
 
 import re
 
-from repro.obs.registry import MetricsRegistry, _bound_label
+from repro.obs.registry import MetricsRegistry
 
 #: rollup snapshot field -> (exposition metric suffix, TYPE)
 _ROLLUP_SERIES = (
@@ -80,19 +76,6 @@ def render_prometheus(registry: MetricsRegistry) -> str:
         metric = sanitize_name(name)
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_format_value(value)}")
-    for name, summary in snapshot["histograms"].items():
-        metric = sanitize_name(name)
-        lines.append(f"# TYPE {metric} histogram")
-        counts = list(summary["buckets"].values())  # per-bucket, overflow last
-        cumulative = 0
-        for bound, count in zip(summary["bounds"], counts):
-            cumulative += count
-            lines.append(
-                f'{metric}_bucket{{le="{_bound_label(bound)}"}} {cumulative}'
-            )
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {summary["total"]}')
-        lines.append(f"{metric}_sum {repr(float(summary['sum']))}")
-        lines.append(f"{metric}_count {summary['total']}")
     for name, sketch in snapshot["sketches"].items():
         metric = sanitize_name(name)
         lines.append(f"# TYPE {metric} summary")

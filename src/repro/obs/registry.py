@@ -1,52 +1,27 @@
-"""Unified metrics primitives: counters, gauges, histograms, registry.
+"""The one metrics model: counters, gauges, quantile sketches, rollups.
 
-Before this module existed the repo grew two independent fixed-bucket
-histogram implementations (one beside the pack-metrics handler and the
-mean/max accounting inside ``repro.server.stage.StageStats``) and a
-scatter of ad-hoc counter attributes guarded by per-object locks.  The
-:class:`MetricsRegistry` absorbs them: every layer that wants a metric
-asks the registry for a named instrument, and the admin ``/metrics``
-route renders one coherent snapshot of the whole process.
+Every layer of a server counts into one :class:`MetricsRegistry` —
+the HTTP drivers, the SOAP endpoint, the service container and the
+application stage — and the admin ``/metrics`` route renders one
+snapshot of it.  A component binds its instruments once, at
+construction; nothing on the request path looks a name up.  Each fact
+is counted once: there is no second, private bookkeeping object beside
+the registry.
 
 Instruments are cheap, thread-safe, and dependency-free, so they can
-live on the request hot path.  ``server.handlers.PackMetricsHandler``
-and ``server.stage`` take their :class:`Histogram` from here.
+live on the request hot path.  :class:`~repro.obs.sketch.QuantileSketch`
+is the one distribution instrument (latencies, entries per message).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_left
 from collections import deque
 from typing import Any, Callable
 
 from repro.obs.rollup import DEFAULT_HALF_LIFE_S, ObsRollup, rollup_key
 from repro.obs.sketch import QuantileSketch
-
-# Pack-degree style bounds: entries carried per message (Figure 5-7 M sweep).
-DEFAULT_BOUNDS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
-
-# Stage/phase latency bounds in *seconds*: sub-millisecond parse phases up
-# to multi-second packed executions.  Floats, unlike the original
-# pack-count integer bounds.
-LATENCY_BOUNDS_S: tuple[float, ...] = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-    0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
-)
-
-
-def _bound_label(bound: float) -> str:
-    """Render ``1`` as ``1`` and ``0.005`` as ``0.005`` (no trailing .0).
-
-    Always positional notation: ``%g`` would render 1e-05 in scientific
-    form, and a ``le="1e-05"`` label sorts *after* ``le="0.00025"`` in
-    any string-ordered exposition diff, making the bucket series look
-    non-monotonic.  Fixed-point keeps the rendered series in the same
-    order as the numeric bounds.
-    """
-    text = f"{bound:.12f}".rstrip("0").rstrip(".")
-    return text if text else "0"
 
 
 class Counter:
@@ -126,84 +101,16 @@ class Gauge:
         return self.value
 
 
-class Histogram:
-    """Fixed-bucket counting histogram (bucket upper bounds inclusive).
-
-    Bounds may be floats (stage latencies are sub-second floats) and the
-    bucket lookup is a :func:`bisect.bisect_left` over the sorted bounds
-    rather than a linear scan, so wide latency histograms cost the same
-    as narrow pack-degree ones.  ``record`` is thread-safe.
-    """
-
-    __slots__ = ("name", "bounds", "counts", "overflow", "total", "sum", "_lock")
-
-    def __init__(
-        self, bounds: tuple[float, ...] = DEFAULT_BOUNDS, *, name: str = ""
-    ) -> None:
-        if not bounds or any(b > c for b, c in zip(bounds, bounds[1:])):
-            raise ValueError(f"histogram bounds must be non-empty and sorted: {bounds!r}")
-        self.name = name
-        self.bounds = tuple(bounds)
-        self.counts = [0] * len(bounds)
-        self.overflow = 0
-        self.total = 0
-        self.sum = 0.0
-        self._lock = threading.Lock()
-
-    def record(self, value: float) -> None:
-        """Count one observation into its bucket."""
-        index = bisect_left(self.bounds, value)
-        with self._lock:
-            self.total += 1
-            self.sum += value
-            if index < len(self.counts):
-                self.counts[index] += 1
-            else:
-                self.overflow += 1
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.total if self.total else 0.0
-
-    def snapshot(self) -> dict:
-        """Total/mean/sum/bucket counts as a plain dict.
-
-        ``bounds`` (the numeric bucket upper bounds, in order) rides
-        along so renderers that need cumulative buckets — the
-        Prometheus exposition — can rebuild them without reaching into
-        instrument internals.
-        """
-        with self._lock:
-            counts = list(self.counts)
-            overflow = self.overflow
-            total = self.total
-            total_sum = self.sum
-            mean = self.mean
-        buckets = {
-            f"<={_bound_label(bound)}": count
-            for bound, count in zip(self.bounds, counts)
-        }
-        buckets[f">{_bound_label(self.bounds[-1])}"] = overflow
-        return {
-            "total": total,
-            "mean": mean,
-            "sum": total_sum,
-            "buckets": buckets,
-            "bounds": list(self.bounds),
-        }
-
-
 class MetricsRegistry:
     """Named instruments, created on first use, snapshot as one dict.
 
     ``registry.counter("http.requests")`` returns the same
-    :class:`Counter` from every thread; histogram ``bounds`` apply only
-    on first creation.  Beyond the three classic instrument kinds the
-    registry also hosts
+    :class:`Counter` from every thread.  Beside counters and gauges the
+    registry hosts
 
     * :class:`~repro.obs.sketch.QuantileSketch` instruments
       (``registry.sketch(name)``) — the log-bucketed quantile store
-      phase/stage/call latencies record into;
+      phase/stage/call latencies and pack degrees record into;
     * :class:`~repro.obs.rollup.ObsRollup` tables
       (``registry.rollup(service, operation)``) — per-target latency
       EWMA + error-rate EWMAs + in-flight gauge, the feed for hedging
@@ -216,7 +123,6 @@ class MetricsRegistry:
     def __init__(self, *, clock: Callable[[], float] = time.monotonic) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
         self._sketches: dict[str, QuantileSketch] = {}
         self._rollups: dict[tuple[str, str], ObsRollup] = {}
         self._clock = clock
@@ -236,16 +142,6 @@ class MetricsRegistry:
             instrument = self._gauges.get(name)
             if instrument is None:
                 instrument = self._gauges[name] = Gauge(name)
-        return instrument
-
-    def histogram(
-        self, name: str, bounds: tuple[float, ...] = DEFAULT_BOUNDS
-    ) -> Histogram:
-        """Get or create the histogram ``name`` (bounds fixed at creation)."""
-        with self._lock:
-            instrument = self._histograms.get(name)
-            if instrument is None:
-                instrument = self._histograms[name] = Histogram(bounds, name=name)
         return instrument
 
     def sketch(
@@ -299,15 +195,11 @@ class MetricsRegistry:
         with self._lock:
             counters = dict(self._counters)
             gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
             sketches = dict(self._sketches)
             rollups = dict(self._rollups)
         return {
             "counters": {name: counters[name].snapshot() for name in sorted(counters)},
             "gauges": {name: gauges[name].snapshot() for name in sorted(gauges)},
-            "histograms": {
-                name: histograms[name].snapshot() for name in sorted(histograms)
-            },
             "sketches": {
                 name: sketches[name].snapshot() for name in sorted(sketches)
             },

@@ -232,9 +232,9 @@ class ObsRollup:
     ) -> None:
         """:meth:`done` + :meth:`observe` as one event.
 
-        The per-entry hot path in ``ServiceContainer.execute_entry``
-        pairs every ``begin`` with a completion; carrying the in-flight
-        decrement on the observation event halves its event traffic.
+        The per-entry hot path in ``SoapServer._run`` pairs every
+        ``begin`` with a completion; carrying the in-flight decrement on
+        the observation event halves its event traffic.
         """
         self._push((-1, elapsed_s, fault_class, self._clock()))
 

@@ -1,11 +1,11 @@
 """Streaming quantile sketch: log-bucketed, mergeable, bounded error.
 
-The fixed-bucket :class:`~repro.obs.registry.Histogram` answers "how
-many observations fell under 5 ms" but cannot answer "what is p99 to
-within 1%" — the question every adaptive feature (hedged requests,
-AIMD concurrency, SLO gates) actually asks.  This module is a
-dependency-free DDSketch-style sketch (Masson, Rim & Lee, VLDB'19):
-values map to geometrically-spaced buckets ``index = ceil(log_gamma
+A fixed-bucket histogram answers "how many observations fell under
+5 ms" but cannot answer "what is p99 to within 1%" — the question every
+adaptive feature (hedged requests, AIMD concurrency, SLO gates)
+actually asks.  This module is the registry's one distribution
+instrument, a dependency-free DDSketch-style sketch (Masson, Rim & Lee,
+VLDB'19): values map to geometrically-spaced buckets ``index = ceil(log_gamma
 v)`` with ``gamma = (1 + alpha) / (1 - alpha)``, which guarantees any
 reported quantile ``q_hat`` satisfies ``|q_hat - q_true| <= alpha *
 q_true`` — a *relative* error bound that holds identically at 100 µs
@@ -24,10 +24,6 @@ Properties the telemetry plane leans on:
   the ``log`` + bucket upsert is amortized into readers via deferred
   folding, and the memory footprint is ~``max_buckets`` ints plus at
   most ``MAX_PENDING`` pending floats per concurrent writer.
-
-``QuantileSketch`` intentionally speaks the same ``record``/``sum``/
-``mean`` vocabulary as :class:`Histogram` so call sites (StageStats,
-the tracer) swap over without adapters.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ A *span* is one timed phase of a trace (``http.parse``,
 entry, ``spi.pack``, ``soap.serialize``, ``http.send``, and
 ``client.call`` on the client).  Spans are recorded into a bounded ring
 on the :class:`Tracer` and their durations feed ``span.<name>.seconds``
-histograms in the attached
+quantile sketches in the attached
 :class:`~repro.obs.registry.MetricsRegistry`, which is how per-phase
 latency shows up under ``/metrics``.
 

@@ -23,6 +23,7 @@ from typing import Any, Callable, Sequence
 
 from repro.http.compression import CompressionPolicy
 from repro.http.core import HttpServerCore
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Observability
 from repro.transport.base import Address, Transport
 
@@ -95,8 +96,11 @@ def build_server(config: ServerConfig):
     return SoapServer(config)
 
 
-def build_http_server(app: Callable, config: ServerConfig) -> HttpServerCore:
-    """The HTTP layer for ``config``.
+def build_http_server(
+    app: Callable, config: ServerConfig, *, registry: MetricsRegistry | None = None
+) -> HttpServerCore:
+    """The HTTP layer for ``config``, counting into ``registry`` (by
+    default ``config.observability``'s, else its own).
 
     Picks the backend class, and on the evented path installs the SOAP
     ``Server.Busy`` body for accept-overload 503s (the http layer
@@ -112,6 +116,7 @@ def build_http_server(app: Callable, config: ServerConfig) -> HttpServerCore:
         chunk_size=config.chunk_size,
         max_connections=config.max_connections,
         observability=config.observability,
+        registry=registry,
         compression=config.compression,
         slo_config=config.slo_config,
         idle_timeout=config.idle_timeout,

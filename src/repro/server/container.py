@@ -11,10 +11,8 @@ siblings.
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import asdict, dataclass, field
 
-from repro.errors import ServiceError, fault_class_of
+from repro.errors import ServiceError
 from repro.obs.registry import MetricsRegistry
 from repro.soap.constants import REQUEST_ID_ATTR
 from repro.soap.deserializer import OperationMatcher, parse_rpc_request
@@ -38,17 +36,6 @@ def entry_fault(entry: Element, fault: SoapFault) -> Element:
     return element
 
 
-@dataclass(slots=True)
-class ContainerStats:
-    entries_executed: int = 0
-    faults: int = 0
-    by_service: dict[str, int] = field(default_factory=dict)
-
-    def snapshot(self) -> dict:
-        """Counters as a plain dict."""
-        return asdict(self)
-
-
 class ServiceContainer:
     """All services deployed in one server process.
 
@@ -62,22 +49,13 @@ class ServiceContainer:
         *,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        """``registry``: when given, every executed entry additionally
-        feeds the per-``(namespace, operation)``
-        :class:`~repro.obs.rollup.ObsRollup` — latency EWMA, error-rate
-        EWMAs by fault class, in-flight gauge — which is what
-        ``registry.rollup(ns, op)`` consumers (hedging thresholds, the
-        live ``/slo`` gate) read."""
+        """``registry``: where ``container.faults`` counts entries whose
+        execution faulted (the container's own when none is given)."""
         self._services: dict[str, ServiceDefinition] = {}
         self._matcher = OperationMatcher()
-        self._registry = registry
-        # (namespace, operation) -> ObsRollup, written only on first
-        # sight of a target.  Reads go through dict.get, which is
-        # atomic under the GIL, so the per-entry hot path skips the
-        # registry lock entirely once a target is warm.
-        self._rollups: dict[tuple[str, str], object] = {}
         self._lock = threading.Lock()
-        self.stats = ContainerStats()
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._faults = self.registry.counter("container.faults")
         for service in services or []:
             self.deploy(service)
 
@@ -111,15 +89,6 @@ class ServiceContainer:
     def matcher(self) -> OperationMatcher:
         return self._matcher
 
-    def _rollup_for(self, namespace: str, operation: str):
-        """The target's rollup, via a lock-free warm-path cache."""
-        key = (namespace, operation)
-        rollup = self._rollups.get(key)
-        if rollup is None:
-            rollup = self._registry.rollup(namespace, operation)
-            self._rollups[key] = rollup
-        return rollup
-
     def execute_entry(self, entry: Element) -> Element:
         """Decode, dispatch and execute one request entry.
 
@@ -129,39 +98,18 @@ class ServiceContainer:
         can correlate it.
         """
         request_id = entry.get(REQUEST_ID_ATTR)
-        target = entry.qname  # the entry's tag, split once
-        rollup = None
-        if self._registry is not None:
-            rollup = self._rollup_for(target.uri, target.local)
-            rollup.begin()
-        fault_class: str | None = None
-        start = time.perf_counter()
         try:
             service = self._matcher.match(entry)
             if service is None:
-                raise ClientFaultCause(f"no such operation '{target.local}'")
+                raise ClientFaultCause(f"no such operation '{entry.local_name}'")
             request = parse_rpc_request(entry)
             result = service.invoke(request.operation, request.params)
             response = serialize_rpc_response(
                 request.namespace, request.operation, result
             )
-            failed = False
         except BaseException as exc:
-            fault = SoapFault.from_exception(exc)
-            response = fault.to_element()
-            fault_class = fault_class_of(fault.faultcode)
-            failed = True
-        elapsed = time.perf_counter() - start
-        if rollup is not None:
-            rollup.complete(elapsed, fault_class)
-
+            self._faults.inc()
+            response = SoapFault.from_exception(exc).to_element()
         if request_id is not None:
             response.set(REQUEST_ID_ATTR, request_id)
-        with self._lock:
-            self.stats.entries_executed += 1
-            if failed:
-                self.stats.faults += 1
-            else:
-                key = target.uri
-                self.stats.by_service[key] = self.stats.by_service.get(key, 0) + 1
         return response

@@ -11,16 +11,21 @@ Turns an :class:`HttpRequest` into an :class:`HttpResponse`:
 
 GET requests with a ``wsdl`` query string serve generated WSDL, as
 Axis does.
+
+The endpoint counts per message, into its container's registry:
+``soap.messages`` (envelopes parsed), ``soap.faults`` (whole-message
+faults), ``soap.wsdl_requests``, ``soap.packed_messages`` and the
+``soap.pack_degree`` sketch — entries per message, whose mean is the
+amortization SPI exists to raise above 1.0 and whose sum is the
+entries handed to the executor.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import Callable
 
 from repro.errors import FAULTCODE_TABLE, ReproError, fault_class_of
 from repro.http.message import Headers, HttpRequest, HttpResponse
-from repro.obs.registry import DEFAULT_BOUNDS
 from repro.obs.store import FLAG_DEADLINE, FLAG_FAULT, FLAG_SHED
 from repro.obs.trace import (
     TRACE_HEADER_TAG,
@@ -60,18 +65,6 @@ FAULTCODE_HTTP_STATUS = {
 _FAULT_CLASS_FLAGS = {"shed": FLAG_SHED, "timeout": FLAG_DEADLINE}
 
 
-@dataclass(slots=True)
-class EndpointStats:
-    http_requests: int = 0
-    soap_messages: int = 0
-    envelope_faults: int = 0
-    wsdl_requests: int = 0
-
-    def snapshot(self) -> dict:
-        """Counters as a plain dict."""
-        return asdict(self)
-
-
 class SoapEndpoint:
     """HTTP app implementing the SOAP binding over a ServiceContainer."""
 
@@ -86,13 +79,17 @@ class SoapEndpoint:
         self.container = container
         self.chain = chain if chain is not None else HandlerChain()
         self._executor = executor
-        self.stats = EndpointStats()
         self._obs = observability
+        registry = container.registry
+        self._messages = registry.counter("soap.messages")
+        self._faults = registry.counter("soap.faults")
+        self._wsdl_requests = registry.counter("soap.wsdl_requests")
+        self._packed = registry.counter("soap.packed_messages")
+        self._pack_degree = registry.sketch("soap.pack_degree")
 
     # -- HTTP entry point ---------------------------------------------------
 
     def __call__(self, request: HttpRequest) -> HttpResponse:
-        self.stats.http_requests += 1
         if request.method == "GET":
             return self._handle_get(request)
         if request.method != "POST":
@@ -107,7 +104,7 @@ class SoapEndpoint:
             return self._services_index()
         if query.lower() != "wsdl":
             return HttpResponse(404, body=b"only ?wsdl GETs and /services are served")
-        self.stats.wsdl_requests += 1
+        self._wsdl_requests.inc()
         wanted = path.rstrip("/").rsplit("/", 1)[-1]
         for service in self.container.services():
             if service.name == wanted:
@@ -116,7 +113,7 @@ class SoapEndpoint:
                 except ReproError as exc:
                     # a WSDL generation failure must not escape as an
                     # unclassified 500 (fault-flow-escape invariant)
-                    self.stats.envelope_faults += 1
+                    self._faults.inc()
                     return HttpResponse(
                         500, body=f"WSDL generation failed: {exc}".encode()
                     )
@@ -153,10 +150,10 @@ class SoapEndpoint:
                 # before anything downstream sees the body
                 envelope.body_entries = resolve_multirefs(envelope.body_entries)
         except ReproError as exc:
-            self.stats.envelope_faults += 1
+            self._faults.inc()
             fault = SoapFault(FAULT_CLIENT, f"unparseable SOAP message: {exc}")
             return self._fault_response(fault, status=400)
-        self.stats.soap_messages += 1
+        self._messages.inc()
         if self._obs is not None:
             self._adopt_soap_trace(envelope)
 
@@ -168,16 +165,15 @@ class SoapEndpoint:
         try:
             self.chain.run_request(context)
         except ReproError as exc:
-            self.stats.envelope_faults += 1
+            self._faults.inc()
             return self._fault_response(SoapFault.from_exception(exc), status=500)
-        if self._obs is not None:
-            self._obs.registry.histogram("soap.pack_degree", DEFAULT_BOUNDS).record(
-                len(context.request_entries)
-            )
+        self._pack_degree.record(len(context.request_entries))
+        if context.packed:
+            self._packed.inc()
 
         missed = envelope.unprocessed_must_understand(context.understood_headers)
         if missed:
-            self.stats.envelope_faults += 1
+            self._faults.inc()
             fault = SoapFault(
                 FAULT_MUST_UNDERSTAND,
                 f"mustUnderstand header <{missed[0].tag}> was not processed",
@@ -202,7 +198,7 @@ class SoapEndpoint:
                 body = response_envelope.to_bytes()
                 serialize_span.detail = f"{len(body)}B"
         except ReproError as exc:
-            self.stats.envelope_faults += 1
+            self._faults.inc()
             return self._fault_response(SoapFault.from_exception(exc), status=500)
 
         status = 200
@@ -213,7 +209,7 @@ class SoapEndpoint:
         ):
             code = fault_code_of(context.response_entries[0]) or ""
             status = FAULTCODE_HTTP_STATUS.get(code, 500)
-            self.stats.envelope_faults += 1
+            self._faults.inc()
         return HttpResponse(
             status, Headers({"Content-Type": SOAP_CONTENT_TYPE}), body
         )

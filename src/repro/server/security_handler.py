@@ -18,8 +18,6 @@ from repro.obs.trace import span as obs_span
 from repro.server.handlers import Handler, MessageContext
 from repro.soap.wssecurity import DEFAULT_FRESHNESS, SECURITY_TAG, verify_security_header
 
-AUTHENTICATED_USER_PROPERTY = "wss.username"
-
 
 class SecurityVerifyHandler(Handler):
     """Rejects messages whose wsse:Security header does not verify.
@@ -56,14 +54,13 @@ class SecurityVerifyHandler(Handler):
             return
         try:
             with obs_span("security.verify"):
-                username = verify_security_header(
+                verify_security_header(
                     envelope, self._lookup_secret, freshness=self._freshness
                 )
         except SecurityError:
             with self._lock:
                 self.rejected += 1
             raise
-        context.properties[AUTHENTICATED_USER_PROPERTY] = username
         context.understood_headers.add(SECURITY_TAG)
         with self._lock:
             self.verified += 1

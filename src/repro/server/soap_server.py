@@ -27,38 +27,39 @@ message has been parsed: *which thread runs its entries*.
 :meth:`SoapServer._execute` is that decision and nothing else; what
 happens to an entry whose deadline has passed, or whose sender does not
 want the result, is the same under both.
+
+The server owns one :class:`~repro.obs.registry.MetricsRegistry`
+(``observability.registry`` when there is one) and hands it to every
+layer it builds: the HTTP driver, the endpoint, the container and the
+application stage all count into it.  The per-target rollups stay
+behind ``observability``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import time
 from typing import Iterator
 
 from repro.errors import fault_class_of
 from repro.obs import trace as obs_trace
+from repro.obs.registry import MetricsRegistry
 from repro.server.config import ServerConfig, build_http_server
 from repro.server.container import ServiceContainer, entry_fault
 from repro.server.endpoint import SoapEndpoint
 from repro.server.handlers import MessageContext
 from repro.server.stage import Stage
 from repro.server.threadpool import CompletionLatch
-from repro.soap.fault import SoapFault, busy_fault, timeout_fault
+from repro.soap.fault import SoapFault, busy_fault, fault_code_of, timeout_fault
 from repro.transport.base import Address
 from repro.transport.tcp import TcpTransport
 from repro.xmlcore.tree import Element
 
 EXECUTION_TIMEOUT = 120.0
 
-# what an entry answered without executing adds to, by fault class
-_SKIP_COUNTERS = {
-    "timeout": "resilience.deadline_expired",
-    "shed": "resilience.shed",
-}
-
-# the application stage's per-kind counts: entries the caller waits
-# for, and one-way entries it does not
-_AWAITED = "service-execution"
-_DETACHED = "one-way-execution"
+# a staged entry the caller waits for, and a one-way entry it does not
+_AWAITED = "awaited"
+_DETACHED = "one-way"
 
 
 class SoapServer:
@@ -71,7 +72,19 @@ class SoapServer:
         self.architecture = config.architecture
         observability = config.observability
         self.observability = observability
-        registry = observability.registry if observability is not None else None
+        registry = (
+            observability.registry if observability is not None else MetricsRegistry()
+        )
+        self.registry = registry
+        # what an entry answered without executing adds to, by fault class
+        self._skip_counters = {
+            "timeout": registry.counter("resilience.deadline_expired"),
+            "shed": registry.counter("resilience.shed"),
+        }
+        # (namespace, operation) -> ObsRollup, written only on first
+        # sight of a target; dict.get is atomic under the GIL, so the
+        # per-entry path skips the registry lock once a target is warm
+        self._rollups: dict[tuple[str, str], object] = {}
         self.container = ServiceContainer(list(config.services), registry=registry)
         # Figure 2's application stage (admission: see _fan_out);
         # Figure 1 has none.
@@ -90,7 +103,7 @@ class SoapServer:
             observability=observability,
         )
         self.transport = config.transport
-        self.http = build_http_server(self.endpoint, config)
+        self.http = build_http_server(self.endpoint, config, registry=registry)
 
     def _execute(self, entries: list[Element], context: MessageContext) -> list[Element]:
         from repro.core.oneway import accepted_response, is_one_way
@@ -189,20 +202,40 @@ class SoapServer:
                     results[index] = self._skipped(entry, timeout_fault(late))
 
     def _run(self, ctx, entry: Element) -> Element:
+        """Execute one entry; with observability, feed the target's
+        rollup (latency EWMA, error rates by fault class, in flight)."""
         with obs_trace.span_in(ctx, "execute", detail=entry.local_name):
-            return self.container.execute_entry(entry)
+            if self.observability is None:
+                return self.container.execute_entry(entry)
+            rollup = self._rollup_for(entry)
+            rollup.begin()
+            start = time.perf_counter()
+            response = self.container.execute_entry(entry)
+            code = fault_code_of(response)
+            rollup.complete(
+                time.perf_counter() - start,
+                None if code is None else fault_class_of(code),
+            )
+            return response
+
+    def _rollup_for(self, entry: Element):
+        """The entry's target rollup, via a lock-free warm-path cache."""
+        qname = entry.qname
+        key = (qname.uri, qname.local)
+        rollup = self._rollups.get(key)
+        if rollup is None:
+            rollup = self.observability.registry.rollup(*key)
+            self._rollups[key] = rollup
+        return rollup
 
     def _skipped(self, entry: Element, fault: SoapFault) -> Element:
         """The slot of an entry answered without (or instead of)
-        executing — a shed or a deadline expiry.  The container never
-        saw it, so it is counted and fed to the target's rollup here."""
+        executing — a shed or a deadline expiry.  It never ran, so it
+        is counted, and fed to the target's rollup, here."""
+        fault_class = fault_class_of(fault.faultcode)
+        self._skip_counters[fault_class].inc()
         if self.observability is not None:
-            fault_class = fault_class_of(fault.faultcode)
-            registry = self.observability.registry
-            registry.counter(_SKIP_COUNTERS[fault_class]).inc()
-            registry.rollup(entry.namespace, entry.local_name).observe(
-                0.0, fault_class
-            )
+            self._rollup_for(entry).observe(0.0, fault_class)
         return entry_fault(entry, fault)
 
     # -- lifecycle -------------------------------------------------------
@@ -229,16 +262,3 @@ class SoapServer:
     @property
     def address(self) -> Address:
         return self.http.address
-
-    def stats(self) -> dict:
-        """Endpoint/container/stage/HTTP counters as a dict."""
-        stats = {
-            "architecture": self.architecture,
-            "endpoint": self.endpoint.stats.snapshot(),
-            "container": self.container.stats.snapshot(),
-            "connections_accepted": self.http.connections_accepted,
-            "requests_served": self.http.requests_served,
-        }
-        if self.app_stage is not None:
-            stats["app_stage"] = self.app_stage.stats.snapshot()
-        return stats

@@ -1,6 +1,7 @@
 """Bounded worker thread pool with its own future type, and the latch
 Figure 2's protocol thread sleeps on.  Built from primitives rather than
-``concurrent.futures`` so its scheduling counters can be read.
+``concurrent.futures`` for an atomic bounded submit and the admitted
+submits a :class:`~repro.server.stage.Stage` batch queues past the bound.
 """
 
 from __future__ import annotations
@@ -8,7 +9,6 @@ from __future__ import annotations
 import queue
 import threading
 from concurrent.futures import CancelledError
-from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from repro.errors import PoolSaturatedError, ServiceError
@@ -71,21 +71,6 @@ class TaskFuture:
         callback(self)
 
 
-@dataclass(slots=True)
-class PoolStats:
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    rejected: int = 0
-    cancelled: int = 0
-    max_queue_depth: int = 0
-    max_concurrency: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        """Counters as a plain dict."""
-        return asdict(self)
-
-
 _SHUTDOWN = object()
 
 
@@ -110,9 +95,7 @@ class ThreadPool:
         self._queue: queue.Queue = queue.Queue()
         self._threads: list[threading.Thread] = []
         self._shutdown = False
-        self._active = 0
         self._lock = threading.Lock()
-        self.stats = PoolStats()
         for i in range(workers):
             thread = threading.Thread(
                 target=self._worker_loop, name=f"{name}-{i}", daemon=True
@@ -150,17 +133,12 @@ class ThreadPool:
         with self._lock:
             if self._shutdown:
                 raise ServiceError(f"pool '{self.name}' is shut down")
-            depth = self._queue.qsize()
-            if bound is not None and depth >= bound:
-                self.stats.rejected += 1
+            if bound is not None and self._queue.qsize() >= bound:
                 raise PoolSaturatedError(
                     f"pool '{self.name}' queue is full "
                     f"({self.max_queue} tasks waiting)"
                 )
-            self.stats.submitted += 1
             self._queue.put((future, func, args, kwargs))
-            if depth + 1 > self.stats.max_queue_depth:
-                self.stats.max_queue_depth = depth + 1
         return future
 
     def shutdown(self, *, join_timeout: float = 5.0) -> None:
@@ -189,8 +167,6 @@ class ThreadPool:
             future.set_exception(
                 CancelledError(f"pool '{self.name}' shut down before task started")
             )
-            with self._lock:
-                self.stats.cancelled += 1
         for _ in self._threads:
             self._queue.put(_SHUTDOWN)
         for thread in self._threads:
@@ -210,21 +186,11 @@ class ThreadPool:
             if item is _SHUTDOWN:
                 return
             future, func, args, kwargs = item
-            with self._lock:
-                self._active += 1
-                if self._active > self.stats.max_concurrency:
-                    self.stats.max_concurrency = self._active
             try:
                 result = func(*args, **kwargs)
             except BaseException as exc:
-                with self._lock:
-                    self._active -= 1
-                    self.stats.failed += 1
                 future.set_exception(exc)
             else:
-                with self._lock:
-                    self._active -= 1
-                    self.stats.completed += 1
                 future.set_result(result)
 
 

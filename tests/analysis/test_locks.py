@@ -112,7 +112,7 @@ class TestModuleReport:
             "server/threadpool.py",
             "server/container.py",
             "server/stage.py",
-            "server/handlers.py",
+            "http/core.py",
             "obs/registry.py",
             "obs/trace.py",
         ):

@@ -7,6 +7,8 @@ from repro.apps.serve import build_demo_server
 from repro.errors import ReproError
 from repro.client.config import ClientConfig, build_proxy
 
+from ..metrics import counters
+
 
 class TestValueParsing:
     @pytest.mark.parametrize(
@@ -50,15 +52,15 @@ class TestValueParsing:
 
 @pytest.fixture(scope="module")
 def demo_server():
-    server, metrics = build_demo_server("127.0.0.1", 0)
+    server = build_demo_server("127.0.0.1", 0)
     address = server.start()
-    yield f"{address[0]}:{address[1]}", server, metrics
+    yield f"{address[0]}:{address[1]}", server
     server.stop()
 
 
 class TestServeAndCall:
     def test_all_demo_services_deployed(self, demo_server):
-        _, server, _ = demo_server
+        _, server = demo_server
         names = {s.name for s in server.container.services()}
         assert "EchoService" in names
         assert "GlobalWeather" in names
@@ -67,20 +69,20 @@ class TestServeAndCall:
         assert len(names) >= 10
 
     def test_single_call(self, demo_server, capsys):
-        address, _, _ = demo_server
+        address, _ = demo_server
         rc = call_main([address, "urn:repro:echo", "echo", "payload=cli-test"])
         assert rc == 0
         assert "'cli-test'" in capsys.readouterr().out
 
     def test_typed_parameters(self, demo_server, capsys):
-        address, _, _ = demo_server
+        address, _ = demo_server
         rc = call_main([address, "urn:repro:echo", "delayedEcho", "payload=x", "delay_ms=1"])
         assert rc == 0
         assert "'x'" in capsys.readouterr().out
 
     def test_packed_calls(self, demo_server, capsys):
-        address, server, metrics = demo_server
-        before = metrics.snapshot()["packed_messages"]
+        address, server = demo_server
+        before = counters(server)["soap.packed_messages"]
         rc = call_main(
             [
                 address,
@@ -95,22 +97,22 @@ class TestServeAndCall:
         out = capsys.readouterr().out
         assert "Beijing" in out
         assert "Shanghai" in out
-        assert metrics.snapshot()["packed_messages"] == before + 1
+        assert counters(server)["soap.packed_messages"] == before + 1
 
     def test_fault_reported_to_stderr(self, demo_server, capsys):
-        address, _, _ = demo_server
+        address, _ = demo_server
         rc = call_main([address, "urn:repro:echo", "--pack", "noSuchOp", "a=1"])
         assert rc == 0  # per-entry faults are reported, not fatal
         assert "FAULT" in capsys.readouterr().err
 
     def test_unpacked_fault_is_fatal(self, demo_server, capsys):
-        address, _, _ = demo_server
+        address, _ = demo_server
         rc = call_main([address, "urn:repro:echo", "noSuchOp", "a=1"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
     def test_wsdl_served_over_real_http(self, demo_server):
-        address, _, _ = demo_server
+        address, _ = demo_server
         from repro.client.proxy import ServiceProxy
         from repro.transport.tcp import TcpTransport
 

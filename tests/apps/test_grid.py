@@ -24,6 +24,8 @@ from repro.transport.inproc import InProcTransport
 from repro.server import ServerConfig, build_server
 from repro.client.config import ClientConfig, build_proxy
 
+from ..metrics import counters
+
 
 def wait_done(store, job_id, timeout=10.0):
     deadline = time.monotonic() + timeout
@@ -163,14 +165,14 @@ class TestGridMonitor:
         job_ids = packed.submit_batch([f"mon-{i}" for i in range(8)])
         packed.wait_all_done(job_ids, timeout=20)
 
-        before = server.endpoint.stats.soap_messages
+        before = counters(server)["soap.messages"]
         sample = packed.poll(job_ids)
         assert sample.soap_messages == 1
-        assert server.endpoint.stats.soap_messages - before == 1
+        assert counters(server)["soap.messages"] - before == 1
 
         serial = GridMonitor(proxy, use_packing=False)
-        before = server.endpoint.stats.soap_messages
+        before = counters(server)["soap.messages"]
         sample = serial.poll(job_ids)
         assert sample.soap_messages == 8
-        assert server.endpoint.stats.soap_messages - before == 8
+        assert counters(server)["soap.messages"] - before == 8
         proxy.close()

@@ -15,6 +15,8 @@ from repro.apps.travel import (
 )
 from repro.soap.fault import ClientFaultCause
 
+from ..metrics import counters, sketches
+
 
 class TestAirlineService:
     @pytest.fixture
@@ -139,11 +141,11 @@ class TestTravelAgentEndToEnd:
         agent.close()
         # airline node: 1 packed query + reserve + confirm = 3 messages,
         # but 3 + 2 = 5 operations executed
-        assert sys_.airline_server.endpoint.stats.soap_messages == 3
-        assert sys_.airline_server.container.stats.entries_executed == 5
-        assert sys_.hotel_server.endpoint.stats.soap_messages == 3
-        assert sys_.hotel_server.container.stats.entries_executed == 5
-        assert sys_.credit_server.endpoint.stats.soap_messages == 1
+        assert counters(sys_.airline_server)["soap.messages"] == 3
+        assert sketches(sys_.airline_server)["soap.pack_degree"]["sum"] == 5
+        assert counters(sys_.hotel_server)["soap.messages"] == 3
+        assert sketches(sys_.hotel_server)["soap.pack_degree"]["sum"] == 5
+        assert counters(sys_.credit_server)["soap.messages"] == 1
 
     def test_both_modes_agree_on_itinerary(self, system):
         sys_, transport = system

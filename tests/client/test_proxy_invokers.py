@@ -12,6 +12,8 @@ from repro.transport.inproc import InProcTransport
 from repro.server import ServerConfig, build_server
 from repro.client.config import ClientConfig, build_proxy
 
+from ..metrics import counters
+
 NS = "urn:svc:echo"
 
 
@@ -76,11 +78,11 @@ class TestServiceProxy:
         for _ in range(3):
             proxy.call("echo", payload="x")
         assert proxy.connections_opened == 3
-        assert server.http.connections_accepted == 3
+        assert counters(server)["http.connections.accepted"] == 3
 
     def test_pooled_connections_reused(self, env):
         transport, address, _, server = env
-        before = server.http.connections_accepted
+        before = counters(server)["http.connections.accepted"]
         pooled = build_proxy(ClientConfig(
             transport,
             address,
@@ -91,7 +93,7 @@ class TestServiceProxy:
         for _ in range(3):
             pooled.call("echo", payload="x")
         pooled.close()
-        assert server.http.connections_accepted - before == 1
+        assert counters(server)["http.connections.accepted"] - before == 1
 
     def test_calls_counted(self, env):
         _, _, proxy, _ = env
@@ -130,7 +132,7 @@ class TestSerialInvoker:
     def test_one_connection_per_call(self, env):
         _, _, proxy, server = env
         SerialInvoker(proxy).invoke_all(Call.many("echo", [{"payload": "x"}] * 4))
-        assert server.http.connections_accepted == 4
+        assert counters(server)["http.connections.accepted"] == 4
 
     def test_failure_recorded_per_future(self, env):
         _, _, proxy, _ = env
@@ -164,8 +166,8 @@ class TestThreadedInvoker:
     def test_still_one_message_per_call(self, env):
         _, _, proxy, server = env
         ThreadedInvoker(proxy).invoke_all(Call.many("echo", [{"payload": "x"}] * 5))
-        assert server.endpoint.stats.soap_messages == 5
-        assert server.http.connections_accepted == 5
+        assert counters(server)["soap.messages"] == 5
+        assert counters(server)["http.connections.accepted"] == 5
 
     def test_max_threads_cap(self, env):
         _, _, proxy, _ = env
@@ -195,21 +197,21 @@ class TestKeepAliveSerialInvoker:
         from repro.client.invoker import KeepAliveSerialInvoker
 
         _, _, proxy, server = env
-        before = server.http.connections_accepted
+        before = counters(server)["http.connections.accepted"]
         KeepAliveSerialInvoker(proxy).invoke_all(
             Call.many("echo", [{"payload": "x"}] * 6)
         )
-        assert server.http.connections_accepted - before == 1
+        assert counters(server)["http.connections.accepted"] - before == 1
 
     def test_still_m_soap_messages(self, env):
         from repro.client.invoker import KeepAliveSerialInvoker
 
         _, _, proxy, server = env
-        before = server.endpoint.stats.soap_messages
+        before = counters(server)["soap.messages"]
         KeepAliveSerialInvoker(proxy).invoke_all(
             Call.many("echo", [{"payload": "x"}] * 6)
         )
-        assert server.endpoint.stats.soap_messages - before == 6
+        assert counters(server)["soap.messages"] - before == 6
 
     def test_reuses_already_pooled_proxy(self, env):
         from repro.client.invoker import KeepAliveSerialInvoker

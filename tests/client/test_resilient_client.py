@@ -28,6 +28,7 @@ from repro.resilience.policy import CallPolicy
 from repro.server import ServerConfig, build_server
 from repro.server.handlers import HandlerChain
 from repro.transport.base import Channel, Transport
+from ..metrics import counters
 from ..transport.chaos import ChaosTransport
 from repro.transport.inproc import InProcTransport
 
@@ -281,7 +282,7 @@ class TestAdaptiveLimiterClient:
             assert limiter.try_acquire()
             retrying = CallPolicy(retries=3, backoff_base=0.0, jitter=0.0)
             assert proxy.call_with_policy("echo", retrying, payload="admitted") == "admitted"
-            assert proxy.response_cache.stats().hits == 1
+            assert counters(proxy.response_cache)["cache.client.hit"] == 1
             assert proxy.metrics.counter("client.limiter.gated").value == 1
             assert proxy.connections_opened == 1
             assert proxy.retries == 0

@@ -10,6 +10,8 @@ from repro.client.cache import (
     response_cache_key,
 )
 
+from ..metrics import counters
+
 
 class FakeClock:
     def __init__(self):
@@ -70,7 +72,7 @@ class TestTtlAndLru:
         cache.get_or_fetch(key, lambda: "v1")
         clock.now += 10
         assert cache.get_or_fetch(key, lambda: "v2") == ("v2", False)
-        assert cache.stats().expirations == 1
+        assert counters(cache)["cache.client.expirations"] == 1
 
     def test_ttl_none_never_expires(self):
         clock = FakeClock()
@@ -86,7 +88,7 @@ class TestTtlAndLru:
         for i, key in enumerate(keys):
             cache.get_or_fetch(key, lambda i=i: i)
         assert len(cache) == 2
-        assert cache.stats().evictions == 1
+        assert counters(cache)["cache.client.evictions"] == 1
         # keys[0] was evicted; keys[2] still present
         assert cache.get_or_fetch(keys[2], lambda: "new") == (2, True)
         assert cache.get_or_fetch(keys[0], lambda: "new") == ("new", False)
@@ -157,7 +159,7 @@ class TestSingleFlight:
             t.join(timeout=5)
         assert len(fetches) == 1
         assert {value for value, _ in results} == {"v"}
-        assert cache.stats().coalesced >= 1
+        assert counters(cache)["cache.client.coalesced"] >= 1
 
     def test_follower_promotes_when_leader_fails(self):
         cache = make_cache()

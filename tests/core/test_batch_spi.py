@@ -16,6 +16,8 @@ from repro.transport.inproc import InProcTransport
 from repro.server import ServerConfig, build_server
 from repro.client.config import ClientConfig, build_proxy
 
+from ..metrics import counters, sketches
+
 NS = "urn:svc:echo"
 
 
@@ -60,9 +62,9 @@ class TestPackBatch:
         for i in range(8):
             batch.call("echo", payload=str(i))
         batch.flush()
-        assert server.endpoint.stats.soap_messages == 1
-        assert server.container.stats.entries_executed == 8
-        assert server.http.connections_accepted == 1
+        assert counters(server)["soap.messages"] == 1
+        assert sketches(server)["soap.pack_degree"]["sum"] == 8
+        assert counters(server)["http.connections.accepted"] == 1
 
     def test_context_manager_flushes(self, env):
         _, _, proxy, _ = env
@@ -77,7 +79,7 @@ class TestPackBatch:
                 future = batch.call("echo", payload="doomed")
                 raise ValueError("user error")
         assert isinstance(future.exception(timeout=0), PackError)
-        assert server.endpoint.stats.soap_messages == 0
+        assert counters(server)["soap.messages"] == 0
 
     def test_double_flush_raises(self, env):
         _, _, proxy, _ = env
@@ -98,7 +100,7 @@ class TestPackBatch:
     def test_empty_batch_flush_is_noop(self, env):
         _, _, proxy, server = env
         assert PackBatch(proxy).flush() == []
-        assert server.endpoint.stats.soap_messages == 0
+        assert counters(server)["soap.messages"] == 0
 
     def test_mixed_results_and_faults(self, env):
         _, _, proxy, _ = env
@@ -143,7 +145,7 @@ class TestPackedInvoker:
         calls = Call.many("echo", [{"payload": f"p{i}"} for i in range(5)])
         results = PackedInvoker(proxy).invoke_all(calls)
         assert results == [f"p{i}" for i in range(5)]
-        assert server.endpoint.stats.soap_messages == 1
+        assert counters(server)["soap.messages"] == 1
 
     def test_name(self, env):
         _, _, proxy, _ = env
@@ -160,19 +162,19 @@ class TestSpiFacade:
 
     def test_pack_through_facade(self, env):
         transport, address, _, server = env
-        before = server.endpoint.stats.soap_messages
+        before = counters(server)["soap.messages"]
         with connect(transport, address, namespace=NS, service_name="EchoService") as client:
             with client.pack() as batch:
                 futures = [batch.call("echo", payload=f"f{i}") for i in range(3)]
             assert [f.result(timeout=5) for f in futures] == ["f0", "f1", "f2"]
-        assert server.endpoint.stats.soap_messages - before == 1
+        assert counters(server)["soap.messages"] - before == 1
 
     def test_facade_uses_pooled_connections(self, env):
         transport, address, _, server = env
         with connect(transport, address, namespace=NS, service_name="EchoService") as client:
             client.call("echo", payload="a")
             client.call("echo", payload="b")
-        assert server.http.connections_accepted == 1
+        assert counters(server)["http.connections.accepted"] == 1
 
 
 class TestServerWithoutSpiHandlers:

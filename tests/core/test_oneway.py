@@ -26,6 +26,8 @@ from repro.transport.inproc import InProcTransport
 from repro.xmlcore.tree import Element
 from repro.client.config import ClientConfig, build_proxy
 
+from ..metrics import counters
+
 
 class TestPrimitives:
     def test_mark_and_detect(self):
@@ -114,7 +116,7 @@ class TestStagedOneWay:
         for future in futures:
             assert future.result(timeout=5) is None
         assert time.monotonic() - start < 0.1  # 5 x 50 ms if waited
-        assert server.endpoint.stats.soap_messages == 1
+        assert counters(server)["soap.messages"] == 1
         deadline = time.monotonic() + 5
         while len(sink.received) < 5 and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -147,9 +149,9 @@ class TestStagedOneWay:
         batch.flush()
         assert future.result(timeout=5) is None
         deadline = time.monotonic() + 5
-        while server.container.stats.faults == 0 and time.monotonic() < deadline:
+        while counters(server)["container.faults"] == 0 and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert server.container.stats.faults == 1
+        assert counters(server)["container.faults"] == 1
 
 
 class TestCommonArchOneWay:

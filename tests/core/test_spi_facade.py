@@ -10,6 +10,8 @@ from repro.server.handlers import HandlerChain
 from repro.transport.inproc import InProcTransport
 from repro.server import ServerConfig, build_server
 
+from ..metrics import counters
+
 
 @pytest.fixture(scope="module")
 def env():
@@ -61,20 +63,20 @@ class TestFacade:
 
     def test_connect_defaults_to_pooled(self, env):
         transport, address, server = env
-        before = server.http.connections_accepted
+        before = counters(server)["http.connections.accepted"]
         with connect(transport, address, namespace=ECHO_NS, service_name="EchoService") as c:
             c.call("echo", payload="a")
             c.call("echo", payload="b")
             c.call("echo", payload="c")
-        assert server.http.connections_accepted - before == 1
+        assert counters(server)["http.connections.accepted"] - before == 1
 
     def test_connect_can_disable_pooling(self, env):
         transport, address, server = env
-        before = server.http.connections_accepted
+        before = counters(server)["http.connections.accepted"]
         with connect(
             transport, address, namespace=ECHO_NS, service_name="EchoService",
             reuse_connections=False,
         ) as c:
             c.call("echo", payload="a")
             c.call("echo", payload="b")
-        assert server.http.connections_accepted - before == 2
+        assert counters(server)["http.connections.accepted"] - before == 2

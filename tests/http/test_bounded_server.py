@@ -10,6 +10,8 @@ from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.http.server import HttpServer
 from repro.transport.inproc import InProcTransport
 
+from ..metrics import counters, gauges
+
 
 def echo_app(request):
     return HttpResponse(200, Headers({"Content-Type": "text/plain"}), request.body)
@@ -52,7 +54,7 @@ class TestBoundedConnections:
         assert second_done.wait(timeout=5)
         assert result["body"] == b"2"
         thread.join(timeout=5)
-        assert server.max_concurrent_connections == 1
+        assert gauges(server)["http.connections.max_active"] == 1
 
     def test_slots_recycled_across_many_serial_clients(self, bounded):
         transport, address, server = bounded
@@ -62,8 +64,8 @@ class TestBoundedConnections:
                     "POST", "/", Headers({"Connection": "close"}), str(i).encode()
                 )
                 assert conn.request(request).body == str(i).encode()
-        assert server.connections_accepted == 5
-        assert server.max_concurrent_connections == 1
+        assert counters(server)["http.connections.accepted"] == 5
+        assert gauges(server)["http.connections.max_active"] == 1
 
     def test_unbounded_server_tracks_concurrency(self):
         transport = InProcTransport()
@@ -81,7 +83,7 @@ class TestBoundedConnections:
                 t.start()
             for t in threads:
                 t.join(timeout=5)
-        assert server.max_concurrent_connections == 3
+        assert gauges(server)["http.connections.max_active"] == 3
 
     def test_stop_with_held_slot_does_not_hang(self):
         transport = InProcTransport()

@@ -12,6 +12,8 @@ from repro.http.server import HttpServer
 from repro.transport.inproc import InProcTransport
 from repro.transport.tcp import TcpTransport
 
+from ..metrics import counters
+
 
 def echo_app(request: HttpRequest) -> HttpResponse:
     return HttpResponse(
@@ -50,8 +52,8 @@ class TestBasicExchanges:
                 resp = conn.request(HttpRequest("POST", f"/r{i}", body=b"x"))
                 assert resp.ok
             assert conn.exchanges == 5
-        assert server.connections_accepted == 1
-        assert server.requests_served == 5
+        assert counters(server)["http.connections.accepted"] == 1
+        assert counters(server)["http.requests"] == 5
 
     def test_connection_close_honoured(self, server_address):
         transport, address, _ = server_address
@@ -155,7 +157,7 @@ class TestConnectionPool:
             resp = pool.request(address, HttpRequest("POST", "/", body=b"x"))
             assert resp.ok
         assert pool.connections_created == 1
-        assert server.connections_accepted == 1
+        assert counters(server)["http.connections.accepted"] == 1
         pool.close()
 
     def test_pool_grows_under_concurrency(self, server_address):

@@ -17,6 +17,8 @@ from repro.http.message import Headers, HttpResponse
 from repro.http.parser import MAX_HEAD_BYTES, RequestParser
 from repro.transport.tcp import TcpTransport
 
+from ..metrics import counters
+
 SIMPLE = b"POST /svc HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\n\r\nhello"
 
 
@@ -282,8 +284,8 @@ class TestEventedHttpServer:
                 sock.sendall(SIMPLE)
                 _, body3 = recv_response(sock, buffer)
                 assert body3 == b"hello"
-        assert server.connections_accepted == 1
-        assert server.requests_served == 3
+        assert counters(server)["http.connections.accepted"] == 1
+        assert counters(server)["http.requests"] == 3
 
     def test_accept_overload_sheds_with_canned_503(self):
         server = EventedHttpServer(
@@ -299,7 +301,7 @@ class TestEventedHttpServer:
                 with socket.create_connection((host, port), timeout=5) as second:
                     head, _body = recv_response(second)  # shed before parse
                     assert head.startswith(b"HTTP/1.1 503")
-        assert server.accept_overload_shed == 1
+        assert counters(server)["http.accept_overload.shed"] == 1
 
     def test_idle_connection_is_closed_by_the_loop(self):
         server = EventedHttpServer(
@@ -332,7 +334,7 @@ class TestEventedHttpServer:
                 assert head2.startswith(b"HTTP/1.1 400")
                 assert b"Connection: close" in head2
                 assert sock.recv(65536) == b""
-        assert server.requests_served == 1
+        assert counters(server)["http.requests"] == 1
 
     def test_pipelined_admin_then_malformed_answers_admin_first(self):
         # Same batch shape, but the valid request is answered

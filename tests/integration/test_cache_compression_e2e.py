@@ -23,6 +23,7 @@ from repro.http.compression import CompressionPolicy
 from repro.obs import Observability
 from repro.resilience.policy import CallPolicy
 from repro.server.handlers import HandlerChain
+from ..metrics import counters
 from ..transport.chaos import ChaosTransport
 from repro.transport.inproc import InProcTransport
 
@@ -61,11 +62,10 @@ class TestFullStack:
             second = invoker.invoke_all(calls)
             proxy.close()
         assert first == second == [f"payload-{i}" * 20 for i in range(4)]
-        registry = obs.registry
-        assert registry.counter("cache.client.miss").value == 1
-        assert registry.counter("cache.client.hit").value == 1
-        assert registry.counter("compress.responses").value >= 1
-        assert registry.counter("compress.bytes_saved").value > 0
+        assert counters(obs)["cache.client.miss"] == 1
+        assert counters(obs)["cache.client.hit"] == 1
+        assert counters(obs)["compress.responses"] >= 1
+        assert counters(obs)["compress.bytes_saved"] > 0
 
     def test_mutating_payloads_stay_correct_under_compression(self):
         obs = Observability()
@@ -132,8 +132,8 @@ class TestRetryInterplay:
             server.stop()
         assert results == [f"p{i}" for i in range(6)]
         # every distinct call was a cache miss resolved on the wire
-        assert cache.stats().misses == 6
-        assert cache.stats().hits == 0
+        assert counters(cache)["cache.client.miss"] == 6
+        assert counters(cache)["cache.client.hit"] == 0
 
     def test_invalidation_forces_next_call_to_the_wire(self):
         obs = Observability()
@@ -142,10 +142,10 @@ class TestRetryInterplay:
             proxy = bed.make_proxy(response_cache=cache)
             assert proxy.call("echo", payload="v") == "v"
             assert proxy.call("echo", payload="v") == "v"
-            assert cache.stats().hits == 1
+            assert counters(cache)["cache.client.hit"] == 1
             cache.invalidate()
             assert proxy.call("echo", payload="v") == "v"
-            assert cache.stats().misses == 2
+            assert counters(cache)["cache.client.miss"] == 2
             proxy.close()
 
 
@@ -163,7 +163,7 @@ class TestCacheScope:
                 except SoapFaultError:
                     pass
             assert len(cache) == 0
-            assert cache.stats().hits == 0
+            assert counters(cache)["cache.client.hit"] == 0
             proxy.close()
 
     def test_cast_poisons_pack_cacheability(self):
@@ -179,7 +179,7 @@ class TestCacheScope:
                 assert value.result() == "keep"
             # both flushes hit the wire: nothing cached, nothing served
             assert len(cache) == 0
-            assert cache.stats().hits == 0
+            assert counters(cache)["cache.client.hit"] == 0
             proxy.close()
 
     def test_identical_packs_are_served_from_cache(self):
@@ -192,6 +192,6 @@ class TestCacheScope:
                 futures = [batch.call("echo", payload=f"p{i}") for i in range(3)]
                 batch.flush()
                 assert [f.result() for f in futures] == ["p0", "p1", "p2"]
-            assert cache.stats().misses == 1
-            assert cache.stats().hits == 2
+            assert counters(cache)["cache.client.miss"] == 1
+            assert counters(cache)["cache.client.hit"] == 2
             proxy.close()

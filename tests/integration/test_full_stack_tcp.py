@@ -20,6 +20,8 @@ from repro.resilience.policy import CallPolicy
 from repro.server import ServerConfig, build_server
 from repro.client.config import ClientConfig, build_proxy
 
+from ..metrics import counters
+
 
 @pytest.fixture(scope="module")
 def tcp_env():
@@ -102,9 +104,9 @@ class TestOverRealSockets:
 
     def test_keepalive_over_tcp(self, tcp_env):
         transport, address, server = tcp_env
-        before = server.http.connections_accepted
+        before = counters(server)["http.connections.accepted"]
         proxy = make_proxy(tcp_env, reuse_connections=True)
         for i in range(5):
             proxy.call("echo", payload=str(i))
         proxy.close()
-        assert server.http.connections_accepted - before == 1
+        assert counters(server)["http.connections.accepted"] - before == 1

@@ -12,6 +12,8 @@ import pytest
 from repro.bench import figures
 from repro.bench.workloads import echo_testbed, run_point
 
+from ..metrics import counters
+
 SERIAL, THREADS, PACKED = "no-optimization", "multiple-threads", "our-approach"
 
 
@@ -42,20 +44,20 @@ class TestLatencyShape:
     def test_message_reduction_m_to_one(self, lan_beds):
         _, staged = lan_beds
         server = staged.server
-        before_msgs = server.endpoint.stats.soap_messages
-        before_conns = server.http.connections_accepted
+        before_msgs = counters(server)["soap.messages"]
+        before_conns = counters(server)["http.connections.accepted"]
         run_point(staged, "our-approach", 16, 10)
-        assert server.endpoint.stats.soap_messages - before_msgs == 1
-        assert server.http.connections_accepted - before_conns == 1
+        assert counters(server)["soap.messages"] - before_msgs == 1
+        assert counters(server)["http.connections.accepted"] - before_conns == 1
 
     def test_serial_pays_m_messages_and_connections(self, lan_beds):
         common, _ = lan_beds
         server = common.server
-        before_msgs = server.endpoint.stats.soap_messages
-        before_conns = server.http.connections_accepted
+        before_msgs = counters(server)["soap.messages"]
+        before_conns = counters(server)["http.connections.accepted"]
         run_point(common, "no-optimization", 8, 10)
-        assert server.endpoint.stats.soap_messages - before_msgs == 8
-        assert server.http.connections_accepted - before_conns == 8
+        assert counters(server)["soap.messages"] - before_msgs == 8
+        assert counters(server)["http.connections.accepted"] - before_conns == 8
 
     def test_results_identical_across_strategies(self, lan_beds):
         common, staged = lan_beds

@@ -8,25 +8,28 @@ the test cross-checks every counter in the stack for consistency.
 
 import random
 import resource
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.apps.echo import ECHO_NS, make_echo_service
-from repro.bench.workloads import echo_testbed
+from repro.bench.workloads import echo_calls, echo_testbed
 from repro.client.proxy import ServiceProxy
-from repro.core.batch import PackBatch
+from repro.core.batch import PackBatch, PackedInvoker
 from repro.core.dispatcher import spi_server_handlers
 from repro.errors import SoapFaultError
 from repro.http.message import Headers, HttpRequest
 from repro.http.parser import ChannelReader, read_response
-from repro.server.handlers import HandlerChain, PackMetricsHandler
+from repro.server.handlers import HandlerChain
 from repro.soap.constants import SOAP_CONTENT_TYPE
 from repro.soap.serializer import build_request_envelope
 from repro.transport.inproc import InProcTransport
 from repro.server import ServerConfig, build_server
 from repro.client.config import ClientConfig, build_proxy
+
+from ..metrics import counters as counts, gauges, sketches
 
 CLIENTS = 8
 ITERATIONS = 12
@@ -35,14 +38,13 @@ ITERATIONS = 12
 @pytest.fixture(scope="module")
 def soak_env():
     transport = InProcTransport()
-    metrics = PackMetricsHandler()
-    server = build_server(ServerConfig(services=[make_echo_service()], architecture="staged", transport=transport, address="soak", chain=HandlerChain([metrics, *spi_server_handlers()]), app_workers=8))
+    server = build_server(ServerConfig(services=[make_echo_service()], architecture="staged", transport=transport, address="soak", chain=HandlerChain(spi_server_handlers()), app_workers=8))
     with server.running() as address:
-        yield transport, address, server, metrics
+        yield transport, address, server
 
 
 def test_soak_mixed_load(soak_env):
-    transport, address, server, metrics = soak_env
+    transport, address, server = soak_env
     errors: list[str] = []
     counters = {"plain": 0, "packed_msgs": 0, "packed_calls": 0, "faults": 0, "wsdl": 0}
     lock = threading.Lock()
@@ -101,27 +103,77 @@ def test_soak_mixed_load(soak_env):
     assert errors == []
 
     # cross-check the stack's own accounting against the client's
-    stats = server.stats()
+    server_counts, server_sketches = counts(server), sketches(server)
     expected_messages = counters["plain"] + counters["packed_msgs"] + counters["faults"]
-    assert stats["endpoint"]["soap_messages"] == expected_messages
-    assert stats["endpoint"]["wsdl_requests"] == counters["wsdl"]
+    assert server_counts["soap.messages"] == expected_messages
+    assert server_counts["soap.wsdl_requests"] == counters["wsdl"]
     expected_entries = (
         counters["plain"] + counters["packed_calls"] + counters["faults"]
     )
-    assert stats["container"]["entries_executed"] == expected_entries
-    assert stats["container"]["faults"] == counters["faults"]
-    snap = metrics.snapshot()
-    assert snap["packed_messages"] == counters["packed_msgs"]
-    assert snap["plain_messages"] == counters["plain"] + counters["faults"]
-    # every packed message fanned out through the application stage
-    assert stats["app_stage"]["events"] == counters["packed_calls"]
+    degree = server_sketches["soap.pack_degree"]
+    assert degree["count"] == expected_messages
+    assert degree["sum"] == expected_entries
+    assert server_counts["container.faults"] == counters["faults"]
+    assert server_counts["soap.packed_messages"] == counters["packed_msgs"]
+    # every packed message fanned out through the application stage (a
+    # worker records its entry just after the caller was let go)
+    give_up = time.monotonic() + 5
+    while (
+        sketches(server)["stage.application.service_time_s"]["count"]
+        < counters["packed_calls"]
+        and time.monotonic() < give_up
+    ):
+        time.sleep(0.005)
+    stage = sketches(server)["stage.application.service_time_s"]
+    assert stage["count"] == counters["packed_calls"]
+
+
+@pytest.mark.parametrize("backend", ["threaded", "evented"])
+def test_counts_are_exact_under_concurrent_keepalive_clients(backend):
+    """Every connection's thread (or handler worker) counts into the
+    same instruments at once; with a short switch interval a lost
+    read-modify-write shows up as a total below N x K."""
+    clients, packs = 8, 25
+    failures = []
+    with echo_testbed(profile="loopback", backend=backend) as bed:
+        start_line = threading.Barrier(clients, timeout=10)
+
+        def client():
+            proxy = bed.make_proxy(reuse_connections=True)
+            invoker = PackedInvoker(proxy)
+            try:
+                start_line.wait()
+                for _ in range(packs):
+                    calls = echo_calls(2, 8)
+                    if invoker.invoke_all(calls) != [c.params["payload"] for c in calls]:
+                        failures.append(calls)
+            finally:
+                proxy.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    server_counts = counts(bed.server)
+    assert server_counts["soap.messages"] == clients * packs
+    assert sketches(bed.server)["soap.pack_degree"]["count"] == clients * packs
+    assert server_counts["http.requests"] == clients * packs
+    assert server_counts["http.connections.accepted"] == clients
 
 
 class TestLargeBatchBoundaries:
     """Batches near the pack-size limit through the full stack."""
 
     def test_512_entry_batch(self, soak_env):
-        transport, address, server, _ = soak_env
+        transport, address, server = soak_env
         from repro.core.batch import PackBatch
 
         proxy = build_proxy(ClientConfig(
@@ -137,7 +189,7 @@ class TestLargeBatchBoundaries:
             proxy.close()
 
     def test_oversized_batch_rejected_client_side(self, soak_env):
-        transport, address, _, _ = soak_env
+        transport, address, _ = soak_env
         from repro.core.batch import PackBatch
         from repro.core.packformat import MAX_PACKED_REQUESTS
         from repro.errors import PackError
@@ -181,14 +233,13 @@ def test_evented_backend_holds_a_thousand_keepalive_connections():
     ).to_bytes()
 
     with echo_testbed(profile="loopback", backend="evented") as bed:
-        http = bed.server.http
         channels = []
         try:
             while len(channels) < n:
                 for _ in range(min(C10K_WAVE, n - len(channels))):
                     channels.append(bed.transport.connect(bed.address, timeout=30))
                 give_up = time.monotonic() + 30
-                while http.connections_accepted < len(channels):
+                while counts(bed.server)["http.connections.accepted"] < len(channels):
                     assert time.monotonic() < give_up, "accepts fell behind a wave"
                     time.sleep(0.001)
             readers = [ChannelReader(channel) for channel in channels]
@@ -202,6 +253,6 @@ def test_evented_backend_holds_a_thousand_keepalive_connections():
                 channel.close()
 
     assert statuses == [200] * (C10K_ROUNDS * n)
-    assert http.connections_accepted == n
-    assert http.max_concurrent_connections == n
-    assert http.requests_served == C10K_ROUNDS * n
+    assert counts(bed.server)["http.connections.accepted"] == n
+    assert gauges(bed.server)["http.connections.max_active"] == n
+    assert counts(bed.server)["http.requests"] == C10K_ROUNDS * n

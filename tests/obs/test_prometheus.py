@@ -32,29 +32,6 @@ class TestRenderFormat:
         text = render_prometheus(registry)
         assert "# TYPE queue_depth gauge\nqueue_depth 2.5" in text
 
-    def test_histogram_buckets_are_cumulative(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("pack.degree", (1, 2, 4))
-        for value in (1, 1, 2, 3, 9):
-            histogram.record(value)
-        text = render_prometheus(registry)
-        assert "# TYPE pack_degree histogram" in text
-        # per-bucket counts are 2/1/1 (+1 overflow); exposition must be
-        # cumulative: 2, 3, 4, and le="+Inf" equals the total count
-        assert 'pack_degree_bucket{le="1"} 2' in text
-        assert 'pack_degree_bucket{le="2"} 3' in text
-        assert 'pack_degree_bucket{le="4"} 4' in text
-        assert 'pack_degree_bucket{le="+Inf"} 5' in text
-        assert "pack_degree_sum 16.0" in text
-        assert "pack_degree_count 5" in text
-
-    def test_float_bucket_labels(self):
-        registry = MetricsRegistry()
-        registry.histogram("span.parse.seconds", (0.0001, 0.005)).record(0.002)
-        text = render_prometheus(registry)
-        assert 'span_parse_seconds_bucket{le="0.0001"} 0' in text
-        assert 'span_parse_seconds_bucket{le="0.005"} 1' in text
-
     def test_empty_registry_renders_to_empty_document(self):
         assert render_prometheus(MetricsRegistry()) == "\n"
 
@@ -62,7 +39,7 @@ class TestRenderFormat:
         registry = MetricsRegistry()
         registry.counter("a.b").inc()
         registry.gauge("c.d").set(1)
-        registry.histogram("e.f", (1, 2)).record(1)
+        registry.sketch("e.f").record(1)
         for line in render_prometheus(registry).strip().split("\n"):
             assert line.startswith("# TYPE ") or " " in line
 

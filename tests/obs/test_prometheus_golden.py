@@ -32,7 +32,7 @@ def build_registry() -> MetricsRegistry:
     registry = MetricsRegistry(clock=clock)
     registry.counter("http.requests").inc(3)
     registry.gauge("stage.application.queue_depth").set(2)
-    registry.histogram("pack.degree", (1, 8, 32)).record(8)
+    registry.sketch("pack.degree").record(8)
     sketch = registry.sketch("span.execute.seconds")
     for ms in range(1, 101):
         sketch.record(ms / 1000.0)
@@ -62,5 +62,6 @@ def test_golden_file_spot_checks():
     # sketches expose as summaries with a _sum/_count pair
     assert "# TYPE span_execute_seconds summary" in text
     assert "span_execute_seconds_count 100" in text
-    # histogram +Inf bucket equals the count
-    assert 'pack_degree_bucket{le="+Inf"} 1' in text
+    # pack degree is a sketch too: one observation, its own sum
+    assert "pack_degree_count 1" in text
+    assert "pack_degree_sum 8.0" in text

@@ -74,15 +74,14 @@ class TestTracePropagation:
         names = [s.name for s in obs.tracer.spans(carried)]
         assert "execute" in names and "soap.serialize" in names
 
-    def test_pack_degree_histogram_reaches_metrics(self):
+    def test_pack_degree_sketch_reaches_metrics(self):
         obs = Observability()
         with echo_testbed(profile="inproc", observability=obs) as bed:
             packed_round_trip(bed, m=32)
         snap = obs.metrics_snapshot()
-        assert snap["histograms"]["soap.pack_degree"]["buckets"]["<=32"] == 1
-        # handler-chain pack metrics land in the same registry ...
-        assert snap["histograms"]["pack.degree"]["total"] == 1
-        # ... as do the span-duration and stage-latency sketches
+        assert snap["sketches"]["soap.pack_degree"]["count"] == 1
+        assert snap["sketches"]["soap.pack_degree"]["max"] == 32
+        # the span-duration and stage-latency sketches share the registry
         assert snap["sketches"]["span.execute.seconds"]["count"] == 32
         assert snap["sketches"]["stage.application.service_time_s"]["count"] >= 1
 
@@ -102,7 +101,7 @@ class TestAdminEndpoints:
         assert metrics.status == 200
         assert metrics.headers.get("Content-Type") == "application/json"
         m = json.loads(metrics.body)
-        for key in ("uptime_s", "spans_recorded", "counters", "histograms"):
+        for key in ("uptime_s", "spans_recorded", "counters", "sketches"):
             assert key in m
         assert m["counters"]["http.requests"] >= 1
 

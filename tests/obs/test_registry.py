@@ -2,16 +2,7 @@
 
 import threading
 
-import pytest
-
-from repro.obs.registry import (
-    DEFAULT_BOUNDS,
-    LATENCY_BOUNDS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.registry import Counter, Gauge, MetricsRegistry
 
 
 class TestCounter:
@@ -46,89 +37,21 @@ class TestGauge:
         assert g.snapshot() == 4.0
 
 
-class TestHistogram:
-    def test_inclusive_upper_bounds(self):
-        h = Histogram(bounds=(1, 2, 4))
-        for v in (0, 1):
-            h.record(v)
-        h.record(2)
-        h.record(3)
-        h.record(4)
-        h.record(5)
-        snap = h.snapshot()
-        assert snap["buckets"] == {"<=1": 2, "<=2": 1, "<=4": 2, ">4": 1}
-        assert snap["total"] == 6
-
-    def test_bisect_matches_linear_scan_on_every_boundary(self):
-        h = Histogram(bounds=DEFAULT_BOUNDS)
-        # every boundary, one below, one above, plus far overflow
-        values = []
-        for bound in DEFAULT_BOUNDS:
-            values += [bound - 0.5, bound, bound + 0.5]
-        values.append(10_000)
-        for v in values:
-            h.record(v)
-
-        def linear_bucket(value):
-            for i, bound in enumerate(DEFAULT_BOUNDS):
-                if value <= bound:
-                    return i
-            return None  # overflow
-
-        expected = [0] * len(DEFAULT_BOUNDS)
-        overflow = 0
-        for v in values:
-            i = linear_bucket(v)
-            if i is None:
-                overflow += 1
-            else:
-                expected[i] += 1
-        assert h.counts == expected
-        assert h.overflow == overflow
-
-    def test_float_bounds_render_without_trailing_zeroes(self):
-        h = Histogram(bounds=LATENCY_BOUNDS_S)
-        h.record(0.0002)
-        snap = h.snapshot()
-        assert "<=0.00025" in snap["buckets"]
-        assert snap["buckets"]["<=0.00025"] == 1
-        # integer bounds keep their integer labels
-        assert "<=1" in snap["buckets"]
-
-    def test_mean_and_sum(self):
-        h = Histogram(bounds=(10,))
-        h.record(2)
-        h.record(4)
-        assert h.mean == 3.0
-        assert h.snapshot()["mean"] == 3.0
-        assert Histogram(bounds=(1,)).mean == 0.0
-
-    def test_rejects_unsorted_or_empty_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(bounds=())
-        with pytest.raises(ValueError):
-            Histogram(bounds=(4, 2, 1))
-
-
 class TestMetricsRegistry:
     def test_instruments_are_created_once(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
         assert reg.gauge("b") is reg.gauge("b")
-        assert reg.histogram("c") is reg.histogram("c")
-        # bounds apply only on first creation
-        h = reg.histogram("d", (1, 2))
-        assert reg.histogram("d", (9, 99)) is h
-        assert h.bounds == (1, 2)
+        assert reg.sketch("c") is reg.sketch("c")
 
     def test_snapshot_groups_by_kind_sorted(self):
         reg = MetricsRegistry()
         reg.counter("z.count").inc()
         reg.counter("a.count").inc(2)
         reg.gauge("depth").set(7)
-        reg.histogram("lat", (1,)).record(0.5)
+        reg.sketch("lat").record(0.5)
         snap = reg.snapshot()
         assert list(snap["counters"]) == ["a.count", "z.count"]
         assert snap["counters"]["a.count"] == 2
         assert snap["gauges"]["depth"] == 7
-        assert snap["histograms"]["lat"]["total"] == 1
+        assert snap["sketches"]["lat"]["count"] == 1

@@ -138,8 +138,10 @@ class TestBoundsAndEdges:
     def test_snapshot_shape(self):
         sketch = QuantileSketch()
         sketch.record(0.25)
+        sketch.record(0.75)
         snap = sketch.snapshot()
-        assert snap["count"] == 1 and snap["alpha"] == 0.01
+        assert snap["count"] == 2 and snap["alpha"] == 0.01
+        assert (snap["sum"], snap["mean"]) == (1.0, 0.5) == (sketch.sum, sketch.mean)
         assert set(snap["quantiles"]) == {"p50", "p90", "p95", "p99"}
 
 

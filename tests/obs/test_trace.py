@@ -143,7 +143,7 @@ class TestObservability:
         with obs.tracer.span("p", "t1"):
             pass
         snap = obs.metrics_snapshot()
-        for key in ("uptime_s", "spans_recorded", "traces", "counters", "gauges", "histograms"):
+        for key in ("uptime_s", "spans_recorded", "traces", "counters", "gauges", "sketches"):
             assert key in snap
         assert snap["spans_recorded"] == 1
         assert snap["traces"] == 1

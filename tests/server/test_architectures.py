@@ -21,6 +21,8 @@ from repro.server.service import service_from_functions
 from repro.transport.inproc import InProcTransport
 from repro.server import ServerConfig, build_server
 
+from ..metrics import counters, sketches
+
 NS = "urn:svc:echo"
 
 
@@ -110,10 +112,10 @@ class TestBothArchitectures:
     def test_stats_exposed(self, server):
         srv, transport, address = server
         call(transport, address, build_request_envelope(NS, "echo", {"payload": "x"}))
-        stats = srv.stats()
-        assert stats["architecture"] in ("common", "staged")
-        assert stats["container"]["entries_executed"] == 1
-        assert stats["endpoint"]["soap_messages"] == 1
+        assert srv.architecture in ("common", "staged")
+        assert sketches(srv)["soap.pack_degree"]["sum"] == 1
+        assert counters(srv)["soap.messages"] == 1
+        assert counters(srv)["http.connections.accepted"] == 1
 
 
 class TestStagedConcurrency:
@@ -135,7 +137,7 @@ class TestStagedConcurrency:
         assert response.status == 200
         # 6 x 0.05s serial would be >= 0.30s; concurrent should be well under
         assert elapsed < 0.22
-        assert srv.app_stage.stats.events == 6
+        assert sketches(srv)["stage.application.service_time_s"]["count"] == 6
 
     def test_common_arch_is_serial(self):
         transport = InProcTransport()
@@ -156,7 +158,7 @@ class TestStagedConcurrency:
         srv = build_server(ServerConfig(services=make_services(), architecture="staged", transport=transport, address="fastpath"))
         with srv.running() as address:
             call(transport, address, build_request_envelope(NS, "echo", {"payload": "x"}))
-        assert srv.app_stage.stats.events == 0
+        assert sketches(srv)["stage.application.service_time_s"]["count"] == 0
 
     def test_mixed_success_and_fault_entries(self):
         transport = InProcTransport()
@@ -266,8 +268,8 @@ class TestArchitectureParity:
             notified.clear()
             expired_response = server.endpoint(expired)
             assert not notified.is_set()  # expired entries never run
-        counters = {
-            name: obs.registry.counter(name).value
+        skipped = {
+            name: counters(server)[name]
             for name in ("resilience.deadline_expired", "resilience.shed")
         }
         # fault classes seen per target (the EWMA values themselves
@@ -284,7 +286,7 @@ class TestArchitectureParity:
             )
             for r in obs.registry.rollups()
         }
-        return mixed_response, expired_response, counters, rollups
+        return mixed_response, expired_response, skipped, rollups
 
     def test_common_and_staged_answer_and_account_identically(self):
         common = self.observe("common")
@@ -297,7 +299,7 @@ class TestArchitectureParity:
         assert common[3] == staged[3]
 
         # and the answers are the ones the protocol promises
-        mixed, expired, counters, rollups = staged
+        mixed, expired, skipped, rollups = staged
         slots = Envelope.parse(mixed.body, server=True).body_entries[0]
         assert [c.local_name for c in slots.element_children()] == [
             "echoResponse", "Fault", "Fault", "Accepted", "Fault"
@@ -313,7 +315,7 @@ class TestArchitectureParity:
         assert [c.findtext("faultcode") for c in late.element_children()] == [
             "SOAP-ENV:Server.Timeout"
         ] * 3
-        assert counters == {
+        assert skipped == {
             "resilience.deadline_expired": 3, "resilience.shed": 0
         }
         assert rollups[(NS, "doesNotExist")] == (1, 1, [])  # fatal

@@ -13,6 +13,8 @@ from repro.server.endpoint import SoapEndpoint
 from repro.server.service import service_from_functions
 from repro.xmlcore.tree import Element
 
+from ..metrics import counters, sketches
+
 NS = "urn:svc:calc"
 
 
@@ -53,7 +55,7 @@ class TestContainer:
         entry = serialize_rpc_request(NS, "fail", {"message": "boom"})
         response = container.execute_entry(entry)
         assert response.tag == FAULT_TAG
-        assert container.stats.faults == 1
+        assert counters(container)["container.faults"] == 1
 
     def test_execute_entry_unknown_op_becomes_client_fault(self, container):
         entry = serialize_rpc_request(NS, "nope", {})
@@ -72,10 +74,9 @@ class TestContainer:
         assert container.execute_entry(entry).get(REQUEST_ID_ATTR) == "req-9"
 
     def test_stats(self, container):
+        # faults count on the fault path only
         container.execute_entry(serialize_rpc_request(NS, "add", {"a": 1, "b": 2}))
-        snap = container.stats.snapshot()
-        assert snap["entries_executed"] == 1
-        assert snap["by_service"] == {NS: 1}
+        assert counters(container)["container.faults"] == 0
 
 
 def soap_post(endpoint: SoapEndpoint, envelope: Envelope) -> "HttpResponse":
@@ -141,13 +142,16 @@ class TestEndpoint:
     def test_get_without_wsdl_404(self, endpoint):
         assert endpoint(HttpRequest("GET", "/services/Calc")).status == 404
 
-    def test_stats_counted(self, endpoint):
+    def test_stats_counted(self, endpoint, container):
         soap_post(endpoint, build_request_envelope(NS, "add", {"a": 1, "b": 1}))
         endpoint(HttpRequest("GET", "/services/Calc?wsdl"))
-        snap = endpoint.stats.snapshot()
-        assert snap["soap_messages"] == 1
-        assert snap["wsdl_requests"] == 1
-        assert snap["http_requests"] == 2
+        endpoint(HttpRequest("POST", "/", body=b"this is not xml"))
+        counts = counters(container)
+        assert counts["soap.messages"] == 1
+        assert counts["soap.wsdl_requests"] == 1
+        assert counts["soap.faults"] == 1
+        assert counts["soap.packed_messages"] == 0
+        assert sketches(container)["soap.pack_degree"]["count"] == 1
 
 
 class TestServicesIndex:

@@ -22,7 +22,6 @@ from repro.core.dispatcher import spi_server_handlers
 from repro.core.oneway import mark_one_way
 from repro.core.packformat import build_parallel_method
 from repro.http.message import Headers, HttpRequest
-from repro.obs import Observability
 from repro.server import ServerConfig, build_server
 from repro.server.handlers import HandlerChain, MessageContext
 from repro.server.service import service_from_functions
@@ -30,6 +29,8 @@ from repro.soap.constants import SOAP_CONTENT_TYPE
 from repro.soap.envelope import Envelope
 from repro.soap.serializer import build_request_envelope, serialize_rpc_request
 from repro.transport.inproc import InProcTransport
+
+from ..metrics import counters, gauges, sketches
 
 NS = "urn:svc:batch"
 
@@ -70,6 +71,11 @@ def packed_request(pack):
 
 def faultcodes(slots):
     return [slot.findtext("faultcode") for slot in slots]
+
+
+def stage_runs(server):
+    """Entries the application stage ran: its service-time sketch's count."""
+    return sketches(server)["stage.application.service_time_s"]["count"]
 
 
 def wait_for(predicate, timeout=5.0):
@@ -114,12 +120,7 @@ class TestAdmission:
             gate.wait(10)
             return payload
 
-        obs = Observability()
-        server = staged_server(
-            {"hold": hold}, app_workers=1, app_queue_limit=limit, observability=obs
-        )
-        rejected = obs.registry.counter("stage.application.rejected")
-        depth = obs.registry.gauge("stage.application.queue_depth")
+        server = staged_server({"hold": hold}, app_workers=1, app_queue_limit=limit)
         start_line = threading.Barrier(packs)
         answers = []
 
@@ -134,9 +135,10 @@ class TestAdmission:
                 thread.start()
             # one entry runs on the one worker, `limit` wait; the rest of
             # every pack is refused at admission, whatever the interleaving
-            wait_for(lambda: rejected.value >= sent - 1 - limit)
-            assert rejected.value == sent - 1 - limit
-            assert depth.value <= limit
+            rejected = lambda: counters(server)["stage.application.rejected"]
+            wait_for(lambda: rejected() >= sent - 1 - limit)
+            assert rejected() == sent - 1 - limit
+            assert gauges(server)["stage.application.queue_depth"] <= limit
             assert len(started) == 1
             gate.set()
             for thread in threads:
@@ -151,31 +153,37 @@ class TestAdmission:
         assert sorted(started) == sorted(
             slot.require("return").text for slot in answers if slot.findtext("faultcode") is None
         )
-        assert obs.registry.counter("resilience.shed").value == len(busy)
+        assert counters(server)["resilience.shed"] == len(busy)
 
 
 class TestAccounting:
     def test_stage_counts_every_entry_it_runs_and_no_other(self):
+        ran = []  # (payload, name of the thread that ran it)
+
         def echo(payload: str) -> str:
+            ran.append((payload, threading.current_thread().name))
             return payload
 
-        obs = Observability()
-        server = staged_server({"echo": echo}, observability=obs)
-        sketch = obs.registry.sketch("stage.application.service_time_s")
-        stats = server.app_stage.stats
+        server = staged_server({"echo": echo})
         with server.running():
             assert execute(server, entries("echo", 1))  # M = 1 stays inline
-            assert stats.events == sketch.count == 0
+            assert stage_runs(server) == 0
             for count in (2, 5, 32):
                 execute(server, entries("echo", count))
-            wait_for(lambda: stats.events >= 39)
-            assert stats.events == sketch.count == 39
-            casts = [mark_one_way(entry) for entry in entries("echo", 3)]
+            wait_for(lambda: stage_runs(server) >= 39)
+            assert stage_runs(server) == 39
+            casts = [
+                mark_one_way(serialize_rpc_request(NS, "echo", {"payload": f"cast{i}"}))
+                for i in range(3)
+            ]
             execute(server, casts + entries("echo", 2))
-            wait_for(lambda: stats.events >= 44)
-        assert stats.events == sketch.count == 44
-        assert stats.per_kind == {"service-execution": 41, "one-way-execution": 3}
-        assert stats.failures == 0
+            wait_for(lambda: stage_runs(server) >= 44)
+        assert stage_runs(server) == 44
+        assert counters(server)["stage.application.failures"] == 0
+        # every awaited and every one-way entry ran on a stage worker
+        on_stage = [p for p, thread in ran if thread.startswith("stage-application")]
+        assert len(ran) == 45 and len(on_stage) == 44
+        assert {"cast0", "cast1", "cast2"} <= set(on_stage)
 
 
 class TestStress:
@@ -188,10 +196,7 @@ class TestStress:
         def echo(payload: str) -> str:
             return payload
 
-        obs = Observability()
-        server = staged_server(
-            {"echo": echo}, app_workers=workers, app_queue_limit=limit, observability=obs
-        )
+        server = staged_server({"echo": echo}, app_workers=workers, app_queue_limit=limit)
         rng = random.Random(7)
         sizes = [[rng.randint(2, 12) for _ in range(packs)] for _ in range(senders)]
         answers = [[] for _ in range(senders)]
@@ -217,8 +222,7 @@ class TestStress:
                 assert set(codes) <= {None, "SOAP-ENV:Server.Busy"}
                 shed = codes.count("SOAP-ENV:Server.Busy")
                 ran = len(codes) - shed
-                stats = server.app_stage.stats
-                wait_for(lambda: stats.events >= ran)
+                wait_for(lambda: stage_runs(server) >= ran)
                 # no capacity leaked: once the stage is idle, a pack of
                 # exactly workers + limit entries is admitted whole
                 tail = execute(server, entries("echo", workers + limit))
@@ -227,12 +231,10 @@ class TestStress:
 
         assert faultcodes(tail) == [None] * (workers + limit)
         ran += workers + limit
-        wait_for(lambda: stats.events >= ran)
-        assert stats.events == ran
-        assert obs.registry.sketch("stage.application.service_time_s").count == ran
-        assert stats.per_kind == {"service-execution": ran}
-        assert obs.registry.counter("stage.application.rejected").value == shed
-        assert obs.registry.counter("resilience.shed").value == shed
+        wait_for(lambda: stage_runs(server) >= ran)
+        assert stage_runs(server) == ran
+        assert counters(server)["stage.application.rejected"] == shed
+        assert counters(server)["resilience.shed"] == shed
 
 
 class TestShutdown:
@@ -276,8 +278,7 @@ def test_a_shed_one_way_message_counts_one_shed():
         gate.wait(10)
         return payload
 
-    obs = Observability()
-    server = staged_server({"hold": hold}, app_workers=1, app_queue_limit=1, observability=obs)
+    server = staged_server({"hold": hold}, app_workers=1, app_queue_limit=1)
     try:
         with server.running():
             # one cast on the worker, one waiting: the stage is full
@@ -291,7 +292,7 @@ def test_a_shed_one_way_message_counts_one_shed():
                 envelope.to_bytes(),
             ))
             assert response.status == 503
-            assert obs.registry.counter("resilience.shed").value == 1
+            assert counters(server)["resilience.shed"] == 1
     finally:
         gate.set()
 

@@ -7,8 +7,11 @@ from repro.errors import TransportError
 from repro.http.evented import EventedHttpServer
 from repro.http.server import HttpServer
 from repro.server import ServerConfig, build_server
+from repro.obs import Observability
 from repro.server import SoapServer
 from repro.transport.inproc import InProcTransport
+
+from ..metrics import counters
 
 
 class TestServerConfig:
@@ -52,9 +55,19 @@ class TestBuildServer:
             assert staged.app_stage.workers == 3
             assert common.architecture == "common"
             assert common.app_stage is None
-            assert "app_stage" not in common.stats()
+            assert not any(name.startswith("stage.") for name in counters(common))
         finally:
             staged.stop()
+
+    @pytest.mark.parametrize("observability", [None, Observability()])
+    def test_every_layer_counts_into_the_one_server_registry(self, observability):
+        server = build_server(ServerConfig(
+            services=[make_echo_service()], observability=observability
+        ))
+        layers = (server.http, server.container, server.app_stage)
+        assert all(layer.registry is server.registry for layer in layers)
+        if observability is not None:
+            assert server.registry is observability.registry
 
     def test_backend_selects_http_class(self):
         services = [make_echo_service()]

@@ -7,16 +7,13 @@ from repro.client.config import ClientConfig, build_proxy
 from repro.core.batch import PackBatch
 from repro.core.dispatcher import spi_server_handlers
 from repro.server import ServerConfig, build_server
-from repro.server.handlers import (
-    Handler,
-    HandlerChain,
-    MessageContext,
-    PackMetricsHandler,
-)
+from repro.server.handlers import Handler, HandlerChain, MessageContext
 from repro.server.stage import Stage
 from repro.transport.inproc import InProcTransport
 from repro.soap.envelope import Envelope
 from repro.xmlcore.tree import Element
+
+from ..metrics import counters, sketches
 
 
 class TestStage:
@@ -26,34 +23,33 @@ class TestStage:
 
     def test_stats_recorded(self):
         with Stage("test", workers=1) as stage:
-            stage.submit(lambda: None, kind="a").result(timeout=5)
-            stage.submit(lambda: None, kind="a").result(timeout=5)
-            stage.submit(lambda: None, kind="b").result(timeout=5)
-        snap = stage.stats.snapshot()
-        assert snap["events"] == 3
-        assert snap["per_kind"] == {"a": 2, "b": 1}
-        assert snap["failures"] == 0
+            for _ in range(3):
+                stage.submit(lambda: None).result(timeout=5)
+        assert sketches(stage)["stage.test.service_time_s"]["count"] == 3
+        assert counters(stage)["stage.test.failures"] == 0
 
     def test_failure_recorded_and_raised(self):
         with Stage("test", workers=1) as stage:
             future = stage.submit(lambda: 1 / 0)
             with pytest.raises(ZeroDivisionError):
                 future.result(timeout=5)
-        assert stage.stats.failures == 1
+        assert counters(stage)["stage.test.failures"] == 1
 
     def test_mean_service_time(self):
         with Stage("test", workers=1) as stage:
             stage.submit(lambda: None).result(timeout=5)
-        assert stage.stats.mean_service_time >= 0.0
+        assert sketches(stage)["stage.test.service_time_s"]["mean"] >= 0.0
 
     def test_workers_property(self):
         with Stage("test", workers=3) as stage:
             assert stage.workers == 3
 
-    def test_pool_stats_exposed(self):
-        with Stage("test", workers=1) as stage:
+    def test_counts_into_the_registry_it_is_given(self):
+        server = build_server(ServerConfig(services=[make_echo_service()]))
+        stage = Stage("test", workers=1, registry=server.registry)
+        with stage:
             stage.submit(lambda: None).result(timeout=5)
-        assert stage.pool_stats()["submitted"] == 1
+        assert sketches(server)["stage.test.service_time_s"]["count"] == 1
 
 
 def make_context(*entries: Element) -> MessageContext:
@@ -117,44 +113,42 @@ class TestHandlerChain:
 @pytest.fixture
 def instrumented_server():
     transport = InProcTransport()
-    metrics = PackMetricsHandler()
-    chain = HandlerChain([metrics, *spi_server_handlers()])
+    chain = HandlerChain(spi_server_handlers())
     server = build_server(ServerConfig(services=[make_echo_service()], architecture="staged", transport=transport, address="diag", chain=chain))
     with server.running() as address:
         proxy = build_proxy(ClientConfig(transport, address, namespace=ECHO_NS, service_name="EchoService"))
-        yield proxy, metrics
+        yield proxy, server
         proxy.close()
 
 
-class TestPackMetricsHandler:
+class TestPackDegree:
+    """The endpoint records each message's pack degree once; the
+    sketch's mean is the amortization SPI exists to raise above 1.0."""
+
     def test_plain_call_recorded(self, instrumented_server):
-        proxy, metrics = instrumented_server
+        proxy, server = instrumented_server
         proxy.call("echo", payload="x")
-        snap = metrics.snapshot()
-        assert snap["plain_messages"] == 1
-        assert snap["packed_messages"] == 0
-        assert snap["amortization"] == 1.0
+        assert counters(server)["soap.packed_messages"] == 0
+        degree = sketches(server)["soap.pack_degree"]
+        assert degree["count"] == 1
+        assert degree["mean"] == 1.0
 
     def test_packed_call_recorded(self, instrumented_server):
-        proxy, metrics = instrumented_server
+        proxy, server = instrumented_server
         with PackBatch(proxy) as batch:
             for i in range(8):
                 batch.call("echo", payload=str(i))
-        snap = metrics.snapshot()
-        assert snap["packed_messages"] == 1
-        assert snap["amortization"] == 8.0
-        assert snap["pack_degree"]["buckets"]["<=8"] == 1
+        assert counters(server)["soap.packed_messages"] == 1
+        degree = sketches(server)["soap.pack_degree"]
+        assert degree["mean"] == 8.0
+        assert degree["max"] == 8.0
 
     def test_amortization_mixes_plain_and_packed(self, instrumented_server):
-        proxy, metrics = instrumented_server
+        proxy, server = instrumented_server
         proxy.call("echo", payload="a")
         with PackBatch(proxy) as batch:
             batch.call("echo", payload="b")
             batch.call("echo", payload="c")
             batch.call("echo", payload="d")
-        assert metrics.amortization == pytest.approx(2.0)  # (1 + 3) / 2
-
-    def test_execute_time_histogram_fills(self, instrumented_server):
-        proxy, metrics = instrumented_server
-        proxy.call("echo", payload="x")
-        assert metrics.execute_ms.total == 1
+        # (1 + 3) / 2
+        assert sketches(server)["soap.pack_degree"]["mean"] == pytest.approx(2.0)

@@ -203,6 +203,27 @@ def test_every_config_field_has_a_readme_row(config):
     assert not missing, f"{config.__name__} fields without a README row: {sorted(missing)}"
 
 
+#: ``registry.counter("name")`` / ``.gauge(f"stage.{name}.x")`` / ``.sketch(...)``
+_INSTRUMENT_RE = re.compile(r"\.(?:counter|gauge|sketch)\(\s*f?\"([^\"]+)\"")
+
+
+def test_every_server_instrument_has_a_readme_row():
+    """Every instrument ``src/repro/server/`` and ``src/repro/http/``
+    bind (an f-string's ``{name}`` reads as ``<name>``) is a row of
+    README's server-instrument table."""
+    bound = set()
+    for package in ("server", "http"):
+        for path in sorted((PACKAGE_ROOT / package).glob("*.py")):
+            for name in _INSTRUMENT_RE.findall(path.read_text(encoding="utf-8")):
+                bound.add(re.sub(r"\{\w+\}", "<name>", name))
+    assert len(bound) >= 20
+    readme = (PACKAGE_ROOT.parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| server instrument |", 1)[1].split("\n\n", 1)[0]
+    documented = {row.split("|")[1].strip().strip("`") for row in table.splitlines()[2:]}
+    missing = bound - documented
+    assert not missing, f"instruments without a README row: {sorted(missing)}"
+
+
 def test_every_measured_pr_has_a_full_bench_perf_entry():
     root = PACKAGE_ROOT.parents[1]
     benchmark = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
