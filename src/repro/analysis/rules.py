@@ -383,7 +383,7 @@ class NoUnboundedSpanStore(Rule):
     long-lived server objects; unlike a cache, a telemetry buffer grows
     with *traffic*, not key diversity, so an unbounded one is a memory
     leak under perfectly benign load.  Every retention structure in
-    ``repro.obs`` names its bound (ring ``capacity``, ``max_traces`` /
+    ``repro.obs`` names its bound (``max_traces`` / ``max_pending`` /
     ``max_spans_per_trace`` / ``max_bytes``); any class assigning a
     container to a ``self.*span*``/``*trace*`` attribute must mention a
     bound in its body or carry an inline disable naming the enforcer.

@@ -5,16 +5,20 @@ card service and the SPI plan runner) in one container on real TCP,
 with the SPI pack handlers installed.  Useful for
 poking at the stack with a real client::
 
-    python -m repro.apps.serve --port 8080
+    python -m repro.apps.serve --port 8080 --span-store
     # another shell:
     python -m repro.apps.call 127.0.0.1:8080 urn:repro:echo echo payload=hello
     curl 'http://127.0.0.1:8080/services/EchoService?wsdl'
+    curl 'http://127.0.0.1:8080/traces'                    # retained trace ids
+    curl 'http://127.0.0.1:8080/trace/<id>?format=text'    # one as a waterfall
+
+Budgets are checked offline: save ``/metrics`` and run ``python -m
+repro.obs.slo check --config slo.json --snapshot metrics.json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
 import threading
@@ -47,18 +51,16 @@ def build_demo_server(
     app_workers: int = 16,
     observability: Observability | None = None,
     compression: bool = False,
-    slo_config: dict | None = None,
 ):
     """Assemble the full demo container with the SPI handlers.
 
     With an :class:`Observability`, the server records per-phase spans
     and serves ``GET /metrics`` and ``GET /healthz``; when the bundle
     carries a span store, ``GET /traces`` and ``GET /trace/<id>`` serve
-    retained span trees too.
+    retained traces too (``?format=text`` as a waterfall).
 
     ``compression`` enables negotiated gzip/deflate response coding for
-    clients that send ``Accept-Encoding``; ``slo_config`` (a parsed
-    ``slo.json``) lights up ``GET /slo`` live budget evaluation.
+    clients that send ``Accept-Encoding``.
     """
     services = [
         make_echo_service(),
@@ -79,7 +81,6 @@ def build_demo_server(
         app_workers=app_workers,
         observability=observability,
         compression=CompressionPolicy() if compression else None,
-        slo_config=slo_config,
     ))
     server.container.deploy(make_plan_runner_service(server.container))
     return server
@@ -124,19 +125,11 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="MAX_TRACES",
         help="keep completed traces queryable at /traces and /trace/<id> "
-        "(tail-sampled, bounded; optional value sets the trace cap)",
-    )
-    parser.add_argument(
-        "--slo",
-        metavar="SLO_JSON",
-        help="slo.json path; serves live budget verdicts at GET /slo",
+        "(?format=text: a waterfall; tail-sampled, bounded; optional "
+        "value sets the trace cap)",
     )
     args = parser.parse_args(argv)
 
-    slo_config = None
-    if args.slo:
-        with open(args.slo, "r", encoding="utf-8") as handle:
-            slo_config = json.load(handle)
     store = (
         SpanStore(max_traces=args.span_store)
         if args.span_store is not None and not args.no_obs
@@ -151,7 +144,6 @@ def main(argv: list[str] | None = None) -> int:
         app_workers=args.workers,
         observability=observability,
         compression=args.compress,
-        slo_config=slo_config,
     )
     address = server.start()
     print(f"SPI demo server listening on {address[0]}:{address[1]}")
@@ -160,8 +152,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  health:  http://{address[0]}:{address[1]}/healthz")
         if store is not None:
             print(f"  traces:  http://{address[0]}:{address[1]}/traces")
-        if slo_config is not None:
-            print(f"  slo:     http://{address[0]}:{address[1]}/slo")
     print("deployed services:")
     for service in server.container.services():
         print(f"  {service.name:<24} {service.namespace}")

@@ -130,9 +130,22 @@ class ServiceProxy:
         self.response_cache = config.response_cache
         # the proxy's metric home: the tracer's registry when one is
         # wired (so counters land next to the server's in /metrics),
-        # else a private registry that still feeds the hedge rollups
+        # else a private registry that still feeds the hedge rollups;
+        # every instrument is bound here, none looked up per call
         registry = getattr(config.tracer, "registry", None)
-        self.metrics = registry if registry is not None else MetricsRegistry()
+        self.metrics = metrics = registry if registry is not None else MetricsRegistry()
+        self._retries = metrics.counter("client.retries")
+        if self.tracer is not None:
+            self._in_flight = metrics.gauge("client.calls.in_flight")
+        if config.hedge is not None:
+            self._hedges = metrics.counter("client.hedges")
+            self._hedge_wins = metrics.counter("client.hedge_wins")
+        if config.request_compression is not None:
+            self._bytes_saved = metrics.counter("compress.bytes_saved")
+        # action -> its client rollup, written only on first sight of an
+        # action; dict.get is atomic under the GIL, so a warm call skips
+        # the registry lock
+        self._rollups: dict[str, Any] = {}
         self.last_trace_id: str | None = None
         self._pool = ConnectionPool(config.transport) if config.reuse_connections else None
         self._hedge_budget = config.hedge and HedgeBudget.for_policy(config.hedge)
@@ -143,7 +156,8 @@ class ServiceProxy:
         if config.accept_encoding:
             self._headers["Accept-Encoding"] = config.accept_encoding
         if self.limiter is not None:
-            self._limiter_gauge = self.metrics.gauge("client.limiter.limit")
+            self._limiter_gated = metrics.counter("client.limiter.gated")
+            self._limiter_gauge = metrics.gauge("client.limiter.limit")
             self._limiter_gauge.set(self.limiter.limit)
         self.calls = 0
         self.connections_opened = 0
@@ -228,17 +242,21 @@ class ServiceProxy:
             from repro.soap.wssecurity import attach_security_header
 
             attach_security_header(envelope, self.config.credentials)
-        rollup = self.metrics.rollup(CLIENT_ROLLUP_PREFIX + self.namespace, action or "exchange")
+        action = action or "exchange"
+        rollup = self._rollups.get(action)
+        if rollup is None:
+            rollup = self._rollups[action] = self.metrics.rollup(
+                CLIENT_ROLLUP_PREFIX + self.namespace, action
+            )
         call = _Call(envelope, headers, policy, rollup, self.hedge if hedgeable else None)
         if trace_id is None:
             return self._retry(call)
-        in_flight = self.tracer.registry.gauge("client.calls.in_flight")
-        in_flight.add(1)
+        self._in_flight.add(1)
         try:
-            with self.tracer.span("client.call", trace_id, detail=action or "exchange"):
+            with self.tracer.span("client.call", trace_id, detail=action):
                 return self._retry(call)
         finally:
-            in_flight.add(-1)
+            self._in_flight.add(-1)
 
     def _retry(self, call: _Call) -> bytes:
         state = RetryState()
@@ -246,7 +264,7 @@ class ServiceProxy:
             return execute_with_policy(
                 functools.partial(self._attempt, call),
                 call.policy,
-                on_retry=lambda *_: self.metrics.counter("client.retries").inc(),
+                on_retry=lambda *_: self._retries.inc(),
                 state=state,
             )
         finally:
@@ -259,7 +277,7 @@ class ServiceProxy:
         if limiter is None:
             return self._send(call, deadline)
         if not limiter.try_acquire():
-            self.metrics.counter("client.limiter.gated").inc()
+            self._limiter_gated.inc()
             self._limiter_gauge.set(limiter.limit)
             # a fast local fault wearing the server's own shed faultcode,
             # so the retry step backs off as it would from the server's
@@ -300,7 +318,7 @@ class ServiceProxy:
         if coding is not None and len(body) >= coding.min_size:
             coded = compress(body, coding.encodings[0], level=coding.level)
             if len(coded) < len(body):
-                self.metrics.counter("compress.bytes_saved").inc(len(body) - len(coded))
+                self._bytes_saved.inc(len(body) - len(coded))
                 body = coded
                 headers.set("Content-Encoding", coding.encodings[0])
         # The wire timeout is armed only by a hard whole-call deadline:
@@ -330,7 +348,7 @@ class ServiceProxy:
         except queue.Empty:
             first = None
             if self._hedge_budget.try_spend():
-                self.metrics.counter("client.hedges").inc()
+                self._hedges.inc()
                 hedge_request, _, hedge_io = self._rebase(call, deadline)
                 attempts.append(self._launch(outcomes, 1, hedge_request, hedge_io, call.rollup))
         failures: dict[int, BaseException] = {}
@@ -348,7 +366,7 @@ class ServiceProxy:
         if winner is None:
             raise failures[0]
         if winner == 1:
-            self.metrics.counter("client.hedge_wins").inc()
+            self._hedge_wins.inc()
         return outcome
 
     def _launch(self, outcomes, index: int, request: HttpRequest, io_budget, rollup) -> _Attempt:

@@ -9,7 +9,7 @@
   500 on an app exception → content coding → keep-alive decision → wire
   encoding → ``http.send`` span → trace completion), the chunked-
   transfer framing of the HPDC-11 "message chunking" optimization, the
-  ``http.*`` instruments behind ``/healthz`` and the canned
+  ``http.*`` instruments, the admin routes and the canned
   accept-overload 503.
 
 The backends are I/O drivers over these two and differ only in where
@@ -37,10 +37,12 @@ from repro.http.compression import CompressionPolicy, choose_encoding, compress
 from repro.http.message import Headers, HttpRequest, HttpResponse, encode_head
 from repro.http.parser import MessageParser, chunk_frames
 from repro.obs.registry import MetricsRegistry
+from repro.obs.timeline import render_timeline
 from repro.obs.trace import (
     TRACE_HTTP_HEADER,
     Observability,
     activate,
+    current_trace_id,
     deactivate,
     new_trace_id,
 )
@@ -54,9 +56,10 @@ App = Callable[[HttpRequest], HttpResponse]
 #: the request's :class:`ResponseSlot` and wakes its loop.
 Deliver = Callable[[list[bytes], bool], None]
 
-ADMIN_PATHS = ("/metrics", "/healthz", "/traces", "/slo")
+ADMIN_PATHS = ("/metrics", "/healthz", "/traces")
 
-#: ``GET /trace/<id>`` serves one retained trace's span tree.
+#: ``GET /trace/<id>`` serves one retained trace's span tree
+#: (``?format=text``: its waterfall).
 TRACE_PATH_PREFIX = "/trace/"
 
 #: Per-connection cap on dispatched-but-unanswered pipelined requests;
@@ -287,8 +290,8 @@ class HttpServerCore:
     thread runs the app) and answer framing errors with
     :meth:`_reject`.  They report connections through
     :meth:`_note_connection_opened` / :meth:`_note_connection_closed` /
-    :meth:`_note_connection_timed_out` so ``/healthz`` and the
-    ``http.connections.*`` metrics agree across backends.
+    :meth:`_note_connection_timed_out` so the ``http.connections.*``
+    metrics agree across backends.
 
     Every count lives in one :class:`~repro.obs.registry.MetricsRegistry`:
     ``observability.registry`` when there is one, else ``registry`` when
@@ -307,7 +310,6 @@ class HttpServerCore:
         observability: Observability | None = None,
         registry: MetricsRegistry | None = None,
         compression: CompressionPolicy | None = None,
-        slo_config: dict | None = None,
         idle_timeout: float | None = 30.0,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
@@ -319,10 +321,7 @@ class HttpServerCore:
         timebase)."""
         self._app = app
         self._obs = observability
-        self._slo_config = slo_config
         self._clock = clock
-        # Monotonic anchor: /healthz uptime is an interval measurement.
-        self._started_at = time.monotonic()
         self._transport = transport
         self._bind_address = address
         self._server_header = server_header
@@ -423,7 +422,10 @@ class HttpServerCore:
         With a trace the app runs inside the ``server.handle`` root
         span with the trace context active, so phase spans opened
         inside it (soap.parse, spi.unpack, execute x M, ...) parent
-        under it via the thread's ambient span stack.
+        under it via the thread's ambient span stack.  When the app
+        re-homes the request onto the trace id its SOAP header carries,
+        the admitted trace completes here and the answer belongs to the
+        adopted one.
         """
         try:
             if trace_id:
@@ -432,8 +434,13 @@ class HttpServerCore:
                 try:
                     with tracer.span("server.handle", trace_id, detail=request.path):
                         response = self._app(request)
+                    adopted = current_trace_id()
                 finally:
                     deactivate()
+                if adopted != trace_id:
+                    if self._obs.store is not None:
+                        self._obs.store.complete(trace_id, http_status=response.status)
+                    trace_id = adopted
             else:
                 response = self._app(request)
         except Exception as exc:  # app bug: report, keep serving
@@ -488,85 +495,56 @@ class HttpServerCore:
 
     def _admin_response(self, request: HttpRequest) -> HttpResponse | None:
         """The admin surface: ``GET /metrics`` / ``/healthz`` /
-        ``/traces`` / ``/trace/<id>`` / ``/slo``; None otherwise.
+        ``/traces`` / ``/trace/<id>``; None otherwise.
 
         ``/metrics`` defaults to the JSON snapshot;
         ``/metrics?format=prometheus`` renders the text exposition
-        format a stock Prometheus can scrape.  ``/traces?slowest=N``
-        lists retained trace summaries, ``/trace/<id>`` one trace's
-        span tree, ``/slo`` the live budget verdict.
+        format a stock Prometheus can scrape.  ``/healthz`` is liveness
+        and uptime.  ``/traces?slowest=N`` lists retained trace
+        summaries; ``/trace/<id>`` renders one retained
+        :class:`~repro.obs.store.TraceRecord` as its span tree, or with
+        ``?format=text`` as its waterfall.
         """
         if request.method != "GET":
             return None
         path, _, query = request.path.partition("?")
         if path not in ADMIN_PATHS and not path.startswith(TRACE_PATH_PREFIX):
             return None
-        assert self._obs is not None
+        obs = self._obs
+        assert obs is not None
+        params = query.split("&")
         status = 200
         if path == "/healthz":
-            payload = self.health_snapshot()
-        elif path == "/traces":
-            status, payload = self._traces_payload(query)
-        elif path.startswith(TRACE_PATH_PREFIX):
-            status, payload = self._trace_payload(path[len(TRACE_PATH_PREFIX):])
-        elif path == "/slo":
-            status, payload = self._slo_payload()
-        elif "format=prometheus" in query.split("&"):
-            from repro.obs.prometheus import CONTENT_TYPE, render_prometheus
+            payload = {"status": "ok", "uptime_s": obs.uptime_s()}
+        elif path == "/metrics":
+            if "format=prometheus" in params:
+                from repro.obs.prometheus import CONTENT_TYPE, render_prometheus
 
-            return HttpResponse(
-                200,
-                Headers({"Content-Type": CONTENT_TYPE}),
-                render_prometheus(self.registry).encode("utf-8"),
-            )
+                return _text_response(CONTENT_TYPE, render_prometheus(self.registry))
+            payload = obs.metrics_snapshot()
+        elif obs.store is None:
+            status, payload = 404, {"error": "span store not enabled"}
+        elif path == "/traces":
+            slowest = 20
+            for part in params:
+                name, _, value = part.partition("=")
+                if name == "slowest" and value.isdigit():
+                    slowest = int(value)
+            payload = {"traces": obs.store.slowest(slowest), "stats": obs.store.stats()}
         else:
-            payload = self._obs.metrics_snapshot()
+            trace_id = path[len(TRACE_PATH_PREFIX):]
+            record = obs.store.get(trace_id)
+            if record is None:
+                status, payload = 404, {"error": f"trace {trace_id!r} not retained"}
+            elif "format=text" in params:
+                return _text_response("text/plain; charset=utf-8", render_timeline(record))
+            else:
+                payload = record.tree()
         return HttpResponse(
             status,
             Headers({"Content-Type": "application/json"}),
             json.dumps(payload, indent=2).encode("utf-8"),
         )
-
-    def _traces_payload(self, query: str) -> tuple[int, dict]:
-        store = self._obs.store if self._obs is not None else None
-        if store is None:
-            return 404, {"error": "span store not enabled"}
-        slowest = 20
-        for part in query.split("&"):
-            name, _, value = part.partition("=")
-            if name == "slowest" and value.isdigit():
-                slowest = int(value)
-        return 200, {"traces": store.slowest(slowest), "stats": store.stats()}
-
-    def _trace_payload(self, trace_id: str) -> tuple[int, dict]:
-        store = self._obs.store if self._obs is not None else None
-        if store is None:
-            return 404, {"error": "span store not enabled"}
-        tree = store.get(trace_id)
-        if tree is None:
-            return 404, {"error": f"trace {trace_id!r} not retained"}
-        return 200, tree
-
-    def _slo_payload(self) -> tuple[int, dict]:
-        if self._slo_config is None:
-            return 404, {"error": "no slo config loaded"}
-        from repro.obs.slo import evaluate_snapshot, summarize
-
-        checks = evaluate_snapshot(
-            self._slo_config, self._obs.metrics_snapshot()
-        )
-        return 200, summarize(checks)
-
-    def health_snapshot(self) -> dict:
-        """The ``/healthz`` document: liveness plus connection counters."""
-        return {
-            "status": "ok",
-            "uptime_s": round(time.monotonic() - self._started_at, 3),
-            "connections_accepted": self._accepted.value,
-            "current_connections": int(self._active.value),
-            "max_concurrent_connections": int(self._peak.value),
-            "requests_served": self._requests.value,
-        }
 
     # -- response coding ------------------------------------------------
 
@@ -651,6 +629,10 @@ def chunked_head(response: HttpResponse) -> bytes:
     headers.remove("Content-Length")
     headers.set("Transfer-Encoding", "chunked")
     return encode_head(f"{response.version} {response.status} {response.reason}", headers)
+
+
+def _text_response(content_type: str, text: str) -> HttpResponse:
+    return HttpResponse(200, Headers({"Content-Type": content_type}), text.encode("utf-8"))
 
 
 def error_response(exc: HttpError) -> HttpResponse:

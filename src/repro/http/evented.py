@@ -145,7 +145,6 @@ class EventedHttpServer(HttpServerCore):
         observability: Observability | None = None,
         registry: MetricsRegistry | None = None,
         compression: CompressionPolicy | None = None,
-        slo_config: dict | None = None,
         protocol_workers: int = 8,
         protocol_queue_limit: int | None = 1024,
         idle_timeout: float | None = 30.0,
@@ -172,7 +171,6 @@ class EventedHttpServer(HttpServerCore):
             observability=observability,
             registry=registry,
             compression=compression,
-            slo_config=slo_config,
             idle_timeout=idle_timeout,
             clock=clock,
         )

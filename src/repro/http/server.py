@@ -53,7 +53,6 @@ class HttpServer(HttpServerCore):
         observability: Observability | None = None,
         registry: MetricsRegistry | None = None,
         compression: CompressionPolicy | None = None,
-        slo_config: dict | None = None,
         idle_timeout: float | None = 30.0,
     ) -> None:
         """Keywords are :class:`~repro.server.config.ServerConfig` fields
@@ -73,7 +72,6 @@ class HttpServer(HttpServerCore):
             observability=observability,
             registry=registry,
             compression=compression,
-            slo_config=slo_config,
             idle_timeout=idle_timeout,
         )
         self._connection_slots = (

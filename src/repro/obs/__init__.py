@@ -12,10 +12,11 @@ substrate that makes those phases visible end-to-end:
 * :mod:`repro.obs.sketch` — mergeable log-bucketed quantile sketches
   (DDSketch-style, ~1% relative error) behind every latency series;
 * :mod:`repro.obs.rollup` — per-(service, operation) latency/error
-  EWMAs + in-flight gauges, the feed for hedging and live SLO checks;
+  EWMAs + in-flight gauges, the feed for hedging and SLO budgets;
 * :mod:`repro.obs.store` — bounded queryable span store with
   tail-based sampling, behind ``GET /trace/<id>`` and ``GET /traces``;
-* :mod:`repro.obs.timeline` — text waterfalls of one trace's spans;
+* :mod:`repro.obs.timeline` — one retained trace as a text waterfall,
+  behind ``GET /trace/<id>?format=text``;
 * :mod:`repro.obs.prometheus` — the text exposition format behind
   ``GET /metrics?format=prometheus``;
 * :mod:`repro.obs.slo` — budgets-vs-snapshot checker behind
@@ -50,7 +51,7 @@ from repro.obs.trace import (
     new_trace_id,
 )
 from repro.obs.prometheus import render_prometheus, sanitize_name
-from repro.obs.timeline import phase_breakdown, render_all, render_spans, render_timeline
+from repro.obs.timeline import phase_breakdown, render_timeline
 
 __all__ = [
     "Counter",
@@ -75,9 +76,7 @@ __all__ = [
     "new_span_id",
     "new_trace_id",
     "phase_breakdown",
-    "render_all",
     "render_prometheus",
-    "render_spans",
     "render_timeline",
     "rollup_key",
     "sanitize_name",

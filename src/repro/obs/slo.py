@@ -7,9 +7,9 @@ section, ``"live"`` — budgets over a ``/metrics`` JSON snapshot:
 ``"targets"`` keyed by rollup target (``service#operation``) then
 dotted path into the rollup snapshot (``latency_p99_s``,
 ``error_rate``, ``error_rate_by_class.shed``), and ``"sketches"`` keyed
-by sketch name then dotted path (``quantiles.p99``).  The admin
-``/slo`` route and ``serve --slo`` evaluate these against the running
-registry.
+by sketch name then dotted path (``quantiles.p99``).  This module's
+CLI is the one evaluator: save a running server's ``GET /metrics``
+document and check it.
 
 Each budget is ``{"max": x}`` and/or ``{"min": y}``.  A metric the
 snapshot does not carry is *skipped* (reported, not failed) unless
@@ -67,7 +67,7 @@ class SloCheck:
         )
 
     def as_dict(self) -> dict:
-        """JSON-friendly form (the ``/slo`` route's per-check rows)."""
+        """JSON-friendly form (the per-check rows of :func:`summarize`)."""
         return {
             "subject": self.subject,
             "metric": self.metric,
@@ -134,7 +134,7 @@ def evaluate_snapshot(config: dict, snapshot: dict) -> list[SloCheck]:
 
 
 def summarize(checks: list[SloCheck], *, strict: bool = False) -> dict:
-    """The ``/slo`` JSON document: verdict + per-check rows."""
+    """The verdict document: counts + per-check rows."""
     failed = [c for c in checks if not c.ok]
     skipped = [c for c in checks if c.skipped]
     ok = not failed and not (strict and skipped)

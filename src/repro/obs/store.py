@@ -1,12 +1,13 @@
 """Queryable in-process trace store with tail-based sampling.
 
-PR-3's JSONL span sink writes spans out and forgets them; answering
-"show me the slowest packed request of the last minute, as a tree"
-meant grepping a log.  The :class:`SpanStore` keeps *completed traces*
-— parent/child span trees — in a bounded in-process ring instead, and
-the admin surface serves them back:
+The :class:`SpanStore` is the one place finished spans are kept: the
+tracer hands it every span, it files them under their trace's
+:class:`TraceRecord`, keeps *completed traces* — parent/child span
+trees — in a bounded in-process ring, and the admin surface serves them
+back:
 
 * ``GET /trace/<id>``     — one trace's span tree (forest of roots);
+* ``GET /trace/<id>?format=text`` — the same record as a text waterfall;
 * ``GET /traces?slowest=N`` — summaries, slowest first.
 
 **Tail-based sampling.**  Keeping every trace is pointless (identical
@@ -46,7 +47,9 @@ FLAG_FAULT = "fault"
 FLAG_SHED = "shed"
 FLAG_DEADLINE = "deadline"
 
-# an HTTP error status flags its trace by the status's fault class
+#: A trace is flagged by the fault class of what it answered: an entry
+#: fault (:meth:`SpanStore.mark`) or an HTTP error status
+#: (:meth:`SpanStore.complete`).
 _FLAG_OF_CLASS = {"shed": FLAG_SHED, "timeout": FLAG_DEADLINE, "fatal": FLAG_FAULT}
 
 DEFAULT_MAX_TRACES = 256
@@ -65,21 +68,9 @@ def _span_cost(span: Span) -> int:
     return _SPAN_BASE_COST + len(span.name) + len(span.detail)
 
 
-class _Pending:
-    """Spans of a not-yet-completed trace (bounded)."""
-
-    __slots__ = ("spans", "flags", "dropped_spans", "byte_size")
-
-    def __init__(self) -> None:
-        # bounded by SpanStore.max_spans_per_trace at every ingest()
-        self.spans: list[Span] = []  # repro: disable=no-unbounded-span-store
-        self.flags: set[str] = set()
-        self.dropped_spans = 0
-        self.byte_size = 0
-
-
 class TraceRecord:
-    """One completed, retained trace."""
+    """One trace's spans and flags: pending until its response is sent
+    (:meth:`SpanStore.complete`), then retained or dropped."""
 
     __slots__ = (
         "trace_id",
@@ -92,21 +83,35 @@ class TraceRecord:
         "completions",
     )
 
-    def __init__(
-        self, trace_id: str, spans: list[Span], flags: set[str], dropped: int
-    ) -> None:
+    def __init__(self, trace_id: str) -> None:
         self.trace_id = trace_id
-        self.spans = spans
-        self.flags = flags
-        self.dropped_spans = dropped
-        self.byte_size = sum(_span_cost(s) for s in spans)
-        self.start = min((s.start for s in spans), default=0.0)
-        self.end = max((s.end for s in spans), default=0.0)
-        self.completions = 1
+        self.spans: list[Span] = []
+        self.flags: set[str] = set()
+        self.dropped_spans = 0
+        self.byte_size = 0
+        self.start = 0.0
+        self.end = 0.0
+        self.completions = 0
 
     @property
     def duration_s(self) -> float:
         return self.end - self.start
+
+    def add(self, span: Span, max_spans: int) -> int:
+        """Keep ``span`` — or, once the record holds ``max_spans``, count
+        it dropped; returns the bytes kept."""
+        if len(self.spans) >= max_spans:
+            self.dropped_spans += 1
+            return 0
+        if self.spans:
+            self.start = min(self.start, span.start)
+            self.end = max(self.end, span.end)
+        else:
+            self.start, self.end = span.start, span.end
+        self.spans.append(span)
+        cost = _span_cost(span)
+        self.byte_size += cost
+        return cost
 
     def summary(self) -> dict:
         """The ``/traces`` listing row."""
@@ -191,7 +196,7 @@ class SpanStore:
         # Sampling only shapes *which boring traces survive*; a seeded
         # rng makes tests deterministic, the default is fine in prod.
         self._rng = rng if rng is not None else random.Random()  # repro: disable=no-direct-sleep-random — sampling noise source, injectable for tests
-        self._pending: OrderedDict[str, _Pending] = OrderedDict()
+        self._pending: OrderedDict[str, TraceRecord] = OrderedDict()
         self._retained: OrderedDict[str, TraceRecord] = OrderedDict()
         self._durations = QuantileSketch(name="trace.duration_s")
         self._retained_bytes = 0
@@ -216,36 +221,32 @@ class SpanStore:
         leave) joins the retained record directly.
         """
         with self._lock:
-            pending = self._pending.get(span.trace_id)
-            if pending is None:
-                record = self._retained.get(span.trace_id)
-                if record is not None:
-                    self._extend_locked(record, [span])
+            record = self._pending.get(span.trace_id)
+            if record is None:
+                retained = self._retained.get(span.trace_id)
+                if retained is not None:
+                    self._retained_bytes += retained.add(span, self.max_spans_per_trace)
                     self._enforce_bounds_locked()
                     return
-                while len(self._pending) >= self.max_pending:
-                    self._pending.popitem(last=False)
-                    self.pending_evicted += 1
-                pending = self._pending[span.trace_id] = _Pending()
-            if len(pending.spans) >= self.max_spans_per_trace:
-                pending.dropped_spans += 1
-                return
-            pending.spans.append(span)
-            pending.byte_size += _span_cost(span)
+                record = self._open_locked(span.trace_id)
+            record.add(span, self.max_spans_per_trace)
 
-    def mark(self, trace_id: str, flag: str) -> None:
-        """Flag a pending trace (``fault``/``shed``/``deadline``) so
-        completion always retains it."""
+    def mark(self, trace_id: str, fault_class: str) -> None:
+        """Flag a trace by the fault class (``shed`` / ``timeout`` /
+        ``fatal``) of an answer inside it, so completion always retains
+        it."""
         with self._lock:
-            pending = self._pending.get(trace_id)
-            if pending is None:
-                # marked before any span finished (or after completion):
-                # open the pending slot so the flag is not lost
-                while len(self._pending) >= self.max_pending:
-                    self._pending.popitem(last=False)
-                    self.pending_evicted += 1
-                pending = self._pending[trace_id] = _Pending()
-            pending.flags.add(flag)
+            # marked before any span finished (or after completion):
+            # open the pending record so the flag is not lost
+            record = self._pending.get(trace_id) or self._open_locked(trace_id)
+            record.flags.add(_FLAG_OF_CLASS[fault_class])
+
+    def _open_locked(self, trace_id: str) -> TraceRecord:
+        while len(self._pending) >= self.max_pending:
+            self._pending.popitem(last=False)
+            self.pending_evicted += 1
+        record = self._pending[trace_id] = TraceRecord(trace_id)
+        return record
 
     def complete(self, trace_id: str, *, http_status: int | None = None) -> bool:
         """Finalize a trace and run the tail-sampling decision.
@@ -257,31 +258,33 @@ class SpanStore:
         id) merges the new spans and flags into the existing record.
         """
         with self._lock:
-            pending = self._pending.pop(trace_id, None)
+            record = self._pending.pop(trace_id, None)
             existing = self._retained.get(trace_id)
-            if pending is None:
+            if record is None:
                 if existing is None:
                     return False
                 # a retry whose spans all joined the record on ingest:
                 # only its status and the completion itself are new
-                pending = _Pending()
+                record = TraceRecord(trace_id)
             if http_status is not None and http_status >= 400:
-                pending.flags.add(_FLAG_OF_CLASS[fault_class_of_status(http_status)])
+                record.flags.add(_FLAG_OF_CLASS[fault_class_of_status(http_status)])
             self.completed += 1
             if existing is not None:
                 # retry reusing the trace id: merge into the record
-                self._merge_locked(existing, pending)
+                for span in record.spans:
+                    self._retained_bytes += existing.add(span, self.max_spans_per_trace)
+                existing.dropped_spans += record.dropped_spans
+                existing.flags |= record.flags
+                existing.completions += 1
                 self._enforce_bounds_locked()
                 return True
 
-            start = min((s.start for s in pending.spans), default=0.0)
-            end = max((s.end for s in pending.spans), default=0.0)
-            duration = end - start
+            duration = record.duration_s
             threshold = self._durations.quantile(self.keep_percentile)
             seen_enough = self._durations.count >= 20
             self._durations.record(duration)
 
-            if pending.flags:
+            if record.flags:
                 self.kept_flagged += 1
             elif seen_enough and duration >= threshold and duration > 0.0:
                 self.kept_slow += 1
@@ -293,31 +296,11 @@ class SpanStore:
                 self.dropped += 1
                 return False
             self.kept += 1
-            record = TraceRecord(
-                trace_id, pending.spans, pending.flags, pending.dropped_spans
-            )
+            record.completions = 1
             self._retained[trace_id] = record
             self._retained_bytes += record.byte_size
             self._enforce_bounds_locked()
             return trace_id in self._retained
-
-    def _merge_locked(self, record: TraceRecord, pending: _Pending) -> None:
-        self._extend_locked(record, pending.spans)
-        record.dropped_spans += pending.dropped_spans
-        record.flags |= pending.flags
-        record.completions += 1
-
-    def _extend_locked(self, record: TraceRecord, spans: list[Span]) -> None:
-        room = self.max_spans_per_trace - len(record.spans)
-        added = spans[: max(room, 0)]
-        record.spans.extend(added)
-        record.dropped_spans += len(spans) - len(added)
-        grown = sum(_span_cost(s) for s in added)
-        record.byte_size += grown
-        self._retained_bytes += grown
-        if added:
-            record.start = min(record.start, min(s.start for s in added))
-            record.end = max(record.end, max(s.end for s in added))
 
     def _enforce_bounds_locked(self) -> None:
         while len(self._retained) > self.max_traces or (
@@ -338,11 +321,10 @@ class SpanStore:
 
     # -- query path ----------------------------------------------------
 
-    def get(self, trace_id: str) -> dict | None:
-        """The span tree of a retained trace, or None."""
+    def get(self, trace_id: str) -> TraceRecord | None:
+        """A retained trace's record, or None."""
         with self._lock:
-            record = self._retained.get(trace_id)
-        return record.tree() if record is not None else None
+            return self._retained.get(trace_id)
 
     def slowest(self, n: int = 20) -> list[dict]:
         """Summaries of the ``n`` slowest retained traces."""

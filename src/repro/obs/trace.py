@@ -11,11 +11,11 @@ M logical requests ride one ``Parallel_Method`` entry.
 A *span* is one timed phase of a trace (``http.parse``,
 ``security.verify``, ``soap.parse``, ``spi.unpack``, ``execute`` per
 entry, ``spi.pack``, ``soap.serialize``, ``http.send``, and
-``client.call`` on the client).  Spans are recorded into a bounded ring
-on the :class:`Tracer` and their durations feed ``span.<name>.seconds``
-quantile sketches in the attached
-:class:`~repro.obs.registry.MetricsRegistry`, which is how per-phase
-latency shows up under ``/metrics``.
+``client.call`` on the client).  A finished span's duration feeds the
+``span.<name>.seconds`` quantile sketch in the attached
+:class:`~repro.obs.registry.MetricsRegistry` (per-phase latency under
+``/metrics``), and the span itself goes to the one place spans are kept:
+the attached :class:`~repro.obs.store.SpanStore`, when there is one.
 
 Hot-path contract: when no trace is active (observability disabled) the
 module-level :func:`span` helper returns the shared :data:`NULL_SPAN`
@@ -26,12 +26,10 @@ server runs the exact seed code path plus one attribute lookup.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import threading
 import time
-from collections import deque
-from typing import IO, TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.obs.registry import MetricsRegistry
 
@@ -166,36 +164,25 @@ NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Bounded span ring + optional registry feed; thread-safe.
+    """Times spans and hands each finished one on; thread-safe.
 
-    With an ``export_sink`` (any text file-like object) every finished
-    span is additionally written as one JSON line, so long-running
-    servers can ship traces off-box by pointing the sink at a log file
-    or a pipe.  Sink I/O happens outside the ring lock; a sink that
-    raises is detached rather than allowed to take down request
-    threads.
+    A finished span feeds its ``span.<name>.seconds`` sketch in
+    ``registry`` and is ingested by ``store``; the tracer keeps nothing.
     """
 
     def __init__(
         self,
         registry: MetricsRegistry | None = None,
         *,
-        capacity: int = 4096,
         clock=time.perf_counter,
-        export_sink: "IO[str] | None" = None,
         store: "SpanStore | None" = None,
     ) -> None:
         self.registry = registry
         self._clock = clock
-        # bounded ring; deque appends/snapshots are atomic under the
-        # GIL, so the per-span hot path takes no lock at all
-        self._spans: deque[Span] = deque(maxlen=capacity)
         # span name -> its registry sketch, to skip the registry lock
         # (and the f-string) on every finished span after the first
-        self._span_sketches: dict[str, object] = {}
-        self.export_sink = export_sink
+        self._span_sketches: dict[str, object] = {}  # repro: disable=no-unbounded-span-store — keyed by span name, a fixed taxonomy
         self.store = store
-        self._sink_lock = threading.Lock()
 
     # -- recording -----------------------------------------------------
 
@@ -228,7 +215,6 @@ class Tracer:
         return span
 
     def _finish(self, span: Span) -> None:
-        self._spans.append(span)
         if self.registry is not None:
             # quantile sketches, not fixed buckets: p99 of any phase is
             # answerable to ~1% relative error regardless of magnitude
@@ -240,33 +226,6 @@ class Tracer:
         store = self.store
         if store is not None:
             store.ingest(span)
-        sink = self.export_sink
-        if sink is not None:
-            line = json.dumps(span.as_dict(), separators=(",", ":"))
-            try:
-                with self._sink_lock:
-                    sink.write(line + "\n")
-            except Exception:
-                self.export_sink = None
-
-    # -- inspection ----------------------------------------------------
-
-    def spans(self, trace_id: str | None = None) -> list[Span]:
-        """Recorded spans in completion order, optionally one trace's."""
-        snapshot = list(self._spans)
-        if trace_id is None:
-            return snapshot
-        return [span for span in snapshot if span.trace_id == trace_id]
-
-    def trace_ids(self) -> list[str]:
-        """Distinct trace ids in first-completion order."""
-        seen: dict[str, None] = {}
-        for span in self.spans():
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
-
-    def __len__(self) -> int:
-        return len(self._spans)
 
 
 # -- ambient per-thread trace context ----------------------------------
@@ -317,51 +276,34 @@ def span(name: str, detail: str = ""):
 
 
 def span_in(context: tuple | None, name: str, detail: str = ""):
-    """Like :func:`span` but against an explicitly captured context —
-    for worker threads that inherited it from the protocol thread.
-    Accepts both the 3-tuple :func:`current` returns now and the
-    pre-span-tree 2-tuple."""
+    """Like :func:`span` but against the context :func:`current`
+    captured — for worker threads that inherited it from the protocol
+    thread."""
     if context is None:
         return NULL_SPAN
-    parent_id = context[2] if len(context) > 2 else ""
-    return context[0].span(name, context[1], detail, parent_id=parent_id)
+    tracer, trace_id, parent_id = context
+    return tracer.span(name, trace_id, detail, parent_id=parent_id)
 
 
 class Observability:
     """The bundle a server (or a whole testbed) threads everywhere:
-    one registry, one tracer feeding it, one start timestamp."""
+    one registry, one tracer feeding it (and ``span_store``, the one
+    place finished spans are kept, when given), one start timestamp."""
 
-    def __init__(
-        self,
-        *,
-        span_capacity: int = 4096,
-        span_sink: "IO[str] | None" = None,
-        span_store: "SpanStore | None" = None,
-    ) -> None:
+    def __init__(self, *, span_store: "SpanStore | None" = None) -> None:
         self.registry = MetricsRegistry()
         self.store = span_store
-        self.tracer = Tracer(
-            self.registry,
-            capacity=span_capacity,
-            export_sink=span_sink,
-            store=span_store,
-        )
+        self.tracer = Tracer(self.registry, store=span_store)
         # Monotonic anchor: uptime is an interval, and wall clocks jump.
         self.started_at = time.monotonic()
 
+    def uptime_s(self) -> float:
+        """Seconds since construction, to the millisecond."""
+        return round(time.monotonic() - self.started_at, 3)
+
     def metrics_snapshot(self) -> dict:
         """The ``/metrics`` JSON document."""
-        doc = {
-            "uptime_s": round(time.monotonic() - self.started_at, 3),
-            "spans_recorded": len(self.tracer),
-            "traces": len(self.tracer.trace_ids()),
-            **self.registry.snapshot(),
-        }
+        doc = {"uptime_s": self.uptime_s(), **self.registry.snapshot()}
         if self.store is not None:
             doc["span_store"] = self.store.stats()
         return doc
-
-    def iter_traces(self) -> Iterator[tuple[str, list[Span]]]:
-        """(trace id, spans) pairs in first-completion order."""
-        for trace_id in self.tracer.trace_ids():
-            yield trace_id, self.tracer.spans(trace_id)

@@ -1,8 +1,8 @@
 """One :class:`ServerConfig` + :func:`build_server` for every deployment.
 
 Every knob — architecture, I/O backend, observability, compression,
-SLO budgets, the event-loop's connection/deadline bounds — lives in one
-frozen dataclass, and one facade builds the deployment::
+the event-loop's connection/deadline bounds — lives in one frozen
+dataclass, and one facade builds the deployment::
 
     from repro.server import ServerConfig, build_server
 
@@ -50,7 +50,7 @@ class ServerConfig:
       ``handler_timeout`` loop deadlines;
     * **wire** — ``chunk_responses_over`` / ``chunk_size`` (HPDC-11
       chunking), ``compression``;
-    * **observability** — ``observability``, ``slo_config``.
+    * **observability** — ``observability``.
     """
 
     services: Sequence[Any] = ()
@@ -71,7 +71,6 @@ class ServerConfig:
     chunk_size: int = 8192
     compression: CompressionPolicy | None = None
     observability: Observability | None = None
-    slo_config: dict | None = None
 
     def __post_init__(self) -> None:
         if self.architecture not in ARCHITECTURES:
@@ -118,7 +117,6 @@ def build_http_server(
         observability=config.observability,
         registry=registry,
         compression=config.compression,
-        slo_config=config.slo_config,
         idle_timeout=config.idle_timeout,
     )
     if config.backend == "evented":

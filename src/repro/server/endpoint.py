@@ -26,7 +26,6 @@ from typing import Callable
 
 from repro.errors import FAULTCODE_TABLE, ReproError, fault_class_of
 from repro.http.message import Headers, HttpRequest, HttpResponse
-from repro.obs.store import FLAG_DEADLINE, FLAG_FAULT, FLAG_SHED
 from repro.obs.trace import (
     TRACE_HEADER_TAG,
     TRACE_ID_ATTR,
@@ -60,9 +59,6 @@ Executor = Callable[[list[Element], MessageContext], list[Element]]
 FAULTCODE_HTTP_STATUS = {
     code: status for code, (_, status) in FAULTCODE_TABLE.items()
 }
-
-# span-store flag for a per-entry fault, by fault class
-_FAULT_CLASS_FLAGS = {"shed": FLAG_SHED, "timeout": FLAG_DEADLINE}
 
 
 class SoapEndpoint:
@@ -231,8 +227,8 @@ class SoapEndpoint:
             activate(self._obs.tracer, carried)
 
     def _mark_entry_faults(self, entries: list[Element]) -> None:
-        """Flag the active trace in the span store for each entry fault
-        (shed/deadline/fault by faultcode)."""
+        """Flag the active trace in the span store with each entry
+        fault's class (the store maps it to shed/deadline/fault)."""
         trace_id = current_trace_id()
         if trace_id is None:
             return
@@ -240,8 +236,7 @@ class SoapEndpoint:
         for entry in entries:
             if entry.tag != FAULT_TAG:
                 continue
-            fault_class = fault_class_of(fault_code_of(entry) or "")
-            store.mark(trace_id, _FAULT_CLASS_FLAGS.get(fault_class, FLAG_FAULT))
+            store.mark(trace_id, fault_class_of(fault_code_of(entry) or ""))
 
     def _fault_response(self, fault: SoapFault, *, status: int) -> HttpResponse:
         envelope = Envelope()

@@ -114,7 +114,7 @@ class TestModuleReport:
             "server/stage.py",
             "http/core.py",
             "obs/registry.py",
-            "obs/trace.py",
+            "obs/store.py",
         ):
             tree = ast.parse((src_root / relative).read_text())
             reports = analyze_module(tree, relative)

@@ -11,6 +11,9 @@ from repro.server.service import service_from_functions
 from repro.transport.inproc import InProcTransport
 from repro.server import ServerConfig, build_server
 from repro.client.config import ClientConfig, build_proxy
+from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import Tracer
+from repro.resilience.limiter import AdaptiveLimiter
 
 from ..metrics import counters
 
@@ -53,10 +56,44 @@ def env():
         proxy.close()
 
 
+class CountingRegistry(MetricsRegistry):
+    """Counts instrument look-ups (each takes the registry lock).
+
+    Counted at attribute access rather than by overriding the methods,
+    so the static call graph still resolves ``registry.rollup(...)`` in
+    ``src/`` to the one ``MetricsRegistry.rollup``."""
+
+    lookups = 0
+
+    def __getattribute__(self, name):
+        if name in ("counter", "gauge", "rollup"):
+            self.lookups += 1
+        return super().__getattribute__(name)
+
+
 class TestServiceProxy:
     def test_call(self, env):
         _, _, proxy, _ = env
         assert proxy.call("echo", payload="hello") == "hello"
+
+    def test_a_warm_action_looks_no_instrument_up(self, env):
+        """Instruments are bound at construction and an action's rollup
+        on its first call, so a repeated action takes no registry lock."""
+        transport, address, _, _ = env
+        registry = CountingRegistry()
+        proxy = build_proxy(ClientConfig(
+            transport, address, namespace=NS, service_name="EchoService",
+            tracer=Tracer(registry), limiter=AdaptiveLimiter(),
+        ))
+        try:
+            proxy.call("echo", payload="a")
+            warm = registry.lookups
+            proxy.call("echo", payload="b")
+            assert registry.lookups == warm
+            proxy.call("reverse", payload="c")
+            assert registry.lookups == warm + 1  # the new action's rollup
+        finally:
+            proxy.close()
 
     def test_dynamic_attribute_call(self, env):
         _, _, proxy, _ = env

@@ -143,6 +143,8 @@ def test_slow_loris_is_dropped_at_the_read_idle_deadline(backend):
     """Half a head, then a byte now and then: ``ServerConfig.idle_timeout``
     closes the connection — unanswered, counted, its slot given back — on
     either backend, however often the peer trickles."""
+    from ..metrics import gauges  # here: the module also runs as a script
+
     obs = Observability()
     config = ServerConfig(backend=backend, idle_timeout=0.3, observability=obs)
     server = build_http_server(app, config)
@@ -162,9 +164,9 @@ def test_slow_loris_is_dropped_at_the_read_idle_deadline(backend):
                     answered = b""
                 break
         assert answered == b""
-        while server.health_snapshot()["current_connections"] and time.monotonic() < give_up:
+        while gauges(server)["http.connections.active"] and time.monotonic() < give_up:
             time.sleep(0.01)
-        assert server.health_snapshot()["current_connections"] == 0
+        assert gauges(server)["http.connections.active"] == 0
     assert obs.registry.counter("http.connections.timed_out").value == 1
 
 

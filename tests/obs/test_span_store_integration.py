@@ -4,6 +4,7 @@ sampling retaining every fault/shed trace in a seeded chaos run."""
 
 import json
 import random
+import time
 
 import pytest
 
@@ -86,6 +87,40 @@ class TestPackedTraceTree:
         executes = [c for c in handle["children"] if c["name"] == "execute"]
         assert all(c["detail"] == "echo" for c in executes)
 
+    def test_text_waterfall_has_one_line_per_span_of_the_json_tree(self, backend):
+        """``/trace/<id>?format=text`` renders the record ``/trace/<id>``
+        serves as a tree: a header, then exactly one line per span."""
+        store, obs = store_testbed(sample_rate=1.0)
+        with echo_testbed(observability=obs, **bed_kwargs(backend)) as bed:
+            proxy = bed.make_proxy()
+            make_invoker("our-approach", proxy).invoke_all(
+                echo_calls(4, 10), CallPolicy(timeout=60)
+            )
+            trace_id = proxy.last_trace_id
+            proxy.close()
+            # http.send is the last span to join the record
+            give_up = time.monotonic() + 5
+            while "http.send" not in [s.name for s in store.get(trace_id).spans]:
+                assert time.monotonic() < give_up
+                time.sleep(0.01)
+            with HttpConnection(bed.transport, bed.address) as conn:
+                tree, text = (
+                    conn.request(HttpRequest("GET", path, Headers({"Host": "t"})))
+                    for path in (f"/trace/{trace_id}", f"/trace/{trace_id}?format=text")
+                )
+        assert text.status == 200
+        assert text.headers.get("Content-Type") == "text/plain; charset=utf-8"
+        nodes = list(json.loads(tree.body)["roots"])
+        names = []
+        while nodes:
+            node = nodes.pop()
+            names.append(node["name"])
+            nodes.extend(node["children"])
+        lines = text.body.decode("utf-8").splitlines()
+        assert lines[0].startswith(f"trace {trace_id}  {len(names)} spans  total ")
+        assert len(lines) == 1 + len(names)
+        assert sorted(line.split()[0].split("[")[0] for line in lines[1:]) == sorted(names)
+
     def test_traces_route_lists_slowest_with_stats(self, backend):
         store, obs = store_testbed(sample_rate=1.0)
         with echo_testbed(observability=obs, **bed_kwargs(backend)) as bed:
@@ -139,7 +174,8 @@ class TestTraceIsListableOnceItsResponseIsRead:
         seen_at_delivery = []
 
         def deliver(payloads, close):
-            seen_at_delivery.append(store.get(trace_id))
+            record = store.get(trace_id)
+            seen_at_delivery.append(record and record.tree())
 
         trace_id = server._admit(conn, request, 0.0, deliver)
         server._handle(conn, request, trace_id, deliver)
@@ -150,7 +186,7 @@ class TestTraceIsListableOnceItsResponseIsRead:
             "http.parse", "server.handle"
         ]
         # http.send ends after the hand-over and joins the record late
-        names = [root["name"] for root in store.get(trace_id)["roots"]]
+        names = [root["name"] for root in store.get(trace_id).tree()["roots"]]
         assert names == ["http.parse", "server.handle", "http.send"]
         assert store.stats()["completed"] == 1
 
@@ -201,5 +237,4 @@ class TestSeededChaosRetention:
         )
         assert shed > 0, "overload did not shed — test is vacuous"
         assert trace_id in store.flagged_ids([FLAG_SHED])
-        tree = store.get(trace_id)
-        assert FLAG_SHED in tree["flags"]
+        assert FLAG_SHED in store.get(trace_id).tree()["flags"]

@@ -41,10 +41,10 @@ class TestTailSampling:
         for i in range(30):
             complete_boring(store, f"boring{i}")
         flagged = []
-        for i, flag in enumerate((FLAG_FAULT, FLAG_SHED, FLAG_DEADLINE) * 3):
+        for i, fault_class in enumerate(("fatal", "shed", "timeout") * 3):
             trace_id = f"bad{i}"
             store.ingest(make_span(trace_id))
-            store.mark(trace_id, flag)
+            store.mark(trace_id, fault_class)
             assert store.complete(trace_id, http_status=200)
             flagged.append(trace_id)
         assert set(flagged) <= set(store.flagged_ids())
@@ -58,7 +58,21 @@ class TestTailSampling:
         ):
             store.ingest(make_span(trace_id))
             store.complete(trace_id, http_status=status)
-            assert store.get(trace_id)["flags"] == [flag]
+            assert store.get(trace_id).tree()["flags"] == [flag]
+
+    def test_entry_fault_class_maps_to_flags(self):
+        """A pack answers HTTP 200 with per-entry faults inside; each
+        entry's fault class flags the trace through the same table."""
+        store = SpanStore(sample_rate=1.0, rng=random.Random(1))
+        for trace_id, fault_class, flag in (
+            ("entry-shed", "shed", FLAG_SHED),
+            ("entry-late", "timeout", FLAG_DEADLINE),
+            ("entry-bad", "fatal", FLAG_FAULT),
+        ):
+            store.ingest(make_span(trace_id))
+            store.mark(trace_id, fault_class)
+            store.complete(trace_id, http_status=200)
+            assert store.get(trace_id).tree()["flags"] == [flag]
 
     def test_slow_traces_survive_without_flags(self):
         store = SpanStore(sample_rate=0.0, rng=random.Random(1))
@@ -70,7 +84,7 @@ class TestTailSampling:
 
     def test_mark_before_any_span_is_not_lost(self):
         store = SpanStore(sample_rate=0.0, rng=random.Random(1))
-        store.mark("early", FLAG_SHED)
+        store.mark("early", "shed")
         store.ingest(make_span("early"))
         assert store.complete("early", http_status=200)
         assert "early" in store.flagged_ids([FLAG_SHED])
@@ -80,7 +94,7 @@ class TestBounds:
     def test_trace_count_bound_evicts_oldest_boring(self):
         store = SpanStore(max_traces=4, sample_rate=1.0, rng=random.Random(1))
         store.ingest(make_span("flagged"))
-        store.mark("flagged", FLAG_FAULT)
+        store.mark("flagged", "fatal")
         store.complete("flagged", http_status=200)
         for i in range(10):
             complete_boring(store, f"t{i}")
@@ -104,8 +118,9 @@ class TestBounds:
         for _ in range(8):
             store.ingest(make_span("big"))
         store.complete("big", http_status=200)
-        tree = store.get("big")
-        assert tree["dropped_spans"] == 3
+        record = store.get("big")
+        assert (len(record.spans), record.dropped_spans) == (5, 3)
+        assert record.tree()["dropped_spans"] == 3
 
     def test_pending_bound_evicts_oldest_slot(self):
         store = SpanStore(max_pending=3, sample_rate=1.0, rng=random.Random(1))
@@ -126,7 +141,7 @@ class TestBounds:
                 trace_id = f"w{worker}-{i}"
                 store.ingest(make_span(trace_id, detail="y" * 50))
                 if i % 7 == 0:
-                    store.mark(trace_id, FLAG_FAULT)
+                    store.mark(trace_id, "fatal")
                 store.complete(trace_id, http_status=200)
                 assert len(store) <= 16
                 assert store.size_bytes <= 20_000
@@ -155,7 +170,7 @@ class TestTreesAndRetries:
         for span in (root, child_a, child_b, orphan):
             store.ingest(span)
         store.complete("t", http_status=200)
-        tree = store.get("t")
+        tree = store.get("t").tree()
         roots = {node["name"]: node for node in tree["roots"]}
         assert set(roots) == {"server.handle", "http.parse"}
         children = roots["server.handle"]["children"]
@@ -169,7 +184,7 @@ class TestTreesAndRetries:
         store.complete("t", http_status=503)
         store.ingest(make_span("t", name="attempt2", start=0.3, end=0.5))
         assert store.complete("t", http_status=200)
-        tree = store.get("t")
+        tree = store.get("t").tree()
         names = {root["name"] for root in tree["roots"]}
         assert names == {"attempt1", "attempt2"}
         assert tree["flags"] == [FLAG_SHED]

@@ -1,7 +1,9 @@
 """Unit tests for trace ids, spans, the tracer, and ambient context."""
 
+import inspect
 import re
 
+from repro.obs.store import SpanStore
 from repro.obs.trace import (
     NULL_SPAN,
     Observability,
@@ -24,6 +26,12 @@ class TestTraceIds:
             assert re.fullmatch(r"[0-9a-f]{16}", tid)
 
 
+def kept_spans(store, trace_id):
+    """The spans ``store`` keeps for ``trace_id`` once it completes."""
+    assert store.complete(trace_id, http_status=200)
+    return store.get(trace_id).spans
+
+
 class FakeClock:
     def __init__(self):
         self.now = 0.0
@@ -35,20 +43,22 @@ class FakeClock:
 
 class TestTracer:
     def test_span_context_manager_records_duration(self):
-        tracer = Tracer(clock=FakeClock())
+        store = SpanStore()
+        tracer = Tracer(clock=FakeClock(), store=store)
         with tracer.span("phase", "t1", detail="d") as s:
             pass
         assert s.start == 0.5 and s.end == 1.0
         assert s.duration_s == 0.5
-        [recorded] = tracer.spans("t1")
+        [recorded] = kept_spans(store, "t1")
         assert recorded is s
         assert recorded.name == "phase" and recorded.detail == "d"
 
     def test_record_span_post_hoc(self):
-        tracer = Tracer()
+        store = SpanStore()
+        tracer = Tracer(store=store)
         s = tracer.record_span("http.parse", "t2", 1.0, 1.25, detail="/x")
         assert s.duration_s == 0.25
-        assert tracer.spans("t2") == [s]
+        assert kept_spans(store, "t2") == [s]
 
     def test_span_durations_feed_registry_sketches(self):
         obs = Observability()
@@ -57,19 +67,26 @@ class TestTracer:
         snap = obs.registry.snapshot()
         assert snap["sketches"]["span.soap.parse.seconds"]["count"] == 1
 
-    def test_ring_capacity_bounds_memory(self):
-        tracer = Tracer(capacity=4)
-        for i in range(10):
-            tracer.record_span("s", f"t{i}", 0.0, 1.0)
-        assert len(tracer) == 4
-        assert tracer.trace_ids() == ["t6", "t7", "t8", "t9"]
+    def test_a_finished_span_feeds_its_sketch_and_the_store_only(self):
+        obs = Observability(span_store=SpanStore())
+        with obs.tracer.span("soap.parse", "t1") as s:
+            pass
+        assert obs.registry.snapshot()["sketches"]["span.soap.parse.seconds"]["count"] == 1
+        assert kept_spans(obs.store, "t1") == [s]
+        # the tracer keeps nothing of its own
+        assert not hasattr(obs.tracer, "spans") and not hasattr(obs.tracer, "__len__")
 
     def test_spans_filters_by_trace(self):
-        tracer = Tracer()
+        store = SpanStore()
+        tracer = Tracer(store=store)
         tracer.record_span("a", "t1", 0, 1)
         tracer.record_span("b", "t2", 0, 1)
-        assert [s.name for s in tracer.spans("t1")] == ["a"]
-        assert len(tracer.spans()) == 2
+        assert [s.name for s in kept_spans(store, "t1")] == ["a"]
+        assert [s.name for s in kept_spans(store, "t2")] == ["b"]
+
+    def test_knobs(self):
+        assert list(inspect.signature(Tracer).parameters) == ["registry", "clock", "store"]
+        assert list(inspect.signature(Observability).parameters) == ["span_store"]
 
     def test_as_dict_is_json_friendly(self):
         tracer = Tracer()
@@ -101,7 +118,8 @@ class TestAmbientContext:
         assert not hasattr(NULL_SPAN, "detail")
 
     def test_active_thread_records_into_the_bound_trace(self):
-        tracer = Tracer()
+        store = SpanStore()
+        tracer = Tracer(store=store)
         activate(tracer, "tid")
         # no ambient span open, so the captured parent id is empty
         assert current() == (tracer, "tid", "")
@@ -109,14 +127,15 @@ class TestAmbientContext:
         with span("work", detail="d"):
             pass
         deactivate()
-        [s] = tracer.spans("tid")
+        [s] = kept_spans(store, "tid")
         assert (s.name, s.detail) == ("work", "d")
         assert span("after") is NULL_SPAN
 
     def test_span_in_carries_context_across_threads(self):
         import threading
 
-        tracer = Tracer()
+        store = SpanStore()
+        tracer = Tracer(store=store)
         activate(tracer, "tid")
         ctx = current()
         deactivate()
@@ -131,7 +150,7 @@ class TestAmbientContext:
         t = threading.Thread(target=worker)
         t.start()
         t.join()
-        [s] = tracer.spans("tid")
+        [s] = kept_spans(store, "tid")
         assert s.name == "execute"
         assert span_in(None, "x") is NULL_SPAN
 
@@ -143,15 +162,6 @@ class TestObservability:
         with obs.tracer.span("p", "t1"):
             pass
         snap = obs.metrics_snapshot()
-        for key in ("uptime_s", "spans_recorded", "traces", "counters", "gauges", "sketches"):
-            assert key in snap
-        assert snap["spans_recorded"] == 1
-        assert snap["traces"] == 1
-
-    def test_iter_traces(self):
-        obs = Observability()
-        obs.tracer.record_span("a", "t1", 0, 1)
-        obs.tracer.record_span("b", "t2", 0, 1)
-        pairs = list(obs.iter_traces())
-        assert [tid for tid, _ in pairs] == ["t1", "t2"]
-        assert [s.name for _, spans in pairs for s in spans] == ["a", "b"]
+        assert set(snap) == {"uptime_s", "counters", "gauges", "sketches", "rollups"}
+        assert snap["sketches"]["span.p.seconds"]["count"] == 1
+        assert "span_store" in Observability(span_store=SpanStore()).metrics_snapshot()

@@ -152,7 +152,7 @@ ENTRY_POINTS = {
     "repro.apps.serve": "CLI: python -m repro.apps.serve",
     "repro.apps.call": "CLI: python -m repro.apps.call",
     "repro.core.spi": "the user-facing facade (connect / SpiClient)",
-    "repro.obs.timeline": "README waterfall rendering; tests/obs/test_timeline.py",
+    "repro.obs.slo": "CLI: python -m repro.obs.slo",
     "repro.server.security_handler": "README operations row; examples/secure_services.py",
     "repro.relatedwork.diffdeser": "benchmarks/test_relatedwork_ablation.py",
 }
@@ -222,6 +222,21 @@ def test_every_server_instrument_has_a_readme_row():
     documented = {row.split("|")[1].strip().strip("`") for row in table.splitlines()[2:]}
     missing = bound - documented
     assert not missing, f"instruments without a README row: {sorted(missing)}"
+
+
+def test_every_admin_route_has_a_readme_row():
+    """README's admin table lists exactly the routes the HTTP core
+    serves: ``ADMIN_PATHS`` plus ``/trace/<id>`` (a row per query
+    variant, e.g. ``?format=prometheus``, counts as its path)."""
+    from repro.http.core import ADMIN_PATHS, TRACE_PATH_PREFIX
+
+    readme = (PACKAGE_ROOT.parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Endpoint | Serves | Enabled by |", 1)[1].split("\n\n", 1)[0]
+    documented = {
+        re.fullmatch(r"\s*`GET ([^`?]+)(\?[^`]*)?`\s*", row.split("|")[1]).group(1)
+        for row in table.splitlines()[2:]
+    }
+    assert documented == {*ADMIN_PATHS, TRACE_PATH_PREFIX + "<id>"}
 
 
 def test_every_measured_pr_has_a_full_bench_perf_entry():
