@@ -7,12 +7,12 @@ human-written ``reason`` string saying why the finding is tolerated
 rather than fixed.  ``check --baseline``:
 
 * a finding whose fingerprint appears in the baseline with count >= the
-  observed count is **frozen** (reported only with ``--show-baselined``);
+  observed count is **frozen** (counted, not printed);
 * any fingerprint absent from the baseline — or observed more times
   than the baseline allows — is **new** and fails the run;
-* baseline entries that no longer match anything are **stale** and
-  reported as advice to regenerate (they never fail CI, so fixing debt
-  is always safe without a lockstep baseline edit).
+* baseline entries that no longer match anything are **stale** and fail
+  the run too: the change that fixes a finding removes its entry, so
+  the baseline never carries an allowance nothing uses.
 
 Regenerate with ``python -m repro.analysis baseline <paths> -o <file>``;
 reasons of surviving entries are preserved across regeneration.
@@ -68,7 +68,8 @@ class BaselineResult:
 
     @property
     def ok(self) -> bool:
-        return not self.new
+        """True when nothing is new and no baseline entry is stale."""
+        return not self.new and not self.stale
 
 
 def load_baseline(path: str | Path) -> list[BaselineEntry]:

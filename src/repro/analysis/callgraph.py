@@ -49,6 +49,8 @@ from dataclasses import dataclass, field
 from pathlib import PurePosixPath
 from typing import Iterable, Iterator
 
+from repro.analysis.engine import dotted_name
+
 #: Edge kinds: a synchronous call vs. an escaped function reference
 #: (submitted/threaded/stored — runs later, usually on another thread).
 KIND_CALL = "call"
@@ -270,73 +272,6 @@ class CallGraph:
             return None
         return self.classes[owners[0]].methods[method]
 
-    # -- whole-graph measures -------------------------------------------
-
-    def sccs(self) -> list[list[str]]:
-        """Strongly connected components over ``call`` edges (iterative
-        Tarjan), largest first — the recursion clusters in the project."""
-        index_of: dict[str, int] = {}
-        lowlink: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        result: list[list[str]] = []
-        counter = 0
-
-        for root in self.functions:
-            if root in index_of:
-                continue
-            work: list[tuple[str, int]] = [(root, 0)]
-            while work:
-                node, edge_index = work[-1]
-                if edge_index == 0:
-                    index_of[node] = lowlink[node] = counter
-                    counter += 1
-                    stack.append(node)
-                    on_stack.add(node)
-                out = self.edges_out(node)
-                recursed = False
-                for position in range(edge_index, len(out)):
-                    succ = out[position].callee
-                    if succ not in index_of:
-                        work[-1] = (node, position + 1)
-                        work.append((succ, 0))
-                        recursed = True
-                        break
-                    if succ in on_stack:
-                        lowlink[node] = min(lowlink[node], index_of[succ])
-                if recursed:
-                    continue
-                if lowlink[node] == index_of[node]:
-                    component: list[str] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    result.append(component)
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-        result.sort(key=len, reverse=True)
-        return result
-
-    def stats(self) -> dict:
-        """Size summary for ``python -m repro.analysis stats``."""
-        components = self.sccs()
-        cyclic = [c for c in components if len(c) > 1]
-        return {
-            "modules": len(self.modules),
-            "functions": len(self.functions),
-            "classes": len(self.classes),
-            "call_edges": sum(1 for e in self.edges if e.kind == KIND_CALL),
-            "ref_edges": sum(1 for e in self.edges if e.kind == KIND_REF),
-            "sccs": len(components),
-            "cyclic_sccs": len(cyclic),
-            "largest_cycle": len(cyclic[0]) if cyclic else 0,
-        }
-
 
 # -- builder -------------------------------------------------------------
 
@@ -354,17 +289,6 @@ def walk_own(root: ast.AST) -> Iterator[ast.AST]:
             ):
                 continue
             queue.append(child)
-
-
-def _dotted(node: ast.AST) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _annotation_class_name(annotation: ast.expr | None) -> str | None:
@@ -391,11 +315,11 @@ def _annotation_class_name(annotation: ast.expr | None) -> str | None:
         candidates = [c for c in (left, right) if c is not None and c != "None"]
         return candidates[0] if len(candidates) == 1 else None
     if isinstance(annotation, ast.Subscript):
-        container = _dotted(annotation.value)
+        container = dotted_name(annotation.value)
         if container is not None and container.rsplit(".", 1)[-1] == "Optional":
             return _annotation_class_name(annotation.slice)
         return None
-    chain = _dotted(annotation)
+    chain = dotted_name(annotation)
     if chain is None or chain == "None":
         return None
     return chain.rsplit(".", 1)[-1]
@@ -442,7 +366,7 @@ class _ModuleCollector:
             line=node.lineno,
         )
         for base in node.bases:
-            chain = _dotted(base)
+            chain = dotted_name(base)
             if chain is None:
                 continue
             head, _, rest = chain.partition(".")
@@ -458,9 +382,7 @@ class _ModuleCollector:
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 method_qualname = f"{qualname}.{statement.name}"
                 info.methods[statement.name] = method_qualname
-                self._collect_function(
-                    statement, prefix=qualname, cls=node.name, register=False
-                )
+                self._collect_function(statement, prefix=qualname, cls=node.name)
         self.graph.add_class(info)
 
     def _collect_function(
@@ -469,11 +391,10 @@ class _ModuleCollector:
         *,
         prefix: str,
         cls: str | None,
-        register: bool = True,
     ) -> None:
         qualname = f"{prefix}.{node.name}"
         is_property = any(
-            (_dotted(d) or "").rsplit(".", 1)[-1] in ("property", "cached_property")
+            (dotted_name(d) or "").rsplit(".", 1)[-1] in ("property", "cached_property")
             for d in node.decorator_list
         )
         self.graph.add_function(
@@ -497,9 +418,7 @@ class _ModuleCollector:
                 if getattr(child, "_repro_cg_seen", False):
                     continue
                 child._repro_cg_seen = True  # type: ignore[attr-defined]
-                self._collect_function(
-                    child, prefix=qualname, cls=cls, register=False
-                )
+                self._collect_function(child, prefix=qualname, cls=cls)
 
 
 class _FunctionResolver(ast.NodeVisitor):
@@ -524,7 +443,7 @@ class _FunctionResolver(ast.NodeVisitor):
         ):
             arguments = node.args.posonlyargs + node.args.args
             is_static = any(
-                (_dotted(d) or "").rsplit(".", 1)[-1] == "staticmethod"
+                (dotted_name(d) or "").rsplit(".", 1)[-1] == "staticmethod"
                 for d in node.decorator_list
             )
             if arguments and not is_static:
@@ -626,7 +545,7 @@ class _FunctionResolver(ast.NodeVisitor):
                 if method is not None:
                     return ("func", method)
                 return None
-            chain = _dotted(node)
+            chain = dotted_name(node)
             if chain is None:
                 return None
             head, _, rest = chain.partition(".")
@@ -653,26 +572,13 @@ class _FunctionResolver(ast.NodeVisitor):
         if isinstance(node, ast.Call):
             resolved = self._resolve_value(node.func)
             if resolved is None:
-                # constructor via unique class name failed; try return
-                # annotation of a resolvable callee below
-                return self._call_result_type(node)
+                return None
             kind, target = resolved
             if kind == "class":
                 return ("instance", target)
             if kind == "func":
                 return self._return_type(target)
             return None
-        return None
-
-    def _call_result_type(self, node: ast.Call) -> tuple[str, str] | None:
-        resolved = self._resolve_value(node.func)
-        if resolved is None:
-            return None
-        kind, target = resolved
-        if kind == "class":
-            return ("instance", target)
-        if kind == "func":
-            return self._return_type(target)
         return None
 
     def _return_type(self, func_qualname: str) -> tuple[str, str] | None:
@@ -936,21 +842,22 @@ def iter_reachable(
     return parents
 
 
+def walk_back(
+    links: dict[str, tuple[str | None, object] | None], start: str
+) -> list[str]:
+    """``start``, then each node ``links[node][0]`` names, until a node
+    has no link or the walk would revisit one (the witness chains of
+    :func:`iter_reachable` and ``taint.propagate_up``)."""
+    chain = [start]
+    while (step := links.get(chain[-1])) is not None and step[0] is not None:
+        if step[0] in chain:
+            break
+        chain.append(step[0])
+    return chain
+
+
 def chain_from(
     parents: dict[str, tuple[str, int] | None], qualname: str
 ) -> list[str]:
     """The entry→…→``qualname`` path recorded by :func:`iter_reachable`."""
-    chain = [qualname]
-    seen = {qualname}
-    current = qualname
-    while True:
-        parent = parents.get(current)
-        if parent is None:
-            break
-        current = parent[0]
-        if current in seen:
-            break
-        seen.add(current)
-        chain.append(current)
-    chain.reverse()
-    return chain
+    return walk_back(parents, qualname)[::-1]

@@ -3,22 +3,17 @@
 Commands:
 
 * ``check <paths> [--baseline FILE] [--format text|json]`` — run every
-  rule, compare against the baseline, exit 1 on any *new* finding.
+  rule over the paths, compare against the baseline, exit 1 on any
+  *new* finding or *stale* baseline entry.  The text report prints each
+  new finding with its fix hint and ends with the per-rule counts; the
+  json report carries every finding with its witness chain.
 * ``baseline <paths> [-o FILE]`` — regenerate the baseline from the
   current findings, preserving reason strings for surviving entries.
-* ``report-locks <paths>`` — the lock-discipline analyzer's per-class
-  view: which locks each class uses, which attributes they guard, and
-  every observed nesting order.
-* ``report-callgraph <paths> [--format text|json|dot]`` — the
-  interprocedural call graph itself: nodes, resolved edges (call vs.
-  escaped-reference), and recursion clusters.
-* ``stats <paths>`` — rule-pack inventory, per-rule finding counts and
-  call-graph size, one screen for CI logs.
-* ``rules`` — list rule ids, severities and rationales.
+* ``rules`` — list rule ids, severities, scopes and rationales.
 
-``check`` and ``baseline`` always run the per-module rule pack *and*
-the three interprocedural passes (may-block, wallclock-taint,
-fault-flow) over one shared call graph of all analyzed files.
+CI runs ``check src tests --baseline analysis_baseline.json`` once: the
+lint pack, lock discipline and the three whole-program rules, over one
+call graph of all analyzed files.
 """
 
 from __future__ import annotations
@@ -26,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from repro.analysis.baseline import (
@@ -35,33 +31,8 @@ from repro.analysis.baseline import (
     load_baseline,
     save_baseline,
 )
-from repro.analysis.callgraph import (
-    KIND_CALL,
-    KIND_REF,
-    ModuleSource,
-    build_call_graph,
-)
-from repro.analysis.engine import check_paths, iter_python_files, load_contexts
-from repro.analysis.findings import Finding
-from repro.analysis.locks import LockDiscipline, analyze_module, format_lock_report
-from repro.analysis.rules import lint_rules
-from repro.analysis.taint import project_analyses
-
-
-def default_rules():
-    """The full rule set: lint pack + lock discipline."""
-    return [*lint_rules(), LockDiscipline()]
-
-
-def _graph_for(paths, root=None):
-    contexts, _ = load_contexts(paths, root=root)
-    return (
-        build_call_graph(
-            ModuleSource(path=ctx.path, tree=ctx.tree)
-            for ctx in contexts.values()
-        ),
-        contexts,
-    )
+from repro.analysis.engine import check
+from repro.analysis.rules import RULES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,23 +42,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    check = commands.add_parser("check", help="run all rules, gate on new findings")
-    check.add_argument("paths", nargs="+", help="files or directories to analyze")
-    check.add_argument(
+    check_cmd = commands.add_parser(
+        "check", help="run all rules, gate on new findings and stale entries"
+    )
+    check_cmd.add_argument("paths", nargs="+", help="files or directories to analyze")
+    check_cmd.add_argument(
         "--baseline",
         default=None,
         help=f"baseline file of frozen findings (e.g. {DEFAULT_BASELINE_NAME})",
     )
-    check.add_argument(
+    check_cmd.add_argument(
         "--format", choices=("text", "json"), default="text", dest="output_format"
-    )
-    check.add_argument(
-        "--show-baselined",
-        action="store_true",
-        help="also print findings frozen by the baseline",
-    )
-    check.add_argument(
-        "--hints", action="store_true", help="print fix hints under each finding"
     )
 
     baseline = commands.add_parser(
@@ -98,48 +63,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default=DEFAULT_BASELINE_NAME, help="baseline file to write"
     )
 
-    locks = commands.add_parser(
-        "report-locks", help="per-class lock/attribute report"
-    )
-    locks.add_argument("paths", nargs="+")
-
-    callgraph = commands.add_parser(
-        "report-callgraph", help="project call graph: nodes, edges, cycles"
-    )
-    callgraph.add_argument("paths", nargs="+")
-    callgraph.add_argument(
-        "--format",
-        choices=("text", "json", "dot"),
-        default="text",
-        dest="output_format",
-    )
-
-    stats = commands.add_parser(
-        "stats", help="rule inventory, finding counts, call-graph size"
-    )
-    stats.add_argument("paths", nargs="+")
-    stats.add_argument(
-        "--baseline",
-        default=None,
-        help="optional baseline file, to split frozen vs. new counts",
-    )
-
     commands.add_parser("rules", help="list every rule with its rationale")
     return parser
 
 
-def _render_text(
-    findings: list[Finding], *, hints: bool, stream=None
-) -> None:
-    out = stream or sys.stdout
-    for finding in findings:
-        print(finding.format(hints=hints), file=out)
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    findings = check_paths(
-        args.paths, default_rules(), project_analyses=project_analyses()
-    )
+    findings = check(args.paths, RULES)
+    entries = []
     if args.baseline:
         baseline_path = Path(args.baseline)
         if not baseline_path.exists():
@@ -150,9 +80,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         except (ValueError, KeyError, json.JSONDecodeError) as exc:
             print(f"error: unreadable baseline: {exc}", file=sys.stderr)
             return 2
-        result = compare(findings, entries)
-    else:
-        result = compare(findings, [])
+    result = compare(findings, entries)
 
     if args.output_format == "json":
         document = {
@@ -164,24 +92,32 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(json.dumps(document, indent=2))
         return 0 if result.ok else 1
 
-    if args.show_baselined and result.baselined:
-        print(f"-- {len(result.baselined)} baselined finding(s) (frozen):")
-        _render_text(result.baselined, hints=False)
     if result.stale:
         print(
-            f"-- {len(result.stale)} stale baseline entr(y/ies) no longer match; "
-            "regenerate with 'python -m repro.analysis baseline'"
+            f"-- {len(result.stale)} stale baseline entr(y/ies) no longer match: "
+            "the change that fixed a finding removes its entry (or regenerate "
+            "with 'python -m repro.analysis baseline')"
         )
         for entry in result.stale:
             print(f"   {entry.path}: {entry.rule}: {entry.message}")
     if result.new:
         print(f"-- {len(result.new)} NEW finding(s):")
-        _render_text(result.new, hints=args.hints)
+        for finding in result.new:
+            print(finding.format(hints=True))
         print(
             "\nfix the finding, silence it inline with "
             "'# repro: disable=<rule-id>', or (for accepted debt) add a "
             "baseline entry with a reason"
         )
+    counts = Counter(f.rule_id for f in findings)
+    new_counts = Counter(f.rule_id for f in result.new)
+    print("-- findings per rule:")
+    for rule in RULES:
+        print(
+            f"   {rule.id} [{rule.severity}]: {counts[rule.id]} "
+            f"({new_counts[rule.id]} new)"
+        )
+    if not result.ok:
         return 1
     suffix = f", {len(result.baselined)} frozen by baseline" if args.baseline else ""
     print(f"analysis clean: no new findings{suffix}")
@@ -189,9 +125,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    findings = check_paths(
-        args.paths, default_rules(), project_analyses=project_analyses()
-    )
+    findings = check(args.paths, RULES)
     output = Path(args.output)
     previous = []
     if output.exists():
@@ -209,146 +143,15 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report_locks(args: argparse.Namespace) -> int:
-    import ast
-
-    root = Path.cwd()
-    reports = []
-    for file_path in iter_python_files(args.paths, root=root):
-        try:
-            relative = file_path.relative_to(root).as_posix()
-        except ValueError:
-            relative = file_path.as_posix()
-        try:
-            tree = ast.parse(file_path.read_text(encoding="utf-8"))
-        except (OSError, SyntaxError, UnicodeDecodeError):
-            continue
-        reports.extend(
-            report for report in analyze_module(tree, relative) if report.locks
-        )
-    print(format_lock_report(reports))
-    print(f"\n{len(reports)} lock-using class(es) analyzed")
-    return 0
-
-
-def _cmd_report_callgraph(args: argparse.Namespace) -> int:
-    graph, _ = _graph_for(args.paths)
-    if args.output_format == "json":
-        document = {
-            "stats": graph.stats(),
-            "functions": [
-                {
-                    "qualname": fn.qualname,
-                    "path": fn.path,
-                    "line": fn.line,
-                    "is_property": fn.is_property,
-                }
-                for fn in sorted(
-                    graph.functions.values(), key=lambda f: f.qualname
-                )
-            ],
-            "edges": [
-                {
-                    "caller": e.caller,
-                    "callee": e.callee,
-                    "line": e.line,
-                    "kind": e.kind,
-                }
-                for e in sorted(
-                    graph.edges, key=lambda e: (e.caller, e.line, e.callee)
-                )
-            ],
-            "cycles": [sorted(c) for c in graph.sccs() if len(c) > 1],
-        }
-        print(json.dumps(document, indent=2))
-        return 0
-    if args.output_format == "dot":
-        print("digraph callgraph {")
-        print('  rankdir="LR"; node [shape=box, fontsize=10];')
-        for e in sorted(graph.edges, key=lambda e: (e.caller, e.callee)):
-            style = ' [style=dashed, label="ref"]' if e.kind == KIND_REF else ""
-            print(f'  "{e.caller}" -> "{e.callee}"{style};')
-        print("}")
-        return 0
-    stats = graph.stats()
-    print(
-        f"call graph: {stats['functions']} function(s) in "
-        f"{stats['modules']} module(s), {stats['call_edges']} call edge(s), "
-        f"{stats['ref_edges']} escaped reference(s)"
-    )
-    cycles = [c for c in graph.sccs() if len(c) > 1]
-    if cycles:
-        print(f"{len(cycles)} recursion cluster(s):")
-        for cycle in cycles:
-            print("  " + " <-> ".join(sorted(cycle)))
-    for qualname in sorted(graph.functions):
-        out = graph.edges_out(qualname, kinds=(KIND_CALL, KIND_REF))
-        if not out:
-            continue
-        print(qualname)
-        for e in sorted(out, key=lambda e: (e.line, e.callee)):
-            marker = "ref " if e.kind == KIND_REF else ""
-            print(f"  -> {marker}{e.callee}  (line {e.line})")
-    return 0
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    rules = default_rules()
-    analyses = project_analyses()
-    findings = check_paths(args.paths, rules, project_analyses=analyses)
-    frozen: set = set()
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if baseline_path.exists():
-            try:
-                entries = load_baseline(baseline_path)
-            except (ValueError, KeyError, json.JSONDecodeError):
-                entries = []
-            frozen = {
-                fp for f in compare(findings, entries).baselined
-                for fp in (f.fingerprint,)
-            }
-    counts: dict[str, int] = {}
-    new_counts: dict[str, int] = {}
-    for finding in findings:
-        counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
-        if finding.fingerprint not in frozen:
-            new_counts[finding.rule_id] = new_counts.get(finding.rule_id, 0) + 1
-    print(f"rule pack: {len(rules)} per-module rule(s), "
-          f"{len(analyses)} interprocedural analysis(es)")
-    for rule in rules:
-        count = counts.get(rule.id, 0)
-        suffix = f" ({new_counts.get(rule.id, 0)} new)" if args.baseline else ""
-        print(f"  {rule.id} [{rule.severity}]: {count} finding(s){suffix}")
-    for analysis in analyses:
-        count = counts.get(analysis.id, 0)
-        suffix = (
-            f" ({new_counts.get(analysis.id, 0)} new)" if args.baseline else ""
-        )
-        print(f"  {analysis.id} [{analysis.severity}]: "
-              f"{count} finding(s){suffix} [interprocedural]")
-    graph, _ = _graph_for(args.paths)
-    stats = graph.stats()
-    print(
-        "call graph: "
-        f"{stats['functions']} node(s), {stats['call_edges']} call edge(s), "
-        f"{stats['ref_edges']} ref edge(s), {stats['sccs']} SCC(s) "
-        f"({stats['cyclic_sccs']} cyclic, largest {stats['largest_cycle']})"
-    )
-    return 0
-
-
 def _cmd_rules(_: argparse.Namespace) -> int:
-    for rule in default_rules():
-        print(f"{rule.id} [{rule.severity}]")
+    for rule in RULES:
+        suffix = " (whole program)" if rule.uses_graph else ""
+        print(f"{rule.id} [{rule.severity}]{suffix}")
         print(f"    {rule.rationale}")
         if rule.exempt_parts:
             print(f"    exempt path parts: {', '.join(sorted(rule.exempt_parts))}")
         if rule.only_parts:
             print(f"    only path parts: {', '.join(sorted(rule.only_parts))}")
-    for analysis in project_analyses():
-        print(f"{analysis.id} [{analysis.severity}] (interprocedural)")
-        print(f"    {analysis.rationale}")
     return 0
 
 
@@ -358,9 +161,6 @@ def main(argv: list[str] | None = None) -> int:
     handler = {
         "check": _cmd_check,
         "baseline": _cmd_baseline,
-        "report-locks": _cmd_report_locks,
-        "report-callgraph": _cmd_report_callgraph,
-        "stats": _cmd_stats,
         "rules": _cmd_rules,
     }[args.command]
     return handler(args)

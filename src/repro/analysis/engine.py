@@ -1,15 +1,19 @@
-"""Rule engine: file walking, AST dispatch, inline suppression.
+"""Rule engine: file walking, one pass of every rule, path scoping and
+inline suppression.
 
-The engine is deliberately small: a :class:`Rule` declares which AST
-node types it wants (``node_types``) or overrides :meth:`Rule.check_module`
-for whole-module analyses (the lock-discipline pass), and the engine
-walks each file's tree once per interested rule, filtering findings
-through inline suppression comments.
+There is one kind of check, the :class:`Rule`, and one entry point,
+:func:`check`.  A rule overrides :meth:`Rule.run`, which receives every
+parsed module of the run and the run's call graph; node-visitor rules
+keep the default ``run``, which visits the node types they declare
+(``node_types``) in every module.  Rules that read the graph say so
+(``uses_graph``); the engine builds it once per run, and only then.
 
-Scoping.  Rules carry two path filters, both matched against the
-*repo-relative posix path* of the file under analysis:
+Scoping.  Rules carry two path filters, both matched against a
+*repo-relative posix path*: a rule is handed only the modules in its
+scope, and a finding whose path is out of scope (a whole-program rule
+reporting where a chain ends) is dropped.
 
-* ``exempt_parts`` — any path segment in this set skips the rule
+* ``exempt_parts`` — any path segment in this set exempts the path
   (``no-direct-sleep-random`` exempts ``resilience``/``transport``,
   the modules that *are* the injected seams, and ``tests``);
 * ``only_parts`` — when non-empty, at least one segment must match
@@ -17,10 +21,13 @@ Scoping.  Rules carry two path filters, both matched against the
 
 Suppression.  A finding is dropped when its line carries
 ``# repro: disable=<rule-id>`` (comma-separated ids, or ``all``), or
-when one of the first lines of the file carries
+when one of the first lines of its file carries
 ``# repro: disable-file=<rule-id>``.  Suppressions are deliberate,
 reviewable markers — prefer them over baseline entries for violations
 that are *by design* (e.g. a demo service whose contract is to sleep).
+
+The engine is the only place either filter is applied, for every rule
+alike: a rule reports what it sees, the engine decides what is shown.
 """
 
 from __future__ import annotations
@@ -28,9 +35,12 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.analysis.findings import Finding, sort_findings
+
+if TYPE_CHECKING:
+    from repro.analysis.callgraph import CallGraph
 
 # Directories never walked implicitly: fixture corpora are intentional
 # violations exercised by tests, caches are not source.
@@ -41,6 +51,30 @@ EXCLUDED_DIR_NAMES = frozenset(
 _DISABLE_RE = re.compile(r"#\s*repro:\s*disable=([A-Za-z0-9_,\-]+)")
 _DISABLE_FILE_RE = re.compile(r"#\s*repro:\s*disable-file=([A-Za-z0-9_,\-]+)")
 _FILE_PRAGMA_LINES = 10  # disable-file pragmas must sit near the top
+
+#: Every ``time`` and ``random`` function the determinism rules look at,
+#: by dotted name, with what calling it does: read the wall clock
+#: (``wallclock``), read a monotonic clock (``clock``), park the thread
+#: (``sleep``) or draw from the process-wide rng (``random``).  The lint
+#: rules, ``wallclock-taint`` and ``may-block``'s sleep sink all
+#: classify calls and ``from ... import`` names through this one table.
+TIME_AND_RANDOM = {
+    "time.time": "wallclock",
+    "time.monotonic": "clock",
+    "time.perf_counter": "clock",
+    "time.sleep": "sleep",
+    **{
+        f"random.{name}": "random"
+        for name in (
+            "random", "Random", "uniform", "randint", "randrange",
+            "choice", "shuffle", "sample", "seed",
+        )
+    },
+}
+
+#: The kinds that are the ``time`` module's (``wallclock-taint`` reads
+#: all three: clock-disciplined code takes every clock by injection).
+TIME_KINDS = frozenset({"wallclock", "clock", "sleep"})
 
 
 class ModuleContext:
@@ -87,6 +121,8 @@ class Rule:
     node_types: tuple[type, ...] = ()
     exempt_parts: frozenset[str] = frozenset()
     only_parts: frozenset[str] = frozenset()
+    #: True when :meth:`run` reads the call graph (built only if asked)
+    uses_graph: bool = False
 
     def applies_to(self, path: str) -> bool:
         """Path-level scoping; ``path`` is repo-relative posix."""
@@ -97,29 +133,37 @@ class Rule:
             return False
         return True
 
-    def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        """Default dispatch: walk the tree, visit declared node types."""
-        if not self.node_types:
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, self.node_types):
-                yield from self.visit(node, ctx)
+    def run(
+        self, contexts: dict[str, ModuleContext], graph: CallGraph | None
+    ) -> Iterator[Finding]:
+        """Yield this rule's findings over the modules in its scope.
+
+        The default visits every node of a declared ``node_types`` type
+        in every module; whole-module and whole-program rules override
+        it.  ``graph`` (None unless the rule ``uses_graph``) spans every
+        module of the run.
+        """
+        for ctx in contexts.values():
+            for node in ast.walk(ctx.tree):
+                if isinstance(node, self.node_types):
+                    yield from self.visit(node, ctx)
 
     def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
         """Yield findings for one matched node (rule-specific)."""
         raise NotImplementedError
 
     def finding(
-        self, ctx: ModuleContext, line: int, message: str, *, fix_hint: str | None = None
+        self, path: str, line: int, message: str, chain: tuple[str, ...] = ()
     ) -> Finding:
         """Construct a finding bound to this rule."""
         return Finding(
             rule_id=self.id,
             severity=self.severity,
-            path=ctx.path,
+            path=path,
             line=line,
             message=message,
-            fix_hint=self.fix_hint if fix_hint is None else fix_hint,
+            fix_hint=self.fix_hint,
+            chain=chain,
         )
 
 
@@ -133,6 +177,36 @@ def dotted_name(node: ast.AST) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def handler_names(handler: ast.ExceptHandler) -> list[str]:
+    """Bare names of the types an ``except`` clause catches (``[]`` for
+    a bare ``except:``)."""
+    if handler.type is None:
+        return []
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return [chain.rsplit(".", 1)[-1] for t in types if (chain := dotted_name(t))]
+
+
+def classify_call(node: ast.AST) -> tuple[str, str] | None:
+    """``(dotted name, kind)`` when ``node`` calls a function of
+    :data:`TIME_AND_RANDOM` by its module path, else None (references
+    such as ``clock=time.monotonic`` are not calls)."""
+    if not isinstance(node, ast.Call):
+        return None
+    chain = dotted_name(node.func)
+    kind = TIME_AND_RANDOM.get(chain) if chain is not None else None
+    return None if kind is None else (chain, kind)
+
+
+def classify_imports(node: ast.ImportFrom) -> list[tuple[str, str]]:
+    """``(imported name, kind)`` for each :data:`TIME_AND_RANDOM`
+    function a ``from time/random import ...`` binds, in source order."""
+    return [
+        (alias.name, kind)
+        for alias in node.names
+        if (kind := TIME_AND_RANDOM.get(f"{node.module}.{alias.name}"))
+    ]
 
 
 def iter_python_files(paths: Iterable[str | Path], *, root: Path) -> Iterator[Path]:
@@ -156,105 +230,74 @@ def iter_python_files(paths: Iterable[str | Path], *, root: Path) -> Iterator[Pa
             yield candidate
 
 
-def check_source(
-    source: str, *, path: str, rules: list[Rule]
-) -> list[Finding]:
-    """Run ``rules`` over one in-memory module (the test-corpus entry)."""
-    tree = ast.parse(source, filename=path)
-    ctx = ModuleContext(path, source, tree)
-    findings: list[Finding] = []
-    for rule in rules:
-        if not rule.applies_to(path):
+def _read_sources(
+    paths: Iterable[str | Path], root: Path
+) -> Iterator[tuple[str, str]]:
+    """``(repo-relative path, source)`` for every readable file; files
+    outside ``root`` keep their absolute path."""
+    for file_path in iter_python_files(paths, root=root):
+        try:
+            relative = file_path.relative_to(root).as_posix()
+        except ValueError:
+            relative = file_path.as_posix()
+        try:
+            yield relative, file_path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError):
             continue
-        for finding in rule.check_module(ctx):
-            if not ctx.is_suppressed(finding.rule_id, finding.line):
-                findings.append(finding)
-    return sort_findings(findings)
 
 
-def load_contexts(
+def check(
     paths: Iterable[str | Path],
+    rules: Iterable[Rule],
     *,
     root: Path | None = None,
-) -> tuple[dict[str, ModuleContext], list[Finding]]:
-    """Parse every Python file under ``paths`` into a ModuleContext.
+    sources: dict[str, str] | None = None,
+) -> list[Finding]:
+    """Run ``rules`` over every Python file under ``paths`` plus the
+    in-memory ``sources`` (``{repo-relative path: source}``).
 
-    Returns ``(contexts_by_relative_path, parse_failures)`` — files
-    that do not parse become ``syntax-error`` findings instead of
-    contexts.
+    ``root`` anchors repo-relative finding paths (defaults to the
+    current working directory).  Files that do not parse become
+    ``syntax-error`` findings.  Every rule runs once over all parsed
+    modules in its scope; the call graph is built once, over all of
+    them, when some rule ``uses_graph``.  Findings come back scoped,
+    unsuppressed and sorted.
     """
     anchor = Path.cwd() if root is None else Path(root)
     contexts: dict[str, ModuleContext] = {}
-    failures: list[Finding] = []
-    for file_path in iter_python_files(paths, root=anchor):
-        try:
-            relative = file_path.relative_to(anchor).as_posix()
-        except ValueError:
-            relative = file_path.as_posix()
-        if relative in contexts:
+    findings: list[Finding] = []
+    for path, source in [*_read_sources(paths, anchor), *(sources or {}).items()]:
+        if path in contexts:
             continue
         try:
-            source = file_path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            continue
-        try:
-            tree = ast.parse(source, filename=relative)
+            tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
-            failures.append(
+            findings.append(
                 Finding(
                     rule_id="syntax-error",
                     severity="error",
-                    path=relative,
+                    path=path,
                     line=exc.lineno or 1,
                     message=f"file does not parse: {exc.msg}",
                 )
             )
             continue
-        contexts[relative] = ModuleContext(relative, source, tree)
-    return contexts, failures
-
-
-def check_contexts(
-    contexts: dict[str, ModuleContext], rules: list[Rule]
-) -> list[Finding]:
-    """Run the per-module ``rules`` over already-parsed contexts."""
-    findings: list[Finding] = []
-    for ctx in contexts.values():
-        for rule in rules:
-            if not rule.applies_to(ctx.path):
-                continue
-            for finding in rule.check_module(ctx):
-                if not ctx.is_suppressed(finding.rule_id, finding.line):
-                    findings.append(finding)
-    return findings
-
-
-def check_paths(
-    paths: Iterable[str | Path],
-    rules: list[Rule],
-    *,
-    root: Path | None = None,
-    project_analyses: list | None = None,
-) -> list[Finding]:
-    """Run ``rules`` over every Python file under ``paths``.
-
-    ``root`` anchors repo-relative finding paths (defaults to the
-    current working directory); files outside ``root`` keep their
-    absolute path.  When ``project_analyses`` is given (objects with a
-    ``run(graph, contexts)`` method, see
-    :mod:`repro.analysis.taint`), a whole-program call graph is built
-    over *all* analyzed files and each analysis runs over it —
-    per-module rules stay file-local either way.
-    """
-    contexts, findings = load_contexts(paths, root=root)
-    findings.extend(check_contexts(contexts, rules))
-    if project_analyses:
+        contexts[path] = ModuleContext(path, source, tree)
+    rules = list(rules)
+    graph = None
+    if any(rule.uses_graph for rule in rules):
         from repro.analysis.callgraph import ModuleSource, build_call_graph
 
         graph = build_call_graph(
-            ModuleSource(path=ctx.path, tree=ctx.tree)
-            for ctx in contexts.values()
+            ModuleSource(path=ctx.path, tree=ctx.tree) for ctx in contexts.values()
         )
-        for analysis in project_analyses:
-            findings.extend(analysis.run(graph, contexts))
+    for rule in rules:
+        scoped = {path: ctx for path, ctx in contexts.items() if rule.applies_to(path)}
+        for finding in rule.run(scoped, graph):
+            ctx = contexts.get(finding.path)
+            if not rule.applies_to(finding.path) or (
+                ctx is not None and ctx.is_suppressed(rule.id, finding.line)
+            ):
+                continue
+            findings.append(finding)
     return sort_findings(findings)

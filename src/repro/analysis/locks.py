@@ -31,10 +31,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.analysis.engine import ModuleContext, Rule
 from repro.analysis.findings import SEVERITY_WARNING, Finding
+
+if TYPE_CHECKING:
+    from repro.analysis.callgraph import CallGraph
 
 #: Method names treated as in-place mutation of a container attribute.
 MUTATOR_METHODS = frozenset(
@@ -330,13 +333,15 @@ class LockDiscipline(Rule):
     )
     exempt_parts = frozenset({"tests"})
 
-    def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for report in analyze_module(ctx.tree, ctx.path):
-            yield from self._class_findings(ctx, report)
-
-    def _class_findings(
-        self, ctx: ModuleContext, report: ClassLockReport
+    def run(
+        self, contexts: dict[str, ModuleContext], graph: CallGraph | None
     ) -> Iterator[Finding]:
+        """Every class of every module, one report each."""
+        for ctx in contexts.values():
+            for report in analyze_module(ctx.tree, ctx.path):
+                yield from self._class_findings(report)
+
+    def _class_findings(self, report: ClassLockReport) -> Iterator[Finding]:
         for attr in sorted(report.guarded_attrs()):
             locked_methods = sorted(
                 {
@@ -349,7 +354,7 @@ class LockDiscipline(Rule):
             if mixed:
                 methods = sorted({a.method for a in mixed})
                 yield self.finding(
-                    ctx,
+                    report.path,
                     mixed[0].line,
                     f"{report.name}.{attr}: written under lock in "
                     f"{'/'.join(locked_methods)} but without it in "
@@ -359,7 +364,7 @@ class LockDiscipline(Rule):
             if reads:
                 methods = sorted({a.method for a in reads})
                 yield self.finding(
-                    ctx,
+                    report.path,
                     reads[0].line,
                     f"{report.name}.{attr}: written under lock in "
                     f"{'/'.join(locked_methods)} but read without it in "
@@ -369,7 +374,7 @@ class LockDiscipline(Rule):
         for (outer, inner), (method, line) in sorted(report.order_pairs.items()):
             if outer == inner:
                 yield self.finding(
-                    ctx,
+                    report.path,
                     line,
                     f"{report.name}: method {method} can re-acquire {outer} "
                     "while holding it — self-deadlock with a non-reentrant Lock",
@@ -380,31 +385,8 @@ class LockDiscipline(Rule):
                 other_method, _ = report.order_pairs[(inner, outer)]
                 first, second = sorted([outer, inner])
                 yield self.finding(
-                    ctx,
+                    report.path,
                     line,
                     f"{report.name}: lock-order inversion between {first} and "
                     f"{second} ({method} vs {other_method})",
                 )
-
-
-def format_lock_report(reports: list[ClassLockReport]) -> str:
-    """Human-readable per-class lock summary (the ``report-locks`` view)."""
-    lines: list[str] = []
-    for report in reports:
-        lines.append(f"{report.path}:{report.line} class {report.name}")
-        lines.append(f"  locks: {', '.join(sorted(report.locks)) or '(none)'}")
-        for attr in sorted(report.guarded_attrs()):
-            mixed = report.mixed_writes(attr)
-            reads = report.unlocked_reads(attr)
-            status = "clean"
-            if mixed:
-                status = f"MIXED WRITES ({len(mixed)} unguarded)"
-            elif reads:
-                status = f"unlocked reads ({len(reads)})"
-            lines.append(f"  guarded attr {attr}: {status}")
-        if report.order_pairs:
-            orders = ", ".join(
-                f"{outer}->{inner}" for outer, inner in sorted(report.order_pairs)
-            )
-            lines.append(f"  nesting: {orders}")
-    return "\n".join(lines)

@@ -1,12 +1,15 @@
-"""The repo-specific lint pack.
+"""The repo-specific lint pack, and :data:`RULES`: every rule.
 
 Each rule encodes an invariant this codebase already promises by
-convention — the determinism contract, bounded queues, fault
-visibility — so that the promise is *checked* instead of re-litigated
-in review.  Rules are heuristic by design: a finding that
+convention — the determinism contract, bounded queues and retention,
+fault visibility — so that the promise is *checked* instead of
+re-litigated in review.  Rules are heuristic by design: a finding that
 is correct-but-intended is silenced inline
 (``# repro: disable=<rule-id>``) or frozen in the committed baseline
-with a reason string.
+with a reason string.  The lint rules are node visitors (they keep
+:meth:`Rule.run`'s default); lock discipline and the whole-program
+rules live in :mod:`~repro.analysis.locks` and
+:mod:`~repro.analysis.taint`.
 """
 
 from __future__ import annotations
@@ -14,8 +17,17 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.engine import ModuleContext, Rule, dotted_name
+from repro.analysis.engine import (
+    ModuleContext,
+    Rule,
+    classify_call,
+    classify_imports,
+    dotted_name,
+    handler_names,
+)
 from repro.analysis.findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
+from repro.analysis.locks import LockDiscipline
+from repro.analysis.taint import FaultFlowEscape, MayBlockOnLoop, WallclockTaint
 
 # -- no-wallclock-duration ----------------------------------------------
 
@@ -46,34 +58,15 @@ class NoWallclockDuration(Rule):
     def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
         """Flag ``time.time()`` calls and ``from time import time``."""
         if isinstance(node, ast.ImportFrom):
-            if node.module == "time" and any(a.name == "time" for a in node.names):
+            if any(kind == "wallclock" for _, kind in classify_imports(node)):
                 yield self.finding(
-                    ctx,
-                    node.lineno,
-                    "wall-clock import: from time import time",
+                    ctx.path, node.lineno, "wall-clock import: from time import time"
                 )
-            return
-        assert isinstance(node, ast.Call)
-        if dotted_name(node.func) == "time.time":
-            yield self.finding(ctx, node.lineno, "wall-clock read: time.time()")
+        elif (call := classify_call(node)) and call[1] == "wallclock":
+            yield self.finding(ctx.path, node.lineno, "wall-clock read: time.time()")
 
 
 # -- no-direct-sleep-random ---------------------------------------------
-
-
-_RANDOM_CALLS = frozenset(
-    {
-        "random.random",
-        "random.Random",
-        "random.uniform",
-        "random.randint",
-        "random.randrange",
-        "random.choice",
-        "random.shuffle",
-        "random.sample",
-        "random.seed",
-    }
-)
 
 
 class NoDirectSleepRandom(Rule):
@@ -103,23 +96,18 @@ class NoDirectSleepRandom(Rule):
     def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
         """Flag direct ``time.sleep``/``random.*`` outside the seams."""
         if isinstance(node, ast.ImportFrom):
-            if node.module == "time" and any(a.name == "sleep" for a in node.names):
+            if any(kind == "sleep" for _, kind in classify_imports(node)):
                 yield self.finding(
-                    ctx, node.lineno, "direct import: from time import sleep"
+                    ctx.path, node.lineno, "direct import: from time import sleep"
                 )
             elif node.module == "random":
                 yield self.finding(
-                    ctx,
+                    ctx.path,
                     node.lineno,
                     "direct import from random; inject an rng instead",
                 )
-            return
-        assert isinstance(node, ast.Call)
-        chain = dotted_name(node.func)
-        if chain == "time.sleep":
-            yield self.finding(ctx, node.lineno, "direct call: time.sleep()")
-        elif chain in _RANDOM_CALLS:
-            yield self.finding(ctx, node.lineno, f"direct call: {chain}()")
+        elif (call := classify_call(node)) and call[1] in ("sleep", "random"):
+            yield self.finding(ctx.path, node.lineno, f"direct call: {call[0]}()")
 
 
 # -- require-slots ------------------------------------------------------
@@ -139,8 +127,6 @@ HOT_PATH_CLASSES = frozenset(
         "TaskFuture",
         "InvocationFuture",
         "ResultArray",
-        "TraceEvent",
-        "StartTag",
         # HTTP engine: allocated per connection / per in-flight request
         "ConnectionState",
         "_SocketConnection",
@@ -199,9 +185,7 @@ class RequireSlots(Rule):
         assert isinstance(node, ast.ClassDef)
         if node.name in HOT_PATH_CLASSES and not _class_has_slots(node):
             yield self.finding(
-                ctx,
-                node.lineno,
-                f"hot-path class {node.name} has no __slots__",
+                ctx.path, node.lineno, f"hot-path class {node.name} has no __slots__"
             )
 
 
@@ -245,33 +229,37 @@ class NoUnboundedQueue(Rule):
         if any(keyword.arg is None for keyword in node.keywords):
             return  # **kwargs forwarding may carry the bound
         yield self.finding(
-            ctx,
-            node.lineno,
-            f"{name}(...) constructed without max_queue",
+            ctx.path, node.lineno, f"{name}(...) constructed without max_queue"
         )
 
 
 # -- no-unbounded-cache -------------------------------------------------
 
-#: Self-attribute names that look like a memo/cache store.
-_CACHE_NAME_MARKERS = ("cache", "memo", "template", "intern")
+_DICT_FACTORIES = frozenset({"dict", "OrderedDict", "defaultdict"})
+
+#: What makes a ``self.<attr> = <container>`` a retention suspect: name
+#: fragments of the attribute, the container literals and factories it
+#: may be assigned, and what the finding calls it.  Memo stores grow
+#: with key diversity (dicts); span/trace buffers grow with traffic
+#: (dicts, lists and deques).
+_RETENTION_SUSPECTS = (
+    (
+        ("cache", "memo", "template", "intern"),
+        (ast.Dict,),
+        _DICT_FACTORIES,
+        "a dict-backed cache",
+    ),
+    (
+        ("span", "trace"),
+        (ast.Dict, ast.List),
+        _DICT_FACTORIES | {"deque", "list"},
+        "a span/trace buffer",
+    ),
+)
 
 #: Identifier fragments that signal the class registers a bound
 #: (capacity knob, eviction, or scope-version clearing).
 _BOUND_MARKERS = ("max", "bound", "capacity", "limit", "evict", "lru", "popitem")
-
-
-def _dict_valued(value: ast.expr) -> bool:
-    if isinstance(value, ast.Dict):
-        return True
-    if isinstance(value, ast.Call):
-        name = dotted_name(value.func)
-        return name is not None and name.rsplit(".", 1)[-1] in (
-            "dict",
-            "OrderedDict",
-            "defaultdict",
-        )
-    return False
 
 
 def _class_mentions_bound(node: ast.ClassDef) -> bool:
@@ -290,154 +278,76 @@ def _class_mentions_bound(node: ast.ClassDef) -> bool:
     return False
 
 
-class NoUnboundedCache(Rule):
-    """A dict-backed cache/memo attribute in a class with no bound.
+def _retention_suspects(node: ast.ClassDef) -> Iterator[tuple[int, str, str]]:
+    """``(line, attr, what)`` for every suspect assignment in the class."""
+    for descendant in ast.walk(node):
+        if isinstance(descendant, ast.Assign):
+            targets, value = descendant.targets, descendant.value
+        elif isinstance(descendant, ast.AnnAssign) and descendant.value is not None:
+            targets, value = [descendant.target], descendant.value
+        else:
+            continue
+        factory = (
+            (dotted_name(value.func) or "").rsplit(".", 1)[-1]
+            if isinstance(value, ast.Call)
+            else None
+        )
+        for target in targets:
+            if not (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            ):
+                continue
+            for markers, literals, factories, what in _RETENTION_SUSPECTS:
+                if any(marker in target.attr.lower() for marker in markers) and (
+                    isinstance(value, literals) or factory in factories
+                ):
+                    yield descendant.lineno, target.attr, what
 
-    PR-6 put caches on both hot paths (serialization templates,
-    client responses); every one of them is a bounded LRU because an
-    unbounded memo keyed by request-derived data is a memory leak an
-    adversarial peer can drive.  Any class that assigns a dict to a
-    ``self.*cache*``/``*memo*``/``*template*``/``*intern*`` attribute
-    must mention a bound somewhere in its body (a ``max_*``/
-    ``*_limit``/``capacity`` knob, an ``evict``/``lru``/``popitem``
-    mechanism) — or explain itself with an inline disable.
+
+class NoUnboundedCache(Rule):
+    """A retention structure in a class that names no bound.
+
+    Caches sit on both hot paths (serialization templates, client
+    responses) and every one is a bounded LRU, because an unbounded
+    memo keyed by request-derived data is a memory leak an adversarial
+    peer can drive.  Telemetry buffers (spans, traces) grow with
+    *traffic*, so an unbounded one leaks under perfectly benign load.
+    Any class that assigns a dict to a ``self.*cache*``/``*memo*``/
+    ``*template*``/``*intern*`` attribute, or a dict, list or deque to
+    a ``self.*span*``/``*trace*`` attribute, must mention a bound
+    somewhere in its body (a ``max_*``/``*_limit``/``capacity`` knob,
+    an ``evict``/``lru``/``popitem`` mechanism) — or explain itself with
+    an inline disable naming what bounds it.
     """
 
     id = "no-unbounded-cache"
     severity = SEVERITY_WARNING
     fix_hint = (
-        "give the cache a capacity knob plus eviction (bounded LRU), or mark "
-        "a deliberately version-cleared memo with "
+        "give the structure a capacity knob plus eviction (bounded LRU, "
+        "deque(maxlen=...)), or name what bounds it with "
         "'# repro: disable=no-unbounded-cache'"
     )
     rationale = (
-        "a dict-backed memo keyed by request-derived data grows without "
-        "limit under adversarial input; every production cache in this "
+        "memos keyed by request-derived data and span/trace buffers fed "
+        "by traffic grow without limit; every retention structure in this "
         "codebase names its bound"
     )
     node_types = (ast.ClassDef,)
     exempt_parts = frozenset({"tests"})
 
     def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
-        """Flag cache-named dict attributes in classes without a bound."""
+        """Flag retention suspects in classes without a bound."""
         assert isinstance(node, ast.ClassDef)
-        suspects: list[tuple[int, str]] = []
-        for descendant in ast.walk(node):
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(descendant, ast.Assign):
-                targets = descendant.targets
-                value = descendant.value
-            elif isinstance(descendant, ast.AnnAssign) and descendant.value is not None:
-                targets = [descendant.target]
-                value = descendant.value
-            if value is None or not _dict_valued(value):
-                continue
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                    and any(
-                        marker in target.attr.lower()
-                        for marker in _CACHE_NAME_MARKERS
-                    )
-                ):
-                    suspects.append((descendant.lineno, target.attr))
+        suspects = list(_retention_suspects(node))
         if not suspects or _class_mentions_bound(node):
             return
-        for lineno, attr in suspects:
+        for lineno, attr, what in suspects:
             yield self.finding(
-                ctx,
+                ctx.path,
                 lineno,
-                f"{node.name}.{attr} is a dict-backed cache with no "
-                "registered bound",
-            )
-
-
-# -- no-unbounded-span-store --------------------------------------------
-
-#: Self-attribute names that look like a span/trace retention buffer.
-_SPAN_STORE_NAME_MARKERS = ("span", "trace")
-
-
-def _container_valued(value: ast.expr) -> bool:
-    if isinstance(value, (ast.Dict, ast.List)):
-        return True
-    if isinstance(value, ast.Call):
-        name = dotted_name(value.func)
-        return name is not None and name.rsplit(".", 1)[-1] in (
-            "dict",
-            "OrderedDict",
-            "defaultdict",
-            "deque",
-            "list",
-        )
-    return False
-
-
-class NoUnboundedSpanStore(Rule):
-    """A span/trace retention buffer in a class that names no bound.
-
-    The telemetry plane retains per-request data (spans, traces) in
-    long-lived server objects; unlike a cache, a telemetry buffer grows
-    with *traffic*, not key diversity, so an unbounded one is a memory
-    leak under perfectly benign load.  Every retention structure in
-    ``repro.obs`` names its bound (``max_traces`` / ``max_pending`` /
-    ``max_spans_per_trace`` / ``max_bytes``); any class assigning a
-    container to a ``self.*span*``/``*trace*`` attribute must mention a
-    bound in its body or carry an inline disable naming the enforcer.
-    """
-
-    id = "no-unbounded-span-store"
-    severity = SEVERITY_WARNING
-    fix_hint = (
-        "bound the buffer (deque(maxlen=...), a max_* knob plus eviction), "
-        "or name the external enforcer with "
-        "'# repro: disable=no-unbounded-span-store'"
-    )
-    rationale = (
-        "span/trace buffers grow with traffic, not key diversity; an "
-        "unbounded one leaks memory under benign load, so every retention "
-        "structure must register its bound"
-    )
-    node_types = (ast.ClassDef,)
-    exempt_parts = frozenset({"tests"})
-
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
-        """Flag span/trace-named container attributes in unbounded classes."""
-        assert isinstance(node, ast.ClassDef)
-        suspects: list[tuple[int, str]] = []
-        for descendant in ast.walk(node):
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(descendant, ast.Assign):
-                targets = descendant.targets
-                value = descendant.value
-            elif isinstance(descendant, ast.AnnAssign) and descendant.value is not None:
-                targets = [descendant.target]
-                value = descendant.value
-            if value is None or not _container_valued(value):
-                continue
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                    and any(
-                        marker in target.attr.lower()
-                        for marker in _SPAN_STORE_NAME_MARKERS
-                    )
-                ):
-                    suspects.append((descendant.lineno, target.attr))
-        if not suspects or _class_mentions_bound(node):
-            return
-        for lineno, attr in suspects:
-            yield self.finding(
-                ctx,
-                lineno,
-                f"{node.name}.{attr} is a span/trace buffer with no "
-                "registered bound",
+                f"{node.name}.{attr} is {what} with no registered bound",
             )
 
 
@@ -460,25 +370,12 @@ class NoBareExcept(Rule):
         """Flag ``except:`` handlers with no exception type."""
         assert isinstance(node, ast.ExceptHandler)
         if node.type is None:
-            yield self.finding(ctx, node.lineno, "bare except:")
+            yield self.finding(ctx.path, node.lineno, "bare except:")
 
 
 _BROAD_EXCEPTION_NAMES = frozenset(
     {"Exception", "BaseException", "SoapError", "SoapFaultError", "SoapFault"}
 )
-
-
-def _caught_names(handler: ast.ExceptHandler) -> list[str]:
-    node = handler.type
-    if node is None:
-        return ["<bare>"]
-    nodes = node.elts if isinstance(node, ast.Tuple) else [node]
-    names = []
-    for item in nodes:
-        chain = dotted_name(item)
-        if chain is not None:
-            names.append(chain.rsplit(".", 1)[-1])
-    return names
 
 
 def _body_is_silent(body: list[ast.stmt]) -> bool:
@@ -518,27 +415,30 @@ class NoSwallowedFault(Rule):
     def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
         """Flag broad handlers whose body silently drops the exception."""
         assert isinstance(node, ast.ExceptHandler)
-        names = _caught_names(node)
+        names = ["<bare>"] if node.type is None else handler_names(node)
         if not any(name in _BROAD_EXCEPTION_NAMES or name == "<bare>" for name in names):
             return
         if _body_is_silent(node.body):
             caught = ", ".join(names)
             yield self.finding(
-                ctx,
+                ctx.path,
                 node.lineno,
                 f"broad except ({caught}) swallows the fault with a bare pass",
             )
 
 
-def lint_rules() -> list[Rule]:
-    """The lint pack (lock-discipline lives in repro.analysis.locks)."""
-    return [
-        NoWallclockDuration(),
-        NoDirectSleepRandom(),
-        RequireSlots(),
-        NoUnboundedQueue(),
-        NoUnboundedCache(),
-        NoUnboundedSpanStore(),
-        NoBareExcept(),
-        NoSwallowedFault(),
-    ]
+#: Every rule, in report order: the lint pack, lock discipline, then
+#: the three whole-program rules over the call graph.
+RULES: list[Rule] = [
+    NoWallclockDuration(),
+    NoDirectSleepRandom(),
+    RequireSlots(),
+    NoUnboundedQueue(),
+    NoUnboundedCache(),
+    NoBareExcept(),
+    NoSwallowedFault(),
+    LockDiscipline(),
+    MayBlockOnLoop(),
+    WallclockTaint(),
+    FaultFlowEscape(),
+]

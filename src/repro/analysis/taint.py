@@ -1,6 +1,6 @@
-"""Interprocedural analyses over the project call graph.
+"""The whole-program rules over the project call graph.
 
-Three whole-program passes ride on :mod:`repro.analysis.callgraph`:
+Three rules ride on :mod:`repro.analysis.callgraph`:
 
 * **may-block-on-event-loop** — seed facts at blocking sinks
   (``time.sleep``, raw ``socket`` I/O, untimed ``Lock.acquire``,
@@ -19,7 +19,8 @@ Three whole-program passes ride on :mod:`repro.analysis.callgraph`:
 
 * **wallclock-taint** — seed at direct ``time.time()`` /
   ``time.monotonic()`` / ``time.perf_counter()`` / ``time.sleep()``
-  *calls* (default-arg references like ``clock: Callable =
+  *calls* (the ``time`` half of the engine's ``TIME_AND_RANDOM``
+  table; default-arg references like ``clock: Callable =
   time.monotonic`` stay legal — that is the injection seam), propagate
   up callers, and flag clock-disciplined code (``hedge.py`` /
   ``limiter.py`` / ``rollup.py``) that makes such a call inline or
@@ -34,6 +35,9 @@ Three whole-program passes ride on :mod:`repro.analysis.callgraph`:
   fault-classified type — those surface as bare 500s instead of a
   ``SoapFault``/``FAULTCODE_HTTP_STATUS`` response.
 
+Each is a :class:`~repro.analysis.engine.Rule` that ``uses_graph``:
+its ``run`` reads the call graph the engine built for the run, and the
+engine scopes and suppresses its findings like any other rule's.
 Every finding renders its full witness chain (entry → … → sink) in the
 message, using function names only — never line numbers — so baseline
 fingerprints survive unrelated edits, exactly like the per-module
@@ -53,9 +57,18 @@ from repro.analysis.callgraph import (
     FunctionNode,
     chain_from,
     iter_reachable,
+    walk_back,
     walk_own,
 )
-from repro.analysis.engine import ModuleContext, dotted_name
+from repro.analysis.engine import (
+    TIME_KINDS,
+    ModuleContext,
+    Rule,
+    classify_call,
+    classify_imports,
+    dotted_name,
+    handler_names,
+)
 from repro.analysis.findings import Finding
 
 _NONBLOCKING_PRAGMA_RE = re.compile(r"#\s*repro:\s*nonblocking\b")
@@ -77,14 +90,11 @@ _SUBPROCESS_CALLS = frozenset(
     {"run", "call", "check_call", "check_output", "Popen", "communicate"}
 )
 
-#: ``time`` functions clock-disciplined code may only reach through an
-#: injected seam; ``monotonic``/``perf_counter`` count too — the
-#: discipline is *injected* clocks, not merely monotonic ones — and so
-#: does ``sleep``: timing policies race futures, they never wait.
-_WALLCLOCK_FUNCS = frozenset({"time", "sleep", "monotonic", "perf_counter"})
-
-#: Files whose code must take clocks by injection.
-_CLOCK_DISCIPLINED_FILES = frozenset({"hedge.py", "limiter.py", "rollup.py"})
+#: Files whose code must take clocks by injection.  Every ``time``
+#: function counts: ``monotonic``/``perf_counter`` too (the discipline
+#: is *injected* clocks, not merely monotonic ones), and ``sleep``
+#: (timing policies race futures, they never wait).
+CLOCK_DISCIPLINED_FILES = frozenset({"hedge.py", "limiter.py", "rollup.py"})
 
 #: Builtin exception ancestry (bare names), enough to evaluate
 #: ``except`` clauses over builtins the project raises.
@@ -150,8 +160,8 @@ def propagate_up(
     ``seeds`` maps function qualnames to a seed description.  Returns
     ``{tainted_qualname: (callee_or_None, description)}`` where the
     first element is the callee the taint arrived through (``None`` for
-    seeds themselves) — enough to rebuild a witness chain down to a
-    seed.  ``barriers`` neither taint nor transmit.
+    seeds themselves) — :func:`walk_back` rebuilds the witness chain
+    down to a seed.  ``barriers`` neither taint nor transmit.
     """
     facts: dict[str, tuple[str | None, str]] = {}
     worklist: list[str] = []
@@ -169,25 +179,6 @@ def propagate_up(
             facts[caller] = (current, description)
             worklist.append(caller)
     return facts
-
-
-def witness_down(
-    facts: dict[str, tuple[str | None, str]], start: str
-) -> list[str]:
-    """The ``start → … → seed`` chain recorded by :func:`propagate_up`."""
-    chain = [start]
-    seen = {start}
-    current = start
-    while True:
-        step = facts.get(current)
-        if step is None or step[0] is None:
-            break
-        current = step[0]
-        if current in seen:
-            break
-        seen.add(current)
-        chain.append(current)
-    return chain
 
 
 def _pretty_chain(graph: CallGraph, qualnames: Iterable[str]) -> list[str]:
@@ -221,9 +212,9 @@ def blocking_sinks(fn: FunctionNode) -> list[tuple[int, str]]:
         chain = dotted_name(node.func)
         if chain is not None:
             head = chain.split(".", 1)[0]
-            if chain == "time.sleep" or (
-                chain == "sleep" and not isinstance(node.func, ast.Attribute)
-            ):
+            call = classify_call(node)
+            # a bare ``sleep(...)`` is ``from time import sleep``
+            if (call and call[1] == "sleep") or chain == "sleep":
                 sinks.append((node.lineno, "time.sleep()"))
                 continue
             if head == "subprocess" and chain.rsplit(".", 1)[-1] in _SUBPROCESS_CALLS:
@@ -247,18 +238,11 @@ def blocking_sinks(fn: FunctionNode) -> list[tuple[int, str]]:
     return sinks
 
 
-def _wallclock_call(node: ast.AST) -> str | None:
-    """``"time.monotonic()"`` when ``node`` is a direct wall-clock
-    *call* (references don't count), else None."""
-    if not isinstance(node, ast.Call):
-        return None
-    chain = dotted_name(node.func)
-    if chain is None:
-        return None
-    parts = chain.split(".")
-    if len(parts) == 2 and parts[0] == "time" and parts[1] in _WALLCLOCK_FUNCS:
-        return f"{chain}()"
-    return None
+def _clock_call(node: ast.AST) -> str | None:
+    """``"time.monotonic()"`` when ``node`` directly *calls* a ``time``
+    function (references don't count), else None."""
+    call = classify_call(node)
+    return f"{call[0]}()" if call and call[1] in TIME_KINDS else None
 
 
 def wallclock_sinks(fn: FunctionNode) -> list[tuple[int, str]]:
@@ -266,7 +250,7 @@ def wallclock_sinks(fn: FunctionNode) -> list[tuple[int, str]]:
     return [
         (node.lineno, call)
         for node in walk_own(fn.node)
-        if (call := _wallclock_call(node)) is not None
+        if (call := _clock_call(node)) is not None
     ]
 
 
@@ -293,40 +277,7 @@ def collect_barriers(
 # -- analyses ------------------------------------------------------------
 
 
-class ProjectAnalysis:
-    """Base for whole-program passes (the interprocedural ``Rule``)."""
-
-    id: str = ""
-    severity: str = "error"
-    fix_hint: str = ""
-    rationale: str = ""
-
-    def run(
-        self, graph: CallGraph, contexts: dict[str, ModuleContext]
-    ) -> Iterator[Finding]:
-        """Yield findings for the whole program (analysis-specific)."""
-        raise NotImplementedError
-
-    def finding(
-        self,
-        path: str,
-        line: int,
-        message: str,
-        chain: tuple[str, ...] = (),
-    ) -> Finding:
-        """Construct a finding bound to this analysis, with its chain."""
-        return Finding(
-            rule_id=self.id,
-            severity=self.severity,
-            path=path,
-            line=line,
-            message=message,
-            fix_hint=self.fix_hint,
-            chain=chain,
-        )
-
-
-class MayBlockOnLoop(ProjectAnalysis):
+class MayBlockOnLoop(Rule):
     """Blocking sinks synchronously reachable from the event loop.
 
     Downward reachability from the loop entries (respecting barriers,
@@ -337,6 +288,7 @@ class MayBlockOnLoop(ProjectAnalysis):
 
     id = "may-block-on-event-loop-transitive"
     severity = "error"
+    uses_graph = True
     fix_hint = (
         "route the work through the bounded stage, use the *_nonblocking "
         "wrappers, or mark a vouched-for helper '# repro: nonblocking'"
@@ -351,7 +303,7 @@ class MayBlockOnLoop(ProjectAnalysis):
     entry_name = "_run_loop"
 
     def run(
-        self, graph: CallGraph, contexts: dict[str, ModuleContext]
+        self, contexts: dict[str, ModuleContext], graph: CallGraph
     ) -> Iterator[Finding]:
         entry_qualnames = [
             qualname
@@ -368,10 +320,7 @@ class MayBlockOnLoop(ProjectAnalysis):
             if qualname in barriers:
                 continue
             fn = graph.functions[qualname]
-            ctx = contexts.get(fn.path)
             for line, description in blocking_sinks(fn):
-                if ctx is not None and ctx.is_suppressed(self.id, line):
-                    continue
                 chain = chain_from(parents, qualname)
                 labels = _pretty_chain(graph, chain)
                 yield self.finding(
@@ -383,7 +332,7 @@ class MayBlockOnLoop(ProjectAnalysis):
                 )
 
 
-class WallclockTaint(ProjectAnalysis):
+class WallclockTaint(Rule):
     """Clock-disciplined code reading the wall clock, inline or through
     a helper.
 
@@ -399,6 +348,7 @@ class WallclockTaint(ProjectAnalysis):
 
     id = "wallclock-taint"
     severity = "error"
+    uses_graph = True
     fix_hint = (
         "take the clock as a constructor argument (clock=time.monotonic "
         "as the default is fine), call the injected seam, and thread it "
@@ -412,10 +362,10 @@ class WallclockTaint(ProjectAnalysis):
     )
 
     def run(
-        self, graph: CallGraph, contexts: dict[str, ModuleContext]
+        self, contexts: dict[str, ModuleContext], graph: CallGraph
     ) -> Iterator[Finding]:
         for ctx in contexts.values():
-            if ctx.path.rsplit("/", 1)[-1] in _CLOCK_DISCIPLINED_FILES:
+            if ctx.path.rsplit("/", 1)[-1] in CLOCK_DISCIPLINED_FILES:
                 yield from self._inline(ctx)
         seeds: dict[str, str] = {}
         for qualname, fn in graph.functions.items():
@@ -427,7 +377,7 @@ class WallclockTaint(ProjectAnalysis):
         facts = propagate_up(graph, seeds)
         for qualname in sorted(facts):
             fn = graph.functions[qualname]
-            if fn.path.rsplit("/", 1)[-1] not in _CLOCK_DISCIPLINED_FILES:
+            if fn.path.rsplit("/", 1)[-1] not in CLOCK_DISCIPLINED_FILES:
                 continue
             tainted_callee = facts[qualname][0]
             if tainted_callee is None:
@@ -437,10 +387,7 @@ class WallclockTaint(ProjectAnalysis):
                 if edge.callee == tainted_callee:
                     edge_line = edge.line
                     break
-            ctx = contexts.get(fn.path)
-            if ctx is not None and ctx.is_suppressed(self.id, edge_line):
-                continue
-            chain = witness_down(facts, qualname)
+            chain = walk_back(facts, qualname)
             labels = _pretty_chain(graph, chain)
             yield self.finding(
                 fn.path,
@@ -457,19 +404,17 @@ class WallclockTaint(ProjectAnalysis):
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom) and node.module == "time":
                 messages = [
-                    f"from time import {alias.name} in clock-disciplined "
+                    f"from time import {name} in clock-disciplined "
                     "code; inject the clock instead"
-                    for alias in node.names
-                    if alias.name in _WALLCLOCK_FUNCS
+                    for name, kind in classify_imports(node)
+                    if kind in TIME_KINDS
                 ]
-            elif (call := _wallclock_call(node)) is not None:
+            elif (call := _clock_call(node)) is not None:
                 messages = [
                     f"inline {call} in clock-disciplined code; call the "
                     "injected clock seam instead"
                 ]
             else:
-                continue
-            if ctx.is_suppressed(self.id, node.lineno):
                 continue
             for message in messages:
                 yield self.finding(ctx.path, node.lineno, message)
@@ -486,17 +431,7 @@ class _HandlerFrame:
         for handler in handlers:
             if handler.type is None:
                 self.catch_all = True
-                continue
-            types = (
-                handler.type.elts
-                if isinstance(handler.type, ast.Tuple)
-                else [handler.type]
-            )
-            for expr in types:
-                chain = dotted_name(expr)
-                if chain is None:
-                    continue
-                name = chain.rsplit(".", 1)[-1]
+            for name in handler_names(handler):
                 if name == "BaseException":
                     self.catch_all = True
                 else:
@@ -505,7 +440,7 @@ class _HandlerFrame:
                     self.catches.add(name)
 
 
-class FaultFlowEscape(ProjectAnalysis):
+class FaultFlowEscape(Rule):
     """Exception types that can escape a server dispatch entry.
 
     Per-function escaping sets (raises plus callee escapes, filtered
@@ -517,6 +452,7 @@ class FaultFlowEscape(ProjectAnalysis):
 
     id = "fault-flow-escape"
     severity = "error"
+    uses_graph = True
     fix_hint = (
         "catch the exception on the dispatch path and convert it with "
         "SoapFault.from_exception / a FAULTCODE_HTTP_STATUS mapping, or "
@@ -535,7 +471,7 @@ class FaultFlowEscape(ProjectAnalysis):
         return fn.name == "_execute" and (fn.cls or "").endswith("SoapServer")
 
     def run(
-        self, graph: CallGraph, contexts: dict[str, ModuleContext]
+        self, contexts: dict[str, ModuleContext], graph: CallGraph
     ) -> Iterator[Finding]:
         ancestry = self._exception_ancestry(graph)
         escaping, origins = self._escaping_sets(graph, ancestry)
@@ -547,10 +483,7 @@ class FaultFlowEscape(ProjectAnalysis):
                 chain_qualnames, line = self._witness(
                     origins, qualname, exc
                 )
-                ctx = contexts.get(fn.path)
                 report_line = line if line is not None else fn.line
-                if ctx is not None and ctx.is_suppressed(self.id, report_line):
-                    continue
                 labels = _pretty_chain(graph, chain_qualnames)
                 yield self.finding(
                     fn.path,
@@ -691,7 +624,11 @@ class FaultFlowEscape(ProjectAnalysis):
                     frame = _HandlerFrame(statement.handlers)
                     walk(statement.body, frames + [frame], caught_names)
                     for handler in statement.handlers:
-                        names = self._handler_names(handler)
+                        names = (
+                            ["Exception"]
+                            if handler.type is None
+                            else handler_names(handler)
+                        )
                         walk(handler.body, frames, caught_names + names)
                     walk(statement.orelse, frames, caught_names)
                     walk(statement.finalbody, frames, caught_names)
@@ -729,21 +666,6 @@ class FaultFlowEscape(ProjectAnalysis):
         body = getattr(fn.node, "body", [])
         walk(body, [], [])
         return result, origins
-
-    def _handler_names(self, handler: ast.ExceptHandler) -> list[str]:
-        if handler.type is None:
-            return ["Exception"]
-        types = (
-            handler.type.elts
-            if isinstance(handler.type, ast.Tuple)
-            else [handler.type]
-        )
-        names = []
-        for expr in types:
-            chain = dotted_name(expr)
-            if chain is not None:
-                names.append(chain.rsplit(".", 1)[-1])
-        return names
 
     def _raise_escapes(
         self,
@@ -797,20 +719,3 @@ class FaultFlowEscape(ProjectAnalysis):
             chain.append(callee)
             current = callee
         return chain, first_line
-
-
-def project_analyses() -> list[ProjectAnalysis]:
-    """The full interprocedural pack, in report order."""
-    return [MayBlockOnLoop(), WallclockTaint(), FaultFlowEscape()]
-
-
-def run_project_analyses(
-    graph: CallGraph,
-    contexts: dict[str, ModuleContext],
-    analyses: list[ProjectAnalysis] | None = None,
-) -> list[Finding]:
-    """Run ``analyses`` (default: the full pack) over a built graph."""
-    findings: list[Finding] = []
-    for analysis in project_analyses() if analyses is None else analyses:
-        findings.extend(analysis.run(graph, contexts))
-    return findings

@@ -310,7 +310,7 @@ class ServiceProxy:
         the ``<res:Deadline>`` header, and its wire timeout budget."""
         policy = call.policy
         budget = policy.attempt_budget(deadline)
-        if budget is not None and policy.propagate_deadline:
+        if budget is not None:
             attach_deadline(call.envelope, budget)
         body = call.envelope.to_bytes()
         headers = Headers(call.headers)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.errors import HttpError, TransportError
+from repro.errors import HttpError
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.parser import ChannelReader, read_response
 from repro.transport.base import Address, Transport
@@ -105,22 +105,6 @@ class ConnectionPool:
                 bucket.append(connection)
                 return
         connection.close()
-
-    def request(self, address: Address, request: HttpRequest) -> HttpResponse:
-        """Checkout/checkin convenience; retries once if a pooled
-        connection turns out to be dead."""
-        for attempt in (0, 1):
-            connection = self.acquire(address)
-            try:
-                response = connection.request(request)
-            except (HttpError, TransportError):
-                connection.close()
-                if attempt or connection.exchanges == 0:
-                    raise
-                continue
-            self.release(address, connection)
-            return response
-        raise HttpError("unreachable")  # pragma: no cover
 
     def close(self) -> None:
         """Close every idle pooled connection."""

@@ -17,8 +17,8 @@ knows how the trace went:
 
 1. flagged traces — any fault, shed, or deadline expiry — are always
    kept;
-2. slow traces — duration at or above the ``keep_percentile`` of the
-   store's own duration sketch — are always kept;
+2. slow traces — duration at or above the ``DEFAULT_KEEP_PERCENTILE``
+   quantile of the store's own duration sketch — are always kept;
 3. the boring middle is kept with probability ``sample_rate``
    (injectable rng for deterministic tests).
 
@@ -175,7 +175,6 @@ class SpanStore:
         max_pending: int = DEFAULT_MAX_PENDING,
         max_spans_per_trace: int = DEFAULT_MAX_SPANS,
         max_bytes: int = DEFAULT_MAX_BYTES,
-        keep_percentile: float = DEFAULT_KEEP_PERCENTILE,
         sample_rate: float = DEFAULT_SAMPLE_RATE,
         rng: random.Random | None = None,
     ) -> None:
@@ -183,15 +182,10 @@ class SpanStore:
             raise ValueError("span store bounds must be positive")
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1]: {sample_rate!r}")
-        if not 0.0 < keep_percentile <= 1.0:
-            raise ValueError(
-                f"keep_percentile must be in (0, 1]: {keep_percentile!r}"
-            )
         self.max_traces = max_traces
         self.max_pending = max_pending
         self.max_spans_per_trace = max_spans_per_trace
         self.max_bytes = max_bytes
-        self.keep_percentile = keep_percentile
         self.sample_rate = sample_rate
         # Sampling only shapes *which boring traces survive*; a seeded
         # rng makes tests deterministic, the default is fine in prod.
@@ -280,7 +274,7 @@ class SpanStore:
                 return True
 
             duration = record.duration_s
-            threshold = self._durations.quantile(self.keep_percentile)
+            threshold = self._durations.quantile(DEFAULT_KEEP_PERCENTILE)
             seen_enough = self._durations.count >= 20
             self._durations.record(duration)
 

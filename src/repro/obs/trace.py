@@ -181,7 +181,7 @@ class Tracer:
         self._clock = clock
         # span name -> its registry sketch, to skip the registry lock
         # (and the f-string) on every finished span after the first
-        self._span_sketches: dict[str, object] = {}  # repro: disable=no-unbounded-span-store — keyed by span name, a fixed taxonomy
+        self._span_sketches: dict[str, object] = {}  # repro: disable=no-unbounded-cache — keyed by span name, a fixed taxonomy
         self.store = store
 
     # -- recording -----------------------------------------------------

@@ -7,8 +7,8 @@ only a few percent of extra load.  This module holds the pure policy
 half of that idea:
 
 * :class:`HedgePolicy` — when to hedge: the trigger quantile read from
-  the live per-(service, operation) rollup, how many hedges per call
-  (at most one), and the traffic budget;
+  the live per-(service, operation) rollup (one hedge per call at
+  most), and the traffic budget;
 * :class:`HedgeBudget` — a per-proxy token bucket measured in *calls*,
   so hedges stay at or below ``budget_rate`` of traffic no matter how
   slow the backend gets;
@@ -39,8 +39,6 @@ class HedgePolicy:
     * ``quantile`` — the rollup latency quantile that arms the hedge:
       once the first attempt has been in flight longer than
       ``rollup.latency_quantile(quantile)``, the hedge fires;
-    * ``max_hedges`` — hedges per logical attempt; the paper's sweet
-      spot (and our cap) is one;
     * ``budget_rate`` — long-run hedge fraction of traffic (0.05 =
       hedges stay at or below 5% of calls);
     * ``budget_burst`` — bucket depth: how many hedges may fire
@@ -52,7 +50,6 @@ class HedgePolicy:
     """
 
     quantile: float = 0.95
-    max_hedges: int = 1
     budget_rate: float = 0.05
     budget_burst: float = 4.0
     min_samples: int = 16
@@ -61,8 +58,6 @@ class HedgePolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.quantile < 1.0:
             raise InvocationError("HedgePolicy.quantile must be within (0, 1)")
-        if self.max_hedges not in (0, 1):
-            raise InvocationError("HedgePolicy.max_hedges must be 0 or 1")
         if self.budget_rate <= 0.0:
             raise InvocationError("HedgePolicy.budget_rate must be > 0")
         if self.budget_burst < 1.0:
@@ -152,13 +147,10 @@ def hedge_trigger(
 ) -> float | None:
     """Seconds the first attempt may run before the hedge fires.
 
-    Returns ``None`` — do not hedge — when the policy disables hedging,
-    the rollup has fewer than ``min_samples`` observations (cold-start
+    Returns ``None`` — do not hedge — when the rollup has fewer than ``min_samples`` observations (cold-start
     guard), or the trigger would land at or beyond the attempt's own
     I/O budget (the timeout will fire first, so a hedge adds nothing).
     """
-    if policy.max_hedges < 1:
-        return None
     if rollup is None or rollup.calls < policy.min_samples:
         return None
     trigger = max(

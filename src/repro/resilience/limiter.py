@@ -35,6 +35,9 @@ OUTCOME_SUCCESS = "success"
 OUTCOME_OVERLOAD = "overload"
 OUTCOME_ERROR = "error"
 
+#: The window's floor: one call in flight is always admitted.
+_MIN_LIMIT = 1.0
+
 
 class AdaptiveLimiter:
     """Per-target AIMD concurrency window.
@@ -49,7 +52,6 @@ class AdaptiveLimiter:
         "_lock",
         "_clock",
         "_limit",
-        "_min_limit",
         "_max_limit",
         "_additive",
         "_decrease",
@@ -66,16 +68,15 @@ class AdaptiveLimiter:
         self,
         *,
         initial: float = 8.0,
-        min_limit: float = 1.0,
         max_limit: float = 256.0,
         additive: float = 1.0,
         decrease: float = 0.5,
         cooldown_s: float = 0.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if not 1.0 <= min_limit <= initial <= max_limit:
+        if not _MIN_LIMIT <= initial <= max_limit:
             raise InvocationError(
-                "AdaptiveLimiter requires 1 <= min_limit <= initial <= max_limit"
+                "AdaptiveLimiter requires 1 <= initial <= max_limit"
             )
         if additive <= 0.0:
             raise InvocationError("AdaptiveLimiter.additive must be > 0")
@@ -86,7 +87,6 @@ class AdaptiveLimiter:
         self._lock = threading.Lock()
         self._clock = clock
         self._limit = float(initial)
-        self._min_limit = float(min_limit)
         self._max_limit = float(max_limit)
         self._additive = additive
         self._decrease = decrease
@@ -125,9 +125,7 @@ class AdaptiveLimiter:
                     self._last_decrease_at is None
                     or now - self._last_decrease_at >= self._cooldown_s
                 ):
-                    self._limit = max(
-                        self._min_limit, self._limit * self._decrease
-                    )
+                    self._limit = max(_MIN_LIMIT, self._limit * self._decrease)
                     self._decreases += 1
                     self._last_decrease_at = now
             elif outcome != OUTCOME_ERROR:

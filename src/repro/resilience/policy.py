@@ -90,7 +90,6 @@ class CallPolicy:
     jitter: float = 1.0  # 1.0 = full jitter, 0.0 = deterministic delays
     retryable_faultcodes: frozenset[str] = field(default=RETRYABLE_FAULTCODES)
     retry_transport_errors: bool = True
-    propagate_deadline: bool = True
 
     def __post_init__(self) -> None:
         if self.retries < 0:

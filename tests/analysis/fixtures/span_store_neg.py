@@ -22,7 +22,7 @@ class EvictingTraceStore:
 class DelegatedSpanSlot:
     def __init__(self):
         # bounded by the owning store's max_spans_per_trace at ingest
-        self.spans = []  # repro: disable=no-unbounded-span-store
+        self.spans = []  # repro: disable=no-unbounded-cache
 
 
 class NotATelemetryBuffer:

@@ -44,11 +44,13 @@ class TestCompare:
         assert not result.ok
         assert len(result.new) == 1  # only the overflow fails
 
-    def test_stale_entries_are_reported_but_never_fail(self):
+    def test_stale_entries_fail(self):
+        # the change that fixes a finding removes its entry
         entry = BaselineEntry(rule="gone", path="old.py", message="fixed long ago")
         result = compare([], [entry])
-        assert result.ok
+        assert not result.ok
         assert result.stale == [entry]
+        assert result.new == []
 
 
 class TestPersistence:

@@ -195,23 +195,6 @@ class TestResolution:
 
 
 class TestGraphMeasures:
-    def test_scc_finds_mutual_recursion(self):
-        graph = graph_of(
-            m="def a():\n    b()\ndef b():\n    a()\ndef c():\n    a()\n"
-        )
-        cycles = [set(c) for c in graph.sccs() if len(c) > 1]
-        assert cycles == [{"m.a", "m.b"}]
-
-    def test_stats_counts(self):
-        graph = graph_of(
-            m="def a():\n    b()\ndef b():\n    a()\ndef c():\n    a()\n"
-        )
-        stats = graph.stats()
-        assert stats["functions"] == 3
-        assert stats["call_edges"] == 3
-        assert stats["cyclic_sccs"] == 1
-        assert stats["largest_cycle"] == 2
-
     def test_reachability_and_chain_terminate_on_cycles(self):
         graph = graph_of(
             m="def a():\n    b()\ndef b():\n    a()\n    c()\ndef c():\n    pass\n"

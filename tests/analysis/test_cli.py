@@ -1,11 +1,10 @@
 """The ``python -m repro.analysis`` command line: exit codes and formats."""
 
 import json
-from pathlib import Path
 
-from repro.analysis import main
+import pytest
 
-FIXTURES = Path(__file__).parent / "fixtures"
+from repro.analysis import RULES, main
 
 CLEAN = "def ok():\n    return 1\n"
 DIRTY = "import time\n\n\ndef broken():\n    try:\n        return time.time()\n    except:\n        return None\n"
@@ -31,8 +30,8 @@ class TestCheck:
         assert main(["check", "pkg"]) == 1
         out = capsys.readouterr().out
         assert "NEW finding" in out
-        assert "no-bare-except" in out
-        assert "no-wallclock-duration" in out
+        assert "[error] no-bare-except: bare except:" in out
+        assert "[warning] no-wallclock-duration: wall-clock read: time.time()" in out
 
     def test_missing_baseline_exits_two(self, tmp_path, monkeypatch, capsys):
         write_tree(tmp_path)
@@ -61,6 +60,40 @@ class TestCheck:
         assert document["ok"] is False
         rules = {f["rule"] for f in document["new"]}
         assert {"no-bare-except", "no-wallclock-duration"} <= rules
+
+    def test_new_findings_print_their_hints(self, tmp_path, monkeypatch, capsys):
+        write_tree(tmp_path, dirty=True)
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "pkg"]) == 1
+        out = capsys.readouterr().out
+        assert "    hint: catch a concrete exception type" in out
+
+    def test_summary_counts_findings_per_rule(self, tmp_path, monkeypatch, capsys):
+        write_tree(tmp_path, dirty=True)
+        monkeypatch.chdir(tmp_path)
+        assert main(["baseline", "pkg", "-o", "frozen.json"]) == 0
+        capsys.readouterr()
+        assert main(["check", "pkg", "--baseline", "frozen.json"]) == 0
+        out = capsys.readouterr().out
+        assert "no-bare-except [error]: 1 (0 new)" in out
+        assert "lock-discipline [warning]: 0 (0 new)" in out
+        assert all(rule.id in out for rule in RULES)
+
+    def test_stale_baseline_entry_exits_one(self, tmp_path, monkeypatch, capsys):
+        # the gate itself fails on an entry nothing matches any more
+        write_tree(tmp_path, dirty=True)
+        monkeypatch.chdir(tmp_path)
+        assert main(["baseline", "pkg", "-o", "frozen.json"]) == 0
+        (tmp_path / "pkg" / "mod.py").write_text(CLEAN)
+        capsys.readouterr()
+        assert main(["check", "pkg", "--baseline", "frozen.json"]) == 1
+        out = capsys.readouterr().out
+        assert "stale baseline entr" in out
+        assert "analysis clean" not in out
+        assert main(["check", "pkg", "--baseline", "frozen.json", "--format", "json"]) == 1
+        document = json.loads(capsys.readouterr().out)
+        assert document["ok"] is False and document["new"] == []
+        assert len(document["stale_baseline_entries"]) == 2
 
     def test_syntax_error_becomes_a_finding(self, tmp_path, monkeypatch, capsys):
         package = write_tree(tmp_path)
@@ -100,13 +133,21 @@ class TestOtherCommands:
             "lock-discipline",
         ):
             assert rule_id in out
+        listed = [line.split()[0] for line in out.splitlines() if not line.startswith(" ")]
+        assert listed == [rule.id for rule in RULES]
+        assert len(set(listed)) == 11
 
-    def test_report_locks(self, tmp_path, monkeypatch, capsys):
-        package = tmp_path / "pkg"
-        package.mkdir()
-        (package / "locks.py").write_text((FIXTURES / "locks_seeded.py").read_text())
-        monkeypatch.chdir(tmp_path)
-        assert main(["report-locks", "pkg"]) == 0
-        out = capsys.readouterr().out
-        assert "class SeededRace" in out
-        assert "lock-using class(es) analyzed" in out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "pkg"],
+            ["report-locks", "pkg"],
+            ["report-callgraph", "pkg"],
+            ["check", "pkg", "--hints"],
+            ["check", "pkg", "--show-baselined"],
+        ],
+    )
+    def test_check_baseline_and_rules_are_the_whole_surface(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

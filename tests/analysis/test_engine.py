@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from repro.analysis import check_paths, check_source
+from repro.analysis import check
 from repro.analysis.engine import iter_python_files
 from repro.analysis.findings import Finding, sort_findings
 from repro.analysis.rules import NoBareExcept, NoWallclockDuration
@@ -12,26 +12,30 @@ FIXTURES = Path(__file__).parent / "fixtures"
 BARE = "try:\n    pass\nexcept:\n    pass\n"
 
 
+def bare_findings(source):
+    return check([], [NoBareExcept()], sources={"x.py": source})
+
+
 class TestSuppression:
     def test_inline_disable_silences_the_named_rule(self):
         source = BARE.replace("except:", "except:  # repro: disable=no-bare-except")
-        assert check_source(source, path="x.py", rules=[NoBareExcept()]) == []
+        assert bare_findings(source) == []
 
     def test_inline_disable_all(self):
         source = BARE.replace("except:", "except:  # repro: disable=all")
-        assert check_source(source, path="x.py", rules=[NoBareExcept()]) == []
+        assert bare_findings(source) == []
 
     def test_other_rule_ids_do_not_silence(self):
         source = BARE.replace("except:", "except:  # repro: disable=require-slots")
-        assert len(check_source(source, path="x.py", rules=[NoBareExcept()])) == 1
+        assert len(bare_findings(source)) == 1
 
     def test_file_pragma_silences_whole_file(self):
         source = "# repro: disable-file=no-bare-except\n" + BARE
-        assert check_source(source, path="x.py", rules=[NoBareExcept()]) == []
+        assert bare_findings(source) == []
 
     def test_file_pragma_must_sit_near_the_top(self):
         source = BARE + ("\n" * 12) + "# repro: disable-file=no-bare-except\n"
-        assert len(check_source(source, path="x.py", rules=[NoBareExcept()])) == 1
+        assert len(bare_findings(source)) == 1
 
 
 class TestWalking:
@@ -41,7 +45,7 @@ class TestWalking:
         assert not any("fixtures" in f.parts for f in files)
 
     def test_explicit_fixture_files_are_always_scanned(self):
-        findings = check_paths(
+        findings = check(
             [FIXTURES / "bare_except_pos.py"], [NoBareExcept()], root=FIXTURES
         )
         assert [f.rule_id for f in findings] == ["no-bare-except"]
@@ -49,7 +53,7 @@ class TestWalking:
     def test_non_python_files_are_ignored(self, tmp_path):
         (tmp_path / "data.json").write_text("{}")
         (tmp_path / "mod.py").write_text("import time\nstart = time.time()\n")
-        findings = check_paths([tmp_path], [NoWallclockDuration()], root=tmp_path)
+        findings = check([tmp_path], [NoWallclockDuration()], root=tmp_path)
         assert [f.path for f in findings] == ["mod.py"]
 
 

@@ -11,20 +11,17 @@ import json
 import time
 from pathlib import Path
 
-from repro.analysis import check_paths, main, project_analyses
+import repro.analysis.callgraph as callgraph
+from repro.analysis import RULES, check, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
+GRAPH_RULES = [rule for rule in RULES if rule.uses_graph]
 
 
 def corpus_findings(case: str):
-    """Run only the interprocedural analyses over one mini-package."""
-    return check_paths(
-        [FIXTURES / "callgraph" / case],
-        rules=[],
-        root=FIXTURES,
-        project_analyses=project_analyses(),
-    )
+    """Run only the whole-program rules over one mini-package."""
+    return check([FIXTURES / "callgraph" / case], GRAPH_RULES, root=FIXTURES)
 
 
 class TestMayBlock:
@@ -73,11 +70,7 @@ class TestMayBlock:
                     "time.sleep(0.05)  # repro: disable=may-block-on-event-loop-transitive",
                 )
             (target / source.name).write_text(text)
-        findings = check_paths(
-            [target], rules=[], root=tmp_path,
-            project_analyses=project_analyses(),
-        )
-        assert findings == []
+        assert check([target], GRAPH_RULES, root=tmp_path) == []
 
 
 class TestWallclockTaint:
@@ -98,11 +91,10 @@ class TestWallclockTaint:
 
     def test_clock_reads_outside_disciplined_files_are_legal(self):
         # the same taint reaching a non-hedge file is nobody's business
-        findings = check_paths(
+        findings = check(
             [FIXTURES / "callgraph" / "wallclock_pos" / "util.py"],
-            rules=[],
+            GRAPH_RULES,
             root=FIXTURES,
-            project_analyses=project_analyses(),
         )
         assert findings == []
 
@@ -137,50 +129,40 @@ class TestCliIntegration:
         assert len(interprocedural) == 1
         assert interprocedural[0]["chain"][0] == "EventedHttpServer._run_loop"
 
-    def test_stats_lists_rules_analyses_and_graph_size(
-        self, monkeypatch, capsys
+
+class TestOnePass:
+    def test_the_graph_is_built_once_and_only_for_a_rule_that_reads_it(
+        self, monkeypatch
     ):
-        monkeypatch.chdir(REPO_ROOT)
-        exit_code = main(["stats", "src"])
-        out = capsys.readouterr().out
-        assert exit_code == 0
-        assert "interprocedural" in out
-        assert "may-block-on-event-loop-transitive" in out
-        assert "wallclock-taint" in out
-        assert "fault-flow-escape" in out
-        assert "call graph:" in out
-        assert "SCC" in out
+        builds = []
+        real_build = callgraph.build_call_graph
 
-    def test_report_callgraph_text_lists_edges(self, monkeypatch, capsys):
-        monkeypatch.chdir(FIXTURES)
-        exit_code = main(["report-callgraph", "callgraph/loop_pos"])
-        out = capsys.readouterr().out
-        assert exit_code == 0
-        assert "call graph:" in out
-        assert "EventedHttpServer._run_loop" in out
-        assert "ref callgraph.loop_pos.server.EventedHttpServer._handle_request" in out
+        def counting_build(sources):
+            builds.append(1)
+            return real_build(sources)
 
-    def test_report_callgraph_json_shape(self, monkeypatch, capsys):
-        monkeypatch.chdir(FIXTURES)
-        exit_code = main(
-            ["report-callgraph", "callgraph/loop_pos", "--format", "json"]
+        monkeypatch.setattr(callgraph, "build_call_graph", counting_build)
+        corpus = [FIXTURES / "callgraph" / "loop_pos"]
+        check(corpus, [rule for rule in RULES if not rule.uses_graph], root=FIXTURES)
+        assert builds == []
+        assert check(corpus, RULES, root=FIXTURES) != []
+        assert builds == [1]
+
+    def test_suppression_applies_to_every_rule_alike(self, tmp_path):
+        # the engine, not the rule, drops a pragma'd finding: a wall-clock
+        # read in a clock-disciplined file, silenced for both rules it trips
+        target = tmp_path / "hedge.py"
+        target.write_text(
+            "import time\n\n\ndef now():\n"
+            "    return time.time()  "
+            "# repro: disable=wallclock-taint,no-wallclock-duration\n"
         )
-        document = json.loads(capsys.readouterr().out)
-        assert exit_code == 0
-        assert document["stats"]["functions"] > 0
-        kinds = {e["kind"] for e in document["edges"]}
-        assert kinds == {"call", "ref"}
-
-    def test_report_callgraph_dot_is_a_digraph(self, monkeypatch, capsys):
-        monkeypatch.chdir(FIXTURES)
-        exit_code = main(
-            ["report-callgraph", "callgraph/loop_pos", "--format", "dot"]
-        )
-        out = capsys.readouterr().out
-        assert exit_code == 0
-        assert out.startswith("digraph callgraph {")
-        assert '"callgraph.loop_pos.server.EventedHttpServer._run_loop"' in out
-        assert out.rstrip().endswith("}")
+        assert check([target], RULES, root=tmp_path) == []
+        target.write_text(target.read_text().split("  #")[0] + "\n")
+        assert {f.rule_id for f in check([target], RULES, root=tmp_path)} == {
+            "no-wallclock-duration",
+            "wallclock-taint",
+        }
 
 
 class TestRuntimeBudget:

@@ -3,8 +3,13 @@
 import ast
 from pathlib import Path
 
-from repro.analysis import analyze_module, check_source, format_lock_report
-from repro.analysis.locks import CALLER_HELD, LockDiscipline, analyze_class
+from repro.analysis import check
+from repro.analysis.locks import (
+    CALLER_HELD,
+    LockDiscipline,
+    analyze_class,
+    analyze_module,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SOURCE = (FIXTURES / "locks_seeded.py").read_text()
@@ -13,7 +18,7 @@ SOURCE = (FIXTURES / "locks_seeded.py").read_text()
 def fixture_findings():
     # A path without a 'tests' segment, so the rule's exemption stays out
     # of the way.
-    return check_source(SOURCE, path="concurrency/seeded.py", rules=[LockDiscipline()])
+    return check([], [LockDiscipline()], sources={"concurrency/seeded.py": SOURCE})
 
 
 def report_for(name):
@@ -94,13 +99,6 @@ class TestModuleReport:
         reports = analyze_module(ast.parse(SOURCE), "seeded.py")
         names = {r.name for r in reports}
         assert {"SeededRace", "Inverted", "SelfDeadlock", "Disciplined", "CallerHeld"} <= names
-
-    def test_format_lock_report_renders_status(self):
-        reports = analyze_module(ast.parse(SOURCE), "seeded.py")
-        text = format_lock_report(reports)
-        assert "class SeededRace" in text
-        assert "MIXED WRITES" in text
-        assert "nesting:" in text
 
     def test_concurrency_modules_are_analyzable(self):
         # The five concurrency modules named by the issue all produce

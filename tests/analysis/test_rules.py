@@ -15,33 +15,24 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    MayBlockOnLoop,
-    WallclockTaint,
-    check_paths,
-    default_rules,
-    lint_rules,
-    project_analyses,
-)
+from repro.analysis import RULES, check
+from repro.analysis.rules import NoDirectSleepRandom, NoSwallowedFault
+from repro.analysis.taint import MayBlockOnLoop, WallclockTaint
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def corpus_findings(name: str, rules=None, analyses=None):
+def corpus_findings(name: str, rules=RULES):
     """Run the engine over one fixture file, anchored at the corpus."""
-    if rules is None and analyses is None:
-        rules = lint_rules()
-    return check_paths(
-        [FIXTURES / name], rules or [], root=FIXTURES, project_analyses=analyses
-    )
+    return check([FIXTURES / name], rules, root=FIXTURES)
 
 
-def findings_at(tmp_path, relative: str, source: str, analysis):
-    """Run one analysis over ``source`` written at ``relative``."""
+def findings_at(tmp_path, relative: str, source: str, rule):
+    """Run one rule over ``source`` written at ``relative``."""
     target = tmp_path / relative
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(source)
-    return check_paths([target], [], root=tmp_path, project_analyses=[analysis])
+    return check([target], [rule], root=tmp_path)
 
 
 class TestPositiveFixtures:
@@ -78,8 +69,9 @@ class TestPositiveFixtures:
         assert len(findings) == 3
 
     def test_no_unbounded_span_store(self):
+        # span/trace buffers are retention suspects of the one cache rule
         findings = corpus_findings("span_store_pos.py")
-        assert {f.rule_id for f in findings} == {"no-unbounded-span-store"}
+        assert {f.rule_id for f in findings} == {"no-unbounded-cache"}
         messages = {f.message for f in findings}
         assert any("UnboundedSpanRing._spans" in m for m in messages)
         assert any("UnboundedSpanRing._trace_index" in m for m in messages)
@@ -99,9 +91,7 @@ class TestPositiveFixtures:
     def test_no_blocking_call_on_event_loop(self):
         # run the loop analysis alone: the corpus deliberately also
         # trips no-direct-sleep-random, which is not under test here
-        findings = corpus_findings(
-            "loop_pos/evented.py", analyses=[MayBlockOnLoop()]
-        )
+        findings = corpus_findings("loop_pos/evented.py", [MayBlockOnLoop()])
         assert {f.rule_id for f in findings} == {
             "may-block-on-event-loop-transitive"
         }
@@ -125,9 +115,7 @@ class TestPositiveFixtures:
     def test_no_wallclock_in_hedge(self):
         # run the clock analysis alone: the corpus deliberately also
         # trips no-direct-sleep-random, which is not under test here
-        findings = corpus_findings(
-            "hedge_pos/hedge.py", analyses=[WallclockTaint()]
-        )
+        findings = corpus_findings("hedge_pos/hedge.py", [WallclockTaint()])
         assert {f.rule_id for f in findings} == {"wallclock-taint"}
         messages = "\n".join(f.message for f in findings)
         assert "from time import monotonic" in messages
@@ -142,9 +130,7 @@ class TestPositiveFixtures:
     def test_inline_clock_read_in_a_rollup_module(self):
         # the rollup feeds the hedge trigger: same discipline, and the
         # injectable default on the line above the read stays legal
-        findings = corpus_findings(
-            "rollup_pos/rollup.py", analyses=[WallclockTaint()]
-        )
+        findings = corpus_findings("rollup_pos/rollup.py", [WallclockTaint()])
         assert [f.rule_id for f in findings] == ["wallclock-taint"]
         assert findings[0].severity == "error"
         assert "inline time.monotonic()" in findings[0].message
@@ -166,28 +152,23 @@ class TestPositiveFixtures:
     ],
 )
 def test_negative_fixture_is_clean(name):
-    assert corpus_findings(name, lint_rules(), project_analyses()) == []
+    assert corpus_findings(name) == []
 
 
 class TestScoping:
     def test_swallowed_fault_only_patrols_dispatch_paths(self):
         # The same source outside a server/http/core path is not flagged.
         source = (FIXTURES / "server" / "swallow_pos.py").read_text()
-        from repro.analysis import check_source
-        from repro.analysis.rules import NoSwallowedFault
-
-        assert check_source(source, path="apps/helper.py", rules=[NoSwallowedFault()]) == []
-        assert check_source(source, path="server/x.py", rules=[NoSwallowedFault()]) != []
+        rule = [NoSwallowedFault()]
+        assert check([], rule, sources={"apps/helper.py": source}) == []
+        assert check([], rule, sources={"server/x.py": source}) != []
 
     def test_sleep_rule_exempts_the_injected_seams(self):
         source = (FIXTURES / "sleep_pos.py").read_text()
-        from repro.analysis import check_source
-        from repro.analysis.rules import NoDirectSleepRandom
-
         rule = [NoDirectSleepRandom()]
-        assert check_source(source, path="resilience/policy.py", rules=rule) == []
-        assert check_source(source, path="transport/chaos.py", rules=rule) == []
-        assert check_source(source, path="apps/echo.py", rules=rule) != []
+        assert check([], rule, sources={"resilience/policy.py": source}) == []
+        assert check([], rule, sources={"transport/chaos.py": source}) == []
+        assert check([], rule, sources={"apps/echo.py": source}) != []
 
     def test_loop_rule_only_patrols_what_the_loop_reaches(self, tmp_path):
         # The same blocking calls are legal off the loop — a connection
@@ -211,4 +192,4 @@ class TestScoping:
             assert findings_at(tmp_path, disciplined, source, rule) != []
 
     def test_suppression_pragmas_silence_everything(self):
-        assert corpus_findings("suppressed.py", rules=default_rules()) == []
+        assert corpus_findings("suppressed.py") == []

@@ -5,12 +5,15 @@ violation crept in (fix it or baseline it with a reason) or the
 baseline went stale against a fixed finding (regenerate it).
 """
 
+import ast
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import main
 from repro.analysis.baseline import load_baseline
+from repro.analysis.rules import HOT_PATH_CLASSES
+from repro.analysis.taint import CLOCK_DISCIPLINED_FILES, LOOP_IO_WRAPPERS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BASELINE = REPO_ROOT / "analysis_baseline.json"
@@ -51,9 +54,27 @@ def test_a_seeded_violation_fails_the_gate(at_repo_root, capsys):
     )
     out = capsys.readouterr().out
     assert exit_code == 1
-    assert "no-wallclock-duration" in out
+    assert "[warning] no-wallclock-duration: wall-clock read: time.time()" in out
 
 
 def test_no_stale_baseline_entries(at_repo_root, capsys):
     main(["check", "src", "tests", "--baseline", str(BASELINE)])
     assert "stale" not in capsys.readouterr().out
+
+
+def test_every_registry_entry_names_something_in_src():
+    # a registered name with nothing behind it is a rule silently
+    # checking nothing: require-slots' classes, may-block's barrier
+    # wrappers, wallclock-taint's clock-disciplined files
+    src = REPO_ROOT / "src"
+    classes, functions = set(), set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                classes.add(node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions.add(node.name)
+    files = {path.name for path in src.rglob("*.py")}
+    assert sorted(HOT_PATH_CLASSES - classes) == []
+    assert sorted(LOOP_IO_WRAPPERS - functions) == []
+    assert sorted(CLOCK_DISCIPLINED_FILES - files) == []

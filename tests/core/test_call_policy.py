@@ -1,5 +1,6 @@
 """Unit tests for CallPolicy, Deadline and the retry state machine."""
 
+import dataclasses
 import random
 
 import pytest
@@ -73,10 +74,18 @@ class TestCallPolicyValidation:
             HedgePolicy(quantile=0.0)
         with pytest.raises(InvocationError, match="budget_rate"):
             HedgePolicy(budget_rate=0.0)
-        with pytest.raises(InvocationError, match="max_hedges"):
-            HedgePolicy(max_hedges=2)
         with pytest.raises(InvocationError, match="budget_burst"):
             HedgePolicy(budget_burst=0.5)
+
+    def test_knobs(self):
+        # hedging is switched off by ClientConfig.hedge=None, not a count
+        assert [f.name for f in dataclasses.fields(CallPolicy)] == [
+            "timeout", "deadline", "retries", "backoff_base", "backoff_multiplier",
+            "backoff_max", "jitter", "retryable_faultcodes", "retry_transport_errors",
+        ]
+        assert [f.name for f in dataclasses.fields(HedgePolicy)] == [
+            "quantile", "budget_rate", "budget_burst", "min_samples", "min_trigger_s",
+        ]
 
     def test_jitter_range(self):
         with pytest.raises(InvocationError):

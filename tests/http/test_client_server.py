@@ -154,8 +154,9 @@ class TestConnectionPool:
         transport, address, server = server_address
         pool = ConnectionPool(transport)
         for _ in range(6):
-            resp = pool.request(address, HttpRequest("POST", "/", body=b"x"))
-            assert resp.ok
+            connection = pool.acquire(address)
+            assert connection.request(HttpRequest("POST", "/", body=b"x")).ok
+            pool.release(address, connection)
         assert pool.connections_created == 1
         assert counters(server)["http.connections.accepted"] == 1
         pool.close()

@@ -1,6 +1,7 @@
 """SpanStore: tail-sampling retention policy, bounds under concurrent
 writers, span-tree assembly, and retry merging."""
 
+import inspect
 import random
 import threading
 
@@ -21,6 +22,13 @@ def complete_boring(store, trace_id, duration=0.001):
 
 
 class TestTailSampling:
+    def test_knobs(self):
+        # the slow-trace cut is DEFAULT_KEEP_PERCENTILE, not a keyword
+        assert list(inspect.signature(SpanStore).parameters) == [
+            "max_traces", "max_pending", "max_spans_per_trace", "max_bytes",
+            "sample_rate", "rng",
+        ]
+
     def test_cold_start_keeps_everything(self):
         store = SpanStore(sample_rate=0.0, rng=random.Random(1))
         for i in range(10):

@@ -90,10 +90,6 @@ class TestHedgeTrigger:
         rollup = seeded_rollup([0.010] * 16)
         assert hedge_trigger(HedgePolicy(min_samples=16), rollup, None) is not None
 
-    def test_disabled_policy_never_hedges(self):
-        rollup = seeded_rollup([0.010] * 100)
-        assert hedge_trigger(HedgePolicy(max_hedges=0), rollup, None) is None
-
     def test_trigger_floored_at_min_trigger(self):
         # microsecond-level quantiles must not double every send
         rollup = seeded_rollup([0.000001] * 32)

@@ -4,6 +4,7 @@ The limiter's clock is injected, so cooldown behaviour replays exactly;
 the convergence tests drive it with a seeded rng instead of a wire.
 """
 
+import inspect
 import random
 
 import pytest
@@ -112,6 +113,12 @@ class TestValidation:
             AdaptiveLimiter(initial=0.5)
         with pytest.raises(InvocationError):
             AdaptiveLimiter(initial=8.0, max_limit=4.0)
+
+    def test_knobs(self):
+        # the floor is the constant 1.0: one call in flight is always admitted
+        assert list(inspect.signature(AdaptiveLimiter).parameters) == [
+            "initial", "max_limit", "additive", "decrease", "cooldown_s", "clock",
+        ]
 
     def test_knob_ranges(self):
         with pytest.raises(InvocationError):

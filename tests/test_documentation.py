@@ -224,6 +224,19 @@ def test_every_server_instrument_has_a_readme_row():
     assert not missing, f"instruments without a README row: {sorted(missing)}"
 
 
+def test_every_analysis_rule_has_a_readme_row():
+    """README's analysis table lists exactly ``RULES``, in order, with
+    their severities."""
+    from repro.analysis import RULES
+
+    readme = (PACKAGE_ROOT.parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| rule | severity | invariant |", 1)[1].split("\n\n", 1)[0]
+    rows = [row.split("|")[1:3] for row in table.splitlines()[2:]]
+    assert [(rule.strip().strip("`"), severity.strip()) for rule, severity in rows] == [
+        (rule.id, rule.severity) for rule in RULES
+    ]
+
+
 def test_every_admin_route_has_a_readme_row():
     """README's admin table lists exactly the routes the HTTP core
     serves: ``ADMIN_PATHS`` plus ``/trace/<id>`` (a row per query
