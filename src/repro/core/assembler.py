@@ -92,6 +92,7 @@ class ServerAssembler(Handler):
     """
 
     name = "spi-server-assembler"
+    reads_entries = False
 
     def invoke_response(self, context: MessageContext) -> None:
         if not context.packed:

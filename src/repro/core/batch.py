@@ -23,7 +23,7 @@ from repro.core.assembler import ClientAssembler
 from repro.core.dispatcher import pack_results
 from repro.errors import PackError
 from repro.resilience.policy import CallPolicy
-from repro.soap.envelope import Envelope
+from repro.soap.deserializer import decode_response_envelope
 
 
 class PackBatch:
@@ -131,7 +131,7 @@ class PackBatch:
                 cache_key=self._pack_cache_key(),
                 hedgeable=not self._has_cast,
             )
-            slots = pack_results(Envelope.parse(body, server=True), futures)
+            slots = pack_results(decode_response_envelope(body), futures)
         except BaseException as exc:
             slots = [exc] * len(futures)
         assembler.results.fill(slots)

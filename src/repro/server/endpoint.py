@@ -2,7 +2,8 @@
 
 Turns an :class:`HttpRequest` into an :class:`HttpResponse`:
 
-1. parse the envelope (protocol processing);
+1. parse the envelope (protocol processing), decoding the RPC entries
+   straight off the scanner unless a handler reads below their tags;
 2. run the request handler chain (where SPI unpacking happens);
 3. fault if a mustUnderstand header survived un-understood;
 4. hand the request entries to the server's executor;
@@ -41,9 +42,9 @@ from repro.soap.constants import (
     FAULT_TAG,
     SOAP_CONTENT_TYPE,
 )
+from repro.soap.deserializer import decode_request_envelope, read_request_envelope
 from repro.soap.envelope import Envelope
 from repro.soap.fault import SoapFault, fault_code_of
-from repro.soap.multiref import has_multirefs, resolve_multirefs
 from repro.server.container import ServiceContainer
 from repro.server.handlers import HandlerChain, MessageContext
 from repro.wsdl.generator import wsdl_for_service
@@ -137,14 +138,12 @@ class SoapEndpoint:
 
     def _handle_soap(self, request: HttpRequest) -> HttpResponse:
         try:
-            # header and body entries come straight off the scanner's
-            # pull front, no scaffold tree
+            # Header and body entries come straight off the scanner's pull
+            # front, no scaffold tree.  When no handler reads below an
+            # entry's tag, the entries are decoded there too.
+            parse = read_request_envelope if self.chain.reads_entries else decode_request_envelope
             with obs_span("soap.parse", detail=f"{len(request.body)}B"):
-                envelope = Envelope.parse(request.body, server=True)
-            if has_multirefs(envelope.body_entries):
-                # Axis rpc/encoded interop: inline href/multiRef graphs
-                # before anything downstream sees the body
-                envelope.body_entries = resolve_multirefs(envelope.body_entries)
+                envelope = parse(request.body)
         except ReproError as exc:
             self._faults.inc()
             fault = SoapFault(FAULT_CLIENT, f"unparseable SOAP message: {exc}")

@@ -1,4 +1,12 @@
-"""RPC-style SOAP deserialization."""
+"""RPC-style SOAP deserialization, from two sources.
+
+The tree source decodes ``Element`` entries.  The scanner source decodes
+a document's RPC entries straight off the scanner's value walk into
+:class:`DecodedEntry` objects, with no tree below their tags.  Anything
+the walk does not read (see ``XmlScanner.read_values``), a duplicate
+parameter or a response that is not one ``<return>`` restarts the
+document on the tree source, so every error is the tree source's.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +14,14 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import SoapError
-from repro.soap.constants import FAULT_TAG
-from repro.soap.envelope import Envelope, iter_body_entries
+from repro.soap.constants import FAULT_TAG, PARALLEL_METHOD
+from repro.soap.envelope import Envelope, iter_body_entries, walk_envelope
 from repro.soap.fault import ClientFaultCause, SoapFault
+from repro.soap.multiref import has_multirefs, resolve_multirefs
 from repro.soap.serializer import RESPONSE_SUFFIX, RETURN_TAG
-from repro.soap.xsdtypes import decode_value
+from repro.soap.xsdtypes import decode_value, value_rule
 from repro.xmlcore.tree import Element
+from repro.xmlcore.treebuilder import Unusual, XmlScanner
 
 
 @dataclass(slots=True)
@@ -32,6 +42,22 @@ class RpcResponse:
     operation: str
     value: Any
     request_id: str | None = None
+
+
+class DecodedEntry(Element):
+    """A body entry decoded off the scanner: its tag and attributes
+    (``requestID``, ``spi:oneWay``), and the :class:`RpcRequest` or
+    :class:`RpcResponse` its children held.  Reading them raises."""
+
+    __slots__ = ("decoded",)
+
+    def __init__(self, element: Element, decoded: RpcRequest | RpcResponse) -> None:
+        self.tag, self._attrs, self.nsmap = element.tag, element.items(), element.nsmap
+        self.decoded = decoded
+
+    @property
+    def children(self) -> list:
+        raise SoapError(f"<{self.local_name}> was decoded off the scanner; it has no children")
 
 
 class OperationMatcher:
@@ -66,6 +92,8 @@ def parse_rpc_request(
     qname = element.qname  # the entry's tag, split once
     if matcher is not None and matcher.match(element) is None:
         raise ClientFaultCause(f"no such operation '{qname.local}'")
+    if isinstance(element, DecodedEntry):
+        return element.decoded
     params: dict[str, Any] = {}
     for child in element.children:
         if isinstance(child, Element):
@@ -80,6 +108,8 @@ def parse_rpc_response(element: Element) -> RpcResponse:
     """Decode one response body entry; faults raise ``SoapFaultError``."""
     if element.tag == FAULT_TAG:
         raise SoapFault.from_element(element).to_exception()
+    if isinstance(element, DecodedEntry):
+        return element.decoded
     qname = element.qname  # the entry's tag, split once
     local = qname.local
     if not local.endswith(RESPONSE_SUFFIX):
@@ -97,6 +127,83 @@ def parse_response_envelope(envelope: Envelope) -> RpcResponse:
 
 
 def parse_response_document(document: str | bytes) -> RpcResponse:
-    """Decode a classic single-entry response document via the pull
-    path, skipping any response headers."""
-    return parse_rpc_response(next(iter_body_entries(document)))
+    """Decode a classic single-entry response document off the scanner,
+    skipping any response headers."""
+    try:
+        entry = next(walk_envelope(document, None, _response_entry))
+    except Exception:  # anything unusual: the tree source says what
+        entry = next(iter_body_entries(document))
+    return parse_rpc_response(entry)
+
+
+def read_request_envelope(document: str | bytes) -> Envelope:
+    """The tree source for a server: Axis href/multiRef graphs inlined
+    before anything downstream sees the entries."""
+    envelope = Envelope.parse(document, server=True)
+    if has_multirefs(envelope.body_entries):
+        envelope.body_entries = resolve_multirefs(envelope.body_entries)
+    return envelope
+
+
+def decode_request_envelope(document: str | bytes) -> Envelope:
+    """The scanner source for a server: headers are trees, each request
+    entry (in a ``Parallel_Method`` or not) a :class:`DecodedEntry`."""
+    try:
+        return _decode(document, _read_request)
+    except Exception:  # anything unusual: the tree source says what
+        return read_request_envelope(document)
+
+
+def decode_response_envelope(document: str | bytes) -> Envelope:
+    """The scanner source for a packed client: ``Envelope.parse(document,
+    server=True)``, each RPC response a :class:`DecodedEntry`."""
+    try:
+        return _decode(document, _read_response)
+    except Exception:  # anything unusual: the tree source says what
+        return Envelope.parse(document, server=True)
+
+
+def _decode(document: str | bytes, read_entry) -> Envelope:
+    envelope = Envelope()
+    envelope.body_entries = list(walk_envelope(document, envelope.header_entries, read_entry))
+    return envelope
+
+
+def _read_pack(read_entry):
+    """``read_entry``, reading each entry of a ``Parallel_Method`` with it."""
+
+    def read(cursor: XmlScanner, start) -> Element:
+        if start.name.rpartition(":")[2] != "Parallel_Method":
+            return read_entry(cursor, start)
+        pack = cursor.enter(start)
+        if pack.tag != PARALLEL_METHOD:
+            raise Unusual("a Parallel_Method outside the SPI namespace")
+        while (child := cursor.next_child(only_elements=True)) is not None:
+            pack.children.append(read_entry(cursor, child))
+        return pack
+
+    return read
+
+
+def _response_entry(cursor: XmlScanner, start) -> Element:
+    if not start.name.endswith(RESPONSE_SUFFIX):
+        return cursor.read_element(start)  # a Fault or an spi:Accepted
+    element, pairs = cursor.read_values(start, value_rule)
+    if len(pairs) != 1 or pairs[0][0] != RETURN_TAG:
+        raise Unusual("not exactly one <return>")
+    qname = element.qname
+    operation = qname.local[: -len(RESPONSE_SUFFIX)]
+    return DecodedEntry(element, RpcResponse(qname.uri, operation, pairs[0][1]))
+
+
+def _request_entry(cursor: XmlScanner, start) -> Element:
+    element, pairs = cursor.read_values(start, value_rule)
+    params = dict(pairs)
+    if len(params) != len(pairs):
+        raise Unusual("a duplicate parameter")
+    qname = element.qname
+    return DecodedEntry(element, RpcRequest(qname.uri, qname.local, params))
+
+
+_read_request = _read_pack(_request_entry)
+_read_response = _read_pack(_response_entry)

@@ -7,7 +7,7 @@ paper's Figure 1; several packed under ``Parallel_Method`` with SPI).
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.errors import SoapError
 from repro.soap.constants import (
@@ -18,6 +18,7 @@ from repro.soap.constants import (
     SOAP_ENV_NS,
     STANDARD_NSMAP,
 )
+from repro.xmlcore.lexer import StartTagToken
 from repro.xmlcore.tree import Element
 from repro.xmlcore.treebuilder import XmlScanner
 from repro.xmlcore.writer import serialize, serialize_bytes
@@ -69,31 +70,6 @@ class Envelope:
     # -- parsing ------------------------------------------------------------
 
     @classmethod
-    def from_element(cls, root: Element) -> "Envelope":
-        if root.tag != ENVELOPE_TAG:
-            if root.local_name == "Envelope":
-                raise SoapError(
-                    f"unsupported SOAP envelope namespace '{root.namespace}' "
-                    f"(expected {SOAP_ENV_NS})"
-                )
-            raise SoapError(f"document root is <{root.tag}>, not a SOAP Envelope")
-
-        envelope = cls()
-        children = root.element_children()
-        index = 0
-        if index < len(children) and children[index].tag == HEADER_TAG:
-            envelope.header_entries = children[index].element_children()
-            index += 1
-        if index >= len(children) or children[index].tag != BODY_TAG:
-            raise SoapError("SOAP Envelope has no Body")
-        envelope.body_entries = children[index].element_children()
-        if not envelope.body_entries:
-            raise SoapError("SOAP Body is empty")
-        if children[index + 1 :]:
-            raise SoapError("unexpected elements after SOAP Body")
-        return envelope
-
-    @classmethod
     def parse(cls, source: str | bytes, *, server: bool = False) -> "Envelope":
         """Parse a SOAP document — the one envelope-parsing entry point.
 
@@ -109,11 +85,8 @@ class Envelope:
         which only consumes body entries.
         """
         envelope = cls()
-        if server:
-            envelope.header_entries = headers = []
-            envelope.body_entries = list(_walk_envelope(source, headers))
-        else:
-            envelope.body_entries = list(_walk_envelope(source, None))
+        headers = envelope.header_entries if server else None
+        envelope.body_entries = list(walk_envelope(source, headers, XmlScanner.read_element))
         return envelope
 
     def first_body_entry(self) -> Element:
@@ -141,21 +114,25 @@ def iter_body_entries(document: str | bytes) -> Iterator[Element]:
     """Yield the Body's entries straight off the scanner.
 
     The envelope scaffolding is validated (same :class:`SoapError`
-    diagnostics as :meth:`Envelope.from_element`) but the Header subtree
+    diagnostics as :meth:`Envelope.parse`) but the Header subtree
     is *skipped* without namespace expansion or tree building, and only
     body entries are materialized — the streaming fast path for
     consumers that feed an
     :class:`~repro.soap.deserializer.OperationMatcher`.
     """
-    return _walk_envelope(document, None)
+    return walk_envelope(document, None, XmlScanner.read_element)
 
 
-def _walk_envelope(
-    document: str | bytes, header_sink: list[Element] | None
+def walk_envelope(
+    document: str | bytes,
+    header_sink: list[Element] | None,
+    read_entry: Callable[[XmlScanner, StartTagToken], Element],
 ) -> Iterator[Element]:
-    """Scanner walk shared by all parse paths: yields body entries;
-    header entries are materialized into ``header_sink`` when given (the
-    server path) or skipped without expansion (the client path)."""
+    """Scanner walk shared by all parse paths: yields each body entry as
+    ``read_entry(scanner, start tag)`` reads it (a tree, or values
+    decoded off the scanner); header entries are materialized into
+    ``header_sink`` when given (the server path) or skipped without
+    expansion (the client path)."""
     cursor = XmlScanner(document)
     root = cursor.enter(cursor.root())
     if root.tag != ENVELOPE_TAG:
@@ -188,7 +165,7 @@ def _walk_envelope(
     entries = 0
     entry = cursor.next_child()
     while entry is not None:
-        yield cursor.read_element(entry)
+        yield read_entry(cursor, entry)
         entries += 1
         entry = cursor.next_child()
     if not entries:

@@ -23,6 +23,13 @@ What a value's markup looks like is decided per type, once, in two
 static tables: exact Python type -> encoder (``_ENCODERS``) and local
 ``xsi:type`` name -> decoder (``_DECODERS``).  Nothing is cached: no
 table grows, and nothing is keyed on a value or on received text.
+
+One decoder, two sources: a leaf decoder takes text, a compound's its
+name and member ``(name, value)`` pairs; :func:`_rule_of` picks one
+from an element's attributes.  :func:`decode_value` feeds the table
+from an ``Element`` (reading an Array's values straight off its
+children), the scanner's value walk through :func:`value_rule`.  Leaves
+accept exactly the XSD lexical space.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from typing import Any, Callable
 
 from repro.errors import SerializationError
 from repro.soap.constants import XSI_NIL_ATTR, XSI_TYPE_ATTR
+from repro.soap.multiref import HREF_ATTR, ID_ATTR
 from repro.xmlcore.qname import is_ncname
 from repro.xmlcore.tree import AttrItems, Element, new_element
 
@@ -69,26 +77,57 @@ def encode_value(tag: str, value: Any) -> Element:
 
 
 def decode_value(element: Element) -> Any:
-    """Decode an element produced by :func:`encode_value` back to Python."""
-    xsi_type = None
-    for name, value in element.items():
-        if name == XSI_TYPE_ATTR:
-            xsi_type = value
-        elif name == XSI_NIL_ATTR and value in ("true", "1"):
-            return None
-    if xsi_type is None:
-        local, decoder = None, _decode_untyped
-    else:
-        local = xsi_type.rpartition(":")[2]
-        decoder = _DECODERS.get(local)
-        if decoder is None:
+    """Decode an element produced by :func:`encode_value` back to Python:
+    the tree source of the one decoder."""
+    decode = _rule_of(element.items())
+    if decode is None:
+        xsi_type = element.get(XSI_TYPE_ATTR)
+        if xsi_type is not None:
             raise SerializationError(f"unsupported xsi:type '{xsi_type}'")
+        # literal style: a leaf is its text, element children a struct
+        decode = _decode_struct if element.element_children() else str
+    elif decode is _decode_nil:
+        return None
     try:
-        return decoder(element)
+        # compounds straight from the children: no member list, no pair
+        # for an Array's members, whose names nothing reads
+        if decode is _decode_array:
+            return [decode_value(c) for c in element.children if type(c) is not str]
+        if decode is _decode_struct:
+            return decode(element.tag, [
+                (c.tag.rpartition("}")[2], decode_value(c))
+                for c in element.children if type(c) is not str
+            ])
+        return decode(element.text)
     except (ValueError, binascii.Error) as exc:
+        xsi_type = element.get(XSI_TYPE_ATTR)
+        local = xsi_type.rpartition(":")[2] if xsi_type else None
         raise SerializationError(
             f"cannot decode <{element.local_name}> as {local}: {exc}"
         ) from None
+
+
+def value_rule(attributes: AttrItems) -> tuple[Callable, bool] | None:
+    """How the scanner's value walk decodes an element with these
+    attributes, ``(decode, compound)``; None for what only the tree
+    source reads: untyped or unsupported values, multiref href/id."""
+    for name, _ in attributes:
+        if name == HREF_ATTR or name == ID_ATTR:
+            return None
+    decode = _rule_of(attributes)
+    return None if decode is None else (decode, decode in _COMPOUNDS)
+
+
+def _rule_of(attributes: AttrItems) -> Callable | None:
+    """The decoder for an element with these attributes: nil's wherever
+    xsi:nil is true, None for an untyped value or an unsupported type."""
+    xsi_type = None
+    for name, value in attributes:
+        if name == XSI_TYPE_ATTR:
+            xsi_type = value
+        elif name == XSI_NIL_ATTR and value in ("true", "1"):
+            return _decode_nil
+    return None if xsi_type is None else _DECODERS.get(xsi_type.rpartition(":")[2])
 
 
 # -- encoders: (tag, value) -> Element ------------------------------------
@@ -188,30 +227,39 @@ def _encoder_for(value: Any) -> Callable[[str, Any], Element]:
     raise SerializationError(f"cannot encode value of type {type(value).__name__} to XSD")
 
 
-# -- decoders: Element -> value -------------------------------------------
+# -- decoders: text -> value (leaves), name and pairs -> value (compounds) --
+
+_SPECIAL_DOUBLES = {"NaN": math.nan, "INF": math.inf, "-INF": -math.inf}
+_XML_SPACE = str.maketrans("", "", " \t\r\n")
 
 
-def _decode_string(element: Element) -> str:
-    return element.text
+def _decode_nil(text: str) -> None:
+    return None
 
 
-def _decode_int(element: Element) -> int:
-    return int(element.text.strip())
+def _decode_int(text: str) -> int:
+    text = text.strip()
+    value = int(text)
+    if "_" in text or not text.isascii():  # int() reads both, XSD neither
+        raise ValueError(f"'{text}' is not in the xsd integer lexical space")
+    return value
 
 
-def _decode_float(element: Element) -> float:
-    text = element.text.strip()
-    if text == "NaN":
-        return math.nan
-    if text == "INF":
-        return math.inf
-    if text == "-INF":
-        return -math.inf
-    return float(text)
+def _decode_float(text: str) -> float:
+    text = text.strip()
+    special = _SPECIAL_DOUBLES.get(text)
+    if special is not None:
+        return special
+    value = float(text)
+    # float() also reads "1_0.5", non-ASCII digits and any-case inf / nan /
+    # infinity; the XSD spellings are the three above, and none has an n
+    if "_" in text or "n" in text or "N" in text or not text.isascii():
+        raise ValueError(f"'{text}' is not in the xsd double lexical space")
+    return value
 
 
-def _decode_boolean(element: Element) -> bool:
-    text = element.text.strip()
+def _decode_boolean(text: str) -> bool:
+    text = text.strip()
     if text in ("true", "1"):
         return True
     if text in ("false", "0"):
@@ -219,49 +267,43 @@ def _decode_boolean(element: Element) -> bool:
     raise ValueError(f"'{text}' is not an xsd:boolean")
 
 
-def _decode_bytes(element: Element) -> bytes:
-    return base64.b64decode(element.text.encode("ascii"), validate=True)
+def _decode_bytes(text: str) -> bytes:
+    # whitespace is no data: MIME-style encoders break base64 into lines
+    return base64.b64decode(text.translate(_XML_SPACE).encode("ascii"), validate=True)
 
 
-def _decode_datetime(element: Element) -> datetime:
-    text = element.text.strip()
+def _decode_datetime(text: str) -> datetime:
+    text = text.strip()
     if text.endswith("Z"):  # which Python < 3.11 fromisoformat did not accept
         text = text[:-1] + "+00:00"
     return datetime.fromisoformat(text)
 
 
-def _decode_date(element: Element) -> date:
-    return date.fromisoformat(element.text.strip())
+def _decode_date(text: str) -> date:
+    return date.fromisoformat(text.strip())
 
 
-def _decode_time(element: Element) -> time:
-    return time.fromisoformat(element.text.strip())
+def _decode_time(text: str) -> time:
+    return time.fromisoformat(text.strip())
 
 
-def _decode_array(element: Element) -> list:
-    return [decode_value(c) for c in element.children if isinstance(c, Element)]
+def _decode_array(name: str, pairs: list) -> list:
+    return [value for _, value in pairs]
 
 
-def _decode_struct(element: Element) -> dict[str, Any]:
-    members = [c for c in element.children if isinstance(c, Element)]
-    # keyed by local name: what follows the Clark notation's brace, if any
-    struct = {c.tag.rpartition("}")[2]: decode_value(c) for c in members}
-    if len(struct) != len(members):
-        raise SerializationError(f"struct <{element.local_name}> repeats a member name")
+def _decode_struct(name: str, pairs: list) -> dict[str, Any]:
+    struct = dict(pairs)
+    if len(struct) != len(pairs):
+        local = name.rpartition("}")[2]  # the tree source passes a Clark tag
+        raise SerializationError(f"struct <{local}> repeats a member name")
     return struct
 
 
-def _decode_untyped(element: Element) -> Any:
-    """Literal-style message: a leaf is its text, element children a struct."""
-    for child in element.children:
-        if isinstance(child, Element):
-            return _decode_struct(element)
-    return element.text
-
+_COMPOUNDS = (_decode_array, _decode_struct)
 
 # Local part of the xsi:type (any prefix) -> decoder.
-_DECODERS: dict[str, Callable[[Element], Any]] = {
-    "string": _decode_string,
+_DECODERS: dict[str, Callable] = {
+    "string": str,
     **dict.fromkeys(
         ("int", "long", "integer", "short", "byte",
          "unsignedInt", "unsignedLong", "unsignedShort", "unsignedByte"),

@@ -11,7 +11,9 @@ regex locates the bad character for the error message and is also the
 probe for non-ASCII text, where ``translate`` is ten times slower than
 the regex.  :func:`has_suspect_chars` is the once-per-document form of
 both checks that the readers run instead of checking every text run.
-Unescaping copies clean spans in bulk between ``&`` occurrences.
+Unescaping resolves the five predefined entities with one
+``str.replace`` each when they are the only references, and otherwise
+copies clean spans in bulk between ``&`` occurrences.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Match
 
 from repro.errors import XmlWellFormednessError
 
+_PREDEFINED = (("&lt;", "<"), ("&gt;", ">"), ("&quot;", '"'), ("&apos;", "'"), ("&amp;", "&"))
 _NAMED_ENTITIES = {
     "amp": "&",
     "lt": "<",
@@ -117,6 +120,16 @@ def unescape(value: str) -> str:
     """
     amp = value.find("&")
     if amp == -1:
+        return value
+    count = value.count
+    if count("&") == (
+        count("&lt;") + count("&gt;") + count("&amp;") + count("&quot;") + count("&apos;")
+    ):
+        # every '&' starts a predefined reference: one replace per entity
+        # present, '&amp;' last so that what it yields is never read again
+        for reference, char in _PREDEFINED:
+            if reference in value:
+                value = value.replace(reference, char)
         return value
     out: list[str] = []
     i = 0

@@ -34,8 +34,12 @@ The pull API behind ``soap.envelope`` parsing — :meth:`root` /
 :meth:`enter` / :meth:`next_child` / :meth:`skip` /
 :meth:`read_element` / :meth:`finish`, what
 ``repro.xmlcore.parse(mode="cursor")`` returns — walks the same lexer
-token by token and shares its position, so the two styles interleave.
-:func:`build_tree` is the whole-document entry point behind
+token by token and shares its position, so the styles interleave.  A
+skip expands no name, but holds end tags to their start tags.  The value walk
+(:meth:`read_values`) is the tree loop's sibling for typed RPC values:
+it decodes an entry's children straight into Python values, memoising
+per start tag which rule decodes it.  Every memo has the tree memo's
+lifetime.  :func:`build_tree` is the whole-document entry point behind
 :func:`repro.xmlcore.parse`.
 """
 
@@ -128,11 +132,18 @@ def expand_start_tag(
 
 _new_element = Element.__new__
 
+# A value nested deeper goes down the tree path, whose decoder recurses.
+VALUE_DEPTH = 64
+
+
+class Unusual(Exception):
+    """The value walk met a shape it leaves to the tree path."""
+
 
 class XmlScanner:
     """Fused scanner over one document; see the module docstring."""
 
-    __slots__ = ("_scope", "_entered", "_lexer", "_memo")
+    __slots__ = ("_scope", "_entered", "_lexer", "_memo", "_rules")
 
     def __init__(self, source: str | bytes) -> None:
         if isinstance(source, bytes):
@@ -147,6 +158,9 @@ class XmlScanner:
         # or None when self-closing); cleared wherever a namespace frame
         # is pushed or popped, and gone with the scanner (one document)
         self._memo: dict[str, tuple[str, tuple, str | None]] = {}  # repro: disable=no-unbounded-cache
+        # Its twin for the value walk, with its lifetime: raw start-tag
+        # text -> (local name, decode, compound, end-tag text or None).
+        self._rules: dict[str, tuple] = {}  # repro: disable=no-unbounded-cache
 
     # -- whole-document parse --------------------------------------------
 
@@ -182,9 +196,11 @@ class XmlScanner:
         self._entered.append((start.name, start.self_closing, declarations is not None))
         return Element(tag, attributes, nsmap=declarations)
 
-    def next_child(self) -> lx.StartTagToken | None:
+    def next_child(self, *, only_elements: bool = False) -> lx.StartTagToken | None:
         """The next child start tag of the innermost entered element, or
-        None when that element closes."""
+        None when that element closes.  Text, CDATA, comments and PIs
+        between children are validated and dropped — or, with
+        ``only_elements``, raise :class:`Unusual` unless whitespace."""
         if not self._entered:
             raise XmlWellFormednessError("next_child() with no entered element")
         name, self_closing, _ = self._entered[-1]
@@ -192,8 +208,6 @@ class XmlScanner:
             self._leave()
             return None
         while True:
-            # Text, CDATA, comments and PIs between children are
-            # validated by the lexer and dropped.
             token = self._lexer.next_token()
             if token is None:
                 raise XmlWellFormednessError(f"unclosed element <{name}>")
@@ -206,22 +220,29 @@ class XmlScanner:
                     )
                 self._leave()
                 return None
+            if only_elements and not (isinstance(token, lx.TextToken) and token.text.isspace()):
+                raise Unusual("content between elements")
 
     def skip(self, start: lx.StartTagToken) -> None:
         """Discard the subtree opened by ``start`` without expanding it.
 
         Internal namespace declarations never touch the scope; character
-        data is still validated by the lexer, but never kept.
+        data is still validated by the lexer, but never kept; every end
+        tag must match its start tag (XML 1.0's Element Type Match).
         """
-        depth = 0 if start.self_closing else 1
-        while depth:
+        names = [] if start.self_closing else [start.name]
+        while names:
             token = self._lexer.next_token()
             if token is None:
                 raise _error(f"unclosed element <{start.name}>", start)
             if isinstance(token, lx.EndTagToken):
-                depth -= 1
+                expected = names.pop()
+                if token.name != expected:
+                    raise _error(
+                        f"mismatched end tag: expected </{expected}>, got </{token.name}>", token
+                    )
             elif isinstance(token, lx.StartTagToken) and not token.self_closing:
-                depth += 1
+                names.append(token.name)
 
     def read_element(self, start: lx.StartTagToken) -> Element:
         """Materialize the subtree opened by ``start`` as an Element."""
@@ -312,30 +333,119 @@ class XmlScanner:
                     pushed = declarations is not None
                 elif declarations is not None:
                     scope.pop()
-                    memo.clear()
+                    self._forget()
                 continue
             # The current element's end tag has been consumed.
             if pushed:
                 scope.pop()
-                memo.clear()
+                self._forget()
             if not stack:
                 lexer._pos = pos
                 return
             children, close, pushed = stack.pop()
 
+    # -- the value walk -----------------------------------------------------
+
+    def read_values(self, start: lx.StartTagToken, rule_of) -> tuple[Element, list]:
+        """The element ``start`` opens, childless, and one ``(local name,
+        value)`` pair per child, decoded off the memo loop by
+        ``rule_of(attributes)``: ``(decode, compound)`` — a leaf's decode
+        takes its text, a compound's its name and pairs — or None.  Only
+        typed and nil values and compounds of them are read; anything
+        else raises :class:`Unusual` (so may a decoder) and spends the
+        scanner."""
+        element = self.enter(start)
+        if start.self_closing:
+            self._leave()
+            return element, []
+        lexer = self._lexer
+        if lexer._suspect:
+            raise Unusual("a suspect character")
+        src = lexer._src
+        find = src.find
+        startswith = src.startswith
+        rules = self._rules
+        name, _, pushed = self._entered.pop()
+        close = f"</{name}>"
+        pairs: list = []
+        # (parent's pairs, parent's end-tag text, name, decode) per open compound
+        stack: list[tuple[list, str, str, object]] = []
+        pos = lexer._pos
+        while True:
+            lt = find("<", pos)
+            if lt != pos and (lt == -1 or not src[pos:lt].isspace()):
+                raise Unusual("mixed content")
+            if startswith(close, lt):
+                pos = lt + len(close)
+                if not stack:
+                    break
+                parent, close, name, decode = stack.pop()
+                parent.append((name, decode(name, pairs)))
+                pairs = parent
+                continue
+            gt = find(">", lt)
+            hit = rules.get(src[lt : gt + 1]) or self._rule(lt, gt, rule_of)
+            name, decode, compound, child_close = hit
+            pos = gt + 1
+            if compound:
+                if child_close is None:
+                    pairs.append((name, decode(name, [])))
+                elif len(stack) == VALUE_DEPTH:
+                    raise Unusual("deep nesting")
+                else:
+                    stack.append((pairs, close, name, decode))
+                    pairs = []
+                    close = child_close
+            elif child_close is None:
+                pairs.append((name, decode("")))
+            else:
+                lt = find("<", pos)
+                if not startswith(child_close, lt):
+                    raise Unusual("mixed content")
+                text = src[pos:lt]
+                pairs.append((name, decode(unescape(text) if "&" in text else text)))
+                pos = lt + len(child_close)
+        lexer._pos = pos
+        if pushed:
+            self._scope.pop()
+            self._forget()
+        return element, pairs
+
+    def _rule(self, lt: int, gt: int, rule_of) -> tuple:
+        """Memoise what the value walk does with the start tag at ``lt``."""
+        lexer = self._lexer
+        lexer._pos = lt
+        token = lexer._lex_markup(allow_decl=False)
+        if not isinstance(token, lx.StartTagToken) or lexer._pos != gt + 1:
+            raise Unusual("markup other than a plain start tag")
+        tag, attributes, declarations = expand_start_tag(self._scope, token)
+        rule = rule_of(attributes)
+        if declarations is not None or rule is None:
+            raise Unusual("a namespace declaration or a value for the tree path")
+        close = None if token.self_closing else f"</{token.name}>"
+        hit = self._rules[lexer._src[lt : gt + 1]] = (tag.rpartition("}")[2], *rule, close)
+        return hit
+
     # -- bookkeeping -------------------------------------------------------
 
     def _expand(self, start: lx.StartTagToken):
-        """:func:`expand_start_tag`, dropping the memo if it pushed a frame."""
+        """:func:`expand_start_tag`, dropping the memos if it pushed a frame."""
         expanded = expand_start_tag(self._scope, start)
         if expanded[2] is not None:
-            self._memo.clear()
+            self._forget()
         return expanded
+
+    def _forget(self) -> None:
+        """Drop the per-start-tag memos: a namespace frame moved."""
+        self._memo.clear()
+        self._rules.clear()
 
     def _check_end(self, token: lx.EndTagToken, element: Element) -> None:
         """Hold an end tag that is not literally the expected text against
         the open ``element``.  Different raw names may still resolve
-        identically (same URI under two prefixes): compare resolved."""
+        identically (same URI under two prefixes): compare resolved.  Only
+        a tree is this lenient; :meth:`skip` and :meth:`next_child`, which
+        expand no end tag, compare raw names, as XML 1.0 does."""
         try:
             if self._scope.resolve_name(token.name).clark == element.tag:
                 return
@@ -350,7 +460,7 @@ class XmlScanner:
         _, _, pushed = self._entered.pop()
         if pushed:
             self._scope.pop()
-            self._memo.clear()
+            self._forget()
 
     def _epilog(self) -> None:
         """Validate that only comments/PIs/whitespace remain."""

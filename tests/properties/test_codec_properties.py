@@ -5,8 +5,15 @@ Encoders must serialize to equal bytes, decoders must return equal
 values — compared type-strictly, so ``None`` / ``True`` / ``1`` / ``1.0``,
 ``0.0`` / ``-0.0``, NaN and naive / aware datetimes are all told apart —
 and whatever one side refuses the other must refuse with the same
-exception type and message.  The two sanctioned divergences are the bugs
-PR 19 fixed on purpose, each asserted at the end of its half.
+exception type and message.  The sanctioned divergences are the bugs
+fixed on purpose since, each asserted at the end of its half: struct
+member names must be XML names, duplicate members are an error, and
+leaves read exactly the XSD lexical space (no
+underscores or non-ASCII digits in numbers, no ``inf``/``nan``
+spellings beside ``INF``/``-INF``/``NaN``, whitespace in base64 is not
+data).  The wire-value differential leaves out a document only where
+one of these shows: the new decoder refused a number as outside the
+lexical space, or a base64 leaf holds whitespace.
 """
 
 import enum
@@ -15,10 +22,11 @@ from datetime import date, datetime, time, timedelta, timezone
 from decimal import Decimal
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SerializationError, XmlNamespaceError
+from repro.soap.constants import XSI_TYPE_ATTR
 from repro.soap import xsdtypes
 from repro.xmlcore import parse, serialize_bytes
 
@@ -248,10 +256,24 @@ def _decode_both(document):
     )
 
 
+def _holds_base64_with_whitespace(document):
+    """Base64 text with whitespace in it, which only the new decoder reads."""
+    return any(
+        (element.get(XSI_TYPE_ATTR) or "").rpartition(":")[2] == "base64Binary"
+        and any(space in element.text for space in " \t\r\n")
+        for element in parse(document).iter()
+    )
+
+
 @_SETTINGS
 @given(wire_values)
 def test_decoders_read_equal_values_or_fail_alike(node):
-    new, reference = _decode_both(f"{ROOT}{_render(node, 'v')}</r>")
+    document = f"{ROOT}{_render(node, 'v')}</r>"
+    assume(not _holds_base64_with_whitespace(document))
+    new, reference = _decode_both(document)
+    # The new decoder refuses a number's text as outside the XSD lexical
+    # space only once int() / float() read it, as the reference did.
+    assume(not (new[0] == "raised" and "lexical space" in new[2]))
     assert new == reference
 
 
@@ -308,3 +330,35 @@ def test_sanctioned_divergence_duplicate_members_are_an_error(value, last_wins):
     assert reference == ("returned", canon(last_wins))
     assert new[:2] == ("raised", SerializationError)
     assert new[2].endswith("repeats a member name")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        '<v xsi:type="xsd:int">1_000</v>',
+        '<v xsi:type="xsd:long"> ١٢ </v>',
+        '<v xsi:type="xsd:double">1_0.5</v>',
+        '<v xsi:type="xsd:double">nan</v>',
+        '<v xsi:type="xsd:float">Infinity</v>',
+        '<v xsi:type="xsd:double">-inf</v>',
+    ],
+)
+def test_sanctioned_divergence_numbers_take_the_xsd_lexical_space(value):
+    new, reference = _decode_both(f"{ROOT}{value}</r>")
+    assert reference[0] == "returned"  # the reference read it with int() / float()
+    assert new[:2] == ("raised", SerializationError)
+    assert "lexical space" in new[2]
+
+
+@pytest.mark.parametrize(
+    "value, data",
+    [
+        ('<v xsi:type="xsd:base64Binary"> QUJD </v>', b"ABC"),
+        ('<v xsi:type="xsd:base64Binary">QUJD\nREVG\n</v>', b"ABCDEF"),
+        ('<v xsi:type="xsd:base64Binary"> </v>', b""),
+    ],
+)
+def test_sanctioned_divergence_base64_whitespace_is_not_data(value, data):
+    new, reference = _decode_both(f"{ROOT}{value}</r>")
+    assert reference[:2] == ("raised", SerializationError)
+    assert new == ("returned", canon(data))

@@ -1,0 +1,162 @@
+"""Differential: the one decoder read from its two sources.
+
+The tree source builds ``Element`` entries and decodes them
+(``read_request_envelope`` / ``Envelope.parse`` + ``parse_rpc_*``); the
+scanner source decodes entries straight off the scanner's value walk
+(``decode_request_envelope`` / ``decode_response_envelope`` /
+``parse_response_document``).  Every value the encoder emits must come
+back ``canon``-equal from both, in packed and unpacked requests and
+responses, and off the walk itself, not its fallback.  On arbitrary wire
+values (typed, untyped, nil, mixed content, CDATA, comments) both must
+return the same values or raise the same exception type and message.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import ClientAssembler, packformat
+from repro.core.dispatcher import pack_results
+from repro.soap import Envelope, serialize_rpc_request, serialize_rpc_response
+from repro.soap.deserializer import (
+    DecodedEntry,
+    _response_entry,
+    decode_request_envelope,
+    decode_response_envelope,
+    parse_response_document,
+    parse_rpc_request,
+    parse_rpc_response,
+    read_request_envelope,
+)
+from repro.soap.envelope import walk_envelope
+
+from .test_codec_properties import ROOT, _render, canon, encodable, wire_values
+
+_SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+NS = "urn:sources"
+
+params = st.dictionaries(st.sampled_from(["a", "b", "records", "é", "item"]), encodable, max_size=3)
+
+
+def _requests(envelope: Envelope) -> list:
+    entries = envelope.body_entries
+    if len(entries) == 1 and packformat.is_parallel_method(entries[0]):
+        entries = packformat.unpack_parallel_method(entries[0])
+    return entries
+
+
+def _canon_requests(entries) -> list:
+    return [canon([r.namespace, r.operation, r.params]) for r in map(parse_rpc_request, entries)]
+
+
+@_SETTINGS
+@given(st.lists(params, min_size=1, max_size=4))
+def test_packed_requests_decode_alike_from_both_sources(calls):
+    assembler = ClientAssembler(NS)
+    for index, call in enumerate(calls):
+        assembler.add_call(f"op{index}", call)
+    document = assembler.assemble().to_bytes()
+    scanned = _requests(decode_request_envelope(document))
+    assert all(isinstance(entry, DecodedEntry) for entry in scanned)
+    assert [e.items() for e in scanned] == [e.items() for e in _requests(read_request_envelope(document))]
+    assert _canon_requests(scanned) == _canon_requests(_requests(read_request_envelope(document)))
+
+
+@_SETTINGS
+@given(params)
+def test_unpacked_requests_decode_alike_from_both_sources(call):
+    envelope = Envelope()
+    envelope.add_body(serialize_rpc_request(NS, "op", call))
+    document = envelope.to_bytes()
+    scanned = decode_request_envelope(document).body_entries
+    assert isinstance(scanned[0], DecodedEntry)
+    assert _canon_requests(scanned) == _canon_requests(read_request_envelope(document).body_entries)
+
+
+class _Handle:
+    def __init__(self, index: int) -> None:
+        self.request_id = packformat.request_id(index)
+        self.operation = "op"
+
+
+def _slots(envelope: Envelope, count: int) -> list:
+    return [
+        ("raised", type(slot), str(slot)) if isinstance(slot, BaseException) else canon(slot)
+        for slot in pack_results(envelope, [_Handle(i) for i in range(count)])
+    ]
+
+
+@_SETTINGS
+@given(st.lists(encodable, min_size=1, max_size=4))
+def test_packed_responses_decode_alike_from_both_sources(values):
+    responses = []
+    for index, value in enumerate(values):
+        response = serialize_rpc_response(NS, "op", value)
+        response.set("requestID", packformat.request_id(index))
+        responses.append(response)
+    envelope = Envelope()
+    envelope.add_body(packformat.build_parallel_method(responses, assign_ids=False))
+    document = envelope.to_bytes()
+    scanned = decode_response_envelope(document)
+    assert all(isinstance(e, DecodedEntry) for e in _requests(scanned))
+    tree = Envelope.parse(document, server=True)
+    assert _slots(scanned, len(values)) == _slots(tree, len(values))
+
+
+@_SETTINGS
+@given(encodable)
+def test_unpacked_responses_decode_alike_from_both_sources(value):
+    envelope = Envelope()
+    envelope.add_body(serialize_rpc_response(NS, "op", value))
+    document = envelope.to_bytes()
+    assert isinstance(next(walk_envelope(document, None, _response_entry)), DecodedEntry)
+    tree = parse_rpc_response(Envelope.parse(document).first_body_entry())
+    assert canon(parse_response_document(document).value) == canon(tree.value)
+
+
+def _outcome(function, *args):
+    try:
+        return ("returned", canon(function(*args)))
+    except Exception as exc:  # the differential is about *which* exception
+        return ("raised", type(exc), str(exc))
+
+
+def _entry_outcomes(parse, document):
+    """What a server makes of the document: the envelope's failure, or
+    each request entry's parameters or failure."""
+    try:
+        entries = _requests(parse(document))
+    except Exception as exc:  # the differential is about *which* exception
+        return ("raised", type(exc), str(exc))
+    return [_outcome(lambda entry: parse_rpc_request(entry).params, entry) for entry in entries]
+
+
+@_SETTINGS
+@given(st.lists(wire_values, min_size=1, max_size=3), st.booleans())
+def test_wire_values_decode_alike_or_fail_alike(nodes, packed):
+    content = "".join(_render(node, name) for node, name in zip(nodes, ["a", "b", "c"]))
+    if packed:
+        body = (
+            '<spi:Parallel_Method xmlns:spi="urn:spi:soap-passing-interface" xmlns:m="urn:x">'
+            f'<m:op requestID="r0">{content}</m:op><m:op requestID="r1"><a xsi:type="xsd:int">1</a></m:op>'
+            "</spi:Parallel_Method>"
+        )
+    else:
+        body = f'<m:op xmlns:m="urn:x">{content}</m:op>'
+    document = (
+        ROOT.replace("<r ", '<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/" ')
+        + f"<e:Body>{body}</e:Body></e:Envelope>"
+    )
+    assert _entry_outcomes(decode_request_envelope, document) == _entry_outcomes(
+        read_request_envelope, document
+    )
+
+
+def test_a_decoded_entry_keeps_its_tag_and_attributes_not_its_children():
+    assembler = ClientAssembler(NS)
+    assembler.add_call("op", {"a": 1})
+    entry = _requests(decode_request_envelope(assembler.assemble().to_bytes()))[0]
+    assert entry.tag == f"{{{NS}}}op" and entry.get("requestID") == "r0"
+    assert parse_rpc_request(entry).params == {"a": 1}
+    with pytest.raises(Exception, match="decoded off the scanner"):
+        entry.element_children()

@@ -5,11 +5,12 @@ import pytest
 from repro.errors import ServiceError
 from repro.http.message import Headers, HttpRequest
 from repro.soap.constants import FAULT_TAG, REQUEST_ID_ATTR, SOAP_CONTENT_TYPE
-from repro.soap.deserializer import parse_rpc_response
+from repro.soap.deserializer import DecodedEntry, parse_rpc_response
 from repro.soap.envelope import Envelope
 from repro.soap.serializer import build_request_envelope, serialize_rpc_request
 from repro.server.container import ServiceContainer
 from repro.server.endpoint import SoapEndpoint
+from repro.server.handlers import Handler, HandlerChain
 from repro.server.service import service_from_functions
 from repro.xmlcore.tree import Element
 
@@ -177,3 +178,69 @@ class TestServicesIndex:
 
     def test_other_paths_still_404(self, endpoint):
         assert endpoint(HttpRequest("GET", "/other")).status == 404
+
+
+class TestDecodePathByChain:
+    """The chain decides, as it is built, whether the endpoint decodes
+    entries straight off the scanner: only when no handler in it reads
+    below an entry's tag."""
+
+    class _Seen(Handler):
+        """Records the request entries the chain hands on."""
+
+        name = "seen"
+        reads_entries = False
+
+        def __init__(self):
+            self.entries = []
+
+        def invoke_request(self, context):
+            self.entries = list(context.request_entries)
+
+    @staticmethod
+    def _post(chain, container):
+        from repro.core.assembler import ClientAssembler
+
+        endpoint = SoapEndpoint(
+            container, lambda entries, ctx: [container.execute_entry(e) for e in entries], chain=chain
+        )
+        assembler = ClientAssembler(NS)
+        assembler.add_call("add", {"a": 2, "b": 5})
+        assembler.add_call("add", {"a": 1, "b": 1})
+        response = endpoint(
+            HttpRequest(
+                "POST", "/services/Calc", Headers({"SOAPAction": '""'}), assembler.assemble().to_bytes()
+            )
+        )
+        entries = Envelope.parse(response.body).first_body_entry().element_children()
+        assert [parse_rpc_response(e).value for e in entries] == [7, 2]
+
+    def test_the_spi_pair_alone_takes_the_scanner_path(self, container):
+        from repro.core.dispatcher import spi_server_handlers
+
+        seen = self._Seen()
+        chain = HandlerChain(spi_server_handlers() + [seen])
+        assert not chain.reads_entries
+        self._post(chain, container)
+        assert [type(e) for e in seen.entries] == [DecodedEntry, DecodedEntry]
+
+    def test_a_custom_handler_keeps_the_tree_path(self, container):
+        from repro.core.dispatcher import spi_server_handlers
+
+        seen = self._Seen()
+        chain = HandlerChain(spi_server_handlers() + [seen])
+        chain.add(Handler())  # says nothing, so it reads below the tags
+        assert chain.reads_entries
+        self._post(chain, container)
+        assert [type(e) for e in seen.entries] == [Element, Element]
+
+    def test_the_security_verifier_keeps_the_tree_path(self, container):
+        from repro.core.dispatcher import spi_server_handlers
+        from repro.server.security_handler import SecurityVerifyHandler
+
+        seen = self._Seen()
+        verify = SecurityVerifyHandler(lambda user: None, required=False)
+        chain = HandlerChain([verify, *spi_server_handlers(), seen])
+        assert chain.reads_entries
+        self._post(chain, container)
+        assert [type(e) for e in seen.entries] == [Element, Element]

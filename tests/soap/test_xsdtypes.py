@@ -1,5 +1,6 @@
 """Unit tests for XSD typed-value encoding/decoding."""
 
+import base64
 import math
 from datetime import datetime, timezone
 
@@ -173,3 +174,49 @@ class TestTypeNames:
         assert python_type_to_xsd(str) == "xsd:string"
         assert python_type_to_xsd(int) == "xsd:int"
         assert python_type_to_xsd(set) == "xsd:anyType"
+
+
+def _typed(xsi_type: str, text: str):
+    return parse(
+        f'<v xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:type="{xsi_type}">{text}</v>'
+    )
+
+
+class TestLexicalSpace:
+    """Leaves read exactly the XSD lexical space, not all that ``int()``,
+    ``float()`` and a strict base64 decode make of text."""
+
+    @pytest.mark.parametrize("text", ["1_000", "١٢", "１２"])
+    def test_int_takes_ascii_digits_only(self, text):
+        with pytest.raises(SerializationError, match="not in the xsd integer lexical space"):
+            decode_value(_typed("xsd:int", text))
+
+    @pytest.mark.parametrize("text", [" +42 ", "-7", "007"])
+    def test_int_keeps_its_lexical_space(self, text):
+        assert decode_value(_typed("xsd:int", text)) == int(text)
+
+    @pytest.mark.parametrize("text", ["nan", "Infinity", "inf", "-inf", "+INF", "1_0.5", "١.٥"])
+    def test_double_takes_only_the_xsd_spellings(self, text):
+        with pytest.raises(SerializationError, match="not in the xsd double lexical space"):
+            decode_value(_typed("xsd:double", text))
+
+    @pytest.mark.parametrize(
+        "text, value", [("1e3", 1000.0), (" .5", 0.5), ("5.", 5.0), ("-1.5E-2", -0.015), ("-INF", -math.inf)]
+    )
+    def test_double_keeps_its_lexical_space(self, text, value):
+        assert decode_value(_typed("xsd:double", text)) == value
+
+    def test_double_nan(self):
+        assert math.isnan(decode_value(_typed("xsd:double", "NaN")))
+
+    def test_base64_broken_into_lines(self):
+        # what MIME-style encoders emit: 76-character lines
+        data = bytes(range(256))
+        text = base64.encodebytes(data).decode("ascii")
+        assert "\n" in text
+        assert decode_value(_typed("xsd:base64Binary", text)) == data
+        assert decode_value(_typed("xsd:base64Binary", " QUJD\r\n\tREVG ")) == b"ABCDEF"
+
+    def test_base64_still_rejects_what_is_not_base64(self):
+        with pytest.raises(SerializationError, match="as base64Binary"):
+            decode_value(_typed("xsd:base64Binary", "QU JD@"))

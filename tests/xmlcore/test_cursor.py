@@ -8,6 +8,8 @@ from repro.soap.envelope import Envelope, iter_body_entries
 from repro.xmlcore import parse
 from repro.xmlcore.writer import serialize
 
+from .token_reader import XmlCursor
+
 ENV = (
     f'<soapenv:Envelope xmlns:soapenv="{SOAP_ENV_NS}">'
     "<soapenv:Header><h:token xmlns:h=\"urn:h\">secret</h:token></soapenv:Header>"
@@ -53,6 +55,23 @@ class TestXmlCursor:
         cursor.skip(cursor.next_child())
         assert cursor.next_child().name == "keep"
 
+    @pytest.mark.parametrize("reader", ["scanner", "token reference"])
+    def test_skip_holds_end_tags_to_their_start_tags(self, reader):
+        # XML 1.0's Element Type Match holds in a skipped subtree too:
+        # the skip counted depth and took </y> for </x>.
+        document = "<r><junk><x></y></junk><keep/></r>"
+        cursor = parse(document, mode="cursor") if reader == "scanner" else XmlCursor(document)
+        cursor.enter(cursor.root())
+        with pytest.raises(XmlWellFormednessError, match="mismatched end tag: expected </x>, got </y>"):
+            cursor.skip(cursor.next_child())
+
+    def test_skip_reads_well_formed_subtrees(self):
+        document = "<r><junk><a x='>'>t&amp;<b/><!-- </c> --><![CDATA[</d>]]></a ></junk><keep/></r>"
+        cursor = parse(document, mode="cursor")
+        cursor.enter(cursor.root())
+        cursor.skip(cursor.next_child())
+        assert cursor.next_child().name == "keep"
+
     def test_mismatched_end_tag_raises(self):
         cursor = parse("<r><a></b></r>", mode="cursor")
         cursor.enter(cursor.root())
@@ -85,6 +104,29 @@ class TestIterBodyEntries:
         assert len(pulled) == len(full)
         for a, b in zip(pulled, full):
             assert a.structurally_equal(b)
+
+    @pytest.mark.parametrize("server", [False, True])
+    def test_a_skipped_header_is_held_to_element_type_match(self, server):
+        # The client path skips headers and used to accept what the
+        # server path rejects.
+        document = ENV.replace(
+            '<h:token xmlns:h="urn:h">secret</h:token>', "<h><x></y></h>"
+        )
+        with pytest.raises(XmlWellFormednessError, match="mismatched end tag"):
+            Envelope.parse(document, server=server)
+
+    def test_a_header_closed_under_another_prefix_of_its_uri(self):
+        # The one document the two paths still answer differently: a tree
+        # compares end tags resolved, so the server takes </b:h> for <a:h>
+        # when both prefixes name one URI; a skip expands no name and
+        # compares raw names, as XML 1.0 does.
+        document = ENV.replace(
+            '<h:token xmlns:h="urn:h">secret</h:token>',
+            '<a:h xmlns:a="urn:u" xmlns:b="urn:u">x</b:h>',
+        )
+        assert Envelope.parse(document, server=True).header_entries[0].tag == "{urn:u}h"
+        with pytest.raises(XmlWellFormednessError, match="expected </a:h>, got </b:h>"):
+            Envelope.parse(document)
 
     def test_header_with_undeclared_prefix_is_skipped(self):
         # Token-level skipping means header contents are never expanded.

@@ -1,6 +1,8 @@
 """Unit tests for XML entity escaping/unescaping."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import XmlWellFormednessError
 from repro.xmlcore.escape import (
@@ -134,3 +136,75 @@ class TestIsXmlChar:
         assert is_xml_char(0x1F600)
         assert is_xml_char(0x10FFFF)
         assert not is_xml_char(0x110000)
+
+
+_NAMED = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+
+
+def _loop_unescape(value: str) -> str:
+    """``unescape`` as it was before its predefined-entity fast path,
+    verbatim: one pass over the references, whatever they are."""
+    amp = value.find("&")
+    if amp == -1:
+        return value
+    out: list[str] = []
+    i = 0
+    while amp != -1:
+        out.append(value[i:amp])
+        end = value.find(";", amp + 1)
+        if end == -1:
+            raise XmlWellFormednessError(f"unterminated entity reference at offset {amp}")
+        body = value[amp + 1 : end]
+        if not body:
+            raise XmlWellFormednessError("empty entity reference '&;'")
+        if body[0] == "#":
+            if body.startswith(("#x", "#X")):
+                try:
+                    code = int(body[2:], 16)
+                except ValueError:
+                    raise XmlWellFormednessError(
+                        f"bad hex character reference '&{body};'"
+                    ) from None
+            else:
+                try:
+                    code = int(body[1:], 10)
+                except ValueError:
+                    raise XmlWellFormednessError(
+                        f"bad decimal character reference '&{body};'"
+                    ) from None
+            out.append(_loop_charref(code, body))
+        else:
+            try:
+                out.append(_NAMED[body])
+            except KeyError:
+                raise XmlWellFormednessError(f"unknown entity '&{body};'") from None
+        i = end + 1
+        amp = value.find("&", i)
+    out.append(value[i:])
+    return "".join(out)
+
+
+def _loop_charref(code: int, body: str) -> str:
+    if not is_xml_char(code):
+        raise XmlWellFormednessError(f"character reference '&{body};' is not a legal XML character")
+    return chr(code)
+
+
+def _outcome(function, value):
+    try:
+        return ("returned", function(value))
+    except XmlWellFormednessError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+_PIECES = st.sampled_from(
+    ["&lt;", "&gt;", "&amp;", "&quot;", "&apos;", "&amp;lt;", "&", ";", "&#65;", "&#x41;",
+     "&#0;", "&bogus;", "&;", "&lt", "lt;", "a", "é", "<", " ", "&#xZZ;", "&#1a;"]
+)  # fmt: skip
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(_PIECES, st.text(max_size=3)), max_size=12).map("".join))
+def test_unescape_matches_the_reference_loop(value):
+    # same text back, or the same exception type and message
+    assert _outcome(unescape, value) == _outcome(_loop_unescape, value)

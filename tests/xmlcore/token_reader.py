@@ -105,17 +105,24 @@ class XmlCursor:
         raise XmlWellFormednessError(f"unclosed element <{name}>")
 
     def skip(self, token: lx.StartTagToken) -> None:
-        """Discard the subtree opened by ``token`` without expanding it."""
+        """Discard the subtree opened by ``token`` without expanding it;
+        its end tags must still match their start tags."""
         if token.self_closing:
             return
-        depth = 1
+        names = [token.name]
         for tok in self._tokens:
             if isinstance(tok, lx.StartTagToken):
                 if not tok.self_closing:
-                    depth += 1
+                    names.append(tok.name)
             elif isinstance(tok, lx.EndTagToken):
-                depth -= 1
-                if depth == 0:
+                if tok.name != names[-1]:
+                    raise XmlWellFormednessError(
+                        f"mismatched end tag: expected </{names[-1]}>, got </{tok.name}>",
+                        tok.line,
+                        tok.column,
+                    )
+                names.pop()
+                if not names:
                     return
         raise XmlWellFormednessError(
             f"unclosed element <{token.name}>", token.line, token.column
