@@ -2,6 +2,9 @@
 
 Builds the per-operation body entries that the common architecture
 sends one-per-message and that SPI's assembler packs several-per-message.
+An RPC entry's values are rendered to markup when it is encoded, so an
+error is raised there and the bytes sent are the values as they were
+then; a tree exists only for a reader of its children.
 """
 
 from __future__ import annotations
@@ -9,38 +12,59 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.errors import SerializationError
+from repro.soap.constants import XSI_NS
 from repro.soap.envelope import Envelope
 from repro.soap.fault import SoapFault
-from repro.soap.xsdtypes import encode_value
+from repro.soap.xsdtypes import parse_values, render_value
 from repro.xmlcore.qname import is_ncname, qname_of
-from repro.xmlcore.tree import Element, new_element
+from repro.xmlcore.tree import Element
 
 RESPONSE_SUFFIX = "Response"
 RETURN_TAG = "return"
 
 
+class EncodedEntry(Element):
+    """A body entry as encoded: its tag, attributes (``requestID``,
+    ``spi:oneWay``) and the markup ``parts`` the writer splices wherever
+    ``bindings`` hold.  Reading ``children`` parses the parts; from then
+    on that tree is what is written."""
+
+    __slots__ = ("parts", "_tree")
+    bindings = (("xsi", XSI_NS),)  # what the parts' prefixes mean
+
+    def __init__(self, tag: str, parts: list[str]) -> None:
+        self.tag, self._attrs, self.nsmap, self.parts = tag, (), {}, parts
+
+    @property
+    def children(self) -> list:
+        if self.parts is not None:
+            self._tree, self.parts = parse_values(self.parts), None
+        return self._tree
+
+
 def serialize_rpc_request(
     namespace: str, operation: str, params: Mapping[str, Any]
-) -> Element:
-    """Build the body entry ``<ns:operation><param .../>...</ns:operation>``.
+) -> EncodedEntry:
+    """Encode the body entry ``<ns:operation><param .../>...</ns:operation>``.
 
     Parameter order follows the mapping's iteration order, matching the
     positional convention of RPC/encoded SOAP.
     """
     _check_operation_name(operation)
-    encoded = []
+    entry = EncodedEntry(qname_of(namespace, operation).clark, [])
     for name, value in params.items():
         if not is_ncname(name):
             raise SerializationError(f"'{name}' is not a valid parameter name")
-        encoded.append(encode_value(name, value))
-    return new_element(qname_of(namespace, operation).clark, (), encoded)
+        render_value(entry.parts, name, value)
+    return entry
 
 
-def serialize_rpc_response(namespace: str, operation: str, result: Any) -> Element:
-    """Build ``<ns:operationResponse><return .../></ns:operationResponse>``."""
+def serialize_rpc_response(namespace: str, operation: str, result: Any) -> EncodedEntry:
+    """Encode ``<ns:operationResponse><return .../></ns:operationResponse>``."""
     _check_operation_name(operation)
-    tag = qname_of(namespace, operation + RESPONSE_SUFFIX).clark
-    return new_element(tag, (), [encode_value(RETURN_TAG, result)])
+    entry = EncodedEntry(qname_of(namespace, operation + RESPONSE_SUFFIX).clark, [])
+    render_value(entry.parts, RETURN_TAG, result)
+    return entry
 
 
 def collect_entry_namespaces(
@@ -68,11 +92,7 @@ def build_request_envelope(
     headers: list[Element] | None = None,
 ) -> Envelope:
     """Request body entry wrapped in a full envelope (plus headers)."""
-    envelope = Envelope()
-    for header in headers or []:
-        envelope.add_header(header)
-    envelope.add_body(serialize_rpc_request(namespace, operation, params))
-    return envelope
+    return _envelope(serialize_rpc_request(namespace, operation, params), headers)
 
 
 def build_response_envelope(
@@ -83,17 +103,19 @@ def build_response_envelope(
     headers: list[Element] | None = None,
 ) -> Envelope:
     """Response body entry wrapped in a full envelope (plus headers)."""
-    envelope = Envelope()
-    for header in headers or []:
-        envelope.add_header(header)
-    envelope.add_body(serialize_rpc_response(namespace, operation, result))
-    return envelope
+    return _envelope(serialize_rpc_response(namespace, operation, result), headers)
 
 
 def build_fault_envelope(fault: SoapFault) -> Envelope:
     """A fault as the sole body entry of a fresh envelope."""
+    return _envelope(fault.to_element(), None)
+
+
+def _envelope(entry: Element, headers: list[Element] | None) -> Envelope:
     envelope = Envelope()
-    envelope.add_body(fault.to_element())
+    for header in headers or []:
+        envelope.add_header(header)
+    envelope.add_body(entry)
     return envelope
 
 

@@ -45,7 +45,7 @@ lifetime.  :func:`build_tree` is the whole-document entry point behind
 
 from __future__ import annotations
 
-from repro.errors import XmlNamespaceError, XmlWellFormednessError
+from repro.errors import XmlWellFormednessError
 from repro.xmlcore import lexer as lx
 from repro.xmlcore.escape import unescape
 from repro.xmlcore.qname import NamespaceScope
@@ -300,7 +300,8 @@ class XmlScanner:
                 lexer._pos = lt
                 token = lexer._lex_end_tag()
                 pos = lexer._pos
-                self._check_end(token, stack[-1][0][-1] if stack else root)
+                if f"</{token.name}>" != close:  # XML 1.0 compares Names, not URIs
+                    raise _error(f"mismatched end tag: expected {close}, got </{token.name}>", token)
             else:
                 gt = find(">", lt)
                 hit = memo.get(src[lt : gt + 1])
@@ -439,22 +440,6 @@ class XmlScanner:
         """Drop the per-start-tag memos: a namespace frame moved."""
         self._memo.clear()
         self._rules.clear()
-
-    def _check_end(self, token: lx.EndTagToken, element: Element) -> None:
-        """Hold an end tag that is not literally the expected text against
-        the open ``element``.  Different raw names may still resolve
-        identically (same URI under two prefixes): compare resolved.  Only
-        a tree is this lenient; :meth:`skip` and :meth:`next_child`, which
-        expand no end tag, compare raw names, as XML 1.0 does."""
-        try:
-            if self._scope.resolve_name(token.name).clark == element.tag:
-                return
-        except XmlNamespaceError:
-            pass  # a name that resolves to nothing matches nothing
-        raise _error(
-            f"mismatched end tag: expected </...{element.qname.local}>, got </{token.name}>",
-            token,
-        )
 
     def _leave(self) -> None:
         _, _, pushed = self._entered.pop()

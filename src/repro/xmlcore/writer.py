@@ -10,13 +10,15 @@ work is a memo of rendered names:
 
 * **What is memoised.**  A Clark element name maps to its open-tag and
   end-tag texts (``<p:local`` / ``</p:local>``), a Clark attribute name
-  to its ``' p:local="'`` piece, and a whole attribute tuple — the RPC
-  codec and the reader share one tuple among all elements of a type —
-  to its rendered text (``' xsi:type="xsd:string"'``, escaped).
-  :func:`serialize` writes an element whose ``nsmap`` is empty straight
-  from those — no ``QName``, no scope frame, no declarations dict — so
-  the pack envelope's N identical body entries resolve their prefixes
-  once, not N times.
+  to its ``' p:local="'`` piece.  :func:`serialize` writes an element
+  whose ``nsmap`` is empty straight from those — no ``QName``, no scope
+  frame, no declarations dict — so the pack envelope's N body entries
+  resolve their prefixes once, not N times.
+* **What is spliced.**  An element that carries its content as markup
+  ``parts`` (the RPC codec's ``EncodedEntry``) is opened like any other,
+  then its parts are appended as they are where the prefixes they use
+  mean what its ``bindings`` say (checked once per scope version, kept
+  with the memos); elsewhere its ``children`` are written.
 * **What invalidates it.**  The memos hold for one namespace scope
   version: they are cleared wherever a declaration is made (an
   ``nsmap``, a generated ``nsN`` prefix, an ``xmlns=""`` reset) and
@@ -58,11 +60,11 @@ class StreamingWriter:
         # Rendered names under the current scope version: Clark tag ->
         # (open-tag text, end-tag text); Clark attribute name -> its
         # ' name="' piece and, in the same dict so that the two are
-        # cleared together, attribute tuple -> its whole rendered text.
+        # cleared together, a splice's bindings -> whether they hold.
         # Cleared on every scope-version change and bounded by the
         # writer's lifetime (one document), so no capacity knob needed.
         self._elements: dict[str, tuple[str, str]] = {}  # repro: disable=no-unbounded-cache
-        self._attributes: dict[str | tuple, str] = {}  # repro: disable=no-unbounded-cache
+        self._attributes: dict[str | tuple, str | bool] = {}  # repro: disable=no-unbounded-cache
         if declaration:
             self._parts.append(XML_DECLARATION)
 
@@ -202,6 +204,18 @@ class StreamingWriter:
             return qname.local
         return f"{prefix}:{qname.local}"
 
+    def _spliced(self, node: Element) -> list[str] | None:
+        """``node.parts``, its content's markup, if ``node.bindings`` name
+        the prefixes in scope for their URIs; else None: write children."""
+        parts = getattr(node, "parts", None)
+        if parts is None:  # no splice, or a tree since it was read
+            return None
+        if node.bindings not in self._attributes:
+            # and the parts' unprefixed tags must be in no namespace
+            self._attributes[node.bindings] = self._scope.resolve("") == "" and all(
+                self._scope.prefix_for(uri) == prefix for prefix, uri in node.bindings)
+        return parts if self._attributes[node.bindings] else None
+
     def _declare(self, prefix: str, uri: str, declarations: dict[str, str]) -> None:
         self._scope.declare(prefix, uri)
         declarations[prefix] = uri
@@ -251,17 +265,13 @@ def _write_element(writer: StreamingWriter, root: Element) -> None:
         texts = None if node.nsmap else elements.get(node.tag)
         attrs = node._attrs
         if attrs and texts is not None:
-            rendered = pieces.get(attrs)
-            if rendered is None:
-                rendered = ""
-                for name, value in attrs:
-                    piece = pieces.get(name)
-                    if piece is None:  # not rendered under this scope yet
-                        texts = None
-                        break
-                    rendered += f'{piece}{escape_attribute(value)}"'
-                else:
-                    pieces[attrs] = rendered
+            rendered = ""
+            for name, value in attrs:
+                piece = pieces.get(name)
+                if piece is None:  # not rendered under this scope yet
+                    texts = None
+                    break
+                rendered += f'{piece}{escape_attribute(value)}"'
         if texts is None:
             writer.start(node.tag, attrs, node.nsmap)
             end_tag = None
@@ -270,7 +280,8 @@ def _write_element(writer: StreamingWriter, root: Element) -> None:
             if attrs:
                 append(rendered)
             end_tag = texts[1]
-        children = node.children
+        parts = None if type(node) is Element else writer._spliced(node)
+        children = node.children if parts is None else parts
         # Empty strings write nothing; an Element is != "" by identity.
         if not children or not (children[0] != "" or any(c != "" for c in children)):
             if end_tag is None:
@@ -282,6 +293,9 @@ def _write_element(writer: StreamingWriter, root: Element) -> None:
                 writer._close_start_tag()
             else:
                 append(">")
+            if parts is not None:  # written now; the stack only closes it
+                writer._parts += parts
+                children = ()
             stack.append((iter(children), end_tag))
         # Text up to the next element to open, closing what is finished.
         while stack:

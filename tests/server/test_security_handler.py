@@ -78,6 +78,23 @@ class TestSecurityEnforcement:
         assert [f.result(timeout=10) for f in futures] == [f"m{i}" for i in range(5)]
         assert verify.snapshot()["verified"] == 1
 
+    def test_values_mutated_after_the_call_are_not_sent(self, secured_env, monkeypatch):
+        """An entry is encoded when it is queued: what is signed, sent
+        and executed is the value as it was at ``batch.call``."""
+        transport, address, verify, _ = secured_env
+        sent: list[bytes] = []
+        to_bytes = Envelope.to_bytes
+        monkeypatch.setattr(Envelope, "to_bytes", lambda self: sent.append(to_bytes(self)) or sent[-1])
+        records = [{"city": "before", "n": 1}]
+        proxy = proxy_for(transport, address, ALICE)
+        with PackBatch(proxy) as batch:
+            future = batch.call("echo", payload=records)
+            records[0]["city"] = "after"
+            records.append({"city": "appended"})
+        assert future.result(timeout=10) == [{"city": "before", "n": 1}]
+        assert verify.snapshot()["verified"] == 1
+        assert b"before" in sent[0] and b"after" not in sent[0] and b"appended" not in sent[0]
+
     def test_unsigned_packed_batch_rejected_whole(self, secured_env):
         transport, address, _, required = secured_env
         if not required:
