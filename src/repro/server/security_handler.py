@@ -2,9 +2,11 @@
 
 Deploy a :class:`SecurityVerifyHandler` ahead of the SPI dispatcher to
 require a valid signed UsernameToken on every message.  Because the
-signature covers the canonicalized Body, one token authenticates an
-entire packed batch — which is exactly the amortization the paper's
-§4.2 WS-Security argument relies on.
+signature covers the Body's octets as they arrived, one token
+authenticates an entire packed batch — which is exactly the
+amortization the paper's §4.2 WS-Security argument relies on.  The
+handler digests the span the reader recorded and reads no entry, so a
+secured chain decodes its entries straight off the scanner.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ class SecurityVerifyHandler(Handler):
     """
 
     name = "wss-verify"
+    reads_entries = False  # it digests the Body's recorded span
 
     def __init__(
         self,

@@ -165,7 +165,7 @@ def decode_response_envelope(document: str | bytes) -> Envelope:
 
 def _decode(document: str | bytes, read_entry) -> Envelope:
     envelope = Envelope()
-    envelope.body_entries = list(walk_envelope(document, envelope.header_entries, read_entry))
+    envelope.body_entries = list(walk_envelope(document, envelope, read_entry))
     return envelope
 
 

@@ -25,13 +25,21 @@ from repro.xmlcore.writer import serialize, serialize_bytes
 
 
 class Envelope:
-    """A SOAP envelope under construction or freshly parsed."""
+    """A SOAP envelope under construction or freshly parsed.  Once read by
+    a server-mode parse or sealed, its Body's text is ``source[body_start:body_end]``,
+    under the namespace declarations ``body_scope`` (the Envelope's)."""
 
-    __slots__ = ("header_entries", "body_entries")
+    __slots__ = (
+        "header_entries", "body_entries", "source", "body_start", "body_end", "body_scope", "_sealed"
+    )
 
     def __init__(self) -> None:
         self.header_entries: list[Element] = []
         self.body_entries: list[Element] = []
+        self.source: str | None = None
+        self.body_start = self.body_end = 0
+        self.body_scope: dict[str, str] | None = None
+        self._sealed: _SealedBody | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -55,9 +63,24 @@ class Envelope:
         if self.header_entries:
             header = envelope.subelement(HEADER_TAG)
             header.extend(self.header_entries)
-        body = envelope.subelement(BODY_TAG)
-        body.extend(self.body_entries)
+        if self._sealed is not None:
+            envelope.children.append(self._sealed)
+        else:
+            envelope.subelement(BODY_TAG).extend(self.body_entries)
         return envelope
+
+    def seal_body(self) -> bytes:
+        """Render the Body once, as :meth:`to_bytes` writes it, and write only
+        that text from then on (later entry edits are not sent); return its UTF-8."""
+        root = Element(ENVELOPE_TAG, nsmap=dict(STANDARD_NSMAP))
+        root.subelement(BODY_TAG).extend(self.body_entries)
+        text = serialize(root)  # the Body is all the root holds
+        self.source, self.body_start, self.body_end = text, text.index(">") + 1, text.rindex("</")
+        self.body_scope = root.nsmap
+        body = text[self.body_start : self.body_end]
+        self._sealed = _SealedBody(BODY_TAG)
+        self._sealed.parts = [body[body.index(">") + 1 : body.rfind("</")]]
+        return body.encode("utf-8")
 
     def to_string(self) -> str:
         """Serialize to text with an XML declaration."""
@@ -79,14 +102,14 @@ class Envelope:
 
         With ``server=True`` header entries are materialized too, so
         server paths keep full header visibility (mustUnderstand,
-        WS-Security, trace propagation).  With the default
-        ``server=False`` headers are skipped without namespace
+        WS-Security, trace propagation), and the Body's span is kept.  With
+        the default ``server=False`` headers are skipped without namespace
         expansion or Element construction — the client response path,
         which only consumes body entries.
         """
         envelope = cls()
-        headers = envelope.header_entries if server else None
-        envelope.body_entries = list(walk_envelope(source, headers, XmlScanner.read_element))
+        walk = walk_envelope(source, envelope if server else None, XmlScanner.read_element)
+        envelope.body_entries = list(walk)
         return envelope
 
     def first_body_entry(self) -> Element:
@@ -110,6 +133,13 @@ class Envelope:
         return missed
 
 
+class _SealedBody(Element):
+    """A sealed Body, whose ``parts`` (the text between its tags) the writer splices."""
+
+    __slots__ = ("parts",)
+    bindings = tuple(STANDARD_NSMAP.items())
+
+
 def iter_body_entries(document: str | bytes) -> Iterator[Element]:
     """Yield the Body's entries straight off the scanner.
 
@@ -125,14 +155,13 @@ def iter_body_entries(document: str | bytes) -> Iterator[Element]:
 
 def walk_envelope(
     document: str | bytes,
-    header_sink: list[Element] | None,
+    envelope: Envelope | None,
     read_entry: Callable[[XmlScanner, StartTagToken], Element],
 ) -> Iterator[Element]:
     """Scanner walk shared by all parse paths: yields each body entry as
-    ``read_entry(scanner, start tag)`` reads it (a tree, or values
-    decoded off the scanner); header entries are materialized into
-    ``header_sink`` when given (the server path) or skipped without
-    expansion (the client path)."""
+    ``read_entry(scanner, start tag)`` reads it (a tree, or values decoded
+    off the scanner).  Given an ``envelope`` (the server path), headers and
+    the Body's span go on it; without one, headers are skipped unexpanded."""
     cursor = XmlScanner(document)
     root = cursor.enter(cursor.root())
     if root.tag != ENVELOPE_TAG:
@@ -150,10 +179,10 @@ def walk_envelope(
     if element.tag == HEADER_TAG:
         entry = cursor.next_child()
         while entry is not None:
-            if header_sink is None:
+            if envelope is None:
                 cursor.skip(entry)
             else:
-                header_sink.append(cursor.read_element(entry))
+                envelope.header_entries.append(cursor.read_element(entry))
             entry = cursor.next_child()
         child = cursor.next_child()
         if child is None:
@@ -170,6 +199,9 @@ def walk_envelope(
         entry = cursor.next_child()
     if not entries:
         raise SoapError("SOAP Body is empty")
+    if envelope is not None:
+        envelope.source, envelope.body_start, envelope.body_end = cursor.span_since(child)
+        envelope.body_scope = root.nsmap
     if cursor.next_child() is not None:
         raise SoapError("unexpected elements after SOAP Body")
     cursor.finish()

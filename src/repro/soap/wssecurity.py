@@ -6,9 +6,13 @@ header — it names WS-Security explicitly — make the pack interface
 What the experiment needs from WS-Security is therefore (a) realistic
 header bytes per message and (b) per-message CPU work.  This module
 provides both with real cryptography from the stdlib (UsernameToken
-with nonce/created and an HMAC-SHA256 digest over the canonicalized
-Body) while substituting HMAC for the X.509/XML-DSig machinery the
-full spec requires — see DESIGN.md §3 substitution 4.
+with nonce/created and an HMAC-SHA256 digest over the Body element's
+octets as sent, ``<SOAP-ENV:Body`` through ``</SOAP-ENV:Body>`` in UTF-8,
+with no XML canonicalization) while substituting HMAC for the
+X.509/XML-DSig machinery the full spec requires — see DESIGN.md §3
+substitution 4.  The ``BinarySecurityToken`` and ``ds:Signature``
+blocks are header ballast for the §4.2 overhead experiment, never
+verified.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 from repro.errors import SecurityError
-from repro.soap.constants import BODY_TAG, WSSE_NS, WSU_NS
+from repro.soap.constants import STANDARD_NSMAP, WSSE_NS, WSU_NS
 from repro.soap.envelope import Envelope
 from repro.xmlcore.tree import Element
-from repro.xmlcore.writer import StreamingWriter, serialize
+from repro.xmlcore.writer import serialize
 
 SECURITY_TAG = f"{{{WSSE_NS}}}Security"
 _WSSE = f"{{{WSSE_NS}}}"
@@ -40,70 +44,13 @@ class Credentials:
     username: str
     secret: bytes
 
-    def digest(self, nonce: bytes, created: str, body_c14n: bytes) -> bytes:
-        """HMAC-SHA256 over nonce + created + canonical body."""
+    def digest(self, nonce: bytes, created: str, body: bytes) -> bytes:
+        """HMAC-SHA256 over nonce + created + the Body's octets."""
         mac = hmac.new(self.secret, digestmod=hashlib.sha256)
         mac.update(nonce)
         mac.update(created.encode("ascii"))
-        mac.update(body_c14n)
+        mac.update(body)
         return mac.digest()
-
-
-def _canonical_body(envelope: Envelope) -> bytes:
-    """Deterministic byte form of the Body for signing.
-
-    A freshly built tree and its parsed-from-the-wire twin differ in
-    recorded prefix preferences (``nsmap``) and possibly attribute
-    order, so canonicalization ignores recorded nsmaps and sorts
-    attributes by expanded name — the same normalizations Exclusive
-    XML C14N performs.
-
-    Implementation: one streaming writer renders every entry directly
-    (no canonical deep copies).  A cheap pre-pass collects the distinct
-    namespace URIs in document order and declares them all on the
-    synthetic Body start tag, so the writer's namespace scope never
-    changes mid-document and its rendered-name memo stays warm across
-    all M packed entries.
-    """
-    uris: list[str] = []
-    _collect_uri(BODY_TAG, uris)
-    for entry in envelope.body_entries:
-        _collect_entry_uris(entry, uris)
-    writer = StreamingWriter()
-    writer.start(BODY_TAG, None, {f"c{i}": uri for i, uri in enumerate(uris)})
-    for entry in envelope.body_entries:
-        _write_canonical(writer, entry)
-    writer.end()
-    return writer.getvalue().encode("utf-8")
-
-
-def _collect_uri(clark: str, uris: list[str]) -> None:
-    if clark.startswith("{"):
-        uri = clark[1 : clark.index("}")]
-        if uri not in uris:
-            uris.append(uri)
-
-
-def _collect_entry_uris(element: Element, uris: list[str]) -> None:
-    _collect_uri(element.tag, uris)
-    for name, _ in element.items():
-        _collect_uri(name, uris)
-    for child in element.children:
-        if isinstance(child, Element):
-            _collect_entry_uris(child, uris)
-
-
-def _write_canonical(writer: StreamingWriter, element: Element) -> None:
-    attrs = element.items()
-    if len(attrs) > 1:
-        attrs = tuple(sorted(attrs))
-    writer.start(element.tag, attrs)
-    for child in element.children:
-        if isinstance(child, str):
-            writer.characters(child)
-        else:
-            _write_canonical(writer, child)
-    writer.end()
 
 
 XMLDSIG_NS = "http://www.w3.org/2000/09/xmldsig#"
@@ -134,7 +81,8 @@ def attach_security_header(
     must_understand: bool = True,
     include_certificate: bool = False,
 ) -> Element:
-    """Sign ``envelope``'s body and prepend a wsse:Security header entry.
+    """Seal ``envelope``'s Body, sign its octets and prepend a
+    wsse:Security header entry.
 
     With ``include_certificate`` the header also carries a
     BinarySecurityToken and an XML-DSig-shaped Signature block, matching
@@ -143,8 +91,8 @@ def attach_security_header(
     """
     created = (now or datetime.now(timezone.utc)).isoformat()
     nonce = secrets.token_bytes(16)
-    body_c14n = _canonical_body(envelope)
-    digest = credentials.digest(nonce, created, body_c14n)
+    body = envelope.seal_body()
+    digest = credentials.digest(nonce, created, body)
 
     security = Element(SECURITY_TAG, nsmap={"wsse": WSSE_NS, "wsu": WSU_NS})
     token = security.subelement(_WSSE + "UsernameToken")
@@ -159,7 +107,7 @@ def attach_security_header(
         text=base64.b64encode(digest).decode("ascii"),
     )
     if include_certificate:
-        _attach_certificate_and_signature(security, credentials, body_c14n)
+        _attach_certificate_and_signature(security, credentials, body)
     envelope.header_entries.insert(0, security)
     if must_understand:
         from repro.soap.constants import MUST_UNDERSTAND_ATTR
@@ -169,7 +117,7 @@ def attach_security_header(
 
 
 def _attach_certificate_and_signature(
-    security: Element, credentials: Credentials, body_c14n: bytes
+    security: Element, credentials: Credentials, body: bytes
 ) -> None:
     certificate = _simulated_certificate(credentials.username)
     security.subelement(
@@ -198,9 +146,9 @@ def _attach_certificate_and_signature(
     )
     reference.subelement(
         _DS + "DigestValue",
-        text=base64.b64encode(hashlib.sha256(body_c14n).digest()).decode("ascii"),
+        text=base64.b64encode(hashlib.sha256(body).digest()).decode("ascii"),
     )
-    mac = hmac.new(credentials.secret, body_c14n, hashlib.sha256).digest()
+    mac = hmac.new(credentials.secret, body, hashlib.sha256).digest()
     signature.subelement(
         _DS + "SignatureValue", text=base64.b64encode(mac).decode("ascii")
     )
@@ -219,12 +167,17 @@ def verify_security_header(
     """Verify the wsse:Security header; return the authenticated username.
 
     ``lookup_secret(username) -> bytes | None`` supplies the shared
-    secret.  Raises :class:`SecurityError` on any failure: missing
-    header, unknown user, stale timestamp, or digest mismatch.
+    secret.  Raises :class:`SecurityError` on any failure: a missing or
+    repeated header, unknown user, stale timestamp, a Body with no
+    octets (built, not read or sealed) or read under namespace bindings
+    other than :data:`STANDARD_NSMAP`, or digest mismatch.
     """
-    security = envelope.find_header(SECURITY_TAG)
-    if security is None:
+    headers = [entry for entry in envelope.header_entries if entry.tag == SECURITY_TAG]
+    if not headers:
         raise SecurityError("no wsse:Security header present")
+    if len(headers) > 1:
+        raise SecurityError("more than one wsse:Security header")
+    security = headers[0]
     token = security.find("UsernameToken")
     if token is None:
         raise SecurityError("Security header has no UsernameToken")
@@ -254,9 +207,14 @@ def verify_security_header(
     except Exception:
         raise SecurityError("malformed base64 in security token") from None
 
-    expected = Credentials(username, secret).digest(
-        nonce, created, _canonical_body(envelope)
-    )
+    if envelope.source is None:
+        raise SecurityError("the Body has no octets to verify")
+    if envelope.body_scope != STANDARD_NSMAP:
+        # the octets mean what the Envelope's declarations say; only the
+        # ones the signer wrote the Body under are accepted
+        raise SecurityError("the Body inherits namespace bindings other than SOAP-ENV, xsd and xsi")
+    body = envelope.source[envelope.body_start : envelope.body_end].encode("utf-8")
+    expected = Credentials(username, secret).digest(nonce, created, body)
     if not hmac.compare_digest(expected, claimed):
         raise SecurityError("body digest mismatch")
     return username

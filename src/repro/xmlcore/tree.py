@@ -4,7 +4,7 @@ The model is deliberately small: an :class:`Element` has a tag (Clark
 notation or plain local name), an ordered attribute list, and a list of
 children where each child is either another ``Element`` or a ``str``
 text node.  Mixed content therefore round-trips exactly, which matters
-for differential serialization and WS-Security digests.
+for differential serialization.
 
 Attribute storage is a tuple of ``(name, value)`` pairs behind accessor
 methods (:meth:`Element.get` / :meth:`Element.set` /

@@ -253,6 +253,10 @@ class XmlScanner:
             self._read_children_into(element)
         return element
 
+    def span_since(self, start: lx.StartTagToken) -> tuple[str, int, int]:
+        """What was read since ``start``: the source and two offsets."""
+        return self._lexer._src, start.offset, self._lexer._pos
+
     def finish(self) -> None:
         """Drain open elements, checking nothing but epilog remains."""
         while self._entered:

@@ -234,13 +234,20 @@ class TestDecodePathByChain:
         self._post(chain, container)
         assert [type(e) for e in seen.entries] == [Element, Element]
 
-    def test_the_security_verifier_keeps_the_tree_path(self, container):
+    def test_the_security_verifier_takes_the_scanner_path(self, container, monkeypatch):
+        """The verifier digests the Body's recorded span and reads no
+        entry, so a secured chain parses with decode_request_envelope."""
         from repro.core.dispatcher import spi_server_handlers
+        from repro.server import endpoint
         from repro.server.security_handler import SecurityVerifyHandler
 
+        parsed, decode = [], endpoint.decode_request_envelope
+        monkeypatch.setattr(endpoint, "decode_request_envelope",
+                            lambda body: parsed.append(body) or decode(body))
         seen = self._Seen()
         verify = SecurityVerifyHandler(lambda user: None, required=False)
         chain = HandlerChain([verify, *spi_server_handlers(), seen])
-        assert chain.reads_entries
+        assert not chain.reads_entries
         self._post(chain, container)
-        assert [type(e) for e in seen.entries] == [Element, Element]
+        assert len(parsed) == 1
+        assert [type(e) for e in seen.entries] == [DecodedEntry, DecodedEntry]

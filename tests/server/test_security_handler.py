@@ -4,14 +4,20 @@ import pytest
 
 from repro.apps.echo import ECHO_NS, make_echo_service
 from repro.client.proxy import ServiceProxy
+from repro.core.assembler import ClientAssembler
 from repro.core.batch import PackBatch
 from repro.core.dispatcher import spi_server_handlers
 from repro.errors import SoapFaultError
+from repro.http.connection import HttpConnection
+from repro.http.message import Headers, HttpRequest
 from repro.server.handlers import HandlerChain
 from repro.server.security_handler import SecurityVerifyHandler
+from repro.soap.constants import SOAP_CONTENT_TYPE, XSI_TYPE_ATTR
+from repro.soap.deserializer import decode_request_envelope, parse_rpc_request, read_request_envelope
 from repro.soap.envelope import Envelope
-from repro.soap.wssecurity import Credentials
+from repro.soap.wssecurity import Credentials, attach_security_header, verify_security_header
 from repro.transport.inproc import InProcTransport
+from repro.xmlcore.tree import Element
 from repro.server import ServerConfig, build_server
 from repro.client.config import ClientConfig, build_proxy
 
@@ -29,6 +35,35 @@ def secured_env(request):
     server = build_server(ServerConfig(services=[make_echo_service()], architecture="staged", transport=transport, address="secured", chain=HandlerChain([verify, *spi_server_handlers()])))
     with server.running() as address:
         yield transport, address, verify, required
+
+
+def post(transport, address, body: bytes) -> Envelope:
+    """POST raw request bytes; the response envelope."""
+    request = HttpRequest(
+        "POST", "/services/EchoService", Headers({"Content-Type": SOAP_CONTENT_TYPE}), body
+    )
+    with HttpConnection(transport, address) as conn:
+        return Envelope.parse(conn.request(request).body, server=True)
+
+
+def signed_pack(*payloads: str) -> bytes:
+    assembler = ClientAssembler(ECHO_NS)
+    for payload in payloads:
+        assembler.add_call("echo", {"payload": payload})
+    envelope = assembler.assemble()
+    attach_security_header(envelope, ALICE)
+    return envelope.to_bytes()
+
+
+def signed_multiref() -> bytes:
+    """An Axis-style rpc/encoded request: the parameter is an ``href``
+    to a top-level ``multiRef`` entry, signed as it is written."""
+    envelope = Envelope()
+    envelope.add_body(Element(f"{{{ECHO_NS}}}echo")).subelement("payload", {"href": "#id0"})
+    target = envelope.add_body(Element("multiRef", {"id": "id0", XSI_TYPE_ATTR: "xsd:string"}))
+    target.append("shared value")
+    attach_security_header(envelope, ALICE)
+    return envelope.to_bytes()
 
 
 def proxy_for(transport, address, credentials=None):
@@ -107,21 +142,50 @@ class TestSecurityEnforcement:
             assert isinstance(future.exception(timeout=10), SoapFaultError)
 
     def test_tampered_packed_body_rejected(self, secured_env):
-        """Signature covers the body, so post-signing tampering fails."""
-        transport, address, _, _ = secured_env
-        from repro.core.assembler import ClientAssembler
-        from repro.soap.wssecurity import attach_security_header
+        """Signature covers the body's octets, so changing the bytes sent
+        after signing fails: a substituted value, two entries swapped, or
+        an entry relocated into the header."""
+        transport, address, verify, _ = secured_env
+        wire = signed_pack("original", "second")
+        accepted = post(transport, address, wire).first_body_entry()
+        assert accepted.local_name == "Parallel_Method"
+        text = wire.decode("utf-8")
+        first = text[text.index('<m0:echo requestID="r0">') : text.index('<m0:echo requestID="r1">')]
+        second = text[text.index('<m0:echo requestID="r1">') : text.index("</spi:Parallel_Method>")]
+        relocated = second.replace("<m0:echo ", f'<m0:echo xmlns:m0="{ECHO_NS}" ')
+        edits = [
+            text.replace(">original<", ">tampered<"),
+            text.replace(first + second, second + first),
+            text.replace(second, "").replace("</SOAP-ENV:Header>", relocated + "</SOAP-ENV:Header>"),
+        ]
+        for edited in edits:
+            assert edited != text
+            response = post(transport, address, edited.encode("utf-8"))
+            assert response.first_body_entry().local_name == "Fault"
+        assert verify.snapshot() == {"verified": 1, "rejected": 3, "anonymous": 0}
 
-        assembler = ClientAssembler(ECHO_NS)
-        assembler.add_call("echo", {"payload": "original"})
-        envelope = assembler.assemble()
-        attach_security_header(envelope, ALICE)
-        # tamper after signing
-        wrapper = envelope.first_body_entry()
-        wrapper.element_children()[0].element_children()[0].children[:] = ["tampered"]
-        proxy = proxy_for(transport, address)
-        response = Envelope.parse(proxy.exchange(envelope), server=True)
+    def test_duplicate_security_header_rejected(self, secured_env):
+        transport, address, verify, _ = secured_env
+        text = signed_pack("x").decode("utf-8")
+        start, end = text.index("<wsse:Security"), text.index("</wsse:Security>") + 16
+        response = post(transport, address, (text[:end] + text[start:end] + text[end:]).encode())
         assert response.first_body_entry().local_name == "Fault"
+        assert verify.snapshot()["rejected"] == 1
+
+    def test_signed_multiref_verifies_and_runs_resolved(self, secured_env):
+        """The digest covers the Body as it arrived, before multiref
+        resolution rewrites the entries, on either reader."""
+        transport, address, verify, _ = secured_env
+        wire = signed_multiref()
+        for read in (read_request_envelope, decode_request_envelope):
+            envelope = read(wire)
+            assert verify_security_header(envelope, SECRETS.get) == "alice"
+            assert [parse_rpc_request(e).params for e in envelope.body_entries] == [
+                {"payload": "shared value"}
+            ]
+        response = post(transport, address, wire)
+        assert response.first_body_entry().element_children()[0].text == "shared value"
+        assert verify.snapshot()["verified"] == 1
 
     def test_must_understand_satisfied_by_verifier(self, secured_env):
         """The signed header is mustUnderstand; the verify handler marks

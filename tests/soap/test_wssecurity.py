@@ -14,6 +14,7 @@ from repro.soap.wssecurity import (
     security_header_overhead,
     verify_security_header,
 )
+from repro.xmlcore.tree import Element
 
 NS = "urn:svc"
 NOW = datetime(2006, 9, 25, 12, 0, 0, tzinfo=timezone.utc)
@@ -60,14 +61,36 @@ class TestSignVerify:
     def test_wrong_secret_raises(self):
         env = build_request_envelope(NS, "echo", {})
         attach_security_header(env, Credentials("alice", b"WRONG"), now=NOW)
+        wire = Envelope.parse(env.to_bytes(), server=True)
         with pytest.raises(SecurityError, match="digest mismatch"):
-            verify_security_header(env, secrets_db, now=NOW)
+            verify_security_header(wire, secrets_db, now=NOW)
 
     def test_tampered_body_raises(self):
-        env = signed_envelope({"payload": "original"})
-        env.first_body_entry().element_children()[0].children[:] = ["tampered"]
+        env = build_request_envelope(NS, "echo", {"payload": "original"})
+        attach_security_header(env, CREDS, now=NOW)
+        wire = env.to_bytes()
+        assert b">original<" in wire
+        tampered = Envelope.parse(wire.replace(b">original<", b">tampered<"), server=True)
         with pytest.raises(SecurityError, match="digest mismatch"):
+            verify_security_header(tampered, secrets_db, now=NOW)
+
+    def test_duplicate_security_header_raises(self):
+        """A second Security header is rejected, not left unexamined."""
+        signed = build_request_envelope(NS, "echo", {"payload": "hi"})
+        attach_security_header(signed, CREDS, now=NOW)
+        text = signed.to_bytes().decode("utf-8")
+        start, end = text.index("<wsse:Security"), text.index("</wsse:Security>") + 16
+        doubled = text[:end] + text[start:end] + text[end:]
+        env = Envelope.parse(doubled, server=True)
+        with pytest.raises(SecurityError, match="more than one"):
             verify_security_header(env, secrets_db, now=NOW)
+
+    def test_built_envelope_has_no_octets_to_verify(self):
+        signed = build_request_envelope(NS, "echo", {})
+        built = build_request_envelope(NS, "echo", {})
+        built.add_header(attach_security_header(signed, CREDS, now=NOW))
+        with pytest.raises(SecurityError, match="no octets"):
+            verify_security_header(built, secrets_db, now=NOW)
 
     def test_stale_timestamp_raises(self):
         env = signed_envelope(now=NOW - timedelta(hours=1))
@@ -105,6 +128,43 @@ class TestSignVerify:
         token.find("Created").children[:] = ["not a date"]
         with pytest.raises(SecurityError, match="unparseable|digest"):
             verify_security_header(env, secrets_db, now=NOW)
+
+
+class TestSignedOctets:
+    """What is signed is the Body's text as written, and what is verified
+    is the Body's text as read."""
+
+    def test_the_signed_octets_are_sent_verbatim(self):
+        """Even where the header moves the writer's generated prefixes."""
+        env = build_request_envelope(NS, "echo", {"payload": "a&b<c>", "n": 7})
+        env.add_header(Element("{urn:unprefixed}hint"))  # written as ns0:hint
+        body = env.seal_body()
+        assert body.startswith(b"<SOAP-ENV:Body>") and body.endswith(b"</SOAP-ENV:Body>")
+        wire = env.to_bytes()
+        assert wire.count(body) == 1 and wire.endswith(body + b"</SOAP-ENV:Envelope>")
+
+    def test_signing_parses_no_encoded_entry(self):
+        env = build_request_envelope(NS, "echo", {"payload": [1, {"k": "v"}]})
+        attach_security_header(env, CREDS, now=NOW)
+        assert env.first_body_entry().parts is not None
+
+    def test_entries_changed_after_signing_are_not_sent(self):
+        env = build_request_envelope(NS, "echo", {"payload": "signed"})
+        attach_security_header(env, CREDS, now=NOW)
+        env.add_body(build_request_envelope(NS, "echo", {"payload": "added"}).first_body_entry())
+        wire = env.to_bytes()
+        assert b"added" not in wire
+        assert verify_security_header(Envelope.parse(wire, server=True), secrets_db, now=NOW)
+
+    def test_the_reader_records_the_body_span(self):
+        document = (
+            '<?xml version="1.0"?>\n<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/">'
+            '<e:Header/>\n <e:Body >\r\n<op xmlns="urn:x"/> </e:Body >\n</e:Envelope>'
+        )
+        env = Envelope.parse(document.encode("utf-8"), server=True)
+        assert env.source[env.body_start : env.body_end] == (
+            '<e:Body >\r\n<op xmlns="urn:x"/> </e:Body >'
+        )
 
 
 class TestOverheadProbe:
