@@ -70,6 +70,8 @@ class ServiceDefinition:
         Unknown operations and signature mismatches are the caller's
         fault and surface as Client faults; anything raised inside the
         operation propagates for the endpoint to map to a Server fault.
+        The signature is consulted only when the call raises
+        ``TypeError``, to tell a mismatch from an error inside.
         """
         try:
             func, signature = self._operations[op_name]
@@ -78,12 +80,15 @@ class ServiceDefinition:
                 f"service '{self.name}' has no operation '{op_name}'"
             ) from None
         try:
-            signature.bind(**params)
-        except TypeError as exc:
-            raise ClientFaultCause(
-                f"{self.name}.{op_name}: bad parameters: {exc}"
-            ) from None
-        return func(**params)
+            return func(**params)
+        except TypeError:
+            try:
+                signature.bind(**params)
+            except TypeError as exc:
+                raise ClientFaultCause(
+                    f"{self.name}.{op_name}: bad parameters: {exc}"
+                ) from None
+            raise
 
     # -- description -------------------------------------------------------------
 

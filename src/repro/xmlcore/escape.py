@@ -5,12 +5,16 @@ references.  The unescape side accepts decimal (``&#65;``) and hexadecimal
 (``&#x41;``) references, which real SOAP toolkits emit for non-ASCII data.
 
 Escaping probes first (clean strings return unchanged) and only then
-runs chained ``str.replace``.  Legality checking of ASCII text is a
-``str.translate`` delete-table probe (one C pass + length compare); the
-regex locates the bad character for the error message and is also the
-probe for non-ASCII text, where ``translate`` is ten times slower than
-the regex.  :func:`has_suspect_chars` is the once-per-document form of
-both checks that the readers run instead of checking every text run.
+runs chained ``str.replace``.  Legality is probed in place, allocating
+nothing the size of the text: one ``in`` (a C memchr scan) per illegal
+C0 control, and on non-ASCII text two more for U+FFFE/U+FFFF and a
+strict UTF-8 encode of 256-character slices, which raises on a lone
+surrogate.  Those are all the characters XML 1.0 forbids, so the probe
+is exact; the regex runs only on text the probe flagged, to locate the
+character for the error message.  :func:`has_suspect_chars` is the
+once-per-document form of that probe (plus ``]]>``) that the readers
+run instead of checking every text run.
+
 Unescaping resolves the five predefined entities with one
 ``str.replace`` each when they are the only references, and otherwise
 copies clean spans in bulk between ``&`` occurrences.
@@ -39,17 +43,11 @@ _ILLEGAL_XML_RE = re.compile(
 )
 
 
-# The ASCII part of the same set as a str.translate table: the C0
-# controls minus tab/LF/CR are deleted, every other ASCII character maps
-# to itself (a complete table — a missing key costs ``translate`` a
-# caught LookupError per distinct character).  On ASCII text that is one
-# C pass plus a length compare, about 8x faster than the regex search on
-# a 100 KB payload; on non-ASCII text ``translate`` is the slower of the
-# two by 10x, so there the regex is the probe.
-_ASCII_CONTROLS_DELETED: dict[int, int | None] = {
-    code: code if code >= 0x20 or code in (0x9, 0xA, 0xD) else None
-    for code in range(0x80)
-}
+# The C0 controls XML forbids, one ``in`` scan each.
+_ILLEGAL_C0 = tuple(chr(code) for code in range(0x20) if code not in (0x9, 0xA, 0xD))
+# Characters per slice of the surrogate probe: a slice and its encoding
+# take about 2 KB at most, whatever the string's width.
+_SURROGATE_SLICE = 256
 
 _ATTR_SPECIAL_RE = re.compile("[&<>\"']")
 
@@ -68,13 +66,32 @@ def is_xml_char(code: int) -> bool:
 def find_illegal_char(text: str) -> Match[str] | None:
     """First character illegal in XML 1.0, as a regex match, or None.
 
-    Clean ASCII text (the overwhelmingly common case) is detected with
-    the translate-table probe; the regex runs on non-ASCII text, or when
-    something illegal is present, to pinpoint it for the diagnostic.
+    The probe answers first; the regex runs only on text it flags, to
+    pinpoint the character for the diagnostic.
     """
-    if text.isascii() and len(text.translate(_ASCII_CONTROLS_DELETED)) == len(text):
+    if not _has_illegal_chars(text):
         return None
     return _ILLEGAL_XML_RE.search(text)
+
+
+def _has_illegal_chars(text: str) -> bool:
+    """True when ``text`` holds a character illegal in XML 1.0.
+
+    Every scan runs in C, and nothing larger than one slice is copied,
+    so a whole document costs no document-sized allocation.
+    """
+    if any(map(text.__contains__, _ILLEGAL_C0)):
+        return True
+    if text.isascii():
+        return False
+    if "\ufffe" in text or "\uffff" in text:
+        return True
+    try:
+        for start in range(0, len(text), _SURROGATE_SLICE):
+            text[start : start + _SURROGATE_SLICE].encode()
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 def has_suspect_chars(document: str) -> bool:
@@ -82,9 +99,7 @@ def has_suspect_chars(document: str) -> bool:
     anywhere, so a reader must check each run to say where and whether
     it matters (``]]>`` is legal outside character data).  False — the
     usual answer — lets a reader skip every per-run check."""
-    return ("]" in document and "]]>" in document) or (
-        find_illegal_char(document) is not None
-    )
+    return ("]" in document and "]]>" in document) or _has_illegal_chars(document)
 
 
 def escape_text(value: str) -> str:

@@ -167,6 +167,15 @@ class TestSignatureBoundAtDeploy:
         assert slot.findtext("faultcode") == "SOAP-ENV:Client"
         assert slot.findtext("faultstring") == self.RECORDED[(service, mismatch)]
 
+    def test_type_error_inside_the_operation_is_a_server_fault(self):
+        # The parameters bind, so the TypeError is the operation's own.
+        container = ServiceContainer([
+            service_from_functions("Inc", "urn:inc", {"inc": lambda n: n + 1}),
+        ])
+        slot = container.execute_entry(serialize_rpc_request("urn:inc", "inc", {"n": "x"}))
+        assert slot.findtext("faultcode") == "SOAP-ENV:Server"
+        assert "bad parameters" not in slot.findtext("faultstring")
+
     def test_defaults_and_bound_self_still_bind(self, container):
         entry = serialize_rpc_request("urn:greeter", "greet", {"name": "ann"})
         assert container.execute_entry(entry).require("return").text == "ann!"
