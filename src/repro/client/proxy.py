@@ -45,7 +45,7 @@ from repro.resilience.policy import (
     DEFAULT_POLICY, CallPolicy, Deadline, RetryState, execute_with_policy,
 )
 from repro.soap.constants import SOAP_ACTION_HEADER, SOAP_CONTENT_TYPE
-from repro.soap.deserializer import parse_response_document
+from repro.soap.deserializer import decode_response_envelope, parse_rpc_response
 from repro.soap.envelope import Envelope
 from repro.soap.serializer import build_request_envelope
 from repro.wsdl.parser import parse_wsdl
@@ -72,10 +72,10 @@ def _fault_of(response) -> Exception:
     """The SoapFaultError carried by a 503/504 body, or an HttpError when
     the body is not a parseable fault envelope."""
     try:
-        parse_response_document(response.body)
+        parse_rpc_response(decode_response_envelope(response.body).first_body_entry())
     except SoapFaultError as fault:
         return fault
-    except (ReproError, StopIteration):
+    except ReproError:
         pass
     return HttpError(f"server returned HTTP {response.status}", status=response.status)
 
@@ -197,9 +197,7 @@ class ServiceProxy:
         )
         response_body = self.exchange(envelope, operation, policy=policy, cache_key=cache_key)
         self.calls += 1
-        # Pull-parse the response: skip straight to the body entry
-        # without materializing headers this client never reads.
-        return parse_response_document(response_body).value
+        return parse_rpc_response(decode_response_envelope(response_body).first_body_entry()).value
 
     def exchange(
         self, envelope: Envelope, action: str = "", *, policy: CallPolicy | None = None,

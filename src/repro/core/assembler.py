@@ -92,7 +92,6 @@ class ServerAssembler(Handler):
     """
 
     name = "spi-server-assembler"
-    reads_entries = False
 
     def invoke_response(self, context: MessageContext) -> None:
         if not context.packed:

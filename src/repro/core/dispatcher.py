@@ -34,7 +34,6 @@ class ServerDispatcher(Handler):
     """Request side of the SPI server handler pair."""
 
     name = "spi-server-dispatcher"
-    reads_entries = False  # a pack's children are its entries, tags and ids
 
     def invoke_request(self, context: MessageContext) -> None:
         entries = context.request_entries

@@ -3,7 +3,7 @@
 Turns an :class:`HttpRequest` into an :class:`HttpResponse`:
 
 1. parse the envelope (protocol processing), decoding the RPC entries
-   straight off the scanner unless a handler reads below their tags;
+   straight off the scanner;
 2. run the request handler chain (where SPI unpacking happens);
 3. fault if a mustUnderstand header survived un-understood;
 4. hand the request entries to the server's executor;
@@ -42,7 +42,7 @@ from repro.soap.constants import (
     FAULT_TAG,
     SOAP_CONTENT_TYPE,
 )
-from repro.soap.deserializer import decode_request_envelope, read_request_envelope
+from repro.soap.deserializer import decode_request_envelope
 from repro.soap.envelope import Envelope
 from repro.soap.fault import SoapFault, fault_code_of
 from repro.server.container import ServiceContainer
@@ -139,11 +139,9 @@ class SoapEndpoint:
     def _handle_soap(self, request: HttpRequest) -> HttpResponse:
         try:
             # Header and body entries come straight off the scanner's pull
-            # front, no scaffold tree.  When no handler reads below an
-            # entry's tag, the entries are decoded there too.
-            parse = read_request_envelope if self.chain.reads_entries else decode_request_envelope
+            # front, no scaffold tree, and the entries are decoded there too.
             with obs_span("soap.parse", detail=f"{len(request.body)}B"):
-                envelope = parse(request.body)
+                envelope = decode_request_envelope(request.body)
         except ReproError as exc:
             self._faults.inc()
             fault = SoapFault(FAULT_CLIENT, f"unparseable SOAP message: {exc}")

@@ -46,17 +46,11 @@ class MessageContext:
 
 
 class Handler:
-    """Base handler; override either direction.
-
-    ``reads_entries`` says whether the handler reads below a body entry's
-    tag (its children, or a digest of them).  A handler reads them
-    unless it says otherwise; the endpoint decodes entries straight off
-    the scanner, with no tree under their tags, only when no handler in
-    its chain reads them.
-    """
+    """Base handler; override either direction.  RPC entries arrive decoded
+    (reading a :class:`DecodedEntry`'s children raises); a handler that needs
+    their markup reads the Body span the reader recorded, as the verifier does."""
 
     name = "handler"
-    reads_entries = True
 
     def invoke_request(self, context: MessageContext) -> None:
         """Called after SOAP parsing, before dispatch."""
@@ -70,13 +64,10 @@ class HandlerChain:
 
     def __init__(self, handlers: list[Handler] | None = None) -> None:
         self._handlers: list[Handler] = list(handlers or [])
-        # decided as the chain is built: does any handler read below a tag?
-        self.reads_entries = any(h.reads_entries for h in self._handlers)
 
     def add(self, handler: Handler) -> "HandlerChain":
         """Append a handler; returns self for chaining."""
         self._handlers.append(handler)
-        self.reads_entries = self.reads_entries or handler.reads_entries
         return self
 
     def names(self) -> list[str]:

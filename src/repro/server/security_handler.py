@@ -5,8 +5,7 @@ require a valid signed UsernameToken on every message.  Because the
 signature covers the Body's octets as they arrived, one token
 authenticates an entire packed batch — which is exactly the
 amortization the paper's §4.2 WS-Security argument relies on.  The
-handler digests the span the reader recorded and reads no entry, so a
-secured chain decodes its entries straight off the scanner.
+handler digests the span the reader recorded and reads no entry.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ class SecurityVerifyHandler(Handler):
     """
 
     name = "wss-verify"
-    reads_entries = False  # it digests the Body's recorded span
 
     def __init__(
         self,

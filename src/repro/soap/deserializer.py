@@ -15,9 +15,9 @@ from typing import Any
 
 from repro.errors import SoapError
 from repro.soap.constants import FAULT_TAG, PARALLEL_METHOD
-from repro.soap.envelope import Envelope, iter_body_entries, walk_envelope
+from repro.soap.envelope import Envelope, walk_envelope
 from repro.soap.fault import ClientFaultCause, SoapFault
-from repro.soap.multiref import has_multirefs, resolve_multirefs
+from repro.soap.multiref import resolve_multirefs
 from repro.soap.serializer import RESPONSE_SUFFIX, RETURN_TAG
 from repro.soap.xsdtypes import decode_value, value_rule
 from repro.xmlcore.tree import Element
@@ -126,46 +126,33 @@ def parse_response_envelope(envelope: Envelope) -> RpcResponse:
     return parse_rpc_response(envelope.first_body_entry())
 
 
-def parse_response_document(document: str | bytes) -> RpcResponse:
-    """Decode a classic single-entry response document off the scanner,
-    skipping any response headers."""
-    try:
-        entry = next(walk_envelope(document, None, _response_entry))
-    except Exception:  # anything unusual: the tree source says what
-        entry = next(iter_body_entries(document))
-    return parse_rpc_response(entry)
-
-
 def read_request_envelope(document: str | bytes) -> Envelope:
     """The tree source for a server: Axis href/multiRef graphs inlined
     before anything downstream sees the entries."""
     envelope = Envelope.parse(document, server=True)
-    if has_multirefs(envelope.body_entries):
-        envelope.body_entries = resolve_multirefs(envelope.body_entries)
+    envelope.body_entries = resolve_multirefs(envelope.body_entries)
     return envelope
 
 
 def decode_request_envelope(document: str | bytes) -> Envelope:
     """The scanner source for a server: headers are trees, each request
     entry (in a ``Parallel_Method`` or not) a :class:`DecodedEntry`."""
+    envelope = Envelope()
     try:
-        return _decode(document, _read_request)
+        envelope.body_entries = list(walk_envelope(document, envelope, _read_request))
     except Exception:  # anything unusual: the tree source says what
         return read_request_envelope(document)
+    return envelope
 
 
 def decode_response_envelope(document: str | bytes) -> Envelope:
-    """The scanner source for a packed client: ``Envelope.parse(document,
-    server=True)``, each RPC response a :class:`DecodedEntry`."""
-    try:
-        return _decode(document, _read_response)
-    except Exception:  # anything unusual: the tree source says what
-        return Envelope.parse(document, server=True)
-
-
-def _decode(document: str | bytes, read_entry) -> Envelope:
+    """The client reader: the whole document, headers skipped unexpanded
+    (no client reads one), each RPC response a :class:`DecodedEntry`."""
     envelope = Envelope()
-    envelope.body_entries = list(walk_envelope(document, envelope, read_entry))
+    try:
+        envelope.body_entries = list(walk_envelope(document, None, _read_response))
+    except Exception:  # anything unusual: the tree source says what
+        return Envelope.parse(document)
     return envelope
 
 

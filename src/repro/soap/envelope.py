@@ -140,19 +140,6 @@ class _SealedBody(Element):
     bindings = tuple(STANDARD_NSMAP.items())
 
 
-def iter_body_entries(document: str | bytes) -> Iterator[Element]:
-    """Yield the Body's entries straight off the scanner.
-
-    The envelope scaffolding is validated (same :class:`SoapError`
-    diagnostics as :meth:`Envelope.parse`) but the Header subtree
-    is *skipped* without namespace expansion or tree building, and only
-    body entries are materialized — the streaming fast path for
-    consumers that feed an
-    :class:`~repro.soap.deserializer.OperationMatcher`.
-    """
-    return walk_envelope(document, None, XmlScanner.read_element)
-
-
 def walk_envelope(
     document: str | bytes,
     envelope: Envelope | None,

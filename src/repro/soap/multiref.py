@@ -27,22 +27,11 @@ HREF_ATTR = "href"
 ID_ATTR = "id"
 
 
-def has_multirefs(entries: list[Element]) -> bool:
-    """True when any entry (or descendant) carries an href attribute or
-    any top-level entry is a multiRef target."""
-    for entry in entries:
-        if entry.get(ID_ATTR) is not None:
-            return True
-        for element in entry.iter():
-            if element.get(HREF_ATTR) is not None:
-                return True
-    return False
-
-
 def resolve_multirefs(entries: list[Element]) -> list[Element]:
     """Inline every href reference; returns the non-multiRef entries.
 
-    The returned elements are rewritten copies; the input list is not
+    The returned elements are rewritten copies, or the same elements
+    when no entry has an ``id`` or ``href``; the input list is not
     mutated.  Raises :class:`SoapError` on dangling hrefs, non-local
     hrefs, duplicate ids, or reference cycles.
     """

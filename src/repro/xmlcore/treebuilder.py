@@ -45,7 +45,7 @@ lifetime.  :func:`build_tree` is the whole-document entry point behind
 
 from __future__ import annotations
 
-from repro.errors import XmlWellFormednessError
+from repro.errors import XmlError, XmlWellFormednessError
 from repro.xmlcore import lexer as lx
 from repro.xmlcore.escape import unescape
 from repro.xmlcore.qname import NamespaceScope
@@ -136,8 +136,9 @@ _new_element = Element.__new__
 VALUE_DEPTH = 64
 
 
-class Unusual(Exception):
-    """The value walk met a shape it leaves to the tree path."""
+class Unusual(XmlError):
+    """The value walk met a shape it leaves to the tree path (were one ever
+    to escape, it would be the malformed-XML fault, not a traceback)."""
 
 
 class XmlScanner:

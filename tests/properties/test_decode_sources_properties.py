@@ -3,33 +3,43 @@
 The tree source builds ``Element`` entries and decodes them
 (``read_request_envelope`` / ``Envelope.parse`` + ``parse_rpc_*``); the
 scanner source decodes entries straight off the scanner's value walk
-(``decode_request_envelope`` / ``decode_response_envelope`` /
-``parse_response_document``).  Every value the encoder emits must come
-back ``canon``-equal from both, in packed and unpacked requests and
-responses, and off the walk itself, not its fallback.  On arbitrary wire
-values (typed, untyped, nil, mixed content, CDATA, comments) both must
-return the same values or raise the same exception type and message.
+(``decode_request_envelope`` on a server, ``decode_response_envelope`` on
+a client).  Every value the encoder emits must come back ``canon``-equal
+from both, in packed and unpacked requests and responses, and off the
+walk itself, not its fallback.  On arbitrary wire values (typed, untyped,
+nil, mixed content, CDATA, comments) both must return the same values or
+raise the same exception type and message.
+
+The client reads the whole response, packed or not: a document cut after
+its first entry, padded after its Body or followed by a second root is
+refused by a packed batch and by an unpacked call alike.
 """
+
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import ClientAssembler, packformat
+from repro.client import ClientConfig, ServiceProxy
+from repro.client.proxy import _fault_of
+from repro.core import ClientAssembler, PackBatch, packformat
 from repro.core.dispatcher import pack_results
+from repro.errors import HttpError, ReproError
+from repro.http import Headers, HttpConnection, HttpRequest, HttpServer
+from repro.server import ServerConfig, build_server, service_from_functions
 from repro.soap import Envelope, serialize_rpc_request, serialize_rpc_response
 from repro.soap.deserializer import (
     DecodedEntry,
-    _response_entry,
     decode_request_envelope,
     decode_response_envelope,
-    parse_response_document,
     parse_rpc_request,
     parse_rpc_response,
     read_request_envelope,
 )
-from repro.soap.envelope import walk_envelope
+from repro.transport.inproc import InProcTransport
 
+from ..soap.test_fallback_corpus import _ReplayProxy
 from .test_codec_properties import ROOT, _render, canon, encodable, wire_values
 
 _SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -109,9 +119,10 @@ def test_unpacked_responses_decode_alike_from_both_sources(value):
     envelope = Envelope()
     envelope.add_body(serialize_rpc_response(NS, "op", value))
     document = envelope.to_bytes()
-    assert isinstance(next(walk_envelope(document, None, _response_entry)), DecodedEntry)
+    scanned = decode_response_envelope(document).first_body_entry()
+    assert isinstance(scanned, DecodedEntry)
     tree = parse_rpc_response(Envelope.parse(document).first_body_entry())
-    assert canon(parse_response_document(document).value) == canon(tree.value)
+    assert canon(parse_rpc_response(scanned).value) == canon(tree.value)
 
 
 def _outcome(function, *args):
@@ -160,3 +171,83 @@ def test_a_decoded_entry_keeps_its_tag_and_attributes_not_its_children():
     assert parse_rpc_request(entry).params == {"a": 1}
     with pytest.raises(Exception, match="decoded off the scanner"):
         entry.element_children()
+
+
+# -- the client reads the whole response ----------------------------------------
+
+BODY_END = "</SOAP-ENV:Body>"
+
+
+def _response_document(values: list, packed: bool) -> str:
+    responses = [serialize_rpc_response(NS, "op", value) for value in values]
+    envelope = Envelope()
+    if packed:
+        for index, response in enumerate(responses):
+            response.set("requestID", packformat.request_id(index))
+        envelope.add_body(packformat.build_parallel_method(responses, assign_ids=False))
+    else:
+        envelope.add_body(responses[0])
+    return envelope.to_string()
+
+
+def _client_refuses(document: str, calls: int, packed: bool) -> bool:
+    """Whether the client answers every call of the response with a
+    ``ReproError`` (a packed batch's slots, an unpacked call's raise)."""
+    body = document.encode("utf-8")
+    if packed:
+        batch = PackBatch(_ReplayProxy(body))
+        for _ in range(calls):
+            batch.call("op")
+        return all(isinstance(slot, ReproError) for slot in batch.send())
+    proxy = ServiceProxy(ClientConfig(InProcTransport(), "replay", namespace=NS))
+    proxy.exchange = lambda *args, **kwargs: body
+    try:
+        proxy.call("op")
+    except ReproError:
+        return True
+    return False
+
+
+@_SETTINGS
+@given(st.lists(encodable, min_size=1, max_size=3), st.booleans(), st.data())
+def test_a_cut_or_padded_response_is_refused(values, packed, data):
+    values = values if packed else values[:1]
+    document = _response_document(values, packed)
+    assert not _client_refuses(document, len(values), packed)
+    first_end = re.search(r"</[^>]*opResponse>", document).end()
+    cut = data.draw(st.integers(first_end, len(document) - 1), label="cut")
+    body_end = document.index(BODY_END) + len(BODY_END)
+    for broken in (
+        document[:cut],
+        document[:body_end] + "<stray/>" + document[body_end:],
+        document + "<SOAP-ENV:Envelope/>",
+    ):
+        assert _client_refuses(broken, len(values), packed), broken[-80:]
+
+
+def _padded(app):
+    """``app``, with an element appended after each response's root."""
+
+    def serve(request):
+        response = app(request)
+        response.body += b"<stray/>"
+        return response
+
+    return serve
+
+
+def test_a_padded_response_is_refused_end_to_end():
+    server = build_server(
+        ServerConfig(services=[service_from_functions("Echo", NS, {"echo": lambda payload: payload})])
+    )
+    transport = InProcTransport()
+    with HttpServer(_padded(server.endpoint), transport=transport, address="padded").running() as address:
+        proxy = ServiceProxy(ClientConfig(transport, address, namespace=NS, service_name="Echo"))
+        with pytest.raises(ReproError, match="more than one root element"):
+            proxy.call("echo", payload="hello")
+        with HttpConnection(transport, address) as connection:  # a padded Client fault
+            response = connection.request(
+                HttpRequest("POST", "/services/Echo", Headers({"SOAPAction": '""'}), b"<not-soap/>")
+            )
+    assert response.status == 400 and b"<SOAP-ENV:Fault>" in response.body
+    assert isinstance(_fault_of(response), HttpError)

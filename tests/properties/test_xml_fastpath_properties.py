@@ -17,10 +17,11 @@ import string
 import pytest
 
 from repro.soap.constants import SOAP_ENV_NS
-from repro.soap.envelope import Envelope, iter_body_entries
+from repro.soap.envelope import Envelope, walk_envelope
 from repro.xmlcore.escape import escape_attribute, escape_text, unescape
 from repro.xmlcore import parse
 from repro.xmlcore.tree import Element
+from repro.xmlcore.treebuilder import XmlScanner
 from repro.xmlcore.writer import serialize
 
 # Alphabet skewed toward the characters the fast paths special-case.
@@ -101,7 +102,7 @@ def test_pull_matches_tree_parse(seed):
         envelope.add_body(_random_element(rng))
     document = envelope.to_string()
 
-    pulled = list(iter_body_entries(document))
+    pulled = list(walk_envelope(document, None, XmlScanner.read_element))
     full = Envelope.parse(document, server=True).body_entries
     assert len(pulled) == len(full)
     for a, b in zip(pulled, full):

@@ -181,15 +181,13 @@ class TestServicesIndex:
 
 
 class TestDecodePathByChain:
-    """The chain decides, as it is built, whether the endpoint decodes
-    entries straight off the scanner: only when no handler in it reads
-    below an entry's tag."""
+    """Whatever the chain holds, the endpoint decodes entries straight off
+    the scanner: there is one server reader."""
 
     class _Seen(Handler):
         """Records the request entries the chain hands on."""
 
         name = "seen"
-        reads_entries = False
 
         def __init__(self):
             self.entries = []
@@ -220,19 +218,17 @@ class TestDecodePathByChain:
 
         seen = self._Seen()
         chain = HandlerChain(spi_server_handlers() + [seen])
-        assert not chain.reads_entries
         self._post(chain, container)
         assert [type(e) for e in seen.entries] == [DecodedEntry, DecodedEntry]
 
-    def test_a_custom_handler_keeps_the_tree_path(self, container):
+    def test_a_bare_handler_gets_decoded_entries(self, container):
         from repro.core.dispatcher import spi_server_handlers
 
         seen = self._Seen()
         chain = HandlerChain(spi_server_handlers() + [seen])
-        chain.add(Handler())  # says nothing, so it reads below the tags
-        assert chain.reads_entries
+        chain.add(Handler())
         self._post(chain, container)
-        assert [type(e) for e in seen.entries] == [Element, Element]
+        assert [type(e) for e in seen.entries] == [DecodedEntry, DecodedEntry]
 
     def test_the_security_verifier_takes_the_scanner_path(self, container, monkeypatch):
         """The verifier digests the Body's recorded span and reads no
@@ -247,7 +243,6 @@ class TestDecodePathByChain:
         seen = self._Seen()
         verify = SecurityVerifyHandler(lambda user: None, required=False)
         chain = HandlerChain([verify, *spi_server_handlers(), seen])
-        assert not chain.reads_entries
         self._post(chain, container)
         assert len(parsed) == 1
         assert [type(e) for e in seen.entries] == [DecodedEntry, DecodedEntry]

@@ -11,7 +11,8 @@ code answered when the corpus was recorded — before the walk existed:
 * ``server``: the HTTP status and body a server with the SPI handler
   pair answers each request with;
 * ``client``: each slot of a two-call :class:`PackBatch` fed the packed
-  response, and :func:`parse_response_document` on the unpacked one.
+  response, and the unpacked one's first entry as the client reader
+  (:func:`decode_response_envelope`) hands it to :func:`parse_rpc_response`.
 
 The ``ordinary`` case is the control: a document the walk does read.
 ``python tests/soap/test_fallback_corpus.py write`` re-records the file
@@ -29,7 +30,7 @@ import pytest
 from repro.core import PackBatch, spi_server_handlers
 from repro.http.message import Headers, HttpRequest
 from repro.server import HandlerChain, ServerConfig, build_server, service_from_functions
-from repro.soap.deserializer import parse_response_document
+from repro.soap.deserializer import decode_response_envelope, parse_rpc_response
 
 CORPUS_PATH = pathlib.Path(__file__).parent / "golden" / "fallback_corpus.json"
 NS = "urn:corpus"
@@ -159,7 +160,10 @@ def observe(trigger: str) -> dict:
         else ["returned", repr(slot)]
         for slot in slots
     ]
-    answers["response"] = outcome(parse_response_document, docs["response"].encode("utf-8"))
+    answers["response"] = outcome(
+        lambda body: parse_rpc_response(decode_response_envelope(body).first_body_entry()),
+        docs["response"].encode("utf-8"),
+    )
     return answers
 
 

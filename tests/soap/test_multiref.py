@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SoapError
 from repro.soap.deserializer import parse_rpc_request
 from repro.soap.envelope import Envelope
-from repro.soap.multiref import has_multirefs, resolve_multirefs
+from repro.soap.multiref import resolve_multirefs
 from repro.xmlcore import parse
 from repro.server import ServerConfig, build_server
 
@@ -27,15 +27,23 @@ def entries_of(document: str):
 
 
 class TestDetection:
+    """The resolver detects a multiRef graph itself: without an id or href
+    it hands the entries back untouched."""
+
     def test_detects_href(self):
-        assert has_multirefs(entries_of(AXIS_MULTIREF))
+        entries = entries_of(AXIS_MULTIREF)
+        resolved = resolve_multirefs(entries)
+        assert len(resolved) == 1 and resolved[0] is not entries[0]
+        assert resolved[0].element_children()[0].get("href") is None
 
     def test_plain_body_not_detected(self):
         doc = (
             '<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/">'
             "<e:Body><op xmlns='urn:x'><a>1</a></op></e:Body></e:Envelope>"
         )
-        assert not has_multirefs(entries_of(doc))
+        entries = entries_of(doc)
+        resolved = resolve_multirefs(entries)
+        assert len(resolved) == 1 and resolved[0] is entries[0]
 
 
 class TestResolution:

@@ -4,8 +4,9 @@ import pytest
 
 from repro.errors import SoapError, XmlWellFormednessError
 from repro.soap.constants import SOAP_ENV_NS
-from repro.soap.envelope import Envelope, iter_body_entries
+from repro.soap.envelope import Envelope, walk_envelope
 from repro.xmlcore import parse
+from repro.xmlcore.treebuilder import XmlScanner
 from repro.xmlcore.writer import serialize
 
 from .token_reader import XmlCursor
@@ -93,13 +94,15 @@ class TestXmlCursor:
 
 
 class TestIterBodyEntries:
+    """The envelope walk, reading body entries as trees and skipping headers."""
+
     def test_yields_body_entries(self):
-        entries = list(iter_body_entries(ENV))
+        entries = list(walk_envelope(ENV, None, XmlScanner.read_element))
         assert [e.local_name for e in entries] == ["echo", "echo"]
         assert entries[0].findtext("payload") == "hi"
 
     def test_matches_tree_parse(self):
-        pulled = list(iter_body_entries(ENV))
+        pulled = list(walk_envelope(ENV, None, XmlScanner.read_element))
         full = Envelope.parse(ENV, server=True).body_entries
         assert len(pulled) == len(full)
         for a, b in zip(pulled, full):
@@ -132,26 +135,27 @@ class TestIterBodyEntries:
         document = ENV.replace("<h:token xmlns:h=\"urn:h\">", "<h:token>")
         with pytest.raises(Exception):
             Envelope.parse(document, server=True)
-        assert [e.local_name for e in iter_body_entries(document)] == ["echo", "echo"]
+        entries = walk_envelope(document, None, XmlScanner.read_element)
+        assert [e.local_name for e in entries] == ["echo", "echo"]
 
     def test_wrong_namespace(self):
         document = '<Envelope xmlns="urn:nope"><Body><a/></Body></Envelope>'
         with pytest.raises(SoapError, match="unsupported SOAP envelope namespace"):
-            list(iter_body_entries(document))
+            list(walk_envelope(document, None, XmlScanner.read_element))
 
     def test_not_an_envelope(self):
         with pytest.raises(SoapError, match="not a SOAP Envelope"):
-            list(iter_body_entries("<r/>"))
+            list(walk_envelope("<r/>", None, XmlScanner.read_element))
 
     def test_no_body(self):
         document = f'<e:Envelope xmlns:e="{SOAP_ENV_NS}"><e:Header/></e:Envelope>'
         with pytest.raises(SoapError, match="no Body"):
-            list(iter_body_entries(document))
+            list(walk_envelope(document, None, XmlScanner.read_element))
 
     def test_empty_body(self):
         document = f'<e:Envelope xmlns:e="{SOAP_ENV_NS}"><e:Body/></e:Envelope>'
         with pytest.raises(SoapError, match="Body is empty"):
-            list(iter_body_entries(document))
+            list(walk_envelope(document, None, XmlScanner.read_element))
 
     def test_elements_after_body(self):
         document = (
@@ -159,7 +163,7 @@ class TestIterBodyEntries:
             "<e:Body><a/></e:Body><stray/></e:Envelope>"
         )
         with pytest.raises(SoapError, match="after SOAP Body"):
-            list(iter_body_entries(document))
+            list(walk_envelope(document, None, XmlScanner.read_element))
 
     def test_parse_default_skips_headers(self):
         envelope = Envelope.parse(ENV)
@@ -169,5 +173,5 @@ class TestIterBodyEntries:
         assert serialize(envelope.body_entries[0]).startswith("<")
 
     def test_accepts_bytes(self):
-        entries = list(iter_body_entries(ENV.encode("utf-8")))
+        entries = list(walk_envelope(ENV.encode("utf-8"), None, XmlScanner.read_element))
         assert len(entries) == 2
