@@ -58,7 +58,7 @@ def main() -> None:
             except SoapFaultError as fault:
                 print(f"{label:>22} : rejected ({fault.faultstring[:50]}...)")
 
-        print("\nverifier counters      :", verifier.snapshot())
+        print("\nverifier counters      :", verifier.registry.snapshot()["counters"])
         for proxy in (signed, anonymous, mallory):
             proxy.close()
 

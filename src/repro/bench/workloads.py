@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.apps.echo import ECHO_NS, ECHO_SERVICE, make_echo_payload, make_echo_service
-from repro.client.cache import ResponseCache
 from repro.client.config import ClientConfig, build_proxy
 from repro.client.invoker import (
     Call,
@@ -79,7 +78,6 @@ class Testbed:
         *,
         reuse_connections: bool = False,
         tracer: Tracer | None = None,
-        response_cache: ResponseCache | None = None,
         accept_encoding: str | None = None,
         request_compression: CompressionPolicy | None = None,
     ) -> ServiceProxy:
@@ -88,7 +86,6 @@ class Testbed:
         When the testbed carries an :class:`Observability` and no
         explicit ``tracer`` is given, the proxy shares the testbed's
         tracer so client and server spans land in the same trace.
-        ``response_cache`` (client-side parameterized response cache),
         ``accept_encoding`` (offer response compression) and
         ``request_compression`` (compress request bodies) pass straight
         through to :class:`~repro.client.config.ClientConfig`.
@@ -102,7 +99,6 @@ class Testbed:
             service_name=ECHO_SERVICE,
             reuse_connections=reuse_connections,
             tracer=tracer,
-            response_cache=response_cache,
             accept_encoding=accept_encoding,
             request_compression=request_compression,
         ))

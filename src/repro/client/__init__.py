@@ -1,10 +1,5 @@
-"""Client side: dynamic proxies, invocation strategies, futures, caching."""
+"""Client side: dynamic proxies, invocation strategies, futures."""
 
-from repro.client.cache import (
-    CachePolicy,
-    ResponseCache,
-    response_cache_key,
-)
 from repro.client.config import ClientConfig, build_proxy
 from repro.client.futures import InvocationFuture, ResultArray, wait_all
 from repro.client.invoker import (
@@ -17,18 +12,15 @@ from repro.client.invoker import (
 from repro.client.proxy import ServiceProxy
 
 __all__ = [
-    "CachePolicy",
     "Call",
     "ClientConfig",
     "InvocationFuture",
     "Invoker",
     "KeepAliveSerialInvoker",
-    "ResponseCache",
     "ResultArray",
     "SerialInvoker",
     "ServiceProxy",
     "ThreadedInvoker",
     "build_proxy",
-    "response_cache_key",
     "wait_all",
 ]

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Any, Sequence
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.soap.wssecurity import Credentials
 
-from repro.client.cache import ResponseCache
 from repro.errors import InvocationError
 from repro.http.compression import CompressionPolicy
 from repro.obs.trace import Tracer
@@ -55,7 +54,7 @@ class ClientConfig:
     * **resilience** — ``policy`` (timeout/deadline/retries), ``hedge``
       (tail-at-scale speculative attempts), ``limiter`` (AIMD adaptive
       concurrency window);
-    * **observability** — ``tracer``, ``response_cache``.
+    * **observability** — ``tracer``.
     """
 
     transport: Transport | None = None
@@ -71,7 +70,6 @@ class ClientConfig:
     policy: CallPolicy | None = None
     hedge: HedgePolicy | None = None
     limiter: AdaptiveLimiter | None = None
-    response_cache: ResponseCache | None = None
     accept_encoding: str | None = None
     request_compression: CompressionPolicy | None = None
 

@@ -2,15 +2,14 @@
 
 Every client entry point (``call``, the invokers, the pack path) goes
 through :meth:`ServiceProxy.exchange`, which runs PROTOCOL.md §10's
-client steps in order:
+client steps in order, and every call reaches the server:
 
-1. **cache** — a stored fault-free body answers the call outright;
-2. **limiter** — each attempt takes an AIMD slot or is gated locally;
-3. **deadline** — each attempt re-bases the ``<res:Deadline>`` header
+1. **limiter** — each attempt takes an AIMD slot or is gated locally;
+2. **deadline** — each attempt re-bases the ``<res:Deadline>`` header
    and its wire timeout on the whole-call budget left;
-4. **attempt** — one wire send, raced by at most one hedge once it
+3. **attempt** — one wire send, raced by at most one hedge once it
    outlives the operation's own latency quantile in the client rollup;
-5. **retry classification** — a retryable failure goes round 2–4 again
+4. **retry classification** — a retryable failure goes round 1–3 again
    under the :class:`CallPolicy`, while budget remains.
 
 Construct through :class:`~repro.client.config.ClientConfig` +
@@ -25,7 +24,6 @@ import threading
 import time
 from typing import Any, NamedTuple
 
-from repro.client.cache import is_fault_free, response_cache_key
 from repro.client.config import ClientConfig
 from repro.errors import (
     FAULTCODE_SERVER_BUSY, HttpError, ReproError, SoapFaultError, TransportError,
@@ -127,7 +125,6 @@ class ServiceProxy:
         self.policy = config.policy if config.policy is not None else DEFAULT_POLICY
         self.hedge = config.hedge
         self.limiter = config.limiter
-        self.response_cache = config.response_cache
         # the proxy's metric home: the tracer's registry when one is
         # wired (so counters land next to the server's in /metrics),
         # else a private registry that still feeds the hedge rollups;
@@ -188,43 +185,23 @@ class ServiceProxy:
         operations may legitimately take a ``policy`` parameter."""
         if self.config.interface is not None:
             self.config.interface.check_call(operation, params)
-        cache = self.response_cache
-        cache_key = None
-        if cache is not None and cache.policy.is_cacheable(operation):
-            cache_key = response_cache_key(self.namespace, operation, params)
         envelope = build_request_envelope(
             self.namespace, operation, params, headers=[h.copy() for h in self.extra_headers]
         )
-        response_body = self.exchange(envelope, operation, policy=policy, cache_key=cache_key)
+        response_body = self.exchange(envelope, operation, policy=policy)
         self.calls += 1
         return parse_rpc_response(decode_response_envelope(response_body).first_body_entry()).value
 
     def exchange(
         self, envelope: Envelope, action: str = "", *, policy: CallPolicy | None = None,
-        cache_key: tuple | None = None, hedgeable: bool = True,
+        hedgeable: bool = True,
     ) -> bytes:
         """Send a request envelope; return the undecoded response body.
 
-        Step 1, the cache: under ``cache_key`` (``None`` bypasses it) a
-        stored body answers without taking a limiter slot, opening a
-        connection or counting a retry; concurrent misses fetch once and
-        only fault-free bodies are stored.  ``hedgeable=False`` disarms
-        hedging for envelopes unsafe to send twice (packs with a cast).
+        Step 4, retry classification, around steps 1–3 per attempt.
+        ``hedgeable=False`` disarms hedging for envelopes unsafe to send
+        twice (packs with a cast).
         """
-        cache = self.response_cache
-        if cache is None or cache_key is None:
-            return self._exchange_uncached(envelope, action, policy, hedgeable)
-        body, _ = cache.get_or_fetch(
-            cache_key,
-            lambda: self._exchange_uncached(envelope, action, policy, hedgeable),
-            validate=is_fault_free,
-        )
-        return body
-
-    def _exchange_uncached(
-        self, envelope: Envelope, action: str, policy: CallPolicy | None, hedgeable: bool
-    ) -> bytes:
-        """Step 5, retry classification, around steps 2–4 per attempt."""
         policy = policy if policy is not None else self.policy
         headers = {"Content-Type": SOAP_CONTENT_TYPE,
                    SOAP_ACTION_HEADER: f'"{self.namespace}#{action}"', **self._headers}
@@ -269,7 +246,7 @@ class ServiceProxy:
             self.retries += state.retries
 
     def _attempt(self, call: _Call, deadline: Deadline) -> bytes:
-        """Step 2, the limiter: every attempt, retries included, takes an
+        """Step 1, the limiter: every attempt, retries included, takes an
         AIMD slot first or is gated with a local ``Server.Busy``."""
         limiter = self.limiter
         if limiter is None:
@@ -292,7 +269,7 @@ class ServiceProxy:
             self._limiter_gauge.set(limiter.limit)
 
     def _send(self, call: _Call, deadline: Deadline) -> bytes:
-        """Steps 3 and 4: re-base the deadline, then send the attempt —
+        """Steps 2 and 3: re-base the deadline, then send the attempt —
         raced by one hedge once it outlives the rollup quantile."""
         request, budget, io_budget = self._rebase(call, deadline)
         trigger = None
@@ -304,7 +281,7 @@ class ServiceProxy:
         return self._race(call, request, io_budget, trigger, deadline)
 
     def _rebase(self, call: _Call, deadline: Deadline) -> tuple[HttpRequest, Any, Any]:
-        """Step 3: this attempt's budget, its request with that budget in
+        """Step 2: this attempt's budget, its request with that budget in
         the ``<res:Deadline>`` header, and its wire timeout budget."""
         policy = call.policy
         budget = policy.attempt_budget(deadline)
@@ -326,7 +303,7 @@ class ServiceProxy:
         io_budget = budget if policy.deadline is not None else None
         return HttpRequest("POST", self.path, headers, body), budget, io_budget
 
-    # -- step 4: the wire attempt and the hedge race ----------------------------
+    # -- step 3: the wire attempt and the hedge race ----------------------------
 
     def _race(
         self, call: _Call, request: HttpRequest, io_budget, trigger: float, deadline: Deadline

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.client.cache import response_cache_key
 from repro.client.futures import InvocationFuture
 from repro.client.invoker import Call, Invoker
 from repro.client.proxy import ServiceProxy
@@ -43,11 +42,6 @@ class PackBatch:
         self._policy = policy  # None -> the proxy's default at flush time
         self._assembler = ClientAssembler(proxy.namespace)
         self._flushed = False
-        # (namespace, operation, params) per queued call — the raw
-        # material for the pack-level response-cache key.  One-way
-        # calls poison cacheability (side effects, accept-only acks).
-        self._call_keys: list[tuple] = []
-        self._cacheable = True
         # one-way casts are not idempotent: a hedged duplicate would
         # execute the side effect twice, so the flush disarms hedging
         self._has_cast = False
@@ -56,7 +50,6 @@ class PackBatch:
         """Queue one invocation; returns its future immediately."""
         if self._flushed:
             raise PackError("batch already flushed; create a new one")
-        self._note_call(self._proxy.namespace, operation, params)
         return self._assembler.add_call(operation, params)
 
     def call_service(
@@ -66,7 +59,6 @@ class PackBatch:
         container (the packed message's endpoint stays the proxy's)."""
         if self._flushed:
             raise PackError("batch already flushed; create a new one")
-        self._note_call(namespace, operation, params)
         return self._assembler.add_call(operation, params, namespace=namespace)
 
     def cast(self, operation: str, /, **params: Any) -> InvocationFuture:
@@ -77,26 +69,8 @@ class PackBatch:
         """
         if self._flushed:
             raise PackError("batch already flushed; create a new one")
-        self._cacheable = False
         self._has_cast = True
         return self._assembler.add_call(operation, params, one_way=True)
-
-    def _note_call(self, namespace: str, operation: str, params: dict) -> None:
-        cache = self._proxy.response_cache
-        if cache is None or not self._cacheable:
-            return
-        if cache.policy.is_cacheable(operation):
-            self._call_keys.append(response_cache_key(namespace, operation, params))
-        else:
-            self._cacheable = False
-
-    def _pack_cache_key(self) -> tuple | None:
-        """The whole-batch cache key, or ``None`` when any queued call
-        is uncacheable.  Leads with the proxy namespace so
-        service-level invalidation reaches pack entries too."""
-        if self._proxy.response_cache is None or not self._cacheable:
-            return None
-        return (self._proxy.namespace, "Parallel_Method", tuple(self._call_keys))
 
     def __len__(self) -> int:
         return len(self._assembler)
@@ -128,7 +102,6 @@ class PackBatch:
                 envelope,
                 action="Parallel_Method",
                 policy=self._policy,
-                cache_key=self._pack_cache_key(),
                 hedgeable=not self._has_cast,
             )
             slots = pack_results(decode_response_envelope(body), futures)

@@ -19,8 +19,9 @@ substrate that makes those phases visible end-to-end:
   behind ``GET /trace/<id>?format=text``;
 * :mod:`repro.obs.prometheus` — the text exposition format behind
   ``GET /metrics?format=prometheus``;
-* :mod:`repro.obs.slo` — budgets-vs-snapshot checker behind
-  ``python -m repro.obs.slo check`` and the CI gate.
+* :mod:`repro.obs.slo` — the offline budgets-vs-snapshot evaluator,
+  ``python -m repro.obs.slo check``, run against a saved ``/metrics``
+  snapshot.
 
 Every server owns a registry.  Attach one :class:`Observability` to a
 server (and optionally share its tracer with a client proxy) to add the

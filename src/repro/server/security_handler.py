@@ -5,16 +5,18 @@ require a valid signed UsernameToken on every message.  Because the
 signature covers the Body's octets as they arrived, one token
 authenticates an entire packed batch — which is exactly the
 amortization the paper's §4.2 WS-Security argument relies on.  The
-handler digests the span the reader recorded and reads no entry.
+handler digests the span the reader recorded and reads no entry.  It
+counts ``security.verified``, ``security.rejected`` and
+``security.anonymous`` into the registry it is given.
 """
 
 from __future__ import annotations
 
-import threading
 from datetime import timedelta
 from typing import Callable
 
 from repro.errors import SecurityError
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import span as obs_span
 from repro.server.handlers import Handler, MessageContext
 from repro.soap.wssecurity import DEFAULT_FRESHNESS, SECURITY_TAG, verify_security_header
@@ -38,20 +40,22 @@ class SecurityVerifyHandler(Handler):
         *,
         freshness: timedelta = DEFAULT_FRESHNESS,
         required: bool = True,
+        registry: MetricsRegistry | None = None,
     ) -> None:
+        """``registry``: where the verify outcomes count (the handler's
+        own when none is given)."""
         self._lookup_secret = lookup_secret
         self._freshness = freshness
         self._required = required
-        self._lock = threading.Lock()
-        self.verified = 0
-        self.rejected = 0
-        self.anonymous = 0
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._verified = self.registry.counter("security.verified")
+        self._rejected = self.registry.counter("security.rejected")
+        self._anonymous = self.registry.counter("security.anonymous")
 
     def invoke_request(self, context: MessageContext) -> None:
         envelope = context.request_envelope
         if envelope.find_header(SECURITY_TAG) is None and not self._required:
-            with self._lock:
-                self.anonymous += 1
+            self._anonymous.inc()
             return
         try:
             with obs_span("security.verify"):
@@ -59,18 +63,7 @@ class SecurityVerifyHandler(Handler):
                     envelope, self._lookup_secret, freshness=self._freshness
                 )
         except SecurityError:
-            with self._lock:
-                self.rejected += 1
+            self._rejected.inc()
             raise
         context.understood_headers.add(SECURITY_TAG)
-        with self._lock:
-            self.verified += 1
-
-    def snapshot(self) -> dict[str, int]:
-        """verified/rejected/anonymous counters."""
-        with self._lock:
-            return {
-                "verified": self.verified,
-                "rejected": self.rejected,
-                "anonymous": self.anonymous,
-            }
+        self._verified.inc()

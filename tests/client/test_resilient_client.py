@@ -15,7 +15,6 @@ import time
 import pytest
 
 from repro.apps.echo import ECHO_NS, ECHO_SERVICE, make_echo_service
-from repro.client.cache import CachePolicy, ResponseCache
 from repro.client.config import ClientConfig, build_proxy
 from repro.client.proxy import CLIENT_ROLLUP_PREFIX
 from repro.core.batch import PackBatch
@@ -28,7 +27,6 @@ from repro.resilience.policy import CallPolicy
 from repro.server import ServerConfig, build_server
 from repro.server.handlers import HandlerChain
 from repro.transport.base import Channel, Transport
-from ..metrics import counters
 from ..transport.chaos import ChaosTransport
 from repro.transport.inproc import InProcTransport
 
@@ -105,8 +103,7 @@ def start_echo_server(transport):
 
 
 def make_hedging_proxy(base, address, *, client_transport=None, hedge=None,
-                       limiter=None, policy=None, reuse_connections=False,
-                       response_cache=None):
+                       limiter=None, policy=None, reuse_connections=False):
     return build_proxy(ClientConfig(
         client_transport if client_transport is not None else base,
         address,
@@ -116,7 +113,6 @@ def make_hedging_proxy(base, address, *, client_transport=None, hedge=None,
         limiter=limiter,
         policy=policy,
         reuse_connections=reuse_connections,
-        response_cache=response_cache,
     ))
 
 
@@ -263,10 +259,7 @@ class TestAdaptiveLimiterClient:
         server, address = start_echo_server(base)
         try:
             limiter = AdaptiveLimiter(initial=1.0)
-            proxy = make_hedging_proxy(
-                base, address, limiter=limiter,
-                response_cache=ResponseCache(CachePolicy(ttl=None)),
-            )
+            proxy = make_hedging_proxy(base, address, limiter=limiter)
             assert limiter.try_acquire()  # occupy the single slot
             with pytest.raises(SoapFaultError) as excinfo:
                 proxy.echo(payload="gated")
@@ -276,17 +269,6 @@ class TestAdaptiveLimiterClient:
             assert proxy.connections_opened == 0  # shed before the wire
             limiter.release("success")
             assert proxy.echo(payload="admitted") == "admitted"
-            # the cache step comes before the limiter and outside the
-            # retry loop: a hit with the window full again takes no
-            # slot, opens no connection and counts no retry
-            assert limiter.try_acquire()
-            retrying = CallPolicy(retries=3, backoff_base=0.0, jitter=0.0)
-            assert proxy.call_with_policy("echo", retrying, payload="admitted") == "admitted"
-            assert counters(proxy.response_cache)["cache.client.hit"] == 1
-            assert proxy.metrics.counter("client.limiter.gated").value == 1
-            assert proxy.connections_opened == 1
-            assert proxy.retries == 0
-            limiter.release("success")
             proxy.close()
         finally:
             server.stop()

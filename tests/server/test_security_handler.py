@@ -21,6 +21,8 @@ from repro.xmlcore.tree import Element
 from repro.server import ServerConfig, build_server
 from repro.client.config import ClientConfig, build_proxy
 
+from ..metrics import counters
+
 SECRETS = {"alice": b"alice-secret", "bob": b"bob-secret"}
 ALICE = Credentials("alice", SECRETS["alice"])
 MALLORY = Credentials("mallory", b"guess")
@@ -78,7 +80,7 @@ class TestSecurityEnforcement:
         transport, address, verify, _ = secured_env
         proxy = proxy_for(transport, address, ALICE)
         assert proxy.call("echo", payload="authenticated") == "authenticated"
-        assert verify.snapshot()["verified"] == 1
+        assert counters(verify)["security.verified"] == 1
 
     def test_unsigned_call(self, secured_env):
         transport, address, verify, required = secured_env
@@ -88,20 +90,41 @@ class TestSecurityEnforcement:
                 proxy.call("echo", payload="anon")
         else:
             assert proxy.call("echo", payload="anon") == "anon"
-            assert verify.snapshot()["anonymous"] == 1
+            assert counters(verify)["security.anonymous"] == 1
 
     def test_unknown_user_rejected(self, secured_env):
         transport, address, verify, _ = secured_env
         proxy = proxy_for(transport, address, MALLORY)
         with pytest.raises(SoapFaultError):
             proxy.call("echo", payload="x")
-        assert verify.snapshot()["rejected"] == 1
+        assert counters(verify)["security.rejected"] == 1
 
     def test_wrong_secret_rejected(self, secured_env):
         transport, address, _, _ = secured_env
         proxy = proxy_for(transport, address, WRONG_ALICE)
         with pytest.raises(SoapFaultError):
             proxy.call("echo", payload="x")
+
+    def test_an_answered_call_answers_no_one_else(self, secured_env):
+        """After alice's call is answered, the identical call from a
+        wrong secret and from nobody each reaches the verifier: the
+        wrong secret is refused, and so is nobody where a signature is
+        required.  No answer outlives the request it was executed for."""
+        transport, address, verify, required = secured_env
+        assert proxy_for(transport, address, ALICE).call("echo", payload="same") == "same"
+        with pytest.raises(SoapFaultError):
+            proxy_for(transport, address, WRONG_ALICE).call("echo", payload="same")
+        anonymous = proxy_for(transport, address)
+        if required:
+            with pytest.raises(SoapFaultError):
+                anonymous.call("echo", payload="same")
+        else:
+            assert anonymous.call("echo", payload="same") == "same"
+        assert counters(verify) == {
+            "security.anonymous": 0 if required else 1,
+            "security.rejected": 2 if required else 1,
+            "security.verified": 1,
+        }
 
     def test_signed_packed_batch_accepted(self, secured_env):
         """One signature authenticates the entire packed batch — the
@@ -111,7 +134,7 @@ class TestSecurityEnforcement:
         with PackBatch(proxy) as batch:
             futures = [batch.call("echo", payload=f"m{i}") for i in range(5)]
         assert [f.result(timeout=10) for f in futures] == [f"m{i}" for i in range(5)]
-        assert verify.snapshot()["verified"] == 1
+        assert counters(verify)["security.verified"] == 1
 
     def test_values_mutated_after_the_call_are_not_sent(self, secured_env, monkeypatch):
         """An entry is encoded when it is queued: what is signed, sent
@@ -127,7 +150,7 @@ class TestSecurityEnforcement:
             records[0]["city"] = "after"
             records.append({"city": "appended"})
         assert future.result(timeout=10) == [{"city": "before", "n": 1}]
-        assert verify.snapshot()["verified"] == 1
+        assert counters(verify)["security.verified"] == 1
         assert b"before" in sent[0] and b"after" not in sent[0] and b"appended" not in sent[0]
 
     def test_unsigned_packed_batch_rejected_whole(self, secured_env):
@@ -162,7 +185,9 @@ class TestSecurityEnforcement:
             assert edited != text
             response = post(transport, address, edited.encode("utf-8"))
             assert response.first_body_entry().local_name == "Fault"
-        assert verify.snapshot() == {"verified": 1, "rejected": 3, "anonymous": 0}
+        assert counters(verify) == {
+            "security.anonymous": 0, "security.rejected": 3, "security.verified": 1,
+        }
 
     def test_duplicate_security_header_rejected(self, secured_env):
         transport, address, verify, _ = secured_env
@@ -170,7 +195,7 @@ class TestSecurityEnforcement:
         start, end = text.index("<wsse:Security"), text.index("</wsse:Security>") + 16
         response = post(transport, address, (text[:end] + text[start:end] + text[end:]).encode())
         assert response.first_body_entry().local_name == "Fault"
-        assert verify.snapshot()["rejected"] == 1
+        assert counters(verify)["security.rejected"] == 1
 
     def test_signed_multiref_verifies_and_runs_resolved(self, secured_env):
         """The digest covers the Body as it arrived, before multiref
@@ -185,7 +210,7 @@ class TestSecurityEnforcement:
             ]
         response = post(transport, address, wire)
         assert response.first_body_entry().element_children()[0].text == "shared value"
-        assert verify.snapshot()["verified"] == 1
+        assert counters(verify)["security.verified"] == 1
 
     def test_must_understand_satisfied_by_verifier(self, secured_env):
         """The signed header is mustUnderstand; the verify handler marks

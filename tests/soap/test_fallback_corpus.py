@@ -119,7 +119,6 @@ class _ReplayProxy:
     with fixed bytes."""
 
     namespace = NS
-    response_cache = None
     extra_headers: list = []
 
     def __init__(self, body: bytes) -> None:

@@ -199,8 +199,11 @@ def test_every_config_field_has_a_readme_row(config):
     table = readme.split(f"| `{config.__name__}` field |", 1)[1].split("\n\n", 1)[0]
     first_cells = " ".join(row.split("|")[1] for row in table.splitlines()[2:])
     documented = set(re.findall(r"`(\w+)`", first_cells))
-    missing = {field.name for field in dataclasses.fields(config)} - documented
+    fields = {field.name for field in dataclasses.fields(config)}
+    missing = fields - documented
     assert not missing, f"{config.__name__} fields without a README row: {sorted(missing)}"
+    stale = documented - fields
+    assert not stale, f"README rows naming no {config.__name__} field: {sorted(stale)}"
 
 
 #: ``registry.counter("name")`` / ``.gauge(f"stage.{name}.x")`` / ``.sketch(...)``
@@ -210,7 +213,8 @@ _INSTRUMENT_RE = re.compile(r"\.(?:counter|gauge|sketch)\(\s*f?\"([^\"]+)\"")
 def test_every_server_instrument_has_a_readme_row():
     """Every instrument ``src/repro/server/`` and ``src/repro/http/``
     bind (an f-string's ``{name}`` reads as ``<name>``) is a row of
-    README's server-instrument table."""
+    README's server-instrument table, and every row is such an
+    instrument."""
     bound = set()
     for package in ("server", "http"):
         for path in sorted((PACKAGE_ROOT / package).glob("*.py")):
@@ -222,6 +226,8 @@ def test_every_server_instrument_has_a_readme_row():
     documented = {row.split("|")[1].strip().strip("`") for row in table.splitlines()[2:]}
     missing = bound - documented
     assert not missing, f"instruments without a README row: {sorted(missing)}"
+    stale = documented - bound
+    assert not stale, f"README rows naming no bound instrument: {sorted(stale)}"
 
 
 def test_every_analysis_rule_has_a_readme_row():
