@@ -3,7 +3,7 @@
 The per-module rules of :mod:`repro.analysis.rules` see one file at a
 time; the invariants PR-8/PR-9 introduced are *transitive* ("nothing
 reachable from the event loop may block", "no helper anywhere may feed
-a wall-clock read into hedge code").  This module builds the structure
+a wall-clock read into rollup code").  This module builds the structure
 those analyses walk: one :class:`FunctionNode` per function or method
 in the analyzed tree, and :class:`CallEdge`\\ s between them.
 

@@ -22,9 +22,8 @@ Three rules ride on :mod:`repro.analysis.callgraph`:
   *calls* (the ``time`` half of the engine's ``TIME_AND_RANDOM``
   table; default-arg references like ``clock: Callable =
   time.monotonic`` stay legal — that is the injection seam), propagate
-  up callers, and flag clock-disciplined code (``hedge.py`` /
-  ``limiter.py`` / ``rollup.py``) that makes such a call inline or
-  reaches a helper that does; ``from time import <one of them>`` in
+  up callers, and flag clock-disciplined code (``rollup.py``) that
+  makes such a call inline or reaches a helper that does; ``from time import <one of them>`` in
   those files is flagged too, since it hides the call from the seed.
 
 * **fault-flow-escape** — compute, per function, the set of exception
@@ -93,8 +92,8 @@ _SUBPROCESS_CALLS = frozenset(
 #: Files whose code must take clocks by injection.  Every ``time``
 #: function counts: ``monotonic``/``perf_counter`` too (the discipline
 #: is *injected* clocks, not merely monotonic ones), and ``sleep``
-#: (timing policies race futures, they never wait).
-CLOCK_DISCIPLINED_FILES = frozenset({"hedge.py", "limiter.py", "rollup.py"})
+#: (a rollup decays on the clock it is given; it never waits).
+CLOCK_DISCIPLINED_FILES = frozenset({"rollup.py"})
 
 #: Builtin exception ancestry (bare names), enough to evaluate
 #: ``except`` clauses over builtins the project raises.
@@ -336,11 +335,10 @@ class WallclockTaint(Rule):
     """Clock-disciplined code reading the wall clock, inline or through
     a helper.
 
-    Hedged requests, the AIMD limiter and the rollups they read are
-    *timing policies*: their tests replay storms and races
-    deterministically by injecting the clock and never sleeping.  In
-    ``hedge.py``/``limiter.py``/``rollup.py`` a ``time.*`` function may
-    therefore appear only as an injectable default
+    The per-target rollups decay their EWMAs on time: their tests
+    replay bursts and regime changes deterministically by injecting the
+    clock and never sleeping.  In ``rollup.py`` a ``time.*`` function
+    may therefore appear only as an injectable default
     (``clock=time.monotonic``) — never as an inline call, a
     ``from time import``, or behind a helper (upward propagation from
     every direct call finds those).
@@ -355,7 +353,7 @@ class WallclockTaint(Rule):
         "through helpers instead of reading time directly"
     )
     rationale = (
-        "hedge/limiter/rollup logic must take clocks by injection so "
+        "rollup decay logic must take clocks by injection so "
         "tests can drive time; one inline time.*() call — or a helper "
         "that reads time.time() two frames down — defeats the seam "
         "(checked inline and transitively)"

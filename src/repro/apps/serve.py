@@ -11,9 +11,6 @@ poking at the stack with a real client::
     curl 'http://127.0.0.1:8080/services/EchoService?wsdl'
     curl 'http://127.0.0.1:8080/traces'                    # retained trace ids
     curl 'http://127.0.0.1:8080/trace/<id>?format=text'    # one as a waterfall
-
-Budgets are checked offline: save ``/metrics`` and run ``python -m
-repro.obs.slo check --config slo.json --snapshot metrics.json``.
 """
 
 from __future__ import annotations

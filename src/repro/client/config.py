@@ -1,21 +1,17 @@
 """One :class:`ClientConfig` + :func:`build_proxy` for every client.
 
-The client-side mirror of PR-8's :class:`~repro.server.config.ServerConfig`:
-before this module, standing up a proxy meant threading thirteen keyword
-arguments through :class:`~repro.client.proxy.ServiceProxy` — and the
-adaptive-resilience knobs (hedging, AIMD limiting) would have made it
-fifteen.  Now every knob lives in one frozen dataclass and one facade
-builds the proxy::
+The client-side mirror of :class:`~repro.server.config.ServerConfig`:
+every knob lives in one frozen dataclass and one facade builds the
+proxy::
 
     from repro.client import ClientConfig, build_proxy
-    from repro.resilience import AdaptiveLimiter, HedgePolicy
+    from repro.resilience import CallPolicy
 
     proxy = build_proxy(ClientConfig(
         transport, address,
         namespace="urn:echo",
         reuse_connections=True,
-        hedge=HedgePolicy(quantile=0.95),   # tail-at-scale hedging
-        limiter=AdaptiveLimiter(),          # AIMD concurrency window
+        policy=CallPolicy(deadline=2.0, retries=2),
     ))
 """
 
@@ -30,8 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.errors import InvocationError
 from repro.http.compression import CompressionPolicy
 from repro.obs.trace import Tracer
-from repro.resilience.hedge import HedgePolicy
-from repro.resilience.limiter import AdaptiveLimiter
 from repro.resilience.policy import CallPolicy
 from repro.transport.base import Address, Transport
 from repro.wsdl.model import WsdlService
@@ -51,9 +45,7 @@ class ClientConfig:
     * **service** — ``namespace``, ``service_name``, ``interface``
       (WSDL-checked operations), ``extra_headers``, ``credentials``
       (WS-Security UsernameToken);
-    * **resilience** — ``policy`` (timeout/deadline/retries), ``hedge``
-      (tail-at-scale speculative attempts), ``limiter`` (AIMD adaptive
-      concurrency window);
+    * **resilience** — ``policy`` (timeout/deadline/retries);
     * **observability** — ``tracer``.
     """
 
@@ -68,8 +60,6 @@ class ClientConfig:
     credentials: "Credentials | None" = None
     tracer: Tracer | None = None
     policy: CallPolicy | None = None
-    hedge: HedgePolicy | None = None
-    limiter: AdaptiveLimiter | None = None
     accept_encoding: str | None = None
     request_compression: CompressionPolicy | None = None
 
@@ -80,15 +70,6 @@ class ClientConfig:
             raise InvocationError("ClientConfig.address is required")
         if not self.namespace:
             raise InvocationError("ClientConfig.namespace is required")
-        if self.hedge is not None and not isinstance(self.hedge, HedgePolicy):
-            raise InvocationError(
-                f"ClientConfig.hedge must be a HedgePolicy, not {self.hedge!r}"
-            )
-        if self.limiter is not None and not isinstance(self.limiter, AdaptiveLimiter):
-            raise InvocationError(
-                "ClientConfig.limiter must be an AdaptiveLimiter, "
-                f"not {self.limiter!r}"
-            )
 
     def replace(self, **changes: Any) -> "ClientConfig":
         """A copy with ``changes`` applied (frozen-dataclass idiom)."""

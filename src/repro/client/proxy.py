@@ -4,12 +4,10 @@ Every client entry point (``call``, the invokers, the pack path) goes
 through :meth:`ServiceProxy.exchange`, which runs PROTOCOL.md §10's
 client steps in order, and every call reaches the server:
 
-1. **limiter** — each attempt takes an AIMD slot or is gated locally;
-2. **deadline** — each attempt re-bases the ``<res:Deadline>`` header
+1. **deadline** — each attempt re-bases the ``<res:Deadline>`` header
    and its wire timeout on the whole-call budget left;
-3. **attempt** — one wire send, raced by at most one hedge once it
-   outlives the operation's own latency quantile in the client rollup;
-4. **retry classification** — a retryable failure goes round 1–3 again
+2. **attempt** — one wire send;
+3. **retry classification** — a retryable failure goes round 1–2 again
    under the :class:`CallPolicy`, while budget remains.
 
 Construct through :class:`~repro.client.config.ClientConfig` +
@@ -19,16 +17,10 @@ Construct through :class:`~repro.client.config.ClientConfig` +
 from __future__ import annotations
 
 import functools
-import queue
-import threading
-import time
 from typing import Any, NamedTuple
 
 from repro.client.config import ClientConfig
-from repro.errors import (
-    FAULTCODE_SERVER_BUSY, HttpError, ReproError, SoapFaultError, TransportError,
-    fault_class_of, fault_class_of_status,
-)
+from repro.errors import HttpError, ReproError, SoapFaultError, TransportError
 from repro.http.compression import compress
 from repro.http.connection import ConnectionPool, HttpConnection
 from repro.http.message import Headers, HttpRequest
@@ -37,8 +29,6 @@ from repro.obs.trace import (
     OBS_NS, TRACE_HEADER_TAG, TRACE_HTTP_HEADER, TRACE_ID_ATTR, new_trace_id,
 )
 from repro.resilience.deadline import attach_deadline, wire_timeout
-from repro.resilience.hedge import HedgeBudget, HedgePolicy, hedge_trigger
-from repro.resilience.limiter import OUTCOME_ERROR, OUTCOME_OVERLOAD, OUTCOME_SUCCESS
 from repro.resilience.policy import (
     DEFAULT_POLICY, CallPolicy, Deadline, RetryState, execute_with_policy,
 )
@@ -48,22 +38,6 @@ from repro.soap.envelope import Envelope
 from repro.soap.serializer import build_request_envelope
 from repro.wsdl.parser import parse_wsdl
 from repro.xmlcore.tree import Element
-
-#: Client-side rollups are keyed under this service prefix so a shared
-#: registry (one tracer for client and server) never conflates the
-#: client's view of an operation with the server's own per-target row.
-CLIENT_ROLLUP_PREFIX = "client:"
-
-
-def _fault_class_of(error: BaseException) -> str | None:
-    """The rollup fault class for one failed attempt."""
-    if isinstance(error, SoapFaultError):
-        return fault_class_of(error.faultcode)
-    if isinstance(error, HttpError):
-        return fault_class_of_status(error.status)
-    if isinstance(error, TransportError):
-        return "retryable"
-    return "fatal"
 
 
 def _fault_of(response) -> Exception:
@@ -84,22 +58,6 @@ class _Call(NamedTuple):
     envelope: Envelope
     headers: dict
     policy: CallPolicy
-    rollup: Any
-    hedge: HedgePolicy | None
-
-
-class _Attempt:
-    """One racing wire attempt: the connection it is on, and whether the
-    race is over for it (an abandoned attempt sends nothing more and its
-    latency is not observed)."""
-
-    connection: HttpConnection | None = None
-    abandoned = False
-
-    def abandon(self) -> None:
-        self.abandoned = True
-        if self.connection is not None:
-            self.connection.close()
 
 
 class ServiceProxy:
@@ -123,39 +81,25 @@ class ServiceProxy:
         self.extra_headers = list(config.extra_headers or ())
         self.tracer = config.tracer
         self.policy = config.policy if config.policy is not None else DEFAULT_POLICY
-        self.hedge = config.hedge
-        self.limiter = config.limiter
         # the proxy's metric home: the tracer's registry when one is
         # wired (so counters land next to the server's in /metrics),
-        # else a private registry that still feeds the hedge rollups;
-        # every instrument is bound here, none looked up per call
+        # else a private one; every instrument is bound here, none
+        # looked up per call
         registry = getattr(config.tracer, "registry", None)
         self.metrics = metrics = registry if registry is not None else MetricsRegistry()
         self._retries = metrics.counter("client.retries")
         if self.tracer is not None:
             self._in_flight = metrics.gauge("client.calls.in_flight")
-        if config.hedge is not None:
-            self._hedges = metrics.counter("client.hedges")
-            self._hedge_wins = metrics.counter("client.hedge_wins")
         if config.request_compression is not None:
             self._bytes_saved = metrics.counter("compress.bytes_saved")
-        # action -> its client rollup, written only on first sight of an
-        # action; dict.get is atomic under the GIL, so a warm call skips
-        # the registry lock
-        self._rollups: dict[str, Any] = {}
         self.last_trace_id: str | None = None
         self._pool = ConnectionPool(config.transport) if config.reuse_connections else None
-        self._hedge_budget = config.hedge and HedgeBudget.for_policy(config.hedge)
         host = self.address
         if isinstance(host, (tuple, list)):
             host = f"{host[0]}:{host[1]}"
         self._headers = {"Host": str(host)}  # after Content-Type and SOAPAction
         if config.accept_encoding:
             self._headers["Accept-Encoding"] = config.accept_encoding
-        if self.limiter is not None:
-            self._limiter_gated = metrics.counter("client.limiter.gated")
-            self._limiter_gauge = metrics.gauge("client.limiter.limit")
-            self._limiter_gauge.set(self.limiter.limit)
         self.calls = 0
         self.connections_opened = 0
         self.retries = 0
@@ -193,14 +137,11 @@ class ServiceProxy:
         return parse_rpc_response(decode_response_envelope(response_body).first_body_entry()).value
 
     def exchange(
-        self, envelope: Envelope, action: str = "", *, policy: CallPolicy | None = None,
-        hedgeable: bool = True,
+        self, envelope: Envelope, action: str = "", *, policy: CallPolicy | None = None
     ) -> bytes:
         """Send a request envelope; return the undecoded response body.
 
-        Step 4, retry classification, around steps 1–3 per attempt.
-        ``hedgeable=False`` disarms hedging for envelopes unsafe to send
-        twice (packs with a cast).
+        Step 3, retry classification, around steps 1–2 per attempt.
         """
         policy = policy if policy is not None else self.policy
         headers = {"Content-Type": SOAP_CONTENT_TYPE,
@@ -217,18 +158,12 @@ class ServiceProxy:
             from repro.soap.wssecurity import attach_security_header
 
             attach_security_header(envelope, self.config.credentials)
-        action = action or "exchange"
-        rollup = self._rollups.get(action)
-        if rollup is None:
-            rollup = self._rollups[action] = self.metrics.rollup(
-                CLIENT_ROLLUP_PREFIX + self.namespace, action
-            )
-        call = _Call(envelope, headers, policy, rollup, self.hedge if hedgeable else None)
+        call = _Call(envelope, headers, policy)
         if trace_id is None:
             return self._retry(call)
         self._in_flight.add(1)
         try:
-            with self.tracer.span("client.call", trace_id, detail=action):
+            with self.tracer.span("client.call", trace_id, detail=action or "exchange"):
                 return self._retry(call)
         finally:
             self._in_flight.add(-1)
@@ -246,43 +181,21 @@ class ServiceProxy:
             self.retries += state.retries
 
     def _attempt(self, call: _Call, deadline: Deadline) -> bytes:
-        """Step 1, the limiter: every attempt, retries included, takes an
-        AIMD slot first or is gated with a local ``Server.Busy``."""
-        limiter = self.limiter
-        if limiter is None:
-            return self._send(call, deadline)
-        if not limiter.try_acquire():
-            self._limiter_gated.inc()
-            self._limiter_gauge.set(limiter.limit)
-            # a fast local fault wearing the server's own shed faultcode,
-            # so the retry step backs off as it would from the server's
-            raise SoapFaultError(FAULTCODE_SERVER_BUSY, "client: adaptive concurrency "
-                                 "limiter gated the call (local shed before the wire)")
-        outcome = OUTCOME_SUCCESS
-        try:
-            return self._send(call, deadline)
-        except BaseException as exc:
-            outcome = OUTCOME_OVERLOAD if _fault_class_of(exc) == "shed" else OUTCOME_ERROR
-            raise
-        finally:
-            limiter.release(outcome)
-            self._limiter_gauge.set(limiter.limit)
+        """Steps 1 and 2: re-base the deadline, then send the attempt."""
+        request, io_budget = self._rebase(call, deadline)
+        response = self._timed_send(request, io_budget)
+        if response.status in (503, 504):
+            # shed/timed-out server: surface the fault as its exception
+            # so the retry step can classify it
+            raise _fault_of(response)
+        if response.status not in (200, 500):
+            # a 500 carries a SOAP Fault the caller's parse surfaces
+            response.raise_for_status()
+        return response.body
 
-    def _send(self, call: _Call, deadline: Deadline) -> bytes:
-        """Steps 2 and 3: re-base the deadline, then send the attempt —
-        raced by one hedge once it outlives the rollup quantile."""
-        request, budget, io_budget = self._rebase(call, deadline)
-        trigger = None
-        if call.hedge is not None:
-            self._hedge_budget.note_call()
-            trigger = hedge_trigger(call.hedge, call.rollup, budget)
-        if trigger is None:
-            return self._measured_send(request, io_budget, call.rollup, _Attempt())
-        return self._race(call, request, io_budget, trigger, deadline)
-
-    def _rebase(self, call: _Call, deadline: Deadline) -> tuple[HttpRequest, Any, Any]:
-        """Step 2: this attempt's budget, its request with that budget in
-        the ``<res:Deadline>`` header, and its wire timeout budget."""
+    def _rebase(self, call: _Call, deadline: Deadline) -> tuple[HttpRequest, float | None]:
+        """Step 1: this attempt's request, with its budget in the
+        ``<res:Deadline>`` header, and its wire timeout budget."""
         policy = call.policy
         budget = policy.attempt_budget(deadline)
         if budget is not None:
@@ -301,105 +214,20 @@ class ServiceProxy:
         # may legitimately over-run to finish an in-flight entry), so it
         # must not cut the connection from the client side.
         io_budget = budget if policy.deadline is not None else None
-        return HttpRequest("POST", self.path, headers, body), budget, io_budget
+        return HttpRequest("POST", self.path, headers, body), io_budget
 
-    # -- step 3: the wire attempt and the hedge race ----------------------------
-
-    def _race(
-        self, call: _Call, request: HttpRequest, io_budget, trigger: float, deadline: Deadline
-    ) -> bytes:
-        """Race the primary attempt against one speculative hedge.
-
-        Each attempt runs in its own thread and posts ``(index, body or
-        exception)`` to one queue.  If nothing arrives within ``trigger``
-        seconds and the hedge budget grants a token, a second attempt
-        with a freshly re-based deadline joins.  The first success wins;
-        every other attempt is abandoned.
-        """
-        outcomes: queue.SimpleQueue = queue.SimpleQueue()
-        attempts = [self._launch(outcomes, 0, request, io_budget, call.rollup)]
-        try:
-            first = outcomes.get(timeout=trigger)
-        except queue.Empty:
-            first = None
-            if self._hedge_budget.try_spend():
-                self._hedges.inc()
-                hedge_request, _, hedge_io = self._rebase(call, deadline)
-                attempts.append(self._launch(outcomes, 1, hedge_request, hedge_io, call.rollup))
-        failures: dict[int, BaseException] = {}
-        winner = None
-        for _ in attempts:
-            index, outcome = first if first is not None else outcomes.get()
-            first = None
-            if not isinstance(outcome, BaseException):
-                winner = index
-                break
-            failures[index] = outcome
-        for index, attempt in enumerate(attempts):
-            if index != winner:
-                attempt.abandon()
-        if winner is None:
-            raise failures[0]
-        if winner == 1:
-            self._hedge_wins.inc()
-        return outcome
-
-    def _launch(self, outcomes, index: int, request: HttpRequest, io_budget, rollup) -> _Attempt:
-        """Start one race attempt in its own thread."""
-        attempt = _Attempt()
-
-        def run() -> None:
-            try:
-                outcome = self._measured_send(request, io_budget, rollup, attempt)
-            except BaseException as exc:
-                outcome = exc
-            outcomes.put((index, outcome))
-
-        threading.Thread(target=run, name=f"hedge-{index}", daemon=True).start()
-        return attempt
-
-    def _measured_send(self, request: HttpRequest, budget, rollup, attempt: _Attempt) -> bytes:
-        """One wire attempt, observed into the client rollup — unless
-        the hedge race abandoned it: a loser's latency is an artifact of
-        abandonment, not the server, and must not poison the trigger."""
-        started = time.perf_counter()
-        fault_class = None
-        try:
-            response = self._timed_send(request, budget, attempt)
-            if response.status in (503, 504):
-                # shed/timed-out server: surface the fault as its
-                # exception so the retry step can classify it
-                raise _fault_of(response)
-            if response.status == 500:
-                # 500 carries a SOAP Fault the caller's parse surfaces
-                fault_class = "fatal"
-            elif response.status != 200:
-                response.raise_for_status()
-            return response.body
-        except BaseException as exc:
-            fault_class = _fault_class_of(exc)
-            raise
-        finally:
-            if not attempt.abandoned:
-                rollup.observe(time.perf_counter() - started, fault_class)
-
-    def _timed_send(self, request: HttpRequest, budget, attempt: _Attempt):
-        """Send ``request`` with channel I/O bounded to ``budget``.
+    def _timed_send(self, request: HttpRequest, budget):
+        """Step 2: send ``request`` with channel I/O bounded to ``budget``.
 
         A pooled connection that was kept alive may have died idle: the
-        send is retried once on another.  ``attempt`` exposes the
-        connection so a hedge race can close it; an abandoned attempt
-        sends nothing more, so a loser never re-sends.
+        send is retried once on another.
         """
         for retry in (0, 1):
-            if attempt.abandoned:
-                raise TransportError("attempt abandoned by the hedge race")
             if self._pool is None:
                 self.connections_opened += 1
                 connection = HttpConnection(self.transport, self.address)
             else:
                 connection = self._pool.acquire(self.address)
-            attempt.connection = connection
             was_warm = connection.exchanges > 0
             connection.set_io_timeout(wire_timeout(budget))
             try:
@@ -409,10 +237,7 @@ class ServiceProxy:
                 connection.close()
                 if retry or not was_warm:
                     raise
-        # detach before the check: abandon() then never closes a
-        # connection this attempt hands back to the pool
-        attempt.connection = None
-        if self._pool is None or attempt.abandoned:
+        if self._pool is None:
             connection.close()
         else:
             connection.set_io_timeout(None)

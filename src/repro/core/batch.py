@@ -42,9 +42,6 @@ class PackBatch:
         self._policy = policy  # None -> the proxy's default at flush time
         self._assembler = ClientAssembler(proxy.namespace)
         self._flushed = False
-        # one-way casts are not idempotent: a hedged duplicate would
-        # execute the side effect twice, so the flush disarms hedging
-        self._has_cast = False
 
     def call(self, operation: str, /, **params: Any) -> InvocationFuture:
         """Queue one invocation; returns its future immediately."""
@@ -69,7 +66,6 @@ class PackBatch:
         """
         if self._flushed:
             raise PackError("batch already flushed; create a new one")
-        self._has_cast = True
         return self._assembler.add_call(operation, params, one_way=True)
 
     def __len__(self) -> int:
@@ -99,10 +95,7 @@ class PackBatch:
             # one policy covers the whole pack: one deadline header, one
             # retry budget for the single packed exchange
             body = self._proxy.exchange(
-                envelope,
-                action="Parallel_Method",
-                policy=self._policy,
-                hedgeable=not self._has_cast,
+                envelope, action="Parallel_Method", policy=self._policy
             )
             slots = pack_results(decode_response_envelope(body), futures)
         except BaseException as exc:

@@ -49,7 +49,7 @@ def is_retryable_faultcode(faultcode: str) -> bool:
 
 def fault_class_of(faultcode: str) -> str:
     """``shed`` / ``timeout`` / ``fatal`` for a local or prefixed
-    faultcode — what rollups, limiters and trace flags key on."""
+    faultcode — what the server's rollups and trace flags key on."""
     _, _, local = faultcode.rpartition(":")
     row = FAULTCODE_TABLE.get(local)
     return row[0] if row is not None else "fatal"
@@ -64,7 +64,7 @@ _STATUS_FAULT_CLASSES: dict[int, str] = {
 
 def fault_class_of_status(status: int | None) -> str:
     """``shed`` / ``timeout`` / ``fatal`` for an HTTP error status — the
-    one reader of fault class by status (client rollups, trace flags)."""
+    one reader of fault class by status (the span store's trace flags)."""
     return _STATUS_FAULT_CLASSES.get(status, "fatal")
 
 

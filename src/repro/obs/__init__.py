@@ -12,16 +12,13 @@ substrate that makes those phases visible end-to-end:
 * :mod:`repro.obs.sketch` — mergeable log-bucketed quantile sketches
   (DDSketch-style, ~1% relative error) behind every latency series;
 * :mod:`repro.obs.rollup` — per-(service, operation) latency/error
-  EWMAs + in-flight gauges, the feed for hedging and SLO budgets;
+  EWMAs + in-flight gauges, the server's per-target rows in ``/metrics``;
 * :mod:`repro.obs.store` — bounded queryable span store with
   tail-based sampling, behind ``GET /trace/<id>`` and ``GET /traces``;
 * :mod:`repro.obs.timeline` — one retained trace as a text waterfall,
   behind ``GET /trace/<id>?format=text``;
 * :mod:`repro.obs.prometheus` — the text exposition format behind
-  ``GET /metrics?format=prometheus``;
-* :mod:`repro.obs.slo` — the offline budgets-vs-snapshot evaluator,
-  ``python -m repro.obs.slo check``, run against a saved ``/metrics``
-  snapshot.
+  ``GET /metrics?format=prometheus``.
 
 Every server owns a registry.  Attach one :class:`Observability` to a
 server (and optionally share its tracer with a client proxy) to add the

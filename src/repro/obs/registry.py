@@ -113,8 +113,8 @@ class MetricsRegistry:
       phase/stage/call latencies and pack degrees record into;
     * :class:`~repro.obs.rollup.ObsRollup` tables
       (``registry.rollup(service, operation)``) — per-target latency
-      EWMA + error-rate EWMAs + in-flight gauge, the feed for hedging
-      thresholds and live SLO checks.
+      EWMA + error-rate EWMAs + in-flight gauge, the server's
+      per-target rows in ``/metrics``.
 
     ``clock`` (monotonic) is threaded into every rollup so tests can
     drive EWMAs deterministically.
@@ -168,10 +168,8 @@ class MetricsRegistry:
         """Get or create the per-target rollup for ``(service,
         operation)``; ``half_life_s`` applies only on first creation.
 
-        This is the API adaptive consumers read: a hedging policy asks
-        ``registry.rollup(ns, op).latency_quantile(0.95)`` for its
-        fire threshold, an AIMD limiter watches
-        ``.error_rate_by_class["shed"]``.
+        The server binds one per target it executes; ``/metrics``
+        reads them all through :meth:`snapshot`.
         """
         key = (service, operation)
         with self._lock:

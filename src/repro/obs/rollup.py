@@ -1,10 +1,9 @@
 """Per-(service, operation) telemetry rollups: EWMAs + sketch + gauge.
 
-The adaptive features on the roadmap — hedged requests that fire when
-an attempt exceeds a latency percentile, AIMD concurrency that backs
-off on sheds — need a *current* number per call target, not a
-since-boot histogram.  An :class:`ObsRollup` is that number factory:
-one per ``(service namespace, operation)``, holding
+An operator asking "is *this* operation slow or shedding right now"
+needs a *current* number per call target, not a since-boot histogram.
+An :class:`ObsRollup` is that number factory: one per ``(service
+namespace, operation)`` the server executes, holding
 
 * a latency EWMA with configurable half-life (recent calls dominate,
   ancient history decays away) plus a :class:`QuantileSketch` for
@@ -32,8 +31,8 @@ from typing import Callable
 from repro.obs.sketch import QuantileSketch
 
 #: Default EWMA half-life: a call 30 s ago carries half the weight of a
-#: call now — long enough to smooth bursts, short enough that a hedging
-#: threshold tracks a regime change within a minute.
+#: call now — long enough to smooth bursts, short enough that a rate
+#: tracks a regime change within a minute.
 DEFAULT_HALF_LIFE_S = 30.0
 
 #: Pending accounting events buffered before a writer folds inline;

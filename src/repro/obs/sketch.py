@@ -1,9 +1,8 @@
 """Streaming quantile sketch: log-bucketed, mergeable, bounded error.
 
 A fixed-bucket histogram answers "how many observations fell under
-5 ms" but cannot answer "what is p99 to within 1%" — the question every
-adaptive feature (hedged requests, AIMD concurrency, SLO gates)
-actually asks.  This module is the registry's one distribution
+5 ms" but cannot answer "what is p99 to within 1%" — the question a
+tail-latency reading actually asks.  This module is the registry's one distribution
 instrument, a dependency-free DDSketch-style sketch (Masson, Rim & Lee,
 VLDB'19): values map to geometrically-spaced buckets ``index = ceil(log_gamma
 v)`` with ``gamma = (1 + alpha) / (1 - alpha)``, which guarantees any
@@ -249,8 +248,8 @@ class QuantileSketch:
         """Count/sum/mean/min/max plus the standard quantiles.
 
         Quantile keys are ``"p50"``-style; the ``alpha`` rides along so
-        consumers (SLO checker, dashboards) know the error bound of
-        what they are reading.
+        a ``/metrics`` reader knows the error bound of what it is
+        reading.
         """
         with self._lock:
             self._fold_locked()

@@ -5,8 +5,8 @@ calls degrade gracefully::
 
     from repro.resilience import CallPolicy
 
-    proxy.call("echo", payload="x",
-               policy=CallPolicy(deadline=0.5, retries=2))
+    proxy.call_with_policy("echo", CallPolicy(deadline=0.5, retries=2),
+                           payload="x")
 
 Server-side counterparts (bounded stage queues with ``Server.Busy``
 shedding, per-entry deadline skip with ``Server.Timeout`` faults) live
@@ -23,8 +23,6 @@ from repro.resilience.deadline import (
     deadline_header,
     extract_deadline,
 )
-from repro.resilience.hedge import HedgeBudget, HedgePolicy, hedge_trigger
-from repro.resilience.limiter import AdaptiveLimiter
 from repro.resilience.policy import (
     DEFAULT_POLICY,
     CallPolicy,
@@ -34,13 +32,10 @@ from repro.resilience.policy import (
 )
 
 __all__ = [
-    "AdaptiveLimiter",
     "CallPolicy",
     "DEADLINE_HEADER_TAG",
     "DEFAULT_POLICY",
     "Deadline",
-    "HedgeBudget",
-    "HedgePolicy",
     "REMAINING_MS_ATTR",
     "RESILIENCE_NS",
     "RetryState",
@@ -48,5 +43,4 @@ __all__ = [
     "deadline_header",
     "execute_with_policy",
     "extract_deadline",
-    "hedge_trigger",
 ]

@@ -18,8 +18,6 @@ futures pack path:
 * ``retryable_faultcodes`` — which SOAP faultcodes are safe to retry
   (defaults to the taxonomy codes that promise "the work did not run").
 
-Hedging is a per-proxy behaviour, armed by ``ClientConfig.hedge``.
-
 The retry loop itself is :func:`execute_with_policy`, deterministic
 under an injected ``rng``/``sleep``/``clock`` so the chaos-transport
 suite can test it without wall-clock time.

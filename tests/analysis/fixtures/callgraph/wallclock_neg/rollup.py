@@ -1,4 +1,4 @@
-"""Negative corpus: the same hedge shape with clocks injected
+"""Negative corpus: the same rollup shape with clocks injected
 throughout — wallclock-taint must stay silent."""
 
 import time
@@ -6,9 +6,9 @@ import time
 from util import elapsed_since
 
 
-class HedgeTimer:
+class DecayTimer:
     def __init__(self, clock=time.monotonic):
         self._clock = clock
 
-    def should_fire(self, start):
+    def should_fold(self, start):
         return elapsed_since(start, self._clock) > 0.1

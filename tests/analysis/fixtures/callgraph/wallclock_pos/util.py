@@ -1,5 +1,5 @@
 """A helper that hides a wall-clock read one module and two calls away
-from the hedge code."""
+from the rollup code."""
 
 import time
 

@@ -1,4 +1,4 @@
-"""Negative corpus: a hedge module that honours the injected-clock seam.
+"""Negative corpus: a rollup module that honours the injected-clock seam.
 
 Referencing ``time.monotonic`` as a *default value* is the seam itself
 and must not flag; only inline calls do.
@@ -7,11 +7,11 @@ and must not flag; only inline calls do.
 import time
 
 
-class SeamedHedgeTimer:
+class SeamedDecayTimer:
     def __init__(self, clock=time.monotonic):
         self._clock = clock
 
-    def trigger_elapsed(self, started):
+    def since_last_fold(self, started):
         return self._clock() - started
 
     def stamp(self):

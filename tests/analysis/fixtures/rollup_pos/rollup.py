@@ -1,9 +1,8 @@
 """Positive corpus: an inline clock read in a rollup module.
 
-The hedge trigger reads its latency quantiles from ``obs/rollup.py``;
-a rollup that stamps events with ``time.monotonic()`` itself cannot be
-driven by a fake clock, so the file is held to the same injected-clock
-discipline as ``hedge.py`` and ``limiter.py``.
+A rollup that stamps events with ``time.monotonic()`` itself cannot be
+driven by a fake clock, so the injectable default on the line above
+the read does not make the file clean.
 """
 
 import time

@@ -112,10 +112,10 @@ class TestPositiveFixtures:
         assert len(findings) == 9
         assert all(f.severity == "error" for f in findings)
 
-    def test_no_wallclock_in_hedge(self):
+    def test_no_wallclock_in_a_clock_disciplined_module(self):
         # run the clock analysis alone: the corpus deliberately also
         # trips no-direct-sleep-random, which is not under test here
-        findings = corpus_findings("hedge_pos/hedge.py", [WallclockTaint()])
+        findings = corpus_findings("clock_pos/rollup.py", [WallclockTaint()])
         assert {f.rule_id for f in findings} == {"wallclock-taint"}
         messages = "\n".join(f.message for f in findings)
         assert "from time import monotonic" in messages
@@ -128,8 +128,8 @@ class TestPositiveFixtures:
         assert all(f.severity == "error" for f in findings)
 
     def test_inline_clock_read_in_a_rollup_module(self):
-        # the rollup feeds the hedge trigger: same discipline, and the
-        # injectable default on the line above the read stays legal
+        # the injectable default on the line above the read stays legal;
+        # the inline read below it does not
         findings = corpus_findings("rollup_pos/rollup.py", [WallclockTaint()])
         assert [f.rule_id for f in findings] == ["wallclock-taint"]
         assert findings[0].severity == "error"
@@ -148,7 +148,7 @@ class TestPositiveFixtures:
         "bare_except_neg.py",
         "server/swallow_neg.py",
         "loop_neg/evented.py",
-        "hedge_neg/hedge.py",
+        "clock_neg/rollup.py",
     ],
 )
 def test_negative_fixture_is_clean(name):
@@ -183,13 +183,10 @@ class TestScoping:
     def test_clock_rule_only_patrols_clock_disciplined_modules(self, tmp_path):
         # The same inline clock reads are legal elsewhere (subject only
         # to the general wallclock/sleep rules, not this stricter one).
-        source = (FIXTURES / "hedge_pos" / "hedge.py").read_text()
+        source = (FIXTURES / "clock_pos" / "rollup.py").read_text()
         rule = WallclockTaint()
         assert findings_at(tmp_path, "client/proxy.py", source, rule) == []
-        for disciplined in (
-            "resilience/hedge.py", "resilience/limiter.py", "obs/rollup.py"
-        ):
-            assert findings_at(tmp_path, disciplined, source, rule) != []
+        assert findings_at(tmp_path, "obs/rollup.py", source, rule) != []
 
     def test_suppression_pragmas_silence_everything(self):
         assert corpus_findings("suppressed.py") == []

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.errors import InvocationError, SoapFaultError
+from repro.errors import InvocationError, SoapFaultError, TransportError
 from repro.client.invoker import Call, SerialInvoker, ThreadedInvoker
 from repro.client.proxy import ServiceProxy
 from repro.server.service import service_from_functions
@@ -13,14 +13,15 @@ from repro.server import ServerConfig, build_server
 from repro.client.config import ClientConfig, build_proxy
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.resilience.limiter import AdaptiveLimiter
+from repro.resilience.policy import CallPolicy
 
 from ..metrics import counters
+from ..transport.recording import RecordingTransport
 
 NS = "urn:svc:echo"
 
 
-def make_server(transport, address="proxy-server"):
+def make_server(transport, address="proxy-server", **config):
     def echo(payload: str) -> str:
         return payload
 
@@ -41,7 +42,9 @@ def make_server(transport, address="proxy-server"):
             {"echo": echo, "reverse": reverse, "slow": slow, "fail": fail},
         )
     ]
-    return build_server(ServerConfig(services=services, architecture="staged", transport=transport, address=address))
+    return build_server(ServerConfig(
+        services=services, architecture="staged", transport=transport, address=address, **config
+    ))
 
 
 @pytest.fixture
@@ -77,13 +80,13 @@ class TestServiceProxy:
         assert proxy.call("echo", payload="hello") == "hello"
 
     def test_a_warm_action_looks_no_instrument_up(self, env):
-        """Instruments are bound at construction and an action's rollup
-        on its first call, so a repeated action takes no registry lock."""
+        """Instruments are bound at construction, so no call, a first
+        one of a new action included, takes the registry lock."""
         transport, address, _, _ = env
         registry = CountingRegistry()
         proxy = build_proxy(ClientConfig(
             transport, address, namespace=NS, service_name="EchoService",
-            tracer=Tracer(registry), limiter=AdaptiveLimiter(),
+            tracer=Tracer(registry),
         ))
         try:
             proxy.call("echo", payload="a")
@@ -91,7 +94,7 @@ class TestServiceProxy:
             proxy.call("echo", payload="b")
             assert registry.lookups == warm
             proxy.call("reverse", payload="c")
-            assert registry.lookups == warm + 1  # the new action's rollup
+            assert registry.lookups == warm
         finally:
             proxy.close()
 
@@ -157,6 +160,53 @@ class TestServiceProxy:
         checked = ServiceProxy.from_wsdl(proxy.fetch_wsdl(), transport, address)
         with pytest.raises(InvocationError, match="expects parameters"):
             checked.call("echo", wrong="x")
+
+
+class TestPooledResend:
+    """A kept-alive connection may die idle: the proxy sends once more,
+    on a new connection, and only when the dead one was warm."""
+
+    def test_warm_connection_the_peer_closed_is_sent_again_once(self):
+        base = InProcTransport()
+        server = make_server(base, "idle-closer", idle_timeout=0.05)
+        with server.running() as address:
+            wire = RecordingTransport(base)
+            proxy = build_proxy(ClientConfig(
+                wire, address, namespace=NS, service_name="EchoService",
+                reuse_connections=True,
+            ))
+            try:
+                assert proxy.call("echo", payload="warm") == "warm"
+                give_up = time.monotonic() + 5
+                while counters(server)["http.connections.timed_out"] < 1:
+                    assert time.monotonic() < give_up, "the server kept the idle connection"
+                    time.sleep(0.01)
+                sends = len(wire.sent)
+                assert proxy.call("echo", payload="again") == "again"
+                # one send on the dead keep-alive, one on a new connection
+                assert len(wire.sent) - sends == 2
+                assert len(wire.channels) == 2
+                assert counters(server)["http.connections.accepted"] == 2
+            finally:
+                proxy.close()
+
+    def test_a_fresh_connection_that_fails_is_not_sent_again(self):
+        # a listener nobody accepts on: the connect succeeds, recv hangs
+        base = InProcTransport()
+        listener = base.listen("hung-server")
+        try:
+            wire = RecordingTransport(base)
+            proxy = build_proxy(ClientConfig(
+                wire, "hung-server", namespace=NS, service_name="EchoService",
+                reuse_connections=True, policy=CallPolicy(deadline=0.1),
+            ))
+            with pytest.raises(TransportError, match="timed out"):
+                proxy.call("echo", payload="x")
+            assert len(wire.sent) == 1
+            assert len(wire.channels) == 1
+            proxy.close()
+        finally:
+            listener.close()
 
 
 class TestSerialInvoker:

@@ -11,7 +11,6 @@ from repro.errors import (
     SoapFaultError,
     TransportError,
 )
-from repro.resilience.hedge import HedgePolicy
 from repro.resilience.policy import (
     CallPolicy,
     DEFAULT_POLICY,
@@ -67,24 +66,10 @@ class TestCallPolicyValidation:
         with pytest.raises(InvocationError):
             CallPolicy(retries=-1)
 
-    def test_hedge_policy_validation(self):
-        with pytest.raises(InvocationError, match="quantile"):
-            HedgePolicy(quantile=1.0)
-        with pytest.raises(InvocationError, match="quantile"):
-            HedgePolicy(quantile=0.0)
-        with pytest.raises(InvocationError, match="budget_rate"):
-            HedgePolicy(budget_rate=0.0)
-        with pytest.raises(InvocationError, match="budget_burst"):
-            HedgePolicy(budget_burst=0.5)
-
     def test_knobs(self):
-        # hedging is switched off by ClientConfig.hedge=None, not a count
         assert [f.name for f in dataclasses.fields(CallPolicy)] == [
             "timeout", "deadline", "retries", "backoff_base", "backoff_multiplier",
             "backoff_max", "jitter", "retryable_faultcodes", "retry_transport_errors",
-        ]
-        assert [f.name for f in dataclasses.fields(HedgePolicy)] == [
-            "quantile", "budget_rate", "budget_burst", "min_samples", "min_trigger_s",
         ]
 
     def test_jitter_range(self):

@@ -152,7 +152,6 @@ ENTRY_POINTS = {
     "repro.apps.serve": "CLI: python -m repro.apps.serve",
     "repro.apps.call": "CLI: python -m repro.apps.call",
     "repro.core.spi": "the user-facing facade (connect / SpiClient)",
-    "repro.obs.slo": "CLI: python -m repro.obs.slo",
     "repro.server.security_handler": "README operations row; examples/secure_services.py",
     "repro.relatedwork.diffdeser": "benchmarks/test_relatedwork_ablation.py",
 }
@@ -193,17 +192,72 @@ def test_relatedwork_baselines_stay_off_the_request_path():
     assert importers == ["repro.bench.figures"]
 
 
+#: Fields that only say where the service lives: their "shown by" cell
+#: may read ``deployment``.
+DEPLOYMENT_FIELDS = {"transport", "address", "path", "namespace", "credentials"}
+
+
+def _defines(path: pathlib.Path, qualname: list[str]) -> bool:
+    """Whether ``path`` defines ``Class::function`` (or ``function``)."""
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    for name in qualname:
+        found = [
+            node for node in body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == name
+        ]
+        if not found:
+            return False
+        body = found[0].body
+    return True
+
+
+def _unresolved(reference: str, field: str) -> str | None:
+    """Why one "shown by" reference names nothing, or None if it resolves."""
+    from repro.bench import figures
+
+    root = PACKAGE_ROOT.parents[1]
+    if reference == "deployment":
+        return None if field in DEPLOYMENT_FIELDS else "not a deployment field"
+    if reference.startswith("perf:"):
+        benchmark = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+        gated = {workload["name"] for workload in benchmark["workloads"]}
+        return None if reference[5:] in gated else "no such gated perf/ workload"
+    if reference.startswith("figures."):
+        found = inspect.isfunction(getattr(figures, reference[8:], None))
+        return None if found else "no such repro.bench.figures function"
+    path, _, qualname = reference.partition("::")
+    if not qualname:
+        return "neither a test id, a figure, a perf/ workload nor deployment"
+    if not (root / path).is_file():
+        return "no such test file"
+    return None if _defines(root / path, qualname.split("::")) else "no such test"
+
+
 @pytest.mark.parametrize("config", [ServerConfig, ClientConfig], ids=lambda c: c.__name__)
 def test_every_config_field_has_a_readme_row(config):
+    """Each field has one README row, and its "shown by" cell names what
+    shows the field pays: every name in it resolves."""
     readme = (PACKAGE_ROOT.parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split(f"| `{config.__name__}` field |", 1)[1].split("\n\n", 1)[0]
-    first_cells = " ".join(row.split("|")[1] for row in table.splitlines()[2:])
-    documented = set(re.findall(r"`(\w+)`", first_cells))
+    rows = [row.split("|")[1:-1] for row in table.splitlines()[2:]]
+    documented = {name for row in rows for name in re.findall(r"`(\w+)`", row[0])}
     fields = {field.name for field in dataclasses.fields(config)}
     missing = fields - documented
     assert not missing, f"{config.__name__} fields without a README row: {sorted(missing)}"
     stale = documented - fields
     assert not stale, f"README rows naming no {config.__name__} field: {sorted(stale)}"
+    unshown = []
+    for row in rows:
+        field = re.findall(r"`(\w+)`", row[0])[0]
+        references = re.findall(r"`([^`]+)`", row[-1])
+        if not references:
+            unshown.append(f"{field}: empty")
+        for reference in references:
+            reason = _unresolved(reference, field)
+            if reason is not None:
+                unshown.append(f"{field}: {reference} ({reason})")
+    assert not unshown, f"{config.__name__} shown-by cells that name nothing: {unshown}"
 
 
 #: ``registry.counter("name")`` / ``.gauge(f"stage.{name}.x")`` / ``.sketch(...)``
