@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Iterator
 
 from repro.apps.echo import ECHO_NS, ECHO_SERVICE, make_echo_payload, make_echo_service
 from repro.client.config import ClientConfig, build_proxy
@@ -30,7 +30,7 @@ from repro.core.dispatcher import spi_server_handlers
 from repro.errors import ReproError
 from repro.http.compression import CompressionPolicy
 from repro.resilience.policy import CallPolicy
-from repro.obs.trace import Observability, Tracer
+from repro.obs.trace import Observability
 from repro.server import ServerConfig, build_server
 from repro.server.handlers import HandlerChain
 from repro.soap.wssecurity import Credentials, attach_security_header
@@ -73,34 +73,24 @@ class Testbed:
     architecture: str
     observability: Observability | None = None
 
-    def make_proxy(
-        self,
-        *,
-        reuse_connections: bool = False,
-        tracer: Tracer | None = None,
-        accept_encoding: str | None = None,
-        request_compression: CompressionPolicy | None = None,
-    ) -> ServiceProxy:
-        """A fresh client proxy for this deployment.
+    def make_proxy(self, **fields: Any) -> ServiceProxy:
+        """A fresh client proxy for this deployment; ``fields`` are
+        :class:`~repro.client.config.ClientConfig` fields
+        (``reuse_connections``, ``accept_encoding``, ``extra_headers``, ...).
 
-        When the testbed carries an :class:`Observability` and no
-        explicit ``tracer`` is given, the proxy shares the testbed's
-        tracer so client and server spans land in the same trace.
-        ``accept_encoding`` (offer response compression) and
-        ``request_compression`` (compress request bodies) pass straight
-        through to :class:`~repro.client.config.ClientConfig`.
+        When the testbed carries an :class:`Observability` and ``tracer``
+        is not given, the proxy shares the testbed's tracer so client
+        and server spans land in the same trace; ``tracer=None`` sends
+        untraced requests.
         """
-        if tracer is None and self.observability is not None:
-            tracer = self.observability.tracer
+        if self.observability is not None:
+            fields.setdefault("tracer", self.observability.tracer)
         return build_proxy(ClientConfig(
             transport=self.transport,
             address=self.address,
             namespace=ECHO_NS,
             service_name=ECHO_SERVICE,
-            reuse_connections=reuse_connections,
-            tracer=tracer,
-            accept_encoding=accept_encoding,
-            request_compression=request_compression,
+            **fields,
         ))
 
 
@@ -209,7 +199,6 @@ def secured_proxy(testbed: Testbed) -> ServiceProxy:
     echo server does not verify the token (the experiment is about
     header *bytes*, as in §4.2's WS-Security argument), but the header
     is real and signed."""
-    proxy = testbed.make_proxy()
     # Pre-build one header per proxy; PackBatch/ServiceProxy copy it
     # per message, so each message pays the full header size.
     from repro.soap.envelope import Envelope
@@ -224,5 +213,4 @@ def secured_proxy(testbed: Testbed) -> ServiceProxy:
     from repro.soap.constants import MUST_UNDERSTAND_ATTR
 
     header.pop_attribute(MUST_UNDERSTAND_ATTR)
-    proxy.extra_headers = [header]
-    return proxy
+    return testbed.make_proxy(extra_headers=[header])

@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.client.futures import InvocationFuture, ResultArray, unwrap
+from repro.client.futures import unwrap
 from repro.client.proxy import ServiceProxy
 from repro.resilience.policy import CallPolicy
 
@@ -37,9 +37,8 @@ class Call:
 class Invoker:
     """Strategy interface: run a batch of calls into one result array.
 
-    A strategy implements :meth:`run_all`; :meth:`submit_all` hands the
-    array out as futures (views onto its slots) and :meth:`invoke_all`
-    as values.  Every strategy consumes one
+    A strategy implements :meth:`run_all`; :meth:`invoke_all` hands the
+    array out as values.  Every strategy consumes one
     :class:`~repro.resilience.CallPolicy`: the ``policy`` argument if
     given, else the invoker's own (set at construction), else the
     proxy's default.
@@ -52,15 +51,6 @@ class Invoker:
         """Run all calls; one slot per call, in order: its value, or the
         exception it failed with."""
         raise NotImplementedError
-
-    def submit_all(
-        self, calls: list[Call], policy: CallPolicy | None = None
-    ) -> list[InvocationFuture]:
-        """Run all calls; returns one future per call, in order."""
-        results = ResultArray()
-        futures = [results.add(call.operation) for call in calls]
-        results.fill(self.run_all(calls, self._effective_policy(policy)))
-        return futures
 
     def invoke_all(
         self, calls: list[Call], policy: CallPolicy | None = None
@@ -133,35 +123,22 @@ class ThreadedInvoker(Invoker):
 
     name = "threaded"
 
-    def __init__(
-        self,
-        proxy: ServiceProxy,
-        *,
-        max_threads: int | None = None,
-        policy: CallPolicy | None = None,
-    ) -> None:
+    def __init__(self, proxy: ServiceProxy, *, policy: CallPolicy | None = None) -> None:
         self.proxy = proxy
-        self.max_threads = max_threads
         self.policy = policy
 
     def run_all(self, calls: list[Call], policy: CallPolicy | None) -> list[Any]:
         """One client thread (and connection) per call."""
         slots: list[Any] = [None] * len(calls)
-        limit = threading.Semaphore(self.max_threads) if self.max_threads else None
 
         def worker(index: int, call: Call) -> None:
             try:
                 slots[index] = self.proxy.call_with_policy(call.operation, policy, **call.params)
             except BaseException as exc:
                 slots[index] = exc
-            finally:
-                if limit is not None:
-                    limit.release()
 
         threads = []
         for index, call in enumerate(calls):
-            if limit is not None:
-                limit.acquire()
             thread = threading.Thread(target=worker, args=(index, call), daemon=True)
             thread.start()
             threads.append(thread)

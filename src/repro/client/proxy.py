@@ -78,7 +78,7 @@ class ServiceProxy:
         self.service_name = config.service_name
         self.path = config.path or f"/services/{config.service_name}"
         self.reuse_connections = config.reuse_connections
-        self.extra_headers = list(config.extra_headers or ())
+        self.extra_headers = tuple(config.extra_headers)
         self.tracer = config.tracer
         self.policy = config.policy if config.policy is not None else DEFAULT_POLICY
         # the proxy's metric home: the tracer's registry when one is

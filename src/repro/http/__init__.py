@@ -7,7 +7,6 @@ from repro.http.parser import (
     ConnectionClosedCleanly,
     MessageParser,
     RequestParser,
-    encode_chunked,
     read_request,
     read_response,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "HttpServer",
     "MessageParser",
     "RequestParser",
-    "encode_chunked",
     "read_request",
     "read_response",
 ]

@@ -7,8 +7,7 @@
 * :class:`HttpServerCore` — the request lifecycle (admin surface →
   trace id and ``http.parse`` span → the app inside ``server.handle`` →
   500 on an app exception → content coding → keep-alive decision → wire
-  encoding → ``http.send`` span → trace completion), the chunked-
-  transfer framing of the HPDC-11 "message chunking" optimization, the
+  encoding → ``http.send`` span → trace completion), the
   ``http.*`` instruments, the admin routes and the canned
   accept-overload 503.
 
@@ -34,8 +33,8 @@ from typing import Callable, Iterator
 
 from repro.errors import HttpError
 from repro.http.compression import CompressionPolicy, choose_encoding, compress
-from repro.http.message import Headers, HttpRequest, HttpResponse, encode_head
-from repro.http.parser import MessageParser, chunk_frames
+from repro.http.message import Headers, HttpRequest, HttpResponse
+from repro.http.parser import MessageParser
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import render_timeline
 from repro.obs.trace import (
@@ -50,11 +49,11 @@ from repro.transport.base import Address, Transport
 
 App = Callable[[HttpRequest], HttpResponse]
 
-#: How a driver takes a finished response: ``deliver(payloads, close)``
-#: with the ordered wire writes and whether the connection closes after
-#: them.  The threaded driver writes them out; the evented driver fills
-#: the request's :class:`ResponseSlot` and wakes its loop.
-Deliver = Callable[[list[bytes], bool], None]
+#: How a driver takes a finished response: ``deliver(payload, close)``
+#: with its wire bytes and whether the connection closes after them.
+#: The threaded driver writes them out; the evented driver fills the
+#: request's :class:`ResponseSlot` and wakes its loop.
+Deliver = Callable[[bytes, bool], None]
 
 ADMIN_PATHS = ("/metrics", "/healthz", "/traces")
 
@@ -304,9 +303,6 @@ class HttpServerCore:
         *,
         transport: Transport,
         address: Address,
-        server_header: str = "repro-httpd/1.0",
-        chunk_responses_over: int | None = None,
-        chunk_size: int = 8192,
         observability: Observability | None = None,
         registry: MetricsRegistry | None = None,
         compression: CompressionPolicy | None = None,
@@ -324,9 +320,6 @@ class HttpServerCore:
         self._clock = clock
         self._transport = transport
         self._bind_address = address
-        self._server_header = server_header
-        self._chunk_over = chunk_responses_over
-        self._chunk_size = chunk_size
         self._compression = compression
         self._idle_timeout = idle_timeout
         self._stopping = threading.Event()
@@ -476,20 +469,20 @@ class HttpServerCore:
             or conn.close_after_write
             or self._stopping.is_set()
         )
+        payload = self._response_bytes(response, close=close)
         if not trace_id:
-            deliver(self._response_payloads(response, close=close), close)
+            deliver(payload, close)
             return
         obs = self._obs
-        payloads = self._response_payloads(response, close=close)
         if obs.store is not None:
             obs.store.complete(trace_id, http_status=response.status)
         with obs.tracer.span("http.send", trace_id, detail=f"{len(response.body)}B"):
-            deliver(payloads, close)
+            deliver(payload, close)
 
     def _reject(self, error: HttpError, deliver: Deliver) -> None:
         """Answer a framing error with its status, then close: after it
         the byte stream cannot be trusted to hold another request."""
-        deliver(self._response_payloads(error_response(error), close=True), True)
+        deliver(self._response_bytes(error_response(error), close=True), True)
 
     # -- admin surface --------------------------------------------------
 
@@ -577,24 +570,11 @@ class HttpServerCore:
         self._compressed.inc()
         self._bytes_saved.inc(raw_size - len(coded))
 
-    def _response_payloads(
-        self, response: HttpResponse, *, close: bool
-    ) -> list[bytes]:
-        """The response as an ordered list of wire writes.
-
-        Chunked responses come back as ``[head, frame, frame, ...,
-        terminator]`` so the threaded backend can keep its one-sendall-
-        per-frame discipline (the shaped transport prices each sendall);
-        the evented backend joins the list into one write buffer.
-        """
-        response.headers.set("Server", self._server_header)
+    def _response_bytes(self, response: HttpResponse, *, close: bool) -> bytes:
+        """The response's wire bytes, framed by ``Content-Length``."""
+        response.headers.set("Server", "repro-httpd/1.0")
         response.headers.set("Connection", "close" if close else "keep-alive")
-        if self._chunk_over is not None and len(response.body) > self._chunk_over:
-            return [
-                chunked_head(response),
-                *chunk_frames(response.body, self._chunk_size),
-            ]
-        return [response.to_bytes()]
+        return response.to_bytes()
 
     def make_busy_response(self, detail: str) -> HttpResponse:
         """The accept-overload 503 sent before any parsing happens.
@@ -621,14 +601,6 @@ class HttpServerCore:
     def set_busy_body(self, content_type: str, payload: bytes) -> None:
         """Install the body served by accept-overload 503 responses."""
         self._busy_body = (content_type, payload)
-
-
-def chunked_head(response: HttpResponse) -> bytes:
-    """The status line + headers of a chunked-transfer response."""
-    headers = response.headers.copy()
-    headers.remove("Content-Length")
-    headers.set("Transfer-Encoding", "chunked")
-    return encode_head(f"{response.version} {response.status} {response.reason}", headers)
 
 
 def _text_response(content_type: str, text: str) -> HttpResponse:

@@ -28,7 +28,9 @@ explosion.  Three shed rungs, outermost first:
 1. **accept overload** — active connections at ``max_connections``:
    a canned 503 is written straight from the loop, before any parse;
 2. **handler-stage saturation** — ``stage.submit`` raises
-   :class:`~repro.errors.PoolSaturatedError`: whole-message 503;
+   :class:`~repro.errors.PoolSaturatedError` once ``HANDLER_WORKERS``
+   workers are busy and ``HANDLER_QUEUE_LIMIT`` requests wait:
+   whole-message 503;
 3. the app-stage per-entry sheds of the staged architecture
    (unchanged — entries inside a pack fault individually).
 
@@ -68,6 +70,11 @@ SWEEP_INTERVAL_S = 0.25
 #: Upper bound on one select() wait, so stop() and deadline sweeps are
 #: never starved by a silent socket set.
 MAX_POLL_S = 0.2
+
+#: The ``http-handler`` stage: its worker count and how many admitted
+#: requests may wait for a worker before rung 2 sheds (read in start()).
+HANDLER_WORKERS = 8
+HANDLER_QUEUE_LIMIT = 1024
 
 
 class _ConnectionLost(Exception):
@@ -138,15 +145,10 @@ class EventedHttpServer(HttpServerCore):
         *,
         transport: Transport,
         address: Address,
-        server_header: str = "repro-httpd/1.0",
-        chunk_responses_over: int | None = None,
-        chunk_size: int = 8192,
         max_connections: int | None = None,
         observability: Observability | None = None,
         registry: MetricsRegistry | None = None,
         compression: CompressionPolicy | None = None,
-        protocol_workers: int = 8,
-        protocol_queue_limit: int | None = 1024,
         idle_timeout: float | None = 30.0,
         write_timeout: float | None = 30.0,
         handler_timeout: float | None = 60.0,
@@ -165,9 +167,6 @@ class EventedHttpServer(HttpServerCore):
             app,
             transport=transport,
             address=address,
-            server_header=server_header,
-            chunk_responses_over=chunk_responses_over,
-            chunk_size=chunk_size,
             observability=observability,
             registry=registry,
             compression=compression,
@@ -175,8 +174,6 @@ class EventedHttpServer(HttpServerCore):
             clock=clock,
         )
         self._max_connections = max_connections
-        self._protocol_workers = protocol_workers
-        self._protocol_queue_limit = protocol_queue_limit
         self._write_timeout = write_timeout
         self._handler_timeout = handler_timeout
         self._accept_shed = self.registry.counter("http.accept_overload.shed")
@@ -207,9 +204,9 @@ class EventedHttpServer(HttpServerCore):
         )
         self._stage = Stage(
             "http-handler",
-            self._protocol_workers,
+            HANDLER_WORKERS,
             registry=self.registry,
-            max_queue=self._protocol_queue_limit,
+            max_queue=HANDLER_QUEUE_LIMIT,
         )
         self._wakeup_recv, self._wakeup_send = socket.socketpair()
         self._wakeup_recv.setblocking(False)
@@ -309,11 +306,10 @@ class EventedHttpServer(HttpServerCore):
         """Rung 1: over the connection budget — 503 before parse."""
         self._accept_shed.inc()
         response = self.make_busy_response("server busy: connection budget exceeded")
-        payload = b"".join(self._response_payloads(response, close=True))
         try:
             # best-effort: the canned 503 fits any fresh socket buffer;
             # a peer that vanished just gets the close
-            _send_nonblocking(sock, payload)
+            _send_nonblocking(sock, self._response_bytes(response, close=True))
         except _ConnectionLost:
             pass
         sock.close()
@@ -389,7 +385,7 @@ class EventedHttpServer(HttpServerCore):
         self,
         conn: _SocketConnection,
         slot: ResponseSlot,
-        payloads: list[bytes],
+        payload: bytes,
         close: bool,
     ) -> None:
         """Any thread: park a coded response in its slot, tell the loop.
@@ -399,7 +395,7 @@ class EventedHttpServer(HttpServerCore):
         events of every pass, so nothing is flushed — and no connection
         judged finished — before every slot of a parsed batch exists.
         """
-        slot.fill(b"".join(payloads), close_after=close)
+        slot.fill(payload, close_after=close)
         self._completions.append(conn)
         self._wake()
 

@@ -10,8 +10,6 @@ a blocking :class:`~repro.transport.base.Channel` (the client side).
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.errors import HttpError
 from repro.http.compression import (
     SUPPORTED_ENCODINGS,
@@ -319,17 +317,3 @@ def read_request(reader: ChannelReader) -> HttpRequest:
 def read_response(reader: ChannelReader) -> HttpResponse:
     """Read one complete HTTP response from the channel."""
     return reader.read_message(is_request=False)
-
-
-def chunk_frames(body: bytes, chunk_size: int) -> Iterator[bytes]:
-    """``body`` as chunked-transfer frames, the terminator last."""
-    for offset in range(0, len(body), chunk_size):
-        chunk = body[offset : offset + chunk_size]
-        yield f"{len(chunk):x}\r\n".encode("ascii") + chunk + _CRLF
-    yield b"0\r\n\r\n"
-
-
-def encode_chunked(body: bytes, chunk_size: int = 8192) -> bytes:
-    """Encode ``body`` using chunked transfer encoding (used by the
-    streaming/chunking related-work bench)."""
-    return b"".join(chunk_frames(body, chunk_size))

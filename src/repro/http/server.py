@@ -46,9 +46,6 @@ class HttpServer(HttpServerCore):
         *,
         transport: Transport,
         address: Address,
-        server_header: str = "repro-httpd/1.0",
-        chunk_responses_over: int | None = None,
-        chunk_size: int = 8192,
         max_connections: int | None = None,
         observability: Observability | None = None,
         registry: MetricsRegistry | None = None,
@@ -66,9 +63,6 @@ class HttpServer(HttpServerCore):
             app,
             transport=transport,
             address=address,
-            server_header=server_header,
-            chunk_responses_over=chunk_responses_over,
-            chunk_size=chunk_size,
             observability=observability,
             registry=registry,
             compression=compression,
@@ -150,17 +144,14 @@ class HttpServer(HttpServerCore):
         deadline = self._idle_timeout is not None
         conn = ConnectionState(now=clock(), idle_timeout=self._idle_timeout)
 
-        def deliver(payloads: list[bytes], close: bool) -> None:
+        def deliver(payload: bytes, close: bool) -> None:
             if close:
                 conn.close_after_write = True
             if deadline:
                 # the read deadline must not cut a slow reader's response
                 channel.set_timeout(None)
             try:
-                # one sendall per payload: the shaped transport prices
-                # each sendall, so chunked framing keeps its per-frame cost
-                for payload in payloads:
-                    channel.sendall(payload)
+                channel.sendall(payload)
             except TransportError:
                 conn.close_after_write = True
 

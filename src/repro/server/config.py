@@ -45,11 +45,13 @@ class ServerConfig:
     * **protocol** — ``backend``, ``transport``, ``address``,
       ``max_connections`` (threaded: accept gate; evented: the
       accept-overload shed budget), the ``idle_timeout`` read-idle
-      deadline, and the evented-only ``protocol_workers`` /
-      ``protocol_queue_limit`` handler stage plus ``write_timeout`` /
-      ``handler_timeout`` loop deadlines;
-    * **wire** — ``chunk_responses_over`` / ``chunk_size`` (HPDC-11
-      chunking), ``compression``;
+      deadline, and the evented-only ``write_timeout`` /
+      ``handler_timeout`` loop deadlines (the evented handler stage
+      has fixed sizes, :data:`~repro.http.evented.HANDLER_WORKERS` and
+      :data:`~repro.http.evented.HANDLER_QUEUE_LIMIT`, whose overflow
+      is a whole-message 503);
+    * **wire** — ``compression`` (every response is framed by
+      ``Content-Length``);
     * **observability** — ``observability``.
     """
 
@@ -61,14 +63,10 @@ class ServerConfig:
     chain: Any | None = None
     app_workers: int = DEFAULT_APP_WORKERS
     app_queue_limit: int | None = None
-    protocol_workers: int = 8
-    protocol_queue_limit: int | None = 1024
     max_connections: int | None = None
     idle_timeout: float | None = 30.0
     write_timeout: float | None = 30.0
     handler_timeout: float | None = 60.0
-    chunk_responses_over: int | None = None
-    chunk_size: int = 8192
     compression: CompressionPolicy | None = None
     observability: Observability | None = None
 
@@ -111,8 +109,6 @@ def build_http_server(
     common = dict(
         transport=transport,
         address=config.address,
-        chunk_responses_over=config.chunk_responses_over,
-        chunk_size=config.chunk_size,
         max_connections=config.max_connections,
         observability=config.observability,
         registry=registry,
@@ -124,8 +120,6 @@ def build_http_server(
 
         server: HttpServerCore = EventedHttpServer(
             app,
-            protocol_workers=config.protocol_workers,
-            protocol_queue_limit=config.protocol_queue_limit,
             write_timeout=config.write_timeout,
             handler_timeout=config.handler_timeout,
             **common,

@@ -82,7 +82,7 @@ class SoapFault:
         )
 
     @classmethod
-    def from_exception(cls, exc: BaseException, *, actor: str | None = None) -> "SoapFault":
+    def from_exception(cls, exc: BaseException) -> "SoapFault":
         """Map a server-side exception onto a fault.
 
         Library errors marked as caller mistakes become ``Client``
@@ -93,7 +93,7 @@ class SoapFault:
         from repro.errors import DeadlineExpiredError, PoolSaturatedError, ServerBusyError
 
         if isinstance(exc, SoapFaultError):
-            return cls(exc.faultcode, exc.faultstring, actor or exc.faultactor, exc.detail)
+            return cls(exc.faultcode, exc.faultstring, exc.faultactor, exc.detail)
         if isinstance(exc, (ServerBusyError, PoolSaturatedError)):
             code = FAULT_SERVER_BUSY
         elif isinstance(exc, DeadlineExpiredError):
@@ -102,23 +102,18 @@ class SoapFault:
             code = FAULT_CLIENT
         else:
             code = FAULT_SERVER
-        return cls(
-            code,
-            f"{type(exc).__name__}: {exc}",
-            actor,
-            detail=str(exc) or None,
-        )
+        return cls(code, f"{type(exc).__name__}: {exc}", detail=str(exc) or None)
 
 
-def busy_fault(reason: str, *, actor: str | None = None) -> SoapFault:
+def busy_fault(reason: str) -> SoapFault:
     """The shed-point fault: ``Server.Busy``, retryable by contract."""
-    return SoapFault(FAULT_SERVER_BUSY, reason, actor)
+    return SoapFault(FAULT_SERVER_BUSY, reason)
 
 
-def timeout_fault(reason: str, *, actor: str | None = None) -> SoapFault:
+def timeout_fault(reason: str) -> SoapFault:
     """The deadline-expiry fault: ``Server.Timeout``, retryable by
     contract (the entry was skipped, not executed)."""
-    return SoapFault(FAULT_SERVER_TIMEOUT, reason, actor)
+    return SoapFault(FAULT_SERVER_TIMEOUT, reason)
 
 
 class ClientFaultCause(SoapError):

@@ -223,11 +223,11 @@ class TestSerialInvoker:
 
     def test_failure_recorded_per_future(self, env):
         _, _, proxy, _ = env
-        futures = SerialInvoker(proxy).submit_all(
-            [Call("echo", {"payload": "ok"}), Call("fail", {"reason": "no"})]
+        slots = SerialInvoker(proxy).run_all(
+            [Call("echo", {"payload": "ok"}), Call("fail", {"reason": "no"})], None
         )
-        assert futures[0].result() == "ok"
-        assert isinstance(futures[1].exception(), SoapFaultError)
+        assert slots[0] == "ok"
+        assert isinstance(slots[1], SoapFaultError)
 
     def test_serial_takes_cumulative_time(self, env):
         _, _, proxy, _ = env
@@ -256,19 +256,13 @@ class TestThreadedInvoker:
         assert counters(server)["soap.messages"] == 5
         assert counters(server)["http.connections.accepted"] == 5
 
-    def test_max_threads_cap(self, env):
-        _, _, proxy, _ = env
-        calls = Call.many("echo", [{"payload": f"{i}"} for i in range(8)])
-        results = ThreadedInvoker(proxy, max_threads=2).invoke_all(calls)
-        assert results == [f"{i}" for i in range(8)]
-
     def test_mixed_failures(self, env):
         _, _, proxy, _ = env
-        futures = ThreadedInvoker(proxy).submit_all(
-            [Call("fail", {"reason": "r"}), Call("echo", {"payload": "fine"})]
+        slots = ThreadedInvoker(proxy).run_all(
+            [Call("fail", {"reason": "r"}), Call("echo", {"payload": "fine"})], None
         )
-        assert isinstance(futures[0].exception(), SoapFaultError)
-        assert futures[1].result() == "fine"
+        assert isinstance(slots[0], SoapFaultError)
+        assert slots[1] == "fine"
 
 
 class TestKeepAliveSerialInvoker:
@@ -317,8 +311,8 @@ class TestKeepAliveSerialInvoker:
         from repro.client.invoker import KeepAliveSerialInvoker
 
         _, _, proxy, _ = env
-        futures = KeepAliveSerialInvoker(proxy).submit_all(
-            [Call("fail", {"reason": "r"}), Call("echo", {"payload": "ok"})]
+        slots = KeepAliveSerialInvoker(proxy).run_all(
+            [Call("fail", {"reason": "r"}), Call("echo", {"payload": "ok"})], None
         )
-        assert isinstance(futures[0].exception(), SoapFaultError)
-        assert futures[1].result() == "ok"
+        assert isinstance(slots[0], SoapFaultError)
+        assert slots[1] == "ok"

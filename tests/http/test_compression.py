@@ -128,7 +128,7 @@ class TestParserDecoding:
         assert excinfo.value.status == 400
 
     def test_coded_chunked_response(self):
-        from repro.http.parser import encode_chunked
+        from .framing import encode_chunked
 
         body = b"chunked and coded " * 200
         coded = compress(body, "gzip")

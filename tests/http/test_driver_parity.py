@@ -52,7 +52,7 @@ def request_bytes(case: dict) -> bytes:
     )
 
 
-#: 7 KB that gzip only halves, so the coded body still spans chunks
+#: 7 KB that gzip only halves
 BIG_BODY = b",".join(b"%d" % (i * i % 9973) for i in range(1500))
 
 
@@ -64,13 +64,14 @@ def app(request):
 
 
 def build_server(backend: str, options: dict):
-    """``options``: ``obs`` (admin surface on), ``chunk`` (responses over
-    1 KB go out in 1 KB chunks), ``gzip`` (negotiated response coding)."""
+    """``options``: ``obs`` (admin surface on), ``gzip`` (negotiated
+    response coding); any other option raises."""
+    unknown = set(options) - {"obs", "gzip"}
+    if unknown:
+        raise ValueError(f"unknown server options: {sorted(unknown)}")
     keywords = {}
     if options.get("obs"):
         keywords["observability"] = Observability()
-    if options.get("chunk"):
-        keywords.update(chunk_responses_over=1024, chunk_size=1024)
     if options.get("gzip"):
         keywords["compression"] = CompressionPolicy()
     return BACKENDS[backend](
@@ -136,6 +137,11 @@ def test_backend_answers_the_committed_bytes(servers, case, backend):
     answered, fate = exchange(address, case, want=len(expected), quiet=QUIET_S)
     assert answered == expected
     assert fate == case["fate"]
+
+
+def test_a_stale_server_option_is_refused():
+    with pytest.raises(ValueError, match="chunk"):
+        build_server("threaded", {"chunk": True, "gzip": True})
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))

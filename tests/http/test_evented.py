@@ -7,6 +7,8 @@ handful of real-socket tests then cover the loop itself.
 """
 
 import socket
+import threading
+import time
 
 import pytest
 
@@ -373,3 +375,46 @@ class TestEventedHttpServer:
                 assert head.startswith(b"HTTP/1.1 400")
                 assert b"Connection: close" in head
                 assert sock.recv(65536) == b""
+
+    def test_saturated_handler_stage_sheds_with_busy_fault(self, monkeypatch):
+        # rung 2: one worker busy, one request queued — the next one is
+        # answered 503 Server.Busy from the loop, without reaching the app
+        from repro.http import evented
+        from repro.server.config import ServerConfig, build_http_server
+
+        monkeypatch.setattr(evented, "HANDLER_WORKERS", 1)
+        monkeypatch.setattr(evented, "HANDLER_QUEUE_LIMIT", 1)
+        entered, release = threading.Event(), threading.Event()
+
+        def blocking_app(request):
+            if request.path == "/block":
+                entered.set()
+                release.wait(5)
+            return echo_app(request)
+
+        server = build_http_server(blocking_app, ServerConfig(backend="evented"))
+        blocked = b"POST /block HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\n\r\nhello"
+        with server.running() as address:
+            with socket.create_connection(address, timeout=5) as first, \
+                    socket.create_connection(address, timeout=5) as second:
+                first.sendall(blocked)
+                assert entered.wait(5)
+                # one write: the loop queues the first and sheds the second
+                second.sendall(SIMPLE + SIMPLE)
+                give_up = time.monotonic() + 5
+                while (
+                    counters(server)["stage.http-handler.rejected"] == 0
+                    and time.monotonic() < give_up
+                ):
+                    time.sleep(0.01)
+                assert counters(server)["stage.http-handler.rejected"] == 1
+                release.set()
+                head, body = recv_response(first)
+                assert head.startswith(b"HTTP/1.1 200")
+                buffer = bytearray()
+                head, body = recv_response(second, buffer)
+                assert head.startswith(b"HTTP/1.1 200") and body == b"hello"
+                head, body = recv_response(second, buffer)
+                assert head.startswith(b"HTTP/1.1 503")
+                assert b"Server.Busy" in body
+        assert counters(server)["stage.http-handler.rejected"] == 1

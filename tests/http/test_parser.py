@@ -7,10 +7,11 @@ from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.http.parser import (
     ChannelReader,
     ConnectionClosedCleanly,
-    encode_chunked,
     read_request,
     read_response,
 )
+
+from .framing import encode_chunked
 
 
 class ScriptedChannel:

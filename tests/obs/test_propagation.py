@@ -73,8 +73,10 @@ class TestTracePropagation:
         obs = keeping_every_trace()
         carried = "deadbeefcafef00d"
         with echo_testbed(profile="inproc", observability=obs) as bed:
-            proxy = bed.make_proxy(tracer=None)  # no HTTP header, no client span
-            proxy.extra_headers = [Element(TRACE_HEADER_TAG, {TRACE_ID_ATTR: carried})]
+            proxy = bed.make_proxy(  # no HTTP header, no client span
+                tracer=None,
+                extra_headers=[Element(TRACE_HEADER_TAG, {TRACE_ID_ATTR: carried})],
+            )
             assert proxy.call("echo", payload="x") == "x"
         names = [s.name for s in obs.store.get(carried).spans]
         assert "execute" in names and "soap.serialize" in names

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from repro.http.compression import SUPPORTED_ENCODINGS, compress
 from repro.http.message import parse_qvalues
-from repro.http.parser import ChannelReader, encode_chunked, read_response
+from repro.http.parser import ChannelReader, read_response
+
+from ..http.framing import encode_chunked
 
 
 class _Scripted:

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from repro.errors import HttpError
 from repro.http.compression import compress
 from repro.http.message import Headers, HttpRequest, HttpResponse
-from repro.http.parser import ChannelReader, encode_chunked, read_request, read_response
+from repro.http.parser import ChannelReader, read_request, read_response
+
+from ..http.framing import encode_chunked
 
 token_chars = string.ascii_letters + string.digits + "-_"
 header_names = st.text(alphabet=token_chars, min_size=1, max_size=12)

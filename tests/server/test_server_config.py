@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.echo import make_echo_service
 from repro.errors import TransportError
-from repro.http.evented import EventedHttpServer
+from repro.http.evented import HANDLER_WORKERS, EventedHttpServer
 from repro.http.server import HttpServer
 from repro.server import ServerConfig, build_server
 from repro.obs import Observability
@@ -19,7 +19,6 @@ class TestServerConfig:
         config = ServerConfig()
         assert config.architecture == "staged"
         assert config.backend == "threaded"
-        assert config.protocol_queue_limit == 1024
 
     def test_unknown_architecture_rejected(self):
         with pytest.raises(ValueError, match="architecture"):
@@ -109,9 +108,8 @@ class TestBuildServer:
                     architecture=architecture,
                     backend=backend,
                     transport=TcpTransport(),
-                    protocol_workers=3,
                 ))
                 with server.running() as address:
                     assert address[1] > 0
                     if backend == "evented":
-                        assert server.http._stage.workers == 3
+                        assert server.http._stage.workers == HANDLER_WORKERS
