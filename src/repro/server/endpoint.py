@@ -14,11 +14,12 @@ GET requests with a ``wsdl`` query string serve generated WSDL, as
 Axis does.
 
 The endpoint counts per message, into its container's registry:
-``soap.messages`` (envelopes parsed), ``soap.faults`` (whole-message
-faults), ``soap.wsdl_requests``, ``soap.packed_messages`` and the
-``soap.pack_degree`` sketch — entries per message, whose mean is the
-amortization SPI exists to raise above 1.0 and whose sum is the
-entries handed to the executor.
+``soap.messages`` (envelopes parsed), ``soap.reader_fallbacks`` (those
+the scanner left to the tree source, ``Envelope.read_by``),
+``soap.faults`` (whole-message faults), ``soap.wsdl_requests``,
+``soap.packed_messages`` and the ``soap.pack_degree`` sketch — entries
+per message, whose mean is the amortization SPI exists to raise above
+1.0 and whose sum is the entries handed to the executor.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ class SoapEndpoint:
         self._obs = observability
         registry = container.registry
         self._messages = registry.counter("soap.messages")
+        self._fallbacks = registry.counter("soap.reader_fallbacks")
         self._faults = registry.counter("soap.faults")
         self._wsdl_requests = registry.counter("soap.wsdl_requests")
         self._packed = registry.counter("soap.packed_messages")
@@ -147,6 +149,8 @@ class SoapEndpoint:
             fault = SoapFault(FAULT_CLIENT, f"unparseable SOAP message: {exc}")
             return self._fault_response(fault, status=400)
         self._messages.inc()
+        if envelope.read_by == "tree":
+            self._fallbacks.inc()
         if self._obs is not None:
             self._adopt_soap_trace(envelope)
 

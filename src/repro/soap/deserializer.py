@@ -20,6 +20,7 @@ from repro.soap.fault import ClientFaultCause, SoapFault
 from repro.soap.multiref import resolve_multirefs
 from repro.soap.serializer import RESPONSE_SUFFIX, RETURN_TAG
 from repro.soap.xsdtypes import decode_value, value_rule
+from repro.xmlcore.qname import QName
 from repro.xmlcore.tree import Element
 from repro.xmlcore.treebuilder import Unusual, XmlScanner
 
@@ -51,8 +52,8 @@ class DecodedEntry(Element):
 
     __slots__ = ("decoded",)
 
-    def __init__(self, element: Element, decoded: RpcRequest | RpcResponse) -> None:
-        self.tag, self._attrs, self.nsmap = element.tag, element.items(), element.nsmap
+    def __init__(self, tag: str, attributes: tuple, decoded: RpcRequest | RpcResponse, nsmap=None) -> None:
+        self.tag, self._attrs, self.nsmap = tag, attributes, nsmap or {}
         self.decoded = decoded
 
     @property
@@ -142,6 +143,7 @@ def decode_request_envelope(document: str | bytes) -> Envelope:
         envelope.body_entries = list(walk_envelope(document, envelope, _read_request))
     except Exception:  # anything unusual: the tree source says what
         return read_request_envelope(document)
+    envelope.read_by = "scanner"
     return envelope
 
 
@@ -153,11 +155,17 @@ def decode_response_envelope(document: str | bytes) -> Envelope:
         envelope.body_entries = list(walk_envelope(document, None, _read_response))
     except Exception:  # anything unusual: the tree source says what
         return Envelope.parse(document)
+    envelope.read_by = "scanner"
     return envelope
 
 
-def _read_pack(read_entry):
-    """``read_entry``, reading each entry of a ``Parallel_Method`` with it."""
+def _read_pack(decoded, suffix: str = ""):
+    """A body-entry reader into ``decoded``, a pack's entries read in one match where they can."""
+
+    def read_entry(cursor: XmlScanner, start) -> Element:
+        if not start.name.endswith(suffix):
+            return cursor.read_element(start)  # a Fault or an spi:Accepted
+        return decoded(*cursor.read_values(start, value_rule))
 
     def read(cursor: XmlScanner, start) -> Element:
         if start.name.rpartition(":")[2] != "Parallel_Method":
@@ -165,32 +173,28 @@ def _read_pack(read_entry):
         pack = cursor.enter(start)
         if pack.tag != PARALLEL_METHOD:
             raise Unusual("a Parallel_Method outside the SPI namespace")
-        while (child := cursor.next_child(only_elements=True)) is not None:
-            pack.children.append(read_entry(cursor, child))
+        while (entry := cursor.next_entry(value_rule, suffix) or cursor.next_child(only_elements=True)):
+            pack.children.append(decoded(*entry) if type(entry) is tuple else read_entry(cursor, entry))
         return pack
 
     return read
 
 
-def _response_entry(cursor: XmlScanner, start) -> Element:
-    if not start.name.endswith(RESPONSE_SUFFIX):
-        return cursor.read_element(start)  # a Fault or an spi:Accepted
-    element, pairs = cursor.read_values(start, value_rule)
+def _response(tag: str, attributes: tuple, pairs: list, nsmap=None) -> DecodedEntry:
     if len(pairs) != 1 or pairs[0][0] != RETURN_TAG:
         raise Unusual("not exactly one <return>")
-    qname = element.qname
-    operation = qname.local[: -len(RESPONSE_SUFFIX)]
-    return DecodedEntry(element, RpcResponse(qname.uri, operation, pairs[0][1]))
+    qname = QName.parse(tag)
+    response = RpcResponse(qname.uri, qname.local[: -len(RESPONSE_SUFFIX)], pairs[0][1])
+    return DecodedEntry(tag, attributes, response, nsmap)
 
 
-def _request_entry(cursor: XmlScanner, start) -> Element:
-    element, pairs = cursor.read_values(start, value_rule)
+def _request(tag: str, attributes: tuple, pairs: list, nsmap=None) -> DecodedEntry:
     params = dict(pairs)
     if len(params) != len(pairs):
         raise Unusual("a duplicate parameter")
-    qname = element.qname
-    return DecodedEntry(element, RpcRequest(qname.uri, qname.local, params))
+    qname = QName.parse(tag)
+    return DecodedEntry(tag, attributes, RpcRequest(qname.uri, qname.local, params), nsmap)
 
 
-_read_request = _read_pack(_request_entry)
-_read_response = _read_pack(_response_entry)
+_read_request = _read_pack(_request)
+_read_response = _read_pack(_response, RESPONSE_SUFFIX)

@@ -29,9 +29,8 @@ class Envelope:
     a server-mode parse or sealed, its Body's text is ``source[body_start:body_end]``,
     under the namespace declarations ``body_scope`` (the Envelope's)."""
 
-    __slots__ = (
-        "header_entries", "body_entries", "source", "body_start", "body_end", "body_scope", "_sealed"
-    )
+    __slots__ = ("header_entries", "body_entries", "source", "body_start", "body_end", "body_scope",
+                 "_sealed", "read_by")
 
     def __init__(self) -> None:
         self.header_entries: list[Element] = []
@@ -40,6 +39,7 @@ class Envelope:
         self.body_start = self.body_end = 0
         self.body_scope: dict[str, str] | None = None
         self._sealed: _SealedBody | None = None
+        self.read_by: str | None = None  # the source that read it: "scanner" or "tree"
 
     # -- construction ---------------------------------------------------
 
@@ -108,6 +108,7 @@ class Envelope:
         which only consumes body entries.
         """
         envelope = cls()
+        envelope.read_by = "tree"
         walk = walk_envelope(source, envelope if server else None, XmlScanner.read_element)
         envelope.body_entries = list(walk)
         return envelope

@@ -38,14 +38,20 @@ token by token and shares its position, so the styles interleave.  A
 skip expands no name, but holds end tags to their start tags.  The value walk
 (:meth:`read_values`) is the tree loop's sibling for typed RPC values:
 it decodes an entry's children straight into Python values, memoising
-per start tag which rule decodes it.  Every memo has the tree memo's
-lifetime.  :func:`build_tree` is the whole-document entry point behind
+per start tag which rule decodes it.  Its own ``requestID`` makes each
+packed entry's start tag miss that memo, so :meth:`next_entry` reads the
+form our writer emits in one match, memoising the raw name's Clark tag;
+other forms, unresolved names and probe-tripping documents take the
+token path.  Every memo has the tree memo's lifetime (``_forget`` clears
+all three).  :func:`build_tree` is the whole-document entry point behind
 :func:`repro.xmlcore.parse`.
 """
 
 from __future__ import annotations
 
-from repro.errors import XmlError, XmlWellFormednessError
+import re
+
+from repro.errors import XmlError, XmlNamespaceError, XmlWellFormednessError
 from repro.xmlcore import lexer as lx
 from repro.xmlcore.escape import unescape
 from repro.xmlcore.qname import NamespaceScope
@@ -135,6 +141,8 @@ _new_element = Element.__new__
 # A value nested deeper goes down the tree path, whose decoder recurses.
 VALUE_DEPTH = 64
 
+_ENTRY = re.compile(r'[ \t\r\n]*<([^ \t\r\n/>]+) requestID="([^<&"]*)">')
+
 
 class Unusual(XmlError):
     """The value walk met a shape it leaves to the tree path (were one ever
@@ -144,7 +152,7 @@ class Unusual(XmlError):
 class XmlScanner:
     """Fused scanner over one document; see the module docstring."""
 
-    __slots__ = ("_scope", "_entered", "_lexer", "_memo", "_rules")
+    __slots__ = ("_scope", "_entered", "_lexer", "_memo", "_rules", "_entries")
 
     def __init__(self, source: str | bytes) -> None:
         if isinstance(source, bytes):
@@ -162,6 +170,8 @@ class XmlScanner:
         # Its twin for the value walk, with its lifetime: raw start-tag
         # text -> (local name, decode, compound, end-tag text or None).
         self._rules: dict[str, tuple] = {}  # repro: disable=no-unbounded-cache
+        # And for next_entry: raw entry name -> (Clark tag, end-tag text).
+        self._entries: dict[str, tuple[str, str]] = {}  # repro: disable=no-unbounded-cache
 
     # -- whole-document parse --------------------------------------------
 
@@ -352,18 +362,37 @@ class XmlScanner:
 
     # -- the value walk -----------------------------------------------------
 
-    def read_values(self, start: lx.StartTagToken, rule_of) -> tuple[Element, list]:
-        """The element ``start`` opens, childless, and one ``(local name,
-        value)`` pair per child, decoded off the memo loop by
-        ``rule_of(attributes)``: ``(decode, compound)`` — a leaf's decode
-        takes its text, a compound's its name and pairs — or None.  Only
-        typed and nil values and compounds of them are read; anything
-        else raises :class:`Unusual` (so may a decoder) and spends the
-        scanner."""
+    def read_values(self, start: lx.StartTagToken, rule_of) -> tuple[str, tuple, list, dict]:
+        """``start``'s Clark tag, attributes and declarations, and a ``(local
+        name, value)`` pair per child decoded off the memo loop by
+        ``rule_of(attributes)``: ``(decode, compound)`` (a leaf's decode takes
+        its text, a compound's its name and pairs) or None.  Anything but typed
+        and nil values and compounds of them raises :class:`Unusual` (so may a
+        decoder) and spends the scanner."""
         element = self.enter(start)
-        if start.self_closing:
-            self._leave()
-            return element, []
+        pairs = [] if start.self_closing else self._walk(f"</{start.name}>", rule_of)
+        self._leave()
+        return element.tag, element.items(), pairs, element.nsmap
+
+    def next_entry(self, rule_of, suffix: str = "") -> tuple[str, tuple, list] | None:
+        """:meth:`read_values`, less declarations, for the entry at the offset if
+        its start tag is as our writer emits it (whitespace, ``<QName requestID="v">``
+        with one space, double quotes, no '<', '&' or '"' in ``v``) and has a name
+        that ends in ``suffix`` and resolves; else None, and nothing is read."""
+        lexer = self._lexer
+        match = None if lexer._suspect or self._entered[-1][1] else _ENTRY.match(lexer._src, lexer._pos)
+        if match is None or not match[1].endswith(suffix):
+            return None
+        if (entry := self._entries.get(match[1])) is None:
+            try:
+                entry = self._entries[match[1]] = (self._scope.resolve_name(match[1]).clark, f"</{match[1]}>")
+            except XmlNamespaceError:  # not memoised: the token path says what is wrong
+                return None
+        lexer._pos = match.end()
+        return entry[0], (("requestID", match[2]),), self._walk(entry[1], rule_of)
+
+    def _walk(self, close: str, rule_of) -> list:
+        """The value walk's loop: the pairs it reads through the end tag ``close``."""
         lexer = self._lexer
         if lexer._suspect:
             raise Unusual("a suspect character")
@@ -371,8 +400,6 @@ class XmlScanner:
         find = src.find
         startswith = src.startswith
         rules = self._rules
-        name, _, pushed = self._entered.pop()
-        close = f"</{name}>"
         pairs: list = []
         # (parent's pairs, parent's end-tag text, name, decode) per open compound
         stack: list[tuple[list, str, str, object]] = []
@@ -412,10 +439,7 @@ class XmlScanner:
                 pairs.append((name, decode(unescape(text) if "&" in text else text)))
                 pos = lt + len(child_close)
         lexer._pos = pos
-        if pushed:
-            self._scope.pop()
-            self._forget()
-        return element, pairs
+        return pairs
 
     def _rule(self, lt: int, gt: int, rule_of) -> tuple:
         """Memoise what the value walk does with the start tag at ``lt``."""
@@ -445,6 +469,7 @@ class XmlScanner:
         """Drop the per-start-tag memos: a namespace frame moved."""
         self._memo.clear()
         self._rules.clear()
+        self._entries.clear()
 
     def _leave(self) -> None:
         _, _, pushed = self._entered.pop()

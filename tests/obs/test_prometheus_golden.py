@@ -31,6 +31,7 @@ def build_registry() -> MetricsRegistry:
     clock = FakeClock()
     registry = MetricsRegistry(clock=clock)
     registry.counter("http.requests").inc(3)
+    registry.counter("soap.reader_fallbacks").inc()
     registry.gauge("stage.application.queue_depth").set(2)
     registry.sketch("pack.degree").record(8)
     sketch = registry.sketch("span.execute.seconds")

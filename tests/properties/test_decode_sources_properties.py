@@ -10,12 +10,20 @@ walk itself, not its fallback.  On arbitrary wire values (typed, untyped,
 nil, mixed content, CDATA, comments) both must return the same values or
 raise the same exception type and message.
 
+A packed entry's start tag is read in one match where it has the form
+our writer emits; every other spelling of it (entity references or odd
+characters in its ``requestID``, other whitespace or quotes, a second
+attribute, a declaration, self-closing, an undeclared or rebound prefix,
+a C0 control that trips the legality probe) must read as the token path
+and the tree source read it.
+
 The client reads the whole response, packed or not: a document cut after
 its first entry, padded after its Body or followed by a second root is
 refused by a packed batch and by an unpacked call alike.
 """
 
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -38,6 +46,7 @@ from repro.soap.deserializer import (
     read_request_envelope,
 )
 from repro.transport.inproc import InProcTransport
+from repro.xmlcore.treebuilder import XmlScanner
 
 from ..soap.test_fallback_corpus import _ReplayProxy
 from .test_codec_properties import ROOT, _render, canon, encodable, wire_values
@@ -171,6 +180,108 @@ def test_a_decoded_entry_keeps_its_tag_and_attributes_not_its_children():
     assert parse_rpc_request(entry).params == {"a": 1}
     with pytest.raises(Exception, match="decoded off the scanner"):
         entry.element_children()
+
+
+# -- a packed entry's start tag: one match, the token path, the tree source ----------
+
+# The first of each list is what our writer emits.  One entry in three
+# varies one or two of name, tag form, requestID and content from it, so
+# the one match is taken often, and its memoised names meet entries that
+# rebind their prefix.
+ENTRY_FORMS = [
+    ' requestID="{}"', ' requestID = "{}"', '\trequestID="{}"', '\n requestID="{}"', " requestID='{}'",
+    ' requestID="{}" spi:oneWay="1"', ' spi:oneWay="1" requestID="{}"', ' xmlns:m="urn:y" requestID="{}"',
+    ' requestID="{}" xmlns:m="urn:y"', ' requestID="{}" ', "",
+]  # fmt: skip
+REQUEST_IDS = [
+    "r", "", "a&amp;b", "&lt;x&gt;", "say &quot;hi&quot;", "it's", "a'b", "x>y", "a\tb",
+    "\u00e9\u00e8", "\u4e2d\U0001f389", "\x01", "a\x08b", "\x1f", "&#65;", "&bogus;", '"',
+]  # fmt: skip
+SIDES = {
+    "request": (
+        ["m:op", "op", "u:op", "m:opResponse"],
+        ['<a xsi:type="xsd:int">1</a>', "", '<a xsi:type="xsd:string">x&amp;y</a><b xsi:type="xsd:boolean">true</b>',
+         "<a>untyped</a>", "text"],
+    ),
+    "response": (
+        ["m:opResponse", "opResponse", "u:opResponse", "m:op", "e:Fault"],
+        ['<return xsi:type="xsd:int">7</return>', "", '<return xsi:type="xsd:string">a&lt;b</return>',
+         "<return>untyped</return>", '<return xsi:type="xsd:int">1</return><return xsi:type="xsd:int">2</return>',
+         "<faultcode>e:Server</faultcode><faultstring>boom</faultstring>"],
+    ),
+}  # fmt: skip
+SPI_ROOT = (
+    '<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/" '
+    'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xmlns:xsd="http://www.w3.org/2001/XMLSchema" '
+    'xmlns:spi="urn:spi:soap-passing-interface" xmlns:m="urn:x"><e:Body>'
+)
+
+
+@st.composite
+def _entry_documents(draw):
+    side = draw(st.sampled_from(sorted(SIDES)))
+    names, contents = SIDES[side]
+    packs = []
+    for rebind in draw(st.lists(st.sampled_from(["", "", ' xmlns:m="urn:z"']), min_size=1, max_size=2)):
+        entries = []
+        for index in range(draw(st.integers(1, 4))):
+            pools = (names, ENTRY_FORMS, REQUEST_IDS, contents)
+            odd = draw(st.sets(st.sampled_from(range(4)), min_size=1, max_size=2)) if draw(st.integers(0, 2)) == 0 else ()
+            name, form, value, content = (
+                draw(st.sampled_from(pool[1:])) if part in odd else pool[0] for part, pool in enumerate(pools)
+            )
+            attributes = form.format(value + str(index))
+            space = draw(st.sampled_from(["", "", "\n  ", "\t"]))
+            if odd and draw(st.integers(0, 4)) == 0:
+                entries.append(f"{space}<{name}{attributes}/>")
+            else:
+                entries.append(f"{space}<{name}{attributes}>{content}</{name}>")
+        if draw(st.integers(0, 9)) == 0:  # an empty pack, then entries of the Body's own
+            packs.append(f"<spi:Parallel_Method{rebind}/>{''.join(entries)}")
+        else:
+            packs.append(f"<spi:Parallel_Method{rebind}>{''.join(entries)}</spi:Parallel_Method>")
+    return side, f"{SPI_ROOT}{''.join(packs)}</e:Body></e:Envelope>"
+
+
+def _rpc(parse):
+    def read(entry):
+        rpc = parse(entry)
+        return [rpc.namespace, rpc.operation, getattr(rpc, "params", None), getattr(rpc, "value", None)]
+
+    return read
+
+
+READERS = {  # side: (the scanner reader, its tree source, the entry decoder)
+    "request": (decode_request_envelope, read_request_envelope, _rpc(parse_rpc_request)),
+    "response": (decode_response_envelope, Envelope.parse, _rpc(parse_rpc_response)),
+}
+
+
+def _pack_outcomes(parse, read, document):
+    """Per body entry, its tag, attributes, declarations and decoded RPC
+    object (or failure), a pack's in a list; or the document's failure."""
+    try:
+        body = parse(document).body_entries
+    except Exception as exc:  # the differential is about *which* exception
+        return ("raised", type(exc), str(exc))
+
+    def outcome(entry):
+        if packformat.is_parallel_method(entry):
+            return [outcome(child) for child in entry.element_children()]
+        return (entry.tag, entry.items(), entry.nsmap, _outcome(read, entry))
+
+    return [outcome(entry) for entry in body]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_entry_documents())
+def test_entry_start_tags_read_alike_in_one_match_by_tokens_and_as_trees(case):
+    side, document = case
+    scanner, tree, read = READERS[side]
+    one_match = _pack_outcomes(scanner, read, document)
+    with mock.patch.object(XmlScanner, "next_entry", lambda *args: None):
+        tokens = _pack_outcomes(scanner, read, document)
+    assert one_match == tokens == _pack_outcomes(tree, read, document)
 
 
 # -- the client reads the whole response ----------------------------------------

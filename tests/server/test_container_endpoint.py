@@ -246,3 +246,30 @@ class TestDecodePathByChain:
         self._post(chain, container)
         assert len(parsed) == 1
         assert [type(e) for e in seen.entries] == [DecodedEntry, DecodedEntry]
+
+    def test_a_tree_source_fallback_is_counted(self, container):
+        """A multiRef request is left to the tree source and moves
+        ``soap.reader_fallbacks`` by one; a plain pack leaves it alone."""
+        from repro.core.dispatcher import spi_server_handlers
+
+        chain = HandlerChain(spi_server_handlers())
+        self._post(chain, container)
+        assert counters(container)["soap.reader_fallbacks"] == 0
+        endpoint = SoapEndpoint(
+            container, lambda entries, ctx: [container.execute_entry(e) for e in entries], chain=chain
+        )
+        multiref = (
+            '<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"'
+            ' xmlns:xsd="http://www.w3.org/2001/XMLSchema"'
+            ' xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"><e:Body>'
+            f'<m:add xmlns:m="{NS}"><a href="#id0"/><b xsi:type="xsd:int">2</b></m:add>'
+            '<multiRef id="id0" xsi:type="xsd:int">5</multiRef></e:Body></e:Envelope>'
+        )
+        response = endpoint(
+            HttpRequest("POST", "/services/Calc", Headers({"SOAPAction": '""'}), multiref.encode())
+        )
+        assert parse_rpc_response(Envelope.parse(response.body).first_body_entry()).value == 7
+        counts = counters(container)
+        assert (counts["soap.messages"], counts["soap.reader_fallbacks"]) == (2, 1)
+        self._post(chain, container)
+        assert counters(container)["soap.reader_fallbacks"] == 1
