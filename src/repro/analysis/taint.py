@@ -22,7 +22,7 @@ Three rules ride on :mod:`repro.analysis.callgraph`:
   *calls* (the ``time`` half of the engine's ``TIME_AND_RANDOM``
   table; default-arg references like ``clock: Callable =
   time.monotonic`` stay legal — that is the injection seam), propagate
-  up callers, and flag clock-disciplined code (``rollup.py``) that
+  up callers, and flag clock-disciplined code (``policy.py``) that
   makes such a call inline or reaches a helper that does; ``from time import <one of them>`` in
   those files is flagged too, since it hides the call from the seed.
 
@@ -92,8 +92,8 @@ _SUBPROCESS_CALLS = frozenset(
 #: Files whose code must take clocks by injection.  Every ``time``
 #: function counts: ``monotonic``/``perf_counter`` too (the discipline
 #: is *injected* clocks, not merely monotonic ones), and ``sleep``
-#: (a rollup decays on the clock it is given; it never waits).
-CLOCK_DISCIPLINED_FILES = frozenset({"rollup.py"})
+#: (the retry loop backs off through the ``sleep`` it is given).
+CLOCK_DISCIPLINED_FILES = frozenset({"policy.py"})
 
 #: Builtin exception ancestry (bare names), enough to evaluate
 #: ``except`` clauses over builtins the project raises.
@@ -335,25 +335,26 @@ class WallclockTaint(Rule):
     """Clock-disciplined code reading the wall clock, inline or through
     a helper.
 
-    The per-target rollups decay their EWMAs on time: their tests
-    replay bursts and regime changes deterministically by injecting the
-    clock and never sleeping.  In ``rollup.py`` a ``time.*`` function
-    may therefore appear only as an injectable default
-    (``clock=time.monotonic``) — never as an inline call, a
-    ``from time import``, or behind a helper (upward propagation from
-    every direct call finds those).
+    The client's resilience policy runs on time: ``Deadline`` expires on
+    the clock it is given and ``execute_with_policy`` backs off through
+    the ``sleep`` it is given, so its tests replay expiries and retry
+    schedules deterministically without waiting.  In ``policy.py`` a
+    ``time.*`` function may therefore appear only as an injectable
+    default (``clock=time.monotonic``, ``sleep=time.sleep``) — never as
+    an inline call, a ``from time import``, or behind a helper (upward
+    propagation from every direct call finds those).
     """
 
     id = "wallclock-taint"
     severity = "error"
     uses_graph = True
     fix_hint = (
-        "take the clock as a constructor argument (clock=time.monotonic "
+        "take the clock or sleep as an argument (clock=time.monotonic "
         "as the default is fine), call the injected seam, and thread it "
         "through helpers instead of reading time directly"
     )
     rationale = (
-        "rollup decay logic must take clocks by injection so "
+        "deadline and backoff logic must take clocks by injection so "
         "tests can drive time; one inline time.*() call — or a helper "
         "that reads time.time() two frames down — defeats the seam "
         "(checked inline and transitively)"

@@ -25,8 +25,8 @@ FAULTCODE_SERVER_TIMEOUT = "Server.Timeout"
 FAULTCODE_SERVER_BUSY = "Server.Busy"
 
 # The one faultcode table: local faultcode -> (fault class, HTTP status
-# of a whole-message fault).  The class is the rollup/trace-flag
-# taxonomy; a code not listed is ``fatal`` and keeps the SOAP 1.1
+# of a whole-message fault).  The class is the resilience-counter and
+# trace-flag taxonomy; a code not listed is ``fatal`` and keeps the SOAP 1.1
 # default status of 500.  Every listed code is retryable.
 FAULTCODE_TABLE: dict[str, tuple[str, int]] = {
     FAULTCODE_SERVER_BUSY: ("shed", 503),
@@ -49,7 +49,8 @@ def is_retryable_faultcode(faultcode: str) -> bool:
 
 def fault_class_of(faultcode: str) -> str:
     """``shed`` / ``timeout`` / ``fatal`` for a local or prefixed
-    faultcode — what the server's rollups and trace flags key on."""
+    faultcode — what the server's ``resilience.*`` counters and trace
+    flags key on."""
     _, _, local = faultcode.rpartition(":")
     row = FAULTCODE_TABLE.get(local)
     return row[0] if row is not None else "fatal"

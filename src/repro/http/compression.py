@@ -63,11 +63,6 @@ class CompressionPolicy:
         if not 0 <= self.level <= 9:
             raise ValueError(f"zlib level {self.level} outside 0..9")
 
-    @property
-    def accept_header(self) -> str:
-        """The ``Accept-Encoding`` value advertising this policy."""
-        return ", ".join(self.encodings)
-
 
 #: Convenience instance with the defaults above.
 DEFAULT_COMPRESSION = CompressionPolicy()

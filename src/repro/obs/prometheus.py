@@ -10,10 +10,11 @@ server can sit behind a stock Prometheus without an exporter sidecar:
   ``name{quantile="0.5"}``-style line per pre-rendered quantile, plus
   ``name_sum`` and ``name_count`` (summaries are the Prometheus type
   for client-computed quantiles, which is exactly what a sketch is)
-* rollups → per-target labeled series
-  ``repro_rollup_<metric>{service="...",operation="..."}`` for the
-  latency EWMA, error rate, per-class error rates and in-flight gauge
-  (label values escaped per the exposition spec)
+* the per-operation instruments ``operation.<namespace>#<operation>.seconds``
+  and ``.faults`` → one labelled family each,
+  ``repro_operation_seconds{service="...",operation="..."}`` (a summary)
+  and ``repro_operation_faults{...}`` (a counter), label values escaped
+  per the exposition spec
 
 Dotted repro metric names (``http.requests``) become legal Prometheus
 names by mapping every character outside ``[a-zA-Z0-9_]`` to ``_``.
@@ -26,16 +27,8 @@ import re
 
 from repro.obs.registry import MetricsRegistry
 
-#: rollup snapshot field -> (exposition metric suffix, TYPE)
-_ROLLUP_SERIES = (
-    ("latency_ewma_s", "gauge"),
-    ("latency_p50_s", "gauge"),
-    ("latency_p99_s", "gauge"),
-    ("error_rate", "gauge"),
-    ("in_flight", "gauge"),
-    ("calls", "counter"),
-    ("faults", "counter"),
-)
+#: per-operation instrument names: ``operation.<namespace>#<operation>.<kind>``
+_OPERATION_PREFIX = "operation."
 
 _NAME_SANITIZE_RE = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -64,47 +57,57 @@ def escape_label_value(value: str) -> str:
     )
 
 
+def _operation_labels(name: str) -> str | None:
+    """``service="…",operation="…"`` for a per-operation instrument
+    (``operation.<namespace>#<operation>.<kind>``), else None.  An
+    operation is an NCName, but a namespace may hold ``#`` or ``.``."""
+    if not name.startswith(_OPERATION_PREFIX):
+        return None
+    target = name[len(_OPERATION_PREFIX) : name.rindex(".")]
+    service, _, operation = target.rpartition("#")
+    return (
+        f'service="{escape_label_value(service)}",'
+        f'operation="{escape_label_value(operation)}"'
+    )
+
+
+def _samples(metric: str, value: float | dict, labels: str = "") -> list[str]:
+    """One instrument's sample lines: its value, or for a sketch a line
+    per quantile, then ``_sum`` and ``_count``."""
+    label_set = f"{{{labels}}}" if labels else ""
+    if not isinstance(value, dict):
+        return [f"{metric}{label_set} {_format_value(value)}"]
+    quantile_labels = labels + "," if labels else ""
+    lines = []
+    for key, quantile_value in value["quantiles"].items():
+        q = int(key[1:]) / 100.0
+        lines.append(
+            f'{metric}{{{quantile_labels}quantile="{q:g}"}} {repr(float(quantile_value))}'
+        )
+    lines.append(f"{metric}_sum{label_set} {repr(float(value['sum']))}")
+    lines.append(f"{metric}_count{label_set} {value['count']}")
+    return lines
+
+
 def render_prometheus(registry: MetricsRegistry) -> str:
     """The whole registry in Prometheus text exposition format."""
     snapshot = registry.snapshot()
     lines: list[str] = []
-    for name, value in snapshot["counters"].items():
-        metric = sanitize_name(name)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {_format_value(value)}")
-    for name, value in snapshot["gauges"].items():
-        metric = sanitize_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_format_value(value)}")
-    for name, sketch in snapshot["sketches"].items():
-        metric = sanitize_name(name)
-        lines.append(f"# TYPE {metric} summary")
-        for key, value in sketch["quantiles"].items():
-            q = int(key[1:]) / 100.0
-            lines.append(f'{metric}{{quantile="{q:g}"}} {repr(float(value))}')
-        lines.append(f"{metric}_sum {repr(float(sketch['sum']))}")
-        lines.append(f"{metric}_count {sketch['count']}")
-    rollups = snapshot.get("rollups", {})
-    if rollups:
-        for suffix, kind in _ROLLUP_SERIES:
-            metric = f"repro_rollup_{sanitize_name(suffix)}"
-            lines.append(f"# TYPE {metric} {kind}")
-            for doc in rollups.values():
-                labels = (
-                    f'service="{escape_label_value(doc["service"])}",'
-                    f'operation="{escape_label_value(doc["operation"])}"'
-                )
-                lines.append(
-                    f"{metric}{{{labels}}} {_format_value(float(doc[suffix]))}"
-                )
-        metric = "repro_rollup_error_rate_by_class"
-        lines.append(f"# TYPE {metric} gauge")
-        for doc in rollups.values():
-            for klass, rate in doc["error_rate_by_class"].items():
-                labels = (
-                    f'service="{escape_label_value(doc["service"])}",'
-                    f'operation="{escape_label_value(doc["operation"])}",'
-                    f'class="{klass}"'
-                )
-                lines.append(f"{metric}{{{labels}}} {_format_value(float(rate))}")
+    # the per-operation instruments, held back to render one family per kind
+    families: dict[str, list[str]] = {}
+    for group, kind in (
+        ("counters", "counter"), ("gauges", "gauge"), ("sketches", "summary")
+    ):
+        for name, value in snapshot[group].items():
+            labels = _operation_labels(name)
+            if labels is None:
+                metric = sanitize_name(name)
+                lines.append(f"# TYPE {metric} {kind}")
+                lines += _samples(metric, value)
+            else:
+                metric = "repro_operation_" + name.rpartition(".")[2]
+                family = families.setdefault(metric, [f"# TYPE {metric} {kind}"])
+                family += _samples(metric, value, labels)
+    for family in families.values():
+        lines += family
     return "\n".join(lines) + "\n"

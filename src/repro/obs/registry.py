@@ -1,9 +1,10 @@
-"""The one metrics model: counters, gauges, quantile sketches, rollups.
+"""The one metrics model: counters, gauges, quantile sketches.
 
 Every layer of a server counts into one :class:`MetricsRegistry` —
 the HTTP drivers, the SOAP endpoint, the service container and the
 application stage — and the admin ``/metrics`` route renders one
-snapshot of it.  A component binds its instruments once, at
+snapshot of it.  Per-operation latency and faults are two ordinary
+instruments per deployed operation, bound by the service container.  A component binds its instruments once, at
 construction; nothing on the request path looks a name up.  Each fact
 is counted once: there is no second, private bookkeeping object beside
 the registry.
@@ -16,11 +17,9 @@ is the one distribution instrument (latencies, entries per message).
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
-from repro.obs.rollup import DEFAULT_HALF_LIFE_S, ObsRollup, rollup_key
 from repro.obs.sketch import QuantileSketch
 
 
@@ -106,26 +105,15 @@ class MetricsRegistry:
 
     ``registry.counter("http.requests")`` returns the same
     :class:`Counter` from every thread.  Beside counters and gauges the
-    registry hosts
-
-    * :class:`~repro.obs.sketch.QuantileSketch` instruments
-      (``registry.sketch(name)``) — the log-bucketed quantile store
-      phase/stage/call latencies and pack degrees record into;
-    * :class:`~repro.obs.rollup.ObsRollup` tables
-      (``registry.rollup(service, operation)``) — per-target latency
-      EWMA + error-rate EWMAs + in-flight gauge, the server's
-      per-target rows in ``/metrics``.
-
-    ``clock`` (monotonic) is threaded into every rollup so tests can
-    drive EWMAs deterministically.
+    registry hosts :class:`~repro.obs.sketch.QuantileSketch` instruments
+    (``registry.sketch(name)``) — the log-bucketed quantile store
+    phase/stage/operation latencies and pack degrees record into.
     """
 
-    def __init__(self, *, clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._sketches: dict[str, QuantileSketch] = {}
-        self._rollups: dict[tuple[str, str], ObsRollup] = {}
-        self._clock = clock
         self._lock = threading.Lock()
 
     def counter(self, name: str) -> Counter:
@@ -158,51 +146,16 @@ class MetricsRegistry:
                 )
         return instrument
 
-    def rollup(
-        self,
-        service: str,
-        operation: str,
-        *,
-        half_life_s: float = DEFAULT_HALF_LIFE_S,
-    ) -> ObsRollup:
-        """Get or create the per-target rollup for ``(service,
-        operation)``; ``half_life_s`` applies only on first creation.
-
-        The server binds one per target it executes; ``/metrics``
-        reads them all through :meth:`snapshot`.
-        """
-        key = (service, operation)
-        with self._lock:
-            instrument = self._rollups.get(key)
-            if instrument is None:
-                instrument = self._rollups[key] = ObsRollup(
-                    service,
-                    operation,
-                    half_life_s=half_life_s,
-                    clock=self._clock,
-                )
-        return instrument
-
-    def rollups(self) -> list[ObsRollup]:
-        """Every rollup created so far, sorted by (service, operation)."""
-        with self._lock:
-            return [self._rollups[key] for key in sorted(self._rollups)]
-
     def snapshot(self) -> dict[str, Any]:
         """Every instrument's state, grouped by kind, names sorted."""
         with self._lock:
             counters = dict(self._counters)
             gauges = dict(self._gauges)
             sketches = dict(self._sketches)
-            rollups = dict(self._rollups)
         return {
             "counters": {name: counters[name].snapshot() for name in sorted(counters)},
             "gauges": {name: gauges[name].snapshot() for name in sorted(gauges)},
             "sketches": {
                 name: sketches[name].snapshot() for name in sorted(sketches)
-            },
-            "rollups": {
-                rollup_key(*key): rollups[key].snapshot()
-                for key in sorted(rollups)
             },
         }

@@ -6,14 +6,22 @@ operation (one look-up), decodes it, runs the operation, and returns a
 response element — or a Fault element for that entry alone, which
 matters in packed mode where one bad request must not poison its
 siblings.
+
+Deploying a service binds two registry instruments per operation:
+the sketch ``operation.<namespace>#<operation>.seconds`` and the
+counter ``operation.<namespace>#<operation>.faults``.  The server
+records into them when observability is on.  Only a deployed
+operation has them, so a request naming anything else adds no row.
 """
 
 from __future__ import annotations
 
 import threading
+from types import MappingProxyType
 
 from repro.errors import ServiceError
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Counter, MetricsRegistry
+from repro.obs.sketch import QuantileSketch
 from repro.soap.constants import REQUEST_ID_ATTR
 from repro.soap.deserializer import OperationMatcher, parse_rpc_request
 from repro.soap.fault import ClientFaultCause, SoapFault
@@ -56,19 +64,29 @@ class ServiceContainer:
         self._lock = threading.Lock()
         self.registry = registry if registry is not None else MetricsRegistry()
         self._faults = self.registry.counter("container.faults")
+        # Clark tag -> (latency sketch, fault counter), written only by
+        # deploy; readers get the live read-only view
+        self._operation_metrics: dict[str, tuple[QuantileSketch, Counter]] = {}
+        self.operation_metrics = MappingProxyType(self._operation_metrics)
         for service in services or []:
             self.deploy(service)
 
     def deploy(self, service: ServiceDefinition) -> None:
-        """Register a service; its namespace must be unused."""
+        """Register a service and bind its operations' instruments; its
+        namespace must be unused."""
+        namespace = service.namespace
         with self._lock:
-            if service.namespace in self._services:
+            if namespace in self._services:
                 raise ServiceError(
-                    f"a service is already deployed at namespace '{service.namespace}'"
+                    f"a service is already deployed at namespace '{namespace}'"
                 )
-            self._services[service.namespace] = service
-            for op_name in service.operation_names():
-                self._matcher.register(service.namespace, op_name, service)
+            self._services[namespace] = service
+            for operation in service.operation_names():
+                self._matcher.register(namespace, operation, service)
+                self._operation_metrics[f"{{{namespace}}}{operation}"] = (
+                    self.registry.sketch(f"operation.{namespace}#{operation}.seconds"),
+                    self.registry.counter(f"operation.{namespace}#{operation}.faults"),
+                )
 
     def service_for(self, namespace: str) -> ServiceDefinition:
         """The service deployed at ``namespace``; raises if absent."""

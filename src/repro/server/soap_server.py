@@ -31,8 +31,10 @@ want the result, is the same under both.
 The server owns one :class:`~repro.obs.registry.MetricsRegistry`
 (``observability.registry`` when there is one) and hands it to every
 layer it builds: the HTTP driver, the endpoint, the container and the
-application stage all count into it.  The per-target rollups stay
-behind ``observability``.
+application stage all count into it.  With ``observability`` on, an
+executed entry of a deployed operation also records into that
+operation's latency sketch and fault counter, which the container binds
+at deploy.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ from repro.server.endpoint import SoapEndpoint
 from repro.server.handlers import MessageContext
 from repro.server.stage import Stage
 from repro.server.threadpool import CompletionLatch
-from repro.soap.fault import SoapFault, busy_fault, fault_code_of, timeout_fault
+from repro.soap.constants import FAULT_TAG
+from repro.soap.fault import SoapFault, busy_fault, timeout_fault
 from repro.transport.base import Address
 from repro.transport.tcp import TcpTransport
 from repro.xmlcore.tree import Element
@@ -81,11 +84,9 @@ class SoapServer:
             "timeout": registry.counter("resilience.deadline_expired"),
             "shed": registry.counter("resilience.shed"),
         }
-        # (namespace, operation) -> ObsRollup, written only on first
-        # sight of a target; dict.get is atomic under the GIL, so the
-        # per-entry path skips the registry lock once a target is warm
-        self._rollups: dict[tuple[str, str], object] = {}
         self.container = ServiceContainer(list(config.services), registry=registry)
+        # the live view: a service deployed later gets its rows too
+        self._operation_metrics = self.container.operation_metrics
         # Figure 2's application stage (admission: see _fan_out);
         # Figure 1 has none.
         self.app_stage: Stage | None = None
@@ -202,40 +203,27 @@ class SoapServer:
                     results[index] = self._skipped(entry, timeout_fault(late))
 
     def _run(self, ctx, entry: Element) -> Element:
-        """Execute one entry; with observability, feed the target's
-        rollup (latency EWMA, error rates by fault class, in flight)."""
+        """Execute one entry; with observability, time a deployed
+        operation into its sketch and count its faults."""
         with obs_trace.span_in(ctx, "execute", detail=entry.local_name):
             if self.observability is None:
                 return self.container.execute_entry(entry)
-            rollup = self._rollup_for(entry)
-            rollup.begin()
+            metrics = self._operation_metrics.get(entry.tag)
+            if metrics is None:  # not deployed: the Client fault alone
+                return self.container.execute_entry(entry)
+            seconds, faults = metrics
             start = time.perf_counter()
             response = self.container.execute_entry(entry)
-            code = fault_code_of(response)
-            rollup.complete(
-                time.perf_counter() - start,
-                None if code is None else fault_class_of(code),
-            )
+            seconds.record(time.perf_counter() - start)
+            if response.tag == FAULT_TAG:
+                faults.inc()
             return response
-
-    def _rollup_for(self, entry: Element):
-        """The entry's target rollup, via a lock-free warm-path cache."""
-        qname = entry.qname
-        key = (qname.uri, qname.local)
-        rollup = self._rollups.get(key)
-        if rollup is None:
-            rollup = self.observability.registry.rollup(*key)
-            self._rollups[key] = rollup
-        return rollup
 
     def _skipped(self, entry: Element, fault: SoapFault) -> Element:
         """The slot of an entry answered without (or instead of)
         executing — a shed or a deadline expiry.  It never ran, so it
-        is counted, and fed to the target's rollup, here."""
-        fault_class = fault_class_of(fault.faultcode)
-        self._skip_counters[fault_class].inc()
-        if self.observability is not None:
-            self._rollup_for(entry).observe(0.0, fault_class)
+        is counted here, in ``resilience.*`` alone."""
+        self._skip_counters[fault_class_of(fault.faultcode)].inc()
         return entry_fault(entry, fault)
 
     # -- lifecycle -------------------------------------------------------

@@ -75,12 +75,6 @@ class OperationMatcher:
         """Handler registered for this element's tag, or None."""
         return self._handlers.get(element.tag)
 
-    def __contains__(self, tag: str) -> bool:
-        return tag in self._handlers
-
-    def __len__(self) -> int:
-        return len(self._handlers)
-
 
 def parse_rpc_request(
     element: Element, matcher: OperationMatcher | None = None

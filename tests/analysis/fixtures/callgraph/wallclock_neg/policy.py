@@ -1,5 +1,5 @@
-"""Negative corpus: the same rollup shape with clocks injected
-throughout — wallclock-taint must stay silent."""
+"""Negative corpus: the same shape with clocks injected throughout —
+wallclock-taint must stay silent."""
 
 import time
 

@@ -1,6 +1,7 @@
-"""Positive corpus: rollup code transitively reading the wall clock.
+"""Positive corpus: clock-disciplined code transitively reading the
+wall clock.
 
-Named ``rollup.py`` because wallclock-taint patrols the
+Named ``policy.py`` because wallclock-taint patrols the
 clock-disciplined files; the per-module rule sees no direct call here,
 only the interprocedural pass does."""
 

@@ -1,5 +1,5 @@
 """A helper that hides a wall-clock read one module and two calls away
-from the rollup code."""
+from the clock-disciplined code."""
 
 import time
 

@@ -1,4 +1,4 @@
-"""Negative corpus: a rollup module that honours the injected-clock seam.
+"""Negative corpus: a clock-disciplined module that honours the seam.
 
 Referencing ``time.monotonic`` as a *default value* is the seam itself
 and must not flag; only inline calls do.

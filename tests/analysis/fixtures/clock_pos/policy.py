@@ -1,6 +1,7 @@
-"""Positive corpus: inline wall-clock use inside a rollup module.
+"""Positive corpus: inline wall-clock use inside a clock-disciplined
+module.
 
-The file is named ``rollup.py`` because wallclock-taint scopes itself to
+The file is named ``policy.py`` because wallclock-taint scopes itself to
 the clock-disciplined filenames.
 """
 

@@ -1,6 +1,6 @@
-"""Positive corpus: an inline clock read in a rollup module.
+"""Positive corpus: an inline clock read in a clock-disciplined module.
 
-A rollup that stamps events with ``time.monotonic()`` itself cannot be
+Code that stamps events with ``time.monotonic()`` itself cannot be
 driven by a fake clock, so the injectable default on the line above
 the read does not make the file clean.
 """

@@ -78,7 +78,7 @@ class TestWallclockTaint:
         findings = corpus_findings("wallclock_pos")
         assert [f.rule_id for f in findings] == ["wallclock-taint"]
         finding = findings[0]
-        assert finding.path == "callgraph/wallclock_pos/rollup.py"
+        assert finding.path == "callgraph/wallclock_pos/policy.py"
         assert finding.chain == (
             "DecayTimer.should_fold",
             "elapsed_since",
@@ -90,7 +90,7 @@ class TestWallclockTaint:
         assert corpus_findings("wallclock_neg") == []
 
     def test_clock_reads_outside_disciplined_files_are_legal(self):
-        # the same taint reaching a non-rollup file is nobody's business
+        # the same taint reaching an undisciplined file is nobody's business
         findings = check(
             [FIXTURES / "callgraph" / "wallclock_pos" / "util.py"],
             GRAPH_RULES,
@@ -151,7 +151,7 @@ class TestOnePass:
     def test_suppression_applies_to_every_rule_alike(self, tmp_path):
         # the engine, not the rule, drops a pragma'd finding: a wall-clock
         # read in a clock-disciplined file, silenced for both rules it trips
-        target = tmp_path / "rollup.py"
+        target = tmp_path / "policy.py"
         target.write_text(
             "import time\n\n\ndef now():\n"
             "    return time.time()  "

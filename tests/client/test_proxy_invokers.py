@@ -63,13 +63,13 @@ class CountingRegistry(MetricsRegistry):
     """Counts instrument look-ups (each takes the registry lock).
 
     Counted at attribute access rather than by overriding the methods,
-    so the static call graph still resolves ``registry.rollup(...)`` in
-    ``src/`` to the one ``MetricsRegistry.rollup``."""
+    so the static call graph still resolves ``registry.sketch(...)`` in
+    ``src/`` to the one ``MetricsRegistry.sketch``."""
 
     lookups = 0
 
     def __getattribute__(self, name):
-        if name in ("counter", "gauge", "rollup"):
+        if name in ("counter", "gauge", "sketch"):
             self.lookups += 1
         return super().__getattribute__(name)
 

@@ -66,11 +66,10 @@ class TestAdminRoute:
         assert "# TYPE span_execute_seconds summary" in text
         assert 'span_execute_seconds{quantile="0.99"}' in text
         assert "span_execute_seconds_count 4" in text
-        # per-target rollup series carry service/operation labels
-        assert (
-            'repro_rollup_calls{service="urn:repro:echo",operation="echo"} 4'
-            in text
-        )
+        # per-operation series carry service/operation labels
+        labels = 'service="urn:repro:echo",operation="echo"'
+        assert f"repro_operation_seconds_count{{{labels}}} 4" in text
+        assert f"repro_operation_faults{{{labels}}} 0" in text
 
     def test_metrics_without_format_still_json(self):
         import json

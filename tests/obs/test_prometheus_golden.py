@@ -1,7 +1,7 @@
 """Golden-file test: the whole Prometheus exposition, byte for byte.
 
-A deterministically-populated registry (injected rollup clock, fixed
-observation stream) must render exactly ``golden/metrics.prom``.  Any
+A deterministically-populated registry (a fixed observation stream)
+must render exactly ``golden/metrics.prom``.  Any
 formatting drift — bucket ordering, float rendering, label escaping,
 a renamed series — shows up as a readable diff against the committed
 file instead of a scrape that silently stops parsing.
@@ -18,18 +18,14 @@ from repro.obs.prometheus import render_prometheus
 GOLDEN = Path(__file__).parent / "golden" / "metrics.prom"
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
+#: a namespace holding a quote and a backslash, so label escaping is
+#: pinned, and a ``#`` and a ``.``, so the name splits at its last ``#``
+ESCAPED_NS = 'urn:repro:"odd"\\echo#v1.0'
 
 
 def build_registry() -> MetricsRegistry:
     """One instrument of every kind, fed a fixed observation stream."""
-    clock = FakeClock()
-    registry = MetricsRegistry(clock=clock)
+    registry = MetricsRegistry()
     registry.counter("http.requests").inc(3)
     registry.counter("soap.reader_fallbacks").inc()
     registry.gauge("stage.application.queue_depth").set(2)
@@ -37,11 +33,11 @@ def build_registry() -> MetricsRegistry:
     sketch = registry.sketch("span.execute.seconds")
     for ms in range(1, 101):
         sketch.record(ms / 1000.0)
-    rollup = registry.rollup("urn:repro:echo", "echo")
-    rollup.begin()
-    rollup.observe(0.100)
-    clock.now += 30.0  # exactly one default half-life
-    rollup.observe(0.300, "shed")
+    # one deployed operation's pair, as ServiceContainer.deploy binds it
+    seconds = registry.sketch(f"operation.{ESCAPED_NS}#echo.seconds")
+    seconds.record(0.100)
+    seconds.record(0.300)
+    registry.counter(f"operation.{ESCAPED_NS}#echo.faults").inc()
     return registry
 
 
@@ -52,14 +48,14 @@ def test_exposition_matches_golden_file():
 def test_golden_file_spot_checks():
     """Independent anchors so a wholesale regen cannot hide a regression."""
     text = GOLDEN.read_text()
-    # EWMA moved exactly halfway after one half-life
-    assert (
-        'repro_rollup_latency_ewma_s{service="urn:repro:echo",operation="echo"} 0.2'
-        in text
-    )
-    # one success + one shed = 50% error rate, all of it retryable
-    assert 'operation="echo"} 0.5' in text
-    assert 'class="timeout"} 0' in text
+    # a per-operation pair renders as two labelled families, the
+    # namespace's quote and backslash escaped
+    labels = 'service="urn:repro:\\"odd\\"\\\\echo#v1.0",operation="echo"'
+    assert "# TYPE repro_operation_seconds summary" in text
+    assert f"repro_operation_seconds_count{{{labels}}} 2" in text
+    assert f"repro_operation_seconds_sum{{{labels}}} 0.4" in text
+    assert f"repro_operation_faults{{{labels}}} 1" in text
+    assert "operation_urn" not in text  # no unlabelled series for it
     # sketches expose as summaries with a _sum/_count pair
     assert "# TYPE span_execute_seconds summary" in text
     assert "span_execute_seconds_count 100" in text

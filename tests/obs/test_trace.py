@@ -162,6 +162,6 @@ class TestObservability:
         with obs.tracer.span("p", "t1"):
             pass
         snap = obs.metrics_snapshot()
-        assert set(snap) == {"uptime_s", "counters", "gauges", "sketches", "rollups"}
+        assert set(snap) == {"uptime_s", "counters", "gauges", "sketches"}
         assert snap["sketches"]["span.p.seconds"]["count"] == 1
         assert "span_store" in Observability(span_store=SpanStore()).metrics_snapshot()

@@ -261,9 +261,9 @@ class TestArchitectureParity:
             mixed_response = server.endpoint(mixed)
             # the cast runs after the response on the staged server
             assert notified.wait(5)
-            rollup = obs.registry.rollup(NS, "notify")
+            notify_seconds, _ = server.container.operation_metrics[f"{{{NS}}}notify"]
             give_up = time.monotonic() + 5
-            while rollup.calls < 1 and time.monotonic() < give_up:
+            while notify_seconds.count < 1 and time.monotonic() < give_up:
                 time.sleep(0.005)
             notified.clear()
             expired_response = server.endpoint(expired)
@@ -272,21 +272,17 @@ class TestArchitectureParity:
             name: counters(server)[name]
             for name in ("resilience.deadline_expired", "resilience.shed")
         }
-        # fault classes seen per target (the EWMA values themselves
-        # decay with wall time between the two observations)
-        rollups = {
-            (r.service, r.operation): (
-                r.calls,
-                r.faults,
-                sorted(
-                    name
-                    for name, rate in r.snapshot()["error_rate_by_class"].items()
-                    if rate > 0.0
-                ),
+        # (executions timed, faults) per operation row
+        registry = obs.registry.snapshot()
+        rows = {
+            name[len("operation."):-len(".seconds")]: (
+                sketch["count"],
+                registry["counters"][name[:-len(".seconds")] + ".faults"],
             )
-            for r in obs.registry.rollups()
+            for name, sketch in registry["sketches"].items()
+            if name.startswith("operation.")
         }
-        return mixed_response, expired_response, skipped, rollups
+        return mixed_response, expired_response, skipped, rows
 
     def test_common_and_staged_answer_and_account_identically(self):
         common = self.observe("common")
@@ -299,7 +295,7 @@ class TestArchitectureParity:
         assert common[3] == staged[3]
 
         # and the answers are the ones the protocol promises
-        mixed, expired, skipped, rollups = staged
+        mixed, expired, skipped, rows = staged
         slots = Envelope.parse(mixed.body, server=True).body_entries[0]
         assert [c.local_name for c in slots.element_children()] == [
             "echoResponse", "Fault", "Fault", "Accepted", "Fault"
@@ -318,6 +314,11 @@ class TestArchitectureParity:
         assert skipped == {
             "resilience.deadline_expired": 3, "resilience.shed": 0
         }
-        assert rollups[(NS, "doesNotExist")] == (1, 1, [])  # fatal
-        # one answer, one expiry (a timeout is also retryable)
-        assert rollups[(NS, "echo")] == (2, 1, ["retryable", "timeout"])
+        # a name the container does not serve gets no row; the
+        # expired entries count in resilience.* alone
+        assert rows == {
+            f"{NS}#echo": (1, 0),
+            f"{NS}#boom": (1, 1),
+            f"{NS}#notify": (1, 0),
+            f"{NS}#upper": (1, 1),  # the duplicate parameter
+        }

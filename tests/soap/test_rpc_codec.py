@@ -84,13 +84,6 @@ class TestRequestCodec:
         with pytest.raises(ClientFaultCause):
             parse_rpc_request(entry, matcher)
 
-    def test_matcher_len_and_contains(self):
-        matcher = OperationMatcher()
-        matcher.register(NS, "a")
-        matcher.register(NS, "b")
-        assert len(matcher) == 2
-        assert f"{{{NS}}}a" in matcher
-
 
 class TestResponseCodec:
     def test_round_trip(self):
