@@ -7,11 +7,12 @@ response element — or a Fault element for that entry alone, which
 matters in packed mode where one bad request must not poison its
 siblings.
 
-Deploying a service binds two registry instruments per operation:
-the sketch ``operation.<namespace>#<operation>.seconds`` and the
-counter ``operation.<namespace>#<operation>.faults``.  The server
-records into them when observability is on.  Only a deployed
-operation has them, so a request naming anything else adds no row.
+Deploying a service binds one :class:`OperationRecord` per operation:
+the sketch ``operation.<namespace>#<operation>.seconds``, the counter
+``operation.<namespace>#<operation>.faults``, and the off-CPU slot the
+staged server places packs by.  The server records every executed
+entry into them.  Only a deployed operation has one, so a request
+naming anything else adds no row and no state.
 """
 
 from __future__ import annotations
@@ -44,6 +45,24 @@ def entry_fault(entry: Element, fault: SoapFault) -> Element:
     return element
 
 
+class OperationRecord:
+    """One deployed operation's row, bound once by
+    :meth:`ServiceContainer.deploy`.
+
+    ``off_cpu_s`` is the wall time minus the thread CPU time its last
+    run on an application-stage worker took, clamped at 0; ``None``
+    until it has run there, and again once an inline pack holding it
+    waited (see :meth:`~repro.server.soap_server.SoapServer._execute`).
+    """
+
+    __slots__ = ("seconds", "faults", "off_cpu_s")
+
+    def __init__(self, seconds: QuantileSketch, faults: Counter) -> None:
+        self.seconds = seconds
+        self.faults = faults
+        self.off_cpu_s: float | None = None
+
+
 class ServiceContainer:
     """All services deployed in one server process.
 
@@ -64,15 +83,15 @@ class ServiceContainer:
         self._lock = threading.Lock()
         self.registry = registry if registry is not None else MetricsRegistry()
         self._faults = self.registry.counter("container.faults")
-        # Clark tag -> (latency sketch, fault counter), written only by
-        # deploy; readers get the live read-only view
-        self._operation_metrics: dict[str, tuple[QuantileSketch, Counter]] = {}
+        # Clark tag -> record, written only by deploy; readers get the
+        # live read-only view
+        self._operation_metrics: dict[str, OperationRecord] = {}
         self.operation_metrics = MappingProxyType(self._operation_metrics)
         for service in services or []:
             self.deploy(service)
 
     def deploy(self, service: ServiceDefinition) -> None:
-        """Register a service and bind its operations' instruments; its
+        """Register a service and bind its operations' records; its
         namespace must be unused."""
         namespace = service.namespace
         with self._lock:
@@ -83,7 +102,7 @@ class ServiceContainer:
             self._services[namespace] = service
             for operation in service.operation_names():
                 self._matcher.register(namespace, operation, service)
-                self._operation_metrics[f"{{{namespace}}}{operation}"] = (
+                self._operation_metrics[f"{{{namespace}}}{operation}"] = OperationRecord(
                     self.registry.sketch(f"operation.{namespace}#{operation}.seconds"),
                     self.registry.counter(f"operation.{namespace}#{operation}.faults"),
                 )

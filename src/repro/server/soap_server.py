@@ -24,6 +24,20 @@ message has been parsed: *which thread runs its entries*.
   runs its entry and claims again — so a pack costs a couple of
   wake-ups, not one hand-off per entry.
 
+  Staging pays only when entries wait: under the GIL, entries that
+  compute never overlap.  So the staged server places each pack from
+  data.  Its awaited entries run on the protocol thread, exactly as
+  Figure 1 runs them, when nothing in it can overlap: one awaited
+  entry, or entries of deployed operations whose last off-CPU times on
+  a stage worker (wall minus thread CPU time) sum below the stage's
+  measured hand-off cost.  An operation not measured yet, a name
+  nobody deployed, and any pack before the first hand-off was measured
+  go to the stage; so do one-way entries, always.  A pack placed here
+  by its measurements that waited at least the hand-off cost clears
+  them, so its operations' next pack is staged and measured again.  CPU
+  time spent outside the GIL (zlib, hashlib) counts as CPU, so such an
+  operation is placed inline.
+
 :meth:`SoapServer._execute` is that decision and nothing else; what
 happens to an entry whose deadline has passed, or whose sender does not
 want the result, is the same under both.
@@ -31,15 +45,15 @@ want the result, is the same under both.
 The server owns one :class:`~repro.obs.registry.MetricsRegistry`
 (``observability.registry`` when there is one) and hands it to every
 layer it builds: the HTTP driver, the endpoint, the container and the
-application stage all count into it.  With ``observability`` on, an
-executed entry of a deployed operation also records into that
-operation's latency sketch and fault counter, which the container binds
-at deploy.
+application stage all count into it.  Every executed entry of a
+deployed operation also records into that operation's latency sketch
+and fault counter, which the container binds at deploy.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import time
 from typing import Iterator
 
@@ -74,7 +88,6 @@ class SoapServer:
         self.config = config
         self.architecture = config.architecture
         observability = config.observability
-        self.observability = observability
         registry = (
             observability.registry if observability is not None else MetricsRegistry()
         )
@@ -85,8 +98,8 @@ class SoapServer:
             "shed": registry.counter("resilience.shed"),
         }
         self.container = ServiceContainer(list(config.services), registry=registry)
-        # the live view: a service deployed later gets its rows too
-        self._operation_metrics = self.container.operation_metrics
+        # the live view: a service deployed later gets its record too
+        self._operations = self.container.operation_metrics
         # Figure 2's application stage (admission: see _fan_out);
         # Figure 1 has none.
         self.app_stage: Stage | None = None
@@ -117,6 +130,13 @@ class SoapServer:
         ctx = obs_trace.current()
         results: list[Element | None] = [None] * len(entries)
         staged: list[tuple[str, int, Element]] = []  # (kind, slot, entry)
+        # Figure 1 runs every entry here; Figure 2 runs a pack's awaited
+        # entries here only when nothing in it can overlap
+        here = None if stage is None else self._placed_here(entries, is_one_way)
+        # a pack placed here by its measurements is timed once: did it wait?
+        timed = here is not None and len(here) > 1
+        if timed:
+            cpu, start = time.thread_time(), time.perf_counter()
 
         # Triage — the same under both policies — then who runs it.
         # Each fault claims only its own slot: siblings still answer
@@ -138,22 +158,49 @@ class SoapServer:
                     self._run(ctx, entry)
                 else:
                     staged.append((_DETACHED, index, entry))
-            elif stage is None:
+            elif stage is None or here is not None:
                 # Figure 1: run here, in order — so the deadline is read
-                # again after every sibling
+                # again after every sibling.  Here is the calling
+                # thread: the HTTP connection thread, or on the evented
+                # backend a bounded http-handler worker, never the loop.
                 results[index] = self._run(ctx, entry)
             else:
                 staged.append((_AWAITED, index, entry))
 
-        if len(staged) == 1 and staged[0][0] is _AWAITED:
-            # Figure 2 with nothing to overlap: stay on the calling
-            # thread — the HTTP connection thread, or on the evented
-            # backend a bounded http-handler worker, never the loop.
-            _, index, entry = staged[0]
-            results[index] = self._run(ctx, entry)
-        elif staged:
+        if timed:
+            waited = time.perf_counter() - start - (time.thread_time() - cpu)
+            if waited >= stage.handoff_s:  # stage and measure it next time
+                for record in here:
+                    record.off_cpu_s = None
+        if staged:
             self._fan_out(staged, results, ctx, deadline)
         return [entry for entry in results if entry is not None]
+
+    def _placed_here(self, entries: list[Element], is_one_way) -> list | None:
+        """Figure 2's placement of one pack: the records of its awaited
+        entries when they run on this thread (a lone entry's is ``None``
+        when nobody deployed its name), or ``None`` when they go to the
+        stage.
+
+        Here when nothing can overlap: one awaited entry, or entries
+        whose operations' last off-CPU times on the stage sum below the
+        stage's measured hand-off cost — which understates what staging
+        costs, so the rule errs toward the stage.
+        """
+        records = []
+        off_cpu = 0.0
+        for entry in entries:
+            if not is_one_way(entry):
+                record = self._operations.get(entry.tag)
+                records.append(record)
+                if record is None or record.off_cpu_s is None:
+                    off_cpu = math.inf  # never staged, or waited since
+                else:
+                    off_cpu += record.off_cpu_s
+        if len(records) < 2:
+            return records
+        handoff = self.app_stage.handoff_s
+        return records if handoff is not None and off_cpu < handoff else None
 
     def _fan_out(self, staged, results, ctx, deadline) -> None:
         """Figure 2: the pack goes to the application stage as one batch
@@ -177,7 +224,7 @@ class SoapServer:
                 )
             else:
                 try:
-                    result = self._run(ctx, entry)
+                    result = self._run(ctx, entry, on_stage=True)
                 except BaseException as exc:  # fault the slot, not the pack
                     result = entry_fault(entry, SoapFault.from_exception(exc))
                 if kind is _AWAITED:
@@ -202,21 +249,24 @@ class SoapServer:
                     late = f"'{entry.local_name}' did not finish within {wait_s:.3f}s"
                     results[index] = self._skipped(entry, timeout_fault(late))
 
-    def _run(self, ctx, entry: Element) -> Element:
-        """Execute one entry; with observability, time a deployed
-        operation into its sketch and count its faults."""
+    def _run(self, ctx, entry: Element, on_stage: bool = False) -> Element:
+        """Execute one entry, timing a deployed operation into its
+        sketch and counting its faults; on a stage worker, also write
+        its off-CPU time, which places its later packs."""
         with obs_trace.span_in(ctx, "execute", detail=entry.local_name):
-            if self.observability is None:
+            record = self._operations.get(entry.tag)
+            if record is None:  # not deployed: the Client fault alone
                 return self.container.execute_entry(entry)
-            metrics = self._operation_metrics.get(entry.tag)
-            if metrics is None:  # not deployed: the Client fault alone
-                return self.container.execute_entry(entry)
-            seconds, faults = metrics
+            if on_stage:
+                cpu = time.thread_time()
             start = time.perf_counter()
             response = self.container.execute_entry(entry)
-            seconds.record(time.perf_counter() - start)
+            wall = time.perf_counter() - start
+            if on_stage:
+                record.off_cpu_s = max(wall - (time.thread_time() - cpu), 0.0)
+            record.seconds.record(wall)
             if response.tag == FAULT_TAG:
-                faults.inc()
+                record.faults.inc()
             return response
 
     def _skipped(self, entry: Element, fault: SoapFault) -> Element:

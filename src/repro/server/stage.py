@@ -14,8 +14,11 @@ cascades over workers, not one queue item per entry.
 A stage reports its load from one place, the
 :class:`~repro.obs.registry.MetricsRegistry` it is given (its own when
 given none): ``stage.<name>.service_time_s`` (a quantile sketch whose
-count is the events the stage ran), ``.failures``, ``.rejected``, and
-the live ``.queue_depth`` / ``.in_flight`` / ``.saturation`` gauges.
+count is the events the stage ran), ``.failures``, ``.rejected``, the
+live ``.queue_depth`` / ``.in_flight`` / ``.saturation`` gauges, and
+``.handoff_s``: the smallest lag measured from :meth:`Stage.run_batch`
+to a worker's first claim of the batch (:attr:`Stage.handoff_s`), what
+handing a pack over costs at the least.
 """
 
 from __future__ import annotations
@@ -34,13 +37,14 @@ from repro.server.threadpool import TaskFuture, ThreadPool
 class _Batch:
     """One pack's admitted items on a stage; guarded by the stage lock."""
 
-    __slots__ = ("items", "settle", "claimed", "waking")
+    __slots__ = ("items", "settle", "claimed", "waking", "handed")
 
     def __init__(self, items: list[tuple], settle: Callable[..., None]) -> None:
         self.items = items
         self.settle = settle
         self.claimed = 0  # items[:claimed] have a worker, or were skipped
         self.waking = True  # a wake-up ticket is queued, not yet taken
+        self.handed = time.perf_counter()
 
 
 class Stage:
@@ -65,6 +69,9 @@ class Stage:
         self._pool = ThreadPool(workers, name=f"stage-{name}", max_queue=max_queue)
         self._lock = threading.Lock()
         self._admitted = 0  # batch items admitted and not yet finished
+        # the smallest run_batch -> first-claim lag; None until a batch
+        # was claimed.  Written under the lock, read without it.
+        self.handoff_s: float | None = None
         self.registry = registry if registry is not None else MetricsRegistry()
         self._service_time = self.registry.sketch(f"stage.{name}.service_time_s")
         self._failures = self.registry.counter(f"stage.{name}.failures")
@@ -72,6 +79,7 @@ class Stage:
         self._queue_depth = self.registry.gauge(f"stage.{name}.queue_depth")
         self._in_flight = self.registry.gauge(f"stage.{name}.in_flight")
         self._saturation = self.registry.gauge(f"stage.{name}.saturation")
+        self._handoff = self.registry.gauge(f"stage.{name}.handoff_s")
         self._observe_tick = itertools.count()
 
     @property
@@ -174,6 +182,11 @@ class Stage:
             with self._lock:
                 if batch.claimed == len(items):
                     return
+                if not batch.claimed:  # the batch's first claim
+                    lag = time.perf_counter() - batch.handed
+                    if self.handoff_s is None or lag < self.handoff_s:
+                        self.handoff_s = lag
+                        self._handoff.set(lag)
                 item = items[batch.claimed]
                 batch.claimed += 1
                 wake = not batch.waking and batch.claimed < len(items)

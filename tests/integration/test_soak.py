@@ -115,17 +115,18 @@ def test_soak_mixed_load(soak_env):
     assert degree["sum"] == expected_entries
     assert server_counts["container.faults"] == counters["faults"]
     assert server_counts["soap.packed_messages"] == counters["packed_msgs"]
-    # every packed message fanned out through the application stage (a
-    # worker records its entry just after the caller was let go)
-    give_up = time.monotonic() + 5
-    while (
-        sketches(server)["stage.application.service_time_s"]["count"]
-        < counters["packed_calls"]
-        and time.monotonic() < give_up
-    ):
-        time.sleep(0.005)
+    # every executed entry of a deployed operation is in its row, on
+    # whichever thread it ran (the made-up name has no row); a pack of
+    # measured echoes runs on the protocol thread, so the stage ran at
+    # most the packed calls
+    rows = sum(
+        sketch["count"]
+        for name, sketch in server_sketches.items()
+        if name.startswith("operation.") and name.endswith(".seconds")
+    )
+    assert rows == counters["plain"] + counters["packed_calls"]
     stage = sketches(server)["stage.application.service_time_s"]
-    assert stage["count"] == counters["packed_calls"]
+    assert stage["count"] <= counters["packed_calls"]
 
 
 @pytest.mark.parametrize("backend", ["threaded", "evented"])
