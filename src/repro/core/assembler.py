@@ -20,6 +20,7 @@ from repro.client.futures import InvocationFuture, ResultArray
 from repro.core import packformat
 from repro.obs.trace import span as obs_span
 from repro.server.handlers import Handler, MessageContext
+from repro.soap.constants import ONE_WAY_ATTR, REQUEST_ID_ATTR
 from repro.soap.envelope import Envelope
 from repro.soap.serializer import serialize_rpc_request
 from repro.xmlcore.tree import Element
@@ -50,12 +51,12 @@ class ClientAssembler:
         *different* airline services this way.  ``one_way`` marks the
         entry fire-and-forget (see :mod:`repro.core.oneway`).
         """
-        entry = serialize_rpc_request(namespace or self.namespace, operation, params)
+        request_id = packformat.request_id(len(self._entries))
+        attributes = ((REQUEST_ID_ATTR, request_id),)
         if one_way:
-            from repro.core.oneway import mark_one_way
-
-            mark_one_way(entry)
-        future = self.results.add(operation, packformat.request_id(len(self._entries)))
+            attributes = ((ONE_WAY_ATTR, "true"), *attributes)
+        entry = serialize_rpc_request(namespace or self.namespace, operation, params, attributes)
+        future = self.results.add(operation, request_id)
         self._entries.append(entry)
         self._futures.append(future)
         return future
@@ -70,11 +71,10 @@ class ClientAssembler:
     def assemble(self, *, headers: list[Element] | None = None) -> Envelope:
         """Pack everything added so far into one envelope.
 
-        IDs assigned by :func:`packformat.build_parallel_method` match
-        the ids pre-assigned to the futures because both use the same
-        sequential scheme.
+        Each entry was encoded with its future's ``requestID``, in
+        :func:`packformat.request_id`'s sequential scheme.
         """
-        wrapper = packformat.build_parallel_method(self._entries, assign_ids=True)
+        wrapper = packformat.build_parallel_method(self._entries, assign_ids=False)
         envelope = Envelope()
         for header in headers or []:
             envelope.add_header(header)

@@ -23,8 +23,8 @@ from repro.core.oneway import is_accepted
 from repro.errors import PackError
 from repro.obs.trace import span as obs_span
 from repro.server.handlers import Handler, MessageContext
-from repro.soap.constants import FAULT_TAG, REQUEST_ID_ATTR
-from repro.soap.deserializer import parse_rpc_response
+from repro.soap.constants import FAULT_TAG
+from repro.soap.deserializer import DecodedEntry, parse_rpc_response
 from repro.soap.envelope import Envelope
 from repro.soap.fault import SoapFault
 from repro.xmlcore.tree import Element
@@ -68,7 +68,7 @@ def pack_results(envelope: Envelope, handles: list) -> list:
     index_of = {handle.request_id: index for index, handle in enumerate(handles)}
     slots: list = [_MISSING] * len(handles)
     for child in children:
-        index = index_of.get(child.get(REQUEST_ID_ATTR))
+        index = index_of.get(packformat.entry_request_id(child))
         if index is not None:
             slots[index] = _slot_of(child)
     for index, slot in enumerate(slots):
@@ -82,6 +82,8 @@ def pack_results(envelope: Envelope, handles: list) -> list:
 
 
 def _slot_of(response: Element):
+    if type(response) is DecodedEntry:  # a value read off the scanner
+        return response.decoded
     if is_accepted(response):
         return None
     if response.tag == FAULT_TAG:

@@ -15,35 +15,27 @@ Semantics: "accepted", not "completed" — a one-way operation's result
 use a normal call.  One-way entries compose with packing: a batch may
 mix waited calls (:meth:`~repro.core.batch.PackBatch.call`) and casts
 (:meth:`~repro.core.batch.PackBatch.cast`).
+
+The wire names and the server's two primitives (``is_one_way``,
+``accepted_response``) live in :mod:`repro.soap`, below the server that
+uses them; they are re-exported here.
 """
 
 from __future__ import annotations
 
-from repro.soap.constants import REQUEST_ID_ATTR, SPI_NS
+from repro.soap.constants import ACCEPTED_TAG, ONE_WAY_ATTR
+from repro.soap.serializer import accepted_response, is_one_way
 from repro.xmlcore.tree import Element
 
-ONE_WAY_ATTR = f"{{{SPI_NS}}}oneWay"
-ACCEPTED_TAG = f"{{{SPI_NS}}}Accepted"
+__all__ = [
+    "ACCEPTED_TAG", "ONE_WAY_ATTR", "accepted_response", "is_accepted", "is_one_way", "mark_one_way",
+]
 
 
 def mark_one_way(entry: Element) -> Element:
     """Flag a request entry as fire-and-forget."""
     entry.set(ONE_WAY_ATTR, "true")
     return entry
-
-
-def is_one_way(entry: Element) -> bool:
-    """True when the entry carries spi:oneWay='true'."""
-    return entry.get(ONE_WAY_ATTR) == "true"
-
-
-def accepted_response(entry: Element) -> Element:
-    """The acknowledgement element for a one-way request entry."""
-    response = Element(ACCEPTED_TAG, nsmap={"spi": SPI_NS})
-    request_id = entry.get(REQUEST_ID_ATTR)
-    if request_id is not None:
-        response.set(REQUEST_ID_ATTR, request_id)
-    return response
 
 
 def is_accepted(element: Element) -> bool:

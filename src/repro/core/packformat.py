@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.errors import PackError
 from repro.soap.constants import PARALLEL_METHOD, REQUEST_ID_ATTR, SPI_NS
+from repro.soap.deserializer import DecodedEntry
 from repro.soap.serializer import collect_entry_namespaces
 from repro.xmlcore.tree import Element
 
@@ -48,10 +49,10 @@ def build_parallel_method(
     for index, uri in enumerate(collect_entry_namespaces(entries, skip=(SPI_NS,))):
         nsmap[f"m{index}"] = uri
     wrapper = Element(PARALLEL_METHOD, nsmap=nsmap)
-    for index, entry in enumerate(entries):
-        if assign_ids:
+    if assign_ids:
+        for index, entry in enumerate(entries):
             entry.set(REQUEST_ID_ATTR, request_id(index))
-        wrapper.children.append(entry)
+    wrapper.children = list(entries)
     return wrapper
 
 
@@ -75,10 +76,16 @@ def unpack_parallel_method(element: Element) -> list[Element]:
         raise PackError("Parallel_Method contains stray character data")
     seen: set[str] = set()
     for entry in entries:
-        rid = entry.get(REQUEST_ID_ATTR)
+        rid = entry_request_id(entry)
         if rid is None:
             raise PackError(f"packed entry <{entry.local_name}> has no requestID")
         if rid in seen:
             raise PackError(f"duplicate requestID '{rid}' in Parallel_Method")
         seen.add(rid)
     return entries
+
+
+def entry_request_id(entry: Element) -> str | None:
+    """The ``requestID`` of a packed entry: a record's, read when it was
+    decoded, or a tree's attribute."""
+    return entry.request_id if type(entry) is DecodedEntry else entry.get(REQUEST_ID_ATTR)

@@ -65,30 +65,36 @@ class ServiceDefinition:
     # -- execution -------------------------------------------------------------
 
     def invoke(self, op_name: str, params: Mapping[str, Any]) -> Any:
-        """Execute one operation with keyword parameters.
+        """Execute one operation with keyword parameters (see :meth:`bound`);
+        an unknown operation is the caller's fault: a Client fault."""
+        if op_name not in self._operations:
+            raise ClientFaultCause(f"service '{self.name}' has no operation '{op_name}'")
+        return self.bound(op_name)(params)
 
-        Unknown operations and signature mismatches are the caller's
-        fault and surface as Client faults; anything raised inside the
-        operation propagates for the endpoint to map to a Server fault.
-        The signature is consulted only when the call raises
-        ``TypeError``, to tell a mismatch from an error inside.
+    def bound(self, op_name: str) -> Callable[[Mapping[str, Any]], Any]:
+        """The registered operation ``op_name`` as one callable of its params.
+
+        A signature mismatch is the caller's fault and surfaces as a
+        Client fault; anything raised inside the operation propagates
+        for the endpoint to map to a Server fault.  The signature is
+        consulted only when the call raises ``TypeError``, to tell a
+        mismatch from an error inside.
         """
-        try:
-            func, signature = self._operations[op_name]
-        except KeyError:
-            raise ClientFaultCause(
-                f"service '{self.name}' has no operation '{op_name}'"
-            ) from None
-        try:
-            return func(**params)
-        except TypeError:
+        func, signature = self._operations[op_name]
+
+        def call(params: Mapping[str, Any]) -> Any:
             try:
-                signature.bind(**params)
-            except TypeError as exc:
-                raise ClientFaultCause(
-                    f"{self.name}.{op_name}: bad parameters: {exc}"
-                ) from None
-            raise
+                return func(**params)
+            except TypeError:
+                try:
+                    signature.bind(**params)
+                except TypeError as exc:
+                    raise ClientFaultCause(
+                        f"{self.name}.{op_name}: bad parameters: {exc}"
+                    ) from None
+                raise
+
+        return call
 
     # -- description -------------------------------------------------------------
 

@@ -67,7 +67,9 @@ from repro.server.handlers import MessageContext
 from repro.server.stage import Stage
 from repro.server.threadpool import CompletionLatch
 from repro.soap.constants import FAULT_TAG
+from repro.soap.deserializer import DecodedEntry
 from repro.soap.fault import SoapFault, busy_fault, timeout_fault
+from repro.soap.serializer import accepted_response
 from repro.transport.base import Address
 from repro.transport.tcp import TcpTransport
 from repro.xmlcore.tree import Element
@@ -98,8 +100,6 @@ class SoapServer:
             "shed": registry.counter("resilience.shed"),
         }
         self.container = ServiceContainer(list(config.services), registry=registry)
-        # the live view: a service deployed later gets its record too
-        self._operations = self.container.operation_metrics
         # Figure 2's application stage (admission: see _fan_out);
         # Figure 1 has none.
         self.app_stage: Stage | None = None
@@ -120,19 +120,21 @@ class SoapServer:
         self.http = build_http_server(self.endpoint, config, registry=registry)
 
     def _execute(self, entries: list[Element], context: MessageContext) -> list[Element]:
-        from repro.core.oneway import accepted_response, is_one_way
-
         deadline = context.deadline
         stage = self.app_stage
         # The protocol thread's trace context does not follow work onto
         # the stage workers' threads; capture it here and attach each
         # per-entry execute span explicitly.
         ctx = obs_trace.current()
+        # one record per entry, its operation looked up once, read from
+        # here to the writer
+        record_of = self.container.record_of
+        entries = [record_of(entry) for entry in entries]
         results: list[Element | None] = [None] * len(entries)
-        staged: list[tuple[str, int, Element]] = []  # (kind, slot, entry)
+        staged: list[tuple[str, int, DecodedEntry]] = []  # (kind, slot, entry)
         # Figure 1 runs every entry here; Figure 2 runs a pack's awaited
         # entries here only when nothing in it can overlap
-        here = None if stage is None else self._placed_here(entries, is_one_way)
+        here = None if stage is None else self._placed_here(entries)
         # a pack placed here by its measurements is timed once: did it wait?
         timed = here is not None and len(here) > 1
         if timed:
@@ -149,7 +151,7 @@ class SoapServer:
                     entry,
                     timeout_fault(f"deadline expired before '{entry.local_name}' ran"),
                 )
-            elif is_one_way(entry):
+            elif entry.one_way:
                 # acknowledged now, result dropped: fire-and-forget on
                 # the stage, or right here when Figure 1 has no other
                 # thread to give it to
@@ -176,7 +178,7 @@ class SoapServer:
             self._fan_out(staged, results, ctx, deadline)
         return [entry for entry in results if entry is not None]
 
-    def _placed_here(self, entries: list[Element], is_one_way) -> list | None:
+    def _placed_here(self, entries: list[DecodedEntry]) -> list | None:
         """Figure 2's placement of one pack: the records of its awaited
         entries when they run on this thread (a lone entry's is ``None``
         when nobody deployed its name), or ``None`` when they go to the
@@ -190,8 +192,8 @@ class SoapServer:
         records = []
         off_cpu = 0.0
         for entry in entries:
-            if not is_one_way(entry):
-                record = self._operations.get(entry.tag)
+            if not entry.one_way:
+                record = entry.operation
                 records.append(record)
                 if record is None or record.off_cpu_s is None:
                     off_cpu = math.inf  # never staged, or waited since
@@ -216,7 +218,7 @@ class SoapServer:
         """
         latch = CompletionLatch(sum(kind is _AWAITED for kind, _, _ in staged))
 
-        def settle(item: tuple[str, int, Element], shed: str | None = None) -> None:
+        def settle(item: tuple[str, int, DecodedEntry], shed: str | None = None) -> None:
             kind, index, entry = item
             if shed is not None:  # retryable: the work never ran
                 results[index] = self._skipped(
@@ -249,27 +251,30 @@ class SoapServer:
                     late = f"'{entry.local_name}' did not finish within {wait_s:.3f}s"
                     results[index] = self._skipped(entry, timeout_fault(late))
 
-    def _run(self, ctx, entry: Element, on_stage: bool = False) -> Element:
+    def _run(self, ctx, entry: DecodedEntry, on_stage: bool = False) -> Element:
         """Execute one entry, timing a deployed operation into its
         sketch and counting its faults; on a stage worker, also write
-        its off-CPU time, which places its later packs."""
-        with obs_trace.span_in(ctx, "execute", detail=entry.local_name):
-            record = self._operations.get(entry.tag)
-            if record is None:  # not deployed: the Client fault alone
-                return self.container.execute_entry(entry)
-            if on_stage:
-                cpu = time.thread_time()
-            start = time.perf_counter()
-            response = self.container.execute_entry(entry)
-            wall = time.perf_counter() - start
-            if on_stage:
-                record.off_cpu_s = max(wall - (time.thread_time() - cpu), 0.0)
-            record.seconds.record(wall)
-            if response.tag == FAULT_TAG:
-                record.faults.inc()
-            return response
+        its off-CPU time, which places its later packs.  Under a trace
+        context, inside its ``execute`` span."""
+        if ctx is not None:
+            with obs_trace.span_in(ctx, "execute", detail=entry.local_name):
+                return self._run(None, entry, on_stage)
+        record = entry.operation
+        if record is None:  # not deployed: the Client fault alone
+            return self.container.execute(entry)
+        if on_stage:
+            cpu = time.thread_time()
+        start = time.perf_counter()
+        response = self.container.execute(entry)
+        wall = time.perf_counter() - start
+        if on_stage:
+            record.off_cpu_s = max(wall - (time.thread_time() - cpu), 0.0)
+        record.seconds.record(wall)
+        if response.tag == FAULT_TAG:
+            record.faults.inc()
+        return response
 
-    def _skipped(self, entry: Element, fault: SoapFault) -> Element:
+    def _skipped(self, entry: DecodedEntry, fault: SoapFault) -> Element:
         """The slot of an entry answered without (or instead of)
         executing — a shed or a deadline expiry.  It never ran, so it
         is counted here, in ``resilience.*`` alone."""

@@ -15,7 +15,6 @@ from repro.soap.constants import (
     SPI_NS,
 )
 from repro.soap.deserializer import (
-    OperationMatcher,
     RpcRequest,
     RpcResponse,
     parse_response_envelope,
@@ -52,7 +51,6 @@ __all__ = [
     "Envelope",
     "FAULT_TAG",
     "HEADER_TAG",
-    "OperationMatcher",
     "PARALLEL_METHOD",
     "RpcRequest",
     "RpcResponse",

@@ -27,6 +27,9 @@ WSU_NS = (
 SPI_NS = "urn:spi:soap-passing-interface"
 PARALLEL_METHOD = f"{{{SPI_NS}}}Parallel_Method"
 REQUEST_ID_ATTR = "requestID"
+# a one-way (fire-and-forget) request entry, and what the server answers it
+ONE_WAY_ATTR = f"{{{SPI_NS}}}oneWay"
+ACCEPTED_TAG = f"{{{SPI_NS}}}Accepted"
 
 # Clark-notation names used throughout the engine
 ENVELOPE_TAG = f"{{{SOAP_ENV_NS}}}Envelope"

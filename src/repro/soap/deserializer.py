@@ -2,7 +2,7 @@
 
 The tree source decodes ``Element`` entries.  The scanner source decodes
 a document's RPC entries straight off the scanner's value walk into
-:class:`DecodedEntry` objects, with no tree below their tags.  Anything
+:class:`DecodedEntry` records, with no tree below their tags.  Anything
 the walk does not read (see ``XmlScanner.read_values``), a duplicate
 parameter or a response that is not one ``<return>`` restarts the
 document on the tree source, so every error is the tree source's.
@@ -11,16 +11,15 @@ document on the tree source, so every error is the tree source's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Container
 
 from repro.errors import SoapError
-from repro.soap.constants import FAULT_TAG, PARALLEL_METHOD
+from repro.soap.constants import FAULT_TAG, ONE_WAY_ATTR, PARALLEL_METHOD, REQUEST_ID_ATTR
 from repro.soap.envelope import Envelope, walk_envelope
 from repro.soap.fault import ClientFaultCause, SoapFault
 from repro.soap.multiref import resolve_multirefs
 from repro.soap.serializer import RESPONSE_SUFFIX, RETURN_TAG
 from repro.soap.xsdtypes import decode_value, value_rule
-from repro.xmlcore.qname import QName
 from repro.xmlcore.tree import Element
 from repro.xmlcore.treebuilder import Unusual, XmlScanner
 
@@ -46,49 +45,48 @@ class RpcResponse:
 
 
 class DecodedEntry(Element):
-    """A body entry decoded off the scanner: its tag and attributes
-    (``requestID``, ``spi:oneWay``), and the :class:`RpcRequest` or
-    :class:`RpcResponse` its children held.  Reading them raises."""
+    """A body entry decoded off the scanner: the one record an entry is
+    carried in from the reader to the writer.  Its tag and attributes, the
+    ``requestID`` and one-way flag read from them once, what its children
+    held (``decoded``: a request's params, a response's value) and, on a
+    server, the deployed ``operation`` it names (None until looked up, or
+    when nobody deployed it).  A tree entry the server runs gets a record
+    whose ``source`` is that tree.  Reading a record's children raises."""
 
-    __slots__ = ("decoded",)
+    __slots__ = ("request_id", "one_way", "decoded", "operation", "source")
 
-    def __init__(self, tag: str, attributes: tuple, decoded: RpcRequest | RpcResponse, nsmap=None) -> None:
-        self.tag, self._attrs, self.nsmap = tag, attributes, nsmap or {}
+    def __init__(self, tag: str, attributes: tuple, decoded: Any, nsmap=None) -> None:
+        self.tag = tag
+        self._attrs = attributes
+        self.nsmap = nsmap or {}
         self.decoded = decoded
+        self.operation = self.source = None
+        request_id, one_way = None, False
+        for name, value in attributes:
+            if name == REQUEST_ID_ATTR:
+                request_id = value
+            elif name == ONE_WAY_ATTR:
+                one_way = value == "true"
+        self.request_id = request_id
+        self.one_way = one_way
 
     @property
     def children(self) -> list:
         raise SoapError(f"<{self.local_name}> was decoded off the scanner; it has no children")
 
 
-class OperationMatcher:
-    """Lookup of expected ``{namespace}operation`` tags."""
-
-    def __init__(self) -> None:
-        self._handlers: dict[str, Any] = {}
-
-    def register(self, namespace: str, operation: str, handler: Any = True) -> None:
-        """Add an expected operation (and its handler)."""
-        self._handlers[f"{{{namespace}}}{operation}"] = handler
-
-    def match(self, element: Element) -> Any:
-        """Handler registered for this element's tag, or None."""
-        return self._handlers.get(element.tag)
-
-
-def parse_rpc_request(
-    element: Element, matcher: OperationMatcher | None = None
-) -> RpcRequest:
+def parse_rpc_request(element: Element, operations: Container[str] | None = None) -> RpcRequest:
     """Decode one request body entry.
 
-    When ``matcher`` is given, unknown operations raise
-    :class:`ClientFaultCause` so the endpoint can return a Client fault.
+    When ``operations`` (the Clark tags deployed) is given, unknown
+    operations raise :class:`ClientFaultCause` so the endpoint can
+    return a Client fault.
     """
     qname = element.qname  # the entry's tag, split once
-    if matcher is not None and matcher.match(element) is None:
+    if operations is not None and element.tag not in operations:
         raise ClientFaultCause(f"no such operation '{qname.local}'")
-    if isinstance(element, DecodedEntry):
-        return element.decoded
+    if type(element) is DecodedEntry:
+        return RpcRequest(qname.uri, qname.local, element.decoded)
     params: dict[str, Any] = {}
     for child in element.children:
         if isinstance(child, Element):
@@ -103,10 +101,10 @@ def parse_rpc_response(element: Element) -> RpcResponse:
     """Decode one response body entry; faults raise ``SoapFaultError``."""
     if element.tag == FAULT_TAG:
         raise SoapFault.from_element(element).to_exception()
-    if isinstance(element, DecodedEntry):
-        return element.decoded
     qname = element.qname  # the entry's tag, split once
     local = qname.local
+    if type(element) is DecodedEntry:
+        return RpcResponse(qname.uri, local[: -len(RESPONSE_SUFFIX)], element.decoded)
     if not local.endswith(RESPONSE_SUFFIX):
         raise SoapError(f"<{local}> is not an RPC response element")
     operation = local[: -len(RESPONSE_SUFFIX)]
@@ -167,9 +165,12 @@ def _read_pack(decoded, suffix: str = ""):
         pack = cursor.enter(start)
         if pack.tag != PARALLEL_METHOD:
             raise Unusual("a Parallel_Method outside the SPI namespace")
-        while (entry := cursor.next_entry(value_rule, suffix) or cursor.next_child(only_elements=True)):
-            pack.children.append(decoded(*entry) if type(entry) is tuple else read_entry(cursor, entry))
-        return pack
+        entries = pack.children
+        while True:
+            cursor.next_entry(value_rule, decoded, entries, suffix)
+            if (start := cursor.next_child(only_elements=True)) is None:
+                return pack
+            entries.append(read_entry(cursor, start))
 
     return read
 
@@ -177,17 +178,14 @@ def _read_pack(decoded, suffix: str = ""):
 def _response(tag: str, attributes: tuple, pairs: list, nsmap=None) -> DecodedEntry:
     if len(pairs) != 1 or pairs[0][0] != RETURN_TAG:
         raise Unusual("not exactly one <return>")
-    qname = QName.parse(tag)
-    response = RpcResponse(qname.uri, qname.local[: -len(RESPONSE_SUFFIX)], pairs[0][1])
-    return DecodedEntry(tag, attributes, response, nsmap)
+    return DecodedEntry(tag, attributes, pairs[0][1], nsmap)
 
 
 def _request(tag: str, attributes: tuple, pairs: list, nsmap=None) -> DecodedEntry:
     params = dict(pairs)
     if len(params) != len(pairs):
         raise Unusual("a duplicate parameter")
-    qname = QName.parse(tag)
-    return DecodedEntry(tag, attributes, RpcRequest(qname.uri, qname.local, params), nsmap)
+    return DecodedEntry(tag, attributes, params, nsmap)
 
 
 _read_request = _read_pack(_request)

@@ -15,19 +15,21 @@ from repro.soap.constants import (
     ENVELOPE_TAG,
     HEADER_TAG,
     MUST_UNDERSTAND_ATTR,
+    PARALLEL_METHOD,
     SOAP_ENV_NS,
     STANDARD_NSMAP,
 )
 from repro.xmlcore.lexer import StartTagToken
 from repro.xmlcore.tree import Element
 from repro.xmlcore.treebuilder import XmlScanner
-from repro.xmlcore.writer import serialize, serialize_bytes
+from repro.xmlcore.writer import StreamingWriter, _write_element, write_pack
 
 
 class Envelope:
     """A SOAP envelope under construction or freshly parsed.  Once read by
     a server-mode parse or sealed, its Body's text is ``source[body_start:body_end]``,
-    under the namespace declarations ``body_scope`` (the Envelope's)."""
+    under the namespace declarations ``body_scope`` (the Envelope's); a sealed
+    one writes that text."""
 
     __slots__ = ("header_entries", "body_entries", "source", "body_start", "body_end", "body_scope",
                  "_sealed", "read_by")
@@ -38,7 +40,7 @@ class Envelope:
         self.source: str | None = None
         self.body_start = self.body_end = 0
         self.body_scope: dict[str, str] | None = None
-        self._sealed: _SealedBody | None = None
+        self._sealed = False
         self.read_by: str | None = None  # the source that read it: "scanner" or "tree"
 
     # -- construction ---------------------------------------------------
@@ -57,38 +59,43 @@ class Envelope:
 
     # -- rendering --------------------------------------------------------
 
-    def to_element(self) -> Element:
-        """Build the Envelope/Header/Body element tree."""
-        envelope = Element(ENVELOPE_TAG, nsmap=dict(STANDARD_NSMAP))
-        if self.header_entries:
-            header = envelope.subelement(HEADER_TAG)
-            header.extend(self.header_entries)
-        if self._sealed is not None:
-            envelope.children.append(self._sealed)
-        else:
-            envelope.subelement(BODY_TAG).extend(self.body_entries)
-        return envelope
-
     def seal_body(self) -> bytes:
         """Render the Body once, as :meth:`to_bytes` writes it, and write only
         that text from then on (later entry edits are not sent); return its UTF-8."""
-        root = Element(ENVELOPE_TAG, nsmap=dict(STANDARD_NSMAP))
-        root.subelement(BODY_TAG).extend(self.body_entries)
-        text = serialize(root)  # the Body is all the root holds
+        text = self._write(headers=False)  # the Body is all the root holds
         self.source, self.body_start, self.body_end = text, text.index(">") + 1, text.rindex("</")
-        self.body_scope = root.nsmap
-        body = text[self.body_start : self.body_end]
-        self._sealed = _SealedBody(BODY_TAG)
-        self._sealed.parts = [body[body.index(">") + 1 : body.rfind("</")]]
-        return body.encode("utf-8")
+        self.body_scope = dict(STANDARD_NSMAP)
+        self._sealed = True
+        return text[self.body_start : self.body_end].encode("utf-8")
 
     def to_string(self) -> str:
         """Serialize to text with an XML declaration."""
-        return serialize(self.to_element(), declaration=True)
+        return self._write(declaration=True)
 
     def to_bytes(self) -> bytes:
         """Serialize to UTF-8 bytes with an XML declaration."""
-        return serialize_bytes(self.to_element())
+        return self._write(declaration=True).encode("utf-8")
+
+    def _write(self, *, declaration: bool = False, headers: bool = True) -> str:
+        """The Envelope, its Header (if it has entries) and its Body, written
+        in one pass: a ``Parallel_Method`` body entry by :func:`write_pack`,
+        anything else by the writer's per-node loop."""
+        writer = StreamingWriter(declaration=declaration)
+        writer.start(ENVELOPE_TAG, nsmap=STANDARD_NSMAP)
+        if headers and self.header_entries:
+            writer.start(HEADER_TAG)
+            for entry in self.header_entries:
+                _write_element(writer, entry)
+            writer.end()
+        if self._sealed:
+            writer.raw(self.source[self.body_start : self.body_end])
+        else:
+            writer.start(BODY_TAG)
+            for entry in self.body_entries:
+                (write_pack if entry.tag == PARALLEL_METHOD else _write_element)(writer, entry)
+            writer.end()
+        writer.end()
+        return writer.getvalue()
 
     # -- parsing ------------------------------------------------------------
 
@@ -132,13 +139,6 @@ class Envelope:
             if entry.get(MUST_UNDERSTAND_ATTR) in ("1", "true") and entry.tag not in understood:
                 missed.append(entry)
         return missed
-
-
-class _SealedBody(Element):
-    """A sealed Body, whose ``parts`` (the text between its tags) the writer splices."""
-
-    __slots__ = ("parts",)
-    bindings = tuple(STANDARD_NSMAP.items())
 
 
 def walk_envelope(

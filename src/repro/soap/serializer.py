@@ -1,4 +1,4 @@
-"""RPC-style SOAP serialization (requests, responses, faults).
+"""RPC-style SOAP serialization (requests, responses, faults, one-way acks).
 
 Builds the per-operation body entries that the common architecture
 sends one-per-message and that SPI's assembler packs several-per-message.
@@ -12,11 +12,11 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.errors import SerializationError
-from repro.soap.constants import XSI_NS
+from repro.soap.constants import ACCEPTED_TAG, ONE_WAY_ATTR, REQUEST_ID_ATTR, SPI_NS, XSI_NS
 from repro.soap.envelope import Envelope
 from repro.soap.fault import SoapFault
 from repro.soap.xsdtypes import parse_values, render_value
-from repro.xmlcore.qname import is_ncname, qname_of
+from repro.xmlcore.qname import QName, is_ncname, qname_of
 from repro.xmlcore.tree import Element
 
 RESPONSE_SUFFIX = "Response"
@@ -32,8 +32,11 @@ class EncodedEntry(Element):
     __slots__ = ("parts", "_tree")
     bindings = (("xsi", XSI_NS),)  # what the parts' prefixes mean
 
-    def __init__(self, tag: str, parts: list[str]) -> None:
-        self.tag, self._attrs, self.nsmap, self.parts = tag, (), {}, parts
+    def __init__(self, tag: str, parts: list[str], attributes: tuple = ()) -> None:
+        self.tag = tag
+        self._attrs = attributes
+        self.nsmap = {}
+        self.parts = parts
 
     @property
     def children(self) -> list:
@@ -43,15 +46,16 @@ class EncodedEntry(Element):
 
 
 def serialize_rpc_request(
-    namespace: str, operation: str, params: Mapping[str, Any]
+    namespace: str, operation: str, params: Mapping[str, Any], attributes: tuple = ()
 ) -> EncodedEntry:
-    """Encode the body entry ``<ns:operation><param .../>...</ns:operation>``.
+    """Encode the body entry ``<ns:operation><param .../>...</ns:operation>``
+    with ``attributes`` (``(name, value)`` pairs) on its start tag.
 
     Parameter order follows the mapping's iteration order, matching the
     positional convention of RPC/encoded SOAP.
     """
     _check_operation_name(operation)
-    entry = EncodedEntry(qname_of(namespace, operation).clark, [])
+    entry = EncodedEntry(qname_of(namespace, operation).clark, [], attributes)
     for name, value in params.items():
         if not is_ncname(name):
             raise SerializationError(f"'{name}' is not a valid parameter name")
@@ -67,6 +71,18 @@ def serialize_rpc_response(namespace: str, operation: str, result: Any) -> Encod
     return entry
 
 
+def is_one_way(entry: Element) -> bool:
+    """True when the entry carries spi:oneWay='true'."""
+    return entry.get(ONE_WAY_ATTR) == "true"
+
+
+def accepted_response(entry: Element) -> Element:
+    """The acknowledgement element for a one-way request entry."""
+    request_id = entry.get(REQUEST_ID_ATTR)
+    attributes = () if request_id is None else ((REQUEST_ID_ATTR, request_id),)
+    return Element(ACCEPTED_TAG, attributes, nsmap={"spi": SPI_NS})
+
+
 def collect_entry_namespaces(
     entries: "list[Element]", *, skip: tuple[str, ...] = ()
 ) -> list[str]:
@@ -77,8 +93,8 @@ def collect_entry_namespaces(
     of once per entry.
     """
     seen: list[str] = []
-    for entry in entries:
-        uri = entry.qname.uri
+    for tag in dict.fromkeys([entry.tag for entry in entries]):  # each split once
+        uri = QName.parse(tag).uri
         if uri and uri not in skip and uri not in seen:
             seen.append(uri)
     return seen

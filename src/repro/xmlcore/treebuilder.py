@@ -374,22 +374,26 @@ class XmlScanner:
         self._leave()
         return element.tag, element.items(), pairs, element.nsmap
 
-    def next_entry(self, rule_of, suffix: str = "") -> tuple[str, tuple, list] | None:
-        """:meth:`read_values`, less declarations, for the entry at the offset if
-        its start tag is as our writer emits it (whitespace, ``<QName requestID="v">``
+    def next_entry(self, rule_of, make, into: list, suffix: str = "") -> None:
+        """Append to ``into`` the caller's record of each entry from the offset on,
+        ``make(Clark tag, attributes, pairs)`` of :meth:`read_values`, while its
+        start tag is as our writer emits it (whitespace, ``<QName requestID="v">``
         with one space, double quotes, no '<', '&' or '"' in ``v``) and has a name
-        that ends in ``suffix`` and resolves; else None, and nothing is read."""
+        that ends in ``suffix`` and resolves; of the first that is not, nothing
+        is read."""
         lexer = self._lexer
-        match = None if lexer._suspect or self._entered[-1][1] else _ENTRY.match(lexer._src, lexer._pos)
-        if match is None or not match[1].endswith(suffix):
-            return None
-        if (entry := self._entries.get(match[1])) is None:
-            try:
-                entry = self._entries[match[1]] = (self._scope.resolve_name(match[1]).clark, f"</{match[1]}>")
-            except XmlNamespaceError:  # not memoised: the token path says what is wrong
-                return None
-        lexer._pos = match.end()
-        return entry[0], (("requestID", match[2]),), self._walk(entry[1], rule_of)
+        if lexer._suspect or self._entered[-1][1]:
+            return
+        src, entries, walk, match_at = lexer._src, self._entries, self._walk, _ENTRY.match
+        while (match := match_at(src, lexer._pos)) is not None and match[1].endswith(suffix):
+            name = match[1]
+            if (entry := entries.get(name)) is None:
+                try:
+                    entry = entries[name] = (self._scope.resolve_name(name).clark, f"</{name}>")
+                except XmlNamespaceError:  # not memoised: the token path says what is wrong
+                    return
+            lexer._pos = match.end()
+            into.append(make(entry[0], (("requestID", match[2]),), walk(entry[1], rule_of)))
 
     def _walk(self, close: str, rule_of) -> list:
         """The value walk's loop: the pairs it reads through the end tag ``close``."""

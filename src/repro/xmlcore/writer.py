@@ -28,6 +28,13 @@ work is a memo of rendered names:
   the memo does not hold yet, goes through :meth:`StreamingWriter.start`
   — the general path, which fills the memo; a name that needs a
   declaration on every occurrence takes it every time.
+
+:func:`write_pack` is the per-node loop cut to one kind of child, for an
+element whose children are spliced entries (SPI's ``Parallel_Method``):
+each such entry whose names the memos hold is its open tag, attributes,
+parts and end tag in one step, with no stack; every other child (a
+Fault or ack tree, a first occurrence, text) is :func:`_write_element`'s
+in the same writer.
 """
 
 from __future__ import annotations
@@ -243,6 +250,45 @@ def serialize(element: Element, *, declaration: bool = False) -> str:
 def serialize_bytes(element: Element, *, declaration: bool = True) -> bytes:
     """Serialize to UTF-8 bytes, the form the HTTP layer transmits."""
     return serialize(element, declaration=declaration).encode("utf-8")
+
+
+def write_pack(writer: StreamingWriter, pack: Element) -> None:
+    """Write ``pack`` and its children as :func:`_write_element` would,
+    in one pass over them: a child that splices its ``parts`` and whose
+    tag and attribute names the memos hold is written from them; any
+    other goes through :func:`_write_element`, which fills the memos."""
+    children = pack.children
+    if not children or type(children[0]) is str:  # may self-close: the general loop
+        _write_element(writer, pack)
+        return
+    writer.start(pack.tag, pack._attrs, pack.nsmap)
+    writer._close_start_tag()
+    out = writer._parts
+    opened = writer._elements
+    pieces = writer._attributes
+    for entry in children:
+        if type(entry) is str:
+            if entry:
+                out.append(escape_text(entry))
+            continue
+        texts = None if entry.nsmap else opened.get(entry.tag)
+        parts = getattr(entry, "parts", None)
+        # the splice is taken where its bindings were checked under this
+        # scope (pieces holds that too); empty content self-closes
+        if texts is not None and parts and parts[0] and pieces.get(entry.bindings):
+            head = texts[0]
+            for name, value in entry._attrs:
+                piece = pieces.get(name)
+                if piece is None:
+                    break
+                head += f'{piece}{escape_attribute(value)}"'
+            else:
+                out.append(head + ">")
+                out += parts
+                out.append(texts[1])
+                continue
+        _write_element(writer, entry)
+    writer.end()
 
 
 def _write_element(writer: StreamingWriter, root: Element) -> None:

@@ -11,6 +11,16 @@ the codec accepts — C0 control characters included, which
 are.  For every value the codec refuses, ``serialize_rpc_*`` itself must
 raise the reference's ``SerializationError`` (type and message), so
 nothing is left to fail when the envelope is written.
+
+The envelope writes a ``Parallel_Method`` body in one pass
+(``write_pack``): a spliced entry whose names the writer has memoised is
+its open tag, escaped ``requestID``, parts and end tag in one step, and
+Fault and ``spi:Accepted`` trees go through the per-node loop in the same
+writer.  Packs over several namespaces, mixing answers, calls (one-way or
+not), Faults and acks, with odd ``requestID`` values and C0 controls,
+under trace, deadline and WS-Security headers, must write the bytes the
+tree writer writes for the same envelope as one element tree; and a
+sealed Body must be the octets ``to_bytes`` sends.
 """
 
 from datetime import date, datetime, time, timedelta, timezone
@@ -20,11 +30,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import packformat
-from repro.soap import Envelope, serialize_rpc_request, serialize_rpc_response
-from repro.soap.constants import XSI_NS
-from repro.soap.serializer import EncodedEntry
+from repro.obs.trace import OBS_NS, TRACE_HEADER_TAG, TRACE_ID_ATTR
+from repro.resilience.deadline import attach_deadline
+from repro.soap import Envelope, SoapFault, serialize_rpc_request, serialize_rpc_response
+from repro.soap.constants import (
+    BODY_TAG,
+    ENVELOPE_TAG,
+    HEADER_TAG,
+    ONE_WAY_ATTR,
+    REQUEST_ID_ATTR,
+    STANDARD_NSMAP,
+    XSI_NS,
+)
+from repro.soap.serializer import EncodedEntry, accepted_response
+from repro.soap.wssecurity import Credentials, attach_security_header
 from repro.xmlcore.tree import Element
-from repro.xmlcore.writer import serialize
+from repro.xmlcore.writer import serialize, serialize_bytes
 
 from ..soap import reference_codec
 from .test_codec_properties import (
@@ -175,3 +196,82 @@ def test_an_entry_under_a_rebinding_element_writes_its_tree(nsmap, value):
 
     entry = serialize_rpc_response(NS, "op", value)
     assert written(entry) == written(_reference_entry(f"{{{NS}}}opResponse", {"return": value}))
+
+
+# -- the one-pass pack body against the tree writer ----------------------------
+
+NAMESPACES = ("urn:sinks", "urn:sinks:b", "urn:other")
+request_ids = st.text(alphabet=st.sampled_from("r07&<>\"' é漢\x01\t"), min_size=1, max_size=6)
+slots = st.one_of(
+    st.tuples(st.just("answer"), st.sampled_from(NAMESPACES), encodable),
+    st.tuples(st.just("call"), st.sampled_from(NAMESPACES), params, st.booleans()),
+    st.tuples(st.just("fault"), c0_text),
+    st.tuples(st.just("ack")),
+)
+headers = st.fixed_dictionaries({"trace": st.booleans(), "deadline": st.booleans(), "signed": st.booleans()})
+
+
+def _slot_entries(slot, request_id: str) -> tuple:
+    """The slot as the one-pass writer gets it (spliced where the codec
+    encodes) and as the tree writer gets it (every entry a tree)."""
+    kind = slot[0]
+    if kind == "answer":
+        _, uri, value = slot
+        spliced = serialize_rpc_response(uri, "op", value)
+        spliced.set(REQUEST_ID_ATTR, request_id)
+        tree = _reference_entry(f"{{{uri}}}opResponse", {"return": value})
+        tree.set(REQUEST_ID_ATTR, request_id)
+        return spliced, tree
+    if kind == "call":
+        _, uri, call, one_way = slot
+        attributes = ((ONE_WAY_ATTR, "true"),) if one_way else ()
+        attributes += ((REQUEST_ID_ATTR, request_id),)
+        tree = _reference_entry(f"{{{uri}}}op", call)
+        tree.replace_attributes(attributes)
+        return serialize_rpc_request(uri, "op", call, attributes), tree
+    if kind == "fault":
+        fault = SoapFault("Server", slot[1], detail=slot[1])
+        made = fault.to_element(), fault.to_element()
+    else:
+        made = tuple(accepted_response(Element("op", {REQUEST_ID_ATTR: request_id})) for _ in "ab")
+    for element in made:
+        element.set(REQUEST_ID_ATTR, request_id)
+    return made
+
+
+def _header_entries(chosen: dict) -> list:
+    entries = []
+    if chosen["trace"]:
+        entries.append(Element(TRACE_HEADER_TAG, {TRACE_ID_ATTR: "t<1>"}, nsmap={"obs": OBS_NS}))
+    if chosen["deadline"]:
+        envelope = Envelope()
+        attach_deadline(envelope, 0.75)
+        entries += envelope.header_entries
+    return entries
+
+
+def _tree_bytes(header_entries: list, pack: Element) -> bytes:
+    """The tree writer alone: one element tree, the per-node loop."""
+    root = Element(ENVELOPE_TAG, nsmap=dict(STANDARD_NSMAP))
+    if header_entries:
+        root.subelement(HEADER_TAG).extend(header_entries)
+    root.subelement(BODY_TAG).append(pack)
+    return serialize_bytes(root)
+
+
+@_SETTINGS
+@given(st.lists(st.tuples(slots, request_ids), min_size=1, max_size=6), headers)
+def test_a_pack_body_writes_the_tree_writers_bytes(pack, chosen):
+    spliced, trees = zip(*(_slot_entries(slot, request_id) for slot, request_id in pack))
+    envelope = Envelope()
+    envelope.header_entries = _header_entries(chosen)
+    envelope.add_body(packformat.build_parallel_method(list(spliced), assign_ids=False))
+    before = envelope.to_bytes()
+    sealed = envelope.seal_body()
+    # the sealed Body is what to_bytes sends, and sending it changes nothing
+    assert envelope.to_bytes() == before
+    assert before[before.index(b"<SOAP-ENV:Body>") : before.rindex(b"</SOAP-ENV:Envelope>")] == sealed
+    if chosen["signed"]:  # signs the octets sealed above, which are then sent
+        attach_security_header(envelope, Credentials("alice", b"secret"))
+    tree = packformat.build_parallel_method(list(trees), assign_ids=False)
+    assert envelope.to_bytes() == _tree_bytes(envelope.header_entries, tree)

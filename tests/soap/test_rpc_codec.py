@@ -5,7 +5,6 @@ import pytest
 from repro.errors import SerializationError, SoapError, SoapFaultError
 from repro.soap.constants import FAULT_SERVER
 from repro.soap.deserializer import (
-    OperationMatcher,
     parse_response_envelope,
     parse_rpc_request,
     parse_rpc_response,
@@ -65,24 +64,21 @@ class TestRequestCodec:
             parse_rpc_request(entry)
 
     def test_matcher_accepts_registered(self):
-        matcher = OperationMatcher()
-        matcher.register(NS, "echo")
+        operations = {f"{{{NS}}}echo"}
         entry = serialize_rpc_request(NS, "echo", {})
-        assert parse_rpc_request(entry, matcher).operation == "echo"
+        assert parse_rpc_request(entry, operations).operation == "echo"
 
     def test_matcher_rejects_unknown_operation(self):
-        matcher = OperationMatcher()
-        matcher.register(NS, "echo")
+        operations = {f"{{{NS}}}echo"}
         entry = serialize_rpc_request(NS, "other", {})
         with pytest.raises(ClientFaultCause, match="no such operation"):
-            parse_rpc_request(entry, matcher)
+            parse_rpc_request(entry, operations)
 
     def test_matcher_rejects_wrong_namespace(self):
-        matcher = OperationMatcher()
-        matcher.register(NS, "echo")
+        operations = {f"{{{NS}}}echo"}
         entry = serialize_rpc_request("urn:wrong", "echo", {})
         with pytest.raises(ClientFaultCause):
-            parse_rpc_request(entry, matcher)
+            parse_rpc_request(entry, operations)
 
 
 class TestResponseCodec:
