@@ -13,9 +13,12 @@ decisions    deploys each gated workload as perf/run.py does (staged, SPI
              stage; prints the stage's hand-off cost and each operation's
              last off-CPU time.  Needs the placement code.
 record-cost  times SoapServer._execute on pack_small's 32 x echo(10 B) pack,
-             placed on the protocol thread, with the shipped _run and with a
-             _run that records nothing on the protocol thread, as the obs-off
-             _run before this change (best of 9 x 2 000 calls, twice).
+             read as the server reads it (one DecodedEntry record an entry)
+             and placed on the protocol thread, with the shipped _run and
+             with a _run that records nothing on the protocol thread, as the
+             obs-off _run before this change (best of 9 x 2 000 calls,
+             twice).  Both modes call _placed_here(entries) on records, the
+             signature since the entry-record change.
 faults       one common and one staged server in this process, each sent
              pack_large's 4 x echo(100 KB) pack over loopback TCP; prints
              minor page faults per round trip for each.  Runs on any
@@ -30,12 +33,11 @@ import time
 sys.path.insert(0, os.getcwd())
 
 from perf import services, workloads  # noqa: E402
-from repro.core import is_one_way, spi_server_handlers  # noqa: E402
+from repro.core import ClientAssembler, spi_server_handlers  # noqa: E402
 from repro.obs import trace as obs_trace  # noqa: E402
 from repro.server import HandlerChain, ServerConfig, build_server  # noqa: E402
 from repro.server.handlers import MessageContext  # noqa: E402
-from repro.soap.envelope import Envelope  # noqa: E402
-from repro.soap.serializer import serialize_rpc_request  # noqa: E402
+from repro.soap.deserializer import decode_request_envelope  # noqa: E402
 from repro.transport import TcpTransport  # noqa: E402
 from repro.transport.inproc import InProcTransport  # noqa: E402
 
@@ -49,8 +51,8 @@ def decisions(round_trips=1000):
         placed = {"protocol thread": 0, "stage": 0}
         place = server._placed_here
 
-        def counted(entries, is_one_way, place=place, placed=placed):
-            records = place(entries, is_one_way)
+        def counted(entries, place=place, placed=placed):
+            records = place(entries)
             placed["stage" if records is None else "protocol thread"] += 1
             return records
 
@@ -76,11 +78,13 @@ def record_cost(calls=2000, repeats=9):
         address="record-cost",
         chain=HandlerChain(spi_server_handlers()),
     ))
-    pack = [
-        serialize_rpc_request(services.PERF_NS, "echo", {"payload": "0123456789"})
-        for _ in range(32)
-    ]
-    context = MessageContext.for_envelope(Envelope())
+    # the pack as the server reads it: one DecodedEntry record an entry
+    assembler = ClientAssembler(services.PERF_NS)
+    for _ in range(32):
+        assembler.add_call("echo", {"payload": "0123456789"})
+    context = MessageContext.for_envelope(decode_request_envelope(assembler.assemble().to_bytes()))
+    server.endpoint.chain.run_request(context)
+    pack = context.request_entries
     container = server.container
     shipped = server._run
 
@@ -88,7 +92,7 @@ def record_cost(calls=2000, repeats=9):
         if on_stage:  # a re-measure after a pack waited: keep placement as shipped
             return shipped(ctx, entry, on_stage)
         with obs_trace.span_in(ctx, "execute", detail=entry.local_name):
-            return container.execute_entry(entry)
+            return container.execute(entry)
 
     def best(run):
         server._run = run
@@ -103,7 +107,7 @@ def record_cost(calls=2000, repeats=9):
     with server.running():
         for _ in range(20):  # the first pack is staged; the rest run here
             server._execute(pack, context)
-        assert server._placed_here(pack, is_one_way) is not None, "pack not placed here"
+        assert server._placed_here([container.record_of(e) for e in pack]) is not None, "pack not placed here"
         results = {}
         for _ in range(2):  # alternate, keep each side's best
             for label, run in (("records", shipped), ("bare", bare)):

@@ -121,31 +121,31 @@ class QuantileSketch:
             self._fold()
 
     def _fold(self) -> None:
-        """Drain pending observations into the bucket table."""
+        """Drain the observations pending now into the bucket table as one batch."""
         with self._lock:
             self._fold_locked()
 
     def _fold_locked(self) -> None:
-        pending = self._pending
-        while True:
-            try:
-                value = pending.popleft()
-            except IndexError:
-                return
-            self._count += 1
-            self._sum += value
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
+        pending, buckets, log_gamma = self._pending, self._buckets, self._log_gamma
+        log, ceil = math.log, math.ceil
+        values = [pending.popleft() for _ in range(len(pending))]
+        total, low, high, zero = self._sum, self._min, self._max, self._zero_count
+        for value in values:
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
             if value <= 0.0:
-                self._zero_count += 1
-                continue
-            index = math.ceil(math.log(value) / self._log_gamma)
-            buckets = self._buckets
-            buckets[index] = buckets.get(index, 0) + 1
-            if len(buckets) > self._max_buckets:
-                self._collapse_locked()
+                zero += 1
+            elif (index := ceil(log(value) / log_gamma)) in buckets:
+                buckets[index] += 1
+            else:
+                buckets[index] = 1
+                if len(buckets) > self._max_buckets:
+                    self._collapse_locked()
+        self._count += len(values)
+        self._sum, self._min, self._max, self._zero_count = total, low, high, zero
 
     def _collapse_locked(self) -> None:
         """Fold the two lowest buckets together (caller holds the lock).

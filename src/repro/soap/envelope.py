@@ -80,8 +80,7 @@ class Envelope:
         """The Envelope, its Header (if it has entries) and its Body, written
         in one pass: a ``Parallel_Method`` body entry by :func:`write_pack`,
         anything else by the writer's per-node loop."""
-        writer = StreamingWriter(declaration=declaration)
-        writer.start(ENVELOPE_TAG, nsmap=STANDARD_NSMAP)
+        writer: StreamingWriter = _OPENED[declaration]._copy()
         if headers and self.header_entries:
             writer.start(HEADER_TAG)
             for entry in self.header_entries:
@@ -101,19 +100,12 @@ class Envelope:
 
     @classmethod
     def parse(cls, source: str | bytes, *, server: bool = False) -> "Envelope":
-        """Parse a SOAP document — the one envelope-parsing entry point.
-
-        The scanner walks the document once; the Envelope/Header/Body
-        scaffolding never becomes tree nodes, and body entries are
-        materialized directly.
-
-        With ``server=True`` header entries are materialized too, so
-        server paths keep full header visibility (mustUnderstand,
-        WS-Security, trace propagation), and the Body's span is kept.  With
-        the default ``server=False`` headers are skipped without namespace
-        expansion or Element construction — the client response path,
-        which only consumes body entries.
-        """
+        """Parse a SOAP document into body entry trees (the tree source the
+        scanner readers of ``repro.soap.deserializer`` fall back to), in one
+        :func:`walk_envelope`: the skeleton never becomes tree nodes.  With
+        ``server=True`` header entries are trees too (mustUnderstand,
+        WS-Security, trace propagation) and the Body's span is kept; by
+        default headers are skipped without namespace expansion."""
         envelope = cls()
         envelope.read_by = "tree"
         walk = walk_envelope(source, envelope if server else None, XmlScanner.read_element)
@@ -149,47 +141,73 @@ def walk_envelope(
     """Scanner walk shared by all parse paths: yields each body entry as
     ``read_entry(scanner, start tag)`` reads it (a tree, or values decoded
     off the scanner).  Given an ``envelope`` (the server path), headers and
-    the Body's span go on it; without one, headers are skipped unexpanded."""
+    the Body's span go on it; without one, headers are skipped unexpanded.
+    Our writer's own head and tail are read as literals (:func:`_read_skeleton`)."""
     cursor = XmlScanner(document)
-    root = cursor.enter(cursor.root())
-    if root.tag != ENVELOPE_TAG:
-        if root.local_name == "Envelope":
-            raise SoapError(
-                f"unsupported SOAP envelope namespace '{root.namespace}' "
-                f"(expected {SOAP_ENV_NS})"
-            )
-        raise SoapError(f"document root is <{root.tag}>, not a SOAP Envelope")
+    head, child, nsmap, tail = _SKELETON
+    if not cursor.resume(head):
+        (child, nsmap), tail = _into_body(cursor, envelope), None
+    entries = 0
+    while True:
+        source, start, end = cursor.span_since(child)
+        if tail is not None and end == len(source) - len(tail) and source.endswith(tail):
+            end += tail.index("</", 1)  # through the Body's end tag; nothing left to read
+            break
+        if (entry := cursor.next_child()) is None:
+            source, start, end, tail = *cursor.span_since(child), None
+            break
+        yield read_entry(cursor, entry)
+        entries += 1
+    if not entries:
+        raise SoapError("SOAP Body is empty")
+    if envelope is not None:
+        envelope.source, envelope.body_start, envelope.body_end = source, start, end
+        envelope.body_scope = dict(nsmap)
+    if tail is None:
+        if cursor.next_child() is not None:
+            raise SoapError("unexpected elements after SOAP Body")
+        cursor.finish()
 
+
+def _into_body(cursor: XmlScanner, envelope: Envelope | None) -> tuple[StartTagToken, dict]:
+    """The token path into the Body (headers as :func:`walk_envelope` says):
+    the Body's start tag and the Envelope's namespace declarations."""
+    root = cursor.enter(cursor.root())
+    if root.tag != ENVELOPE_TAG and root.local_name == "Envelope":
+        raise SoapError(
+            f"unsupported SOAP envelope namespace '{root.namespace}' (expected {SOAP_ENV_NS})")
+    if root.tag != ENVELOPE_TAG:
+        raise SoapError(f"document root is <{root.tag}>, not a SOAP Envelope")
     child = cursor.next_child()
-    if child is None:
-        raise SoapError("SOAP Envelope has no Body")
-    element = cursor.enter(child)
-    if element.tag == HEADER_TAG:
-        entry = cursor.next_child()
-        while entry is not None:
+    element = child and cursor.enter(child)
+    if element is not None and element.tag == HEADER_TAG:
+        while (entry := cursor.next_child()) is not None:
             if envelope is None:
                 cursor.skip(entry)
             else:
                 envelope.header_entries.append(cursor.read_element(entry))
-            entry = cursor.next_child()
         child = cursor.next_child()
-        if child is None:
-            raise SoapError("SOAP Envelope has no Body")
-        element = cursor.enter(child)
-    if element.tag != BODY_TAG:
+        element = child and cursor.enter(child)
+    if element is None or element.tag != BODY_TAG:
         raise SoapError("SOAP Envelope has no Body")
+    return child, root.nsmap
 
-    entries = 0
-    entry = cursor.next_child()
-    while entry is not None:
-        yield read_entry(cursor, entry)
-        entries += 1
-        entry = cursor.next_child()
-    if not entries:
-        raise SoapError("SOAP Body is empty")
-    if envelope is not None:
-        envelope.source, envelope.body_start, envelope.body_end = cursor.span_since(child)
-        envelope.body_scope = root.nsmap
-    if cursor.next_child() is not None:
-        raise SoapError("unexpected elements after SOAP Body")
-    cursor.finish()
+
+# The writer's Envelope opened once, with and without the declaration; _write copies one.
+_OPENED = {declaration: StreamingWriter(declaration=declaration) for declaration in (False, True)}
+for _writer in _OPENED.values():
+    _writer.start(ENVELOPE_TAG, nsmap=STANDARD_NSMAP)
+
+
+def _read_skeleton() -> tuple[XmlScanner, StartTagToken, dict[str, str], str]:
+    """Our writer's text before a Body's entries as :func:`_into_body` read it
+    (the scanner, which a document that starts with this text resumes, the
+    Body's start tag, the Envelope's declarations) and its text after them."""
+    envelope = Envelope()
+    envelope.add_body(Element("x"))
+    head, tail = envelope.to_string().split("<x/>")
+    cursor = XmlScanner(head)
+    return (cursor, *_into_body(cursor, None), tail)
+
+
+_SKELETON = _read_skeleton()

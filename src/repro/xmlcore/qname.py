@@ -208,6 +208,12 @@ class NamespaceScope:
         """Number of open element scopes."""
         return len(self._frames) - 1
 
+    def copy(self) -> "NamespaceScope":
+        """An independent scope with the same frames and version."""
+        twin = NamespaceScope.__new__(NamespaceScope)
+        twin._frames, twin._version = [dict(frame) for frame in self._frames], self._version
+        return twin
+
     @staticmethod
     def _check_declaration(prefix: str, uri: str) -> None:
         if prefix == "xml" and uri != XML_NS:

@@ -29,6 +29,10 @@ start tags repeated thousands of times, so its per-node loop
   trips the probe has every run checked by the lexer, which says where.
   Text runs are found with ``str.find``, never a ``[^<]*`` regex, which
   costs 30 % on 100 KB payloads.
+* **What falls back from the skeleton.**  :meth:`~XmlScanner.resume` takes
+  up the state a scanner reached on a head text (``soap.envelope``'s writer
+  head: declaration, Envelope and Body start tags) only on a document that
+  starts with exactly that text; any other document is read token by token.
 
 The pull API behind ``soap.envelope`` parsing — :meth:`root` /
 :meth:`enter` / :meth:`next_child` / :meth:`skip` /
@@ -263,6 +267,14 @@ class XmlScanner:
         else:
             self._read_children_into(element)
         return element
+
+    def resume(self, head: "XmlScanner") -> bool:
+        """Whether this document starts with all the text ``head`` read; if so,
+        carry on from where it stopped (the same open elements and scope)."""
+        if taken := self._lexer._src.startswith(head._lexer._src):
+            self._scope, self._entered = head._scope.copy(), head._entered.copy()
+            self._lexer._pos = head._lexer._pos
+        return taken
 
     def span_since(self, start: lx.StartTagToken) -> tuple[str, int, int]:
         """What was read since ``start``: the source and two offsets."""

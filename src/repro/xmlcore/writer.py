@@ -187,6 +187,14 @@ class StreamingWriter:
 
     # -- internals -------------------------------------------------------
 
+    def _copy(self) -> "StreamingWriter":
+        """A writer that carries on, on its own, from what this one wrote."""
+        twin = StreamingWriter.__new__(StreamingWriter)
+        twin._parts, twin._open, twin._counter = self._parts.copy(), self._open.copy(), self._counter
+        twin._scope, twin._tag_open = self._scope.copy(), self._tag_open
+        twin._elements, twin._attributes = self._elements.copy(), self._attributes.copy()
+        return twin
+
     def _close_start_tag(self) -> None:
         if self._tag_open:
             self._parts.append(">")

@@ -1,10 +1,14 @@
 """QuantileSketch: relative-error property tests against a sorted
-oracle, merge semantics, bucket bounds, and thread safety."""
+oracle, merge semantics, bucket bounds, thread safety, and the batch
+fold against the per-value fold it replaced."""
 
+import math
 import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import QuantileSketch
 
@@ -161,3 +165,47 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert sketch.count == 8 * per_thread
+
+
+def reference_fold(sketch, values):
+    """The per-value fold: one value at a time, collapsing as it goes."""
+    for value in values:
+        sketch._count += 1
+        sketch._sum += value
+        if value < sketch._min:
+            sketch._min = value
+        if value > sketch._max:
+            sketch._max = value
+        if value <= 0.0:
+            sketch._zero_count += 1
+            continue
+        index = math.ceil(math.log(value) / sketch._log_gamma)
+        sketch._buckets[index] = sketch._buckets.get(index, 0) + 1
+        if len(sketch._buckets) > sketch._max_buckets:
+            sketch._collapse_locked()
+
+
+_values = st.one_of(
+    st.floats(min_value=-1.0, max_value=1e9, allow_nan=False),
+    st.floats(min_value=5e-324, max_value=1e-3),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-9, 1.0]),
+)
+
+
+class TestBatchFold:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_values, max_size=600), st.integers(2, 40), st.data())
+    def test_snapshot_equals_the_per_value_fold(self, values, max_buckets, data):
+        sketch = QuantileSketch(max_buckets=max_buckets)
+        reference = QuantileSketch(max_buckets=max_buckets)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=4)))
+        start = 0
+        for cut in [*cuts, len(values)]:  # folds of any size: reads, and writers at MAX_PENDING
+            for value in values[start:cut]:
+                sketch.record(value)
+            sketch._fold()
+            start = max(start, cut)
+        reference_fold(reference, values)
+        assert sketch.snapshot() == reference.snapshot()
+        assert (sketch._buckets, sketch._zero_count) == (reference._buckets, reference._zero_count)
+        assert not sketch._pending
