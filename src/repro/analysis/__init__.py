@@ -14,17 +14,18 @@ kind of check, one pass and one command:
   ``# repro: disable=<rule-id>`` suppression to every finding;
 * :mod:`repro.analysis.rules` — the lint pack (wall-clock durations,
   direct sleep/random, ``__slots__`` on hot-path records, unbounded
-  queues and retention structures, bare/swallowing excepts) and
-  :data:`RULES`, every rule in report order;
+  queues, swallowed faults) and :data:`RULES`, every rule in report
+  order;
 * :mod:`repro.analysis.locks` — lock discipline: per-class dataflow
   over ``self`` attributes mutated inside vs. outside ``with
   self._lock`` blocks, plus lock-order inversion detection;
 * :mod:`repro.analysis.callgraph` — whole-program call-graph
   construction (imports, method dispatch, ``self.``-attribute and
   annotation typing, assignment aliasing, escaped function refs);
-* :mod:`repro.analysis.taint` — the three whole-program rules over the
+* :mod:`repro.analysis.taint` — the four whole-program rules over the
   graph: transitive may-block on the event loop, wall-clock taint in
-  clock-disciplined code, and fault-flow escape on dispatch paths;
+  clock-disciplined code, fault-flow escape on dispatch paths, and
+  request-keyed retention in objects that outlive a request;
 * :mod:`repro.analysis.baseline` — the committed-baseline gate: frozen
   pre-existing findings with reason strings; a *new* finding or a
   *stale* entry fails;

@@ -301,11 +301,8 @@ def _annotation_class_name(annotation: ast.expr | None) -> str | None:
         return None
     if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
         text = annotation.value.strip()
-        for splitter in ("|",):
-            if splitter in text:
-                halves = [h.strip() for h in text.split(splitter)]
-                halves = [h for h in halves if h not in ("None", "")]
-                text = halves[0] if len(halves) == 1 else text
+        halves = [h.strip() for h in text.split("|") if h.strip() not in ("None", "")]
+        text = halves[0] if len(halves) == 1 else text
         if text.replace(".", "").replace("_", "").isalnum():
             return text.rsplit(".", 1)[-1]
         return None

@@ -12,7 +12,7 @@ Commands:
 * ``rules`` — list rule ids, severities, scopes and rationales.
 
 CI runs ``check src tests --baseline analysis_baseline.json`` once: the
-lint pack, lock discipline and the three whole-program rules, over one
+lint pack, lock discipline and the four whole-program rules, over one
 call graph of all analyzed files.
 """
 

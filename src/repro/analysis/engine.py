@@ -25,6 +25,9 @@ when one of the first lines of its file carries
 ``# repro: disable-file=<rule-id>``.  Suppressions are deliberate,
 reviewable markers — prefer them over baseline entries for violations
 that are *by design* (e.g. a demo service whose contract is to sleep).
+A pragma naming an id that no rule of :data:`~repro.analysis.rules.RULES`
+has is an ``unknown-disable`` finding, which nothing suppresses: like a
+stale baseline entry, it is an allowance that names nothing.
 
 The engine is the only place either filter is applied, for every rule
 alike: a rule reports what it sees, the engine decides what is shown.
@@ -80,26 +83,27 @@ TIME_KINDS = frozenset({"wallclock", "clock", "sleep"})
 class ModuleContext:
     """Everything a rule may need about the file under analysis."""
 
-    __slots__ = ("path", "tree", "lines", "_line_disables", "_file_disables")
+    __slots__ = ("path", "tree", "lines", "disables", "_line_disables", "_file_disables")
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path
         self.tree = tree
         self.lines = source.splitlines()
+        #: ``(line, rule id)`` of every id a pragma that applies names
+        self.disables: list[tuple[int, str]] = []
         self._line_disables: dict[int, frozenset[str]] = {}
-        for number, line in enumerate(self.lines, start=1):
-            match = _DISABLE_RE.search(line)
-            if match:
-                self._line_disables[number] = frozenset(
-                    part.strip() for part in match.group(1).split(",")
-                )
         file_disables: set[str] = set()
-        for line in self.lines[:_FILE_PRAGMA_LINES]:
-            match = _DISABLE_FILE_RE.search(line)
-            if match:
-                file_disables.update(
-                    part.strip() for part in match.group(1).split(",")
-                )
+
+        def named(match: re.Match, number: int) -> frozenset[str]:
+            ids = frozenset(part.strip() for part in match.group(1).split(","))
+            self.disables.extend((number, rule_id) for rule_id in sorted(ids))
+            return ids
+
+        for number, line in enumerate(self.lines, start=1):
+            if match := _DISABLE_RE.search(line):
+                self._line_disables[number] = named(match, number)
+            if number <= _FILE_PRAGMA_LINES and (match := _DISABLE_FILE_RE.search(line)):
+                file_disables |= named(match, number)
         self._file_disables = frozenset(file_disables)
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
@@ -258,7 +262,8 @@ def check(
 
     ``root`` anchors repo-relative finding paths (defaults to the
     current working directory).  Files that do not parse become
-    ``syntax-error`` findings.  Every rule runs once over all parsed
+    ``syntax-error`` findings, and pragmas naming no rule
+    ``unknown-disable`` ones.  Every rule runs once over all parsed
     modules in its scope; the call graph is built once, over all of
     them, when some rule ``uses_graph``.  Findings come back scoped,
     unsuppressed and sorted.
@@ -284,6 +289,18 @@ def check(
             continue
         contexts[path] = ModuleContext(path, source, tree)
     rules = list(rules)
+    from repro.analysis.rules import RULES  # which imports this module
+
+    known = {rule.id for rule in [*RULES, *rules]} | {"all"}
+    for ctx in contexts.values():
+        findings.extend(
+            Finding(
+                "unknown-disable", "error", ctx.path, line, f"disable names no rule: {rule_id}",
+                fix_hint="drop the id, or name one 'python -m repro.analysis rules' lists",
+            )
+            for line, rule_id in ctx.disables
+            if rule_id not in known
+        )
     graph = None
     if any(rule.uses_graph for rule in rules):
         from repro.analysis.callgraph import ModuleSource, build_call_graph

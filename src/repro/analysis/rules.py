@@ -1,15 +1,14 @@
 """The repo-specific lint pack, and :data:`RULES`: every rule.
 
 Each rule encodes an invariant this codebase already promises by
-convention — the determinism contract, bounded queues and retention,
-fault visibility — so that the promise is *checked* instead of
-re-litigated in review.  Rules are heuristic by design: a finding that
-is correct-but-intended is silenced inline
-(``# repro: disable=<rule-id>``) or frozen in the committed baseline
-with a reason string.  The lint rules are node visitors (they keep
-:meth:`Rule.run`'s default); lock discipline and the whole-program
-rules live in :mod:`~repro.analysis.locks` and
-:mod:`~repro.analysis.taint`.
+convention — the determinism contract, bounded queues, ``__slots__`` on
+hot-path records, fault visibility — so that the promise is *checked*
+instead of re-litigated in review.  A finding that is
+correct-but-intended is silenced inline (``# repro: disable=<rule-id>``)
+or frozen in the committed baseline with a reason string.  The lint
+rules are node visitors (they keep :meth:`Rule.run`'s default); lock
+discipline and the whole-program rules (retention among them) live in
+:mod:`~repro.analysis.locks` and :mod:`~repro.analysis.taint`.
 """
 
 from __future__ import annotations
@@ -27,7 +26,12 @@ from repro.analysis.engine import (
 )
 from repro.analysis.findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
 from repro.analysis.locks import LockDiscipline
-from repro.analysis.taint import FaultFlowEscape, MayBlockOnLoop, WallclockTaint
+from repro.analysis.taint import (
+    FaultFlowEscape,
+    MayBlockOnLoop,
+    RequestKeyedRetention,
+    WallclockTaint,
+)
 
 # -- no-wallclock-duration ----------------------------------------------
 
@@ -127,6 +131,9 @@ HOT_PATH_CLASSES = frozenset(
         "TaskFuture",
         "InvocationFuture",
         "ResultArray",
+        # one packed entry from reader to writer, on both sides
+        "DecodedEntry",
+        "EncodedEntry",
         # HTTP engine: allocated per connection / per in-flight request
         "ConnectionState",
         "_SocketConnection",
@@ -233,144 +240,7 @@ class NoUnboundedQueue(Rule):
         )
 
 
-# -- no-unbounded-cache -------------------------------------------------
-
-_DICT_FACTORIES = frozenset({"dict", "OrderedDict", "defaultdict"})
-
-#: What makes a ``self.<attr> = <container>`` a retention suspect: name
-#: fragments of the attribute, the container literals and factories it
-#: may be assigned, and what the finding calls it.  Memo stores grow
-#: with key diversity (dicts); span/trace buffers grow with traffic
-#: (dicts, lists and deques).
-_RETENTION_SUSPECTS = (
-    (
-        ("cache", "memo", "template", "intern"),
-        (ast.Dict,),
-        _DICT_FACTORIES,
-        "a dict-backed cache",
-    ),
-    (
-        ("span", "trace"),
-        (ast.Dict, ast.List),
-        _DICT_FACTORIES | {"deque", "list"},
-        "a span/trace buffer",
-    ),
-)
-
-#: Identifier fragments that signal the class registers a bound
-#: (capacity knob, eviction, or scope-version clearing).
-_BOUND_MARKERS = ("max", "bound", "capacity", "limit", "evict", "lru", "popitem")
-
-
-def _class_mentions_bound(node: ast.ClassDef) -> bool:
-    for descendant in ast.walk(node):
-        name: str | None = None
-        if isinstance(descendant, ast.Name):
-            name = descendant.id
-        elif isinstance(descendant, ast.Attribute):
-            name = descendant.attr
-        elif isinstance(descendant, ast.arg):
-            name = descendant.arg
-        elif isinstance(descendant, ast.keyword):
-            name = descendant.arg
-        if name and any(marker in name.lower() for marker in _BOUND_MARKERS):
-            return True
-    return False
-
-
-def _retention_suspects(node: ast.ClassDef) -> Iterator[tuple[int, str, str]]:
-    """``(line, attr, what)`` for every suspect assignment in the class."""
-    for descendant in ast.walk(node):
-        if isinstance(descendant, ast.Assign):
-            targets, value = descendant.targets, descendant.value
-        elif isinstance(descendant, ast.AnnAssign) and descendant.value is not None:
-            targets, value = [descendant.target], descendant.value
-        else:
-            continue
-        factory = (
-            (dotted_name(value.func) or "").rsplit(".", 1)[-1]
-            if isinstance(value, ast.Call)
-            else None
-        )
-        for target in targets:
-            if not (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                continue
-            for markers, literals, factories, what in _RETENTION_SUSPECTS:
-                if any(marker in target.attr.lower() for marker in markers) and (
-                    isinstance(value, literals) or factory in factories
-                ):
-                    yield descendant.lineno, target.attr, what
-
-
-class NoUnboundedCache(Rule):
-    """A retention structure in a class that names no bound.
-
-    Caches sit on both hot paths (serialization templates, client
-    responses) and every one is a bounded LRU, because an unbounded
-    memo keyed by request-derived data is a memory leak an adversarial
-    peer can drive.  Telemetry buffers (spans, traces) grow with
-    *traffic*, so an unbounded one leaks under perfectly benign load.
-    Any class that assigns a dict to a ``self.*cache*``/``*memo*``/
-    ``*template*``/``*intern*`` attribute, or a dict, list or deque to
-    a ``self.*span*``/``*trace*`` attribute, must mention a bound
-    somewhere in its body (a ``max_*``/``*_limit``/``capacity`` knob,
-    an ``evict``/``lru``/``popitem`` mechanism) — or explain itself with
-    an inline disable naming what bounds it.
-    """
-
-    id = "no-unbounded-cache"
-    severity = SEVERITY_WARNING
-    fix_hint = (
-        "give the structure a capacity knob plus eviction (bounded LRU, "
-        "deque(maxlen=...)), or name what bounds it with "
-        "'# repro: disable=no-unbounded-cache'"
-    )
-    rationale = (
-        "memos keyed by request-derived data and span/trace buffers fed "
-        "by traffic grow without limit; every retention structure in this "
-        "codebase names its bound"
-    )
-    node_types = (ast.ClassDef,)
-    exempt_parts = frozenset({"tests"})
-
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
-        """Flag retention suspects in classes without a bound."""
-        assert isinstance(node, ast.ClassDef)
-        suspects = list(_retention_suspects(node))
-        if not suspects or _class_mentions_bound(node):
-            return
-        for lineno, attr, what in suspects:
-            yield self.finding(
-                ctx.path,
-                lineno,
-                f"{node.name}.{attr} is {what} with no registered bound",
-            )
-
-
-# -- no-bare-except / no-swallowed-fault --------------------------------
-
-
-class NoBareExcept(Rule):
-    """``except:`` catches SystemExit/KeyboardInterrupt too."""
-
-    id = "no-bare-except"
-    severity = SEVERITY_ERROR
-    fix_hint = "catch a concrete exception type (BaseException if truly everything)"
-    rationale = (
-        "a bare except in dispatch paths eats shutdown signals and hides "
-        "the fault taxonomy the resilience layer depends on"
-    )
-    node_types = (ast.ExceptHandler,)
-
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
-        """Flag ``except:`` handlers with no exception type."""
-        assert isinstance(node, ast.ExceptHandler)
-        if node.type is None:
-            yield self.finding(ctx.path, node.lineno, "bare except:")
+# -- no-swallowed-fault ------------------------------------------------
 
 
 _BROAD_EXCEPTION_NAMES = frozenset(
@@ -428,17 +298,16 @@ class NoSwallowedFault(Rule):
 
 
 #: Every rule, in report order: the lint pack, lock discipline, then
-#: the three whole-program rules over the call graph.
+#: the four whole-program rules over the call graph.
 RULES: list[Rule] = [
     NoWallclockDuration(),
     NoDirectSleepRandom(),
     RequireSlots(),
     NoUnboundedQueue(),
-    NoUnboundedCache(),
-    NoBareExcept(),
     NoSwallowedFault(),
     LockDiscipline(),
     MayBlockOnLoop(),
     WallclockTaint(),
     FaultFlowEscape(),
+    RequestKeyedRetention(),
 ]

@@ -1,6 +1,6 @@
 """The whole-program rules over the project call graph.
 
-Three rules ride on :mod:`repro.analysis.callgraph`:
+Four rules ride on :mod:`repro.analysis.callgraph`:
 
 * **may-block-on-event-loop** — seed facts at blocking sinks
   (``time.sleep``, raw ``socket`` I/O, untimed ``Lock.acquire``,
@@ -34,6 +34,13 @@ Three rules ride on :mod:`repro.analysis.callgraph`:
   fault-classified type — those surface as bare 500s instead of a
   ``SoapFault``/``FAULTCODE_HTTP_STATUS`` response.
 
+* **request-keyed-retention** — from the same entries plus the
+  client's ``ServiceProxy.exchange``, flag a container attribute of a
+  class the entries never construct that a reachable method grows with
+  data derived from its parameters while nothing in the class removes
+  from it: a leak the peer drives, found by where data flows, not by
+  what the attribute is called.
+
 Each is a :class:`~repro.analysis.engine.Rule` that ``uses_graph``:
 its ``run`` reads the call graph the engine built for the run, and the
 engine scopes and suppresses its findings like any other rule's.
@@ -47,11 +54,13 @@ json output.
 from __future__ import annotations
 
 import ast
+import builtins
 import re
 from typing import Iterable, Iterator
 
 from repro.analysis.callgraph import (
     KIND_CALL,
+    KIND_REF,
     CallGraph,
     FunctionNode,
     chain_from,
@@ -69,6 +78,7 @@ from repro.analysis.engine import (
     handler_names,
 )
 from repro.analysis.findings import Finding
+from repro.analysis.locks import MUTATOR_METHODS
 
 _NONBLOCKING_PRAGMA_RE = re.compile(r"#\s*repro:\s*nonblocking\b")
 
@@ -95,52 +105,20 @@ _SUBPROCESS_CALLS = frozenset(
 #: (the retry loop backs off through the ``sleep`` it is given).
 CLOCK_DISCIPLINED_FILES = frozenset({"policy.py"})
 
-#: Builtin exception ancestry (bare names), enough to evaluate
-#: ``except`` clauses over builtins the project raises.
-_BUILTIN_BASES: dict[str, str] = {
-    "SystemExit": "BaseException",
-    "KeyboardInterrupt": "BaseException",
-    "GeneratorExit": "BaseException",
-    "Exception": "BaseException",
-    "ArithmeticError": "Exception",
-    "ZeroDivisionError": "ArithmeticError",
-    "OverflowError": "ArithmeticError",
-    "AssertionError": "Exception",
-    "AttributeError": "Exception",
-    "BufferError": "Exception",
-    "EOFError": "Exception",
-    "ImportError": "Exception",
-    "ModuleNotFoundError": "ImportError",
-    "LookupError": "Exception",
-    "IndexError": "LookupError",
-    "KeyError": "LookupError",
-    "MemoryError": "Exception",
-    "NameError": "Exception",
-    "NotImplementedError": "RuntimeError",
-    "OSError": "Exception",
-    "IOError": "OSError",
-    "BlockingIOError": "OSError",
-    "BrokenPipeError": "ConnectionError",
-    "ConnectionError": "OSError",
-    "ConnectionAbortedError": "ConnectionError",
-    "ConnectionRefusedError": "ConnectionError",
-    "ConnectionResetError": "ConnectionError",
-    "FileNotFoundError": "OSError",
-    "InterruptedError": "OSError",
-    "PermissionError": "OSError",
-    "TimeoutError": "OSError",
-    "ReferenceError": "Exception",
-    "RuntimeError": "Exception",
-    "RecursionError": "RuntimeError",
-    "StopIteration": "Exception",
-    "StopAsyncIteration": "Exception",
-    "SyntaxError": "Exception",
-    "TypeError": "Exception",
-    "UnboundLocalError": "NameError",
-    "UnicodeError": "ValueError",
-    "UnicodeDecodeError": "UnicodeError",
-    "UnicodeEncodeError": "UnicodeError",
-    "ValueError": "Exception",
+#: Where request data enters the program, as ``Class.method`` (a class
+#: whose name ends so matches): the server's dispatch entries, from which
+#: no exception may escape unclassified and nothing may be retained
+#: without bound, and the client's exchange, where a server's answer
+#: enters (retention only).
+DISPATCH_ENTRIES = ("SoapEndpoint.__call__", "SoapServer._execute")
+RESPONSE_ENTRIES = ("ServiceProxy.exchange",)
+
+#: Builtin exception ancestry (bare names), read off the interpreter:
+#: enough to evaluate ``except`` clauses over builtins the project raises.
+_BUILTIN_BASES: dict[str, set[str]] = {
+    name: {base.__name__ for base in value.__mro__ if base is not object} - {name}
+    for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
 }
 
 
@@ -178,6 +156,15 @@ def propagate_up(
             facts[caller] = (current, description)
             worklist.append(caller)
     return facts
+
+
+def entry_functions(graph: CallGraph, names: Iterable[str]) -> list[str]:
+    """Qualnames of the methods ``names`` registers, sorted."""
+    return sorted(
+        qualname
+        for qualname, fn in graph.functions.items()
+        if fn.cls and any(f"{fn.cls}.{fn.name}".endswith(name) for name in names)
+    )
 
 
 def _pretty_chain(graph: CallGraph, qualnames: Iterable[str]) -> list[str]:
@@ -381,11 +368,9 @@ class WallclockTaint(Rule):
             tainted_callee = facts[qualname][0]
             if tainted_callee is None:
                 continue  # a seed: its inline calls are reported above
-            edge_line = fn.line
-            for edge in graph.edges_out(qualname):
-                if edge.callee == tainted_callee:
-                    edge_line = edge.line
-                    break
+            edge_line = next(
+                (e.line for e in graph.edges_out(qualname) if e.callee == tainted_callee), fn.line
+            )
             chain = walk_back(facts, qualname)
             labels = _pretty_chain(graph, chain)
             yield self.finding(
@@ -463,21 +448,13 @@ class FaultFlowEscape(Rule):
         "surfaces as a bare 500 with no SOAP fault envelope"
     )
 
-    #: dispatch entries, matched as (class predicate, method name)
-    def _is_entry(self, fn: FunctionNode) -> bool:
-        if fn.cls == "SoapEndpoint" and fn.name == "__call__":
-            return True
-        return fn.name == "_execute" and (fn.cls or "").endswith("SoapServer")
-
     def run(
         self, contexts: dict[str, ModuleContext], graph: CallGraph
     ) -> Iterator[Finding]:
         ancestry = self._exception_ancestry(graph)
         escaping, origins = self._escaping_sets(graph, ancestry)
-        for qualname in sorted(graph.functions):
+        for qualname in entry_functions(graph, DISPATCH_ENTRIES):
             fn = graph.functions[qualname]
-            if not self._is_entry(fn):
-                continue
             for exc in sorted(escaping.get(qualname, ())):
                 chain_qualnames, line = self._witness(
                     origins, qualname, exc
@@ -497,9 +474,7 @@ class FaultFlowEscape(Rule):
 
     def _exception_ancestry(self, graph: CallGraph) -> dict[str, set[str]]:
         """bare exception name -> all ancestor bare names (inclusive)."""
-        parents: dict[str, set[str]] = {}
-        for name, base in _BUILTIN_BASES.items():
-            parents.setdefault(name, set()).add(base)
+        parents = {name: set(bases) for name, bases in _BUILTIN_BASES.items()}
         for info in graph.classes.values():
             bare_bases = {b.rsplit(".", 1)[-1] for b in info.bases}
             parents.setdefault(info.name, set()).update(bare_bases)
@@ -718,3 +693,141 @@ class FaultFlowEscape(Rule):
             chain.append(callee)
             current = callee
         return chain, first_line
+
+
+# -- request-keyed retention -----------------------------------------------
+
+#: Calls that take something out of a container; the other mutators grow it.
+_SHRINKING_CALLS = frozenset({"clear", "discard", "pop", "popitem", "popleft", "remove"})
+_GROWING_CALLS = MUTATOR_METHODS - _SHRINKING_CALLS
+_CONTAINER_CALLS = frozenset({"OrderedDict", "defaultdict", "deque", "dict", "list", "set"})
+_CONTAINER_LITERALS = (ast.Dict, ast.DictComp, ast.List, ast.ListComp, ast.Set, ast.SetComp)
+
+
+def _names(node: ast.AST, ctx: type = ast.Load) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)}
+
+
+def _self_attr(node: ast.AST, aliases: dict[str, str]) -> str | None:
+    """``X`` for ``self.X``, or for a local bound to ``self.X``."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.attr if node.value.id == "self" else None
+    return aliases.get(node.id) if isinstance(node, ast.Name) else None
+
+
+def _is_unbounded_container(value: ast.expr | None) -> bool:
+    if isinstance(value, ast.Call):
+        name = (dotted_name(value.func) or "").rsplit(".", 1)[-1]
+        maxlen = any(kw.arg == "maxlen" for kw in value.keywords) or len(value.args) > 1
+        return name in _CONTAINER_CALLS and not (maxlen and name == "deque")
+    return isinstance(value, _CONTAINER_LITERALS)
+
+
+def _retention(fn: FunctionNode) -> tuple[list, set[str], dict[str, int]]:
+    """What ``fn`` does to ``self``'s attributes: the ``(attr, line,
+    value)`` it assigns, the attributes it removes from, and those it
+    grows with data derived from its own parameters (attr → line)."""
+    args = fn.node.args  # type: ignore[attr-defined]
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    derived = {a.arg for a in params if a is not None} - {"self", "cls"}
+    nodes = list(walk_own(fn.node))
+    binds: list[tuple[list[ast.expr], ast.expr]] = []  # (targets, value)
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            binds.append((node.targets, node.value))
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)) and node.value is not None:
+            binds.append(([node.target], node.value))
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            binds.append(([node.target], node.iter))
+    aliases = {  # local = self.X
+        targets[0].id: attr
+        for targets, value in binds
+        if isinstance(targets[0], ast.Name) and (attr := _self_attr(value, {}))
+    }
+    # flow-insensitive: a name is derived when any of its bindings is
+    while grown_names := {
+        name
+        for targets, value in binds
+        if _names(value) & derived
+        for target in targets
+        for name in _names(target, ast.Store)
+    } - derived:
+        derived |= grown_names
+    assigned, shrunk, grown = [], set(), {}
+    for node in nodes:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if (attr := _self_attr(target, {})) is not None:
+                    assigned.append((attr, node.lineno, node.value))
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.Delete)):
+            for target in getattr(node, "targets", None) or [node.target]:
+                if isinstance(target, ast.Subscript) and (attr := _self_attr(target.value, aliases)):
+                    if isinstance(node, ast.Delete):
+                        shrunk.add(attr)
+                    elif _names(target.slice) & derived:
+                        grown.setdefault(attr, node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if (attr := _self_attr(node.func.value, aliases)) is None:
+                continue
+            method = node.func.attr
+            keyed = node.args[:1] if method == "setdefault" else node.args
+            if method in _SHRINKING_CALLS:
+                shrunk.add(attr)
+            elif method in _GROWING_CALLS and any(_names(arg) & derived for arg in keyed):
+                grown.setdefault(attr, node.lineno)
+    return assigned, shrunk, grown
+
+
+class RequestKeyedRetention(Rule):
+    """A long-lived container that request data grows and nothing shrinks.
+
+    *Long-lived*: the class's constructor is not reachable from the
+    entries (a scanner or writer built per document dies with its
+    request).  A container attribute (dict, set, list or deque, no
+    ``maxlen``) is flagged when a method reachable from an entry grows
+    it with a key or value derived from that method's parameters, and
+    no method of the class removes from it or assigns it again.  The
+    finding sits on the attribute's assignment, with the entry's chain.
+    """
+
+    id = "request-keyed-retention"
+    severity = "error"
+    uses_graph = True
+    fix_hint = (
+        "bind the entries once where the key set is fixed (deploy time), "
+        "evict (popitem/pop/clear, deque(maxlen=...)), or name what bounds "
+        "the key set with '# repro: disable=request-keyed-retention'"
+    )
+    rationale = (
+        "a container that outlives requests and grows with whatever a peer "
+        "sends (an operation name, a trace id) is a memory leak the peer "
+        "drives; checked by following request data, not attribute names"
+    )
+
+    def run(
+        self, contexts: dict[str, ModuleContext], graph: CallGraph
+    ) -> Iterator[Finding]:
+        entries = entry_functions(graph, DISPATCH_ENTRIES + RESPONSE_ENTRIES)
+        parents = iter_reachable(graph, entries, kinds=(KIND_CALL, KIND_REF))
+        by_class: dict[str, list[tuple[str, tuple]]] = {}
+        for qualname, fn in graph.functions.items():
+            if fn.cls is not None:
+                by_class.setdefault(f"{fn.module}.{fn.cls}", []).append((qualname, _retention(fn)))
+        for cls in sorted(by_class):
+            if graph.resolve_method(cls, "__init__") in parents:
+                continue  # built on the request path: dies with its request
+            scans = by_class[cls]
+            sites = [site for _, (assigned, _, _) in scans for site in assigned]
+            shrunk = set().union(*(removed for _, (_, removed, _) in scans))
+            for attr, line, value in sorted(sites, key=lambda site: site[:2]):
+                once = [site[0] for site in sites].count(attr) == 1
+                growers = sorted(q for q, (_, _, grown) in scans if attr in grown and q in parents)
+                if once and growers and attr not in shrunk and _is_unbounded_container(value):
+                    labels = _pretty_chain(graph, chain_from(parents, growers[0]))
+                    yield self.finding(
+                        graph.functions[growers[0]].path,
+                        line,
+                        f"{cls.rsplit('.', 1)[-1]}.{attr} grows with request data and "
+                        "nothing in the class removes from it, via " + " -> ".join(labels),
+                        chain=tuple(labels),
+                    )

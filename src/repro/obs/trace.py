@@ -179,9 +179,9 @@ class Tracer:
     ) -> None:
         self.registry = registry
         self._clock = clock
-        # span name -> its registry sketch, to skip the registry lock
-        # (and the f-string) on every finished span after the first
-        self._span_sketches: dict[str, object] = {}  # repro: disable=no-unbounded-cache — keyed by span name, a fixed taxonomy
+        # span name (a fixed taxonomy) -> its registry sketch, to skip the
+        # registry lock (and the f-string) on every finished span after the first
+        self._span_sketches: dict[str, object] = {}
         self.store = store
 
     # -- recording -----------------------------------------------------

@@ -193,10 +193,16 @@ def _into_body(cursor: XmlScanner, envelope: Envelope | None) -> tuple[StartTagT
     return child, root.nsmap
 
 
-# The writer's Envelope opened once, with and without the declaration; _write copies one.
+# The writer's Envelope opened once, with and without the declaration, its
+# memo holding the Header's and the Body's texts as a twin rendered them;
+# _write copies one.
 _OPENED = {declaration: StreamingWriter(declaration=declaration) for declaration in (False, True)}
 for _writer in _OPENED.values():
     _writer.start(ENVELOPE_TAG, nsmap=STANDARD_NSMAP)
+    _twin = _writer._copy()
+    for _tag in (HEADER_TAG, BODY_TAG):
+        _twin.start(_tag)
+    _writer._elements = _twin._elements
 
 
 def _read_skeleton() -> tuple[XmlScanner, StartTagToken, dict[str, str], str]:

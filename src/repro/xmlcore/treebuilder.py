@@ -170,12 +170,12 @@ class XmlScanner:
         # raw start-tag text -> (Clark tag, attribute tuple, end-tag text
         # or None when self-closing); cleared wherever a namespace frame
         # is pushed or popped, and gone with the scanner (one document)
-        self._memo: dict[str, tuple[str, tuple, str | None]] = {}  # repro: disable=no-unbounded-cache
+        self._memo: dict[str, tuple[str, tuple, str | None]] = {}
         # Its twin for the value walk, with its lifetime: raw start-tag
         # text -> (local name, decode, compound, end-tag text or None).
-        self._rules: dict[str, tuple] = {}  # repro: disable=no-unbounded-cache
+        self._rules: dict[str, tuple] = {}
         # And for next_entry: raw entry name -> (Clark tag, end-tag text).
-        self._entries: dict[str, tuple[str, str]] = {}  # repro: disable=no-unbounded-cache
+        self._entries: dict[str, tuple[str, str]] = {}
 
     # -- whole-document parse --------------------------------------------
 

@@ -70,8 +70,8 @@ class StreamingWriter:
         # cleared together, a splice's bindings -> whether they hold.
         # Cleared on every scope-version change and bounded by the
         # writer's lifetime (one document), so no capacity knob needed.
-        self._elements: dict[str, tuple[str, str]] = {}  # repro: disable=no-unbounded-cache
-        self._attributes: dict[str | tuple, str | bool] = {}  # repro: disable=no-unbounded-cache
+        self._elements: dict[str, tuple[str, str]] = {}
+        self._attributes: dict[str | tuple, str | bool] = {}
         if declaration:
             self._parts.append(XML_DECLARATION)
 

@@ -1,4 +1,6 @@
-"""Negative fixture: bounded, version-cleared, or non-cache dicts."""
+"""Negative fixture: caches the dispatch entry touches whose size
+request data does not decide: bounded, cleared, keyed by a literal, or
+grown only where no entry reaches."""
 
 from collections import OrderedDict
 
@@ -18,20 +20,42 @@ class EvictingMemo:
     def __init__(self):
         self._memo = {}
 
-    def trim(self):
-        self.evict_oldest()
+    def remember(self, key, value):
+        self._memo[key] = value
+        self.trim()
 
-    def evict_oldest(self):
+    def trim(self):
         self._memo.clear()
 
 
-class SuppressedMemo:
+class LiteralCache:
     def __init__(self):
-        # cleared per document; lifetime-bounded by construction
-        self._doc_memo = {}  # repro: disable=no-unbounded-cache
+        self._result_cache = {}
+
+    def last(self, entry):
+        self._result_cache["last"] = entry  # one slot, however named
 
 
-class NotACache:
+class Router:
     def __init__(self):
-        self._handlers = {}
         self._routes = dict()
+
+    def register(self, action, handler):
+        self._routes[action] = handler  # bound at deploy time
+
+    def route(self, action):
+        return self._routes.get(action)
+
+
+class SoapEndpoint:
+    def __init__(self, router):
+        self.router = router
+        self.signatures = BoundedLru()
+        self.memo = EvictingMemo()
+        self.cache = LiteralCache()
+
+    def __call__(self, request):
+        self.signatures.store(request.action, request.signature)
+        self.memo.remember(request.key, request)
+        self.cache.last(request)
+        return self.router.route(request.action)

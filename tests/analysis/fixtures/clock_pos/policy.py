@@ -2,7 +2,9 @@
 module.
 
 The file is named ``policy.py`` because wallclock-taint scopes itself to
-the clock-disciplined filenames.
+the clock-disciplined filenames.  Code that stamps events with
+``time.monotonic()`` itself cannot be driven by a fake clock, so an
+injectable default on the line above the read does not make it clean.
 """
 
 import time
@@ -21,3 +23,9 @@ class LeakyDecayTimer:
 
     def measure(self):
         return time.perf_counter()  # inline perf_counter read
+
+
+class LeakyStamp:
+    def __init__(self, clock=time.monotonic):  # the seam: legal
+        self._clock = clock
+        self._last = time.monotonic()  # inline: bypasses the injected clock

@@ -10,7 +10,10 @@ from repro.analysis.baseline import (
 from repro.analysis.findings import Finding
 
 
-def finding(rule="no-bare-except", path="a.py", line=3, message="bare except:"):
+RULE, MESSAGE = "no-wallclock-duration", "wall-clock read: time.time()"
+
+
+def finding(rule=RULE, path="a.py", line=3, message=MESSAGE):
     return Finding(rule_id=rule, severity="error", path=path, line=line, message=message)
 
 
@@ -29,14 +32,12 @@ class TestCompare:
         assert len(result.new) == 1
 
     def test_line_drift_does_not_invalidate_the_baseline(self):
-        entry = BaselineEntry(rule="no-bare-except", path="a.py", message="bare except:")
+        entry = BaselineEntry(rule=RULE, path="a.py", message=MESSAGE)
         drifted = finding(line=99)  # same violation, new line number
         assert compare([drifted], [entry]).ok
 
     def test_count_allowance_caps_duplicates(self):
-        entry = BaselineEntry(
-            rule="no-bare-except", path="a.py", message="bare except:", count=2
-        )
+        entry = BaselineEntry(rule=RULE, path="a.py", message=MESSAGE, count=2)
         two = [finding(line=1), finding(line=2)]
         three = two + [finding(line=3)]
         assert compare(two, [entry]).ok
@@ -80,9 +81,9 @@ class TestPersistence:
     def test_regeneration_preserves_reasons(self):
         previous = [
             BaselineEntry(
-                rule="no-bare-except",
+                rule=RULE,
                 path="a.py",
-                message="bare except:",
+                message=MESSAGE,
                 reason="justified: legacy shim",
             )
         ]

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import RULES, main
 
 CLEAN = "def ok():\n    return 1\n"
-DIRTY = "import time\n\n\ndef broken():\n    try:\n        return time.time()\n    except:\n        return None\n"
+DIRTY = "import time\n\n\ndef broken():\n    time.sleep(1)\n    return time.time()\n"
 
 
 def write_tree(tmp_path, dirty=False):
@@ -30,7 +30,7 @@ class TestCheck:
         assert main(["check", "pkg"]) == 1
         out = capsys.readouterr().out
         assert "NEW finding" in out
-        assert "[error] no-bare-except: bare except:" in out
+        assert "[warning] no-direct-sleep-random: direct call: time.sleep()" in out
         assert "[warning] no-wallclock-duration: wall-clock read: time.time()" in out
 
     def test_missing_baseline_exits_two(self, tmp_path, monkeypatch, capsys):
@@ -59,14 +59,14 @@ class TestCheck:
         document = json.loads(capsys.readouterr().out)
         assert document["ok"] is False
         rules = {f["rule"] for f in document["new"]}
-        assert {"no-bare-except", "no-wallclock-duration"} <= rules
+        assert {"no-direct-sleep-random", "no-wallclock-duration"} <= rules
 
     def test_new_findings_print_their_hints(self, tmp_path, monkeypatch, capsys):
         write_tree(tmp_path, dirty=True)
         monkeypatch.chdir(tmp_path)
         assert main(["check", "pkg"]) == 1
         out = capsys.readouterr().out
-        assert "    hint: catch a concrete exception type" in out
+        assert "    hint: accept an injected sleep/rng" in out
 
     def test_summary_counts_findings_per_rule(self, tmp_path, monkeypatch, capsys):
         write_tree(tmp_path, dirty=True)
@@ -75,7 +75,7 @@ class TestCheck:
         capsys.readouterr()
         assert main(["check", "pkg", "--baseline", "frozen.json"]) == 0
         out = capsys.readouterr().out
-        assert "no-bare-except [error]: 1 (0 new)" in out
+        assert "no-direct-sleep-random [warning]: 1 (0 new)" in out
         assert "lock-discipline [warning]: 0 (0 new)" in out
         assert all(rule.id in out for rule in RULES)
 
@@ -110,13 +110,13 @@ class TestBaselineCommand:
         assert main(["baseline", "pkg", "-o", "frozen.json"]) == 0
         document = json.loads((tmp_path / "frozen.json").read_text())
         for entry in document["entries"]:
-            if entry["rule"] == "no-bare-except":
+            if entry["rule"] == "no-direct-sleep-random":
                 entry["reason"] = "kept on purpose"
         (tmp_path / "frozen.json").write_text(json.dumps(document))
         assert main(["baseline", "pkg", "-o", "frozen.json"]) == 0
         reloaded = json.loads((tmp_path / "frozen.json").read_text())
         reasons = {e["rule"]: e["reason"] for e in reloaded["entries"]}
-        assert reasons["no-bare-except"] == "kept on purpose"
+        assert reasons["no-direct-sleep-random"] == "kept on purpose"
 
 
 class TestOtherCommands:
@@ -128,14 +128,14 @@ class TestOtherCommands:
             "no-direct-sleep-random",
             "require-slots",
             "no-unbounded-queue",
-            "no-bare-except",
             "no-swallowed-fault",
             "lock-discipline",
+            "request-keyed-retention",
         ):
             assert rule_id in out
         listed = [line.split()[0] for line in out.splitlines() if not line.startswith(" ")]
         assert listed == [rule.id for rule in RULES]
-        assert len(set(listed)) == 11
+        assert len(set(listed)) == 10
 
     @pytest.mark.parametrize(
         "argv",

@@ -5,37 +5,58 @@ from pathlib import Path
 from repro.analysis import check
 from repro.analysis.engine import iter_python_files
 from repro.analysis.findings import Finding, sort_findings
-from repro.analysis.rules import NoBareExcept, NoWallclockDuration
+from repro.analysis.rules import NoWallclockDuration, RequireSlots
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-BARE = "try:\n    pass\nexcept:\n    pass\n"
+WALL = "import time\n\nstart = time.time()\n"
+READ = "start = time.time()"
 
 
-def bare_findings(source):
-    return check([], [NoBareExcept()], sources={"x.py": source})
+def wall_findings(source):
+    return check([], [NoWallclockDuration()], sources={"x.py": source})
 
 
 class TestSuppression:
     def test_inline_disable_silences_the_named_rule(self):
-        source = BARE.replace("except:", "except:  # repro: disable=no-bare-except")
-        assert bare_findings(source) == []
+        source = WALL.replace(READ, READ + "  # repro: disable=no-wallclock-duration")
+        assert wall_findings(source) == []
 
     def test_inline_disable_all(self):
-        source = BARE.replace("except:", "except:  # repro: disable=all")
-        assert bare_findings(source) == []
+        source = WALL.replace(READ, READ + "  # repro: disable=all")
+        assert wall_findings(source) == []
 
     def test_other_rule_ids_do_not_silence(self):
-        source = BARE.replace("except:", "except:  # repro: disable=require-slots")
-        assert len(bare_findings(source)) == 1
+        source = WALL.replace(READ, READ + "  # repro: disable=require-slots")
+        assert len(wall_findings(source)) == 1
 
     def test_file_pragma_silences_whole_file(self):
-        source = "# repro: disable-file=no-bare-except\n" + BARE
-        assert bare_findings(source) == []
+        source = "# repro: disable-file=no-wallclock-duration\n" + WALL
+        assert wall_findings(source) == []
 
     def test_file_pragma_must_sit_near_the_top(self):
-        source = BARE + ("\n" * 12) + "# repro: disable-file=no-bare-except\n"
-        assert len(bare_findings(source)) == 1
+        source = WALL + ("\n" * 12) + "# repro: disable-file=no-wallclock-duration\n"
+        assert len(wall_findings(source)) == 1
+
+    def test_a_disable_naming_no_rule_is_reported(self):
+        # the inline half of the stale-baseline rule: a pragma naming an
+        # id no rule has (a deleted rule's, a typo) is an allowance that
+        # names nothing, whichever rules the run asked for
+        pragma = "# repro: disable"  # in pieces: the gate reads this file too
+        source = (
+            f"{pragma}-file=no-unbounded-cache\n"
+            + WALL.replace(READ, f"{READ}  {pragma}=no-wallclock-duration,no-such-rule")
+            + f"x = 1  {pragma}=all\n"
+        )
+        findings = wall_findings(source)
+        assert [(f.rule_id, f.line, f.message) for f in findings] == [
+            ("unknown-disable", 1, "disable names no rule: no-unbounded-cache"),
+            ("unknown-disable", 4, "disable names no rule: no-such-rule"),
+        ]
+        assert all(f.severity == "error" for f in findings)
+        # ids of rules the run did not ask for are still rules
+        silenced = WALL.replace(READ, READ + "  # repro: disable=no-wallclock-duration")
+        assert check([], [RequireSlots()], sources={"x.py": silenced}) == []
 
 
 class TestWalking:
@@ -45,10 +66,8 @@ class TestWalking:
         assert not any("fixtures" in f.parts for f in files)
 
     def test_explicit_fixture_files_are_always_scanned(self):
-        findings = check(
-            [FIXTURES / "bare_except_pos.py"], [NoBareExcept()], root=FIXTURES
-        )
-        assert [f.rule_id for f in findings] == ["no-bare-except"]
+        findings = check([FIXTURES / "slots_pos.py"], [RequireSlots()], root=FIXTURES)
+        assert [f.rule_id for f in findings] == ["require-slots"]
 
     def test_non_python_files_are_ignored(self, tmp_path):
         (tmp_path / "data.json").write_text("{}")

@@ -115,6 +115,34 @@ class TestFaultFlow:
         assert corpus_findings("fault_neg") == []
 
 
+class TestRequestKeyedRetention:
+    def test_the_rollup_leak_is_caught(self):
+        # reduced copies of SoapServer._rollup_for and MetricsRegistry.rollup
+        # as they leaked (keyed by the operation names a client sent), and a
+        # client keeping what servers send
+        findings = corpus_findings("retention_pos")
+        assert {f.rule_id for f in findings} == {"request-keyed-retention"}
+        assert all(f.severity == "error" for f in findings)
+        chains = {f.message.split(" grows ")[0]: f.chain for f in findings}
+        rollup = ("SoapServer._execute", "SoapServer._skipped", "SoapServer._rollup_for")
+        assert chains == {
+            "SoapServer._rollups": rollup,
+            "MetricsRegistry._rollups": rollup + ("MetricsRegistry.rollup",),
+            "ServiceProxy._faults_seen": ("ServiceProxy.exchange", "ServiceProxy._note"),
+        }
+        # reported where the container is made, so a pragma sits beside it
+        registry = next(f for f in findings if f.path.endswith("registry.py"))
+        source = (FIXTURES / "callgraph" / "retention_pos" / "registry.py").read_text()
+        assert source.splitlines()[registry.line - 1].strip() == "self._rollups = {}"
+
+    def test_bounded_twins_are_clean(self):
+        # ServiceContainer.deploy's table (no entry reaches deploy), a
+        # per-document scanner memo and a dict keyed only by a literal, all
+        # touched from the same entry (bounded caches and span buffers:
+        # test_rules.py's cache_neg.py and span_store_neg.py)
+        assert corpus_findings("retention_neg") == []
+
+
 class TestCliIntegration:
     def test_check_json_output_carries_chains(self, monkeypatch, capsys):
         monkeypatch.chdir(FIXTURES)

@@ -60,27 +60,32 @@ class TestPositiveFixtures:
         assert {f.message.split("(")[0] for f in findings} == {"ThreadPool", "Stage"}
 
     def test_no_unbounded_cache(self):
+        # caches grown from the entry with request data, whatever their name
         findings = corpus_findings("cache_pos.py")
-        assert {f.rule_id for f in findings} == {"no-unbounded-cache"}
+        assert {f.rule_id for f in findings} == {"request-keyed-retention"}
         messages = {f.message for f in findings}
         assert any("UnboundedLookup._result_cache" in m for m in messages)
         assert any("UnboundedLookup._name_memo" in m for m in messages)
         assert any("UnboundedTemplates._templates" in m for m in messages)
         assert len(findings) == 3
+        assert all(f.chain[0] == "SoapEndpoint.__call__" for f in findings)
 
     def test_no_unbounded_span_store(self):
-        # span/trace buffers are retention suspects of the one cache rule
+        # span/trace buffers appended to from the entry, never trimmed
         findings = corpus_findings("span_store_pos.py")
-        assert {f.rule_id for f in findings} == {"no-unbounded-cache"}
-        messages = {f.message for f in findings}
-        assert any("UnboundedSpanRing._spans" in m for m in messages)
-        assert any("UnboundedSpanRing._trace_index" in m for m in messages)
-        assert any("UnboundedTraceLog.completed_traces" in m for m in messages)
-        assert len(findings) == 3
-
-    def test_no_bare_except(self):
-        findings = corpus_findings("bare_except_pos.py")
-        assert [f.rule_id for f in findings] == ["no-bare-except"]
+        assert {f.rule_id for f in findings} == {"request-keyed-retention"}
+        chains = {f.message.split(" grows ")[0]: f.chain for f in findings}
+        assert chains == {
+            "UnboundedSpanRing._spans": ("SoapEndpoint.__call__", "UnboundedSpanRing.ingest"),
+            "UnboundedSpanRing._trace_index": (
+                "SoapEndpoint.__call__",
+                "UnboundedSpanRing.ingest",
+            ),
+            "UnboundedTraceLog.completed_traces": (
+                "SoapEndpoint.__call__",
+                "UnboundedTraceLog.finish",
+            ),
+        }
 
     def test_no_swallowed_fault(self):
         findings = corpus_findings("server/swallow_pos.py")
@@ -123,17 +128,22 @@ class TestPositiveFixtures:
         assert "time.sleep()" in messages
         assert "time.monotonic()" in messages
         assert "time.perf_counter()" in messages
-        # one from-import + four inline calls
-        assert len(findings) == 5
+        # one from-import + five inline calls
+        assert len(findings) == 6
         assert all(f.severity == "error" for f in findings)
 
     def test_inline_clock_read_in_a_rollup_module(self):
-        # the injectable default on the line above the read stays legal;
-        # the inline read below it does not
-        findings = corpus_findings("rollup_pos/policy.py", [WallclockTaint()])
-        assert [f.rule_id for f in findings] == ["wallclock-taint"]
-        assert findings[0].severity == "error"
-        assert "inline time.monotonic()" in findings[0].message
+        # a class stamping events as a rollup does: the injectable default
+        # on the line above the read stays legal; the inline read below it
+        # does not
+        findings = corpus_findings("clock_pos/policy.py", [WallclockTaint()])
+        lines = (FIXTURES / "clock_pos" / "policy.py").read_text().splitlines()
+        seam = lines.index("    def __init__(self, clock=time.monotonic):  # the seam: legal") + 1
+        flagged = {f.line: f for f in findings}
+        assert seam not in flagged
+        assert flagged[seam + 2].rule_id == "wallclock-taint"
+        assert flagged[seam + 2].severity == "error"
+        assert "inline time.monotonic()" in flagged[seam + 2].message
 
 
 @pytest.mark.parametrize(
@@ -145,7 +155,6 @@ class TestPositiveFixtures:
         "queue_neg.py",
         "cache_neg.py",
         "span_store_neg.py",
-        "bare_except_neg.py",
         "server/swallow_neg.py",
         "loop_neg/evented.py",
         "clock_neg/policy.py",

@@ -13,7 +13,12 @@ import pytest
 from repro.analysis import main
 from repro.analysis.baseline import load_baseline
 from repro.analysis.rules import HOT_PATH_CLASSES
-from repro.analysis.taint import CLOCK_DISCIPLINED_FILES, LOOP_IO_WRAPPERS
+from repro.analysis.taint import (
+    CLOCK_DISCIPLINED_FILES,
+    DISPATCH_ENTRIES,
+    LOOP_IO_WRAPPERS,
+    RESPONSE_ENTRIES,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BASELINE = REPO_ROOT / "analysis_baseline.json"
@@ -65,16 +70,23 @@ def test_no_stale_baseline_entries(at_repo_root, capsys):
 def test_every_registry_entry_names_something_in_src():
     # a registered name with nothing behind it is a rule silently
     # checking nothing: require-slots' classes, may-block's barrier
-    # wrappers, wallclock-taint's clock-disciplined files
+    # wrappers, wallclock-taint's clock-disciplined files, and the
+    # entries fault-flow-escape and request-keyed-retention start from
     src = REPO_ROOT / "src"
-    classes, functions = set(), set()
+    classes, functions, methods = set(), set(), set()
     for path in src.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ClassDef):
                 classes.add(node.name)
+                methods.update(
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 functions.add(node.name)
     files = {path.name for path in src.rglob("*.py")}
     assert sorted(HOT_PATH_CLASSES - classes) == []
     assert sorted(LOOP_IO_WRAPPERS - functions) == []
     assert sorted(CLOCK_DISCIPLINED_FILES - files) == []
+    assert sorted(set(DISPATCH_ENTRIES + RESPONSE_ENTRIES) - methods) == []
