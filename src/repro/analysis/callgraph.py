@@ -31,7 +31,10 @@ and leans *unsound-but-useful*, in this order of confidence:
    exactly when the name is distinctive, silent otherwise.
 
 Constructor calls edge into ``__init__``; ``ClassName(...)`` also
-types whatever it is assigned to.  Attribute *loads* that resolve to a
+types whatever it is assigned to.  A ``with`` item whose context
+expression resolves to a project class by the rules above edges into
+that class's ``__enter__`` and ``__exit__`` (``__aenter__``/``__aexit__``
+for ``async with``).  Attribute *loads* that resolve to a
 ``@property`` method on a typed receiver become call edges (the loop
 reads ``conn.finished``; the property body must obey loop rules too).
 
@@ -706,6 +709,22 @@ class _FunctionResolver(ast.NodeVisitor):
                     self.fn.qualname, resolved[1], line, KIND_REF
                 )
         self.generic_visit(node)
+
+    def visit_With(self, node: ast.With | ast.AsyncWith) -> None:
+        # a with block calls its manager's enter and exit methods
+        protocol = ("__aenter__", "__aexit__") if isinstance(node, ast.AsyncWith) else (
+            "__enter__", "__exit__")
+        for item in node.items:
+            receiver_class = self._receiver_class(item.context_expr)
+            if receiver_class is None:
+                continue
+            for name in protocol:
+                method = self.graph.resolve_method(receiver_class, name)
+                if method is not None:
+                    self.graph.add_edge(self.fn.qualname, method, item.context_expr.lineno, KIND_CALL)
+        self.generic_visit(node)
+
+    visit_AsyncWith = visit_With  # type: ignore[assignment]
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         # property loads on typed receivers are calls in disguise

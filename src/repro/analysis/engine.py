@@ -36,7 +36,9 @@ alike: a rule reports what it sees, the engine decides what is shown.
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -80,6 +82,16 @@ TIME_AND_RANDOM = {
 TIME_KINDS = frozenset({"wallclock", "clock", "sleep"})
 
 
+def _comments(source: str) -> Iterator[tuple[int, str]]:
+    """``(line, text)`` of every comment token: a pragma is a comment, so
+    the same text inside a string literal is not one."""
+    if "repro:" not in source:  # no pragma: skip the tokenizer
+        return
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            yield token.start[0], token.string
+
+
 class ModuleContext:
     """Everything a rule may need about the file under analysis."""
 
@@ -99,10 +111,10 @@ class ModuleContext:
             self.disables.extend((number, rule_id) for rule_id in sorted(ids))
             return ids
 
-        for number, line in enumerate(self.lines, start=1):
-            if match := _DISABLE_RE.search(line):
+        for number, comment in _comments(source):
+            if match := _DISABLE_RE.search(comment):
                 self._line_disables[number] = named(match, number)
-            if number <= _FILE_PRAGMA_LINES and (match := _DISABLE_FILE_RE.search(line)):
+            if number <= _FILE_PRAGMA_LINES and (match := _DISABLE_FILE_RE.search(comment)):
                 file_disables |= named(match, number)
         self._file_disables = frozenset(file_disables)
 

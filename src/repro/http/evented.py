@@ -20,6 +20,16 @@ blocks on application work and workers never touch a socket:
        │  wakeup byte + deque entry ◄─────┘
        └── drain completions ─► pump finished slots ─► send
 
+One hand-off spends, above the application: the pool's bound check and
+a C ``SimpleQueue.put`` that wakes a worker parked in its C ``get``; a
+deque append and one wakeup byte; a ``select`` return and one ``recv``
+of the wakeup pair; the pump.  No future's ``Event`` is built (nobody
+waits on one here), and a readable connection is read until a ``recv``
+comes back short, not until ``EAGAIN``: the selector is
+level-triggered, so bytes that land later are reported on the next
+pass.  In process, pinned to one CPU of a 2-vCPU VM (Python 3.11), a
+submit → worker → wakeup → ``select`` → drain round costs about 16 µs.
+
 The SEDA argument (paper Fig. 2, Welsh et al.): the protocol stage
 must be non-blocking I/O feeding bounded worker pools, so overload
 surfaces as explicit sheds (``Server.Busy``) instead of thread
@@ -81,7 +91,12 @@ class _ConnectionLost(Exception):
     """The peer is gone (reset/broken pipe); close without ceremony."""
 
 
-def _recv_nonblocking(sock, max_bytes: int = 65536) -> bytes | None:
+#: Bytes asked of one connection ``recv``; a read that returns fewer
+#: took everything the kernel held (see ``_connection_ready``).
+RECV_BYTES = 65536
+
+
+def _recv_nonblocking(sock, max_bytes: int = RECV_BYTES) -> bytes | None:
     """One non-blocking recv: ``None`` = no data yet, ``b''`` = EOF.
 
     The loop's only read primitive — the
@@ -122,13 +137,14 @@ def _accept_nonblocking(sock):
 
 class _SocketConnection(ConnectionState):
     """A connection state plus the non-blocking socket the loop moves
-    its bytes through."""
+    its bytes through, and the events the selector watches on it."""
 
-    __slots__ = ("sock",)
+    __slots__ = ("sock", "interest")
 
     def __init__(self, sock: socket.socket, **state) -> None:
         super().__init__(**state)
         self.sock = sock
+        self.interest = 0  # 0 = not registered (parked)
 
 
 class EventedHttpServer(HttpServerCore):
@@ -301,6 +317,7 @@ class EventedHttpServer(HttpServerCore):
             )
             self._connections[sock.fileno()] = conn
             self._selector.register(sock, selectors.EVENT_READ, conn)
+            conn.interest = selectors.EVENT_READ
 
     def _shed_accept(self, sock: socket.socket) -> None:
         """Rung 1: over the connection budget — 503 before parse."""
@@ -315,9 +332,10 @@ class EventedHttpServer(HttpServerCore):
         sock.close()
 
     def _drain_wakeup(self, now: float) -> None:
+        # One read: the completions deque, not the byte count, says what
+        # is ready, and bytes left past 4096 mark the pair readable again
         assert self._wakeup_recv is not None
-        while _recv_nonblocking(self._wakeup_recv, 4096):
-            pass
+        _recv_nonblocking(self._wakeup_recv, 4096)
 
     def _wake(self) -> None:
         """Nudge select() from another thread; safe to call anytime."""
@@ -347,6 +365,12 @@ class EventedHttpServer(HttpServerCore):
                     self._dispatch(conn, request, started, now)
                 if error is not None:
                     self._reject(error, self._deliver_into(conn, now))
+                if len(data) < RECV_BYTES:
+                    # a short read emptied the kernel buffer (or was EOF):
+                    # the selector is level-triggered, so bytes that land
+                    # later are reported on the next pass, and a recv now
+                    # would only raise EAGAIN
+                    break
         if conn.finished:
             self._close_connection(conn)
             return
@@ -449,10 +473,10 @@ class EventedHttpServer(HttpServerCore):
             mask |= selectors.EVENT_READ
         if conn.want_write():
             mask |= selectors.EVENT_WRITE
-        key = self._selector.get_map().get(conn.sock)
-        current = key.events if key is not None else 0
+        current = conn.interest
         if mask == current:
             return
+        conn.interest = mask
         if mask == 0:
             # parked: pipelining maxed out and nothing to write yet —
             # the completion drain re-arms it
@@ -477,10 +501,8 @@ class EventedHttpServer(HttpServerCore):
         if self._connections.pop(fileno, None) is None:
             return
         assert self._selector is not None
-        try:
+        if conn.interest:  # a parked connection is not registered
             self._selector.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass  # parked: not registered
         try:
             conn.sock.close()
         except OSError:

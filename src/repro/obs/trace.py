@@ -144,12 +144,16 @@ class _SpanHandle:
         self._tracer._finish(self._span)
 
 
-class _NullSpan:
-    """Shared do-nothing span guard for the obs-disabled path."""
+class _NullSpan(_SpanHandle):
+    """Shared do-nothing span guard for the obs-disabled path: a handle
+    with no tracer, so :func:`span`'s one return type holds both."""
 
     __slots__ = ()
 
-    def __enter__(self) -> "_NullSpan":
+    def __init__(self) -> None:
+        pass
+
+    def __enter__(self) -> "_NullSpan":  # type: ignore[override]
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -179,9 +183,11 @@ class Tracer:
     ) -> None:
         self.registry = registry
         self._clock = clock
-        # span name (a fixed taxonomy) -> its registry sketch, to skip the
-        # registry lock (and the f-string) on every finished span after the first
-        self._span_sketches: dict[str, object] = {}
+        # span name -> its registry sketch, to skip the registry lock (and
+        # the f-string) on every finished span after the first.  Bounded:
+        # every span name in src is a literal at its call site (a fixed
+        # taxonomy); request data goes in ``detail``, never in the name.
+        self._span_sketches: dict[str, object] = {}  # repro: disable=request-keyed-retention
         self.store = store
 
     # -- recording -----------------------------------------------------
@@ -266,7 +272,7 @@ def current_trace_id() -> str | None:
     return _active.trace_id if tracer is not None else None
 
 
-def span(name: str, detail: str = ""):
+def span(name: str, detail: str = "") -> _SpanHandle:
     """A span on the thread's active trace — or :data:`NULL_SPAN` when
     tracing is off (no allocation, no clock read)."""
     tracer = getattr(_active, "tracer", None)
@@ -275,7 +281,7 @@ def span(name: str, detail: str = ""):
     return tracer.span(name, _active.trace_id, detail)
 
 
-def span_in(context: tuple | None, name: str, detail: str = ""):
+def span_in(context: tuple | None, name: str, detail: str = "") -> _SpanHandle:
     """Like :func:`span` but against the context :func:`current`
     captured — for worker threads that inherited it from the protocol
     thread."""

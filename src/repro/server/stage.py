@@ -97,9 +97,8 @@ class Stage:
         except PoolSaturatedError:
             self._rejected.inc()
             raise
-        # Sampled: qsize() takes the queue's own mutex — the lock all
-        # workers contend on for work — so a per-submit poll adds
-        # contention where the stage is hottest, for no added freshness.
+        # Sampled: a poll is a qsize() and two gauge writes, on the
+        # per-event path, for no freshness a scrape would see.
         if not next(self._observe_tick) & 0x7:
             self._observe_queue(self._pool.queue_depth())
         return future
@@ -201,8 +200,7 @@ class Stage:
 
     def _timed(self, handler: Callable[..., Any], args: tuple, kwargs: dict) -> Any:
         # the queue-depth/saturation gauges refresh on submit and batch
-        # admission only: polling the queue from worker threads per
-        # task doubles traffic on the hottest lock in the stage
+        # admission only, not once more per task on the workers
         self._in_flight.add(1)
         start = time.perf_counter()
         try:

@@ -2,6 +2,13 @@
 Figure 2's protocol thread sleeps on.  Built from primitives rather than
 ``concurrent.futures`` for an atomic bounded submit and the admitted
 submits a :class:`~repro.server.stage.Stage` batch queues past the bound.
+
+The pool's queue is a ``queue.SimpleQueue``: its blocking ``get`` waits
+in C, where ``queue.Queue`` runs a Python ``Condition`` on every put and
+get.  It needs no bound or lock of its own: the bound is checked under
+the pool's lock, and ``qsize``/``get_nowait`` serve the queue depth and
+the shutdown drain.  A :class:`TaskFuture` builds its ``Event`` only for
+a caller that waits.
 """
 
 from __future__ import annotations
@@ -15,12 +22,18 @@ from repro.errors import PoolSaturatedError, ServiceError
 
 
 class TaskFuture:
-    """Completion handle for one submitted task."""
+    """Completion handle for one submitted task.
 
-    __slots__ = ("_event", "_result", "_exception", "_callbacks", "_lock")
+    Its :class:`threading.Event` is built by the first caller that has
+    to wait (:meth:`result`, :meth:`exception`): the evented driver and
+    the stage batches never wait on theirs.
+    """
+
+    __slots__ = ("_done", "_event", "_result", "_exception", "_callbacks", "_lock")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._done = False
+        self._event: threading.Event | None = None
         self._result: Any = None
         self._exception: BaseException | None = None
         self._callbacks: list[Callable[["TaskFuture"], None]] = []
@@ -28,44 +41,58 @@ class TaskFuture:
 
     def set_result(self, value: Any) -> None:
         """Complete the task with a value."""
-        with self._lock:
-            self._result = value
-            self._event.set()
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
+        self._complete(value, None)
 
     def set_exception(self, exc: BaseException) -> None:
         """Complete the task with an error."""
+        self._complete(None, exc)
+
+    def _complete(self, value: Any, exc: BaseException | None) -> None:
         with self._lock:
+            self._result = value
             self._exception = exc
-            self._event.set()
-            callbacks, self._callbacks = self._callbacks, []
+            self._done = True
+            event, callbacks, self._callbacks = self._event, self._callbacks, []
+        # a waiter that found the future pending built ``event`` under
+        # the lock; one that comes later finds it done and never waits
+        if event is not None:
+            event.set()
         for callback in callbacks:
             callback(self)
 
     def done(self) -> bool:
         """True once a result or exception is set."""
-        return self._event.is_set()
+        with self._lock:
+            return self._done
+
+    def _outcome(self, timeout: float | None) -> tuple[Any, BaseException | None]:
+        """``(value, error)`` once done; :class:`TimeoutError` past ``timeout``."""
+        with self._lock:
+            if self._done:
+                return self._result, self._exception
+            if self._event is None:
+                self._event = threading.Event()
+            event = self._event
+        if not event.wait(timeout):
+            raise TimeoutError("task did not complete in time")
+        with self._lock:
+            return self._result, self._exception
 
     def result(self, timeout: float | None = None) -> Any:
         """The task's value; re-raises its exception."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("task did not complete in time")
-        if self._exception is not None:
-            raise self._exception
-        return self._result
+        value, exc = self._outcome(timeout)
+        if exc is not None:
+            raise exc
+        return value
 
     def exception(self, timeout: float | None = None) -> BaseException | None:
         """The task's exception, or None; waits up to ``timeout``."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("task did not complete in time")
-        return self._exception
+        return self._outcome(timeout)[1]
 
     def add_done_callback(self, callback: Callable[["TaskFuture"], None]) -> None:
         """Run ``callback(self)`` on completion (immediately if done)."""
         with self._lock:
-            if not self._event.is_set():
+            if not self._done:
                 self._callbacks.append(callback)
                 return
         callback(self)
@@ -92,7 +119,7 @@ class ThreadPool:
             raise ServiceError("max_queue must be >= 1 (or None for unbounded)")
         self.name = name
         self.max_queue = max_queue
-        self._queue: queue.Queue = queue.Queue()
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._threads: list[threading.Thread] = []
         self._shutdown = False
         self._lock = threading.Lock()

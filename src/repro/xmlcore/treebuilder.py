@@ -53,6 +53,7 @@ all three).  :func:`build_tree` is the whole-document entry point behind
 
 from __future__ import annotations
 
+import codecs
 import re
 
 from repro.errors import XmlError, XmlNamespaceError, XmlWellFormednessError
@@ -62,13 +63,20 @@ from repro.xmlcore.qname import NamespaceScope
 from repro.xmlcore.tree import Element
 
 
+#: Python codecs that are no character encoding: they decode escapes or
+#: IDNA labels, so ``\\u00e9`` (six ASCII bytes) would read as one ``é``.
+#: A declaration naming one is refused like an unknown codec.
+_NOT_CHARSETS = frozenset({"unicode-escape", "raw-unicode-escape", "idna", "punycode"})
+
+
 def decode_document(data: bytes) -> str:
     """Decode document bytes, honouring a BOM or declared encoding.
 
     SOAP 1.1 over HTTP is overwhelmingly UTF-8; UTF-16 BOMs and an
     explicit ``encoding=`` pseudo-attribute are also honoured.  Codec
-    failures (bogus declared encodings, malformed byte sequences) are
-    reported as well-formedness errors, never as raw codec exceptions.
+    failures (bogus declared encodings, a declared codec that is no
+    character encoding, malformed byte sequences) are reported as
+    well-formedness errors, never as raw codec exceptions.
     """
     try:
         if data.startswith(b"\xef\xbb\xbf"):
@@ -89,6 +97,8 @@ def decode_document(data: bytes) -> str:
                     if idx != -1:
                         rest = decl[idx + len(m) :]
                         enc = rest[: rest.find(m[-1])]
+                        if codecs.lookup(enc).name in _NOT_CHARSETS:
+                            raise LookupError(f"not a character encoding: {enc}")
                         return data.decode(enc)
         return data.decode("utf-8")
     except (UnicodeError, LookupError) as exc:

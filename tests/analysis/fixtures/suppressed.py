@@ -1,6 +1,6 @@
-"""Suppression fixture: every violation here carries a pragma.
 # repro: disable-file=no-wallclock-duration
-"""
+"""Suppression fixture: every violation here carries a pragma (a comment:
+the same text inside this docstring would be no pragma)."""
 
 import random
 import time

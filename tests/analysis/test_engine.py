@@ -42,11 +42,10 @@ class TestSuppression:
         # the inline half of the stale-baseline rule: a pragma naming an
         # id no rule has (a deleted rule's, a typo) is an allowance that
         # names nothing, whichever rules the run asked for
-        pragma = "# repro: disable"  # in pieces: the gate reads this file too
         source = (
-            f"{pragma}-file=no-unbounded-cache\n"
-            + WALL.replace(READ, f"{READ}  {pragma}=no-wallclock-duration,no-such-rule")
-            + f"x = 1  {pragma}=all\n"
+            "# repro: disable-file=no-unbounded-cache\n"
+            + WALL.replace(READ, READ + "  # repro: disable=no-wallclock-duration,no-such-rule")
+            + "x = 1  # repro: disable=all\n"
         )
         findings = wall_findings(source)
         assert [(f.rule_id, f.line, f.message) for f in findings] == [
@@ -57,6 +56,17 @@ class TestSuppression:
         # ids of rules the run did not ask for are still rules
         silenced = WALL.replace(READ, READ + "  # repro: disable=no-wallclock-duration")
         assert check([], [RequireSlots()], sources={"x.py": silenced}) == []
+
+    def test_pragma_text_inside_a_string_is_no_pragma(self):
+        # only comments are pragmas: a string that spells one (as this
+        # file's own sources do) silences nothing and names nothing
+        source = (
+            'NOTE = "# repro: disable-file=no-wallclock-duration"\n'
+            + WALL.replace(READ, READ + '; TEXT = "# repro: disable=no-wallclock-duration"')
+            + 'BAD = "# repro: disable=no-such-rule"\n'
+        )
+        findings = wall_findings(source)
+        assert [(f.rule_id, f.line) for f in findings] == [("no-wallclock-duration", 4)]
 
 
 class TestWalking:

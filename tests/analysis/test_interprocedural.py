@@ -7,6 +7,7 @@ clean.  The corpora double as integration tests for the call-graph
 resolution features (aliasing, instance bindings, ref escapes, cycles).
 """
 
+import ast
 import json
 import time
 from pathlib import Path
@@ -141,6 +142,36 @@ class TestRequestKeyedRetention:
         # touched from the same entry (bounded caches and span buffers:
         # test_rules.py's cache_neg.py and span_store_neg.py)
         assert corpus_findings("retention_neg") == []
+
+
+class TestWithBlocks:
+    def test_exit_of_a_with_block_is_reached(self):
+        # _execute never names Tracer._finish: the span handle's __exit__
+        # calls it, reached through Tracer.span's return annotation
+        findings = corpus_findings("with_pos")
+        assert [f.rule_id for f in findings] == ["request-keyed-retention"]
+        assert findings[0].path == "callgraph/with_pos/tracing.py"
+        assert findings[0].chain == (
+            "SoapServer._execute",
+            "_SpanHandle.__exit__",
+            "Tracer._finish",
+        )
+
+    def test_bounded_twin_is_clean(self):
+        assert corpus_findings("with_neg") == []
+
+    def test_enter_and_exit_edges_come_from_the_with_item(self):
+        sources = [
+            callgraph.ModuleSource(path=path.relative_to(FIXTURES).as_posix(),
+                                   tree=ast.parse(path.read_text()))
+            for path in sorted((FIXTURES / "callgraph" / "with_pos").glob("*.py"))
+        ]
+        graph = callgraph.build_call_graph(sources)
+        callees = {
+            edge.callee.split(".", 3)[-1]
+            for edge in graph.edges_out("callgraph.with_pos.soap_server.SoapServer._execute")
+        }
+        assert callees == {"_SpanHandle.__enter__", "_SpanHandle.__exit__", "Tracer.span"}
 
 
 class TestCliIntegration:

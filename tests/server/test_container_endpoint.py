@@ -116,6 +116,24 @@ class TestEndpoint:
         assert response.status == 400
         assert b"Fault" in response.body
 
+    @pytest.mark.parametrize(
+        "name", ["unicode_escape", "raw_unicode_escape", "idna", "punycode"]
+    )
+    def test_declared_non_charset_codec_is_http_400_client_fault(self, endpoint, name):
+        body = build_request_envelope(NS, "add", {"a": 3, "b": 4}).to_bytes()
+        assert b'encoding="UTF-8"' in body
+        request = HttpRequest(
+            "POST",
+            "/services/Calc",
+            Headers({"Content-Type": SOAP_CONTENT_TYPE}),
+            body.replace(b'encoding="UTF-8"', f'encoding="{name}"'.encode()),
+        )
+        response = endpoint(request)
+        assert response.status == 400
+        fault = Envelope.parse(response.body).first_body_entry()
+        assert "SOAP-ENV:Client" in fault.findtext("faultcode", "")
+        assert "undecodable" in fault.findtext("faultstring", "")
+
     def test_unsupported_method_is_405(self, endpoint):
         assert endpoint(HttpRequest("DELETE", "/")).status == 405
 

@@ -165,18 +165,27 @@ class TestBoundedQueue:
 class TestSubmitIsAtomic:
     """``submit`` checks the bound / the shutdown flag and enqueues in
     one critical section.  Each test widens the window between check
-    and enqueue by slowing the queue's ``put`` for task items."""
+    and enqueue by slowing the queue's ``put`` for task items: the
+    pool's queue is swapped for a proxy of it (a C ``SimpleQueue``
+    refuses a patched method), so workers parked in ``get`` keep
+    reading the same queue."""
 
-    @staticmethod
-    def slow_task_puts(pool, before_put):
-        real_put = pool._queue.put
+    class _SlowTaskPuts:
+        def __init__(self, inner, before_put):
+            self._inner = inner
+            self._before_put = before_put
 
-        def put(item):
+        def put(self, item):
             if isinstance(item, tuple):  # a task, not a shutdown sentinel
-                before_put()
-            real_put(item)
+                self._before_put()
+            self._inner.put(item)
 
-        pool._queue.put = put
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+    @classmethod
+    def slow_task_puts(cls, pool, before_put):
+        pool._queue = cls._SlowTaskPuts(pool._queue, before_put)
 
     def test_concurrent_submitters_cannot_overshoot_max_queue(self):
         submitters = 8

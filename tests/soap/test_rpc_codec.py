@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.errors import SerializationError, SoapError, SoapFaultError
+from repro.errors import SerializationError, SoapError, SoapFaultError, XmlWellFormednessError
 from repro.soap.constants import FAULT_SERVER
 from repro.soap.deserializer import (
+    decode_response_envelope,
     parse_response_envelope,
     parse_rpc_request,
     parse_rpc_response,
@@ -117,3 +118,15 @@ class TestResponseCodec:
         entry.children.clear()
         with pytest.raises(SoapError, match="exactly one"):
             parse_rpc_response(entry)
+
+
+class TestClientReaderRefusesNonCharsetCodecs:
+    @pytest.mark.parametrize(
+        "name", ["unicode_escape", "raw_unicode_escape", "idna", "punycode"]
+    )
+    def test_declared_non_charset_codec_is_xml_error(self, name):
+        body = build_response_envelope(NS, "echo", "\\u00e9").to_bytes()
+        assert b'encoding="UTF-8"' in body
+        body = body.replace(b'encoding="UTF-8"', f'encoding="{name}"'.encode())
+        with pytest.raises(XmlWellFormednessError, match="undecodable"):
+            decode_response_envelope(body)

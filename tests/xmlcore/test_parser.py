@@ -152,6 +152,21 @@ class TestDecodeDocument:
         with pytest.raises(XmlWellFormednessError, match="undecodable"):
             decode_document(doc)
 
+    @pytest.mark.parametrize(
+        "name", ["unicode_escape", "raw_unicode_escape", "idna", "punycode", "Unicode-Escape"]
+    )
+    def test_declared_non_charset_codec_is_refused(self, name):
+        # under unicode_escape these six ASCII bytes would read as one "é"
+        doc = f'<?xml version="1.0" encoding="{name}"?><a>\\u00e9</a>'.encode("ascii")
+        with pytest.raises(XmlWellFormednessError, match="undecodable"):
+            decode_document(doc)
+
+    def test_declared_utf8_and_utf16_still_read(self):
+        doc = '<?xml version="1.0" encoding="UTF-8"?><a>\u00e9</a>'
+        assert decode_document(doc.encode("utf-8")) == doc
+        doc = '<?xml version="1.0" encoding="utf-16"?><a>x</a>'
+        assert decode_document(doc.encode("utf-16")) == doc
+
     def test_malformed_utf8_is_xml_error(self):
         with pytest.raises(XmlWellFormednessError, match="undecodable"):
             decode_document(b"<a>\xff\xfa</a>")
