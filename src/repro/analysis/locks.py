@@ -1,8 +1,8 @@
 """Lock-discipline analyzer: per-class dataflow over ``self`` attributes.
 
 For every class the analyzer answers two questions the concurrency
-modules (``threadpool``, ``stage``, ``container``, ``service``,
-``handlers``, ``obs``) otherwise answer only in review:
+modules (``stage``, ``container``, ``service``, ``handlers``, ``obs``)
+otherwise answer only in review:
 
 1. **Mixed access.**  Which ``self`` attributes are mutated inside
    ``with self._lock:`` blocks — and are those same attributes also

@@ -200,7 +200,7 @@ class RequireSlots(Rule):
 
 
 class NoUnboundedQueue(Rule):
-    """ThreadPool/Stage built without a ``max_queue`` bound.
+    """A ``Stage`` built without a ``max_queue`` bound.
 
     An unbounded backlog converts overload into unbounded latency and
     memory; the resilience layer's whole shed design (Server.Busy /
@@ -216,20 +216,20 @@ class NoUnboundedQueue(Rule):
         "Server.Busy), or forward a caller's max_queue=... knob"
     )
     rationale = (
-        "SEDA-style load shedding only works if every stage/pool queue is "
+        "SEDA-style load shedding only works if every stage queue is "
         "bounded; a missing max_queue silently reintroduces unbounded backlog"
     )
     node_types = (ast.Call,)
     exempt_parts = frozenset({"tests"})
 
     def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
-        """Flag ``ThreadPool``/``Stage`` construction without ``max_queue``."""
+        """Flag ``Stage`` construction without ``max_queue``."""
         assert isinstance(node, ast.Call)
         func = node.func
         name = func.id if isinstance(func, ast.Name) else (
             func.attr if isinstance(func, ast.Attribute) else None
         )
-        if name not in ("ThreadPool", "Stage"):
+        if name != "Stage":
             return
         if any(keyword.arg == "max_queue" for keyword in node.keywords):
             return

@@ -23,7 +23,7 @@ from typing import Any
 from repro.client.proxy import ServiceProxy
 from repro.core.batch import PackBatch
 from repro.server.service import ServiceDefinition, service_from_functions
-from repro.server.threadpool import ThreadPool
+from repro.server.stage import Stage
 from repro.soap.fault import ClientFaultCause
 
 GRID_NS = "urn:repro:grid"
@@ -62,7 +62,7 @@ class JobStore:
         # Bounded backlog: a grid that accepts unbounded jobs converts
         # overload into unbounded memory; past the bound submitters see
         # PoolSaturatedError -> Server.Busy like every other shed point.
-        self._pool = ThreadPool(workers, name="grid-exec", max_queue=256)
+        self._stage = Stage("grid-exec", workers, max_queue=256)
 
     def submit(self, command: str, priority: int) -> str:
         """Queue a job for execution; returns its id."""
@@ -73,7 +73,7 @@ class JobStore:
         with self._lock:
             job = _Job(f"job-{next(self._counter)}", command, priority)
             self._jobs[job.job_id] = job
-        self._pool.submit(self._run, job.job_id)
+        self._stage.submit(self._run, job.job_id)
         return job.job_id
 
     def status(self, job_id: str) -> dict[str, Any]:
@@ -118,8 +118,8 @@ class JobStore:
             return sorted(j.job_id for j in self._jobs.values() if j.state == state)
 
     def shutdown(self) -> None:
-        """Stop the execution pool (queued jobs are abandoned)."""
-        self._pool.shutdown()
+        """Stop the execution stage (queued jobs are abandoned)."""
+        self._stage.shutdown()
 
     # -- internals ------------------------------------------------------
 

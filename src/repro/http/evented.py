@@ -20,7 +20,7 @@ blocks on application work and workers never touch a socket:
        │  wakeup byte + deque entry ◄─────┘
        └── drain completions ─► pump finished slots ─► send
 
-One hand-off spends, above the application: the pool's bound check and
+One hand-off spends, above the application: the stage's bound check and
 a C ``SimpleQueue.put`` that wakes a worker parked in its C ``get``; a
 deque append and one wakeup byte; a ``select`` return and one ``recv``
 of the wakeup pair; the pump.  No future's ``Event`` is built (nobody

@@ -22,6 +22,7 @@ event-loop driver in :mod:`repro.http.evented`.
 from __future__ import annotations
 
 import threading
+import time
 
 from repro.errors import HttpError, TransportError
 from repro.http.compression import CompressionPolicy
@@ -73,7 +74,7 @@ class HttpServer(HttpServerCore):
         )
         self._listener: Listener | None = None
         self._accept_thread: threading.Thread | None = None
-        self._connection_threads: set[threading.Thread] = set()
+        self._connections: dict[threading.Thread, Channel] = {}
         self._threads_lock = threading.Lock()
 
     # -- lifecycle ------------------------------------------------------
@@ -90,16 +91,21 @@ class HttpServer(HttpServerCore):
         return self._listener.address
 
     def stop(self, *, join_timeout: float = 5.0) -> None:
-        """Close the listener and join worker threads."""
+        """Close the listener and every live connection (an idle one's
+        thread wakes from ``recv``), then join the threads within one
+        ``join_timeout`` in all."""
+        deadline = time.monotonic() + join_timeout
         self._stopping.set()
         if self._listener is not None:
             self._listener.close()
         if self._accept_thread is not None:
-            self._accept_thread.join(timeout=join_timeout)
+            self._accept_thread.join(max(deadline - time.monotonic(), 0.0))
         with self._threads_lock:
-            threads = list(self._connection_threads)
-        for thread in threads:
-            thread.join(timeout=join_timeout)
+            connections = list(self._connections.items())
+        for _, channel in connections:
+            channel.close()
+        for thread, _ in connections:
+            thread.join(max(deadline - time.monotonic(), 0.0))
 
     @property
     def address(self) -> Address:
@@ -136,7 +142,7 @@ class HttpServer(HttpServerCore):
                 daemon=True,
             )
             with self._threads_lock:
-                self._connection_threads.add(thread)
+                self._connections[thread] = channel
             thread.start()
 
     def _serve_connection(self, channel: Channel) -> None:
@@ -183,7 +189,7 @@ class HttpServer(HttpServerCore):
             self._note_connection_closed()
             self._release_slot()
             with self._threads_lock:
-                self._connection_threads.discard(threading.current_thread())
+                self._connections.pop(threading.current_thread(), None)
 
     def _release_slot(self) -> None:
         if self._connection_slots is not None:

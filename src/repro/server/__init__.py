@@ -1,4 +1,4 @@
-"""Server side: services, pools, stages, handler chain, one server.
+"""Server side: services, stages, handler chain, one server.
 
 :class:`SoapServer` is built by :func:`build_server` from a
 :class:`ServerConfig`, whose ``architecture`` picks the scheduling
@@ -23,8 +23,7 @@ from repro.server.service import (
     service_from_object,
 )
 from repro.server.soap_server import SoapServer
-from repro.server.stage import Stage
-from repro.server.threadpool import CompletionLatch, TaskFuture, ThreadPool
+from repro.server.stage import CompletionLatch, Stage, TaskFuture
 
 __all__ = [
     "CompletionLatch",
@@ -39,7 +38,6 @@ __all__ = [
     "SoapServer",
     "Stage",
     "TaskFuture",
-    "ThreadPool",
     "build_server",
     "operation",
     "service_from_functions",

@@ -16,7 +16,7 @@ message has been parsed: *which thread runs its entries*.
   protocol processing stage will be waked up to complete generating the
   packet."  The pack goes to a :class:`~repro.server.stage.Stage` as
   one batch, the protocol thread parks on a
-  :class:`~repro.server.threadpool.CompletionLatch`, and the response
+  :class:`~repro.server.stage.CompletionLatch`, and the response
   is assembled in arrival order.  The stage admits one entry per idle
   worker plus one per free ``app_queue_limit`` slot (each entry past
   that gets its own ``Server.Busy`` slot); its workers cascade — each
@@ -64,8 +64,7 @@ from repro.server.config import ServerConfig, build_http_server
 from repro.server.container import ServiceContainer, entry_fault
 from repro.server.endpoint import SoapEndpoint
 from repro.server.handlers import MessageContext
-from repro.server.stage import Stage
-from repro.server.threadpool import CompletionLatch
+from repro.server.stage import CompletionLatch, Stage
 from repro.soap.constants import FAULT_TAG
 from repro.soap.deserializer import DecodedEntry
 from repro.soap.fault import SoapFault, busy_fault, timeout_fault

@@ -72,7 +72,8 @@ class _QueueChannel(Channel):
             if self._closed:
                 return
             self._closed = True
-        self._outbox.put(_EOF)
+        self._outbox.put(_EOF)  # the peer reads end of stream
+        self._inbox.put(_EOF)  # so does a recv of ours blocked in get
 
 
 def _channel_pair() -> tuple[Channel, Channel]:

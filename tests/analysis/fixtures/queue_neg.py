@@ -1,9 +1,8 @@
 """Negative fixture: bounded construction and explicit forwarding."""
 
 
-def build(ThreadPool, Stage, handler, **kwargs):
-    pool = ThreadPool(4, name="bounded", max_queue=128)
+def build(Stage, handler, **kwargs):
     stage = Stage("parse", handler, workers=2, max_queue=64)
-    explicit_unbounded = ThreadPool(4, max_queue=None)  # a recorded decision
-    forwarded = ThreadPool(4, **kwargs)  # the caller may carry the bound
-    return pool, stage, explicit_unbounded, forwarded
+    explicit_unbounded = Stage("app", 4, max_queue=None)  # a recorded decision
+    forwarded = Stage("app", 4, **kwargs)  # the caller may carry the bound
+    return stage, explicit_unbounded, forwarded

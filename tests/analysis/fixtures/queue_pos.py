@@ -1,7 +1,7 @@
-"""Positive fixture: pools and stages built with no backlog bound."""
+"""Positive fixture: stages built with no backlog bound."""
 
 
-def build(ThreadPool, Stage, handler):
-    pool = ThreadPool(4, name="unbounded")
+def build(Stage, server, handler):
     stage = Stage("parse", handler, workers=2)
-    return pool, stage
+    app_stage = server.Stage("app", 4)
+    return stage, app_stage

@@ -101,13 +101,12 @@ class TestModuleReport:
         assert {"SeededRace", "Inverted", "SelfDeadlock", "Disciplined", "CallerHeld"} <= names
 
     def test_concurrency_modules_are_analyzable(self):
-        # The five concurrency modules named by the issue all produce
-        # lock reports (the analyzer actually sees their locks).
+        # Every concurrency module produces a lock report (the
+        # analyzer actually sees its locks).
         import repro
 
         src_root = Path(repro.__file__).parent
         for relative in (
-            "server/threadpool.py",
             "server/container.py",
             "server/stage.py",
             "http/core.py",

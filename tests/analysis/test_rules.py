@@ -57,7 +57,7 @@ class TestPositiveFixtures:
     def test_no_unbounded_queue(self):
         findings = corpus_findings("queue_pos.py")
         assert {f.rule_id for f in findings} == {"no-unbounded-queue"}
-        assert {f.message.split("(")[0] for f in findings} == {"ThreadPool", "Stage"}
+        assert [f.message.split("(")[0] for f in findings] == ["Stage", "Stage"]
 
     def test_no_unbounded_cache(self):
         # caches grown from the entry with request data, whatever their name

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import HttpError
 from repro.http.connection import ConnectionPool, HttpConnection
+from repro.http.evented import EventedHttpServer
 from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.http.server import HttpServer
 from repro.transport.inproc import InProcTransport
@@ -139,6 +140,33 @@ class TestServerRobustness:
         server.stop()
         assert time.monotonic() - began < 1.0
         assert not server._accept_thread.is_alive()
+
+    @pytest.mark.parametrize(
+        "server_class, transport_class",
+        [
+            (HttpServer, InProcTransport),
+            (HttpServer, TcpTransport),
+            (EventedHttpServer, TcpTransport),
+        ],
+        ids=["threaded-inproc", "threaded-tcp", "evented-tcp"],
+    )
+    def test_stop_closes_idle_keep_alive_connections(self, server_class, transport_class):
+        # each idle client's read deadline is 30 s away; stop() closes
+        # the connections instead of joining threads that wait for it
+        transport = transport_class()
+        address = "idle" if transport_class is InProcTransport else ("127.0.0.1", 0)
+        server = server_class(echo_app, transport=transport, address=address)
+        bound = server.start()
+        clients = [HttpConnection(transport, bound) for _ in range(2)]
+        try:
+            for client in clients:
+                assert client.request(HttpRequest("POST", "/", body=b"x")).ok
+            began = time.monotonic()
+            server.stop()
+            assert time.monotonic() - began < 1.0
+        finally:
+            for client in clients:
+                client.close()
 
     def test_address_property(self):
         transport = InProcTransport()

@@ -488,8 +488,8 @@ def test_a_shed_one_way_message_counts_one_shed():
         return payload
 
     server = staged_server({"hold": hold}, app_workers=1, app_queue_limit=1)
-    try:
-        with server.running():
+    with server.running():
+        try:
             # one cast on the worker, one waiting: the stage is full
             execute(server, [mark_one_way(entry) for entry in entries("hold", 2)])
             envelope = build_request_envelope(NS, "hold", {"payload": "late"})
@@ -502,8 +502,8 @@ def test_a_shed_one_way_message_counts_one_shed():
             ))
             assert response.status == 503
             assert counters(server)["resilience.shed"] == 1
-    finally:
-        gate.set()
+        finally:
+            gate.set()  # before the stop, which joins the held worker
 
 
 @pytest.mark.parametrize("architecture", ["common", "staged"])

@@ -1,4 +1,5 @@
-"""Unit tests for the thread pool, futures and the completion latch."""
+"""Unit tests for a stage's queue and worker threads, its futures and
+the completion latch."""
 
 import threading
 import time
@@ -7,7 +8,7 @@ from concurrent.futures import CancelledError
 import pytest
 
 from repro.errors import PoolSaturatedError, ServiceError
-from repro.server.threadpool import CompletionLatch, TaskFuture, ThreadPool
+from repro.server.stage import CompletionLatch, Stage, TaskFuture
 
 
 class TestTaskFuture:
@@ -31,29 +32,14 @@ class TestTaskFuture:
         with pytest.raises(TimeoutError):
             f.result(timeout=0.01)
 
-    def test_callback_after_completion_runs_immediately(self):
-        f = TaskFuture()
-        f.set_result(1)
-        seen = []
-        f.add_done_callback(seen.append)
-        assert seen == [f]
-
-    def test_callback_before_completion(self):
-        f = TaskFuture()
-        seen = []
-        f.add_done_callback(seen.append)
-        assert seen == []
-        f.set_result(1)
-        assert seen == [f]
-
 
 class TestThreadPool:
     def test_submit_and_result(self):
-        with ThreadPool(2) as pool:
+        with Stage("pool", 2) as pool:
             assert pool.submit(lambda: 7).result(timeout=5) == 7
 
     def test_args_kwargs(self):
-        with ThreadPool(1) as pool:
+        with Stage("pool", 1) as pool:
             assert pool.submit(divmod, 7, 3).result(timeout=5) == (2, 1)
             assert pool.submit(int, "ff", base=16).result(timeout=5) == 255
 
@@ -61,13 +47,13 @@ class TestThreadPool:
         def boom():
             raise KeyError("nope")
 
-        with ThreadPool(1) as pool:
+        with Stage("pool", 1) as pool:
             future = pool.submit(boom)
             with pytest.raises(KeyError):
                 future.result(timeout=5)
 
     def test_worker_survives_task_failure(self):
-        with ThreadPool(1) as pool:
+        with Stage("pool", 1) as pool:
             pool.submit(lambda: 1 / 0).exception(timeout=5)
             assert pool.submit(lambda: "alive").result(timeout=5) == "alive"
 
@@ -80,28 +66,28 @@ class TestThreadPool:
             barrier.wait()
             return True
 
-        with ThreadPool(3) as pool:
+        with Stage("pool", 3) as pool:
             futures = [pool.submit(rendezvous) for _ in range(3)]
             assert all(f.result(timeout=5) for f in futures)
 
     def test_zero_workers_raises(self):
         with pytest.raises(ServiceError):
-            ThreadPool(0)
+            Stage("pool", 0)
 
     def test_submit_after_shutdown_raises(self):
-        pool = ThreadPool(1)
+        pool = Stage("pool", 1)
         pool.shutdown()
         with pytest.raises(ServiceError, match="shut down"):
             pool.submit(lambda: 1)
 
     def test_shutdown_idempotent(self):
-        pool = ThreadPool(1)
+        pool = Stage("pool", 1)
         pool.shutdown()
         pool.shutdown()
 
     def test_stats_counts(self):
         ran = []
-        with ThreadPool(2) as pool:
+        with Stage("pool", 2) as pool:
             for i in range(5):
                 pool.submit(ran.append, i).result(timeout=5)
         assert sorted(ran) == [0, 1, 2, 3, 4]
@@ -110,7 +96,7 @@ class TestThreadPool:
 class TestShutdownCancelsQueuedTasks:
     def test_queued_tasks_fail_with_cancelled_error(self):
         release = threading.Event()
-        pool = ThreadPool(1)
+        pool = Stage("pool", 1)
         blocker = pool.submit(release.wait, 5)
         queued = [pool.submit(lambda: "never ran") for _ in range(4)]
         # let the single worker pick up the blocker before shutting down,
@@ -126,7 +112,7 @@ class TestShutdownCancelsQueuedTasks:
 
     def test_result_on_cancelled_future_does_not_hang(self):
         release = threading.Event()
-        pool = ThreadPool(1)
+        pool = Stage("pool", 1)
         pool.submit(release.wait, 5)
         queued = pool.submit(lambda: 1)
         time.sleep(0.05)
@@ -138,10 +124,33 @@ class TestShutdownCancelsQueuedTasks:
         assert time.monotonic() - start < 2.0
 
 
+class TestShutdownDeadline:
+    def test_joins_share_one_join_timeout(self):
+        # three workers stuck in user code: shutdown waits one
+        # join_timeout in all, not one per worker
+        release = threading.Event()
+        started = threading.Barrier(4, timeout=5)
+
+        def stuck():
+            started.wait()
+            release.wait(5)
+
+        pool = Stage("pool", 3)
+        try:
+            for _ in range(3):
+                pool.submit(stuck)
+            started.wait()
+            start = time.monotonic()
+            pool.shutdown(join_timeout=0.2)
+            assert time.monotonic() - start < 0.5
+        finally:
+            release.set()
+
+
 class TestBoundedQueue:
     def test_submit_beyond_max_queue_is_rejected(self):
         release = threading.Event()
-        with ThreadPool(1, max_queue=2) as pool:
+        with Stage("pool", 1, max_queue=2) as pool:
             pool.submit(release.wait, 5)
             time.sleep(0.05)  # blocker reaches the worker; queue empties
             accepted = [pool.submit(lambda: None) for _ in range(2)]
@@ -152,21 +161,21 @@ class TestBoundedQueue:
                 future.result(timeout=5)
 
     def test_unbounded_by_default(self):
-        with ThreadPool(1) as pool:
+        with Stage("pool", 1) as pool:
             assert pool.max_queue is None
             futures = [pool.submit(lambda: 1) for _ in range(64)]
             assert all(f.result(timeout=5) == 1 for f in futures)
 
     def test_bad_max_queue_raises(self):
         with pytest.raises(ServiceError):
-            ThreadPool(1, max_queue=0)
+            Stage("pool", 1, max_queue=0)
 
 
 class TestSubmitIsAtomic:
     """``submit`` checks the bound / the shutdown flag and enqueues in
     one critical section.  Each test widens the window between check
     and enqueue by slowing the queue's ``put`` for task items: the
-    pool's queue is swapped for a proxy of it (a C ``SimpleQueue``
+    stage's queue is swapped for a proxy of it (a C ``SimpleQueue``
     refuses a patched method), so workers parked in ``get`` keep
     reading the same queue."""
 
@@ -191,7 +200,7 @@ class TestSubmitIsAtomic:
         submitters = 8
         release = threading.Event()
         started = threading.Event()
-        pool = ThreadPool(1, max_queue=1)
+        pool = Stage("pool", 1, max_queue=1)
         try:
             def blocker():
                 started.set()
@@ -226,7 +235,7 @@ class TestSubmitIsAtomic:
     def test_submit_racing_shutdown_completes_or_cancels(self):
         in_put = threading.Event()
         shut_down = threading.Event()
-        pool = ThreadPool(1)
+        pool = Stage("pool", 1)
 
         def before_put():
             in_put.set()
